@@ -35,9 +35,9 @@ def run(args):
         cfg = dc.UndistortConfig(chi=chi, psi=psi, degree=2, seed=1,
                                  min_inliers=200, fit_radius=48)
         tic = time.perf_counter()
-        umap, _ = dc.estimate_undistortion_map(train, guess, scene.intr_rgb,
-                                               scene.intr_depth, scene.board,
-                                               cfg)
+        umap, _, _ = dc.estimate_undistortion_map(train, guess, scene.intr_rgb,
+                                                  scene.intr_depth, scene.board,
+                                                  cfg)
         row = {}
         for lf in tests:
             cloud = dc.depth_to_cloud(lf.frame.depth, scene.intr_depth)

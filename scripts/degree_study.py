@@ -42,9 +42,9 @@ def run(args):
         cfg = dc.UndistortConfig(chi=2, psi=2, degree=degree, seed=1,
                                  min_inliers=200, fit_radius=48)
         tic = time.perf_counter()
-        umap, _ = dc.estimate_undistortion_map(train, guess, scene.intr_rgb,
-                                               scene.intr_depth, scene.board,
-                                               cfg)
+        umap, _, _ = dc.estimate_undistortion_map(train, guess, scene.intr_rgb,
+                                                  scene.intr_depth, scene.board,
+                                                  cfg)
         elapsed = time.perf_counter() - tic
         row = {}
         for lf in tests:

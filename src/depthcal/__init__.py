@@ -29,17 +29,16 @@ from .geometry import (
     transform_plane,
 )
 from .maps import (
+    FitMoments,
     GlobalMap,
     MapError,
     PolyFn,
-    SampleSet,
     UndistortionMap,
     apply_full_correction,
     apply_global,
     apply_undistortion,
     complete_dependent_corner,
     correct_depth_image,
-    fit_weighted_poly,
     global_eval,
     poly_eval,
     surrounding,

@@ -1,10 +1,10 @@
 """Stage two of the calibration: global correction and extrinsics.
 
-Initialization pairs the checkerboard plane seen by the RGB camera with the
-wall plane seen by the depth sensor in every frame, solves the camera-depth
-rigid transform from the plane pairs, and fits the four-corner global map
-against the board planes with the same binned update machinery as stage one
-(bin size = whole image).
+Initialization pairs the checkerboard plane seen by the RGB camera (from
+the board pose stage one solved) with the wall plane seen by the depth
+sensor in every frame, solves the camera-depth rigid transform from the
+plane pairs, and fits the four-corner global map against the board planes
+with the same binned update machinery as stage one (bin size = whole image).
 
 The refinement then jointly adjusts the global map coefficients, the
 camera-depth transform, all board poses and the depth intrinsics by
@@ -25,7 +25,6 @@ import numpy as np
 from .calib_undistort import (
     BoardSpec,
     CalibrationError,
-    SampleGrid,
     UndistortConfig,
     update_map,
 )
@@ -43,10 +42,9 @@ from .geometry import (
     orth_project,
     project_point,
     quat_multiply,
-    solve_pnp,
     transform_plane,
 )
-from .maps import GlobalMap, UndistortionMap
+from .maps import FitMoments, GlobalMap, UndistortionMap
 
 log = logging.getLogger(__name__)
 
@@ -112,28 +110,26 @@ def build_observations(frames, undistorted_depths, inlier_sets,
     return obs
 
 
-def init_global(undistorted_clouds, inlier_sets, corner_sets,
-                intr_rgb: CameraIntrinsics, board: BoardSpec,
+def init_global(undistorted_clouds, inlier_sets, board_poses, board: BoardSpec,
                 cfg: GlobalConfig = GlobalConfig()):
     """Initial global map, camera-depth transform and board poses (plane pairs).
 
-    Per frame: PnP board pose, board plane from the transformed corners,
-    wall plane from the undistorted cloud inliers. The rigid transform
-    aligning board planes (camera frame) onto wall planes (depth frame)
-    initializes the extrinsic; the board planes moved into the depth frame
-    then drive the four-corner map fit.
+    Per frame: board plane from the corners moved by the frame's board pose
+    (board -> RGB camera, as solved in stage one), wall plane from the
+    undistorted cloud inliers. The rigid transform aligning board planes
+    (camera frame) onto wall planes (depth frame) initializes the extrinsic;
+    the board planes moved into the depth frame then drive the four-corner
+    map fit. Returns the poses of the frames kept.
     """
-    if not (len(undistorted_clouds) == len(inlier_sets) == len(corner_sets)):
-        raise CalibrationError("clouds, inlier sets and corner sets must align")
+    if not (len(undistorted_clouds) == len(inlier_sets) == len(board_poses)):
+        raise CalibrationError("clouds, inlier sets and board poses must align")
     poses = []
     board_planes_cam = []
     wall_planes_depth = []
     keep = []
-    for k, (cloud, inliers, corners) in enumerate(
-            zip(undistorted_clouds, inlier_sets, corner_sets)):
+    for k, (cloud, inliers, pose) in enumerate(
+            zip(undistorted_clouds, inlier_sets, board_poses)):
         try:
-            pose, _ = solve_pnp(board.corners_3d(), np.asarray(corners).reshape(-1, 2),
-                                intr_rgb)
             corners_cam = pose.apply(board.corners_3d())
             board_planes_cam.append(fit_plane(corners_cam))
             wall_planes_depth.append(fit_plane(cloud.points_at(inliers)))
@@ -149,13 +145,13 @@ def init_global(undistorted_clouds, inlier_sets, corner_sets,
     width, height = first.width, first.height
     grid = UndistortionMap.identity(width, height, width, height,
                                     degree=cfg.degree, constant_zero=True)
-    samples = SampleGrid.empty(grid.grid_shape, capacity=len(keep))
+    moments = FitMoments(grid.grid_shape, cfg.degree)
     update_cfg = UndistortConfig(chi=width, psi=height, degree=cfg.degree,
                                  noise_model=cfg.sigma_u)
     for k, plane_cam in zip(keep, board_planes_cam):
         plane_depth = transform_plane(cam_to_depth, plane_cam)
-        grid, samples = update_map(grid, samples, undistorted_clouds[k],
-                                   inlier_sets[k], plane_depth, update_cfg)
+        grid = update_map(grid, moments, undistorted_clouds[k], inlier_sets[k],
+                          plane_depth, update_cfg)
     gmap = GlobalMap(width, height,
                      grid.control_function(0, 0),
                      grid.control_function(1, 0),
@@ -406,9 +402,9 @@ def refine(state0: RefinementState, observations, intr_rgb: CameraIntrinsics,
 
     result = lm_minimize(residual, x_full[active], max_iter=cfg.max_iter,
                          ftol=cfg.ftol, xtol=cfg.xtol)
-    if not result.converged:
-        log.warning("refinement stopped at max_iter with cost %.3e "
-                    "(trace: %s)", result.final_cost,
+    if result.reason in ("max_iter", "damping_exhausted"):
+        log.warning("refinement stopped (%s) with cost %.3e (trace: %s)",
+                    result.reason, result.final_cost,
                     ", ".join(f"{c:.3e}" for c in result.cost_trace[-5:]))
     x_final = x_full.copy()
     x_final[active] = result.x

@@ -1,11 +1,14 @@
 """Stage one of the calibration: undistortion map estimation.
 
 Frames are processed nearest-first so the map learned from close, barely
-distorted shots bootstraps the wall segmentation of the farther ones. Per
+distorted shots bootstraps the wall segmentation of the farther ones. The
+board pose of every frame is solved once, by PnP, and serves both the
+distance sort and the RANSAC seed plane (stage two reuses it too). Per
 frame: undistort the cloud with the current map, select the wall points with
 a checkerboard-seeded RANSAC, fit the reference plane to the *original*
-cloud near the wall center, and update the binned map from line-of-sight
-projections onto that plane.
+cloud near the wall center, add one line-of-sight sample per control pixel
+to its running weighted moments (FitMoments), and refit the touched control
+polynomials from those moments.
 
 Sequential by design: each frame must see the map built from all nearer
 frames.
@@ -33,7 +36,7 @@ from .geometry import (
     solve_pnp,
     transform_plane,
 )
-from .maps import SampleSet, UndistortionMap, apply_undistortion, fit_weighted_poly_batch
+from .maps import FitMoments, UndistortionMap, apply_undistortion, fit_weighted_poly_batch
 
 log = logging.getLogger(__name__)
 
@@ -122,82 +125,35 @@ class UndistortConfig:
             raise CalibrationError("kappa must be at least 1")
 
 
-class SampleGrid:
-    """Sample sets of all control pixels, stored as flat fixed-capacity arrays."""
-
-    __slots__ = ("z", "z_pi", "count")
-
-    def __init__(self, z, z_pi, count):
-        self.z = z
-        self.z_pi = z_pi
-        self.count = count
-
-    @staticmethod
-    def empty(grid_shape, capacity):
-        gh, gw = grid_shape
-        return SampleGrid(np.zeros((gh, gw, capacity)),
-                          np.zeros((gh, gw, capacity)),
-                          np.zeros((gh, gw), dtype=int))
-
-    def appended(self, mask, z_bar, z_pi_bar):
-        """New grid with one (z_bar, z_pi_bar) sample appended where mask holds."""
-        z = self.z.copy()
-        z_pi = self.z_pi.copy()
-        count = self.count.copy()
-        if self.z.shape[2] <= count.max(initial=0):
-            grow = np.zeros(self.z.shape[:2] + (self.z.shape[2] + 8,))
-            grow[:, :, :self.z.shape[2]] = z
-            z = grow
-            grow = np.zeros_like(z)
-            grow[:, :, :self.z_pi.shape[2]] = z_pi
-            z_pi = grow
-        j, i = np.nonzero(mask)
-        z[j, i, count[j, i]] = z_bar[j, i]
-        z_pi[j, i, count[j, i]] = z_pi_bar[j, i]
-        count[j, i] += 1
-        return SampleGrid(z, z_pi, count)
-
-    def mask(self):
-        return np.arange(self.z.shape[2])[None, None, :] < self.count[:, :, None]
-
-    def sample_set(self, i, j) -> SampleSet:
-        n = self.count[j, i]
-        return SampleSet(self.z[j, i, :n], self.z_pi[j, i, :n])
-
-
-def _board_pose(frame_corners, intr_rgb: CameraIntrinsics, board: BoardSpec):
-    return solve_pnp(board.corners_3d(), np.asarray(frame_corners).reshape(-1, 2),
-                     intr_rgb)
-
-
 def sort_frames_by_distance(frames, t0: RigidTransform, intr_rgb: CameraIntrinsics,
                             board: BoardSpec):
-    """Frames ordered by ascending board distance (PnP z-translation).
+    """(frame, board pose) pairs ordered by ascending board distance.
 
-    Frames whose pose estimation fails are dropped with a warning. The sort
-    is stable, so equal distances preserve the input order.
+    The pose (board -> RGB camera) is solved once per frame by PnP and its
+    z-translation is the distance. Frames whose pose estimation fails are
+    dropped with a warning. The sort is stable, so equal distances preserve
+    the input order.
     """
     keyed = []
     for frame in frames:
         try:
-            pose, _ = _board_pose(frame.corners, intr_rgb, board)
+            pose, _ = solve_pnp(board.corners_3d(), frame.corner_points, intr_rgb)
         except GeometryError as exc:
             log.warning("frame %s dropped: PnP failed (%s)", frame.frame_id, exc)
             continue
-        keyed.append((float(pose.translation[2]), frame))
+        keyed.append((float(pose.translation[2]), frame, pose))
     keyed.sort(key=lambda kv: kv[0])
-    return [frame for _, frame in keyed]
+    return [(frame, pose) for _, frame, pose in keyed]
 
 
-def _seed_plane(frame_corners, t0, intr_rgb, board) -> Plane:
+def _seed_plane(board_pose, t0, board) -> Plane:
     """Checkerboard plane moved into the depth sensor frame via t0."""
-    pose, _ = _board_pose(frame_corners, intr_rgb, board)
-    plane_cam = transform_plane(pose, board.plane)
+    plane_cam = transform_plane(board_pose, board.plane)
     return transform_plane(t0.inverse(), plane_cam)
 
 
-def select_wall_points(undistorted: OrganizedCloud, corners, t0: RigidTransform,
-                       intr_rgb: CameraIntrinsics, board: BoardSpec,
+def select_wall_points(undistorted: OrganizedCloud, board_pose: RigidTransform,
+                       t0: RigidTransform, board: BoardSpec,
                        cfg: UndistortConfig, rng=None) -> IndexSet:
     """Wall pixel coordinates by checkerboard-seeded RANSAC on the undistorted cloud.
 
@@ -207,9 +163,8 @@ def select_wall_points(undistorted: OrganizedCloud, corners, t0: RigidTransform,
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    seed = _seed_plane(corners, t0, intr_rgb, board)
-    valid_uv = np.column_stack(np.nonzero(undistorted.valid)[::-1])  # (u, v)
-    pts = undistorted.points[valid_uv[:, 1], valid_uv[:, 0]]
+    seed = _seed_plane(board_pose, t0, board)
+    pts = undistorted.points[undistorted.valid]  # row-major, like IndexSet.from_mask
     if pts.shape[0] < cfg.min_inliers:
         raise CalibrationError("not enough valid depth points for wall selection")
 
@@ -252,8 +207,9 @@ def select_wall_points(undistorted: OrganizedCloud, corners, t0: RigidTransform,
         mask = count_inliers(refined)
         if int(mask.sum()) >= cfg.min_inliers:
             best_mask = mask
-    return IndexSet(valid_uv[best_mask], width=undistorted.width,
-                    height=undistorted.height)
+    wall = undistorted.valid.copy()
+    wall[wall] = best_mask
+    return IndexSet.from_mask(wall)
 
 
 def fit_reference_plane(original: OrganizedCloud, inliers: IndexSet,
@@ -275,14 +231,15 @@ def fit_reference_plane(original: OrganizedCloud, inliers: IndexSet,
     return fit_plane(pts)
 
 
-def update_map(umap: UndistortionMap, samples: SampleGrid, original: OrganizedCloud,
-               inliers: IndexSet, plane: Plane, cfg: UndistortConfig):
-    """One frame's map update.
+def update_map(umap: UndistortionMap, moments: FitMoments, original: OrganizedCloud,
+               inliers: IndexSet, plane: Plane, cfg: UndistortConfig) -> UndistortionMap:
+    """One frame's map update; returns the new map and adds to `moments` in place.
 
     Every inlier pixel contributes (w, z, z_plane) to the sample pools of its
     4 surrounding control pixels with its bilinear weight; per control pixel
-    the weighted mean joins the sample set and the control polynomial is
-    refit. Control pixels receiving no samples, and pixels whose fit is
+    the weighted mean becomes this frame's one sample, which is added to the
+    pixel's running moments, and the control polynomial is refit from them.
+    Control pixels receiving no samples, and pixels whose fit is
     underdetermined or singular, keep their previous function.
     """
     pts = original.points[inliers.v, inliers.u]
@@ -310,26 +267,19 @@ def update_map(umap: UndistortionMap, samples: SampleGrid, original: OrganizedCl
             wz_sum += np.bincount(idx, weights=w * z, minlength=gh * gw)
             wzpi_sum += np.bincount(idx, weights=w * z_pi, minlength=gh * gw)
 
-    received = (w_sum > 0).reshape(gh, gw)
-    z_bar = np.zeros((gh, gw))
-    z_pi_bar = np.zeros((gh, gw))
-    nz = w_sum > 0
-    z_bar.ravel()[nz] = wz_sum[nz] / w_sum[nz]
-    z_pi_bar.ravel()[nz] = wzpi_sum[nz] / w_sum[nz]
+    sel = np.nonzero(w_sum > 0)[0]
+    moments.add(sel, wz_sum[sel] / w_sum[sel], wzpi_sum[sel] / w_sum[sel],
+                cfg.noise_model)
 
-    new_samples = samples.appended(received, z_bar, z_pi_bar)
-
-    # Refit only the control functions whose sample sets changed. While a
+    # Refit only the control functions whose moments changed. While a
     # control pixel has too few samples, or too narrow a depth spread, for
     # the full degree, fit the best determined lower degree instead so
     # nearer frames can bootstrap the wall segmentation of farther ones;
     # keep the previous function when even a line is underdetermined.
-    sel = np.nonzero(received.ravel())[0]
-    flat_z = new_samples.z.reshape(gh * gw, -1)[sel]
-    flat_zpi = new_samples.z_pi.reshape(gh * gw, -1)[sel]
-    flat_mask = new_samples.mask().reshape(gh * gw, -1)[sel]
-    spread = (np.where(flat_mask, flat_z, -np.inf).max(axis=1)
-              - np.where(flat_mask, flat_z, np.inf).min(axis=1))
+    zpow = moments.zpow.reshape(gh * gw, -1)[sel]
+    zpi = moments.zpi.reshape(gh * gw, -1)[sel]
+    count = moments.count.reshape(gh * gw)[sel]
+    spread = moments.zmax.reshape(gh * gw)[sel] - moments.zmin.reshape(gh * gw)[sel]
     new_coeffs = umap.coefficients.copy()
     flat_out = new_coeffs.reshape(gh * gw, -1)
     pending = np.ones(sel.size, dtype=bool)
@@ -340,8 +290,7 @@ def update_map(umap: UndistortionMap, samples: SampleGrid, original: OrganizedCl
         rows = np.nonzero(pending & (spread >= min_spread))[0]
         if rows.size == 0:
             continue
-        coeffs, ok = fit_weighted_poly_batch(flat_z[rows], flat_zpi[rows],
-                                             flat_mask[rows], cfg.noise_model,
+        coeffs, ok = fit_weighted_poly_batch(zpow[rows], zpi[rows], count[rows],
                                              deg, umap.constant_zero)
         good = rows[ok]
         flat_out[sel[good], :] = 0.0
@@ -350,7 +299,7 @@ def update_map(umap: UndistortionMap, samples: SampleGrid, original: OrganizedCl
     if np.any(pending):
         log.debug("update_map: %d control fits deferred (underdetermined)",
                   int(pending.sum()))
-    return umap.with_coefficients(new_coeffs), new_samples
+    return umap.with_coefficients(new_coeffs)
 
 
 def estimate_undistortion_map(frames, t0: RigidTransform, intr_rgb: CameraIntrinsics,
@@ -358,9 +307,10 @@ def estimate_undistortion_map(frames, t0: RigidTransform, intr_rgb: CameraIntrin
                               cfg: UndistortConfig):
     """Run stage one over a frame list.
 
-    Returns (map, inlier_sets) where inlier_sets maps frame id -> IndexSet of
-    the wall pixels selected for that frame (stage two consumes them).
-    Deterministic for a fixed cfg.seed.
+    Returns (map, inlier_sets, board_poses). inlier_sets maps frame id ->
+    IndexSet of the wall pixels selected for that frame, and board_poses maps
+    the same ids to the frame's PnP board pose (board -> RGB camera); stage
+    two consumes both. Deterministic for a fixed cfg.seed.
     """
     if len(frames) < cfg.degree + 1:
         raise CalibrationError(
@@ -372,20 +322,21 @@ def estimate_undistortion_map(frames, t0: RigidTransform, intr_rgb: CameraIntrin
 
     width, height = intr_depth.width, intr_depth.height
     umap = UndistortionMap.identity(width, height, cfg.chi, cfg.psi, cfg.degree)
-    samples = SampleGrid.empty(umap.grid_shape, capacity=len(ordered))
+    moments = FitMoments(umap.grid_shape, cfg.degree)
     inlier_sets = {}
-    for frame in ordered:
+    board_poses = {}
+    for frame, pose in ordered:
         original = depth_to_cloud(frame.depth, intr_depth)
         undistorted = apply_undistortion(umap, original)
         try:
-            inliers = select_wall_points(undistorted, frame.corners, t0, intr_rgb,
-                                         board, cfg, rng)
+            inliers = select_wall_points(undistorted, pose, t0, board, cfg, rng)
             plane = fit_reference_plane(original, inliers, cfg)
         except (CalibrationError, GeometryError) as exc:
             log.warning("frame %s skipped: %s", frame.frame_id, exc)
             continue
-        umap, samples = update_map(umap, samples, original, inliers, plane, cfg)
+        umap = update_map(umap, moments, original, inliers, plane, cfg)
         inlier_sets[frame.frame_id] = inliers
+        board_poses[frame.frame_id] = pose
     if len(inlier_sets) < cfg.degree + 1:
         raise CalibrationError("too few usable frames after wall selection")
-    return umap, inlier_sets
+    return umap, inlier_sets, board_poses

@@ -197,10 +197,10 @@ def cmd_evaluate(args):
         # measured on the same index set
         und_only = apply_undistortion(umap, original)
         corrected = pipeline.apply_calibration(umap, gmap, frame.depth, intr_depth)
-        inliers = select_wall_points(corrected, frame.corners, extrinsic,
-                                     intr_rgb, manifest.board, ucfg, rng)
         pose, _ = solve_pnp(manifest.board.corners_3d(), frame.corner_points,
                             intr_rgb)
+        inliers = select_wall_points(corrected, pose, extrinsic, manifest.board,
+                                     ucfg, rng)
         board_plane_cam = transform_plane(pose, manifest.board.plane)
         board_plane_depth = transform_plane(extrinsic.inverse(), board_plane_cam)
 

@@ -22,6 +22,7 @@ from .calib_undistort import BoardSpec, Frame
 from .geometry import (
     CameraIntrinsics,
     DepthImage,
+    GeometryError,
     OrganizedCloud,
     RigidTransform,
 )
@@ -172,10 +173,13 @@ def _intr_from_tokens(tokens):
     if len(tokens) != 11:
         raise FormatError("intrinsics line needs 11 values")
     vals = [float(t) for t in tokens]
-    return CameraIntrinsics(fx=vals[0], fy=vals[1], cx=vals[2], cy=vals[3],
-                            width=int(vals[4]), height=int(vals[5]),
-                            radial_dist=tuple(vals[6:9]),
-                            tangential_dist=tuple(vals[9:11]))
+    try:
+        return CameraIntrinsics(fx=vals[0], fy=vals[1], cx=vals[2], cy=vals[3],
+                                width=int(vals[4]), height=int(vals[5]),
+                                radial_dist=tuple(vals[6:9]),
+                                tangential_dist=tuple(vals[9:11]))
+    except GeometryError as exc:
+        raise FormatError(f"invalid intrinsics: {exc}") from exc
 
 
 def _transform_lines(prefix, t: RigidTransform):
@@ -240,10 +244,13 @@ def read_calibration(path):
         chi, psi = (int(t) for t in kv["umap_bins"])
         degree = int(kv["umap_degree"][0])
         g_degree = int(kv["gmap_degree"][0])
-        corners = [PolyFn([float(t) for t in kv[f"gmap_corner_{n}"]],
-                          constant_zero=True) for n in ("00", "w0", "0h")]
+        corner_vals = [[float(t) for t in kv[f"gmap_corner_{n}"]]
+                       for n in ("00", "w0", "0h")]
     except KeyError as exc:
         raise FormatError(f"{path}: missing key {exc}") from exc
+    if not all(np.all(np.isfinite(vals)) for vals in corner_vals):
+        raise FormatError(f"{path}: non-finite gmap coefficient")
+    corners = [PolyFn(vals, constant_zero=True) for vals in corner_vals]
     for fn in corners:
         if fn.degree != g_degree:
             raise FormatError(f"{path}: global corner degree mismatch")
@@ -259,10 +266,14 @@ def read_calibration(path):
         vals = [float(t) for t in tokens[2:]]
         if len(vals) != degree + 1:
             raise FormatError(f"{path}: umap_fn {i} {j} has wrong coefficient count")
+        if not (0 <= i < gw and 0 <= j < gh):
+            raise FormatError(f"{path}: umap_fn {i} {j} outside the {gw}x{gh} grid")
         if seen[j, i]:
             raise FormatError(f"{path}: duplicate umap_fn {i} {j}")
         seen[j, i] = True
         coeffs[j, i] = vals
+    if not np.all(np.isfinite(coeffs)):
+        raise FormatError(f"{path}: non-finite umap coefficient")
     umap = base.with_coefficients(coeffs)
     gmap = GlobalMap(width, height, *corners)
     return umap, gmap, extrinsic, intr_depth, intr_rgb
@@ -432,12 +443,15 @@ def read_ground_truth(path):
             truths[fid] = (vals[0], RigidTransform(vals[4:8], vals[1:4]))
         else:
             kv[key] = tokens
-    extrinsic = RigidTransform([float(t) for t in kv["true_extrinsic_quaternion"]],
-                               [float(t) for t in kv["true_extrinsic_translation"]])
-    gcorr = PolyFn([float(t) for t in kv["global_correction"]], constant_zero=True)
-    width, height = (int(t) for t in kv["distortion_size"])
-    chi, psi = (int(t) for t in kv["distortion_bins"])
-    degree = int(kv["distortion_degree"][0])
+    try:
+        extrinsic = RigidTransform([float(t) for t in kv["true_extrinsic_quaternion"]],
+                                   [float(t) for t in kv["true_extrinsic_translation"]])
+        gcorr = PolyFn([float(t) for t in kv["global_correction"]], constant_zero=True)
+        width, height = (int(t) for t in kv["distortion_size"])
+        chi, psi = (int(t) for t in kv["distortion_bins"])
+        degree = int(kv["distortion_degree"][0])
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing key {exc}") from exc
     base = UndistortionMap.identity(width, height, chi, psi, degree)
     coeffs = base.coefficients.copy()
     for tokens in fns:

@@ -236,8 +236,9 @@ class CameraIntrinsics:
     tangential_dist: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise GeometryError("focal lengths must be positive")
+        if not (np.isfinite(self.fx) and np.isfinite(self.fy)
+                and self.fx > 0 and self.fy > 0):
+            raise GeometryError("focal lengths must be positive and finite")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise GeometryError("principal point must lie inside the image")
         if len(self.radial_dist) > 3 or len(self.tangential_dist) != 2:
@@ -346,8 +347,16 @@ class IndexSet:
 
     @staticmethod
     def from_mask(mask):
+        """The True pixels of a (height, width) mask, in row-major order.
+
+        A mask holds no duplicates and only coordinates inside its image, so
+        the checks of the constructor are skipped.
+        """
         v, u = np.nonzero(mask)
-        return IndexSet(np.column_stack([u, v]))
+        out = IndexSet.__new__(IndexSet)
+        out.uv = np.column_stack([u, v]).astype(np.int64, copy=False)
+        out.uv.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)
@@ -620,10 +629,19 @@ def solve_pnp(board_points, image_points, intr: CameraIntrinsics):
 
 @dataclass
 class LMResult:
+    """Outcome of `lm_minimize`.
+
+    `reason` says why the solver stopped: "ftol" or "xtol" when the cost
+    drop or the step fell below its tolerance, "max_iter" at the iteration
+    limit, "damping_exhausted" when no damping below 1e12 gave a
+    non-increasing cost. `converged` is True for every reason but max_iter.
+    """
+
     x: np.ndarray
     final_cost: float
     iterations: int
     converged: bool
+    reason: str
     cost_trace: list = field(default_factory=list)
 
 
@@ -650,8 +668,9 @@ def lm_minimize(residual_fn, x0, max_iter=200, ftol=1e-10, xtol=1e-12,
     produce the same finite-difference values). Damping is multiplied by 10
     on a rejected step and divided by 10 on an accepted one; the accepted
     cost sequence is non-increasing. Terminates when the cost drop falls
-    below ftol * max(cost, 1), the step norm falls below xtol, or at
-    max_iter.
+    below ftol * max(cost, 1), the step norm falls below xtol, when damping
+    reaches 1e12 without an accepted step, or at max_iter; `reason` on the
+    result names which.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual_fn(x), dtype=float)
@@ -662,7 +681,7 @@ def lm_minimize(residual_fn, x0, max_iter=200, ftol=1e-10, xtol=1e-12,
     jac_fn = jacobian_fn or lm_jacobian
     trace = [cost]
     iterations = 0
-    converged = False
+    reason = "max_iter"
     while iterations < max_iter:
         iterations += 1
         jac = jac_fn(residual_fn, x, r)
@@ -687,17 +706,20 @@ def lm_minimize(residual_fn, x0, max_iter=200, ftol=1e-10, xtol=1e-12,
                 x, r, cost = x_new, r_new, cost_new
                 trace.append(cost)
                 lam = max(lam / 10.0, 1e-15)
-                if drop < ftol * max(cost, 1.0) or step_norm < xtol:
-                    converged = True
+                if drop < ftol * max(cost, 1.0):
+                    reason = "ftol"
+                elif step_norm < xtol:
+                    reason = "xtol"
                 break
             lam *= 10.0
         if not accepted:
-            converged = True  # damping exhausted: local minimum within precision
+            reason = "damping_exhausted"  # local minimum within precision
             break
-        if converged:
+        if reason != "max_iter":
             break
     return LMResult(x=x, final_cost=cost, iterations=iterations,
-                    converged=converged, cost_trace=trace)
+                    converged=reason != "max_iter", reason=reason,
+                    cost_trace=trace)
 
 
 def sigma_quantization(nm: NoiseModel, z):

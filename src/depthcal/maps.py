@@ -71,91 +71,78 @@ def poly_eval(f: PolyFn, z):
     return float(out) if out.ndim == 0 else out
 
 
-class SampleSet:
-    """Per-control-pixel (z, z_plane) samples feeding the curve fit.
+class FitMoments:
+    """Running weighted moments of the (z, z_pi) samples of a grid of control pixels.
 
-    One aggregated pair is appended per processed frame; the transient
-    weighted triples live only inside the map update and are reduced to
-    their weighted mean before landing here.
+    Each control polynomial is a weighted linear least-squares fit, so its
+    normal equations are sums over samples. Per control pixel this keeps
+    sum w z^p for p <= 2 * degree and sum w z^p z_pi for p <= degree, with
+    w = 1 / sigma(z)^2, plus the sample count and the running depth range for
+    the spread gates. Fits of any degree up to `degree` read these sums; the
+    samples themselves are not kept.
+
+    Arrays are indexed by (grid row, grid column); `add` takes flat control
+    indices j * gw + i.
     """
 
-    __slots__ = ("z", "z_pi")
+    __slots__ = ("degree", "zpow", "zpi", "count", "zmin", "zmax")
 
-    def __init__(self, z=(), z_pi=()):
-        self.z = [float(v) for v in z]
-        self.z_pi = [float(v) for v in z_pi]
-        if len(self.z) != len(self.z_pi):
-            raise MapError("sample set arrays must have equal length")
-        if any(v <= 0 for v in self.z):
+    def __init__(self, grid_shape, degree):
+        gh, gw = grid_shape
+        self.degree = int(degree)
+        self.zpow = np.zeros((gh, gw, 2 * self.degree + 1))
+        self.zpi = np.zeros((gh, gw, self.degree + 1))
+        self.count = np.zeros((gh, gw), dtype=np.int64)
+        self.zmin = np.full((gh, gw), np.inf)
+        self.zmax = np.full((gh, gw), -np.inf)
+
+    def add(self, idx, z, z_pi, nm: NoiseModel):
+        """Add one sample (z[k], z_pi[k]) to control pixel idx[k], in place.
+
+        `idx` holds distinct flat control indices.
+        """
+        z = np.asarray(z, dtype=float)
+        if np.any(z <= 0):
             raise MapError("sample depths must be positive")
-
-    def append(self, z, z_pi):
-        if z <= 0:
-            raise MapError("sample depths must be positive")
-        self.z.append(float(z))
-        self.z_pi.append(float(z_pi))
-
-    def __len__(self):
-        return len(self.z)
-
-
-def _design_columns(z, degree, constant_zero):
-    powers = range(1 if constant_zero else 0, degree + 1)
-    return np.stack([z ** p for p in powers], axis=-1)
+        sigma = nm.sigma(z)
+        w = 1.0 / (sigma * sigma)
+        wz = w[:, None] * z[:, None] ** np.arange(2 * self.degree + 1)
+        g = self.count.size
+        self.zpow.reshape(g, -1)[idx] += wz
+        self.zpi.reshape(g, -1)[idx] += wz[:, :self.degree + 1] * np.asarray(z_pi)[:, None]
+        self.count.reshape(g)[idx] += 1
+        zmin = self.zmin.reshape(g)
+        zmax = self.zmax.reshape(g)
+        zmin[idx] = np.minimum(zmin[idx], z)
+        zmax[idx] = np.maximum(zmax[idx], z)
 
 
-def fit_weighted_poly_batch(z, z_pi, mask, nm: NoiseModel, degree, constant_zero,
-                            cond_limit=1e12):
-    """Weighted polynomial fits for many sample sets at once.
+def fit_weighted_poly_batch(zpow, zpi, count, degree, constant_zero, cond_limit=1e12):
+    """Weighted polynomial fits minimizing sum w (f(z) - z_pi)^2, one per row.
 
-    z, z_pi, mask: (G, N) arrays; masked-out entries are ignored. Returns
-    (coeffs (G, degree+1), ok (G,)) where ok is False for sets that are
-    underdetermined or numerically singular; their coefficient rows are 0.
+    zpow (R, >= 2 * degree + 1), zpi (R, >= degree + 1) and count (R,) are
+    rows of a FitMoments state; the normal equations of each fit are built
+    from them. With constant_zero the constant column is omitted. Returns
+    (coeffs (R, degree + 1), ok (R,)) where ok is False for fits that are
+    underdetermined or whose normal matrix has a 2-norm condition number of
+    at least cond_limit; their coefficient rows are 0.
     """
-    z = np.asarray(z, dtype=float)
-    z_pi = np.asarray(z_pi, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    ncoef = degree if constant_zero else degree + 1
-    zs = np.where(mask, z, 1.0)  # placeholder value, zero weight below
-    sigma = nm.sigma(zs)
-    w = np.where(mask, 1.0 / (sigma * sigma), 0.0)
-    phi = _design_columns(zs, degree, constant_zero)  # (G, N, ncoef)
-    wphi = phi * w[..., None]
-    normal = np.einsum("gnk,gnl->gkl", wphi, phi)
-    rhs = np.einsum("gnk,gn->gk", wphi, np.where(mask, z_pi, 0.0))
-    counts = mask.sum(axis=1)
-    ok = counts >= ncoef
-    coeffs = np.zeros((z.shape[0], degree + 1))
+    zpow = np.asarray(zpow, dtype=float)
+    first = 1 if constant_zero else 0
+    powers = np.arange(first, degree + 1)
+    normal = zpow[:, powers[:, None] + powers[None, :]]
+    rhs = np.asarray(zpi, dtype=float)[:, powers]
+    ok = np.asarray(count) >= powers.size
+    coeffs = np.zeros((zpow.shape[0], degree + 1))
     if np.any(ok):
-        cond = np.full(z.shape[0], np.inf)
-        cond[ok] = np.linalg.cond(normal[ok])
-        ok = ok & (cond < cond_limit)
+        # symmetric PSD: the singular values are the absolute eigenvalues
+        eig = np.abs(np.linalg.eigvalsh(normal[ok]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = eig.max(axis=1) / eig.min(axis=1)
+        ok[ok] = cond < cond_limit
         if np.any(ok):
-            sol = np.linalg.solve(normal[ok], rhs[ok][..., None])[..., 0]
-            coeffs[np.nonzero(ok)[0], (1 if constant_zero else 0):] = sol
+            coeffs[ok, first:] = np.linalg.solve(normal[ok], rhs[ok][..., None])[..., 0]
     return coeffs, ok
-
-
-def fit_weighted_poly(samples, nm: NoiseModel, degree, constant_zero=False) -> PolyFn:
-    """Fit one polynomial minimizing sum (f(z) - z_pi)^2 / sigma^2(z).
-
-    The problem is linear in the coefficients and solved in closed form via
-    the weighted normal equations; with constant_zero the constant column is
-    omitted.
-    """
-    if isinstance(samples, SampleSet):
-        z, z_pi = np.asarray(samples.z), np.asarray(samples.z_pi)
-    else:
-        z, z_pi = (np.asarray(a, dtype=float) for a in samples)
-    ncoef = degree if constant_zero else degree + 1
-    if z.size < ncoef:
-        raise MapError(f"need at least {ncoef} samples for degree {degree}")
-    coeffs, ok = fit_weighted_poly_batch(z[None, :], z_pi[None, :],
-                                         np.ones((1, z.size), dtype=bool),
-                                         nm, degree, constant_zero)
-    if not ok[0]:
-        raise MapError("singular normal matrix (samples do not determine the fit)")
-    return PolyFn(tuple(coeffs[0]), constant_zero)
 
 
 def _grid_shape(width, height, chi, psi):

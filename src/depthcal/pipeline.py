@@ -62,25 +62,24 @@ def calibrate(frames, t0: RigidTransform, intr_rgb: CameraIntrinsics,
     """
     timings = {}
     tic = time.perf_counter()
-    umap, inlier_sets = estimate_undistortion_map(frames, t0, intr_rgb,
-                                                  intr_depth, board,
-                                                  undistort_cfg)
+    umap, inlier_sets, board_poses = estimate_undistortion_map(
+        frames, t0, intr_rgb, intr_depth, board, undistort_cfg)
     timings["undistortion_map"] = time.perf_counter() - tic
 
     usable = [f for f in frames if f.frame_id in inlier_sets]
     tic = time.perf_counter()
     clouds = []
     inl_list = []
-    corners_list = []
+    poses_list = []
     undistorted_depths = {}
     for frame in usable:
         und = apply_undistortion(umap, depth_to_cloud(frame.depth, intr_depth))
         clouds.append(und)
         inl_list.append(inlier_sets[frame.frame_id])
-        corners_list.append(frame.corner_points)
+        poses_list.append(board_poses[frame.frame_id])
         undistorted_depths[frame.frame_id] = und.depth_image()
-    gmap0, extr0, poses0 = init_global(clouds, inl_list, corners_list,
-                                       intr_rgb, board, global_cfg)
+    gmap0, extr0, poses0 = init_global(clouds, inl_list, poses_list, board,
+                                       global_cfg)
     timings["global_init"] = time.perf_counter() - tic
 
     state0 = RefinementState(extrinsic=extr0, board_poses=tuple(poses0),

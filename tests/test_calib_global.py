@@ -36,6 +36,11 @@ def stage_two_inputs(scene, frames, cfg=None):
     return clouds, inliers, corners, ids
 
 
+def pnp_poses(scene, corners):
+    return [dc.solve_pnp(scene.board.corners_3d(), c, scene.intr_rgb)[0]
+            for c in corners]
+
+
 def observations_from(clouds, inliers, corners, ids, cap=150):
     obs = []
     for cloud, inl, crn, fid in zip(clouds, inliers, corners, ids):
@@ -67,8 +72,8 @@ def clean_setup():
 
 def test_init_global_zero_error_recovers_extrinsic(clean_setup):
     scene, frames, (clouds, inliers, corners, _) = clean_setup
-    gmap, extr, poses = dc.init_global(clouds, inliers, corners,
-                                       scene.intr_rgb, scene.board)
+    gmap, extr, poses = dc.init_global(clouds, inliers, pnp_poses(scene, corners),
+                                       scene.board)
     te = scene.true_extrinsic
     assert np.linalg.norm(extr.translation - te.translation) < 1e-3
     assert np.degrees(extr.compose(te.inverse()).rotation_angle()) < 0.05
@@ -81,18 +86,45 @@ def test_init_global_zero_error_recovers_extrinsic(clean_setup):
 def test_init_global_needs_three_frames(clean_setup):
     scene, frames, (clouds, inliers, corners, _) = clean_setup
     with pytest.raises(dc.CalibrationError):
-        dc.init_global(clouds[:2], inliers[:2], corners[:2],
-                       scene.intr_rgb, scene.board)
+        dc.init_global(clouds[:2], inliers[:2], pnp_poses(scene, corners[:2]),
+                       scene.board)
 
 
 def test_init_global_dependent_corner_invariant(clean_setup):
     scene, frames, (clouds, inliers, corners, _) = clean_setup
-    gmap, _, _ = dc.init_global(clouds, inliers, corners, scene.intr_rgb,
+    gmap, _, _ = dc.init_global(clouds, inliers, pnp_poses(scene, corners),
                                 scene.board)
     d = np.linspace(0.5, 5.0, 20)
     lhs = dc.poly_eval(gmap.corner_00, d) + dc.poly_eval(gmap.corner_wh, d)
     rhs = dc.poly_eval(gmap.corner_w0, d) + dc.poly_eval(gmap.corner_0h, d)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_stage_one_and_init_solve_one_pnp_per_frame(clean_setup, monkeypatch):
+    import depthcal.calib_global as cg
+    import depthcal.calib_undistort as cu
+
+    scene, frames, _ = clean_setup
+    calls = []
+
+    def counting_pnp(board_points, image_points, intr):
+        calls.append(1)
+        return dc.solve_pnp(board_points, image_points, intr)
+
+    for module in (cu, cg):
+        if hasattr(module, "solve_pnp"):
+            monkeypatch.setattr(module, "solve_pnp", counting_pnp)
+    train = [lf.frame for lf in frames if not lf.is_test]
+    ucfg = dc.UndistortConfig(chi=2, psi=2, degree=2, seed=1, min_inliers=50,
+                              fit_radius=24)
+    umap, inlier_sets, poses = dc.estimate_undistortion_map(
+        train, T0, scene.intr_rgb, scene.intr_depth, scene.board, ucfg)
+    assert len(inlier_sets) == len(train)
+    clouds = [dc.apply_undistortion(umap, dc.depth_to_cloud(f.depth, scene.intr_depth))
+              for f in train]
+    dc.init_global(clouds, [inlier_sets[f.frame_id] for f in train],
+                   [poses[f.frame_id] for f in train], scene.board)
+    assert len(calls) == len(train)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +298,20 @@ def test_refine_at_ground_truth_is_fixed_point(clean_setup):
     assert result.final_cost < 1e-10
     assert np.linalg.norm(state.extrinsic.translation
                           - scene.true_extrinsic.translation) < 1e-8
+
+
+def test_refine_warns_when_stopped_at_max_iter(clean_setup, caplog):
+    scene, frames, setup = clean_setup
+    truth = truth_state(scene, frames, setup[3])
+    bent = dc.RigidTransform(truth.extrinsic.quaternion,
+                             truth.extrinsic.translation + (0.005, 0, 0))
+    state0 = dc.RefinementState(extrinsic=bent, board_poses=truth.board_poses,
+                                intr_depth=truth.intr_depth, gmap=truth.gmap)
+    with caplog.at_level("WARNING", logger="depthcal.calib_global"):
+        _, result = run_refine(scene, frames, setup, state0,
+                               GlobalConfig(max_iter=1))
+    assert result.reason == "max_iter" and not result.converged
+    assert "refinement stopped (max_iter)" in caplog.text
 
 
 def test_refine_recovers_perturbed_extrinsic(clean_setup):

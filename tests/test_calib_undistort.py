@@ -3,7 +3,6 @@ import pytest
 
 import depthcal as dc
 from depthcal import synthbench as sb
-from depthcal.calib_undistort import SampleGrid
 from depthcal.maps import fit_weighted_poly_batch
 
 
@@ -21,6 +20,12 @@ def small_cfg(**kw):
     base = dict(chi=2, psi=2, degree=2, seed=1, min_inliers=50, fit_radius=24)
     base.update(kw)
     return dc.UndistortConfig(**base)
+
+
+def board_pose(scene, frame):
+    pose, _ = dc.solve_pnp(scene.board.corners_3d(), frame.corner_points,
+                           scene.intr_rgb)
+    return pose
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +76,10 @@ def test_sort_orders_by_board_distance(clean_scene):
     ordered = dc.sort_frames_by_distance([f.frame for f in train], T0,
                                          scene.intr_rgb, scene.board)
     dists = {f.frame.frame_id: f.wall_distance for f in train}
-    got = [dists[f.frame_id] for f in ordered]
+    got = [dists[f.frame_id] for f, _ in ordered]
     assert got == sorted(got)
+    for frame, pose in ordered:
+        assert pose == board_pose(scene, frame)
 
 
 def test_sort_is_stable_for_equal_distances(clean_scene):
@@ -81,7 +88,7 @@ def test_sort_is_stable_for_equal_distances(clean_scene):
     twins = [dc.Frame("a", f.depth, f.corners), dc.Frame("b", f.depth, f.corners),
              dc.Frame("c", f.depth, f.corners)]
     ordered = dc.sort_frames_by_distance(twins, T0, scene.intr_rgb, scene.board)
-    assert [fr.frame_id for fr in ordered] == ["a", "b", "c"]
+    assert [fr.frame_id for fr, _ in ordered] == ["a", "b", "c"]
 
 
 def test_sort_drops_frames_with_garbage_corners(clean_scene):
@@ -92,7 +99,7 @@ def test_sort_drops_frames_with_garbage_corners(clean_scene):
     bad = dc.Frame("bad", good.depth, corners)
     ordered = dc.sort_frames_by_distance([good, bad], T0, scene.intr_rgb,
                                          scene.board)
-    assert [f.frame_id for f in ordered] == [good.frame_id]
+    assert [f.frame_id for f, _ in ordered] == [good.frame_id]
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +116,8 @@ def test_select_wall_points_takes_whole_wall_when_undistorted(clean_scene):
     fixed_cloud = dc.depth_to_cloud(
         dc.DepthImage(160, 120, np.where(lf.frame.depth.valid, fixed, 0.0)),
         scene.intr_depth)
-    inl = dc.select_wall_points(fixed_cloud, lf.frame.corners, T0,
-                                scene.intr_rgb, scene.board, small_cfg(),
-                                np.random.default_rng(0))
+    inl = dc.select_wall_points(fixed_cloud, board_pose(scene, lf.frame), T0,
+                                scene.board, small_cfg(), np.random.default_rng(0))
     assert len(inl) == int((lf.labels == sb.LABEL_WALL).sum())
 
 
@@ -121,8 +127,8 @@ def test_select_wall_points_excludes_floor():
     lf = sb.render_frame(scene, scene.n_frames - 1)
     assert (lf.labels == sb.LABEL_FLOOR).any()
     cloud = dc.depth_to_cloud(lf.frame.depth, scene.intr_depth)
-    inl = dc.select_wall_points(cloud, lf.frame.corners, scene.true_extrinsic,
-                                scene.intr_rgb, scene.board, small_cfg(),
+    inl = dc.select_wall_points(cloud, board_pose(scene, lf.frame),
+                                scene.true_extrinsic, scene.board, small_cfg(),
                                 np.random.default_rng(0))
     labels = lf.labels[inl.v, inl.u]
     assert np.all(labels == sb.LABEL_WALL)
@@ -133,9 +139,8 @@ def test_select_wall_points_empty_image_errors(clean_scene):
     empty = dc.depth_to_cloud(dc.DepthImage(160, 120, np.zeros((120, 160))),
                               scene.intr_depth)
     with pytest.raises(dc.CalibrationError):
-        dc.select_wall_points(empty, frames[0].frame.corners, T0,
-                              scene.intr_rgb, scene.board, small_cfg(),
-                              np.random.default_rng(0))
+        dc.select_wall_points(empty, board_pose(scene, frames[0].frame), T0,
+                              scene.board, small_cfg(), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +210,12 @@ def test_update_map_identity_when_points_on_plane():
     inl = dc.IndexSet.from_mask(cloud.valid)
     cfg = small_cfg(chi=4, psi=4)
     umap = dc.UndistortionMap.identity(32, 24, 4, 4, 2)
-    samples = SampleGrid.empty(umap.grid_shape, 4)
+    moments = dc.FitMoments(umap.grid_shape, 2)
     for plane_depth in (2.0, 2.5, 3.5):
         img = dc.DepthImage(32, 24, np.full((24, 32), plane_depth))
         cloud = dc.depth_to_cloud(img, intr)
-        umap, samples = dc.update_map(umap, samples, cloud, inl,
-                                      dc.Plane((0, 0, 1.0), plane_depth), cfg)
+        umap = dc.update_map(umap, moments, cloud, inl,
+                             dc.Plane((0, 0, 1.0), plane_depth), cfg)
     del scene_plane
     z = np.linspace(2.0, 3.5, 7)
     for (i, j) in [(0, 0), (4, 3), (8, 6)]:
@@ -225,8 +230,8 @@ def test_update_map_weighted_mean_matches_oracle(clean_scene):
     cfg = small_cfg()
     plane = dc.fit_reference_plane(cloud, inl, cfg)
     umap = dc.UndistortionMap.identity(160, 120, cfg.chi, cfg.psi, cfg.degree)
-    samples = SampleGrid.empty(umap.grid_shape, 2)
-    _, updated = dc.update_map(umap, samples, cloud, inl, plane, cfg)
+    moments = dc.FitMoments(umap.grid_shape, cfg.degree)
+    dc.update_map(umap, moments, cloud, inl, plane, cfg)
 
     # independent recomputation of the aggregated sample of one control pixel
     target = (20, 15)  # grid column, row -> pixel (40, 30)
@@ -244,10 +249,16 @@ def test_update_map_weighted_mean_matches_oracle(clean_scene):
                 w_sum += w
                 z_sum += w * p[2]
                 zpi_sum += w * z_pi
-    got = updated.sample_set(*target)
-    assert len(got) == 1
-    assert got.z[0] == pytest.approx(z_sum / w_sum, abs=1e-12)
-    assert got.z_pi[0] == pytest.approx(zpi_sum / w_sum, abs=1e-12)
+    # the frame's one sample is the weighted mean, held as its moments
+    i, j = target
+    z_bar, z_pi_bar = z_sum / w_sum, zpi_sum / w_sum
+    w = 1.0 / cfg.noise_model.sigma(z_bar) ** 2
+    assert moments.count[j, i] == 1
+    assert moments.zmin[j, i] == pytest.approx(z_bar, abs=1e-12)
+    assert moments.zmax[j, i] == moments.zmin[j, i]
+    assert np.allclose(moments.zpow[j, i], w * z_bar ** np.arange(5), rtol=1e-12)
+    assert np.allclose(moments.zpi[j, i], w * z_pi_bar * z_bar ** np.arange(3),
+                       rtol=1e-12)
 
 
 def test_update_map_single_inlier_weight_structure():
@@ -258,14 +269,18 @@ def test_update_map_single_inlier_weight_structure():
     inl = dc.IndexSet([(8, 8)])
     cfg = small_cfg(chi=4, psi=4, min_inliers=1)
     umap = dc.UndistortionMap.identity(32, 24, 4, 4, 2)
-    samples = SampleGrid.empty(umap.grid_shape, 2)
-    _, updated = dc.update_map(umap, samples, cloud, inl,
-                               dc.Plane((0, 0, 1.0), 2.0), cfg)
-    assert updated.count[2, 2] == 1  # weight-1 sample at its own control pixel
-    # stencil mates got only zero-weight contributions: no sample appended
-    assert updated.count[2, 3] == 0
-    assert updated.count[3, 2] == 0
-    assert updated.count.sum() == 1
+    moments = dc.FitMoments(umap.grid_shape, 2)
+    dc.update_map(umap, moments, cloud, inl, dc.Plane((0, 0, 1.0), 2.0), cfg)
+    assert moments.count[2, 2] == 1  # weight-1 sample at its own control pixel
+    assert moments.zmin[2, 2] == moments.zmax[2, 2] == 2.0
+    # stencil mates got only zero-weight contributions: no sample added
+    assert moments.count[2, 3] == 0
+    assert moments.count[3, 2] == 0
+    assert moments.count.sum() == 1
+    untouched = np.ones(moments.count.shape, dtype=bool)
+    untouched[2, 2] = False
+    assert np.all(moments.zpow[untouched] == 0.0)
+    assert np.all(moments.zpi[untouched] == 0.0)
 
 
 def test_update_map_leaves_unsampled_controls_alone(clean_scene):
@@ -282,10 +297,12 @@ def test_update_map_leaves_unsampled_controls_alone(clean_scene):
     start = dc.UndistortionMap.identity(160, 120, cfg.chi, cfg.psi, cfg.degree)
     noisy_coeffs = start.coefficients + rng.normal(0, 0.01, start.coefficients.shape)
     start = start.with_coefficients(noisy_coeffs)
-    samples = SampleGrid.empty(start.grid_shape, 2)
-    updated, _ = dc.update_map(start, samples, cloud, inl, plane, cfg)
+    moments = dc.FitMoments(start.grid_shape, cfg.degree)
+    updated = dc.update_map(start, moments, cloud, inl, plane, cfg)
     untouched = updated.coefficients[:, 30:]  # far right columns saw no inlier
     assert np.array_equal(untouched, start.coefficients[:, 30:])
+    assert np.all(moments.count[:, 30:] == 0)
+    assert np.all(moments.zpow[:, 30:] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +312,11 @@ def test_update_map_leaves_unsampled_controls_alone(clean_scene):
 def test_estimate_identity_for_undistorted_data():
     scene = small_scene(peak=0.0, seed=4)
     frames = [sb.render_frame(scene, k) for k in range(scene.n_frames)]
-    umap, inliers = dc.estimate_undistortion_map(
+    umap, inliers, poses = dc.estimate_undistortion_map(
         [f.frame for f in frames if not f.is_test], T0, scene.intr_rgb,
         scene.intr_depth, scene.board, small_cfg())
     assert len(inliers) == scene.n_train
+    assert poses.keys() == inliers.keys()
     z = np.linspace(1.0, 4.0, 13)
     gh, gw = umap.grid_shape
     for j in range(0, gh, 7):
@@ -309,7 +327,7 @@ def test_estimate_identity_for_undistorted_data():
 
 def test_estimate_recovers_injected_field(clean_scene):
     scene, frames = clean_scene
-    umap, _ = dc.estimate_undistortion_map(
+    umap, _, _ = dc.estimate_undistortion_map(
         [f.frame for f in frames if not f.is_test], T0, scene.intr_rgb,
         scene.intr_depth, scene.board, small_cfg())
     # compare as functions at probe depths; the common depth-dependent shift
@@ -343,9 +361,9 @@ def test_estimate_single_distance_leaves_identity():
     base = sb.render_frame(scene, 0)
     frames = [dc.Frame(f"f{k}", base.frame.depth, base.frame.corners)
               for k in range(4)]
-    umap, _ = dc.estimate_undistortion_map(frames, T0, scene.intr_rgb,
-                                           scene.intr_depth, scene.board,
-                                           small_cfg())
+    umap, _, _ = dc.estimate_undistortion_map(frames, T0, scene.intr_rgb,
+                                              scene.intr_depth, scene.board,
+                                              small_cfg())
     gh, gw = umap.grid_shape
     ident = dc.UndistortionMap.identity(160, 120, 2, 2, 2)
     # quadratic terms were never unlocked
@@ -356,21 +374,24 @@ def test_estimate_single_distance_leaves_identity():
 def test_estimate_is_deterministic(clean_scene):
     scene, frames = clean_scene
     train = [f.frame for f in frames if not f.is_test]
-    a, _ = dc.estimate_undistortion_map(train, T0, scene.intr_rgb,
-                                        scene.intr_depth, scene.board,
-                                        small_cfg(seed=77))
-    b, _ = dc.estimate_undistortion_map(train, T0, scene.intr_rgb,
-                                        scene.intr_depth, scene.board,
-                                        small_cfg(seed=77))
+    a, _, _ = dc.estimate_undistortion_map(train, T0, scene.intr_rgb,
+                                           scene.intr_depth, scene.board,
+                                           small_cfg(seed=77))
+    b, _, _ = dc.estimate_undistortion_map(train, T0, scene.intr_rgb,
+                                           scene.intr_depth, scene.board,
+                                           small_cfg(seed=77))
     assert np.array_equal(a.coefficients, b.coefficients)
 
 
 def test_batch_fit_respects_constant_zero_everywhere():
     rng = np.random.default_rng(0)
-    z = rng.uniform(1, 4, (5, 10))
+    z = rng.uniform(1, 4, (10, 5))
     zpi = 0.97 * z + 0.01 * z * z
-    coeffs, ok = fit_weighted_poly_batch(z, zpi, np.ones_like(z, dtype=bool),
-                                         dc.KINECT1_QUANTIZATION, 2, True)
+    moments = dc.FitMoments((1, 5), 2)
+    for zk, zpik in zip(z, zpi):  # one sample per control pixel and frame
+        moments.add(np.arange(5), zk, zpik, dc.KINECT1_QUANTIZATION)
+    coeffs, ok = fit_weighted_poly_batch(moments.zpow[0], moments.zpi[0],
+                                         moments.count[0], 2, True)
     assert ok.all()
     assert np.all(coeffs[:, 0] == 0.0)
     assert np.allclose(coeffs[:, 1], 0.97, atol=1e-9)

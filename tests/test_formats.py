@@ -191,6 +191,59 @@ def test_calibration_rejects_wrong_function_count(tmp_path):
         formats.read_calibration(path)
 
 
+def write_sample_calibration(path, edit):
+    """Write the sample calibration with its lines passed through `edit`."""
+    formats.write_calibration(path, *sample_calibration())
+    path.write_text("\n".join(edit(ln) for ln in path.read_text().splitlines()) + "\n")
+
+
+@pytest.mark.parametrize("index", ["-1 0", "0 -1", "999 0", "0 999"])
+def test_calibration_rejects_out_of_range_index(tmp_path, index):
+    # the sample grid is 9 x 7: "-1 0" used to alias cell "8 0" it replaces
+    path = tmp_path / "calib.txt"
+    write_sample_calibration(path, lambda ln: ln.replace("umap_fn 8 0 ",
+                                                         f"umap_fn {index} "))
+    with pytest.raises(FormatError, match="outside"):
+        formats.read_calibration(path)
+
+
+@pytest.mark.parametrize("prefix", ["umap_fn 3 2 ", "gmap_corner_w0 "])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_calibration_rejects_nonfinite_coefficient(tmp_path, prefix, bad):
+    def edit(ln):
+        if not ln.startswith(prefix):
+            return ln
+        tokens = ln.split()
+        tokens[-1] = bad
+        return " ".join(tokens)
+
+    path = tmp_path / "calib.txt"
+    write_sample_calibration(path, edit)
+    with pytest.raises(FormatError, match="non-finite"):
+        formats.read_calibration(path)
+
+
+def test_calibration_rejects_nan_focal_length(tmp_path):
+    def edit(ln):
+        if ln.startswith("depth_intrinsics "):
+            tokens = ln.split()
+            tokens[1] = "nan"
+            return " ".join(tokens)
+        return ln
+
+    path = tmp_path / "calib.txt"
+    write_sample_calibration(path, edit)
+    with pytest.raises(FormatError):
+        formats.read_calibration(path)
+
+
+def test_ground_truth_rejects_missing_key(tmp_path):
+    path = tmp_path / "ground_truth.txt"
+    path.write_text("version 1\n")
+    with pytest.raises(FormatError, match="missing key"):
+        formats.read_ground_truth(path)
+
+
 # ---------------------------------------------------------------------------
 # manifest
 

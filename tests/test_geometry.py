@@ -418,6 +418,35 @@ def test_lm_rejects_nonfinite_start():
         dc.lm_minimize(lambda x: np.array([np.nan]), np.zeros(1))
 
 
+def test_lm_reason_ftol():
+    res = dc.lm_minimize(lambda x: x - 3.0, np.zeros(1))
+    assert (res.reason, res.converged) == ("ftol", True)
+
+
+def test_lm_reason_xtol():
+    # ftol = 0 never fires, so only the step length can stop the solver
+    res = dc.lm_minimize(lambda x: x - np.array([3.0, -1.0]), np.zeros(2),
+                         ftol=0.0, xtol=1e-6)
+    assert (res.reason, res.converged) == ("xtol", True)
+
+
+def test_lm_reason_max_iter():
+    def rosen(x):
+        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+    res = dc.lm_minimize(rosen, np.array([-1.2, 1.0]), max_iter=2)
+    assert (res.reason, res.converged, res.iterations) == ("max_iter", False, 2)
+
+
+def test_lm_reason_damping_exhausted():
+    # a Jacobian of the wrong sign makes every damped step go uphill
+    res = dc.lm_minimize(lambda x: x.copy(), np.ones(1),
+                         jacobian_fn=lambda fn, x, r: -np.eye(1))
+    assert (res.reason, res.converged) == ("damping_exhausted", True)
+    assert res.x[0] == 1.0
+    assert res.cost_trace == [1.0]
+
+
 def test_lm_jacobian_matches_analytic():
     a = np.array([[2.0, 1.0], [0.5, -1.0], [1.0, 3.0]])
 
@@ -445,6 +474,26 @@ def test_noise_model_positive_on_working_range():
 
 # ---------------------------------------------------------------------------
 # IndexSet
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", ["fx", "fy"])
+def test_intrinsics_reject_nonfinite_focal_length(axis, bad):
+    values = dict(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+    values[axis] = bad
+    with pytest.raises(GeometryError):
+        dc.CameraIntrinsics(**values)
+
+
+def test_index_set_from_mask_matches_checked_constructor():
+    rng = np.random.default_rng(3)
+    mask = rng.random((12, 17)) < 0.4
+    fast = dc.IndexSet.from_mask(mask)
+    v, u = np.nonzero(mask)
+    checked = dc.IndexSet(np.column_stack([u, v]), width=17, height=12)
+    assert fast.uv.dtype == checked.uv.dtype
+    assert np.array_equal(fast.uv, checked.uv)
+    assert not fast.uv.flags.writeable
 
 
 def test_index_set_rejects_duplicates():

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 import depthcal as dc
 from depthcal.maps import MapError, fit_weighted_poly_batch
+from oracles import fit_weighted_poly, moments_of
+from oracles import fit_weighted_poly_batch as oracle_batch
 
 
 NM = dc.KINECT1_QUANTIZATION
@@ -50,22 +52,32 @@ def test_polyfn_rejects_degree_5():
 
 
 # ---------------------------------------------------------------------------
-# fit_weighted_poly
+# FitMoments / fit_weighted_poly_batch (the moment solve)
+
+
+def moment_fit(z, z_pi, degree, constant_zero=False):
+    """(coeffs, ok) of the moment solve over one pixel holding the samples."""
+    m = moments_of(z, z_pi, NM, degree)
+    coeffs, ok = fit_weighted_poly_batch(m.zpow.reshape(1, -1), m.zpi.reshape(1, -1),
+                                         m.count.reshape(1), degree, constant_zero)
+    return coeffs[0], bool(ok[0])
 
 
 def test_fit_exact_quadratic():
     z = np.array([1.0, 2.0, 3.0, 4.0])
     z_pi = 0.03 + 0.97 * z + 0.01 * z ** 2
-    f = dc.fit_weighted_poly((z, z_pi), NM, degree=2)
-    assert np.allclose(f.coefficients, (0.03, 0.97, 0.01), atol=1e-9)
+    coeffs, ok = moment_fit(z, z_pi, degree=2)
+    assert ok
+    assert np.allclose(coeffs, (0.03, 0.97, 0.01), atol=1e-9)
 
 
 def test_fit_constant_zero():
     z = np.array([1.0, 2.0, 3.0])
     z_pi = 0.95 * z + 0.02 * z ** 2
-    f = dc.fit_weighted_poly((z, z_pi), NM, degree=2, constant_zero=True)
-    assert f.coefficients[0] == 0.0
-    assert np.allclose(f.coefficients, (0.0, 0.95, 0.02), atol=1e-9)
+    coeffs, ok = moment_fit(z, z_pi, degree=2, constant_zero=True)
+    assert ok
+    assert coeffs[0] == 0.0
+    assert np.allclose(coeffs, (0.0, 0.95, 0.02), atol=1e-9)
 
 
 def test_fit_matches_pseudo_inverse_oracle():
@@ -73,38 +85,84 @@ def test_fit_matches_pseudo_inverse_oracle():
     rng = np.random.default_rng(17)
     z = rng.uniform(0.8, 4.5, 200)
     z_pi = 0.02 + 0.96 * z + 0.012 * z ** 2 + rng.normal(0, 0.003, 200)
-    f = dc.fit_weighted_poly((z, z_pi), NM, degree=2)
+    coeffs, ok = moment_fit(z, z_pi, degree=2)
 
     sigma = NM.sigma(z)
     a = np.column_stack([np.ones_like(z), z, z ** 2]) / sigma[:, None]
-    coeffs = np.linalg.pinv(a) @ (z_pi / sigma)
-    assert np.allclose(f.coefficients, coeffs, atol=1e-8)
+    expected = np.linalg.pinv(a) @ (z_pi / sigma)
+    assert ok
+    assert np.allclose(coeffs, expected, atol=1e-8)
+    assert np.allclose(fit_weighted_poly((z, z_pi), NM, degree=2).coefficients,
+                       expected, atol=1e-8)
 
 
 def test_fit_underdetermined():
+    coeffs, ok = moment_fit(np.array([1.0, 2.0]), np.array([1.0, 2.0]), degree=2)
+    assert not ok
+    assert np.all(coeffs == 0.0)
     with pytest.raises(MapError):
-        dc.fit_weighted_poly((np.array([1.0, 2.0]), np.array([1.0, 2.0])), NM, degree=2)
+        fit_weighted_poly((np.array([1.0, 2.0]), np.array([1.0, 2.0])), NM, degree=2)
 
 
 def test_fit_singular_same_depth():
     z = np.full(10, 2.0)
+    assert not moment_fit(z, z, degree=2)[1]
     with pytest.raises(MapError):
-        dc.fit_weighted_poly((z, z), NM, degree=2)
+        fit_weighted_poly((z, z), NM, degree=2)
 
 
 def test_fit_batch_flags_bad_sets():
-    z = np.array([[1.0, 2, 3, 4], [2.0, 2, 2, 2]])
-    z_pi = z.copy()
-    mask = np.ones_like(z, dtype=bool)
-    coeffs, ok = fit_weighted_poly_batch(z, z_pi, mask, NM, 2, False)
+    moments = dc.FitMoments((1, 2), 2)
+    for z in ([1.0, 2.0], [2.0, 2.0], [3.0, 2.0], [4.0, 2.0]):
+        z = np.array(z)
+        moments.add(np.array([0, 1]), z, z, NM)
+    coeffs, ok = fit_weighted_poly_batch(moments.zpow.reshape(2, -1),
+                                         moments.zpi.reshape(2, -1),
+                                         moments.count.reshape(2), 2, False)
     assert ok[0] and not ok[1]
     assert np.allclose(coeffs[0], (0, 1, 0), atol=1e-9)
+    assert np.all(coeffs[1] == 0.0)
 
 
-def test_sample_set_rejects_nonpositive_depth():
-    s = dc.SampleSet()
+def test_fit_moments_reject_nonpositive_depth():
+    moments = dc.FitMoments((1, 1), 2)
     with pytest.raises(MapError):
-        s.append(0.0, 1.0)
+        moments.add(np.array([0]), np.array([0.0]), np.array([1.0]), NM)
+    assert moments.count[0, 0] == 0
+
+
+def test_fit_moments_track_count_and_depth_range():
+    moments = dc.FitMoments((2, 3), 2)
+    moments.add(np.array([4, 1]), np.array([2.0, 3.0]), np.array([2.1, 3.1]), NM)
+    moments.add(np.array([4]), np.array([1.5]), np.array([1.4]), NM)
+    assert moments.count.tolist() == [[0, 1, 0], [0, 2, 0]]
+    assert (moments.zmin[1, 1], moments.zmax[1, 1]) == (1.5, 2.0)
+    assert (moments.zmin[0, 1], moments.zmax[0, 1]) == (3.0, 3.0)
+    assert np.all(moments.zpow[0, 0] == 0.0)
+    w = 1.0 / NM.sigma(np.array([2.0, 1.5])) ** 2
+    assert moments.zpow[1, 1, 0] == pytest.approx(w.sum(), rel=1e-15)
+    assert moments.zpi[1, 1, 1] == pytest.approx(w @ (np.array([2.0, 1.5]) * [2.1, 1.4]),
+                                                 rel=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.integers(0, 9), max_size=12),
+       levels=st.integers(1, 10),
+       gain=st.floats(0.9, 1.1),
+       noise=st.lists(st.floats(-0.01, 0.01), min_size=12, max_size=12),
+       degree=st.integers(1, 2),
+       constant_zero=st.booleans())
+def test_moment_fit_matches_sample_oracle(steps, levels, gain, noise, degree,
+                                          constant_zero):
+    # depths on a 0.5 m lattice over [0.5, 5] m with at most `levels`
+    # distinct values: few levels give underdetermined or collinear sets
+    z = 0.5 * (1 + np.array(steps, dtype=int) % levels)
+    z_pi = gain * z + np.array(noise[:z.size])
+    coeffs, ok = moment_fit(z, z_pi, degree, constant_zero)
+    ref, ref_ok = oracle_batch(z[None, :], z_pi[None, :], np.ones((1, z.size), bool),
+                               NM, degree, constant_zero)
+    assert ok == bool(ref_ok[0])
+    assert np.max(np.abs(coeffs - ref[0])) <= 1e-10 * np.max(np.abs(ref[0]), initial=0.0)
 
 
 # ---------------------------------------------------------------------------
