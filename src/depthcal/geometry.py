@@ -635,6 +635,8 @@ class LMResult:
     drop or the step fell below its tolerance, "max_iter" at the iteration
     limit, "damping_exhausted" when no damping below 1e12 gave a
     non-increasing cost. `converged` is True for every reason but max_iter.
+    `residual` is the residual vector at `x`, so `final_cost == residual @
+    residual`.
     """
 
     x: np.ndarray
@@ -643,6 +645,7 @@ class LMResult:
     converged: bool
     reason: str
     cost_trace: list = field(default_factory=list)
+    residual: np.ndarray | None = None
 
 
 def lm_jacobian(residual_fn, x, r=None):
@@ -663,9 +666,10 @@ def lm_minimize(residual_fn, x0, max_iter=200, ftol=1e-10, xtol=1e-12,
                 damping_init=1e-3, jacobian_fn=None) -> LMResult:
     """Levenberg-Marquardt over a residual vector function.
 
-    Jacobian by forward finite differences unless `jacobian_fn(fn, x, r)`
-    is supplied (used by callers that know the residual sparsity; it must
-    produce the same finite-difference values). Damping is multiplied by 10
+    Jacobian by forward finite differences (`lm_jacobian`) unless
+    `jacobian_fn(fn, x, r)` is supplied. `calib_global.refine` supplies one
+    that groups columns with disjoint row supports and equals `lm_jacobian`
+    bit for bit, so the solver takes the same steps. Damping is multiplied by 10
     on a rejected step and divided by 10 on an accepted one; the accepted
     cost sequence is non-increasing. Terminates when the cost drop falls
     below ftol * max(cost, 1), the step norm falls below xtol, when damping
@@ -719,7 +723,7 @@ def lm_minimize(residual_fn, x0, max_iter=200, ftol=1e-10, xtol=1e-12,
             break
     return LMResult(x=x, final_cost=cost, iterations=iterations,
                     converged=reason != "max_iter", reason=reason,
-                    cost_trace=trace)
+                    cost_trace=trace, residual=r)
 
 
 def sigma_quantization(nm: NoiseModel, z):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from depthcal.calib_global import (
     FrameObservations,
     GlobalConfig,
     _board_plane_depth,
+    _is_penalty,
+    _RefineProblem,
     refine_problem,
 )
 from depthcal.geometry import axis_angle_to_quat, lm_jacobian, quat_multiply
@@ -398,3 +402,154 @@ def test_refine_jacobian_matches_cost_gradient(clean_setup):
         cost = lambda xx: float(np.sum(problem.residual(xx) ** 2))
         fd = (cost(x + h * v) - cost(x - h * v)) / (2 * h)
         assert jv == pytest.approx(fd, rel=1e-4, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# grouped refine Jacobian
+
+
+def active_problem(setup, **cfg):
+    """The refine problem of small_refine_setup and its active-space residual."""
+    scene, state, observations, _, _ = setup
+    problem = refine_problem(state, observations, scene.intr_rgb, scene.board,
+                             GlobalConfig(**cfg))
+    active = problem.active_indices()
+
+    def over_active(x_full):
+        def fn(x_active):
+            x = x_full.copy()
+            x[active] = x_active
+            return problem.residual(x)
+        return fn, x_full[active]
+
+    return problem, over_active
+
+
+@pytest.mark.parametrize("cfg", [{}, {"optimize_gmap": False},
+                                 {"optimize_intrinsics": False}])
+def test_grouped_jacobian_equals_dense(small_refine_setup, cfg):
+    problem, over_active = active_problem(small_refine_setup, **cfg)
+    x0 = problem.pack_initial()
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        fn, x = over_active(x0 + rng.normal(0, 5e-4, x0.size))
+        r = fn(x)
+        assert np.array_equal(problem.jacobian(fn, x, r),
+                              lm_jacobian(fn, x, r))
+
+
+def test_lm_with_grouped_jacobian_takes_the_same_steps(small_refine_setup):
+    problem, over_active = active_problem(small_refine_setup)
+    x0 = problem.pack_initial()
+    fn, x = over_active(x0 + np.random.default_rng(31).normal(0, 2e-3, x0.size))
+    dense = dc.lm_minimize(fn, x, max_iter=20)
+    grouped = dc.lm_minimize(fn, x, max_iter=20, jacobian_fn=problem.jacobian)
+    assert len(dense.cost_trace) > 2
+    assert grouped.cost_trace == dense.cost_trace
+    assert np.array_equal(grouped.x, dense.x)
+    assert grouped.reason == dense.reason
+
+
+def test_grouped_jacobian_penalty_fallback(small_refine_setup):
+    """Pose columns whose step moves a board corner across the camera plane."""
+    problem, over_active = active_problem(small_refine_setup)
+    board3d = small_refine_setup[0].board.corners_3d()
+    x = problem.pack_initial()
+    frame = 16  # first pose block: rvec 16..18, t 19..21
+
+    def depths(xx):
+        return problem.unpack(xx).board_poses[0].apply(board3d)[:, 2]
+
+    def stepped(xx, i):
+        xp = xx.copy()
+        xp[i] += max(1e-6, 1e-6 * abs(xx[i]))
+        return xp
+
+    lowest = int(np.argmin(depths(x)))
+    dz = [depths(stepped(x, i))[lowest] - depths(x)[lowest]
+          for i in range(frame, frame + 3)]
+    assert min(dz) < 0 < max(dz)
+    # put the lowest corner half a step's depth change on the side of the
+    # camera plane that the step leaves: in front (the grouped evaluation
+    # hits the penalty), then behind (the base point is the penalty)
+    for pick in (np.argmin, np.argmax):
+        col = frame + int(pick(dz))
+        xb = x.copy()
+        xb[frame + 5] -= depths(x)[lowest] + 0.5 * dz[col - frame]
+        xp = stepped(xb, col)
+        assert np.sign(depths(xb)[lowest]) == -np.sign(depths(xp)[lowest])
+        assert _is_penalty(problem.residual(xb)) != _is_penalty(
+            problem.residual(xp))
+        fn, xa = over_active(xb)
+        r = fn(xa)
+        assert np.array_equal(problem.jacobian(fn, xa, r),
+                              lm_jacobian(fn, xa, r))
+
+
+@pytest.mark.parametrize("n_frames", [3, 6])
+def test_grouped_jacobian_evaluation_count(small_refine_setup, monkeypatch,
+                                           n_frames):
+    scene, state, observations, _, cfg = small_refine_setup
+    sub = dc.RefinementState(extrinsic=state.extrinsic,
+                             board_poses=state.board_poses[:n_frames],
+                             intr_depth=state.intr_depth, gmap=state.gmap)
+    problem = refine_problem(sub, observations[:n_frames], scene.intr_rgb,
+                             scene.board, cfg)
+    x = problem.pack_initial()
+    r = problem.residual(x)
+    calls = []
+    original = _RefineProblem.residual
+
+    def counting(self, xx):
+        calls.append(1)
+        return original(self, xx)
+
+    monkeypatch.setattr(_RefineProblem, "residual", counting)
+    problem.jacobian(problem.residual, x, r)
+    assert len(calls) == 16 + 6
+    calls.clear()
+    lm_jacobian(problem.residual, x, r)
+    assert len(calls) == 16 + 6 * n_frames
+
+
+def test_refine_logs_cost_split_and_worst_frames(small_refine_setup, caplog):
+    scene, state, observations, problem, cfg = small_refine_setup
+    # corner noise that grows with the frame index, so the fit cannot reach
+    # zero and the frames with the largest residual are the last ones
+    rng = np.random.default_rng(37)
+    noisy = [FrameObservations(o.frame_id,
+                               o.corners + rng.normal(0, 0.1 * (k + 1),
+                                                      o.corners.shape),
+                               o.uv, o.dhat)
+             for k, o in enumerate(observations)]
+    with caplog.at_level("INFO", logger="depthcal.calib_global"):
+        refined, result = dc.refine(state, noisy, scene.intr_rgb, scene.board,
+                                    cfg)
+    [message] = [rec.getMessage() for rec in caplog.records
+                 if rec.getMessage().startswith("refinement cost")]
+    # the split of the final residual, recomputed frame by frame
+    rms = {}
+    total_repr = total_plane = 0.0
+    for pose, obs in zip(refined.board_poses, noisy):
+        r_repr = dc.residual_repr(pose, obs.corners, scene.intr_rgb,
+                                  scene.board, cfg.sigma_c)
+        r_plane = dc.residual_pos(refined.extrinsic, pose, refined.gmap,
+                                  refined.intr_depth, obs, scene.board,
+                                  cfg.sigma_u)
+        total_repr += r_repr @ r_repr
+        total_plane += r_plane @ r_plane
+        rms[obs.frame_id] = np.sqrt((r_repr @ r_repr + r_plane @ r_plane)
+                                    / (r_repr.size + r_plane.size))
+    match = re.fullmatch(r"refinement cost (\S+): reprojection (\S+), "
+                         r"plane (\S+); largest frame residual RMS: "
+                         r"(\S+) (\S+), (\S+) (\S+), (\S+) (\S+)", message)
+    assert match, message
+    cost, logged_repr, logged_plane = map(float, match.groups()[:3])
+    assert cost == pytest.approx(result.final_cost, rel=1e-4)
+    assert logged_repr == pytest.approx(total_repr, rel=1e-4)
+    assert logged_plane == pytest.approx(total_plane, rel=1e-4)
+    assert 0 < logged_plane < logged_repr
+    worst = sorted(rms, key=rms.get, reverse=True)[:3]
+    assert list(match.groups()[3::2]) == worst
+    assert [float(v) for v in match.groups()[4::2]] == pytest.approx(
+        [rms[fid] for fid in worst], rel=1e-2)
