@@ -21,7 +21,6 @@ from .geometry import (
     estimate_transform_from_planes,
     fit_plane,
     lm_minimize,
-    los_project,
     orth_project,
     project_point,
     sigma_quantization,
@@ -34,15 +33,11 @@ from .maps import (
     MapError,
     PolyFn,
     UndistortionMap,
-    apply_full_correction,
     apply_global,
     apply_undistortion,
     complete_dependent_corner,
     correct_depth_image,
-    global_eval,
     poly_eval,
-    surrounding,
-    undistort_depth,
 )
 from .calib_undistort import (
     BoardSpec,
@@ -61,8 +56,6 @@ from .calib_global import (
     build_observations,
     init_global,
     refine,
-    residual_pos,
-    residual_repr,
 )
 from .pipeline import CalibrationResult, apply_calibration, calibrate
 from .synthbench import (

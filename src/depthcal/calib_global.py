@@ -33,13 +33,11 @@ from .geometry import (
     GeometryError,
     KINECT1_QUANTIZATION,
     NoiseModel,
-    Plane,
     RigidTransform,
     axis_angle_to_quat,
     estimate_transform_from_planes,
     fit_plane,
     lm_minimize,
-    orth_project,
     project_point,
     quat_multiply,
     transform_plane,
@@ -60,8 +58,6 @@ class GlobalConfig:
     max_iter: int = 100
     ftol: float = 1e-10
     xtol: float = 1e-12
-    optimize_gmap: bool = True
-    optimize_intrinsics: bool = True
 
     def __post_init__(self):
         if self.sigma_c <= 0:
@@ -157,56 +153,6 @@ def init_global(undistorted_clouds, inlier_sets, board_poses, board: BoardSpec,
                      grid.control_function(1, 0),
                      grid.control_function(0, 1))
     return gmap, cam_to_depth.inverse(), poses
-
-
-# ---------------------------------------------------------------------------
-# residuals (reference, per-frame form)
-
-
-def residual_repr(pose: RigidTransform, corners, intr_rgb: CameraIntrinsics,
-                  board: BoardSpec, sigma_c=0.2):
-    """Checkerboard reprojection residuals, 2 entries per corner, / sigma_c."""
-    cam = pose.apply(board.corners_3d())
-    if np.any(cam[:, 2] <= 0):
-        raise CalibrationError("board corner behind the camera")
-    proj = project_point(intr_rgb, cam)
-    return ((proj - np.asarray(corners).reshape(-1, 2)) / sigma_c).ravel()
-
-
-def _board_plane_depth(extrinsic: RigidTransform, pose: RigidTransform,
-                       board: BoardSpec) -> Plane:
-    corners_depth = extrinsic.inverse().apply(pose.apply(board.corners_3d()))
-    return fit_plane(corners_depth)
-
-
-def residual_pos(extrinsic: RigidTransform, pose: RigidTransform,
-                 gmap: GlobalMap, intr_depth: CameraIntrinsics,
-                 obs: FrameObservations, board: BoardSpec,
-                 sigma_u: NoiseModel = KINECT1_QUANTIZATION):
-    """Point-to-board-plane residuals of the globally corrected wall points.
-
-    One entry per wall point: the distance between the corrected point and
-    its orthogonal projection onto the board plane (depth frame), scaled by
-    1 / (sqrt(|I|) * sigma_u(z)).
-    """
-    if obs.uv.shape[0] == 0:
-        raise CalibrationError("empty inlier set")
-    plane = _board_plane_depth(extrinsic, pose, board)
-    u = obs.uv[:, 0].astype(float)
-    v = obs.uv[:, 1].astype(float)
-    rays = np.column_stack([(u - intr_depth.cx) / intr_depth.fx,
-                            (v - intr_depth.cy) / intr_depth.fy,
-                            np.ones_like(u)])
-    pts = rays * obs.dhat[:, None]
-    coeffs = gmap.pixel_coefficients(u, v)
-    corrected = np.zeros_like(obs.dhat)
-    for k in range(coeffs.shape[-1] - 1, -1, -1):
-        corrected = corrected * obs.dhat + coeffs[:, k]
-    pts = pts * (corrected / obs.dhat)[:, None]
-    dist = np.linalg.norm(orth_project(pts, plane) - pts, axis=1)
-    sign = np.sign(plane.signed_distance(pts))
-    scale = np.sqrt(obs.uv.shape[0]) * sigma_u.sigma(obs.dhat)
-    return sign * dist / scale
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +306,9 @@ class _RefineProblem:
         fx, fy, cx, cy = x[6], x[7], x[8], x[9]
         rays_x = (self.uv[:, :, 0] - cx) / fx
         rays_y = (self.uv[:, :, 1] - cy) / fy
-        g00 = np.concatenate([[0.0], x[10:10 + self.degree]])
-        gw0 = np.concatenate([[0.0], x[10 + self.degree:10 + 2 * self.degree]])
-        g0h = np.concatenate([[0.0], x[10 + 2 * self.degree:10 + 3 * self.degree]])
-        un = self.uv[:, :, 0] / self.width
-        vn = self.uv[:, :, 1] / self.height
-        corrected = np.zeros_like(self.dhat)
-        for k in range(self.degree, -1, -1):
-            ck = g00[k] * (1.0 - un - vn) + gw0[k] * un + g0h[k] * vn
-            corrected = corrected * self.dhat + ck
+        gmap = GlobalMap.from_free_coefficients(self.width, self.height,
+                                                x[10:16], self.degree)
+        corrected = gmap.correct(self.uv[:, :, 0], self.uv[:, :, 1], self.dhat)
         # distance of the corrected point to the board plane
         px = rays_x * corrected
         py = rays_y * corrected
@@ -382,15 +322,6 @@ class _RefineProblem:
         m = len(self.obs)
         return m * self.board3d.shape[0] * 2 + self.dhat.size
 
-    def active_indices(self):
-        idx = list(range(0, 6))
-        if self.cfg.optimize_intrinsics:
-            idx.extend(range(6, 10))
-        if self.cfg.optimize_gmap:
-            idx.extend(range(10, 16))
-        idx.extend(range(16, 16 + 6 * len(self.obs)))
-        return np.array(idx, dtype=int)
-
     def frame_blocks(self, r):
         """Views of the rows of r by frame: reprojection (m, 2C, ...) and
         plane (m, S, ...), S the padded wall-point count (padding rows are 0).
@@ -403,15 +334,14 @@ class _RefineProblem:
     def jacobian(self, fn, x, r):
         """`lm_jacobian(fn, x, r)`, bit for bit, from fewer evaluations.
 
-        `fn` and `x` are over `active_indices()`. Each frame's pose columns
+        `fn` is over the full parameter vector. Each frame's pose columns
         touch only that frame's rows, so pose component p is stepped in all
         frames by one evaluation and each frame's rows go to its own column
         (column grouping, Curtis, Powell & Reid 1974): one evaluation per
-        active global column plus 6. The behind-camera penalty fills every
-        row, so a group whose evaluation (or whose base r) is the penalty
-        falls back to one evaluation per column.
+        global column plus 6. The behind-camera penalty fills every row, so
+        a group whose evaluation (or whose base r) is the penalty falls back
+        to one evaluation per column.
         """
-        active = self.active_indices()
         steps = np.maximum(1e-6, 1e-6 * np.abs(x))
         jac = np.zeros((r.size, x.size))
 
@@ -420,9 +350,9 @@ class _RefineProblem:
             xp[i] += steps[i]
             jac[:, i] = (fn(xp) - r) / steps[i]
 
-        for i in np.flatnonzero(active < 16):
+        for i in range(16):
             column(i)
-        pose_cols = np.flatnonzero(active >= 16).reshape(-1, 6)  # (m, 6)
+        pose_cols = np.arange(16, x.size).reshape(-1, 6)  # (m, 6)
         frames = np.arange(pose_cols.shape[0])
         r_repr, r_plane = self.frame_blocks(r)
         j_repr, j_plane = self.frame_blocks(jac)
@@ -465,28 +395,12 @@ def refine(state0: RefinementState, observations, intr_rgb: CameraIntrinsics,
     residual RMS.
     """
     problem = _RefineProblem(state0, observations, intr_rgb, board, cfg)
-    x_full = problem.pack_initial()
-    active = problem.active_indices()
-
-    def residual(x_active):
-        x = x_full.copy()
-        x[active] = x_active
-        return problem.residual(x)
-
-    result = lm_minimize(residual, x_full[active], max_iter=cfg.max_iter,
-                         ftol=cfg.ftol, xtol=cfg.xtol,
+    result = lm_minimize(problem.residual, problem.pack_initial(),
+                         max_iter=cfg.max_iter, ftol=cfg.ftol, xtol=cfg.xtol,
                          jacobian_fn=problem.jacobian)
     problem.log_fit(result.residual)
     if result.reason in ("max_iter", "damping_exhausted"):
         log.warning("refinement stopped (%s) with cost %.3e (trace: %s)",
                     result.reason, result.final_cost,
                     ", ".join(f"{c:.3e}" for c in result.cost_trace[-5:]))
-    x_final = x_full.copy()
-    x_final[active] = result.x
-    state = problem.unpack(x_final)
-    return state, result
-
-
-def refine_problem(state0, observations, intr_rgb, board, cfg=GlobalConfig()):
-    """Expose the packed residual for gradient checks and diagnostics."""
-    return _RefineProblem(state0, observations, intr_rgb, board, cfg)
+    return problem.unpack(result.x), result

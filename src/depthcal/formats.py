@@ -26,7 +26,7 @@ from .geometry import (
     OrganizedCloud,
     RigidTransform,
 )
-from .maps import GlobalMap, PolyFn, UndistortionMap
+from .maps import MAX_DEGREE, GlobalMap, MapError, PolyFn, UndistortionMap, _grid_shape
 
 FORMAT_VERSION = 1
 
@@ -169,10 +169,21 @@ def _intr_tokens(intr: CameraIntrinsics):
     return " ".join(_fmt(v) if isinstance(v, float) else str(v) for v in vals)
 
 
+def _values(tokens, count, what, kind=float):
+    """`count` finite numbers of type `kind` parsed from tokens."""
+    if len(tokens) != count:
+        raise FormatError(f"{what}: expected {count} values, got {len(tokens)}")
+    try:
+        vals = [kind(t) for t in tokens]
+    except ValueError as exc:
+        raise FormatError(f"{what}: malformed value in {' '.join(tokens)!r}") from exc
+    if kind is float and not np.all(np.isfinite(vals)):
+        raise FormatError(f"{what}: non-finite value")
+    return vals
+
+
 def _intr_from_tokens(tokens):
-    if len(tokens) != 11:
-        raise FormatError("intrinsics line needs 11 values")
-    vals = [float(t) for t in tokens]
+    vals = _values(tokens, 11, "intrinsics")
     try:
         return CameraIntrinsics(fx=vals[0], fy=vals[1], cx=vals[2], cy=vals[3],
                                 width=int(vals[4]), height=int(vals[5]),
@@ -222,8 +233,9 @@ def write_calibration(path, umap: UndistortionMap, gmap: GlobalMap,
 def read_calibration(path):
     """Returns (umap, gmap, extrinsic, intr_depth, intr_rgb).
 
-    The dependent global-map corner is rebuilt from the three stored free
-    corners, so the planarity constraint cannot be broken by file edits.
+    Raises FormatError on any malformed content. The dependent global-map
+    corner is rebuilt from the three stored free corners, so the planarity
+    constraint cannot be broken by file edits.
     """
     entries = _read_keyvals(path)
     kv = {}
@@ -234,38 +246,43 @@ def read_calibration(path):
         else:
             kv[key] = tokens
     try:
-        if int(kv["version"][0]) != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {kv['version'][0]}")
+        [version] = _values(kv["version"], 1, f"{path}: version", int)
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
         intr_rgb = _intr_from_tokens(kv["rgb_intrinsics"])
         intr_depth = _intr_from_tokens(kv["depth_intrinsics"])
-        extrinsic = RigidTransform([float(t) for t in kv["extrinsic_quaternion"]],
-                                   [float(t) for t in kv["extrinsic_translation"]])
-        width, height = (int(t) for t in kv["umap_size"])
-        chi, psi = (int(t) for t in kv["umap_bins"])
-        degree = int(kv["umap_degree"][0])
-        g_degree = int(kv["gmap_degree"][0])
-        corner_vals = [[float(t) for t in kv[f"gmap_corner_{n}"]]
+        quaternion = _values(kv["extrinsic_quaternion"], 4,
+                             f"{path}: extrinsic_quaternion")
+        translation = _values(kv["extrinsic_translation"], 3,
+                              f"{path}: extrinsic_translation")
+        width, height = _values(kv["umap_size"], 2, f"{path}: umap_size", int)
+        chi, psi = _values(kv["umap_bins"], 2, f"{path}: umap_bins", int)
+        [degree] = _values(kv["umap_degree"], 1, f"{path}: umap_degree", int)
+        [g_degree] = _values(kv["gmap_degree"], 1, f"{path}: gmap_degree", int)
+        if min(width, height, chi, psi) <= 0:
+            raise FormatError(f"{path}: umap size and bins must be positive")
+        if not (1 <= degree <= MAX_DEGREE and 1 <= g_degree <= MAX_DEGREE):
+            raise FormatError(f"{path}: map degrees must be between 1 and {MAX_DEGREE}")
+        corner_vals = [_values(kv[f"gmap_corner_{n}"], g_degree + 1,
+                               f"{path}: gmap_corner_{n}")
                        for n in ("00", "w0", "0h")]
     except KeyError as exc:
         raise FormatError(f"{path}: missing key {exc}") from exc
-    if not all(np.all(np.isfinite(vals)) for vals in corner_vals):
-        raise FormatError(f"{path}: non-finite gmap coefficient")
-    corners = [PolyFn(vals, constant_zero=True) for vals in corner_vals]
-    for fn in corners:
-        if fn.degree != g_degree:
-            raise FormatError(f"{path}: global corner degree mismatch")
-    base = UndistortionMap.identity(width, height, chi, psi, degree)
-    gh, gw = base.grid_shape
+    gh, gw = _grid_shape(width, height, chi, psi)
     if len(umap_fns) != gh * gw:
         raise FormatError(f"{path}: expected {gh * gw} umap functions, "
                           f"got {len(umap_fns)}")
     coeffs = np.empty((gh, gw, degree + 1))
     seen = np.zeros((gh, gw), dtype=bool)
     for tokens in umap_fns:
-        i, j = int(tokens[0]), int(tokens[1])
-        vals = [float(t) for t in tokens[2:]]
-        if len(vals) != degree + 1:
-            raise FormatError(f"{path}: umap_fn {i} {j} has wrong coefficient count")
+        if len(tokens) != degree + 3:
+            raise FormatError(f"{path}: umap_fn {' '.join(tokens[:2])} has "
+                              "wrong coefficient count")
+        try:
+            i, j = int(tokens[0]), int(tokens[1])
+            vals = [float(t) for t in tokens[2:]]
+        except ValueError as exc:
+            raise FormatError(f"{path}: malformed umap_fn {' '.join(tokens)!r}") from exc
         if not (0 <= i < gw and 0 <= j < gh):
             raise FormatError(f"{path}: umap_fn {i} {j} outside the {gw}x{gh} grid")
         if seen[j, i]:
@@ -274,8 +291,13 @@ def read_calibration(path):
         coeffs[j, i] = vals
     if not np.all(np.isfinite(coeffs)):
         raise FormatError(f"{path}: non-finite umap coefficient")
-    umap = base.with_coefficients(coeffs)
-    gmap = GlobalMap(width, height, *corners)
+    try:
+        extrinsic = RigidTransform(quaternion, translation)
+        corners = [PolyFn(vals, constant_zero=True) for vals in corner_vals]
+        umap = UndistortionMap(width, height, chi, psi, coeffs)
+        gmap = GlobalMap(width, height, *corners)
+    except (GeometryError, MapError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return umap, gmap, extrinsic, intr_depth, intr_rgb
 
 
@@ -491,14 +513,22 @@ def read_cloud_ply(path):
     body_at = None
     for k, ln in enumerate(lines):
         if ln.startswith("element vertex"):
-            count = int(ln.split()[2])
+            tokens = ln.split()
+            if len(tokens) != 3 or not tokens[2].isdigit():
+                raise FormatError(f"{path}: malformed vertex count {ln!r}")
+            count = int(tokens[2])
         if ln == "end_header":
             body_at = k + 1
             break
     if count is None or body_at is None:
         raise FormatError(f"{path}: malformed PLY header")
-    pts = np.array([[float(v) for v in ln.split()]
-                    for ln in lines[body_at:body_at + count]])
+    try:
+        pts = np.array([[float(v) for v in ln.split()]
+                        for ln in lines[body_at:body_at + count]])
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed vertex line") from exc
     if pts.shape != (count, 3) and count > 0:
         raise FormatError(f"{path}: vertex count mismatch")
+    if not np.all(np.isfinite(pts)):
+        raise FormatError(f"{path}: non-finite vertex coordinate")
     return pts.reshape(count, 3)

@@ -481,18 +481,6 @@ def fit_plane(points, weights=None) -> Plane:
     return Plane(normal, float(normal @ centroid))
 
 
-def los_project(p, pl: Plane):
-    """Project point(s) onto a plane along the line of sight through the origin."""
-    p = np.asarray(p, dtype=float)
-    single = p.ndim == 1
-    pts = p.reshape(-1, 3)
-    denom = pts @ pl.normal
-    if np.any(np.abs(denom) < 1e-12):
-        raise GeometryError("line of sight is parallel to the plane")
-    out = pts * (pl.offset / denom)[:, None]
-    return out[0] if single else out
-
-
 def orth_project(p, pl: Plane):
     """Project point(s) orthogonally onto a plane."""
     p = np.asarray(p, dtype=float)

@@ -7,9 +7,14 @@ polynomials of the depth:
   blends its 4 surrounding control functions bilinearly. Removes the local,
   per-pixel distortion that makes flat surfaces look curved.
 * GlobalMap: one polynomial per image corner, with the fourth corner locked
-  to gWH = gW0 + g0H - g00 so the blended coefficient field stays affine
-  over the image. Removes the systematic depth bias.
+  to gWH = gW0 + g0H - g00 so the blended coefficient field is affine over
+  the image: c00 + (u/W)(cW0 - c00) + (v/H)(c0H - c00). `GlobalMap.correct`
+  is its one evaluator. Over a whole image the field is a (W,) row term plus
+  an (H,) column term, so G keeps no per-pixel cache. Removes the systematic
+  depth bias.
 
+`correct_rows` is the one correction kernel, d* = g(u(d)) on a band of
+image rows; `correct_depth_image` and `pipeline.apply_calibration` run it.
 Maps are immutable after estimation; application is embarrassingly parallel
 per pixel and may be called concurrently on a shared map.
 """
@@ -221,12 +226,17 @@ class UndistortionMap:
         return top + fv * (bot - top)
 
     def dense_coefficients(self):
-        """Per-pixel blended coefficients, (H, W, degree+1); cached."""
+        """Per-pixel blended coefficients, (H, W, degree+1); cached.
+
+        Each coefficient plane [:, :, k] is contiguous in memory, so a Horner
+        step reads only the plane it needs.
+        """
         if self._dense is None:
             u = np.arange(self.width, dtype=float)[None, :]
             v = np.arange(self.height, dtype=float)[:, None]
-            self._dense = self.pixel_coefficients(np.broadcast_to(u, (self.height, self.width)),
-                                                  np.broadcast_to(v, (self.height, self.width)))
+            dense = self.pixel_coefficients(np.broadcast_to(u, (self.height, self.width)),
+                                            np.broadcast_to(v, (self.height, self.width)))
+            self._dense = np.moveaxis(np.moveaxis(dense, -1, 0).copy(), 0, -1)
             self._dense.setflags(write=False)
         return self._dense
 
@@ -237,77 +247,45 @@ class UndistortionMap:
                 and np.array_equal(self.coefficients, other.coefficients))
 
 
-def surrounding(umap: UndistortionMap, u, v):
-    """The 4 control pixels around (u, v) with their bilinear weights.
+def _eval_dense(dense, d, out=None):
+    """Horner evaluation of per-pixel coefficients `dense` at depths d (same shape)."""
+    out = np.empty(d.shape) if out is None else out
+    np.copyto(out, dense[:, :, -1])
+    for k in range(dense.shape[2] - 2, -1, -1):
+        out *= d
+        out += dense[:, :, k]
+    return out
 
-    Weights are the product of the two 1D hat weights 1 - |u - s|/chi and
-    sum to exactly 1; a pixel sitting on a control pixel gets weight 1 there.
+
+def _apply(target, evaluate):
+    """Correct a DepthImage or OrganizedCloud with evaluate(depths (H, W)).
+
+    Cloud points are scaled along their line of sight so the corrected z
+    equals the evaluated value; invalid pixels pass through unchanged (and
+    stay invalid).
     """
-    if not (0 <= u < umap.width and 0 <= v < umap.height):
-        raise MapError("pixel outside the image")
-    i0 = int(u // umap.chi)
-    j0 = int(v // umap.psi)
-    out = []
-    for dj in (0, 1):
-        for di in (0, 1):
-            s = (i0 + di) * umap.chi
-            t = (j0 + dj) * umap.psi
-            w = (1.0 - abs(u - s) / umap.chi) * (1.0 - abs(v - t) / umap.psi)
-            out.append(((s, t), w))
-    return out
-
-
-def undistort_depth(umap: UndistortionMap, u, v, d):
-    """Corrected depth at one pixel: the 4 surrounding functions blended."""
-    if d <= 0.0:
-        return 0.0
-    coeffs = umap.pixel_coefficients(float(u), float(v))
-    out = 0.0
-    for c in coeffs[::-1]:
-        out = out * d + c
-    return float(out)
-
-
-def _eval_dense(dense, d):
-    out = np.zeros_like(d)
-    for k in range(dense.shape[2] - 1, -1, -1):
-        out = out * d + dense[:, :, k]
-    return out
-
-
-def _apply_to_image(dense, img: DepthImage) -> DepthImage:
-    corrected = _eval_dense(dense, img.data)
-    corrected = np.where(img.valid & (corrected > 0.0), corrected, 0.0)
-    return DepthImage(img.width, img.height, corrected)
-
-
-def _apply_to_cloud(dense, cloud: OrganizedCloud) -> OrganizedCloud:
-    z = cloud.points[:, :, 2]
-    corrected = _eval_dense(dense, z)
-    valid = cloud.valid & (corrected > 0.0)
-    ratio = np.where(valid, corrected / np.where(cloud.valid, z, 1.0), 0.0)
-    pts = np.empty_like(cloud.points)
-    pts[:, :, 0] = cloud.points[:, :, 0] * ratio
-    pts[:, :, 1] = cloud.points[:, :, 1] * ratio
-    pts[:, :, 2] = np.where(valid, corrected, 0.0)
-    return OrganizedCloud(cloud.width, cloud.height, pts, valid)
+    if isinstance(target, DepthImage):
+        corrected = evaluate(target.data)
+        corrected = np.where(target.valid & (corrected > 0.0), corrected, 0.0)
+        return DepthImage(target.width, target.height, corrected)
+    if isinstance(target, OrganizedCloud):
+        z = target.points[:, :, 2]
+        corrected = evaluate(z)
+        valid = target.valid & (corrected > 0.0)
+        ratio = np.where(valid, corrected / np.where(target.valid, z, 1.0), 0.0)
+        pts = np.empty_like(target.points)
+        pts[:, :, 0] = target.points[:, :, 0] * ratio
+        pts[:, :, 1] = target.points[:, :, 1] * ratio
+        pts[:, :, 2] = np.where(valid, corrected, 0.0)
+        return OrganizedCloud(target.width, target.height, pts, valid)
+    raise MapError(f"cannot apply a map to {type(target).__name__}")
 
 
 def apply_undistortion(umap: UndistortionMap, target):
-    """Correct a DepthImage or OrganizedCloud with the map.
-
-    Cloud points are scaled along their line of sight so the corrected z
-    equals the blended polynomial value; invalid pixels pass through
-    unchanged (and stay invalid).
-    """
+    """Correct a DepthImage or OrganizedCloud with the map."""
     if (target.width, target.height) != (umap.width, umap.height):
         raise MapError("input size does not match the map")
-    dense = umap.dense_coefficients()
-    if isinstance(target, DepthImage):
-        return _apply_to_image(dense, target)
-    if isinstance(target, OrganizedCloud):
-        return _apply_to_cloud(dense, target)
-    raise MapError(f"cannot apply a map to {type(target).__name__}")
+    return _apply(target, lambda d: _eval_dense(umap.dense_coefficients(), d))
 
 
 def complete_dependent_corner(g00: PolyFn, gw0: PolyFn, g0h: PolyFn) -> PolyFn:
@@ -331,7 +309,7 @@ class GlobalMap:
     """
 
     __slots__ = ("width", "height", "corner_00", "corner_w0", "corner_0h",
-                 "corner_wh", "_grid")
+                 "corner_wh", "corners")
 
     def __init__(self, width, height, corner_00: PolyFn, corner_w0: PolyFn,
                  corner_0h: PolyFn):
@@ -341,12 +319,9 @@ class GlobalMap:
         self.corner_w0 = corner_w0
         self.corner_0h = corner_0h
         self.corner_wh = complete_dependent_corner(corner_00, corner_w0, corner_0h)
-        grid = np.array([
-            [corner_00.coefficients, corner_w0.coefficients],
-            [corner_0h.coefficients, self.corner_wh.coefficients],
-        ], dtype=float)
-        self._grid = UndistortionMap(width, height, width, height, grid,
-                                     constant_zero=True)
+        self.corners = np.array([corner_00.coefficients, corner_w0.coefficients,
+                                 corner_0h.coefficients])
+        self.corners.setflags(write=False)
 
     @staticmethod
     def identity(width, height, degree=2):
@@ -372,8 +347,30 @@ class GlobalMap:
     def degree(self):
         return self.corner_00.degree
 
-    def pixel_coefficients(self, u, v):
-        return self._grid.pixel_coefficients(u, v)
+    def correct(self, u, v, d, out=None):
+        """g(d) at pixels (u, v); u, v and d broadcast together. Written to
+        `out` when given.
+
+        The coefficients at (u, v) are c00 + (u/W)(cW0 - c00) + (v/H)(c0H - c00),
+        a row term in u plus a column term in v. Equal free corners blend to
+        exactly their value, so an identity map is the identity. For an
+        image band pass u (W,) and v (rows, 1): no per-pixel coefficient
+        array is formed.
+        """
+        un = np.asarray(u, dtype=float) / self.width
+        vn = np.asarray(v, dtype=float) / self.height
+        c00, cw0, c0h = self.corners
+        du = cw0 - c00
+        dv = c0h - c00
+        top = c00.size - 1
+        if out is None:
+            out = np.empty(np.broadcast_shapes(un.shape, vn.shape, np.shape(d)))
+        np.add(c00[top] + un * du[top], vn * dv[top], out=out)
+        for k in range(top - 1, -1, -1):
+            out *= d
+            out += c00[k] + un * du[k]
+            out += vn * dv[k]
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, GlobalMap)
@@ -383,46 +380,53 @@ class GlobalMap:
                 and self.corner_0h == other.corner_0h)
 
 
-def global_eval(gmap: GlobalMap, u, v, d):
-    """Globally corrected depth at one pixel (bilinear blend of the 4 corners)."""
-    if d <= 0.0:
-        return 0.0
-    coeffs = gmap.pixel_coefficients(float(u), float(v))
-    out = 0.0
-    for c in coeffs[::-1]:
-        out = out * d + c
-    return float(out)
+def _correct_image_rows(gmap: GlobalMap, d, v0=0, out=None):
+    """g(d) for the image rows v0, v0 + 1, ... held by d (rows, W)."""
+    return gmap.correct(np.arange(gmap.width), np.arange(v0, v0 + d.shape[0])[:, None],
+                        d, out)
 
 
 def apply_global(gmap: GlobalMap, target):
     """Correct a DepthImage or OrganizedCloud with the global map."""
     if (target.width, target.height) != (gmap.width, gmap.height):
         raise MapError("input size does not match the map")
-    dense = gmap._grid.dense_coefficients()
-    if isinstance(target, DepthImage):
-        return _apply_to_image(dense, target)
-    if isinstance(target, OrganizedCloud):
-        return _apply_to_cloud(dense, target)
-    raise MapError(f"cannot apply a map to {type(target).__name__}")
+    return _apply(target, lambda d: _correct_image_rows(gmap, d))
+
+
+def check_sizes(umap: UndistortionMap, gmap: GlobalMap, img: DepthImage):
+    """Raise MapError unless the image has the size of both maps."""
+    if (img.width, img.height) != (umap.width, umap.height):
+        raise MapError("input size does not match the undistortion map")
+    if (img.width, img.height) != (gmap.width, gmap.height):
+        raise MapError("input size does not match the global map")
+
+
+def correct_rows(dense_u, gmap: GlobalMap, data, v0, v1, out, valid, scratch):
+    """The correction kernel: d* = g(u(d)) on image rows v0:v1 of data.
+
+    `dense_u` is the undistortion map's `dense_coefficients()`. Writes d*
+    to `out` (rows, W) and its mask to `valid`; pixels whose input, u(d) or
+    d* is not positive get 0 and False. `scratch` (2, rows, W) is work
+    space. The kernel allocates no image-sized array, so bands run in
+    worker threads without going through the allocator. Sizes are not
+    checked here; callers run `check_sizes` first.
+    """
+    d = data[v0:v1]
+    dhat = _eval_dense(dense_u[v0:v1], d, scratch[0])
+    dstar = _correct_image_rows(gmap, dhat, v0, scratch[1])
+    # min(d, u(d), d*) > 0 is the validity test; a NaN anywhere fails it
+    np.minimum(dhat, d, out=dhat)
+    np.minimum(dhat, dstar, out=dhat)
+    np.greater(dhat, 0.0, out=valid)
+    out[...] = 0.0
+    np.copyto(out, dstar, where=valid)
 
 
 def correct_depth_image(umap: UndistortionMap, gmap: GlobalMap,
                         img: DepthImage) -> DepthImage:
     """Fully corrected depths d* = g(u(d)); invalid pixels stay invalid."""
-    if (img.width, img.height) != (umap.width, umap.height):
-        raise MapError("input size does not match the undistortion map")
-    if (img.width, img.height) != (gmap.width, gmap.height):
-        raise MapError("input size does not match the global map")
-    undistorted = _eval_dense(umap.dense_coefficients(), img.data)
-    corrected = _eval_dense(gmap._grid.dense_coefficients(), undistorted)
-    corrected = np.where(img.valid & (undistorted > 0.0) & (corrected > 0.0),
-                         corrected, 0.0)
-    return DepthImage(img.width, img.height, corrected)
-
-
-def apply_full_correction(umap: UndistortionMap, gmap: GlobalMap,
-                          img: DepthImage, intr) -> OrganizedCloud:
-    """Undistort, globally correct, and back-project a depth image."""
-    from .geometry import depth_to_cloud
-
-    return depth_to_cloud(correct_depth_image(umap, gmap, img), intr)
+    check_sizes(umap, gmap, img)
+    out = np.empty((img.height, img.width))
+    correct_rows(umap.dense_coefficients(), gmap, img.data, 0, img.height, out,
+                 np.empty(out.shape, dtype=bool), np.empty((2,) + out.shape))
+    return DepthImage(img.width, img.height, out)

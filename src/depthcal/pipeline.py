@@ -24,11 +24,18 @@ from .calib_undistort import (
 from .geometry import (
     CameraIntrinsics,
     DepthImage,
+    GeometryError,
     OrganizedCloud,
     RigidTransform,
     depth_to_cloud,
 )
-from .maps import GlobalMap, UndistortionMap, apply_undistortion
+from .maps import (
+    GlobalMap,
+    UndistortionMap,
+    apply_undistortion,
+    check_sizes,
+    correct_rows,
+)
 
 log = logging.getLogger(__name__)
 
@@ -112,44 +119,38 @@ def apply_calibration(umap: UndistortionMap, gmap: GlobalMap, img: DepthImage,
                       intr: CameraIntrinsics, threads: int = 1) -> OrganizedCloud:
     """Correct one depth frame (d* = g(u(d))) and back-project it.
 
-    With threads > 1 the image is split into row bands processed
-    concurrently; the per-pixel arithmetic is unchanged, so the result is
-    numerically identical to the single-threaded path.
+    Sizes are checked first. The image is then split into min(threads, H)
+    row bands, each corrected by `maps.correct_rows` and back-projected into
+    preallocated arrays. The calling thread runs the first band and a
+    per-call pool runs the others concurrently. The per-pixel arithmetic
+    does not depend on the bands, so every thread count gives the same
+    result.
     """
-    from .maps import correct_depth_image
-
-    if threads <= 1:
-        return depth_to_cloud(correct_depth_image(umap, gmap, img), intr)
+    check_sizes(umap, gmap, img)
+    if (img.width, img.height) != (intr.width, intr.height):
+        raise GeometryError("depth image size does not match intrinsics")
     dense_u = umap.dense_coefficients()
-    dense_g = gmap._grid.dense_coefficients()
-    h, w = img.data.shape
-    out = np.empty((h, w))
+    h, w = img.height, img.width
     xs = (np.arange(w) - intr.cx) / intr.fx
     ys = (np.arange(h) - intr.cy) / intr.fy
     pts = np.empty((h, w, 3))
     valid = np.empty((h, w), dtype=bool)
+    scratch = np.empty((2, h, w))
 
     def run_band(v0, v1):
-        band = img.data[v0:v1]
-        dhat = _horner(dense_u[v0:v1], band)
-        dstar = _horner(dense_g[v0:v1], dhat)
-        ok = (band > 0.0) & (dhat > 0.0) & (dstar > 0.0)
-        dstar = np.where(ok, dstar, 0.0)
-        out[v0:v1] = dstar
-        valid[v0:v1] = ok
-        pts[v0:v1, :, 0] = dstar * xs[None, :]
-        pts[v0:v1, :, 1] = dstar * ys[v0:v1, None]
-        pts[v0:v1, :, 2] = dstar
+        z = pts[v0:v1, :, 2]
+        correct_rows(dense_u, gmap, img.data, v0, v1, z, valid[v0:v1],
+                     scratch[:, v0:v1])
+        np.multiply(z, xs[None, :], out=pts[v0:v1, :, 0])
+        np.multiply(z, ys[v0:v1, None], out=pts[v0:v1, :, 1])
 
-    bounds = np.linspace(0, h, threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda k: run_band(bounds[k], bounds[k + 1]),
-                      range(threads)))
+    bands = max(1, min(threads, h))
+    bounds = np.linspace(0, h, bands + 1).astype(int)
+    if bands == 1:
+        run_band(0, h)
+    else:
+        with ThreadPoolExecutor(max_workers=bands - 1) as pool:
+            others = pool.map(run_band, bounds[1:-1], bounds[2:])
+            run_band(bounds[0], bounds[1])
+            list(others)
     return OrganizedCloud(w, h, pts, valid)
-
-
-def _horner(dense, d):
-    out = np.zeros_like(d)
-    for k in range(dense.shape[2] - 1, -1, -1):
-        out = out * d + dense[:, :, k]
-    return out

@@ -353,11 +353,6 @@ def render_frame(scene: SceneSpec, index) -> LabeledFrame:
                         is_test=scene.is_test(index))
 
 
-def render_all(scene: SceneSpec):
-    """All frames of the scene; stops with RenderError on an unusable pose."""
-    return [render_frame(scene, k) for k in range(scene.n_frames)]
-
-
 def generate_dataset(scene: SceneSpec, n_train, n_test, out_dir):
     """Render and write a dataset directory (manifest, PGM depths, corner CSVs).
 

@@ -148,7 +148,7 @@ def pipeline_b_noisy():
 @pytest.fixture(scope="session")
 def small_refine_setup():
     """A compact stage-two problem at the ground truth, for solver checks."""
-    from depthcal.calib_global import FrameObservations, refine_problem
+    from depthcal.calib_global import FrameObservations, _RefineProblem
 
     scene = sb.standard_scene(
         n_train=6, n_test=1, seed=13, noise=False, width=80, height=60,
@@ -173,6 +173,6 @@ def small_refine_setup():
         extrinsic=scene.true_extrinsic, board_poses=tuple(poses),
         intr_depth=scene.intr_depth, gmap=dc.GlobalMap.identity(80, 60))
     cfg = dc.GlobalConfig()
-    problem = refine_problem(state, observations, scene.intr_rgb, scene.board,
+    problem = _RefineProblem(state, observations, scene.intr_rgb, scene.board,
                              cfg)
     return scene, state, observations, problem, cfg

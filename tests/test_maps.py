@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 import depthcal as dc
 from depthcal.maps import MapError, fit_weighted_poly_batch
-from oracles import fit_weighted_poly, moments_of
+from oracles import (
+    apply_full_correction,
+    fit_weighted_poly,
+    global_eval,
+    moments_of,
+    surrounding,
+    undistort_depth,
+)
 from oracles import fit_weighted_poly_batch as oracle_batch
 
 
@@ -171,21 +178,21 @@ def test_moment_fit_matches_sample_oracle(steps, levels, gain, noise, degree,
 
 def test_surrounding_midpoint():
     m = identity_map()
-    got = dict(dc.surrounding(m, 6, 6))
+    got = dict(surrounding(m, 6, 6))
     assert set(got) == {(4, 4), (8, 4), (4, 8), (8, 8)}
     assert all(w == pytest.approx(0.25) for w in got.values())
 
 
 def test_surrounding_on_control_pixel():
     m = identity_map()
-    got = dict(dc.surrounding(m, 4, 4))
+    got = dict(surrounding(m, 4, 4))
     assert got[(4, 4)] == pytest.approx(1.0)
     assert sum(got.values()) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_surrounding_1d_linearity():
     m = identity_map()
-    got = dict(dc.surrounding(m, 5, 4))
+    got = dict(surrounding(m, 5, 4))
     assert got[(4, 4)] == pytest.approx(0.75)
     assert got[(8, 4)] == pytest.approx(0.25)
     assert got[(4, 8)] == 0.0
@@ -194,7 +201,7 @@ def test_surrounding_1d_linearity():
 
 def test_surrounding_out_of_bounds():
     with pytest.raises(MapError):
-        dc.surrounding(identity_map(), 32, 0)
+        surrounding(identity_map(), 32, 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,7 +214,7 @@ def test_partition_of_unity(data):
     u = data.draw(st.integers(0, w - 1))
     v = data.draw(st.integers(0, h - 1))
     m = dc.UndistortionMap.identity(w, h, chi, psi)
-    weights = [wt for _, wt in dc.surrounding(m, u, v)]
+    weights = [wt for _, wt in surrounding(m, u, v)]
     assert abs(sum(weights) - 1.0) < 1e-12
     assert all(wt >= 0 for wt in weights)
 
@@ -218,7 +225,7 @@ def test_partition_of_unity(data):
 
 def test_undistort_depth_identity():
     m = identity_map()
-    assert dc.undistort_depth(m, 6, 6, 2.345) == pytest.approx(2.345, abs=1e-15)
+    assert undistort_depth(m, 6, 6, 2.345) == pytest.approx(2.345, abs=1e-15)
 
 
 def test_undistort_depth_at_control_point():
@@ -228,7 +235,7 @@ def test_undistort_depth_at_control_point():
     m = m.with_coefficients(coeffs)
     d = 2.0
     expected = 0.1 + 1.05 * d + 0.002 * d * d
-    assert dc.undistort_depth(m, 4, 4, d) == pytest.approx(expected, abs=1e-15)
+    assert undistort_depth(m, 4, 4, d) == pytest.approx(expected, abs=1e-15)
 
 
 def test_undistort_depth_midpoint_is_mean():
@@ -239,11 +246,11 @@ def test_undistort_depth_midpoint_is_mean():
     m = m.with_coefficients(coeffs)
     d = 2.0
     expected = np.mean([a + b * d + c * d * d for a, b, c in vals])
-    assert dc.undistort_depth(m, 6, 6, d) == pytest.approx(expected, abs=1e-14)
+    assert undistort_depth(m, 6, 6, d) == pytest.approx(expected, abs=1e-14)
 
 
 def test_undistort_depth_invalid_returns_invalid():
-    assert dc.undistort_depth(identity_map(), 3, 3, 0.0) == 0.0
+    assert undistort_depth(identity_map(), 3, 3, 0.0) == 0.0
 
 
 def test_continuity_across_bin_boundary():
@@ -252,7 +259,7 @@ def test_continuity_across_bin_boundary():
                                                          m.coefficients.shape))
     m = m.with_coefficients(coeffs)
     u, v, d = 8, 5, 2.7
-    at_node = dc.undistort_depth(m, u, v, d)
+    at_node = undistort_depth(m, u, v, d)
     # from the control column the u-blend collapses onto the column exactly
     fv = (v - 4) / 4.0
     col = m.coefficients[1, 2] + fv * (m.coefficients[2, 2] - m.coefficients[1, 2])
@@ -262,7 +269,7 @@ def test_continuity_across_bin_boundary():
     left = np.polyval(blend[1][::-1], d)
     assert at_node == pytest.approx(left, rel=1e-13)
     # approaching the column from the left is continuous
-    just_left = dc.undistort_depth(m, u - 1e-9, v, d)
+    just_left = undistort_depth(m, u - 1e-9, v, d)
     assert at_node == pytest.approx(just_left, abs=1e-7)
 
 
@@ -313,7 +320,7 @@ def test_apply_to_depth_image_matches_pointwise_eval():
     out = dc.apply_undistortion(m, img)
     for u, v in [(0, 0), (31, 23), (7, 13), (16, 12)]:
         assert out.data[v, u] == pytest.approx(
-            dc.undistort_depth(m, u, v, data[v, u]), abs=1e-14)
+            undistort_depth(m, u, v, data[v, u]), abs=1e-14)
 
 
 def test_apply_round_trip_with_inverse_map():
@@ -356,7 +363,7 @@ def gmap_from(rows):
 
 def test_global_eval_identity():
     g = dc.GlobalMap.identity(32, 24)
-    assert dc.global_eval(g, 10, 7, 2.2) == pytest.approx(2.2, abs=1e-15)
+    assert global_eval(g, 10, 7, 2.2) == pytest.approx(2.2, abs=1e-15)
 
 
 def test_global_eval_center_is_mean():
@@ -364,7 +371,7 @@ def test_global_eval_center_is_mean():
     d = 2.0
     corners = [g.corner_00, g.corner_w0, g.corner_0h, g.corner_wh]
     expected = np.mean([dc.poly_eval(c, d) for c in corners])
-    assert dc.global_eval(g, 16, 12, d) == pytest.approx(expected, abs=1e-14)
+    assert global_eval(g, 16, 12, d) == pytest.approx(expected, abs=1e-14)
 
 
 def test_global_eval_affine_ramp():
@@ -377,7 +384,7 @@ def test_global_eval_affine_ramp():
     d = 2.0
     for u, v in [(0, 0), (8, 5), (16, 12), (31, 23)]:
         expected = d * (1.0 + 0.1 * u / w)
-        assert dc.global_eval(g, u, v, d) == pytest.approx(expected, abs=1e-12)
+        assert global_eval(g, u, v, d) == pytest.approx(expected, abs=1e-12)
 
 
 def test_complete_dependent_corner_examples():
@@ -420,7 +427,7 @@ def test_global_blend_is_affine_across_image():
         field = np.empty((24, 32))
         for vv in range(24):
             for uu in range(32):
-                field[vv, uu] = dc.global_eval(g, uu, vv, 3.0)
+                field[vv, uu] = global_eval(g, uu, vv, 3.0)
         # second differences vanish for an affine field
         assert np.max(np.abs(np.diff(field, n=2, axis=0))) < 1e-12
         assert np.max(np.abs(np.diff(field, n=2, axis=1))) < 1e-12
@@ -453,7 +460,7 @@ def test_full_correction_identity_maps():
     intr = small_camera()
     rng = np.random.default_rng(7)
     img = dc.DepthImage(32, 24, rng.uniform(1.0, 4.0, (24, 32)))
-    out = dc.apply_full_correction(identity_map(), dc.GlobalMap.identity(32, 24),
+    out = apply_full_correction(identity_map(), dc.GlobalMap.identity(32, 24),
                                    img, intr)
     ref = dc.depth_to_cloud(img, intr)
     assert np.array_equal(out.points, ref.points)
@@ -464,7 +471,7 @@ def test_full_correction_composition_cancels():
     img = dc.DepthImage(32, 24, np.full((24, 32), 2.0))
     u_map = uniform_map(dc.PolyFn((0.0, 1.1)))
     g_map = dc.GlobalMap(32, 24, *[dc.PolyFn((0.0, 1 / 1.1), constant_zero=True)] * 3)
-    out = dc.apply_full_correction(u_map, g_map, img, intr)
+    out = apply_full_correction(u_map, g_map, img, intr)
     ref = dc.depth_to_cloud(img, intr)
     assert np.allclose(out.points, ref.points, atol=1e-12)
 
@@ -474,10 +481,68 @@ def test_full_correction_order_is_u_then_g():
     img = dc.DepthImage(32, 24, np.full((24, 32), 2.0))
     u_map = uniform_map(dc.PolyFn((0.05, 1.0)))
     g_map = dc.GlobalMap(32, 24, *[dc.PolyFn((0.0, 1.0, 0.01), constant_zero=True)] * 3)
-    out = dc.apply_full_correction(u_map, g_map, img, intr)
+    out = apply_full_correction(u_map, g_map, img, intr)
     d_hat = 2.05
     expected = d_hat + 0.01 * d_hat ** 2
     assert np.allclose(out.points[:, :, 2], expected, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# apply_calibration: one banded kernel for every thread count
+
+
+def random_maps(width, height, seed):
+    rng = np.random.default_rng(seed)
+    base = identity_map(width, height)
+    umap = base.with_coefficients(base.coefficients
+                                  + rng.normal(0, 0.01, base.coefficients.shape))
+    gmap = dc.GlobalMap.from_free_coefficients(
+        width, height, rng.normal(0, 0.01, 6) + [1, 0, 1, 0, 1, 0])
+    return umap, gmap
+
+
+def random_frame(width, height, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(0.5, 4.5, (height, width))
+    data[rng.uniform(size=data.shape) < 0.1] = 0.0
+    intr = dc.CameraIntrinsics(fx=40, fy=40, cx=width / 2, cy=height / 2,
+                               width=width, height=height)
+    return dc.DepthImage(width, height, data), intr
+
+
+@pytest.mark.parametrize("height, threads", [(47, 2), (47, 3), (47, 5), (6, 8)])
+def test_apply_calibration_same_bytes_for_any_band_split(height, threads):
+    umap, gmap = random_maps(32, height, 13)
+    img, intr = random_frame(32, height, 14)
+    single = dc.apply_calibration(umap, gmap, img, intr, 1)
+    multi = dc.apply_calibration(umap, gmap, img, intr, threads)
+    assert np.array_equal(single.points, multi.points)
+    assert np.array_equal(single.valid, multi.valid)
+
+
+def test_apply_calibration_matches_pixel_oracles():
+    umap, gmap = random_maps(32, 24, 15)
+    img, intr = random_frame(32, 24, 16)
+    cloud = dc.apply_calibration(umap, gmap, img, intr, 1)
+    for v in range(24):
+        for u in range(32):
+            z = global_eval(gmap, u, v, undistort_depth(umap, u, v, img.data[v, u]))
+            z = max(z, 0.0)
+            expected = (z * (u - intr.cx) / intr.fx, z * (v - intr.cy) / intr.fy, z)
+            assert cloud.valid[v, u] == (z > 0.0)
+            assert np.max(np.abs(cloud.points[v, u] - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_apply_calibration_checks_sizes_for_any_thread_count(threads):
+    umap, gmap = random_maps(64, 48, 17)
+    img, intr = random_frame(64, 48, 18)
+    short, _ = random_frame(64, 24, 18)
+    with pytest.raises(MapError):
+        dc.apply_calibration(umap, gmap, short, intr, threads)
+    _, narrow = random_frame(32, 48, 18)
+    with pytest.raises(dc.GeometryError):
+        dc.apply_calibration(umap, gmap, img, narrow, threads)
 
 
 def test_concurrent_application_on_shared_map():
