@@ -18,7 +18,7 @@ pixels to 3D.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .geometry import (
     CameraIntrinsics,
     GeometryError,
     KINECT1_QUANTIZATION,
-    NoiseModel,
     RigidTransform,
     axis_angle_to_quat,
     estimate_transform_from_planes,
@@ -40,6 +39,7 @@ from .geometry import (
     lm_minimize,
     project_point,
     quat_multiply,
+    quat_to_matrix,
     transform_plane,
 )
 from .maps import FitMoments, GlobalMap, UndistortionMap
@@ -47,21 +47,24 @@ from .maps import FitMoments, GlobalMap, UndistortionMap
 log = logging.getLogger(__name__)
 
 
+# Fixed stage-two settings; the depth noise after undistortion is
+# geometry.KINECT1_QUANTIZATION. `refine` reads the solver limits when called.
+SIGMA_C = 0.2  # checkerboard corner detection noise, pixels
+GMAP_DEGREE = 2  # global correction polynomial degree (constant term pinned to 0)
+MAX_ITER = 100
+FTOL = 1e-10
+XTOL = 1e-12
+
+
 @dataclass(frozen=True)
 class GlobalConfig:
-    """Free parameters of stage two."""
+    """Free parameters of stage two.
 
-    sigma_c: float = 0.2  # checkerboard corner detection noise, pixels
-    sigma_u: NoiseModel = field(default=KINECT1_QUANTIZATION)  # depth noise after undistortion
-    degree: int = 2  # global correction polynomial degree (constant term pinned to 0)
+    `calibrate` passes the point cap to `build_observations`; `init_global`
+    and `refine` accept the config but read no field of it.
+    """
+
     max_points_per_frame: int = 400  # wall points kept per frame in the refinement
-    max_iter: int = 100
-    ftol: float = 1e-10
-    xtol: float = 1e-12
-
-    def __post_init__(self):
-        if self.sigma_c <= 0:
-            raise CalibrationError("sigma_c must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,84 +118,44 @@ def init_global(undistorted_clouds, inlier_sets, board_poses, board: BoardSpec,
     undistorted cloud inliers. The rigid transform aligning board planes
     (camera frame) onto wall planes (depth frame) initializes the extrinsic;
     the board planes moved into the depth frame then drive the four-corner
-    map fit. Returns the poses of the frames kept.
+    map fit. Stage one has already fit a plane to every frame's inliers, so
+    a plane fit that fails here raises CalibrationError naming the frame.
+    Returns (gmap, extrinsic depth -> camera, board poses).
     """
     if not (len(undistorted_clouds) == len(inlier_sets) == len(board_poses)):
         raise CalibrationError("clouds, inlier sets and board poses must align")
-    poses = []
+    if len(board_poses) < 3:
+        raise CalibrationError("stage two needs at least 3 usable frames")
     board_planes_cam = []
     wall_planes_depth = []
-    keep = []
     for k, (cloud, inliers, pose) in enumerate(
             zip(undistorted_clouds, inlier_sets, board_poses)):
         try:
-            corners_cam = pose.apply(board.corners_3d())
-            board_planes_cam.append(fit_plane(corners_cam))
+            board_planes_cam.append(fit_plane(pose.apply(board.corners_3d())))
             wall_planes_depth.append(fit_plane(cloud.points_at(inliers)))
-            poses.append(pose)
-            keep.append(k)
         except GeometryError as exc:
-            log.warning("init_global: frame %d dropped (%s)", k, exc)
-    if len(keep) < 3:
-        raise CalibrationError("stage two needs at least 3 usable frames")
+            raise CalibrationError(
+                f"init_global: frame {k}: plane fit failed ({exc})") from exc
     cam_to_depth = estimate_transform_from_planes(board_planes_cam, wall_planes_depth)
 
-    first = undistorted_clouds[keep[0]]
-    width, height = first.width, first.height
+    width, height = undistorted_clouds[0].width, undistorted_clouds[0].height
     grid = UndistortionMap.identity(width, height, width, height,
-                                    degree=cfg.degree, constant_zero=True)
-    moments = FitMoments(grid.grid_shape, cfg.degree)
-    update_cfg = UndistortConfig(chi=width, psi=height, degree=cfg.degree,
-                                 noise_model=cfg.sigma_u)
-    for k, plane_cam in zip(keep, board_planes_cam):
+                                    degree=GMAP_DEGREE, constant_zero=True)
+    moments = FitMoments(grid.grid_shape, GMAP_DEGREE)
+    update_cfg = UndistortConfig(chi=width, psi=height, degree=GMAP_DEGREE)
+    for cloud, inliers, plane_cam in zip(undistorted_clouds, inlier_sets,
+                                         board_planes_cam):
         plane_depth = transform_plane(cam_to_depth, plane_cam)
-        grid = update_map(grid, moments, undistorted_clouds[k], inlier_sets[k],
-                          plane_depth, update_cfg)
+        grid = update_map(grid, moments, cloud, inliers, plane_depth, update_cfg)
     gmap = GlobalMap(width, height,
                      grid.control_function(0, 0),
                      grid.control_function(1, 0),
                      grid.control_function(0, 1))
-    return gmap, cam_to_depth.inverse(), poses
+    return gmap, cam_to_depth.inverse(), list(board_poses)
 
 
 # ---------------------------------------------------------------------------
 # vectorized refinement
-
-
-def _quats_to_matrices(q):
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    m = np.empty(q.shape[:1] + (3, 3))
-    m[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    m[:, 0, 1] = 2 * (x * y - w * z)
-    m[:, 0, 2] = 2 * (x * z + w * y)
-    m[:, 1, 0] = 2 * (x * y + w * z)
-    m[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    m[:, 1, 2] = 2 * (y * z - w * x)
-    m[:, 2, 0] = 2 * (x * z - w * y)
-    m[:, 2, 1] = 2 * (y * z + w * x)
-    m[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return m
-
-
-def _exp_quats(rvecs):
-    theta = np.linalg.norm(rvecs, axis=1)
-    q = np.empty((rvecs.shape[0], 4))
-    small = theta < 1e-12
-    half = np.where(small, 0.5, np.sin(theta / 2.0) / np.where(theta == 0, 1.0, theta))
-    q[:, 0] = np.where(small, 1.0, np.cos(theta / 2.0))
-    q[:, 1:] = rvecs * half[:, None]
-    return q / np.linalg.norm(q, axis=1, keepdims=True)
-
-
-def _quat_multiply_batch(a, b):
-    aw, ax, ay, az = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    bw, bx, by, bz = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-    return np.stack([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ], axis=1)
 
 
 def _fit_planes_batch(points):
@@ -228,13 +191,12 @@ class _RefineProblem:
 
     def __init__(self, state0: RefinementState, observations, intr_rgb,
                  board: BoardSpec, cfg: GlobalConfig):
-        self.cfg = cfg
         self.intr_rgb = intr_rgb
         self.board3d = board.corners_3d()
         self.obs = observations
         self.degree = state0.gmap.degree
-        self.base_extr_q = state0.extrinsic.quaternion
-        self.base_pose_q = np.array([p.quaternion for p in state0.board_poses])
+        self.base_q = np.array([state0.extrinsic.quaternion]
+                               + [p.quaternion for p in state0.board_poses])
         self.width = state0.gmap.width
         self.height = state0.gmap.height
         self.corners_px = np.array([o.corners for o in observations])
@@ -247,7 +209,7 @@ class _RefineProblem:
             n = o.uv.shape[0]
             self.uv[k, :n] = o.uv
             self.dhat[k, :n] = o.dhat
-            sigma = cfg.sigma_u.sigma(o.dhat)
+            sigma = KINECT1_QUANTIZATION.sigma(o.dhat)
             self.point_scale[k, :n] = 1.0 / (np.sqrt(n) * sigma)
         self.intr_depth0 = state0.intr_depth
         self.gmap0 = state0.gmap
@@ -264,42 +226,47 @@ class _RefineProblem:
             x[16 + 6 * k + 3:16 + 6 * k + 6] = pose.translation
         return x
 
+    def _rotations(self, x):
+        """Extrinsic (4,) and per-frame pose (m, 4) quaternions at x.
+
+        Each rotation vector in x is an axis-angle increment composed onto
+        its initial quaternion (Triggs et al., "Bundle Adjustment - A Modern
+        Synthesis", 2000). The products are unit to rounding and are not
+        renormalized here; RigidTransform normalizes what `unpack` returns.
+        """
+        rvecs = np.vstack([x[0:3], x[16:].reshape(-1, 6)[:, 0:3]])
+        q = quat_multiply(axis_angle_to_quat(rvecs), self.base_q)
+        return q[0], q[1:]
+
     def unpack(self, x) -> RefinementState:
-        extr_q = quat_multiply(axis_angle_to_quat(x[0:3]), self.base_extr_q)
+        extr_q, pose_q = self._rotations(x)
         extrinsic = RigidTransform(extr_q, x[3:6])
         intr = replace(self.intr_depth0, fx=float(x[6]), fy=float(x[7]),
                        cx=float(x[8]), cy=float(x[9]))
         gmap = GlobalMap.from_free_coefficients(self.width, self.height,
                                                 x[10:16], self.degree)
-        m = len(self.obs)
-        rvecs = x[16:].reshape(m, 6)[:, 0:3]
-        quats = _quat_multiply_batch(_exp_quats(rvecs), self.base_pose_q)
-        poses = tuple(RigidTransform(q, x[16 + 6 * k + 3:16 + 6 * k + 6])
-                      for k, q in enumerate(quats))
+        pose_t = x[16:].reshape(-1, 6)[:, 3:6]
+        poses = tuple(RigidTransform(q, t) for q, t in zip(pose_q, pose_t))
         return RefinementState(extrinsic=extrinsic, board_poses=poses,
                                intr_depth=intr, gmap=gmap)
 
     def residual(self, x):
         m = len(self.obs)
-        pose_block = x[16:].reshape(m, 6)
-        pose_q = _quat_multiply_batch(_exp_quats(pose_block[:, 0:3]),
-                                      self.base_pose_q)
-        pose_r = _quats_to_matrices(pose_q)
-        pose_t = pose_block[:, 3:6]
+        extr_q, pose_q = self._rotations(x)
+        pose_r = quat_to_matrix(pose_q)
+        pose_t = x[16:].reshape(m, 6)[:, 3:6]
 
         # reprojection block
         corners_cam = np.einsum("mij,cj->mci", pose_r, self.board3d) + pose_t[:, None, :]
         if np.any(corners_cam[:, :, 2] <= 0):
             return np.full(self._n_residuals(), _BEHIND_PENALTY)
         proj = project_point(self.intr_rgb, corners_cam.reshape(-1, 3))
-        r_repr = (proj.reshape(m, -1, 2) - self.corners_px) / self.cfg.sigma_c
+        r_repr = (proj.reshape(m, -1, 2) - self.corners_px) / SIGMA_C
 
         # board planes in the depth frame (dependent corner always rebuilt
         # from the free coefficients, so the planarity constraint holds at
         # every evaluation)
-        extr_q = quat_multiply(axis_angle_to_quat(x[0:3]), self.base_extr_q)
-        extr = RigidTransform(extr_q, x[3:6])
-        inv = extr.inverse()
+        inv = RigidTransform(extr_q, x[3:6]).inverse()
         corners_depth = corners_cam @ inv.rotation_matrix.T + inv.translation
         normals, offsets = _fit_planes_batch(corners_depth)
 
@@ -396,7 +363,7 @@ def refine(state0: RefinementState, observations, intr_rgb: CameraIntrinsics,
     """
     problem = _RefineProblem(state0, observations, intr_rgb, board, cfg)
     result = lm_minimize(problem.residual, problem.pack_initial(),
-                         max_iter=cfg.max_iter, ftol=cfg.ftol, xtol=cfg.xtol,
+                         max_iter=MAX_ITER, ftol=FTOL, xtol=XTOL,
                          jacobian_fn=problem.jacobian)
     problem.log_fit(result.residual)
     if result.reason in ("max_iter", "damping_exhausted"):

@@ -17,7 +17,7 @@ frames.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .geometry import (
     GeometryError,
     IndexSet,
     KINECT1_QUANTIZATION,
-    NoiseModel,
     OrganizedCloud,
     Plane,
     RigidTransform,
@@ -97,6 +96,17 @@ class Frame:
         return self.corners.reshape(-1, 2)
 
 
+# Fixed stage-one settings; the depth noise is geometry.KINECT1_QUANTIZATION.
+KAPPA = 3.0  # RANSAC inlier threshold, multiples of sigma(z)
+RANSAC_ITERATIONS = 50
+SEED_ANGLE_DEG = 30.0  # gate: max angle between candidate and seed normals
+SEED_OFFSET_M = 0.3  # gate: max offset difference to the seed plane
+# minimum sample depth spread (meters) before a curvature degree is
+# trusted; narrow arcs make super-linear terms explode under extrapolation
+MIN_SPREAD_LINEAR = 0.05
+MIN_SPREAD_SUPERLINEAR = 0.8
+
+
 @dataclass(frozen=True)
 class UndistortConfig:
     """Free parameters of stage one."""
@@ -104,25 +114,14 @@ class UndistortConfig:
     chi: int = 4  # bin size along u, pixels
     psi: int = 4  # bin size along v, pixels
     degree: int = 2
-    kappa: float = 3.0  # RANSAC inlier threshold, multiples of sigma(z)
-    ransac_iterations: int = 50
     fit_radius: float = 120.0  # pixels around the inlier centroid used for the plane fit
     min_inliers: int = 100
     seed: int = 0
-    noise_model: NoiseModel = field(default=KINECT1_QUANTIZATION)
-    seed_angle_deg: float = 30.0  # gate: max angle between candidate and seed normals
-    seed_offset_m: float = 0.3  # gate: max offset difference to the seed plane
-    # minimum sample depth spread (meters) before a curvature degree is
-    # trusted; narrow arcs make super-linear terms explode under extrapolation
-    min_spread_linear: float = 0.05
-    min_spread_superlinear: float = 0.8
 
     def __post_init__(self):
-        if min(self.chi, self.psi, self.degree, self.ransac_iterations,
-               self.min_inliers) <= 0 or self.fit_radius <= 0:
+        if min(self.chi, self.psi, self.degree, self.min_inliers,
+               self.fit_radius) <= 0:
             raise CalibrationError("config values must be positive")
-        if self.kappa < 1.0:
-            raise CalibrationError("kappa must be at least 1")
 
 
 def sort_frames_by_distance(frames, t0: RigidTransform, intr_rgb: CameraIntrinsics,
@@ -172,19 +171,19 @@ def select_wall_points(undistorted: OrganizedCloud, board_pose: RigidTransform,
         z_bar = seed.offset / abs(seed.normal[2])
     else:
         z_bar = float(np.mean(pts[:, 2]))
-    threshold = cfg.kappa * cfg.noise_model.sigma(z_bar)
-    cos_gate = np.cos(np.deg2rad(cfg.seed_angle_deg))
+    threshold = KAPPA * KINECT1_QUANTIZATION.sigma(z_bar)
+    cos_gate = np.cos(np.deg2rad(SEED_ANGLE_DEG))
 
     def near_seed(plane):
         return (abs(plane.normal @ seed.normal) >= cos_gate
-                and abs(plane.offset - seed.offset) <= cfg.seed_offset_m)
+                and abs(plane.offset - seed.offset) <= SEED_OFFSET_M)
 
     def count_inliers(plane):
         return np.abs(plane.signed_distance(pts)) <= threshold
 
     best_plane, best_mask = seed, count_inliers(seed)
     best_count = int(best_mask.sum())
-    for _ in range(cfg.ransac_iterations):
+    for _ in range(RANSAC_ITERATIONS):
         take = rng.integers(0, pts.shape[0], size=3)
         if len(set(take.tolist())) < 3:
             continue
@@ -240,7 +239,8 @@ def update_map(umap: UndistortionMap, moments: FitMoments, original: OrganizedCl
     the weighted mean becomes this frame's one sample, which is added to the
     pixel's running moments, and the control polynomial is refit from them.
     Control pixels receiving no samples, and pixels whose fit is
-    underdetermined or singular, keep their previous function.
+    underdetermined or singular, keep their previous function. The update
+    reads no field of `cfg`: its noise model and spread gates are fixed.
     """
     pts = original.points[inliers.v, inliers.u]
     denom = pts @ plane.normal
@@ -269,7 +269,7 @@ def update_map(umap: UndistortionMap, moments: FitMoments, original: OrganizedCl
 
     sel = np.nonzero(w_sum > 0)[0]
     moments.add(sel, wz_sum[sel] / w_sum[sel], wzpi_sum[sel] / w_sum[sel],
-                cfg.noise_model)
+                KINECT1_QUANTIZATION)
 
     # Refit only the control functions whose moments changed. While a
     # control pixel has too few samples, or too narrow a depth spread, for
@@ -286,7 +286,7 @@ def update_map(umap: UndistortionMap, moments: FitMoments, original: OrganizedCl
     for deg in range(umap.degree, 0, -1):
         if not np.any(pending):
             break
-        min_spread = cfg.min_spread_linear if deg == 1 else cfg.min_spread_superlinear
+        min_spread = MIN_SPREAD_LINEAR if deg == 1 else MIN_SPREAD_SUPERLINEAR
         rows = np.nonzero(pending & (spread >= min_spread))[0]
         if rows.size == 0:
             continue

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calib_undistort import BoardSpec, Frame
+from .calib_undistort import BoardSpec, CalibrationError, Frame
 from .geometry import (
     CameraIntrinsics,
     DepthImage,
@@ -143,10 +143,12 @@ def read_corners_csv(path):
         parts = ln.split(",")
         if len(parts) != 4:
             raise FormatError(f"{path}: malformed corner line {ln!r}")
-        r, c = int(parts[0]), int(parts[1])
+        r, c = _values(parts[:2], 2, f"{path}: corner index", int)
+        if r < 0 or c < 0:
+            raise FormatError(f"{path}: negative corner index ({r}, {c})")
         if (r, c) in entries:
             raise FormatError(f"{path}: duplicate corner ({r}, {c})")
-        entries[(r, c)] = (float(parts[2]), float(parts[3]))
+        entries[(r, c)] = _values(parts[2:], 2, f"{path}: corner ({r}, {c})")
     if not entries:
         raise FormatError(f"{path}: no corners")
     rows = max(r for r, _ in entries) + 1
@@ -200,6 +202,53 @@ def _transform_lines(prefix, t: RigidTransform):
             f"{prefix}_quaternion {_fmt(q[0])} {_fmt(q[1])} {_fmt(q[2])} {_fmt(q[3])}"]
 
 
+def _transform(quaternion_tokens, translation_tokens, what):
+    """RigidTransform from 4 quaternion and 3 translation tokens."""
+    quaternion = _values(quaternion_tokens, 4, f"{what} quaternion")
+    translation = _values(translation_tokens, 3, f"{what} translation")
+    try:
+        return RigidTransform(quaternion, translation)
+    except GeometryError as exc:
+        raise FormatError(f"{what}: {exc}") from exc
+
+
+def _undistortion_map(kv, fn_lines, prefix, path):
+    """UndistortionMap from `<prefix>_size`, `_bins` and `_degree` in kv and
+    one `<prefix>_fn i j c0 .. cd` token list per control pixel."""
+    width, height = _values(kv[f"{prefix}_size"], 2, f"{path}: {prefix}_size", int)
+    chi, psi = _values(kv[f"{prefix}_bins"], 2, f"{path}: {prefix}_bins", int)
+    [degree] = _values(kv[f"{prefix}_degree"], 1, f"{path}: {prefix}_degree", int)
+    if min(width, height, chi, psi) <= 0:
+        raise FormatError(f"{path}: {prefix} size and bins must be positive")
+    if not 1 <= degree <= MAX_DEGREE:
+        raise FormatError(f"{path}: {prefix}_degree must be between 1 and {MAX_DEGREE}")
+    # the count is checked from the grid shape before anything is allocated
+    gh, gw = _grid_shape(width, height, chi, psi)
+    if len(fn_lines) != gh * gw:
+        raise FormatError(f"{path}: expected {gh * gw} {prefix}_fn lines, "
+                          f"got {len(fn_lines)}")
+    coeffs = np.empty((gh, gw, degree + 1))
+    seen = np.zeros((gh, gw), dtype=bool)
+    for tokens in fn_lines:
+        if len(tokens) != degree + 3:
+            raise FormatError(f"{path}: {prefix}_fn {' '.join(tokens[:2])} has "
+                              "wrong coefficient count")
+        try:
+            i, j = int(tokens[0]), int(tokens[1])
+            vals = [float(t) for t in tokens[2:]]
+        except ValueError as exc:
+            raise FormatError(f"{path}: malformed {prefix}_fn {' '.join(tokens)!r}") from exc
+        if not (0 <= i < gw and 0 <= j < gh):
+            raise FormatError(f"{path}: {prefix}_fn {i} {j} outside the {gw}x{gh} grid")
+        if seen[j, i]:
+            raise FormatError(f"{path}: duplicate {prefix}_fn {i} {j}")
+        seen[j, i] = True
+        coeffs[j, i] = vals
+    if not np.all(np.isfinite(coeffs)):
+        raise FormatError(f"{path}: non-finite {prefix}_fn coefficient")
+    return UndistortionMap(width, height, chi, psi, coeffs)
+
+
 # ---------------------------------------------------------------------------
 # calibration file
 
@@ -237,10 +286,9 @@ def read_calibration(path):
     corner is rebuilt from the three stored free corners, so the planarity
     constraint cannot be broken by file edits.
     """
-    entries = _read_keyvals(path)
     kv = {}
     umap_fns = []
-    for key, tokens in entries:
+    for key, tokens in _read_keyvals(path):
         if key == "umap_fn":
             umap_fns.append(tokens)
         else:
@@ -251,52 +299,19 @@ def read_calibration(path):
             raise FormatError(f"{path}: unsupported version {version}")
         intr_rgb = _intr_from_tokens(kv["rgb_intrinsics"])
         intr_depth = _intr_from_tokens(kv["depth_intrinsics"])
-        quaternion = _values(kv["extrinsic_quaternion"], 4,
-                             f"{path}: extrinsic_quaternion")
-        translation = _values(kv["extrinsic_translation"], 3,
-                              f"{path}: extrinsic_translation")
-        width, height = _values(kv["umap_size"], 2, f"{path}: umap_size", int)
-        chi, psi = _values(kv["umap_bins"], 2, f"{path}: umap_bins", int)
-        [degree] = _values(kv["umap_degree"], 1, f"{path}: umap_degree", int)
+        extrinsic = _transform(kv["extrinsic_quaternion"],
+                               kv["extrinsic_translation"], f"{path}: extrinsic")
+        umap = _undistortion_map(kv, umap_fns, "umap", path)
         [g_degree] = _values(kv["gmap_degree"], 1, f"{path}: gmap_degree", int)
-        if min(width, height, chi, psi) <= 0:
-            raise FormatError(f"{path}: umap size and bins must be positive")
-        if not (1 <= degree <= MAX_DEGREE and 1 <= g_degree <= MAX_DEGREE):
-            raise FormatError(f"{path}: map degrees must be between 1 and {MAX_DEGREE}")
-        corner_vals = [_values(kv[f"gmap_corner_{n}"], g_degree + 1,
-                               f"{path}: gmap_corner_{n}")
-                       for n in ("00", "w0", "0h")]
+        if not 1 <= g_degree <= MAX_DEGREE:
+            raise FormatError(f"{path}: gmap_degree must be between 1 and {MAX_DEGREE}")
+        corners = [PolyFn(_values(kv[f"gmap_corner_{n}"], g_degree + 1,
+                                  f"{path}: gmap_corner_{n}"), constant_zero=True)
+                   for n in ("00", "w0", "0h")]
+        gmap = GlobalMap(umap.width, umap.height, *corners)
     except KeyError as exc:
         raise FormatError(f"{path}: missing key {exc}") from exc
-    gh, gw = _grid_shape(width, height, chi, psi)
-    if len(umap_fns) != gh * gw:
-        raise FormatError(f"{path}: expected {gh * gw} umap functions, "
-                          f"got {len(umap_fns)}")
-    coeffs = np.empty((gh, gw, degree + 1))
-    seen = np.zeros((gh, gw), dtype=bool)
-    for tokens in umap_fns:
-        if len(tokens) != degree + 3:
-            raise FormatError(f"{path}: umap_fn {' '.join(tokens[:2])} has "
-                              "wrong coefficient count")
-        try:
-            i, j = int(tokens[0]), int(tokens[1])
-            vals = [float(t) for t in tokens[2:]]
-        except ValueError as exc:
-            raise FormatError(f"{path}: malformed umap_fn {' '.join(tokens)!r}") from exc
-        if not (0 <= i < gw and 0 <= j < gh):
-            raise FormatError(f"{path}: umap_fn {i} {j} outside the {gw}x{gh} grid")
-        if seen[j, i]:
-            raise FormatError(f"{path}: duplicate umap_fn {i} {j}")
-        seen[j, i] = True
-        coeffs[j, i] = vals
-    if not np.all(np.isfinite(coeffs)):
-        raise FormatError(f"{path}: non-finite umap coefficient")
-    try:
-        extrinsic = RigidTransform(quaternion, translation)
-        corners = [PolyFn(vals, constant_zero=True) for vals in corner_vals]
-        umap = UndistortionMap(width, height, chi, psi, coeffs)
-        gmap = GlobalMap(width, height, *corners)
-    except (GeometryError, MapError) as exc:
+    except MapError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return umap, gmap, extrinsic, intr_depth, intr_rgb
 
@@ -345,24 +360,29 @@ def read_manifest(path) -> DatasetManifest:
         if key == "frame":
             if len(tokens) not in (3, 4):
                 raise FormatError(f"{path}: malformed frame line")
-            dist = float(tokens[3]) if len(tokens) == 4 else None
+            dist = None
+            if len(tokens) == 4:
+                [dist] = _values(tokens[3:], 1, f"{path}: frame {tokens[0]} distance")
             frames.append(ManifestFrame(tokens[0], tokens[1], tokens[2], dist))
         else:
             kv[key] = tokens
     try:
-        board = BoardSpec(int(kv["board"][0]), int(kv["board"][1]),
-                          float(kv["board"][2]))
+        rows, cols = _values(kv["board"][:2], 2, f"{path}: board corners", int)
+        [square] = _values(kv["board"][2:], 1, f"{path}: board square size")
+        board = BoardSpec(rows, cols, square)
         manifest = DatasetManifest(
             board=board,
             intr_rgb=_intr_from_tokens(kv["rgb_intrinsics"]),
             intr_depth_guess=_intr_from_tokens(kv["depth_intrinsics_guess"]),
-            extrinsic_guess=RigidTransform(
-                [float(t) for t in kv["extrinsic_guess_quaternion"]],
-                [float(t) for t in kv["extrinsic_guess_translation"]]),
+            extrinsic_guess=_transform(kv["extrinsic_guess_quaternion"],
+                                       kv["extrinsic_guess_translation"],
+                                       f"{path}: extrinsic_guess"),
             frames=tuple(frames),
         )
     except KeyError as exc:
         raise FormatError(f"{path}: missing key {exc}") from exc
+    except CalibrationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     ids = [fr.frame_id for fr in manifest.frames]
     if len(set(ids)) != len(ids):
         raise FormatError(f"{path}: duplicate frame ids")
@@ -460,26 +480,25 @@ def read_ground_truth(path):
         if key == "distortion_fn":
             fns.append(tokens)
         elif key == "frame_truth":
-            fid = tokens[0]
-            vals = [float(t) for t in tokens[1:]]
-            truths[fid] = (vals[0], RigidTransform(vals[4:8], vals[1:4]))
+            if len(tokens) != 9:
+                raise FormatError(f"{path}: frame_truth needs an id and 8 values")
+            what = f"{path}: frame_truth {tokens[0]}"
+            [dist] = _values(tokens[1:2], 1, f"{what} distance")
+            truths[tokens[0]] = (dist, _transform(tokens[5:9], tokens[2:5], what))
         else:
             kv[key] = tokens
     try:
-        extrinsic = RigidTransform([float(t) for t in kv["true_extrinsic_quaternion"]],
-                                   [float(t) for t in kv["true_extrinsic_translation"]])
-        gcorr = PolyFn([float(t) for t in kv["global_correction"]], constant_zero=True)
-        width, height = (int(t) for t in kv["distortion_size"])
-        chi, psi = (int(t) for t in kv["distortion_bins"])
-        degree = int(kv["distortion_degree"][0])
+        extrinsic = _transform(kv["true_extrinsic_quaternion"],
+                               kv["true_extrinsic_translation"],
+                               f"{path}: true_extrinsic")
+        gcorr = PolyFn(_values(kv["global_correction"], len(kv["global_correction"]),
+                               f"{path}: global_correction"), constant_zero=True)
+        distortion = _undistortion_map(kv, fns, "distortion", path)
     except KeyError as exc:
         raise FormatError(f"{path}: missing key {exc}") from exc
-    base = UndistortionMap.identity(width, height, chi, psi, degree)
-    coeffs = base.coefficients.copy()
-    for tokens in fns:
-        i, j = int(tokens[0]), int(tokens[1])
-        coeffs[j, i] = [float(t) for t in tokens[2:]]
-    return extrinsic, gcorr, base.with_coefficients(coeffs), truths
+    except MapError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return extrinsic, gcorr, distortion, truths
 
 
 # ---------------------------------------------------------------------------

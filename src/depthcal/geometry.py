@@ -22,30 +22,44 @@ class GeometryError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# quaternion helpers (scalar-first: w, x, y, z)
+# quaternion helpers (scalar-first: w, x, y, z). quat_normalize,
+# quat_multiply, quat_to_matrix and axis_angle_to_quat take one (4,) / (3,)
+# array or a stack (..., 4) / (..., 3) and act on the last axis.
+
+
+def _norm(v):
+    """Euclidean norms over the last axis, keeping it (length 1).
+
+    The matmul takes the same dot product as `np.linalg.norm` on a single
+    vector, so one vector and a stack give the same bits.
+    """
+    return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
 
 
 def quat_normalize(q):
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if n == 0.0:
+    n = _norm(q)
+    if not np.all(np.isfinite(n)):
+        raise GeometryError("quaternion norm is not finite")
+    if np.any(n == 0.0):
         raise GeometryError("zero quaternion")
     q = q / n
     # fix the double-cover sign so equal rotations compare equal
-    if q[0] < 0.0:
-        q = -q
-    return q
+    return np.where(q[..., :1] < 0.0, -q, q)
 
 
 def quat_multiply(a, b):
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    # .T puts the component axis first and, on the product, last again
+    aw, ax, ay, az = a.T
+    bw, bx, by, bz = b.T
     return np.array([
         aw * bw - ax * bx - ay * by - az * bz,
         aw * bx + ax * bw + ay * bz - az * by,
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
-    ])
+    ]).T
 
 
 def quat_conjugate(q):
@@ -53,12 +67,16 @@ def quat_conjugate(q):
 
 
 def quat_to_matrix(q):
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    w, x, y, z = np.asarray(q, dtype=float).T
+    # written column by column: .T reverses the axes, which moves the stack
+    # axes first and turns the columns back into rows. The copy restores the
+    # row-major layout, which decides the BLAS path, and so the rounding, of
+    # products with the matrix.
+    return np.ascontiguousarray(np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y + w * z), 2 * (x * z - w * y)],
+        [2 * (x * y - w * z), 1 - 2 * (x * x + z * z), 2 * (y * z + w * x)],
+        [2 * (x * z + w * y), 2 * (y * z - w * x), 1 - 2 * (x * x + y * y)],
+    ]).T)
 
 
 def matrix_to_quat(m):
@@ -85,15 +103,13 @@ def matrix_to_quat(m):
 def axis_angle_to_quat(rvec):
     """Exponential map: rotation vector (axis * angle, radians) -> quaternion."""
     rvec = np.asarray(rvec, dtype=float)
-    theta = np.linalg.norm(rvec)
-    if theta < 1e-12:
-        # second-order series keeps the map smooth through zero
-        half = 0.5 * rvec
-        return quat_normalize(np.array([1.0, half[0], half[1], half[2]]))
-    axis = rvec / theta
-    s = np.sin(theta / 2.0)
-    return quat_normalize(np.array([np.cos(theta / 2.0),
-                                    axis[0] * s, axis[1] * s, axis[2] * s]))
+    theta = _norm(rvec)
+    # below 1e-12 rad the second-order series keeps the map smooth through
+    # zero; there cos(theta / 2) rounds to 1
+    small = theta < 1e-12
+    vec = np.where(small, 0.5 * rvec,
+                   rvec / np.where(small, 1.0, theta) * np.sin(theta / 2.0))
+    return quat_normalize(np.concatenate([np.cos(theta / 2.0), vec], axis=-1))
 
 
 def quat_to_axis_angle(q):
@@ -145,12 +161,6 @@ class Plane:
         points = np.asarray(points, dtype=float)
         return points @ self.normal - self.offset
 
-    def depth_along_ray(self, directions):
-        """Scale factor t so that t * dir lies on the plane."""
-        directions = np.asarray(directions, dtype=float)
-        denom = directions @ self.normal
-        return self.offset / denom
-
 
 def _first_nonzero_negative(v):
     for c in v:
@@ -187,10 +197,6 @@ class RigidTransform:
     def from_matrix(m):
         m = np.asarray(m, dtype=float)
         return RigidTransform(matrix_to_quat(m[:3, :3]), m[:3, 3])
-
-    @staticmethod
-    def from_axis_angle(rvec, translation):
-        return RigidTransform(axis_angle_to_quat(rvec), translation)
 
     @property
     def rotation_matrix(self):

@@ -276,16 +276,18 @@ def test_criterion_8_multithread_speedup():
         umap, gmap, intr, img = _bench_calibration()
         threads = min(os.cpu_count() or 1, 4)
 
-        def mean_ms(n_threads, repeats=30):
-            pipeline.apply_calibration(umap, gmap, img, intr, n_threads)
-            times = []
-            for _ in range(repeats):
+        # the two thread counts alternate call by call, so a change in host
+        # load between two timing blocks cannot decide the comparison
+        counts = (1, threads)
+        for n_threads in counts:
+            pipeline.apply_calibration(umap, gmap, img, intr, n_threads)  # warmup
+        times = {n_threads: [] for n_threads in counts}
+        for _ in range(30):
+            for n_threads in counts:
                 tic = time.perf_counter()
                 pipeline.apply_calibration(umap, gmap, img, intr, n_threads)
-                times.append(time.perf_counter() - tic)
-            return float(np.mean(times))
-
-        single = mean_ms(1)
-        multi = mean_ms(threads)
+                times[n_threads].append(time.perf_counter() - tic)
+        single = float(np.mean(times[1]))
+        multi = float(np.mean(times[threads]))
         assert multi < single, (f"{threads} threads: {multi * 1e3:.2f} ms vs "
                                 f"single {single * 1e3:.2f} ms")

@@ -5,7 +5,9 @@ import pytest
 
 import depthcal as dc
 from depthcal import synthbench as sb
+import depthcal.calib_global as cg
 from depthcal.calib_global import (
+    SIGMA_C,
     FrameObservations,
     GlobalConfig,
     _is_penalty,
@@ -91,6 +93,26 @@ def test_init_global_needs_three_frames(clean_setup):
     with pytest.raises(dc.CalibrationError):
         dc.init_global(clouds[:2], inliers[:2], pnp_poses(scene, corners[:2]),
                        scene.board)
+
+
+@pytest.mark.parametrize("failing_call", [0, 1, 4, 5])
+def test_init_global_raises_on_failed_plane_fit(clean_setup, monkeypatch,
+                                                failing_call):
+    # fit_plane runs board then wall per frame: call 2k fits frame k's board
+    # plane and call 2k + 1 its wall plane
+    scene, frames, (clouds, inliers, corners, _) = clean_setup
+    poses = pnp_poses(scene, corners)
+    calls = []
+
+    def failing_fit(points, weights=None):
+        calls.append(1)
+        if len(calls) == failing_call + 1:
+            raise dc.GeometryError("injected")
+        return dc.fit_plane(points, weights)
+
+    monkeypatch.setattr(cg, "fit_plane", failing_fit)
+    with pytest.raises(dc.CalibrationError, match=f"frame {failing_call // 2}:"):
+        dc.init_global(clouds, inliers, poses, scene.board)
 
 
 def test_init_global_dependent_corner_invariant(clean_setup):
@@ -262,11 +284,11 @@ def test_vectorized_residual_matches_reference(clean_setup):
     ref = []
     for k, o in enumerate(obs):
         ref.append(residual_repr(state_x.board_poses[k], o.corners,
-                                    scene.intr_rgb, scene.board, cfg.sigma_c))
+                                    scene.intr_rgb, scene.board, SIGMA_C))
     for k, o in enumerate(obs):
         ref.append(residual_pos(state_x.extrinsic, state_x.board_poses[k],
                                    state_x.gmap, state_x.intr_depth, o,
-                                   scene.board, cfg.sigma_u))
+                                   scene.board, dc.KINECT1_QUANTIZATION))
     ref = np.concatenate(ref)
     assert full.shape == ref.shape
     assert np.allclose(full, ref, rtol=1e-9, atol=1e-9)
@@ -303,16 +325,17 @@ def test_refine_at_ground_truth_is_fixed_point(clean_setup):
                           - scene.true_extrinsic.translation) < 1e-8
 
 
-def test_refine_warns_when_stopped_at_max_iter(clean_setup, caplog):
+def test_refine_warns_when_stopped_at_max_iter(clean_setup, caplog,
+                                               monkeypatch):
     scene, frames, setup = clean_setup
     truth = truth_state(scene, frames, setup[3])
     bent = dc.RigidTransform(truth.extrinsic.quaternion,
                              truth.extrinsic.translation + (0.005, 0, 0))
     state0 = dc.RefinementState(extrinsic=bent, board_poses=truth.board_poses,
                                 intr_depth=truth.intr_depth, gmap=truth.gmap)
+    monkeypatch.setattr(cg, "MAX_ITER", 1)
     with caplog.at_level("WARNING", logger="depthcal.calib_global"):
-        _, result = run_refine(scene, frames, setup, state0,
-                               GlobalConfig(max_iter=1))
+        _, result = run_refine(scene, frames, setup, state0)
     assert result.reason == "max_iter" and not result.converged
     assert "refinement stopped (max_iter)" in caplog.text
 
@@ -493,10 +516,10 @@ def test_refine_logs_cost_split_and_worst_frames(small_refine_setup, caplog):
     total_repr = total_plane = 0.0
     for pose, obs in zip(refined.board_poses, noisy):
         r_repr = residual_repr(pose, obs.corners, scene.intr_rgb,
-                                  scene.board, cfg.sigma_c)
+                                  scene.board, SIGMA_C)
         r_plane = residual_pos(refined.extrinsic, pose, refined.gmap,
                                   refined.intr_depth, obs, scene.board,
-                                  cfg.sigma_u)
+                                  dc.KINECT1_QUANTIZATION)
         total_repr += r_repr @ r_repr
         total_plane += r_plane @ r_plane
         rms[obs.frame_id] = np.sqrt((r_repr @ r_repr + r_plane @ r_plane)

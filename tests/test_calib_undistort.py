@@ -61,11 +61,6 @@ def test_frame_rejects_incomplete_corners():
         dc.Frame("x", depth, corners)
 
 
-def test_config_requires_kappa_at_least_one():
-    with pytest.raises(dc.CalibrationError):
-        dc.UndistortConfig(kappa=0.5)
-
-
 # ---------------------------------------------------------------------------
 # sort_frames_by_distance
 
@@ -252,7 +247,7 @@ def test_update_map_weighted_mean_matches_oracle(clean_scene):
     # the frame's one sample is the weighted mean, held as its moments
     i, j = target
     z_bar, z_pi_bar = z_sum / w_sum, zpi_sum / w_sum
-    w = 1.0 / cfg.noise_model.sigma(z_bar) ** 2
+    w = 1.0 / dc.KINECT1_QUANTIZATION.sigma(z_bar) ** 2
     assert moments.count[j, i] == 1
     assert moments.zmin[j, i] == pytest.approx(z_bar, abs=1e-12)
     assert moments.zmax[j, i] == moments.zmin[j, i]

@@ -118,6 +118,26 @@ def test_corners_requires_header(tmp_path):
         formats.read_corners_csv(path)
 
 
+@pytest.mark.parametrize("line", [
+    pytest.param("a,0,1,2", id="non-integer-row"),
+    pytest.param("0,0,x,2", id="non-numeric-u"),
+    pytest.param("0,0,1,nan", id="nan-v"),
+])
+def test_corners_rejects_malformed_value(tmp_path, line):
+    path = tmp_path / "c.csv"
+    path.write_text(f"row,col,u,v\n{line}\n")
+    with pytest.raises(FormatError):
+        formats.read_corners_csv(path)
+
+
+def test_corners_rejects_negative_index(tmp_path):
+    # (-1, 1) used to alias corner (1, 1) and complete the 2 x 2 grid
+    path = tmp_path / "c.csv"
+    path.write_text("row,col,u,v\n0,0,1,2\n0,1,3,4\n1,0,5,6\n-1,1,7,8\n")
+    with pytest.raises(FormatError, match="negative"):
+        formats.read_corners_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # calibration file
 
@@ -245,7 +265,10 @@ def test_calibration_rejects_nan_focal_length(tmp_path):
     pytest.param("umap_fn 0 0 ", "umap_fn x 0 0 1 0", id="non-integer-index"),
     pytest.param("extrinsic_quaternion ", "extrinsic_quaternion 1 0 0 0 0",
                  id="five-value-quaternion"),
+    pytest.param("extrinsic_quaternion ", "extrinsic_quaternion 1e200 0 0 0",
+                 id="overflowing-quaternion"),
 ])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_calibration_rejects_malformed_line(tmp_path, prefix, line):
     path = tmp_path / "calib.txt"
     write_sample_calibration(path, lambda ln: line if ln.startswith(prefix) else ln)
@@ -259,15 +282,11 @@ replacement_tokens = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr))
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_calibration_reader_raises_only_format_error(tmp_path_factory, data):
-    """One line of a valid file loses, repeats or changes one token."""
-    path = tmp_path_factory.mktemp("calib") / "calib.txt"
-    formats.write_calibration(path, *sample_calibration())
-    lines = path.read_text().splitlines()
+def mutate_one_token(data, text, sep=None):
+    """`text` with one token of one line dropped, repeated or replaced."""
+    lines = text.splitlines()
     k = data.draw(st.integers(0, len(lines) - 1))
-    tokens = lines[k].split()
+    tokens = lines[k].split(sep)
     i = data.draw(st.integers(0, len(tokens) - 1))
     op = data.draw(st.sampled_from(["drop", "duplicate", "replace"]))
     if op == "drop":
@@ -276,8 +295,17 @@ def test_calibration_reader_raises_only_format_error(tmp_path_factory, data):
         tokens.insert(i, tokens[i])
     else:
         tokens[i] = data.draw(replacement_tokens)
-    lines[k] = " ".join(tokens)
-    path.write_text("\n".join(lines) + "\n")
+    lines[k] = (sep or " ").join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_calibration_reader_raises_only_format_error(tmp_path_factory, data):
+    """One line of a valid file loses, repeats or changes one token."""
+    path = tmp_path_factory.mktemp("calib") / "calib.txt"
+    formats.write_calibration(path, *sample_calibration())
+    path.write_text(mutate_one_token(data, path.read_text()))
     try:
         out = formats.read_calibration(path)
     except FormatError:
@@ -289,6 +317,42 @@ def test_ground_truth_rejects_missing_key(tmp_path):
     path = tmp_path / "ground_truth.txt"
     path.write_text("version 1\n")
     with pytest.raises(FormatError, match="missing key"):
+        formats.read_ground_truth(path)
+
+
+def sample_ground_truth():
+    """A valid ground-truth sidecar on a 4 x 2 image with 2 x 2 bins."""
+    lines = ["version 1",
+             "true_extrinsic_translation 0.025 0 0",
+             "true_extrinsic_quaternion 1 0 0 0",
+             "global_correction 0 0.97 0.008",
+             "distortion_size 4 2",
+             "distortion_bins 2 2",
+             "distortion_degree 2",
+             "noise 0",
+             "seed 3"]
+    lines += [f"distortion_fn {i} {j} 0.001 1 -0.002"
+              for j in range(2) for i in range(3)]
+    lines.append("frame_truth f1 2.5 -0.1 0.2 2.5 1 0 0 0")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("prefix, line", [
+    pytest.param("frame_truth ", "frame_truth f1 1.0", id="short-frame-truth"),
+    pytest.param("frame_truth ", "frame_truth f1 x 0 0 2 1 0 0 0",
+                 id="non-numeric-distance"),
+    pytest.param("frame_truth ", "frame_truth f1 2 0 0 2 0 0 0 0",
+                 id="zero-quaternion"),
+    pytest.param("distortion_fn 2 1 ", "distortion_fn 3 1 0 1 0",
+                 id="index-outside-grid"),
+    pytest.param("distortion_fn 2 1 ", "distortion_fn 2 1 0 1",
+                 id="two-coefficients"),
+])
+def test_ground_truth_rejects_malformed_line(tmp_path, prefix, line):
+    path = tmp_path / "ground_truth.txt"
+    path.write_text("\n".join(line if ln.startswith(prefix) else ln
+                              for ln in sample_ground_truth().splitlines()))
+    with pytest.raises(FormatError):
         formats.read_ground_truth(path)
 
 
@@ -312,17 +376,67 @@ def test_manifest_round_trip(tmp_path):
     assert back == manifest
 
 
+MANIFEST_TEXT = (
+    "board 6 8 0.1\n"
+    "rgb_intrinsics 525 525 319.5 239.5 640 480 0 0 0 0 0\n"
+    "depth_intrinsics_guess 290 290 159.5 119.5 320 240 0 0 0 0 0\n"
+    "extrinsic_guess_translation 0.025 0 0\n"
+    "extrinsic_guess_quaternion 1 0 0 0\n"
+    "frame a d.pgm c.csv\n"
+    "frame t dt.pgm ct.csv 2.5\n")
+
+
 def test_manifest_rejects_duplicate_ids(tmp_path):
     path = tmp_path / "manifest.txt"
-    path.write_text(
-        "board 6 8 0.1\n"
-        "rgb_intrinsics 525 525 319.5 239.5 640 480 0 0 0 0 0\n"
-        "depth_intrinsics_guess 290 290 159.5 119.5 320 240 0 0 0 0 0\n"
-        "extrinsic_guess_translation 0.025 0 0\n"
-        "extrinsic_guess_quaternion 1 0 0 0\n"
-        "frame a d.pgm c.csv\nframe a d.pgm c.csv\n")
+    path.write_text(MANIFEST_TEXT + "frame a d.pgm c.csv\n")
     with pytest.raises(FormatError):
         formats.read_manifest(path)
+
+
+@pytest.mark.parametrize("old, new", [
+    pytest.param("board 6 8 0.1", "board 6 8 x", id="non-numeric-square"),
+    pytest.param("board 6 8 0.1", "board 6 8", id="two-value-board"),
+    pytest.param("board 6 8 0.1", "board 2 8 0.1", id="two-row-board"),
+    pytest.param("ct.csv 2.5", "ct.csv x", id="non-numeric-distance"),
+    pytest.param("guess_quaternion 1 0 0 0", "guess_quaternion 1 0 0",
+                 id="three-value-quaternion"),
+])
+def test_manifest_rejects_malformed_line(tmp_path, old, new):
+    path = tmp_path / "manifest.txt"
+    path.write_text(MANIFEST_TEXT.replace(old, new))
+    with pytest.raises(FormatError):
+        formats.read_manifest(path)
+
+
+def sample_corners_text(tmp_path):
+    rng = np.random.default_rng(2)
+    formats.write_corners_csv(tmp_path / "c.csv",
+                              rng.uniform(0, 640, size=(2, 3, 2)))
+    return (tmp_path / "c.csv").read_text()
+
+
+@pytest.mark.parametrize("reader, sep", [
+    pytest.param(formats.read_manifest, None, id="manifest"),
+    pytest.param(formats.read_corners_csv, ",", id="corners"),
+    pytest.param(formats.read_ground_truth, None, id="ground-truth"),
+])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_text_readers_raise_only_format_error(tmp_path_factory, data, reader,
+                                              sep):
+    """One line of a valid file loses, repeats or changes one token."""
+    tmp = tmp_path_factory.mktemp("text")
+    valid = {formats.read_manifest: MANIFEST_TEXT,
+             formats.read_corners_csv: sample_corners_text(tmp),
+             formats.read_ground_truth: sample_ground_truth()}[reader]
+    path = tmp / "file.txt"
+    path.write_text(valid)
+    reader(path)
+    path.write_text(mutate_one_token(data, valid, sep))
+    try:
+        reader(path)
+    except FormatError:
+        return
 
 
 def test_load_frames_checks_corner_bounds(tmp_path):

@@ -8,6 +8,8 @@ from depthcal.geometry import (
     GeometryError,
     axis_angle_to_quat,
     lm_jacobian,
+    quat_multiply,
+    quat_normalize,
     quat_to_matrix,
 )
 from oracles import los_project
@@ -63,6 +65,47 @@ def test_quaternion_stays_unit():
     rng = np.random.default_rng(11)
     t = random_transform(rng)
     assert abs(np.linalg.norm(t.quaternion) - 1.0) < 1e-12
+
+
+def test_quaternion_helpers_accept_stacks():
+    # row k of a stacked call has the bits of the call on row k alone
+    rng = np.random.default_rng(12)
+    rvecs = rng.normal(size=(7, 3)) * np.logspace(-14, 0.5, 7)[:, None]
+    rvecs[3] = 0.0
+    q = rng.normal(size=(7, 4))
+    b = rng.normal(size=(7, 4))
+    for fn, args in ((axis_angle_to_quat, (rvecs,)), (quat_normalize, (q,)),
+                     (quat_multiply, (q, b)), (quat_to_matrix, (q,))):
+        rows = np.array([fn(*(a[k] for a in args)) for k in range(7)])
+        assert np.array_equal(fn(*args), rows), fn.__name__
+    rows = np.array([quat_to_matrix(row) for row in q])
+    assert np.array_equal(quat_to_matrix(q.reshape(7, 1, 4))[:, 0], rows)
+    # row-major like before: the layout picks the BLAS path of `apply`
+    assert quat_to_matrix(q[0]).flags["C_CONTIGUOUS"]
+    assert np.array_equal(quat_multiply(q.reshape(7, 1, 4), b[0])[:, 0],
+                          np.array([quat_multiply(row, b[0]) for row in q]))
+    grid = quat_multiply(q[:, None], b[:3])  # (7, 1, 4) by (3, 4)
+    assert np.array_equal(grid[2, 1], quat_multiply(q[2], b[1]))
+
+
+def test_quat_normalize_keeps_bits_of_finite_input():
+    rng = np.random.default_rng(13)
+    scale = 10.0 ** rng.uniform(-100, 100, (200, 1))
+    for q in rng.normal(size=(200, 4)) * scale:
+        expected = q / np.linalg.norm(q)
+        if expected[0] < 0:
+            expected = -expected
+        assert np.array_equal(quat_normalize(q), expected)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("q", [(1e200, 0, 0, 0), (np.inf, 0, 0, 0),
+                               (np.nan, 1, 0, 0)])
+def test_rigid_transform_rejects_nonfinite_quaternion_norm(q):
+    # the squared norm of (1e200, 0, 0, 0) overflows; it used to normalize
+    # to the zero quaternion
+    with pytest.raises(GeometryError, match="not finite"):
+        dc.RigidTransform(q, (0.0, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
