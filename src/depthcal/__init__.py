@@ -21,7 +21,6 @@ from .geometry import (
     estimate_transform_from_planes,
     fit_plane,
     lm_minimize,
-    orth_project,
     project_point,
     sigma_quantization,
     solve_pnp,

@@ -22,12 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calib_undistort import (
-    BoardSpec,
-    CalibrationError,
-    UndistortConfig,
-    update_map,
-)
+from .calib_undistort import BoardSpec, CalibrationError, update_map
 from .geometry import (
     CameraIntrinsics,
     GeometryError,
@@ -58,11 +53,7 @@ XTOL = 1e-12
 
 @dataclass(frozen=True)
 class GlobalConfig:
-    """Free parameters of stage two.
-
-    `calibrate` passes the point cap to `build_observations`; `init_global`
-    and `refine` accept the config but read no field of it.
-    """
+    """Free parameters of stage two."""
 
     max_points_per_frame: int = 400  # wall points kept per frame in the refinement
 
@@ -86,10 +77,6 @@ class RefinementState:
     intr_depth: CameraIntrinsics
     gmap: GlobalMap
 
-    @property
-    def n_parameters(self):
-        return 16 + 6 * len(self.board_poses)
-
 
 def build_observations(frames, undistorted_depths, inlier_sets,
                        max_points=400):
@@ -109,8 +96,7 @@ def build_observations(frames, undistorted_depths, inlier_sets,
     return obs
 
 
-def init_global(undistorted_clouds, inlier_sets, board_poses, board: BoardSpec,
-                cfg: GlobalConfig = GlobalConfig()):
+def init_global(undistorted_clouds, inlier_sets, board_poses, board: BoardSpec):
     """Initial global map, camera-depth transform and board poses (plane pairs).
 
     Per frame: board plane from the corners moved by the frame's board pose
@@ -142,11 +128,10 @@ def init_global(undistorted_clouds, inlier_sets, board_poses, board: BoardSpec,
     grid = UndistortionMap.identity(width, height, width, height,
                                     degree=GMAP_DEGREE, constant_zero=True)
     moments = FitMoments(grid.grid_shape, GMAP_DEGREE)
-    update_cfg = UndistortConfig(chi=width, psi=height, degree=GMAP_DEGREE)
     for cloud, inliers, plane_cam in zip(undistorted_clouds, inlier_sets,
                                          board_planes_cam):
         plane_depth = transform_plane(cam_to_depth, plane_cam)
-        grid = update_map(grid, moments, cloud, inliers, plane_depth, update_cfg)
+        grid = update_map(grid, moments, cloud, inliers, plane_depth)
     gmap = GlobalMap(width, height,
                      grid.control_function(0, 0),
                      grid.control_function(1, 0),
@@ -190,7 +175,7 @@ class _RefineProblem:
     """
 
     def __init__(self, state0: RefinementState, observations, intr_rgb,
-                 board: BoardSpec, cfg: GlobalConfig):
+                 board: BoardSpec):
         self.intr_rgb = intr_rgb
         self.board3d = board.corners_3d()
         self.obs = observations
@@ -353,7 +338,7 @@ class _RefineProblem:
 
 
 def refine(state0: RefinementState, observations, intr_rgb: CameraIntrinsics,
-           board: BoardSpec, cfg: GlobalConfig = GlobalConfig()):
+           board: BoardSpec):
     """Joint nonlinear refinement of (G, extrinsic, board poses, depth K).
 
     Returns (state, lm_result); lm_result carries the accepted-cost trace,
@@ -361,7 +346,7 @@ def refine(state0: RefinementState, observations, intr_rgb: CameraIntrinsics,
     its reprojection and plane terms, and the three frames with the largest
     residual RMS.
     """
-    problem = _RefineProblem(state0, observations, intr_rgb, board, cfg)
+    problem = _RefineProblem(state0, observations, intr_rgb, board)
     result = lm_minimize(problem.residual, problem.pack_initial(),
                          max_iter=MAX_ITER, ftol=FTOL, xtol=XTOL,
                          jacobian_fn=problem.jacobian)

@@ -8,7 +8,8 @@ frame: undistort the cloud with the current map, select the wall points with
 a checkerboard-seeded RANSAC, fit the reference plane to the *original*
 cloud near the wall center, add one line-of-sight sample per control pixel
 to its running weighted moments (FitMoments), and refit the touched control
-polynomials from those moments.
+polynomials from those moments. `update_map` splats the samples onto the
+control pixels with `UndistortionMap.splat`: the weights live in `maps`.
 
 Sequential by design: each frame must see the map built from all nearer
 frames.
@@ -231,41 +232,26 @@ def fit_reference_plane(original: OrganizedCloud, inliers: IndexSet,
 
 
 def update_map(umap: UndistortionMap, moments: FitMoments, original: OrganizedCloud,
-               inliers: IndexSet, plane: Plane, cfg: UndistortConfig) -> UndistortionMap:
+               inliers: IndexSet, plane: Plane) -> UndistortionMap:
     """One frame's map update; returns the new map and adds to `moments` in place.
 
     Every inlier pixel contributes (w, z, z_plane) to the sample pools of its
-    4 surrounding control pixels with its bilinear weight; per control pixel
-    the weighted mean becomes this frame's one sample, which is added to the
-    pixel's running moments, and the control polynomial is refit from them.
-    Control pixels receiving no samples, and pixels whose fit is
-    underdetermined or singular, keep their previous function. The update
-    reads no field of `cfg`: its noise model and spread gates are fixed.
+    4 surrounding control pixels with its bilinear weight, summed by
+    `umap.splat`; per control pixel the weighted mean becomes this frame's
+    one sample, which is added to the pixel's running moments, and the
+    control polynomial is refit from them. Control pixels receiving no
+    samples, and pixels whose fit is underdetermined or singular, keep their
+    previous function.
     """
     pts = original.points[inliers.v, inliers.u]
     denom = pts @ plane.normal
     good = np.abs(denom) > 1e-12  # drop rays parallel to the plane
-    u = inliers.u[good]
-    v = inliers.v[good]
     z = pts[good, 2]
     z_pi = plane.offset * z / denom[good]
-
     gh, gw = umap.grid_shape
-    i0 = u // umap.chi
-    j0 = v // umap.psi
-    fu = (u - i0 * umap.chi) / umap.chi
-    fv = (v - j0 * umap.psi) / umap.psi
-
-    w_sum = np.zeros(gh * gw)
-    wz_sum = np.zeros(gh * gw)
-    wzpi_sum = np.zeros(gh * gw)
-    for dj, wv in ((0, 1.0 - fv), (1, fv)):
-        for di, wu in ((0, 1.0 - fu), (1, fu)):
-            w = wu * wv
-            idx = (j0 + dj) * gw + (i0 + di)
-            w_sum += np.bincount(idx, weights=w, minlength=gh * gw)
-            wz_sum += np.bincount(idx, weights=w * z, minlength=gh * gw)
-            wzpi_sum += np.bincount(idx, weights=w * z_pi, minlength=gh * gw)
+    samples = np.stack([np.ones_like(z), z, z_pi])
+    w_sum, wz_sum, wzpi_sum = umap.splat(inliers.u[good], inliers.v[good],
+                                         samples).reshape(3, gh * gw)
 
     sel = np.nonzero(w_sum > 0)[0]
     moments.add(sel, wz_sum[sel] / w_sum[sel], wzpi_sum[sel] / w_sum[sel],
@@ -334,7 +320,7 @@ def estimate_undistortion_map(frames, t0: RigidTransform, intr_rgb: CameraIntrin
         except (CalibrationError, GeometryError) as exc:
             log.warning("frame %s skipped: %s", frame.frame_id, exc)
             continue
-        umap = update_map(umap, moments, original, inliers, plane, cfg)
+        umap = update_map(umap, moments, original, inliers, plane)
         inlier_sets[frame.frame_id] = inliers
         board_poses[frame.frame_id] = pose
     if len(inlier_sets) < cfg.degree + 1:

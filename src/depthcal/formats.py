@@ -109,6 +109,8 @@ def read_depth_pgm(path) -> DepthImage:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as exc:
         raise FormatError(f"{path}: malformed PGM header") from exc
+    if width <= 0 or height <= 0:
+        raise FormatError(f"{path}: PGM size {width}x{height} is not positive")
     if maxval != 65535:
         raise FormatError(f"{path}: expected maxval 65535, got {maxval}")
     expected = width * height * 2

@@ -365,6 +365,15 @@ class IndexSet:
         return out
 
 
+def horner(coefficients, z):
+    """sum_k coefficients[k] z^k by Horner's rule; a float for scalar z."""
+    z = np.asarray(z, dtype=float)
+    out = np.zeros_like(z)
+    for c in reversed(coefficients):
+        out = out * z + c
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Depth-dependent measurement noise sigma(z), polynomial in z (meters).
@@ -376,11 +385,7 @@ class NoiseModel:
 
     def __init__(self, coefficients):
         object.__setattr__(self, "coefficients", tuple(float(c) for c in coefficients))
-        z = np.linspace(0.5, 5.0, 64)
-        value = np.zeros_like(z)
-        for c in reversed(self.coefficients):
-            value = value * z + c
-        if np.any(value <= 0.0):
+        if np.any(horner(self.coefficients, np.linspace(0.5, 5.0, 64)) <= 0.0):
             raise GeometryError("sigma(z) must be positive on [0.5, 5.0] m")
 
     def sigma(self, z):
@@ -485,15 +490,6 @@ def fit_plane(points, weights=None) -> Plane:
         raise GeometryError("plane fit is rank deficient (collinear points)")
     normal = vt[2]
     return Plane(normal, float(normal @ centroid))
-
-
-def orth_project(p, pl: Plane):
-    """Project point(s) orthogonally onto a plane."""
-    p = np.asarray(p, dtype=float)
-    single = p.ndim == 1
-    pts = p.reshape(-1, 3)
-    out = pts - np.outer(pts @ pl.normal - pl.offset, pl.normal)
-    return out[0] if single else out
 
 
 def transform_plane(t: RigidTransform, pl: Plane) -> Plane:
@@ -722,8 +718,4 @@ def lm_minimize(residual_fn, x0, max_iter=200, ftol=1e-10, xtol=1e-12,
 
 def sigma_quantization(nm: NoiseModel, z):
     """Evaluate the noise polynomial sigma(z), meters."""
-    z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    for c in reversed(nm.coefficients):
-        out = out * z + c
-    return float(out) if out.ndim == 0 else out
+    return horner(nm.coefficients, z)

@@ -5,7 +5,9 @@ polynomials of the depth:
 
 * UndistortionMap: a binned grid of control polynomials; every other pixel
   blends its 4 surrounding control functions bilinearly. Removes the local,
-  per-pixel distortion that makes flat surfaces look curved.
+  per-pixel distortion that makes flat surfaces look curved. `_hat` is the
+  one definition of the bilinear weights; the blend and `UndistortionMap.splat`,
+  which sums pixel samples onto control pixels for stage one, both use it.
 * GlobalMap: one polynomial per image corner, with the fourth corner locked
   to gWH = gW0 + g0H - g00 so the blended coefficient field is affine over
   the image: c00 + (u/W)(cW0 - c00) + (v/H)(c0H - c00). `GlobalMap.correct`
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DepthImage, NoiseModel, OrganizedCloud
+from .geometry import DepthImage, NoiseModel, OrganizedCloud, horner
 
 MAX_DEGREE = 4
 
@@ -69,11 +71,7 @@ class PolyFn:
 
 def poly_eval(f: PolyFn, z):
     """Horner evaluation; accepts scalars or arrays."""
-    z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    for c in reversed(f.coefficients):
-        out = out * z + c
-    return float(out) if out.ndim == 0 else out
+    return horner(f.coefficients, z)
 
 
 class FitMoments:
@@ -154,6 +152,25 @@ def _grid_shape(width, height, chi, psi):
     return (-(-height // psi) + 1, -(-width // chi) + 1)  # ceil division + 1
 
 
+def _hat(x, step):
+    """Control index i0 and fraction of coordinate(s) x on a grid of `step`.
+
+    Control pixels i0 and i0 + 1 get the hat weights 1 - frac and frac.
+    """
+    i0 = (x // step).astype(int)
+    return i0, (x - i0 * step) / step
+
+
+def _hat_matrix(n, step, size):
+    """(n, size) weights of the coordinates 0..n-1 on `size` control pixels."""
+    i0, frac = _hat(np.arange(n), step)
+    rows = np.arange(n)
+    out = np.zeros((n, size))
+    out[rows, i0] = 1.0 - frac
+    out[rows, i0 + 1] = frac
+    return out
+
+
 class UndistortionMap:
     """Binned grid of control polynomials with bilinear blending.
 
@@ -214,12 +231,9 @@ class UndistortionMap:
         Two-lerp form of the bilinear blend: equal control functions blend
         to themselves bit-exactly, so an all-identity map is the identity.
         """
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        i0 = (u // self.chi).astype(int)
-        j0 = (v // self.psi).astype(int)
-        fu = ((u - i0 * self.chi) / self.chi)[..., None]
-        fv = ((v - j0 * self.psi) / self.psi)[..., None]
+        i0, fu = _hat(np.asarray(u, dtype=float), self.chi)
+        j0, fv = _hat(np.asarray(v, dtype=float), self.psi)
+        fu, fv = fu[..., None], fv[..., None]
         c = self.coefficients
         top = c[j0, i0] + fu * (c[j0, i0 + 1] - c[j0, i0])
         bot = c[j0 + 1, i0] + fu * (c[j0 + 1, i0 + 1] - c[j0 + 1, i0])
@@ -228,17 +242,38 @@ class UndistortionMap:
     def dense_coefficients(self):
         """Per-pixel blended coefficients, (H, W, degree+1); cached.
 
-        Each coefficient plane [:, :, k] is contiguous in memory, so a Horner
-        step reads only the plane it needs.
+        Each grid row is lerped along u once, then the rows along v: the
+        arithmetic, and so the bits, of `pixel_coefficients`. Each plane
+        [:, :, k] is contiguous, so a Horner step reads only the plane it needs.
         """
         if self._dense is None:
-            u = np.arange(self.width, dtype=float)[None, :]
-            v = np.arange(self.height, dtype=float)[:, None]
-            dense = self.pixel_coefficients(np.broadcast_to(u, (self.height, self.width)),
-                                            np.broadcast_to(v, (self.height, self.width)))
-            self._dense = np.moveaxis(np.moveaxis(dense, -1, 0).copy(), 0, -1)
+            i0, fu = _hat(np.arange(self.width, dtype=float), self.chi)
+            j0, fv = _hat(np.arange(self.height, dtype=float), self.psi)
+            # np.take keeps the (k, ., .) memory order; fancy indexing does not
+            c = np.moveaxis(self.coefficients, -1, 0)  # (k, gh, gw)
+            left = c.take(i0, axis=2)
+            rows = left + fu * (c.take(i0 + 1, axis=2) - left)  # (k, gh, W)
+            top = rows.take(j0, axis=1)
+            planes = top + fv[:, None] * (rows.take(j0 + 1, axis=1) - top)
+            self._dense = np.moveaxis(planes, 0, -1)
             self._dense.setflags(write=False)
         return self._dense
+
+    def splat(self, u, v, values):
+        """The blend run backwards: weighted sums of samples per control pixel.
+
+        `values` (..., N) holds samples at the N distinct pixels (u, v). Each
+        sample adds itself times its blend weight to each control pixel, so
+        the result is (..., gh, gw). Computed as Av^T X Au: X the samples
+        scattered onto the image, Av (H, gh) and Au (W, gw) the hat weights.
+        """
+        values = np.asarray(values, dtype=float)
+        gh, gw = self.grid_shape
+        image = np.zeros(values.shape[:-1] + (self.height, self.width))
+        image[..., v, u] = values
+        av = _hat_matrix(self.height, self.psi, gh)
+        au = _hat_matrix(self.width, self.chi, gw)
+        return av.T @ image @ au
 
     def __eq__(self, other):
         return (isinstance(other, UndistortionMap)

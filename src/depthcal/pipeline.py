@@ -85,8 +85,7 @@ def calibrate(frames, t0: RigidTransform, intr_rgb: CameraIntrinsics,
         inl_list.append(inlier_sets[frame.frame_id])
         poses_list.append(board_poses[frame.frame_id])
         undistorted_depths[frame.frame_id] = und.depth_image()
-    gmap0, extr0, poses0 = init_global(clouds, inl_list, poses_list, board,
-                                       global_cfg)
+    gmap0, extr0, poses0 = init_global(clouds, inl_list, poses_list, board)
     timings["global_init"] = time.perf_counter() - tic
 
     state0 = RefinementState(extrinsic=extr0, board_poses=tuple(poses0),
@@ -94,7 +93,7 @@ def calibrate(frames, t0: RigidTransform, intr_rgb: CameraIntrinsics,
     observations = build_observations(usable, undistorted_depths, inlier_sets,
                                       global_cfg.max_points_per_frame)
     tic = time.perf_counter()
-    state, lm_result = refine(state0, observations, intr_rgb, board, global_cfg)
+    state, lm_result = refine(state0, observations, intr_rgb, board)
     timings["refinement"] = time.perf_counter() - tic
     log.info("calibration done: %d frames, refine cost %.4e -> %.4e "
              "in %d iterations",

@@ -172,7 +172,5 @@ def small_refine_setup():
     state = dc.RefinementState(
         extrinsic=scene.true_extrinsic, board_poses=tuple(poses),
         intr_depth=scene.intr_depth, gmap=dc.GlobalMap.identity(80, 60))
-    cfg = dc.GlobalConfig()
-    problem = _RefineProblem(state, observations, scene.intr_rgb, scene.board,
-                             cfg)
-    return scene, state, observations, problem, cfg
+    problem = _RefineProblem(state, observations, scene.intr_rgb, scene.board)
+    return scene, state, observations, problem

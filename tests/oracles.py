@@ -6,9 +6,9 @@ equations, summed over stored samples, with the condition number taken from
 an SVD. The moment solve is checked against it.
 
 The per-pixel map evaluations, the per-frame stage-two residuals and the
-line-of-sight projection are scalar or per-frame forms of what the library
-computes vectorized. `global_eval` blends all four corners bilinearly, so it
-does not share the affine evaluator of `GlobalMap.correct`.
+line-of-sight and orthogonal projections are scalar or per-frame forms of
+what the library computes vectorized. `global_eval` blends all four corners
+bilinearly, so it does not share the affine evaluator of `GlobalMap.correct`.
 """
 
 import numpy as np
@@ -24,7 +24,6 @@ from depthcal.geometry import (
     RigidTransform,
     depth_to_cloud,
     fit_plane,
-    orth_project,
     project_point,
 )
 from depthcal.maps import (
@@ -162,6 +161,15 @@ def apply_full_correction(umap: UndistortionMap, gmap: GlobalMap, img,
 
 # ---------------------------------------------------------------------------
 # geometry
+
+
+def orth_project(p, pl: Plane):
+    """Project point(s) orthogonally onto a plane."""
+    p = np.asarray(p, dtype=float)
+    single = p.ndim == 1
+    pts = p.reshape(-1, 3)
+    out = pts - np.outer(pts @ pl.normal - pl.offset, pl.normal)
+    return out[0] if single else out
 
 
 def los_project(p, pl: Plane):

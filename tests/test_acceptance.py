@@ -111,7 +111,7 @@ def test_criterion_5_rotation_error(pipeline_b_clean, pipeline_b_noisy):
 def test_criterion_6_gradient_integrity(small_refine_setup, pipeline_b_clean,
                                         pipeline_b_noisy):
     with criterion(6, "gradient and objective integrity"):
-        scene, state, observations, problem, cfg = small_refine_setup
+        scene, state, observations, problem = small_refine_setup
         x0 = problem.pack_initial()
         rng = np.random.default_rng(17)
         cost = lambda x: float(np.sum(problem.residual(x) ** 2))
@@ -156,7 +156,7 @@ def test_criterion_7_invariants(small_refine_setup, pipeline_b_clean, tmp_path):
         # refine run (a superset of the accepted steps)
         from depthcal import calib_global
 
-        scene, state, observations, problem, cfg = small_refine_setup
+        scene, state, observations, problem = small_refine_setup
         recorded = []
         original_residual = calib_global._RefineProblem.residual
 
@@ -173,7 +173,7 @@ def test_criterion_7_invariants(small_refine_setup, pipeline_b_clean, tmp_path):
                 board_poses=state.board_poses, intr_depth=state.intr_depth,
                 gmap=dc.GlobalMap.from_free_coefficients(
                     80, 60, [1.01, 0.002, 0.99, -0.001, 1.0, 0.003]))
-            refine(bent, observations, scene.intr_rgb, scene.board, cfg)
+            refine(bent, observations, scene.intr_rgb, scene.board)
         finally:
             calib_global._RefineProblem.residual = original_residual
         assert len(recorded) > 10

@@ -9,19 +9,24 @@ import depthcal.calib_global as cg
 from depthcal.calib_global import (
     SIGMA_C,
     FrameObservations,
-    GlobalConfig,
     _is_penalty,
     _RefineProblem,
 )
 from depthcal.geometry import axis_angle_to_quat, lm_jacobian, quat_multiply
 from depthcal.maps import PolyFn
-from oracles import board_plane_depth, global_eval, residual_pos, residual_repr
+from oracles import (
+    board_plane_depth,
+    global_eval,
+    orth_project,
+    residual_pos,
+    residual_repr,
+)
 
 
 T0 = dc.RigidTransform((1, 0, 0, 0), (0.025, 0.0, 0.0))
 
 
-def stage_two_inputs(scene, frames, cfg=None):
+def stage_two_inputs(scene, frames):
     """Ground-truth-undistorted clouds and wall inliers per training frame."""
     clouds, inliers, corners, ids = [], [], [], []
     uu, vv = np.meshgrid(np.arange(float(scene.intr_depth.width)),
@@ -241,7 +246,7 @@ def test_residual_pos_matches_formula_oracle(clean_setup):
                       (v - scene.intr_depth.cy) / scene.intr_depth.fy * dhat,
                       dhat])
         corrected = p * global_eval(gmap, u, v, dhat) / dhat
-        dist2 = np.sum((dc.orth_project(corrected, plane) - corrected) ** 2)
+        dist2 = np.sum((orth_project(corrected, plane) - corrected) ** 2)
         total += dist2 / (n * dc.KINECT1_QUANTIZATION.sigma(dhat) ** 2)
     assert np.sum(r ** 2) == pytest.approx(total, rel=1e-10)
 
@@ -274,8 +279,7 @@ def test_vectorized_residual_matches_reference(clean_setup):
     scene, frames, (clouds, inliers, corners, ids) = clean_setup
     obs = observations_from(clouds, inliers, corners, ids, cap=40)
     state = truth_state(scene, frames, ids)
-    cfg = GlobalConfig()
-    problem = _RefineProblem(state, obs, scene.intr_rgb, scene.board, cfg)
+    problem = _RefineProblem(state, obs, scene.intr_rgb, scene.board)
     x = problem.pack_initial()
     rng = np.random.default_rng(8)
     x = x + rng.normal(0, 1e-3, x.size)
@@ -298,21 +302,18 @@ def test_parameter_vector_length(clean_setup):
     scene, frames, (clouds, inliers, corners, ids) = clean_setup
     obs = observations_from(clouds, inliers, corners, ids, cap=20)
     state = truth_state(scene, frames, ids)
-    problem = _RefineProblem(state, obs, scene.intr_rgb, scene.board,
-                             GlobalConfig())
+    problem = _RefineProblem(state, obs, scene.intr_rgb, scene.board)
     assert problem.pack_initial().size == 16 + 6 * len(obs)
-    assert state.n_parameters == 16 + 6 * len(obs)
 
 
 # ---------------------------------------------------------------------------
 # refine
 
 
-def run_refine(scene, frames, setup, state0, cfg=None):
+def run_refine(scene, frames, setup, state0):
     clouds, inliers, corners, ids = setup
     obs = observations_from(clouds, inliers, corners, ids)
-    return dc.refine(state0, obs, scene.intr_rgb, scene.board,
-                     cfg or GlobalConfig())
+    return dc.refine(state0, obs, scene.intr_rgb, scene.board)
 
 
 def test_refine_at_ground_truth_is_fixed_point(clean_setup):
@@ -390,8 +391,7 @@ def test_refine_jacobian_matches_cost_gradient(clean_setup):
     scene, frames, (clouds, inliers, corners, ids) = clean_setup
     obs = observations_from(clouds, inliers, corners, ids, cap=30)
     state = truth_state(scene, frames, ids)
-    problem = _RefineProblem(state, obs, scene.intr_rgb, scene.board,
-                             GlobalConfig())
+    problem = _RefineProblem(state, obs, scene.intr_rgb, scene.board)
     x0 = problem.pack_initial()
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -473,12 +473,12 @@ def test_grouped_jacobian_penalty_fallback(small_refine_setup):
 @pytest.mark.parametrize("n_frames", [3, 6])
 def test_grouped_jacobian_evaluation_count(small_refine_setup, monkeypatch,
                                            n_frames):
-    scene, state, observations, _, cfg = small_refine_setup
+    scene, state, observations, _ = small_refine_setup
     sub = dc.RefinementState(extrinsic=state.extrinsic,
                              board_poses=state.board_poses[:n_frames],
                              intr_depth=state.intr_depth, gmap=state.gmap)
     problem = _RefineProblem(sub, observations[:n_frames], scene.intr_rgb,
-                             scene.board, cfg)
+                             scene.board)
     x = problem.pack_initial()
     r = problem.residual(x)
     calls = []
@@ -497,7 +497,7 @@ def test_grouped_jacobian_evaluation_count(small_refine_setup, monkeypatch,
 
 
 def test_refine_logs_cost_split_and_worst_frames(small_refine_setup, caplog):
-    scene, state, observations, problem, cfg = small_refine_setup
+    scene, state, observations, problem = small_refine_setup
     # corner noise that grows with the frame index, so the fit cannot reach
     # zero and the frames with the largest residual are the last ones
     rng = np.random.default_rng(37)
@@ -507,8 +507,7 @@ def test_refine_logs_cost_split_and_worst_frames(small_refine_setup, caplog):
                                o.uv, o.dhat)
              for k, o in enumerate(observations)]
     with caplog.at_level("INFO", logger="depthcal.calib_global"):
-        refined, result = dc.refine(state, noisy, scene.intr_rgb, scene.board,
-                                    cfg)
+        refined, result = dc.refine(state, noisy, scene.intr_rgb, scene.board)
     [message] = [rec.getMessage() for rec in caplog.records
                  if rec.getMessage().startswith("refinement cost")]
     # the split of the final residual, recomputed frame by frame

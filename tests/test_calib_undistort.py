@@ -203,14 +203,13 @@ def test_update_map_identity_when_points_on_plane():
     img = dc.DepthImage(32, 24, np.full((24, 32), 2.0))
     cloud = dc.depth_to_cloud(img, intr)
     inl = dc.IndexSet.from_mask(cloud.valid)
-    cfg = small_cfg(chi=4, psi=4)
     umap = dc.UndistortionMap.identity(32, 24, 4, 4, 2)
     moments = dc.FitMoments(umap.grid_shape, 2)
     for plane_depth in (2.0, 2.5, 3.5):
         img = dc.DepthImage(32, 24, np.full((24, 32), plane_depth))
         cloud = dc.depth_to_cloud(img, intr)
         umap = dc.update_map(umap, moments, cloud, inl,
-                             dc.Plane((0, 0, 1.0), plane_depth), cfg)
+                             dc.Plane((0, 0, 1.0), plane_depth))
     del scene_plane
     z = np.linspace(2.0, 3.5, 7)
     for (i, j) in [(0, 0), (4, 3), (8, 6)]:
@@ -226,7 +225,7 @@ def test_update_map_weighted_mean_matches_oracle(clean_scene):
     plane = dc.fit_reference_plane(cloud, inl, cfg)
     umap = dc.UndistortionMap.identity(160, 120, cfg.chi, cfg.psi, cfg.degree)
     moments = dc.FitMoments(umap.grid_shape, cfg.degree)
-    dc.update_map(umap, moments, cloud, inl, plane, cfg)
+    dc.update_map(umap, moments, cloud, inl, plane)
 
     # independent recomputation of the aggregated sample of one control pixel
     target = (20, 15)  # grid column, row -> pixel (40, 30)
@@ -262,10 +261,9 @@ def test_update_map_single_inlier_weight_structure():
     img_data[8, 8] = 2.0  # exactly on control pixel (2, 2) for 4x4 bins
     cloud = dc.depth_to_cloud(dc.DepthImage(32, 24, img_data), intr)
     inl = dc.IndexSet([(8, 8)])
-    cfg = small_cfg(chi=4, psi=4, min_inliers=1)
     umap = dc.UndistortionMap.identity(32, 24, 4, 4, 2)
     moments = dc.FitMoments(umap.grid_shape, 2)
-    dc.update_map(umap, moments, cloud, inl, dc.Plane((0, 0, 1.0), 2.0), cfg)
+    dc.update_map(umap, moments, cloud, inl, dc.Plane((0, 0, 1.0), 2.0))
     assert moments.count[2, 2] == 1  # weight-1 sample at its own control pixel
     assert moments.zmin[2, 2] == moments.zmax[2, 2] == 2.0
     # stencil mates got only zero-weight contributions: no sample added
@@ -293,7 +291,7 @@ def test_update_map_leaves_unsampled_controls_alone(clean_scene):
     noisy_coeffs = start.coefficients + rng.normal(0, 0.01, start.coefficients.shape)
     start = start.with_coefficients(noisy_coeffs)
     moments = dc.FitMoments(start.grid_shape, cfg.degree)
-    updated = dc.update_map(start, moments, cloud, inl, plane, cfg)
+    updated = dc.update_map(start, moments, cloud, inl, plane)
     untouched = updated.coefficients[:, 30:]  # far right columns saw no inlier
     assert np.array_equal(untouched, start.coefficients[:, 30:])
     assert np.all(moments.count[:, 30:] == 0)

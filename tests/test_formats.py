@@ -66,6 +66,15 @@ def test_pgm_rejects_wrong_magic(tmp_path):
         formats.read_depth_pgm(path)
 
 
+@pytest.mark.parametrize("size", [b"-1 -1", b"0 5", b"5 0"])
+def test_pgm_rejects_nonpositive_size(tmp_path, size):
+    # -1 x -1 expects (-1)(-1)(2) = 2 payload bytes; 0 x 5 expects none
+    path = tmp_path / "d.pgm"
+    path.write_bytes(b"P5\n" + size + b"\n65535\n\x00\x01")
+    with pytest.raises(FormatError, match="not positive"):
+        formats.read_depth_pgm(path)
+
+
 def test_pgm_accepts_header_comments(tmp_path):
     path = tmp_path / "d.pgm"
     path.write_bytes(b"P5\n# a comment\n1 1\n65535\n\x05\xdc")
@@ -437,6 +446,22 @@ def test_text_readers_raise_only_format_error(tmp_path_factory, data, reader,
         reader(path)
     except FormatError:
         return
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pgm_reader_raises_only_format_error(tmp_path_factory, data):
+    """One header line loses, repeats or changes one token; the payload stays."""
+    path = tmp_path_factory.mktemp("pgm") / "d.pgm"
+    formats.write_depth_pgm(path, dc.DepthImage(3, 2, np.arange(1.0, 7.0) / 4))
+    *header, payload = path.read_bytes().split(b"\n", 3)
+    text = mutate_one_token(data, b"\n".join(header).decode("ascii"))
+    path.write_bytes(text.encode("ascii") + payload)
+    try:
+        img = formats.read_depth_pgm(path)
+    except FormatError:
+        return
+    assert img.width > 0 and img.height > 0
 
 
 def test_load_frames_checks_corner_bounds(tmp_path):

@@ -220,6 +220,61 @@ def test_partition_of_unity(data):
 
 
 # ---------------------------------------------------------------------------
+# dense_coefficients and splat: the blend and its transpose
+
+
+def random_map(width, height, chi, psi, degree=2, seed=0):
+    base = identity_map(width, height, chi, psi, degree)
+    rng = np.random.default_rng(seed)
+    return base.with_coefficients(rng.normal(size=base.coefficients.shape))
+
+
+@pytest.mark.parametrize("width, height, chi, psi", [
+    (320, 240, 2, 2), (64, 48, 3, 5), (64, 48, 64, 48)])
+def test_dense_coefficients_equal_pixel_coefficients(width, height, chi, psi):
+    umap = random_map(width, height, chi, psi)
+    vv, uu = np.mgrid[0:height, 0:width].astype(float)
+    dense = umap.dense_coefficients()
+    assert np.array_equal(dense, umap.pixel_coefficients(uu, vv))
+    assert all(dense[:, :, k].flags.c_contiguous for k in range(dense.shape[2]))
+
+
+def splat_oracle(umap, u, v, values):
+    """Per-control-pixel sums of sample times `surrounding` weight."""
+    out = np.zeros(values.shape[:-1] + umap.grid_shape)
+    for k, (uk, vk) in enumerate(zip(u, v)):
+        for (s, t), w in surrounding(umap, int(uk), int(vk)):
+            out[..., t // umap.psi, s // umap.chi] += w * values[..., k]
+    return out
+
+
+@pytest.mark.parametrize("width, height, chi, psi", [
+    (40, 30, 4, 4), (40, 30, 40, 30)])
+def test_splat_matches_surrounding_oracle(width, height, chi, psi):
+    umap = identity_map(width, height, chi, psi)
+    rng = np.random.default_rng(5)
+    mask = rng.random((height, width)) < 0.3
+    mask[::psi, ::chi] |= rng.random(mask[::psi, ::chi].shape) < 0.5
+    inl = dc.IndexSet.from_mask(mask)
+    values = rng.uniform(0.5, 4.0, size=(3, len(inl)))
+    got = umap.splat(inl.u, inl.v, values)
+    want = splat_oracle(umap, inl.u, inl.v, values)
+    assert got.shape == want.shape == (3,) + umap.grid_shape
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_splat_sample_on_control_pixel_stays_there():
+    umap = identity_map(32, 24, 4, 4)
+    u = np.array([8, 0, 28])
+    v = np.array([8, 20, 0])
+    got = umap.splat(u, v, np.array([2.0, 3.0, 5.0]))
+    want = np.zeros(umap.grid_shape)
+    want[v // 4, u // 4] = (2.0, 3.0, 5.0)
+    assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
 # undistort_depth / apply_undistortion
 
 
