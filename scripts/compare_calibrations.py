@@ -10,6 +10,9 @@ far a change moves the outputs:
     python scripts/compare_calibrations.py --save before.npz
     python scripts/compare_calibrations.py --against before.npz
 
+Each scene prints the max |delta| per quantity, then the two cost-trace
+lengths and, when they agree, the trace's max |delta|.
+
 `--bench-seed N` adds a clean scene B with seed N, the scene a benchmark
 `calib-accept` run with that seed calibrates.
 """
@@ -67,8 +70,10 @@ def main(args):
             old = {q: ref[f"{name}/{q}"] for q in QUANTITIES + ("trace",)}
             diffs = "  ".join(f"{q} {np.max(np.abs(new[q] - old[q])):.3g}"
                               for q in QUANTITIES)
-            print(f"{name}: max |delta|  {diffs}  trace "
-                  f"{new['trace'].size}/{old['trace'].size}")
+            trace = f"trace {new['trace'].size}/{old['trace'].size}"
+            if new["trace"].size == old["trace"].size:
+                trace += f" {np.max(np.abs(new['trace'] - old['trace'])):.3g}"
+            print(f"{name}: max |delta|  {diffs}  {trace}")
     return 0
 
 

@@ -22,7 +22,6 @@ from .geometry import (
     fit_plane,
     lm_minimize,
     project_point,
-    sigma_quantization,
     solve_pnp,
     transform_plane,
 )

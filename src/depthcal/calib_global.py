@@ -1,10 +1,12 @@
 """Stage two of the calibration: global correction and extrinsics.
 
-Initialization pairs the checkerboard plane seen by the RGB camera (from
-the board pose stage one solved) with the wall plane seen by the depth
-sensor in every frame, solves the camera-depth rigid transform from the
-plane pairs, and fits the four-corner global map against the board planes
-with the same binned update machinery as stage one (bin size = whole image).
+Each frame enters stage two as its wall alone: the undistorted cloud
+points at its stage-one inlier pixels. Initialization pairs the
+checkerboard plane seen by the RGB camera (from the board pose stage one
+solved) with the plane of those wall points in every frame, solves the
+camera-depth rigid transform from the plane pairs, and fits the
+four-corner global map against the board planes with the same binned
+update machinery as stage one (bin size = whole image).
 
 The refinement then jointly adjusts the global map coefficients, the
 camera-depth transform, all board poses and the depth intrinsics by
@@ -78,65 +80,65 @@ class RefinementState:
     gmap: GlobalMap
 
 
-def build_observations(frames, undistorted_depths, inlier_sets,
-                       max_points=400):
-    """Pack frames into FrameObservations, subsampling inliers evenly."""
+def build_observations(frames, inlier_sets, wall_points, max_points=400):
+    """Pack frames into FrameObservations, subsampling inliers evenly.
+
+    The three lists align: frame k's wall pixels are `inlier_sets[k]` and
+    its undistorted cloud points there are `wall_points[k]` (N, 3), whose z
+    column is the undistorted depth.
+    """
     obs = []
-    for frame in frames:
-        inl = inlier_sets[frame.frame_id]
-        depth = undistorted_depths[frame.frame_id]
+    for frame, inl, points in zip(frames, inlier_sets, wall_points):
         n = len(inl)
         if n == 0:
             raise CalibrationError(f"frame {frame.frame_id}: empty inlier set")
         take = np.unique(np.linspace(0, n - 1, min(n, max_points)).astype(int))
-        uv = inl.uv[take]
-        dhat = depth.data[uv[:, 1], uv[:, 0]]
         obs.append(FrameObservations(frame.frame_id, frame.corner_points.copy(),
-                                     uv, dhat))
+                                     inl.uv[take], points[take, 2]))
     return obs
 
 
-def init_global(undistorted_clouds, inlier_sets, board_poses, board: BoardSpec):
-    """Initial global map, camera-depth transform and board poses (plane pairs).
+def init_global(wall_points, inlier_sets, board_poses, board: BoardSpec,
+                width, height):
+    """Initial global map and camera-depth transform (plane pairs).
 
     Per frame: board plane from the corners moved by the frame's board pose
     (board -> RGB camera, as solved in stage one), wall plane from the
-    undistorted cloud inliers. The rigid transform aligning board planes
-    (camera frame) onto wall planes (depth frame) initializes the extrinsic;
-    the board planes moved into the depth frame then drive the four-corner
-    map fit. Stage one has already fit a plane to every frame's inliers, so
-    a plane fit that fails here raises CalibrationError naming the frame.
-    Returns (gmap, extrinsic depth -> camera, board poses).
+    undistorted wall points (N, 3) at the frame's inlier pixels. The rigid
+    transform aligning board planes (camera frame) onto wall planes (depth
+    frame) initializes the extrinsic; the board planes moved into the depth
+    frame then drive the four-corner map fit over the width x height image.
+    Stage one has already fit a plane to every frame's inliers, so a plane
+    fit that fails here raises CalibrationError naming the frame.
+    Returns (gmap, extrinsic depth -> camera).
     """
-    if not (len(undistorted_clouds) == len(inlier_sets) == len(board_poses)):
-        raise CalibrationError("clouds, inlier sets and board poses must align")
+    if not (len(wall_points) == len(inlier_sets) == len(board_poses)):
+        raise CalibrationError("wall points, inlier sets and board poses must align")
     if len(board_poses) < 3:
         raise CalibrationError("stage two needs at least 3 usable frames")
     board_planes_cam = []
     wall_planes_depth = []
-    for k, (cloud, inliers, pose) in enumerate(
-            zip(undistorted_clouds, inlier_sets, board_poses)):
+    for k, (points, pose) in enumerate(zip(wall_points, board_poses)):
         try:
             board_planes_cam.append(fit_plane(pose.apply(board.corners_3d())))
-            wall_planes_depth.append(fit_plane(cloud.points_at(inliers)))
+            wall_planes_depth.append(fit_plane(points))
         except GeometryError as exc:
             raise CalibrationError(
                 f"init_global: frame {k}: plane fit failed ({exc})") from exc
     cam_to_depth = estimate_transform_from_planes(board_planes_cam, wall_planes_depth)
 
-    width, height = undistorted_clouds[0].width, undistorted_clouds[0].height
     grid = UndistortionMap.identity(width, height, width, height,
                                     degree=GMAP_DEGREE, constant_zero=True)
     moments = FitMoments(grid.grid_shape, GMAP_DEGREE)
-    for cloud, inliers, plane_cam in zip(undistorted_clouds, inlier_sets,
-                                         board_planes_cam):
+    for points, inliers, plane_cam in zip(wall_points, inlier_sets,
+                                          board_planes_cam):
         plane_depth = transform_plane(cam_to_depth, plane_cam)
-        grid = update_map(grid, moments, cloud, inliers, plane_depth)
+        grid = update_map(grid, moments, points, inliers, plane_depth)
     gmap = GlobalMap(width, height,
                      grid.control_function(0, 0),
                      grid.control_function(1, 0),
                      grid.control_function(0, 1))
-    return gmap, cam_to_depth.inverse(), list(board_poses)
+    return gmap, cam_to_depth.inverse()
 
 
 # ---------------------------------------------------------------------------

@@ -125,8 +125,7 @@ class UndistortConfig:
             raise CalibrationError("config values must be positive")
 
 
-def sort_frames_by_distance(frames, t0: RigidTransform, intr_rgb: CameraIntrinsics,
-                            board: BoardSpec):
+def sort_frames_by_distance(frames, intr_rgb: CameraIntrinsics, board: BoardSpec):
     """(frame, board pose) pairs ordered by ascending board distance.
 
     The pose (board -> RGB camera) is solved once per frame by PnP and its
@@ -231,22 +230,22 @@ def fit_reference_plane(original: OrganizedCloud, inliers: IndexSet,
     return fit_plane(pts)
 
 
-def update_map(umap: UndistortionMap, moments: FitMoments, original: OrganizedCloud,
+def update_map(umap: UndistortionMap, moments: FitMoments, points,
                inliers: IndexSet, plane: Plane) -> UndistortionMap:
     """One frame's map update; returns the new map and adds to `moments` in place.
 
-    Every inlier pixel contributes (w, z, z_plane) to the sample pools of its
-    4 surrounding control pixels with its bilinear weight, summed by
-    `umap.splat`; per control pixel the weighted mean becomes this frame's
-    one sample, which is added to the pixel's running moments, and the
-    control polynomial is refit from them. Control pixels receiving no
-    samples, and pixels whose fit is underdetermined or singular, keep their
-    previous function.
+    `points` (N, 3) are the cloud points at the inlier pixels, in the order
+    of `inliers`. Every inlier pixel contributes (w, z, z_plane) to the
+    sample pools of its 4 surrounding control pixels with its bilinear
+    weight, summed by `umap.splat`; per control pixel the weighted mean
+    becomes this frame's one sample, which is added to the pixel's running
+    moments, and the control polynomial is refit from them. Control pixels
+    receiving no samples, and pixels whose fit is underdetermined or
+    singular, keep their previous function.
     """
-    pts = original.points[inliers.v, inliers.u]
-    denom = pts @ plane.normal
+    denom = points @ plane.normal
     good = np.abs(denom) > 1e-12  # drop rays parallel to the plane
-    z = pts[good, 2]
+    z = points[good, 2]
     z_pi = plane.offset * z / denom[good]
     gh, gw = umap.grid_shape
     samples = np.stack([np.ones_like(z), z, z_pi])
@@ -302,7 +301,7 @@ def estimate_undistortion_map(frames, t0: RigidTransform, intr_rgb: CameraIntrin
         raise CalibrationError(
             f"need at least {cfg.degree + 1} frames for a degree-{cfg.degree} map")
     rng = np.random.default_rng(cfg.seed)
-    ordered = sort_frames_by_distance(frames, t0, intr_rgb, board)
+    ordered = sort_frames_by_distance(frames, intr_rgb, board)
     if len(ordered) < cfg.degree + 1:
         raise CalibrationError("too few frames with a usable board pose")
 
@@ -320,7 +319,8 @@ def estimate_undistortion_map(frames, t0: RigidTransform, intr_rgb: CameraIntrin
         except (CalibrationError, GeometryError) as exc:
             log.warning("frame %s skipped: %s", frame.frame_id, exc)
             continue
-        umap = update_map(umap, moments, original, inliers, plane)
+        umap = update_map(umap, moments, original.points_at(inliers), inliers,
+                          plane)
         inlier_sets[frame.frame_id] = inliers
         board_poses[frame.frame_id] = pose
     if len(inlier_sets) < cfg.degree + 1:

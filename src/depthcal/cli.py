@@ -53,14 +53,14 @@ def _scene_from_args(args):
     noise = params.pop("noise", True)
     if args.noise is not None:
         noise = args.noise == "on"
-    width = int(params.pop("image_width", 320))
-    height = int(params.pop("image_height", 240))
+    width = params.pop("image_width", 320)
+    height = params.pop("image_height", 240)
     bowl = {k: params.pop(k) for k in list(params)
             if k in ("peak", "flat_frac", "asym", "zero_depth")}
     grid_bin = params.pop("bowl_bins", (2, 2))
     gc = params.pop("global_correction", None)
     gcorr = PolyFn((0.0, *gc), constant_zero=True) if gc is not None else None
-    distortion = bowl_distortion(width, height, grid_bin=tuple(int(v) for v in grid_bin),
+    distortion = bowl_distortion(width, height, grid_bin=grid_bin,
                                  global_correction=gcorr, **bowl)
     extr_q = params.pop("extrinsic_quaternion", None)
     extr_t = params.pop("extrinsic_translation", None)
@@ -73,14 +73,17 @@ def _scene_from_args(args):
                           distortion=distortion, extrinsic=extrinsic, **params)
 
 
+# scene key -> (value count, value type); `noise` takes one on/off word
 _SCENE_KEYS = {
-    "image_width": int, "image_height": int,
-    "peak": float, "flat_frac": float, "asym": float, "zero_depth": float,
-    "bowl_bins": None, "global_correction": None,
-    "extrinsic_translation": None, "extrinsic_quaternion": None,
-    "distance_range": None, "tilt_deg": float, "test_range": None,
-    "floor_y": float, "sigma_c": float, "noise": None,
+    "image_width": (1, int), "image_height": (1, int),
+    "peak": (1, float), "flat_frac": (1, float), "asym": (1, float),
+    "zero_depth": (1, float), "bowl_bins": (2, int), "global_correction": (2, float),
+    "extrinsic_translation": (3, float), "extrinsic_quaternion": (4, float),
+    "distance_range": (2, float), "tilt_deg": (1, float), "test_range": (2, float),
+    "floor_y": (1, float), "sigma_c": (1, float), "noise": (1, str),
 }
+_SWITCH = {"on": True, "1": True, "true": True, "off": False, "0": False,
+           "false": False}
 
 
 def _read_scene_file(path):
@@ -88,13 +91,16 @@ def _read_scene_file(path):
     for key, tokens in formats._read_keyvals(path):
         if key not in _SCENE_KEYS:
             raise formats.FormatError(f"{path}: unknown scene key {key!r}")
-        conv = _SCENE_KEYS[key]
+        count, kind = _SCENE_KEYS[key]
+        vals = formats._values(tokens, count, f"{path}: {key}", kind)
+        if kind is int and min(vals) < 1:
+            raise formats.FormatError(f"{path}: {key} must be positive")
         if key == "noise":
-            params[key] = tokens[0].lower() in ("1", "on", "true")
-        elif conv is None:
-            params[key] = tuple(float(t) for t in tokens)
+            if vals[0].lower() not in _SWITCH:
+                raise formats.FormatError(f"{path}: noise must be on or off")
+            params[key] = _SWITCH[vals[0].lower()]
         else:
-            params[key] = conv(tokens[0])
+            params[key] = vals[0] if count == 1 else tuple(vals)
     return params
 
 

@@ -317,10 +317,6 @@ class OrganizedCloud:
         """Points for pixel coordinates of an IndexSet (all must be valid)."""
         return self.points[index_set.v, index_set.u]
 
-    def depth_image(self) -> DepthImage:
-        z = np.where(self.valid, self.points[:, :, 2], 0.0)
-        return DepthImage(self.width, self.height, z)
-
 
 class IndexSet:
     """Duplicate-free set of (u, v) pixel coordinates inside an image."""
@@ -389,7 +385,8 @@ class NoiseModel:
             raise GeometryError("sigma(z) must be positive on [0.5, 5.0] m")
 
     def sigma(self, z):
-        return sigma_quantization(self, z)
+        """Noise sigma(z) in meters; a float for scalar z."""
+        return horner(self.coefficients, z)
 
 
 # quantization-error polynomial of a structured-light depth sensor
@@ -714,8 +711,3 @@ def lm_minimize(residual_fn, x0, max_iter=200, ftol=1e-10, xtol=1e-12,
     return LMResult(x=x, final_cost=cost, iterations=iterations,
                     converged=reason != "max_iter", reason=reason,
                     cost_trace=trace, residual=r)
-
-
-def sigma_quantization(nm: NoiseModel, z):
-    """Evaluate the noise polynomial sigma(z), meters."""
-    return horner(nm.coefficients, z)

@@ -65,7 +65,10 @@ def calibrate(frames, t0: RigidTransform, intr_rgb: CameraIntrinsics,
 
     `t0` is the rough initial camera-depth transform (factory values are
     fine); `intr_depth` is the initial depth intrinsics guess that stage two
-    refines.
+    refines. Stage two sees each usable frame only as its wall: the points
+    of its cloud, undistorted by the final U, at its stage-one inlier
+    pixels. `init_global` and `build_observations` read them, and `refine`
+    runs on the observations alone.
     """
     timings = {}
     tic = time.perf_counter()
@@ -74,24 +77,20 @@ def calibrate(frames, t0: RigidTransform, intr_rgb: CameraIntrinsics,
     timings["undistortion_map"] = time.perf_counter() - tic
 
     usable = [f for f in frames if f.frame_id in inlier_sets]
+    inliers = [inlier_sets[f.frame_id] for f in usable]
+    poses = tuple(board_poses[f.frame_id] for f in usable)
     tic = time.perf_counter()
-    clouds = []
-    inl_list = []
-    poses_list = []
-    undistorted_depths = {}
-    for frame in usable:
-        und = apply_undistortion(umap, depth_to_cloud(frame.depth, intr_depth))
-        clouds.append(und)
-        inl_list.append(inlier_sets[frame.frame_id])
-        poses_list.append(board_poses[frame.frame_id])
-        undistorted_depths[frame.frame_id] = und.depth_image()
-    gmap0, extr0, poses0 = init_global(clouds, inl_list, poses_list, board)
+    wall_points = [apply_undistortion(umap, depth_to_cloud(f.depth, intr_depth))
+                   .points_at(inl) for f, inl in zip(usable, inliers)]
+    gmap0, extr0 = init_global(wall_points, inliers, poses, board,
+                               intr_depth.width, intr_depth.height)
     timings["global_init"] = time.perf_counter() - tic
 
-    state0 = RefinementState(extrinsic=extr0, board_poses=tuple(poses0),
+    state0 = RefinementState(extrinsic=extr0, board_poses=poses,
                              intr_depth=intr_depth, gmap=gmap0)
-    observations = build_observations(usable, undistorted_depths, inlier_sets,
+    observations = build_observations(usable, inliers, wall_points,
                                       global_cfg.max_points_per_frame)
+    del wall_points  # refine reads only the observations' subsample
     tic = time.perf_counter()
     state, lm_result = refine(state0, observations, intr_rgb, board)
     timings["refinement"] = time.perf_counter() - tic

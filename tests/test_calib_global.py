@@ -27,8 +27,8 @@ T0 = dc.RigidTransform((1, 0, 0, 0), (0.025, 0.0, 0.0))
 
 
 def stage_two_inputs(scene, frames):
-    """Ground-truth-undistorted clouds and wall inliers per training frame."""
-    clouds, inliers, corners, ids = [], [], [], []
+    """Ground-truth-undistorted wall points and wall inliers per training frame."""
+    walls, inliers, corners, ids = [], [], [], []
     uu, vv = np.meshgrid(np.arange(float(scene.intr_depth.width)),
                          np.arange(float(scene.intr_depth.height)))
     for lf in frames:
@@ -39,11 +39,12 @@ def stage_two_inputs(scene, frames):
         dhat = fixed[:, :, 0] + fixed[:, :, 1] * d + fixed[:, :, 2] * d * d
         img = dc.DepthImage(scene.intr_depth.width, scene.intr_depth.height,
                             np.where(lf.frame.depth.valid, dhat, 0.0))
-        clouds.append(dc.depth_to_cloud(img, scene.intr_depth))
-        inliers.append(dc.IndexSet.from_mask(lf.labels == sb.LABEL_WALL))
+        inl = dc.IndexSet.from_mask(lf.labels == sb.LABEL_WALL)
+        walls.append(dc.depth_to_cloud(img, scene.intr_depth).points_at(inl))
+        inliers.append(inl)
         corners.append(lf.frame.corner_points)
         ids.append(lf.frame.frame_id)
-    return clouds, inliers, corners, ids
+    return walls, inliers, corners, ids
 
 
 def pnp_poses(scene, corners):
@@ -51,14 +52,27 @@ def pnp_poses(scene, corners):
             for c in corners]
 
 
-def observations_from(clouds, inliers, corners, ids, cap=150):
+def observations_from(walls, inliers, corners, ids, cap=150):
     obs = []
-    for cloud, inl, crn, fid in zip(clouds, inliers, corners, ids):
+    for points, inl, crn, fid in zip(walls, inliers, corners, ids):
         take = np.unique(np.linspace(0, len(inl) - 1, cap).astype(int))
-        uv = inl.uv[take]
-        dhat = cloud.points[uv[:, 1], uv[:, 0], 2]
-        obs.append(FrameObservations(fid, np.asarray(crn), uv, dhat))
+        obs.append(FrameObservations(fid, np.asarray(crn), inl.uv[take],
+                                     points[take, 2]))
     return obs
+
+
+def stage_one_walls(scene, train):
+    """Stage one on every training frame, then each frame's wall points
+    undistorted by its map: (umap, inlier sets, board poses, wall points)."""
+    ucfg = dc.UndistortConfig(chi=2, psi=2, degree=2, seed=1, min_inliers=50,
+                              fit_radius=24)
+    umap, inlier_sets, poses = dc.estimate_undistortion_map(
+        train, T0, scene.intr_rgb, scene.intr_depth, scene.board, ucfg)
+    assert len(inlier_sets) == len(train)
+    inliers = [inlier_sets[f.frame_id] for f in train]
+    walls = [dc.apply_undistortion(umap, dc.depth_to_cloud(f.depth, scene.intr_depth))
+             .points_at(inl) for f, inl in zip(train, inliers)]
+    return umap, inliers, [poses[f.frame_id] for f in train], walls
 
 
 def scene_no_bias(**kw):
@@ -81,23 +95,22 @@ def clean_setup():
 
 
 def test_init_global_zero_error_recovers_extrinsic(clean_setup):
-    scene, frames, (clouds, inliers, corners, _) = clean_setup
-    gmap, extr, poses = dc.init_global(clouds, inliers, pnp_poses(scene, corners),
-                                       scene.board)
+    scene, frames, (walls, inliers, corners, _) = clean_setup
+    gmap, extr = dc.init_global(walls, inliers, pnp_poses(scene, corners),
+                                scene.board, 80, 60)
     te = scene.true_extrinsic
     assert np.linalg.norm(extr.translation - te.translation) < 1e-3
     assert np.degrees(extr.compose(te.inverse()).rotation_angle()) < 0.05
     for fn in (gmap.corner_00, gmap.corner_w0, gmap.corner_0h):
         assert fn.coefficients[1] == pytest.approx(1.0, abs=1e-3)
         assert fn.coefficients[2] == pytest.approx(0.0, abs=1e-3)
-    assert len(poses) == len(clouds)
 
 
 def test_init_global_needs_three_frames(clean_setup):
-    scene, frames, (clouds, inliers, corners, _) = clean_setup
+    scene, frames, (walls, inliers, corners, _) = clean_setup
     with pytest.raises(dc.CalibrationError):
-        dc.init_global(clouds[:2], inliers[:2], pnp_poses(scene, corners[:2]),
-                       scene.board)
+        dc.init_global(walls[:2], inliers[:2], pnp_poses(scene, corners[:2]),
+                       scene.board, 80, 60)
 
 
 @pytest.mark.parametrize("failing_call", [0, 1, 4, 5])
@@ -105,7 +118,7 @@ def test_init_global_raises_on_failed_plane_fit(clean_setup, monkeypatch,
                                                 failing_call):
     # fit_plane runs board then wall per frame: call 2k fits frame k's board
     # plane and call 2k + 1 its wall plane
-    scene, frames, (clouds, inliers, corners, _) = clean_setup
+    scene, frames, (walls, inliers, corners, _) = clean_setup
     poses = pnp_poses(scene, corners)
     calls = []
 
@@ -117,13 +130,13 @@ def test_init_global_raises_on_failed_plane_fit(clean_setup, monkeypatch,
 
     monkeypatch.setattr(cg, "fit_plane", failing_fit)
     with pytest.raises(dc.CalibrationError, match=f"frame {failing_call // 2}:"):
-        dc.init_global(clouds, inliers, poses, scene.board)
+        dc.init_global(walls, inliers, poses, scene.board, 80, 60)
 
 
 def test_init_global_dependent_corner_invariant(clean_setup):
-    scene, frames, (clouds, inliers, corners, _) = clean_setup
-    gmap, _, _ = dc.init_global(clouds, inliers, pnp_poses(scene, corners),
-                                scene.board)
+    scene, frames, (walls, inliers, corners, _) = clean_setup
+    gmap, _ = dc.init_global(walls, inliers, pnp_poses(scene, corners),
+                             scene.board, 80, 60)
     d = np.linspace(0.5, 5.0, 20)
     lhs = dc.poly_eval(gmap.corner_00, d) + dc.poly_eval(gmap.corner_wh, d)
     rhs = dc.poly_eval(gmap.corner_w0, d) + dc.poly_eval(gmap.corner_0h, d)
@@ -145,16 +158,22 @@ def test_stage_one_and_init_solve_one_pnp_per_frame(clean_setup, monkeypatch):
         if hasattr(module, "solve_pnp"):
             monkeypatch.setattr(module, "solve_pnp", counting_pnp)
     train = [lf.frame for lf in frames if not lf.is_test]
-    ucfg = dc.UndistortConfig(chi=2, psi=2, degree=2, seed=1, min_inliers=50,
-                              fit_radius=24)
-    umap, inlier_sets, poses = dc.estimate_undistortion_map(
-        train, T0, scene.intr_rgb, scene.intr_depth, scene.board, ucfg)
-    assert len(inlier_sets) == len(train)
-    clouds = [dc.apply_undistortion(umap, dc.depth_to_cloud(f.depth, scene.intr_depth))
-              for f in train]
-    dc.init_global(clouds, [inlier_sets[f.frame_id] for f in train],
-                   [poses[f.frame_id] for f in train], scene.board)
+    _, inliers, poses, walls = stage_one_walls(scene, train)
+    dc.init_global(walls, inliers, poses, scene.board, 80, 60)
     assert len(calls) == len(train)
+
+
+def test_build_observations_dhat_is_undistorted_depth(clean_setup):
+    # the wall points' z column is the undistorted depth image at the inliers
+    scene, frames, _ = clean_setup
+    train = [lf.frame for lf in frames if not lf.is_test]
+    umap, inliers, _, walls = stage_one_walls(scene, train)
+    obs = dc.build_observations(train, inliers, walls, max_points=70)
+    assert umap.coefficients[:, :, 2].any()  # U is not the identity
+    for frame, o in zip(train, obs):
+        depth = dc.apply_undistortion(umap, frame.depth).data
+        assert 0 < o.uv.shape[0] <= 70
+        assert np.array_equal(o.dhat, depth[o.uv[:, 1], o.uv[:, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +223,8 @@ def test_residual_repr_matches_formula_oracle(clean_setup):
 
 
 def test_residual_pos_zero_on_plane(clean_setup):
-    scene, frames, (clouds, inliers, corners, ids) = clean_setup
-    obs = observations_from(clouds, inliers, corners, ids)[0]
+    scene, frames, (walls, inliers, corners, ids) = clean_setup
+    obs = observations_from(walls, inliers, corners, ids)[0]
     lf = frames[0]
     gmap = dc.GlobalMap.identity(80, 60)
     r = residual_pos(scene.true_extrinsic, lf.true_board_pose, gmap,
@@ -229,8 +248,8 @@ def test_residual_pos_unit_normalization():
 
 
 def test_residual_pos_matches_formula_oracle(clean_setup):
-    scene, frames, (clouds, inliers, corners, ids) = clean_setup
-    obs = observations_from(clouds, inliers, corners, ids)[2]
+    scene, frames, (walls, inliers, corners, ids) = clean_setup
+    obs = observations_from(walls, inliers, corners, ids)[2]
     lf = frames[2]
     rng = np.random.default_rng(4)
     gmap = dc.GlobalMap(80, 60, *[PolyFn((0.0, 1.0 + e, c), constant_zero=True)
@@ -276,8 +295,8 @@ def truth_state(scene, frames, ids):
 
 
 def test_vectorized_residual_matches_reference(clean_setup):
-    scene, frames, (clouds, inliers, corners, ids) = clean_setup
-    obs = observations_from(clouds, inliers, corners, ids, cap=40)
+    scene, frames, (walls, inliers, corners, ids) = clean_setup
+    obs = observations_from(walls, inliers, corners, ids, cap=40)
     state = truth_state(scene, frames, ids)
     problem = _RefineProblem(state, obs, scene.intr_rgb, scene.board)
     x = problem.pack_initial()
@@ -299,8 +318,8 @@ def test_vectorized_residual_matches_reference(clean_setup):
 
 
 def test_parameter_vector_length(clean_setup):
-    scene, frames, (clouds, inliers, corners, ids) = clean_setup
-    obs = observations_from(clouds, inliers, corners, ids, cap=20)
+    scene, frames, (walls, inliers, corners, ids) = clean_setup
+    obs = observations_from(walls, inliers, corners, ids, cap=20)
     state = truth_state(scene, frames, ids)
     problem = _RefineProblem(state, obs, scene.intr_rgb, scene.board)
     assert problem.pack_initial().size == 16 + 6 * len(obs)
@@ -311,8 +330,8 @@ def test_parameter_vector_length(clean_setup):
 
 
 def run_refine(scene, frames, setup, state0):
-    clouds, inliers, corners, ids = setup
-    obs = observations_from(clouds, inliers, corners, ids)
+    walls, inliers, corners, ids = setup
+    obs = observations_from(walls, inliers, corners, ids)
     return dc.refine(state0, obs, scene.intr_rgb, scene.board)
 
 
@@ -388,8 +407,8 @@ def test_refine_keeps_dependent_corner_invariant(clean_setup):
 
 
 def test_refine_jacobian_matches_cost_gradient(clean_setup):
-    scene, frames, (clouds, inliers, corners, ids) = clean_setup
-    obs = observations_from(clouds, inliers, corners, ids, cap=30)
+    scene, frames, (walls, inliers, corners, ids) = clean_setup
+    obs = observations_from(walls, inliers, corners, ids, cap=30)
     state = truth_state(scene, frames, ids)
     problem = _RefineProblem(state, obs, scene.intr_rgb, scene.board)
     x0 = problem.pack_initial()

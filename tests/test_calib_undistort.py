@@ -68,7 +68,7 @@ def test_frame_rejects_incomplete_corners():
 def test_sort_orders_by_board_distance(clean_scene):
     scene, frames = clean_scene
     train = [f for f in frames if not f.is_test]
-    ordered = dc.sort_frames_by_distance([f.frame for f in train], T0,
+    ordered = dc.sort_frames_by_distance([f.frame for f in train],
                                          scene.intr_rgb, scene.board)
     dists = {f.frame.frame_id: f.wall_distance for f in train}
     got = [dists[f.frame_id] for f, _ in ordered]
@@ -82,7 +82,7 @@ def test_sort_is_stable_for_equal_distances(clean_scene):
     f = frames[0].frame
     twins = [dc.Frame("a", f.depth, f.corners), dc.Frame("b", f.depth, f.corners),
              dc.Frame("c", f.depth, f.corners)]
-    ordered = dc.sort_frames_by_distance(twins, T0, scene.intr_rgb, scene.board)
+    ordered = dc.sort_frames_by_distance(twins, scene.intr_rgb, scene.board)
     assert [fr.frame_id for fr, _ in ordered] == ["a", "b", "c"]
 
 
@@ -92,7 +92,7 @@ def test_sort_drops_frames_with_garbage_corners(clean_scene):
     corners = good.corners.copy()
     corners[:] = 1.0  # all corners collapsed: homography is degenerate
     bad = dc.Frame("bad", good.depth, corners)
-    ordered = dc.sort_frames_by_distance([good, bad], T0, scene.intr_rgb,
+    ordered = dc.sort_frames_by_distance([good, bad], scene.intr_rgb,
                                          scene.board)
     assert [f.frame_id for f, _ in ordered] == [good.frame_id]
 
@@ -208,7 +208,7 @@ def test_update_map_identity_when_points_on_plane():
     for plane_depth in (2.0, 2.5, 3.5):
         img = dc.DepthImage(32, 24, np.full((24, 32), plane_depth))
         cloud = dc.depth_to_cloud(img, intr)
-        umap = dc.update_map(umap, moments, cloud, inl,
+        umap = dc.update_map(umap, moments, cloud.points_at(inl), inl,
                              dc.Plane((0, 0, 1.0), plane_depth))
     del scene_plane
     z = np.linspace(2.0, 3.5, 7)
@@ -225,7 +225,7 @@ def test_update_map_weighted_mean_matches_oracle(clean_scene):
     plane = dc.fit_reference_plane(cloud, inl, cfg)
     umap = dc.UndistortionMap.identity(160, 120, cfg.chi, cfg.psi, cfg.degree)
     moments = dc.FitMoments(umap.grid_shape, cfg.degree)
-    dc.update_map(umap, moments, cloud, inl, plane)
+    dc.update_map(umap, moments, cloud.points_at(inl), inl, plane)
 
     # independent recomputation of the aggregated sample of one control pixel
     target = (20, 15)  # grid column, row -> pixel (40, 30)
@@ -263,7 +263,8 @@ def test_update_map_single_inlier_weight_structure():
     inl = dc.IndexSet([(8, 8)])
     umap = dc.UndistortionMap.identity(32, 24, 4, 4, 2)
     moments = dc.FitMoments(umap.grid_shape, 2)
-    dc.update_map(umap, moments, cloud, inl, dc.Plane((0, 0, 1.0), 2.0))
+    dc.update_map(umap, moments, cloud.points_at(inl), inl,
+                  dc.Plane((0, 0, 1.0), 2.0))
     assert moments.count[2, 2] == 1  # weight-1 sample at its own control pixel
     assert moments.zmin[2, 2] == moments.zmax[2, 2] == 2.0
     # stencil mates got only zero-weight contributions: no sample added
@@ -291,7 +292,7 @@ def test_update_map_leaves_unsampled_controls_alone(clean_scene):
     noisy_coeffs = start.coefficients + rng.normal(0, 0.01, start.coefficients.shape)
     start = start.with_coefficients(noisy_coeffs)
     moments = dc.FitMoments(start.grid_shape, cfg.degree)
-    updated = dc.update_map(start, moments, cloud, inl, plane)
+    updated = dc.update_map(start, moments, cloud.points_at(inl), inl, plane)
     untouched = updated.coefficients[:, 30:]  # far right columns saw no inlier
     assert np.array_equal(untouched, start.coefficients[:, 30:])
     assert np.all(moments.count[:, 30:] == 0)

@@ -2,12 +2,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import depthcal as dc
 from depthcal import formats
 from depthcal import synthbench as sb
-from depthcal.cli import main
+from depthcal.cli import _SCENE_KEYS, _read_scene_file, main
 from depthcal.maps import correct_depth_image
+from test_formats import mutate_one_token
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +77,51 @@ def test_simulate_rejects_unknown_scene_key(tmp_path):
     code = main(["simulate", "--scene", str(scene_file), "--out",
                  str(tmp_path / "ds"), "--train", "10", "--test", "2"])
     assert code == 1
+
+
+VALID_SCENE = ("image_width 80\nimage_height 60\npeak 0.01\nflat_frac 0.4\n"
+               "asym 0.1\nzero_depth 1.05\nbowl_bins 2 2\n"
+               "global_correction 0.98 0.004\nextrinsic_translation 0.025 0 0\n"
+               "extrinsic_quaternion 1 0 0 0\ndistance_range 1 4\ntilt_deg 12\n"
+               "test_range 1 4.5\nfloor_y 0.9\nsigma_c 0.2\nnoise off\n")
+
+
+@pytest.mark.parametrize("line", [
+    "peak", "noise", "peak nan", "bowl_bins 2", "bowl_bins 2 2 2",
+    "bowl_bins 2.5 2", "image_width x", "tilt_deg inf", "noise maybe",
+    "extrinsic_translation 0 0", "global_correction 0.98", "image_width 0",
+    "bowl_bins 2 -1",
+])
+def test_scene_file_rejects_malformed_line(tmp_path, line):
+    path = tmp_path / "scene.txt"
+    path.write_text(line + "\n")
+    with pytest.raises(formats.FormatError):
+        _read_scene_file(path)
+
+
+def test_scene_file_reads_every_key(tmp_path):
+    path = tmp_path / "scene.txt"
+    path.write_text(VALID_SCENE)
+    params = _read_scene_file(path)
+    assert set(params) == set(_SCENE_KEYS)
+    assert params["image_width"] == 80 and params["bowl_bins"] == (2, 2)
+    assert params["extrinsic_quaternion"] == (1.0, 0.0, 0.0, 0.0)
+    assert params["noise"] is False
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_scene_file_reader_raises_only_format_error(tmp_path_factory, data):
+    """One line of a valid scene file loses, repeats or changes one token."""
+    path = tmp_path_factory.mktemp("scene") / "scene.txt"
+    path.write_text(mutate_one_token(data, VALID_SCENE))
+    try:
+        params = _read_scene_file(path)
+    except formats.FormatError:
+        return
+    assert set(params) <= set(_SCENE_KEYS)
+    for value in params.values():
+        assert np.all(np.isfinite(np.asarray(value, dtype=float)))
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -144,7 +144,8 @@ def test_depth_to_cloud_z_reproduces_depth_exactly():
     data[rng.uniform(size=(480, 640)) < 0.1] = 0.0
     img = dc.DepthImage(640, 480, data)
     cloud = dc.depth_to_cloud(img, intr)
-    assert np.array_equal(cloud.depth_image().data, img.data)
+    assert np.array_equal(cloud.points[:, :, 2], img.data)
+    assert np.array_equal(cloud.valid, img.valid)
 
 
 def test_depth_to_cloud_dimension_mismatch():
@@ -502,13 +503,13 @@ def test_lm_jacobian_matches_analytic():
 
 
 # ---------------------------------------------------------------------------
-# sigma_quantization (values evaluated from the sensor noise polynomial)
+# NoiseModel.sigma (values evaluated from the sensor noise polynomial)
 
 
 @pytest.mark.parametrize("z,expected", [(1.0, 0.001445), (2.0, 0.00591),
                                         (4.0, 0.02303)])
 def test_sigma_quantization_reference_values(z, expected):
-    assert dc.sigma_quantization(dc.KINECT1_QUANTIZATION, z) == pytest.approx(expected, abs=1e-9)
+    assert dc.KINECT1_QUANTIZATION.sigma(z) == pytest.approx(expected, abs=1e-9)
 
 
 def test_noise_model_positive_on_working_range():
