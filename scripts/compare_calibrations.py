@@ -11,7 +11,10 @@ far a change moves the outputs:
     python scripts/compare_calibrations.py --against before.npz
 
 Each scene prints the max |delta| per quantity, then the two cost-trace
-lengths and, when they agree, the trace's max |delta|.
+lengths and, when they agree, the trace's max |delta|, and whether it is
+within the output gates: U, G, translation and quaternion within 1e-9,
+the depth intrinsics within 1e-6 px, and cost traces of equal length. The
+script exits 1 when a scene is outside them or missing from the saved run.
 
 `--bench-seed N` adds a clean scene B with seed N, the scene a benchmark
 `calib-accept` run with that seed calibrates.
@@ -32,7 +35,9 @@ GUESS = dc.RigidTransform((1, 0, 0, 0), (0.025, 0.0, 0.0))
 BIAS = dc.PolyFn((0.0, 0.97, 0.008), constant_zero=True)
 SCENES = {"a_clean": (11, False, None), "b_clean": (21, False, BIAS),
           "b_noisy": (21, True, BIAS)}
-QUANTITIES = ("umap", "gmap", "translation", "quaternion", "intrinsics")
+# max |delta| each quantity may move against the saved run
+GATES = {"umap": 1e-9, "gmap": 1e-9, "translation": 1e-9, "quaternion": 1e-9,
+         "intrinsics": 1e-6}
 
 
 def calibrate(seed, noise, bias):
@@ -60,28 +65,38 @@ def main(args):
         out.update({f"{name}/{q}": v for q, v in calibrate(*spec).items()})
     if args.save:
         np.savez(args.save, **out)
+    status = 0
     if args.against:
         ref = np.load(args.against)
         for name in scenes:
             if f"{name}/trace" not in ref:
                 print(f"{name}: not in {args.against}")
+                status = 1
                 continue
-            new = {q: out[f"{name}/{q}"] for q in QUANTITIES + ("trace",)}
-            old = {q: ref[f"{name}/{q}"] for q in QUANTITIES + ("trace",)}
-            diffs = "  ".join(f"{q} {np.max(np.abs(new[q] - old[q])):.3g}"
-                              for q in QUANTITIES)
+            new = {q: out[f"{name}/{q}"] for q in (*GATES, "trace")}
+            old = {q: ref[f"{name}/{q}"] for q in (*GATES, "trace")}
+            delta = {q: np.max(np.abs(new[q] - old[q])) for q in GATES}
+            diffs = "  ".join(f"{q} {d:.3g}" for q, d in delta.items())
             trace = f"trace {new['trace'].size}/{old['trace'].size}"
-            if new["trace"].size == old["trace"].size:
+            same_length = new["trace"].size == old["trace"].size
+            if same_length:
                 trace += f" {np.max(np.abs(new['trace'] - old['trace'])):.3g}"
-            print(f"{name}: max |delta|  {diffs}  {trace}")
-    return 0
+            outside = [q for q, d in delta.items() if not d <= GATES[q]]
+            if not same_length:
+                outside.append("trace length")
+            verdict = (f"OUTSIDE gates ({', '.join(outside)})" if outside
+                       else "within gates")
+            print(f"{name}: max |delta|  {diffs}  {trace}  {verdict}")
+            status |= bool(outside)
+    return status
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--save", help="write this run's outputs to an .npz file")
-    parser.add_argument("--against", help="print the max |delta| to a saved .npz file")
+    parser.add_argument("--against",
+                        help="print the max |delta| to a saved .npz file and check the gates")
     parser.add_argument("--bench-seed", type=int, action="append", default=[],
                         help="also calibrate a clean scene B with this seed")
     sys.exit(main(parser.parse_args()))

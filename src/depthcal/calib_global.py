@@ -14,7 +14,7 @@ damped least squares over two residual families: checkerboard reprojection
 and point-to-board-plane distances. Rotations are parameterized as
 axis-angle increments composed onto the initial quaternions. Undistorted
 depth values stay fixed throughout; the depth intrinsics only re-project
-pixels to 3D.
+pixels to 3D. The solver's normal equations are summed frame by frame.
 """
 
 from __future__ import annotations
@@ -45,12 +45,10 @@ log = logging.getLogger(__name__)
 
 
 # Fixed stage-two settings; the depth noise after undistortion is
-# geometry.KINECT1_QUANTIZATION. `refine` reads the solver limits when called.
+# geometry.KINECT1_QUANTIZATION. `refine` reads MAX_ITER when called.
 SIGMA_C = 0.2  # checkerboard corner detection noise, pixels
 GMAP_DEGREE = 2  # global correction polynomial degree (constant term pinned to 0)
 MAX_ITER = 100
-FTOL = 1e-10
-XTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -160,20 +158,18 @@ def _fit_planes_batch(points):
     return normals, offsets
 
 
-# every residual entry when a board corner lies behind the camera
+# every residual row of a frame with a board corner behind the camera
 _BEHIND_PENALTY = 1e6
 
 
-def _is_penalty(r):
-    return bool(np.all(r == _BEHIND_PENALTY))
-
-
 class _RefineProblem:
-    """Vectorized residual of the joint stage-two objective.
+    """Vectorized residual of the joint stage-two objective and its normal
+    equations.
 
     Parameter layout: [extrinsic rvec (3), extrinsic t (3), fx fy cx cy (4),
     gmap free coefficients (3 * degree), then per frame rvec (3) + t (3)].
-    Rotation vectors are increments on the initial quaternions.
+    Rotation vectors are increments on the initial quaternions. A frame with
+    a board corner behind the camera has every row set to the penalty.
     """
 
     def __init__(self, state0: RefinementState, observations, intr_rgb,
@@ -243,11 +239,12 @@ class _RefineProblem:
         pose_r = quat_to_matrix(pose_q)
         pose_t = x[16:].reshape(m, 6)[:, 3:6]
 
-        # reprojection block
+        # reprojection block; a frame with a corner behind the camera
+        # projects a placeholder, and its rows are the penalty
         corners_cam = np.einsum("mij,cj->mci", pose_r, self.board3d) + pose_t[:, None, :]
-        if np.any(corners_cam[:, :, 2] <= 0):
-            return np.full(self._n_residuals(), _BEHIND_PENALTY)
-        proj = project_point(self.intr_rgb, corners_cam.reshape(-1, 3))
+        behind = np.any(corners_cam[:, :, 2] <= 0, axis=1)
+        proj = project_point(self.intr_rgb, np.where(
+            behind[:, None, None], 1.0, corners_cam).reshape(-1, 3))
         r_repr = (proj.reshape(m, -1, 2) - self.corners_px) / SIGMA_C
 
         # board planes in the depth frame (dependent corner always rebuilt
@@ -270,11 +267,9 @@ class _RefineProblem:
         dist = (px * normals[:, None, 0] + py * normals[:, None, 1]
                 + pz * normals[:, None, 2] - offsets[:, None])
         r_pos = dist * self.point_scale
+        r_repr[behind] = _BEHIND_PENALTY
+        r_pos[behind] = _BEHIND_PENALTY
         return np.concatenate([r_repr.reshape(-1), r_pos.reshape(-1)])
-
-    def _n_residuals(self):
-        m = len(self.obs)
-        return m * self.board3d.shape[0] * 2 + self.dhat.size
 
     def frame_blocks(self, r):
         """Views of the rows of r by frame: reprojection (m, 2C, ...) and
@@ -285,44 +280,44 @@ class _RefineProblem:
         return (r[:n_repr].reshape((m, -1) + r.shape[1:]),
                 r[n_repr:].reshape((m, -1) + r.shape[1:]))
 
-    def jacobian(self, fn, x, r):
-        """`lm_jacobian(fn, x, r)`, bit for bit, from fewer evaluations.
+    def normal_equations(self, fn, x, r):
+        """(JᵀJ, Jᵀr) of `lm_jacobian(fn, x, r)`, summed frame by frame.
 
-        `fn` is over the full parameter vector. Each frame's pose columns
-        touch only that frame's rows, so pose component p is stepped in all
-        frames by one evaluation and each frame's rows go to its own column
-        (column grouping, Curtis, Powell & Reid 1974): one evaluation per
-        global column plus 6. The behind-camera penalty fills every row, so
-        a group whose evaluation (or whose base r) is the penalty falls back
-        to one evaluation per column.
+        Frame k's rows depend only on the 16 global columns and frame k's 6
+        pose columns, so pose component p is stepped in all frames by one
+        evaluation (column grouping, Curtis, Powell & Reid 1974): 16 + 6
+        evaluations, each column the same forward difference as
+        `lm_jacobian`'s. Each frame's (R, 16 + 6) block adds to the global
+        block of JᵀJ and gives its 16 x 6 cross block and its 6 x 6 diagonal
+        pose block (Triggs et al. 2000, section 6).
         """
         steps = np.maximum(1e-6, 1e-6 * np.abs(x))
-        jac = np.zeros((r.size, x.size))
+        m = len(self.obs)
 
-        def column(i):
+        def by_frame(v):
+            return np.concatenate(self.frame_blocks(v), axis=1)
+
+        r_frame = by_frame(r)
+        jac = np.empty(r_frame.shape + (22,))  # (m, R, global + pose columns)
+        for i in range(16):
             xp = x.copy()
             xp[i] += steps[i]
-            jac[:, i] = (fn(xp) - r) / steps[i]
-
-        for i in range(16):
-            column(i)
-        pose_cols = np.arange(16, x.size).reshape(-1, 6)  # (m, 6)
-        frames = np.arange(pose_cols.shape[0])
-        r_repr, r_plane = self.frame_blocks(r)
-        j_repr, j_plane = self.frame_blocks(jac)
-        base_penalized = _is_penalty(r)
-        for cols in pose_cols.T:
+            jac[:, :, i] = by_frame((fn(xp) - r) / steps[i])
+        pose_steps = steps[16:].reshape(m, 6)
+        for p in range(6):
             xp = x.copy()
-            xp[cols] += steps[cols]
-            rp = fn(xp)
-            if base_penalized or _is_penalty(rp):
-                for i in cols:
-                    column(i)
-                continue
-            p_repr, p_plane = self.frame_blocks(rp)
-            j_repr[frames, :, cols] = (p_repr - r_repr) / steps[cols, None]
-            j_plane[frames, :, cols] = (p_plane - r_plane) / steps[cols, None]
-        return jac
+            xp[16 + p::6] += pose_steps[:, p]
+            jac[:, :, 16 + p] = by_frame(fn(xp) - r) / pose_steps[:, p, None]
+
+        prod = jac.transpose(0, 2, 1) @ jac  # (m, 22, 22)
+        jtj = np.zeros((x.size, x.size))
+        jtj[:16, :16] = prod[:, :16, :16].sum(axis=0)
+        jtj[:16, 16:] = prod[:, :16, 16:].transpose(1, 0, 2).reshape(16, -1)
+        jtj[16:, :16] = jtj[:16, 16:].T
+        frames = np.arange(m)
+        jtj[16:, 16:].reshape(m, 6, m, 6)[frames, :, frames, :] = prod[:, 16:, 16:]
+        jtr = np.einsum("mri,mr->mi", jac, r_frame)
+        return jtj, np.concatenate([jtr[:, :16].sum(axis=0), jtr[:, 16:].ravel()])
 
     def log_fit(self, r):
         """Log the cost split by residual family and the worst frames."""
@@ -350,8 +345,7 @@ def refine(state0: RefinementState, observations, intr_rgb: CameraIntrinsics,
     """
     problem = _RefineProblem(state0, observations, intr_rgb, board)
     result = lm_minimize(problem.residual, problem.pack_initial(),
-                         max_iter=MAX_ITER, ftol=FTOL, xtol=XTOL,
-                         jacobian_fn=problem.jacobian)
+                         max_iter=MAX_ITER, normal_fn=problem.normal_equations)
     problem.log_fit(result.residual)
     if result.reason in ("max_iter", "damping_exhausted"):
         log.warning("refinement stopped (%s) with cost %.3e (trace: %s)",

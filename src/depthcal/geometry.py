@@ -464,25 +464,17 @@ def undistort_pixel(intr: CameraIntrinsics, uv, iterations: int = 10) -> np.ndar
     return out[0] if single else out
 
 
-def fit_plane(points, weights=None) -> Plane:
+def fit_plane(points) -> Plane:
     """Total-least-squares plane through 3D points.
 
-    Weighted centroid plus the smallest singular vector of the (weighted,
-    centered) point matrix. Needs at least 3 non-collinear points.
+    Centroid plus the smallest singular vector of the centered point
+    matrix. Needs at least 3 non-collinear points.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if points.shape[0] < 3:
         raise GeometryError("plane fit needs at least 3 points")
-    if weights is None:
-        centroid = points.mean(axis=0)
-        centered = points - centroid
-    else:
-        w = np.asarray(weights, dtype=float).reshape(-1)
-        if w.shape[0] != points.shape[0] or np.any(w < 0) or w.sum() <= 0:
-            raise GeometryError("invalid plane fit weights")
-        centroid = (points * w[:, None]).sum(axis=0) / w.sum()
-        centered = (points - centroid) * np.sqrt(w)[:, None]
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    centroid = points.mean(axis=0)
+    _, s, vt = np.linalg.svd(points - centroid, full_matrices=False)
     if s[1] < 1e-12 * max(s[0], 1e-300):
         raise GeometryError("plane fit is rank deficient (collinear points)")
     normal = vt[2]
@@ -650,16 +642,17 @@ def lm_jacobian(residual_fn, x, r=None):
 
 
 def lm_minimize(residual_fn, x0, max_iter=200, ftol=1e-10, xtol=1e-12,
-                damping_init=1e-3, jacobian_fn=None) -> LMResult:
+                normal_fn=None) -> LMResult:
     """Levenberg-Marquardt over a residual vector function.
 
-    Jacobian by forward finite differences (`lm_jacobian`) unless
-    `jacobian_fn(fn, x, r)` is supplied. `calib_global.refine` supplies one
-    that groups columns with disjoint row supports and equals `lm_jacobian`
-    bit for bit, so the solver takes the same steps. Damping is multiplied by 10
-    on a rejected step and divided by 10 on an accepted one; the accepted
-    cost sequence is non-increasing. Terminates when the cost drop falls
-    below ftol * max(cost, 1), the step norm falls below xtol, when damping
+    Each iteration solves the damped normal equations (JᵀJ + λ diag(JᵀJ)) δ
+    = -Jᵀr. `normal_fn(fn, x, r)` returns (JᵀJ, Jᵀr); by default both are
+    formed from the dense forward-difference Jacobian of `lm_jacobian`.
+    `calib_global.refine` supplies one that sums them from the Jacobian's
+    per-frame blocks. Damping starts at 1e-3, is multiplied by 10 on a
+    rejected step and divided by 10 on an accepted one; the accepted cost
+    sequence is non-increasing. Terminates when the cost drop falls below
+    ftol * max(cost, 1), the step norm falls below xtol, when damping
     reaches 1e12 without an accepted step, or at max_iter; `reason` on the
     result names which.
     """
@@ -668,16 +661,17 @@ def lm_minimize(residual_fn, x0, max_iter=200, ftol=1e-10, xtol=1e-12,
     if not np.all(np.isfinite(r)):
         raise GeometryError("residuals are not finite at the initial point")
     cost = float(r @ r)
-    lam = damping_init
-    jac_fn = jacobian_fn or lm_jacobian
+    lam = 1e-3
     trace = [cost]
     iterations = 0
     reason = "max_iter"
     while iterations < max_iter:
         iterations += 1
-        jac = jac_fn(residual_fn, x, r)
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
+        if normal_fn is None:
+            jac = lm_jacobian(residual_fn, x, r)
+            jtj, jtr = jac.T @ jac, jac.T @ r
+        else:
+            jtj, jtr = normal_fn(residual_fn, x, r)
         diag = np.diag(jtj).copy()
         diag[diag < 1e-12] = 1e-12
         accepted = False

@@ -50,8 +50,6 @@ class CalibrationResult:
     intr_depth: CameraIntrinsics
     intr_rgb: CameraIntrinsics
     board: BoardSpec
-    initial_state: RefinementState
-    final_state: RefinementState
     inlier_sets: dict
     cost_trace: tuple
     timings: dict
@@ -105,8 +103,6 @@ def calibrate(frames, t0: RigidTransform, intr_rgb: CameraIntrinsics,
         intr_depth=state.intr_depth,
         intr_rgb=intr_rgb,
         board=board,
-        initial_state=state0,
-        final_state=state,
         inlier_sets=inlier_sets,
         cost_trace=tuple(lm_result.cost_trace),
         timings=timings,

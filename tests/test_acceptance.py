@@ -125,8 +125,9 @@ def test_criterion_6_gradient_integrity(small_refine_setup, pipeline_b_clean,
             h = 1e-6
             fd = (cost(x + h * v) - cost(x - h * v)) / (2 * h)
             assert jv == pytest.approx(fd, rel=1e-4, abs=1e-9)
-            # the grouped Jacobian that refine passes to the solver
-            jv_refine = 2.0 * r @ (problem.jacobian(problem.residual, x, r) @ v)
+            # the block normal equations that refine passes to the solver
+            _, jtr = problem.normal_equations(problem.residual, x, r)
+            jv_refine = 2.0 * jtr @ v
             assert jv_refine == pytest.approx(fd, rel=1e-4, abs=1e-9)
         for run in (pipeline_b_clean, pipeline_b_noisy):
             trace = np.asarray(run.result.cost_trace)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from depthcal import synthbench as sb
 import depthcal.calib_global as cg
 from depthcal.calib_global import (
     SIGMA_C,
+    _BEHIND_PENALTY,
     FrameObservations,
-    _is_penalty,
     _RefineProblem,
 )
 from depthcal.geometry import axis_angle_to_quat, lm_jacobian, quat_multiply
@@ -122,11 +123,11 @@ def test_init_global_raises_on_failed_plane_fit(clean_setup, monkeypatch,
     poses = pnp_poses(scene, corners)
     calls = []
 
-    def failing_fit(points, weights=None):
+    def failing_fit(points):
         calls.append(1)
         if len(calls) == failing_call + 1:
             raise dc.GeometryError("injected")
-        return dc.fit_plane(points, weights)
+        return dc.fit_plane(points)
 
     monkeypatch.setattr(cg, "fit_plane", failing_fit)
     with pytest.raises(dc.CalibrationError, match=f"frame {failing_call // 2}:"):
@@ -427,7 +428,21 @@ def test_refine_jacobian_matches_cost_gradient(clean_setup):
 
 
 # ---------------------------------------------------------------------------
-# grouped refine Jacobian
+# block normal equations of the refine Jacobian
+
+
+def assert_dense_products(problem, x):
+    """`normal_equations` against `lm_jacobian`'s JᵀJ and Jᵀr, entry by entry.
+
+    Each entry is compared relative to the Cauchy-Schwarz bound of its sum,
+    |(JᵀJ)_ij| <= |J_i| |J_j| and |(Jᵀr)_i| <= |J_i| |r|.
+    """
+    r = problem.residual(x)
+    jtj, jtr = problem.normal_equations(problem.residual, x, r)
+    jac = lm_jacobian(problem.residual, x, r)
+    col = np.linalg.norm(jac, axis=0)
+    assert np.all(np.abs(jtj - jac.T @ jac) <= 1e-12 * np.outer(col, col))
+    assert np.all(np.abs(jtr - jac.T @ r) <= 1e-12 * col * np.linalg.norm(r))
 
 
 def test_grouped_jacobian_equals_dense(small_refine_setup):
@@ -435,10 +450,7 @@ def test_grouped_jacobian_equals_dense(small_refine_setup):
     x0 = problem.pack_initial()
     rng = np.random.default_rng(29)
     for _ in range(5):
-        x = x0 + rng.normal(0, 5e-4, x0.size)
-        r = problem.residual(x)
-        assert np.array_equal(problem.jacobian(problem.residual, x, r),
-                              lm_jacobian(problem.residual, x, r))
+        assert_dense_products(problem, x0 + rng.normal(0, 5e-4, x0.size))
 
 
 def test_lm_with_grouped_jacobian_takes_the_same_steps(small_refine_setup):
@@ -447,11 +459,11 @@ def test_lm_with_grouped_jacobian_takes_the_same_steps(small_refine_setup):
     x = x0 + np.random.default_rng(31).normal(0, 2e-3, x0.size)
     dense = dc.lm_minimize(problem.residual, x, max_iter=20)
     grouped = dc.lm_minimize(problem.residual, x, max_iter=20,
-                             jacobian_fn=problem.jacobian)
+                             normal_fn=problem.normal_equations)
     assert len(dense.cost_trace) > 2
-    assert grouped.cost_trace == dense.cost_trace
-    assert np.array_equal(grouped.x, dense.x)
+    assert len(grouped.cost_trace) == len(dense.cost_trace)
     assert grouped.reason == dense.reason
+    assert np.max(np.abs(grouped.x - dense.x)) <= 1e-9
 
 
 def test_grouped_jacobian_penalty_fallback(small_refine_setup):
@@ -469,12 +481,18 @@ def test_grouped_jacobian_penalty_fallback(small_refine_setup):
         xp[i] += max(1e-6, 1e-6 * abs(xx[i]))
         return xp
 
+    def penalized_frames(xx):
+        r_repr, r_plane = problem.frame_blocks(problem.residual(xx))
+        rows = np.hstack([r_repr, r_plane]) == _BEHIND_PENALTY
+        assert np.all(rows.all(axis=1) == rows.any(axis=1))
+        return list(np.flatnonzero(rows.all(axis=1)))
+
     lowest = int(np.argmin(depths(x)))
     dz = [depths(stepped(x, i))[lowest] - depths(x)[lowest]
           for i in range(frame, frame + 3)]
     assert min(dz) < 0 < max(dz)
     # put the lowest corner half a step's depth change on the side of the
-    # camera plane that the step leaves: in front (the grouped evaluation
+    # camera plane that the step leaves: in front (the stepped evaluation
     # hits the penalty), then behind (the base point is the penalty)
     for pick in (np.argmin, np.argmax):
         col = frame + int(pick(dz))
@@ -482,11 +500,8 @@ def test_grouped_jacobian_penalty_fallback(small_refine_setup):
         xb[frame + 5] -= depths(x)[lowest] + 0.5 * dz[col - frame]
         xp = stepped(xb, col)
         assert np.sign(depths(xb)[lowest]) == -np.sign(depths(xp)[lowest])
-        assert _is_penalty(problem.residual(xb)) != _is_penalty(
-            problem.residual(xp))
-        r = problem.residual(xb)
-        assert np.array_equal(problem.jacobian(problem.residual, xb, r),
-                              lm_jacobian(problem.residual, xb, r))
+        assert sorted(penalized_frames(xb) + penalized_frames(xp)) == [0]
+        assert_dense_products(problem, xb)
 
 
 @pytest.mark.parametrize("n_frames", [3, 6])
@@ -508,11 +523,30 @@ def test_grouped_jacobian_evaluation_count(small_refine_setup, monkeypatch,
         return original(self, xx)
 
     monkeypatch.setattr(_RefineProblem, "residual", counting)
-    problem.jacobian(problem.residual, x, r)
+    problem.normal_equations(problem.residual, x, r)
     assert len(calls) == 16 + 6
     calls.clear()
     lm_jacobian(problem.residual, x, r)
     assert len(calls) == 16 + 6 * n_frames
+
+
+def test_normal_equations_memory_stays_below_dense_jacobian(small_refine_setup):
+    scene, state, observations, _ = small_refine_setup
+    many = dc.RefinementState(extrinsic=state.extrinsic,
+                              board_poses=state.board_poses * 20,
+                              intr_depth=state.intr_depth, gmap=state.gmap)
+    problem = _RefineProblem(many, observations * 20, scene.intr_rgb,
+                             scene.board)
+    x = problem.pack_initial()
+    r = problem.residual(x)
+    dense_bytes = r.size * x.size * 8
+    tracemalloc.start()
+    try:
+        problem.normal_equations(problem.residual, x, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 4
 
 
 def test_refine_logs_cost_split_and_worst_frames(small_refine_setup, caplog):

@@ -486,7 +486,7 @@ def test_lm_reason_max_iter():
 def test_lm_reason_damping_exhausted():
     # a Jacobian of the wrong sign makes every damped step go uphill
     res = dc.lm_minimize(lambda x: x.copy(), np.ones(1),
-                         jacobian_fn=lambda fn, x, r: -np.eye(1))
+                         normal_fn=lambda fn, x, r: (np.eye(1), -r))
     assert (res.reason, res.converged) == ("damping_exhausted", True)
     assert res.x[0] == 1.0
     assert res.cost_trace == [1.0]
