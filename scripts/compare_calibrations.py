@@ -10,11 +10,13 @@ far a change moves the outputs:
     python scripts/compare_calibrations.py --save before.npz
     python scripts/compare_calibrations.py --against before.npz
 
-Each scene prints the max |delta| per quantity, then the two cost-trace
-lengths and, when they agree, the trace's max |delta|, and whether it is
-within the output gates: U, G, translation and quaternion within 1e-9,
-the depth intrinsics within 1e-6 px, and cost traces of equal length. The
-script exits 1 when a scene is outside them or missing from the saved run.
+Each scene prints one line, which ends with the scene's stage times
+(`CalibrationResult.timings`). With `--against` the line starts with the
+max |delta| per quantity, then the two cost-trace lengths and, when they
+agree, the trace's max |delta|, and whether it is within the output
+gates: U, G, translation and quaternion within 1e-9, the depth
+intrinsics within 1e-6 px, and cost traces of equal length. The script
+exits 1 when a scene is outside them or missing from the saved run.
 
 `--bench-seed N` adds a clean scene B with seed N, the scene a benchmark
 `calib-accept` run with that seed calibrates.
@@ -51,43 +53,49 @@ def calibrate(seed, noise, bias):
                                           min_inliers=200, fit_radius=48),
                        dc.GlobalConfig(max_points_per_frame=800))
     k = res.intr_depth
-    return {"umap": res.umap.coefficients, "gmap": res.gmap.corners,
-            "translation": res.extrinsic.translation,
-            "quaternion": res.extrinsic.quaternion,
-            "intrinsics": np.array([k.fx, k.fy, k.cx, k.cy]),
-            "trace": np.asarray(res.cost_trace)}
+    outputs = {"umap": res.umap.coefficients, "gmap": res.gmap.corners,
+               "translation": res.extrinsic.translation,
+               "quaternion": res.extrinsic.quaternion,
+               "intrinsics": np.array([k.fx, k.fy, k.cx, k.cy]),
+               "trace": np.asarray(res.cost_trace)}
+    return outputs, res.timings
 
 
 def main(args):
     scenes = dict(SCENES, **{f"bench_{s}": (s, False, BIAS) for s in args.bench_seed})
     out = {}
+    stages = {}
     for name, spec in scenes.items():
-        out.update({f"{name}/{q}": v for q, v in calibrate(*spec).items()})
+        outputs, timings = calibrate(*spec)
+        out.update({f"{name}/{q}": v for q, v in outputs.items()})
+        stages[name] = "  ".join(f"{stage} {t:.2f} s" for stage, t in timings.items())
     if args.save:
         np.savez(args.save, **out)
     status = 0
-    if args.against:
-        ref = np.load(args.against)
-        for name in scenes:
-            if f"{name}/trace" not in ref:
-                print(f"{name}: not in {args.against}")
-                status = 1
-                continue
-            new = {q: out[f"{name}/{q}"] for q in (*GATES, "trace")}
-            old = {q: ref[f"{name}/{q}"] for q in (*GATES, "trace")}
-            delta = {q: np.max(np.abs(new[q] - old[q])) for q in GATES}
-            diffs = "  ".join(f"{q} {d:.3g}" for q, d in delta.items())
-            trace = f"trace {new['trace'].size}/{old['trace'].size}"
-            same_length = new["trace"].size == old["trace"].size
-            if same_length:
-                trace += f" {np.max(np.abs(new['trace'] - old['trace'])):.3g}"
-            outside = [q for q, d in delta.items() if not d <= GATES[q]]
-            if not same_length:
-                outside.append("trace length")
-            verdict = (f"OUTSIDE gates ({', '.join(outside)})" if outside
-                       else "within gates")
-            print(f"{name}: max |delta|  {diffs}  {trace}  {verdict}")
-            status |= bool(outside)
+    ref = np.load(args.against) if args.against else None
+    for name in scenes:
+        if ref is None:
+            print(f"{name}: {stages[name]}")
+            continue
+        if f"{name}/trace" not in ref:
+            print(f"{name}: {stages[name]}  not in {args.against}")
+            status = 1
+            continue
+        new = {q: out[f"{name}/{q}"] for q in (*GATES, "trace")}
+        old = {q: ref[f"{name}/{q}"] for q in (*GATES, "trace")}
+        delta = {q: np.max(np.abs(new[q] - old[q])) for q in GATES}
+        diffs = "  ".join(f"{q} {d:.3g}" for q, d in delta.items())
+        trace = f"trace {new['trace'].size}/{old['trace'].size}"
+        same_length = new["trace"].size == old["trace"].size
+        if same_length:
+            trace += f" {np.max(np.abs(new['trace'] - old['trace'])):.3g}"
+        outside = [q for q, d in delta.items() if not d <= GATES[q]]
+        if not same_length:
+            outside.append("trace length")
+        verdict = (f"OUTSIDE gates ({', '.join(outside)})" if outside
+                   else "within gates")
+        print(f"{name}: max |delta|  {diffs}  {trace}  {verdict}  |  {stages[name]}")
+        status |= bool(outside)
     return status
 
 

@@ -33,6 +33,7 @@ from .geometry import (
     axis_angle_to_quat,
     estimate_transform_from_planes,
     fit_plane,
+    fit_planes,
     lm_minimize,
     project_point,
     quat_multiply,
@@ -143,21 +144,6 @@ def init_global(wall_points, inlier_sets, board_poses, board: BoardSpec,
 # vectorized refinement
 
 
-def _fit_planes_batch(points):
-    """Total-least-squares planes for (M, N, 3) point batches.
-
-    Returns (normals (M, 3), offsets (M,)), canonically oriented.
-    """
-    centroid = points.mean(axis=1, keepdims=True)
-    _, _, vt = np.linalg.svd(points - centroid, full_matrices=False)
-    normals = vt[:, 2, :]
-    offsets = np.einsum("mi,mi->m", normals, centroid[:, 0, :])
-    flip = offsets < 0
-    normals[flip] *= -1
-    offsets[flip] *= -1
-    return normals, offsets
-
-
 # every residual row of a frame with a board corner behind the camera
 _BEHIND_PENALTY = 1e6
 
@@ -252,7 +238,7 @@ class _RefineProblem:
         # every evaluation)
         inv = RigidTransform(extr_q, x[3:6]).inverse()
         corners_depth = corners_cam @ inv.rotation_matrix.T + inv.translation
-        normals, offsets = _fit_planes_batch(corners_depth)
+        normals, offsets, _ = fit_planes(corners_depth)
 
         fx, fy, cx, cy = x[6], x[7], x[8], x[9]
         rays_x = (self.uv[:, :, 0] - cx) / fx

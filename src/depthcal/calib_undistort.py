@@ -33,6 +33,7 @@ from .geometry import (
     RigidTransform,
     depth_to_cloud,
     fit_plane,
+    plane_through,
     solve_pnp,
     transform_plane,
 )
@@ -185,11 +186,9 @@ def select_wall_points(undistorted: OrganizedCloud, board_pose: RigidTransform,
     best_count = int(best_mask.sum())
     for _ in range(RANSAC_ITERATIONS):
         take = rng.integers(0, pts.shape[0], size=3)
-        if len(set(take.tolist())) < 3:
-            continue
         try:
-            cand = fit_plane(pts[take])
-        except GeometryError:
+            cand = plane_through(pts[take])
+        except GeometryError:  # repeated or collinear draw
             continue
         if not near_seed(cand):
             continue

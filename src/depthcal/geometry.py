@@ -38,7 +38,10 @@ def _norm(v):
 
 def quat_normalize(q):
     q = np.asarray(q, dtype=float)
-    n = _norm(q)
+    # a squared norm beyond float64 overflows to inf, which the check below
+    # rejects; the overflow itself is not worth a warning
+    with np.errstate(over="ignore"):
+        n = _norm(q)
     if not np.all(np.isfinite(n)):
         raise GeometryError("quaternion norm is not finite")
     if np.any(n == 0.0):
@@ -315,7 +318,10 @@ class OrganizedCloud:
 
     def points_at(self, index_set):
         """Points for pixel coordinates of an IndexSet (all must be valid)."""
-        return self.points[index_set.v, index_set.u]
+        # one flat-index take; two-axis fancy indexing is about twice as slow.
+        # ravel_multi_index raises ValueError for a pixel outside the cloud.
+        flat = np.ravel_multi_index((index_set.v, index_set.u), (self.height, self.width))
+        return self.points.reshape(-1, 3).take(flat, axis=0)
 
 
 class IndexSet:
@@ -464,21 +470,58 @@ def undistort_pixel(intr: CameraIntrinsics, uv, iterations: int = 10) -> np.ndar
     return out[0] if single else out
 
 
-def fit_plane(points) -> Plane:
-    """Total-least-squares plane through 3D points.
+def fit_planes(points):
+    """Total-least-squares planes of point sets (..., N, 3).
 
-    Centroid plus the smallest singular vector of the centered point
-    matrix. Needs at least 3 non-collinear points.
+    Each normal is the eigenvector of the smallest eigenvalue of the set's
+    3 x 3 scatter matrix about its centroid. Returns (normals (..., 3),
+    offsets (...), eigenvalues (..., 3) ascending), each normal oriented so
+    its offset is >= 0. Nothing is checked: `fit_plane` checks one set.
+    """
+    centroid = points.mean(axis=-2, keepdims=True)
+    centered = points - centroid
+    lam, vec = np.linalg.eigh(np.swapaxes(centered, -1, -2) @ centered)
+    normals = vec[..., 0]
+    offsets = np.einsum("...i,...i->...", normals, centroid[..., 0, :])
+    sign = np.where(offsets < 0, -1.0, 1.0)
+    return normals * sign[..., None], offsets * sign, lam
+
+
+def fit_plane(points) -> Plane:
+    """Total-least-squares plane through 3D points (see `fit_planes`).
+
+    Needs at least 3 points whose scatter has a second eigenvalue of more
+    than 1e-12 times the largest: the rounding of the 3 x 3 scatter matrix
+    is about 1e-16 times its largest eigenvalue, so a ratio near that is
+    noise, and the points are collinear. In singular values of the centered
+    points that is sigma_2 > 1e-6 * sigma_1, a narrower input range than an
+    SVD of the points accepts (sigma_2 > 1e-12 * sigma_1): sets whose ratio
+    lies between the two, a strip of points 1e-6 times as wide as it is
+    long, now raise GeometryError.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if points.shape[0] < 3:
         raise GeometryError("plane fit needs at least 3 points")
-    centroid = points.mean(axis=0)
-    _, s, vt = np.linalg.svd(points - centroid, full_matrices=False)
-    if s[1] < 1e-12 * max(s[0], 1e-300):
+    normal, offset, lam = fit_planes(points)
+    if not lam[1] > 1e-12 * lam[2]:
         raise GeometryError("plane fit is rank deficient (collinear points)")
-    normal = vt[2]
-    return Plane(normal, float(normal @ centroid))
+    return Plane(normal, float(offset))
+
+
+def plane_through(points) -> Plane:
+    """The plane through 3 points (3, 3), normal (p1 - p0) x (p2 - p0).
+
+    Raises GeometryError when the two edges are parallel to 1e-12 (sine of
+    the angle between them), which includes repeated points.
+    """
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = np.asarray(points, dtype=float).tolist()
+    ax, ay, az = x1 - x0, y1 - y0, z1 - z0
+    bx, by, bz = x2 - x0, y2 - y0, z2 - z0
+    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    if (nx * nx + ny * ny + nz * nz
+            <= 1e-24 * (ax * ax + ay * ay + az * az) * (bx * bx + by * by + bz * bz)):
+        raise GeometryError("three-point plane: collinear or repeated points")
+    return Plane((nx, ny, nz), nx * x0 + ny * y0 + nz * z0)
 
 
 def transform_plane(t: RigidTransform, pl: Plane) -> Plane:

@@ -120,6 +120,31 @@ class FitMoments:
         zmax[idx] = np.maximum(zmax[idx], z)
 
 
+def _ldl_inverse(a):
+    """Factors of the inverses of a stack of symmetric matrices (k, k, R).
+
+    Unpivoted LDL^T, with L inverted row by row as it is formed. Returns
+    (m, d): m = L^-1 (k, k, R), unit lower triangular, and the pivots d
+    (k, R), so that A^-1 = m^T diag(1 / d) m. The stack runs along the last
+    axis, so every step is an elementwise operation on R-vectors. A matrix
+    with a pivot <= 0 is not positive definite, and its later factors are
+    meaningless.
+    """
+    k = a.shape[0]
+    low = np.zeros_like(a)
+    m = np.zeros_like(a)
+    d = np.zeros(a.shape[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(k):
+            for p in range(i):
+                low[i, p] = (a[i, p] - np.sum(low[i, :p] * d[:p] * low[p, :p],
+                                              axis=0)) / d[p]
+            d[i] = a[i, i] - np.sum(low[i, :i] ** 2 * d[:i], axis=0)
+            m[i, :i] = -np.sum(low[i, :i, None] * m[:i, :i], axis=0)
+            m[i, i] = 1.0
+    return m, d
+
+
 def fit_weighted_poly_batch(zpow, zpi, count, degree, constant_zero, cond_limit=1e12):
     """Weighted polynomial fits minimizing sum w (f(z) - z_pi)^2, one per row.
 
@@ -129,22 +154,40 @@ def fit_weighted_poly_batch(zpow, zpi, count, degree, constant_zero, cond_limit=
     (coeffs (R, degree + 1), ok (R,)) where ok is False for fits that are
     underdetermined or whose normal matrix has a 2-norm condition number of
     at least cond_limit; their coefficient rows are 0.
+
+    All rows are factored at once by `_ldl_inverse`, and the solve uses the
+    same factors. A pivot <= 0 makes a fit not ok: LDL^T of a positive
+    definite A completes whenever 20 k^1.5 cond_2(H) eps < 1, with H the
+    unit-diagonal scaling of A (Demmel, 1989), and cond_2(H) <=
+    k cond_2(A); so for k <= 5 and a cond_limit up to 8e12 such a row is
+    beyond the limit. For a positive definite A, lambda_max <= tr(A) and
+    1 / lambda_min <= tr(A^-1), so cond_2(A) <= tr(A) tr(A^-1) <=
+    k^2 cond_2(A). A row that this bound puts below cond_limit / 2 is ok,
+    with room for the rounding of the bound; only the remaining rows are
+    decided by their eigenvalues.
     """
-    zpow = np.asarray(zpow, dtype=float)
     first = 1 if constant_zero else 0
     powers = np.arange(first, degree + 1)
-    normal = zpow[:, powers[:, None] + powers[None, :]]
-    rhs = np.asarray(zpi, dtype=float)[:, powers]
-    ok = np.asarray(count) >= powers.size
-    coeffs = np.zeros((zpow.shape[0], degree + 1))
-    if np.any(ok):
+    k = powers.size
+    # (k, k, R) and (k, R): one matrix per row along the last axis
+    normal = np.asarray(zpow, dtype=float).T[powers[:, None] + powers[None, :]]
+    rhs = np.asarray(zpi, dtype=float).T[powers]
+    m, d = _ldl_inverse(normal)
+    ok = (np.asarray(count) >= k) & np.all(d > 0, axis=0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        bound = np.trace(normal) * np.sum(np.sum(m * m, axis=1) / d, axis=0)
+        # x = m^T diag(1 / d) m rhs
+        y = np.sum(m * rhs, axis=1) / d
+        coeffs = np.zeros((normal.shape[2], degree + 1))
+        coeffs[:, first:] = np.sum(m * y[:, None], axis=0).T
+    exact = ok & ~(bound < cond_limit / 2)
+    if np.any(exact):
         # symmetric PSD: the singular values are the absolute eigenvalues
-        eig = np.abs(np.linalg.eigvalsh(normal[ok]))
+        eig = np.abs(np.linalg.eigvalsh(np.moveaxis(normal[..., exact], -1, 0)))
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = eig.max(axis=1) / eig.min(axis=1)
-        ok[ok] = cond < cond_limit
-        if np.any(ok):
-            coeffs[ok, first:] = np.linalg.solve(normal[ok], rhs[ok][..., None])[..., 0]
+        ok[exact] = cond < cond_limit
+    coeffs[~ok] = 0.0
     return coeffs, ok
 
 

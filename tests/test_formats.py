@@ -277,7 +277,7 @@ def test_calibration_rejects_nan_focal_length(tmp_path):
     pytest.param("extrinsic_quaternion ", "extrinsic_quaternion 1e200 0 0 0",
                  id="overflowing-quaternion"),
 ])
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")
 def test_calibration_rejects_malformed_line(tmp_path, prefix, line):
     path = tmp_path / "calib.txt"
     write_sample_calibration(path, lambda ln: line if ln.startswith(prefix) else ln)
@@ -356,7 +356,11 @@ def sample_ground_truth():
                  id="index-outside-grid"),
     pytest.param("distortion_fn 2 1 ", "distortion_fn 2 1 0 1",
                  id="two-coefficients"),
+    pytest.param("true_extrinsic_quaternion ",
+                 "true_extrinsic_quaternion 1e200 1e200 1e200 1e200",
+                 id="overflowing-quaternion"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_ground_truth_rejects_malformed_line(tmp_path, prefix, line):
     path = tmp_path / "ground_truth.txt"
     path.write_text("\n".join(line if ln.startswith(prefix) else ln

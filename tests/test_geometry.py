@@ -8,6 +8,7 @@ from depthcal.geometry import (
     GeometryError,
     axis_angle_to_quat,
     lm_jacobian,
+    plane_through,
     quat_multiply,
     quat_normalize,
     quat_to_matrix,
@@ -98,12 +99,14 @@ def test_quat_normalize_keeps_bits_of_finite_input():
         assert np.array_equal(quat_normalize(q), expected)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("q", [(1e200, 0, 0, 0), (np.inf, 0, 0, 0),
-                               (np.nan, 1, 0, 0)])
+                               (np.nan, 1, 0, 0), (1e200,) * 4])
 def test_rigid_transform_rejects_nonfinite_quaternion_norm(q):
     # the squared norm of (1e200, 0, 0, 0) overflows; it used to normalize
-    # to the zero quaternion
+    # to the zero quaternion. The rejection raises no numpy warning.
+    with pytest.raises(GeometryError, match="not finite"):
+        quat_normalize(q)
     with pytest.raises(GeometryError, match="not finite"):
         dc.RigidTransform(q, (0.0, 0.0, 0.0))
 
@@ -146,6 +149,18 @@ def test_depth_to_cloud_z_reproduces_depth_exactly():
     cloud = dc.depth_to_cloud(img, intr)
     assert np.array_equal(cloud.points[:, :, 2], img.data)
     assert np.array_equal(cloud.valid, img.valid)
+
+
+def test_points_at_gathers_the_pixels():
+    rng = np.random.default_rng(6)
+    pts = rng.normal(size=(5, 7, 3))
+    cloud = dc.OrganizedCloud(7, 5, pts, np.ones((5, 7), dtype=bool))
+    idx = dc.IndexSet([(6, 0), (0, 4), (3, 2), (6, 4)], 7, 5)
+    assert np.array_equal(cloud.points_at(idx), pts[idx.v, idx.u])
+    # an unchecked set from a larger frame must not wrap into the next row
+    for uv in [(7, 0), (0, 5), (-1, 2)]:
+        with pytest.raises(ValueError):
+            cloud.points_at(dc.IndexSet([uv]))
 
 
 def test_depth_to_cloud_dimension_mismatch():
@@ -234,6 +249,46 @@ def test_fit_plane_collinear():
     pts = np.outer(np.linspace(0, 1, 10), (1.0, 2.0, 3.0))
     with pytest.raises(GeometryError):
         dc.fit_plane(pts)
+
+
+def test_fit_plane_near_collinear_threshold():
+    # a line with a sideways wobble of width eps, turned off the axes: the
+    # scatter eigenvalue ratio lambda_1 / lambda_2 is eps^2 sum(c^2) / sum(t^2)
+    t = np.linspace(-1.0, 1.0, 10)
+    c = t * t - np.mean(t * t)  # orthogonal to 1 and t
+    rot = quat_to_matrix(axis_angle_to_quat((0.3, -0.5, 0.2)))
+    for ratio, accepted in ((4e-12, True), (2.5e-13, False)):
+        eps = np.sqrt(ratio * np.sum(t * t) / np.sum(c * c))
+        pts = np.column_stack([t, eps * c, np.ones_like(t)]) @ rot.T
+        if accepted:
+            pl = dc.fit_plane(pts)
+            assert abs(pl.normal @ rot[:, 2]) == pytest.approx(1.0, abs=1e-6)
+            assert pl.offset == pytest.approx(1.0, abs=1e-6)
+        else:
+            with pytest.raises(GeometryError, match="collinear"):
+                dc.fit_plane(pts)
+
+
+def test_plane_through_matches_fit_plane():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        pts = rng.uniform(-2.0, 2.0, (3, 3)) + (0.0, 0.0, 3.0)
+        got, expected = plane_through(pts), dc.fit_plane(pts)
+        assert np.max(np.abs(got.normal - expected.normal)) <= 1e-12
+        assert got.offset == pytest.approx(expected.offset, abs=1e-12)
+
+
+@pytest.mark.parametrize("pts", [
+    pytest.param([(0.1, 0.2, 1.0), (0.1, 0.2, 1.0), (0.5, 0.0, 2.0)], id="repeated"),
+    pytest.param([(0.1, 0.2, 1.0), (0.5, 0.0, 2.0), (0.5, 0.0, 2.0)], id="repeated-last"),
+    pytest.param([(0.0, 0.0, 1.0), (1.0, 2.0, 3.0), (-2.0, -4.0, -3.0)], id="collinear"),
+    # edges 1 km long at an angle of 1e-13 rad: |n| = 1e-7 is not small
+    pytest.param([(0.0, 0.0, 1.0), (1e3, 0.0, 1.0), (1e3, 1e-10, 1.0)],
+                 id="nearly-collinear"),
+])
+def test_plane_through_rejects_degenerate_triples(pts):
+    with pytest.raises(GeometryError):
+        plane_through(pts)
 
 
 def test_fit_plane_rigid_equivariance():

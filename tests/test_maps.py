@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import depthcal as dc
+from depthcal import maps
 from depthcal.maps import MapError, fit_weighted_poly_batch
 from oracles import (
     apply_full_correction,
@@ -170,6 +171,99 @@ def test_moment_fit_matches_sample_oracle(steps, levels, gain, noise, degree,
                                NM, degree, constant_zero)
     assert ok == bool(ref_ok[0])
     assert np.max(np.abs(coeffs - ref[0])) <= 1e-10 * np.max(np.abs(ref[0]), initial=0.0)
+
+
+COND_LIMIT = 1e12
+# target 2-norm condition numbers of the tuned rows, and whether each fit is ok
+COND_TARGETS = {1e11: True, 0.99e12: True, 1.01e12: False, 1e13: False}
+
+
+def weighted_normal(z, degree, constant_zero):
+    powers = np.arange(1 if constant_zero else 0, degree + 1)
+    w = 1.0 / NM.sigma(z) ** 2
+    phi = z[:, None] ** powers
+    return (phi * w[:, None]).T @ phi
+
+
+def depths_at_cond(target, degree, constant_zero):
+    """Depths 2 + s * linspace(-1, 1, 9) whose weighted normal matrix has a
+    condition number within 0.1% of `target`; s is found by bisection."""
+    def cond(log_s):
+        z = 2.0 + np.exp(log_s) * np.linspace(-1.0, 1.0, 9)
+        return np.linalg.cond(weighted_normal(z, degree, constant_zero))
+
+    lo, hi = np.log(1e-7), np.log(1.5)  # cond(lo) > target > cond(hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if cond(mid) > target else (lo, mid)
+    assert cond(hi) == pytest.approx(target, rel=1e-3)
+    return 2.0 + np.exp(hi) * np.linspace(-1.0, 1.0, 9)
+
+
+@pytest.mark.parametrize("constant_zero", [False, True])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_fit_batch_flags_straddle_cond_limit(monkeypatch, degree, constant_zero):
+    k = degree if constant_zero else degree + 1
+    rows = {"spread": (np.linspace(0.8, 4.0, 12), True),
+            "underdetermined": (np.linspace(1.0, 3.0, k - 1), False)}
+    if k > 1:  # a 1 x 1 normal matrix always has condition number 1
+        rows.update({f"cond {c:.3g}": (depths_at_cond(c, degree, constant_zero), ok)
+                     for c, ok in COND_TARGETS.items()})
+        # k - 1 distinct depths: singular in exact arithmetic
+        rows["singular"] = (np.resize([1.3, 2.7, 3.1, 3.6][:k - 1], 12), False)
+        # all samples at 1 m: every normal entry is the weight sum, and the
+        # second LDL^T pivot comes out as exactly 0
+        rows["pivot <= 0"] = (np.ones(12), False)
+    names = list(rows)
+    n = max(z.size for z, _ in rows.values())
+    z = np.ones((len(names), n))
+    mask = np.zeros((len(names), n), dtype=bool)
+    for r, name in enumerate(names):
+        z[r, :rows[name][0].size] = rows[name][0]
+        mask[r, :rows[name][0].size] = True
+    z_pi = 0.01 + 0.98 * z + 0.004 * z ** 2 + 1e-4 * np.sin(5.0 * z)
+    moments = dc.FitMoments((len(names), 1), degree)
+    for col in range(n):
+        idx = np.nonzero(mask[:, col])[0]
+        moments.add(idx, z[idx, col], z_pi[idx, col], NM)
+    zpow = moments.zpow.reshape(len(names), -1)
+    powers = np.arange(1 if constant_zero else 0, degree + 1)
+    normals = zpow[:, powers[:, None] + powers[None, :]]
+    if k > 1:
+        _, pivots = maps._ldl_inverse(np.moveaxis(normals, 0, -1))
+        assert np.any(pivots[:, names.index("pivot <= 0")] <= 0.0)
+
+    eigensolved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        eigensolved.extend(a)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    coeffs, ok = fit_weighted_poly_batch(zpow, moments.zpi.reshape(len(names), -1),
+                                         moments.count.reshape(-1), degree,
+                                         constant_zero, COND_LIMIT)
+    ref, ref_ok = oracle_batch(z, z_pi, mask, NM, degree, constant_zero, COND_LIMIT)
+
+    assert ok.tolist() == ref_ok.tolist() == [rows[name][1] for name in names]
+    assert np.all(coeffs[~ok] == 0.0)
+    # near the limit the coefficients are only known to about cond * eps;
+    # the fitted values at the samples are known to about sqrt(cond) * eps
+    design = z[..., None] ** np.arange(degree + 1)
+    fitted = np.einsum("rnp,rp->rn", design, coeffs)
+    fitted_ref = np.einsum("rnp,rp->rn", design, ref)
+    assert np.max(np.abs(fitted - fitted_ref)[mask]) <= 1e-8
+    spread = names.index("spread")
+    assert np.allclose(coeffs[spread], ref[spread], rtol=1e-7, atol=1e-12)
+
+    def reached_eigensolve(name):
+        return any(np.array_equal(a, normals[names.index(name)]) for a in eigensolved)
+
+    assert not reached_eigensolve("spread")
+    for c in COND_TARGETS:
+        if k > 1 and c >= COND_LIMIT / 2:
+            assert reached_eigensolve(f"cond {c:.3g}")
 
 
 # ---------------------------------------------------------------------------
