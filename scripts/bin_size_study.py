@@ -40,8 +40,8 @@ def run(args):
                                                   cfg)
         row = {}
         for lf in tests:
-            cloud = dc.depth_to_cloud(lf.frame.depth, scene.intr_depth)
-            und = dc.apply_undistortion(umap, cloud)
+            und = dc.depth_to_cloud(dc.apply_undistortion(umap, lf.frame.depth),
+                                    scene.intr_depth)
             idx = dc.IndexSet.from_mask((lf.labels == sb.LABEL_WALL) & und.valid)
             row[lf.wall_distance] = sb.planarity_error(und, idx)
         table[spec] = row

@@ -34,8 +34,6 @@ from .maps import (
     apply_global,
     apply_undistortion,
     complete_dependent_corner,
-    correct_depth_image,
-    poly_eval,
 )
 from .calib_undistort import (
     BoardSpec,

@@ -79,7 +79,7 @@ class RefinementState:
     gmap: GlobalMap
 
 
-def build_observations(frames, inlier_sets, wall_points, max_points=400):
+def build_observations(frames, inlier_sets, wall_points, max_points):
     """Pack frames into FrameObservations, subsampling inliers evenly.
 
     The three lists align: frame k's wall pixels are `inlier_sets[k]` and

@@ -4,12 +4,13 @@ Frames are processed nearest-first so the map learned from close, barely
 distorted shots bootstraps the wall segmentation of the farther ones. The
 board pose of every frame is solved once, by PnP, and serves both the
 distance sort and the RANSAC seed plane (stage two reuses it too). Per
-frame: undistort the cloud with the current map, select the wall points with
-a checkerboard-seeded RANSAC, fit the reference plane to the *original*
-cloud near the wall center, add one line-of-sight sample per control pixel
-to its running weighted moments (FitMoments), and refit the touched control
-polynomials from those moments. `update_map` splats the samples onto the
-control pixels with `UndistortionMap.splat`: the weights live in `maps`.
+frame: undistort the depth image with the current map and back-project it,
+select the wall points of that cloud with a checkerboard-seeded RANSAC, fit
+the reference plane to the *original* cloud near the wall center, add one
+line-of-sight sample per control pixel to its running weighted moments
+(FitMoments), and refit the touched control polynomials from those moments.
+`update_map` splats the samples onto the control pixels with
+`UndistortionMap.splat`: the weights live in `maps`.
 
 Sequential by design: each frame must see the map built from all nearer
 frames.
@@ -311,7 +312,7 @@ def estimate_undistortion_map(frames, t0: RigidTransform, intr_rgb: CameraIntrin
     board_poses = {}
     for frame, pose in ordered:
         original = depth_to_cloud(frame.depth, intr_depth)
-        undistorted = apply_undistortion(umap, original)
+        undistorted = depth_to_cloud(apply_undistortion(umap, frame.depth), intr_depth)
         try:
             inliers = select_wall_points(undistorted, pose, t0, board, cfg, rng)
             plane = fit_reference_plane(original, inliers, cfg)

@@ -23,7 +23,7 @@ from .geometry import (
     solve_pnp,
     transform_plane,
 )
-from .maps import PolyFn
+from .maps import PolyFn, apply_undistortion
 from .synthbench import bowl_distortion, standard_scene
 
 
@@ -139,7 +139,6 @@ def cmd_calibrate(args):
 
 
 def _write_calibration_report(path, result, frames, intr_depth_guess, ucfg):
-    from .maps import apply_undistortion
     from .synthbench import planarity_error
 
     buf = io.StringIO()
@@ -154,7 +153,8 @@ def _write_calibration_report(path, result, frames, intr_depth_guess, ucfg):
             continue
         inl = result.inlier_sets[frame.frame_id]
         cloud = depth_to_cloud(frame.depth, intr_depth_guess)
-        und = apply_undistortion(result.umap, cloud)
+        und = depth_to_cloud(apply_undistortion(result.umap, frame.depth),
+                             intr_depth_guess)
         writer.writerow(["undistortion", frame.frame_id, "planarity_original",
                          format(planarity_error(cloud, inl), ".17g")])
         writer.writerow(["undistortion", frame.frame_id, "planarity_undistorted",
@@ -191,8 +191,6 @@ def cmd_evaluate(args):
     ucfg = UndistortConfig(seed=args.seed, min_inliers=50)
     rng = np.random.default_rng(args.seed)
 
-    from .maps import apply_undistortion
-
     rows_plan = []
     rows_glob = []
     rows_rot = []
@@ -201,7 +199,7 @@ def cmd_evaluate(args):
         original = depth_to_cloud(frame.depth, intr_depth)
         # wall indices come from the corrected cloud, then every variant is
         # measured on the same index set
-        und_only = apply_undistortion(umap, original)
+        und_only = depth_to_cloud(apply_undistortion(umap, frame.depth), intr_depth)
         corrected = pipeline.apply_calibration(umap, gmap, frame.depth, intr_depth)
         pose, _ = solve_pnp(manifest.board.corners_3d(), frame.corner_points,
                             intr_rgb)

@@ -57,16 +57,24 @@ def _atomic_write_text(path, text: str):
     _atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _read_lines(path):
+    """The lines of a UTF-8 text file; undecodable bytes raise FormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def _read_keyvals(path):
     """Parse a key-value text file into an ordered list of (key, tokens)."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            out.append((tokens[0], tokens[1:]))
+    for line in _read_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        out.append((tokens[0], tokens[1:]))
     return out
 
 
@@ -136,8 +144,7 @@ def write_corners_csv(path, corners):
 
 
 def read_corners_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in _read_lines(path) if ln.strip()]
     if not lines or lines[0].replace(" ", "") != "row,col,u,v":
         raise FormatError(f"{path}: expected header 'row,col,u,v'")
     entries = {}
@@ -526,10 +533,11 @@ def write_cloud_ply(path, cloud: OrganizedCloud):
 
 def read_cloud_ply(path):
     """Parse the vertex block of an ASCII PLY written by write_cloud_ply."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
+    lines = [ln.strip() for ln in _read_lines(path)]
     if not lines or lines[0] != "ply":
         raise FormatError(f"{path}: not a PLY file")
+    if lines[1:2] != ["format ascii 1.0"]:
+        raise FormatError(f"{path}: not an ASCII PLY 1.0 file")
     count = None
     body_at = None
     for k, ln in enumerate(lines):

@@ -46,7 +46,10 @@ def quat_normalize(q):
         raise GeometryError("quaternion norm is not finite")
     if np.any(n == 0.0):
         raise GeometryError("zero quaternion")
-    q = q / n
+    # q / n of a unit quaternion can move its last bits, so a quaternion that
+    # is unit to within the rounding of n is kept: normalizing is idempotent,
+    # and a transform written to text reads back to the same bits
+    q = np.where(np.abs(n - 1.0) <= 4 * np.finfo(float).eps, q, q / n)
     # fix the double-cover sign so equal rotations compare equal
     return np.where(q[..., :1] < 0.0, -q, q)
 
@@ -196,20 +199,9 @@ class RigidTransform:
     def identity():
         return RigidTransform((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
-    @staticmethod
-    def from_matrix(m):
-        m = np.asarray(m, dtype=float)
-        return RigidTransform(matrix_to_quat(m[:3, :3]), m[:3, 3])
-
     @property
     def rotation_matrix(self):
         return quat_to_matrix(self.quaternion)
-
-    def matrix(self):
-        m = np.eye(4)
-        m[:3, :3] = self.rotation_matrix
-        m[:3, 3] = self.translation
-        return m
 
     def apply(self, points):
         points = np.asarray(points, dtype=float)
@@ -605,10 +597,7 @@ def _pose_from_homography(board_xy, norm_xy):
     if t[2] < 0:
         rot = np.column_stack([-rot[:, 0], -rot[:, 1], rot[:, 2]])
         t = -t
-    m = np.eye(4)
-    m[:3, :3] = rot
-    m[:3, 3] = t
-    return RigidTransform.from_matrix(m)
+    return RigidTransform(matrix_to_quat(rot), t)
 
 
 def solve_pnp(board_points, image_points, intr: CameraIntrinsics):

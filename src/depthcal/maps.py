@@ -15,10 +15,13 @@ polynomials of the depth:
   an (H,) column term, so G keeps no per-pixel cache. Removes the systematic
   depth bias.
 
-`correct_rows` is the one correction kernel, d* = g(u(d)) on a band of
-image rows; `correct_depth_image` and `pipeline.apply_calibration` run it.
-Maps are immutable after estimation; application is embarrassingly parallel
-per pixel and may be called concurrently on a shared map.
+Maps correct depth images, never clouds: `apply_undistortion` and
+`apply_global` take a DepthImage and return one, and a corrected cloud is
+the pinhole back-projection (`geometry.depth_to_cloud`) of a corrected
+image. `correct_rows` is the one kernel of the full correction,
+d* = g(u(d)) on a band of image rows; `pipeline.apply_calibration` runs
+it. Maps are immutable after estimation; application is embarrassingly
+parallel per pixel and may be called concurrently on a shared map.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DepthImage, NoiseModel, OrganizedCloud, horner
+from .geometry import DepthImage, NoiseModel, horner
 
 MAX_DEGREE = 4
 
@@ -66,12 +69,8 @@ class PolyFn:
         return PolyFn(tuple(coeffs[:degree + 1]), constant_zero)
 
     def __call__(self, z):
-        return poly_eval(self, z)
-
-
-def poly_eval(f: PolyFn, z):
-    """Horner evaluation; accepts scalars or arrays."""
-    return horner(f.coefficients, z)
+        """Horner evaluation; accepts scalars or arrays."""
+        return horner(self.coefficients, z)
 
 
 class FitMoments:
@@ -335,35 +334,26 @@ def _eval_dense(dense, d, out=None):
     return out
 
 
-def _apply(target, evaluate):
-    """Correct a DepthImage or OrganizedCloud with evaluate(depths (H, W)).
+def _correct_image(m, img, evaluate):
+    """DepthImage of evaluate(img.data (H, W)) for a map `m` of img's size.
 
-    Cloud points are scaled along their line of sight so the corrected z
-    equals the evaluated value; invalid pixels pass through unchanged (and
-    stay invalid).
+    Pixels whose input or corrected depth is not positive get 0, so invalid
+    pixels stay invalid. Any input other than a DepthImage raises MapError:
+    a corrected cloud is the back-projection of a corrected image.
     """
-    if isinstance(target, DepthImage):
-        corrected = evaluate(target.data)
-        corrected = np.where(target.valid & (corrected > 0.0), corrected, 0.0)
-        return DepthImage(target.width, target.height, corrected)
-    if isinstance(target, OrganizedCloud):
-        z = target.points[:, :, 2]
-        corrected = evaluate(z)
-        valid = target.valid & (corrected > 0.0)
-        ratio = np.where(valid, corrected / np.where(target.valid, z, 1.0), 0.0)
-        pts = np.empty_like(target.points)
-        pts[:, :, 0] = target.points[:, :, 0] * ratio
-        pts[:, :, 1] = target.points[:, :, 1] * ratio
-        pts[:, :, 2] = np.where(valid, corrected, 0.0)
-        return OrganizedCloud(target.width, target.height, pts, valid)
-    raise MapError(f"cannot apply a map to {type(target).__name__}")
-
-
-def apply_undistortion(umap: UndistortionMap, target):
-    """Correct a DepthImage or OrganizedCloud with the map."""
-    if (target.width, target.height) != (umap.width, umap.height):
+    if not isinstance(img, DepthImage):
+        raise MapError(f"maps correct depth images, not {type(img).__name__}")
+    if (img.width, img.height) != (m.width, m.height):
         raise MapError("input size does not match the map")
-    return _apply(target, lambda d: _eval_dense(umap.dense_coefficients(), d))
+    corrected = evaluate(img.data)
+    return DepthImage(img.width, img.height,
+                      np.where(img.valid & (corrected > 0.0), corrected, 0.0))
+
+
+def apply_undistortion(umap: UndistortionMap, img: DepthImage) -> DepthImage:
+    """u(d) on every pixel of a depth image."""
+    return _correct_image(umap, img,
+                          lambda d: _eval_dense(umap.dense_coefficients(), d))
 
 
 def complete_dependent_corner(g00: PolyFn, gw0: PolyFn, g0h: PolyFn) -> PolyFn:
@@ -464,11 +454,9 @@ def _correct_image_rows(gmap: GlobalMap, d, v0=0, out=None):
                         d, out)
 
 
-def apply_global(gmap: GlobalMap, target):
-    """Correct a DepthImage or OrganizedCloud with the global map."""
-    if (target.width, target.height) != (gmap.width, gmap.height):
-        raise MapError("input size does not match the map")
-    return _apply(target, lambda d: _correct_image_rows(gmap, d))
+def apply_global(gmap: GlobalMap, img: DepthImage) -> DepthImage:
+    """g(d) on every pixel of a depth image."""
+    return _correct_image(gmap, img, lambda d: _correct_image_rows(gmap, d))
 
 
 def check_sizes(umap: UndistortionMap, gmap: GlobalMap, img: DepthImage):
@@ -498,13 +486,3 @@ def correct_rows(dense_u, gmap: GlobalMap, data, v0, v1, out, valid, scratch):
     np.greater(dhat, 0.0, out=valid)
     out[...] = 0.0
     np.copyto(out, dstar, where=valid)
-
-
-def correct_depth_image(umap: UndistortionMap, gmap: GlobalMap,
-                        img: DepthImage) -> DepthImage:
-    """Fully corrected depths d* = g(u(d)); invalid pixels stay invalid."""
-    check_sizes(umap, gmap, img)
-    out = np.empty((img.height, img.width))
-    correct_rows(umap.dense_coefficients(), gmap, img.data, 0, img.height, out,
-                 np.empty(out.shape, dtype=bool), np.empty((2,) + out.shape))
-    return DepthImage(img.width, img.height, out)

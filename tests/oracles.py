@@ -18,6 +18,7 @@ from depthcal.calib_undistort import BoardSpec, CalibrationError
 from depthcal.geometry import (
     KINECT1_QUANTIZATION,
     CameraIntrinsics,
+    DepthImage,
     GeometryError,
     NoiseModel,
     Plane,
@@ -32,7 +33,8 @@ from depthcal.maps import (
     MapError,
     PolyFn,
     UndistortionMap,
-    correct_depth_image,
+    check_sizes,
+    correct_rows,
 )
 
 
@@ -151,6 +153,20 @@ def global_eval(gmap: GlobalMap, u, v, d):
     if d <= 0.0:
         return 0.0
     return _horner(four_corner_coefficients(gmap, u, v), d)
+
+
+def correct_depth_image(umap: UndistortionMap, gmap: GlobalMap,
+                        img: DepthImage) -> DepthImage:
+    """Fully corrected depths d* = g(u(d)); invalid pixels stay invalid.
+
+    The depth image that `pipeline.apply_calibration` back-projects, from
+    one band of `correct_rows`.
+    """
+    check_sizes(umap, gmap, img)
+    out = np.empty((img.height, img.width))
+    correct_rows(umap.dense_coefficients(), gmap, img.data, 0, img.height, out,
+                 np.empty(out.shape, dtype=bool), np.empty((2,) + out.shape))
+    return DepthImage(img.width, img.height, out)
 
 
 def apply_full_correction(umap: UndistortionMap, gmap: GlobalMap, img,

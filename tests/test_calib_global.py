@@ -71,7 +71,7 @@ def stage_one_walls(scene, train):
         train, T0, scene.intr_rgb, scene.intr_depth, scene.board, ucfg)
     assert len(inlier_sets) == len(train)
     inliers = [inlier_sets[f.frame_id] for f in train]
-    walls = [dc.apply_undistortion(umap, dc.depth_to_cloud(f.depth, scene.intr_depth))
+    walls = [dc.depth_to_cloud(dc.apply_undistortion(umap, f.depth), scene.intr_depth)
              .points_at(inl) for f, inl in zip(train, inliers)]
     return umap, inliers, [poses[f.frame_id] for f in train], walls
 
@@ -139,8 +139,8 @@ def test_init_global_dependent_corner_invariant(clean_setup):
     gmap, _ = dc.init_global(walls, inliers, pnp_poses(scene, corners),
                              scene.board, 80, 60)
     d = np.linspace(0.5, 5.0, 20)
-    lhs = dc.poly_eval(gmap.corner_00, d) + dc.poly_eval(gmap.corner_wh, d)
-    rhs = dc.poly_eval(gmap.corner_w0, d) + dc.poly_eval(gmap.corner_0h, d)
+    lhs = gmap.corner_00(d) + gmap.corner_wh(d)
+    rhs = gmap.corner_w0(d) + gmap.corner_0h(d)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 

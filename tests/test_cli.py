@@ -9,7 +9,7 @@ import depthcal as dc
 from depthcal import formats
 from depthcal import synthbench as sb
 from depthcal.cli import _SCENE_KEYS, _read_scene_file, main
-from depthcal.maps import correct_depth_image
+from oracles import correct_depth_image
 from test_formats import mutate_one_token
 
 

@@ -452,6 +452,21 @@ def test_text_readers_raise_only_format_error(tmp_path_factory, data, reader,
         return
 
 
+@pytest.mark.parametrize("reader", [
+    pytest.param(formats.read_calibration, id="calibration"),
+    pytest.param(formats.read_manifest, id="manifest"),
+    pytest.param(formats.read_ground_truth, id="ground-truth"),
+    pytest.param(formats.read_corners_csv, id="corners"),
+    pytest.param(formats.read_cloud_ply, id="ply"),
+])
+def test_text_readers_reject_undecodable_bytes(tmp_path, reader):
+    """A text file saved as UTF-16: it starts with the bytes ff fe."""
+    path = tmp_path / "file.txt"
+    path.write_bytes("ply\nversion 1\n".encode("utf-16"))
+    with pytest.raises(FormatError, match="not UTF-8"):
+        reader(path)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_pgm_reader_raises_only_format_error(tmp_path_factory, data):
@@ -512,14 +527,16 @@ def test_ply_header(tmp_path):
     assert "end_header" in text
 
 
-@pytest.mark.parametrize("vertex_line, body", [
-    pytest.param("element vertex", "", id="no-count"),
-    pytest.param("element vertex -1", "", id="negative-count"),
-    pytest.param("element vertex 1", "nan 0 1", id="nan-coordinate"),
+@pytest.mark.parametrize("fmt, vertex_line, body", [
+    pytest.param("ascii", "element vertex", "", id="no-count"),
+    pytest.param("ascii", "element vertex -1", "", id="negative-count"),
+    pytest.param("ascii", "element vertex 1", "nan 0 1", id="nan-coordinate"),
+    # an ASCII body under a binary header must not be read as ASCII
+    pytest.param("binary_little_endian", "element vertex 1", "1 2 3", id="binary-format"),
 ])
-def test_ply_rejects_malformed(tmp_path, vertex_line, body):
+def test_ply_rejects_malformed(tmp_path, fmt, vertex_line, body):
     path = tmp_path / "c.ply"
-    path.write_text("ply\nformat ascii 1.0\n" + vertex_line + "\nproperty double x\n"
+    path.write_text(f"ply\nformat {fmt} 1.0\n" + vertex_line + "\nproperty double x\n"
                     "property double y\nproperty double z\nend_header\n" + body + "\n")
     with pytest.raises(FormatError):
         formats.read_cloud_ply(path)

@@ -99,6 +99,16 @@ def test_quat_normalize_keeps_bits_of_finite_input():
         assert np.array_equal(quat_normalize(q), expected)
 
 
+def test_quat_normalize_is_idempotent():
+    # so a RigidTransform rebuilt from its own quaternion, as a calibration
+    # file reader does, has the same bits
+    rng = np.random.default_rng(14)
+    once = quat_normalize(rng.normal(size=(20_000, 4)))
+    assert np.array_equal(quat_normalize(once), once)
+    t = dc.RigidTransform(rng.normal(size=4), (0.1, 0.2, 0.3))
+    assert dc.RigidTransform(t.quaternion, t.translation) == t
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("q", [(1e200, 0, 0, 0), (np.inf, 0, 0, 0),
                                (np.nan, 1, 0, 0), (1e200,) * 4])

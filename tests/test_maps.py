@@ -8,6 +8,7 @@ from depthcal import maps
 from depthcal.maps import MapError, fit_weighted_poly_batch
 from oracles import (
     apply_full_correction,
+    correct_depth_image,
     fit_weighted_poly,
     global_eval,
     moments_of,
@@ -32,21 +33,21 @@ def uniform_map(poly, width=32, height=24, chi=4, psi=4):
 
 
 # ---------------------------------------------------------------------------
-# PolyFn / poly_eval
+# PolyFn
 
 
-def test_poly_eval_identity():
-    assert dc.poly_eval(dc.PolyFn((0.0, 1.0)), 2.5) == 2.5
+def test_polyfn_call_identity():
+    assert dc.PolyFn((0.0, 1.0))(2.5) == 2.5
 
 
-def test_poly_eval_quadratic():
+def test_polyfn_call_quadratic():
     f = dc.PolyFn((0.03, 0.97, 0.01))
-    assert dc.poly_eval(f, 2.0) == pytest.approx(2.01, abs=1e-15)
+    assert f(2.0) == pytest.approx(2.01, abs=1e-15)
 
 
-def test_poly_eval_constant_zero():
+def test_polyfn_call_constant_zero():
     f = dc.PolyFn((0.0, 0.95, 0.02), constant_zero=True)
-    assert dc.poly_eval(f, 3.0) == pytest.approx(3.03, abs=1e-15)
+    assert f(3.0) == pytest.approx(3.03, abs=1e-15)
 
 
 def test_polyfn_rejects_nonzero_constant_when_pinned():
@@ -427,18 +428,18 @@ def test_apply_identity_map_is_identity_on_cloud():
     rng = np.random.default_rng(0)
     data = rng.uniform(1.0, 4.0, (24, 32))
     data[0, 0] = 0.0
-    cloud = dc.depth_to_cloud(dc.DepthImage(32, 24, data), intr)
-    out = dc.apply_undistortion(identity_map(), cloud)
-    assert np.array_equal(out.points[out.valid], cloud.points[cloud.valid])
-    assert np.array_equal(out.valid, cloud.valid)
+    img = dc.DepthImage(32, 24, data)
+    out = dc.apply_undistortion(identity_map(), img)
+    assert np.array_equal(out.data, img.data)
+    assert dc.depth_to_cloud(out, intr) == dc.depth_to_cloud(img, intr)
 
 
 def test_apply_uniform_scaling_map():
     intr = dc.CameraIntrinsics(fx=40, fy=40, cx=16, cy=12, width=32, height=24)
-    data = np.full((24, 32), 2.0)
-    cloud = dc.depth_to_cloud(dc.DepthImage(32, 24, data), intr)
+    img = dc.DepthImage(32, 24, np.full((24, 32), 2.0))
     m = uniform_map(dc.PolyFn((0.0, 1.1, 0.0)))
-    out = dc.apply_undistortion(m, cloud)
+    out = dc.depth_to_cloud(dc.apply_undistortion(m, img), intr)
+    cloud = dc.depth_to_cloud(img, intr)
     assert np.allclose(out.points[out.valid], 1.1 * cloud.points[cloud.valid],
                        atol=1e-12)
 
@@ -446,13 +447,13 @@ def test_apply_uniform_scaling_map():
 def test_apply_line_of_sight_preserved():
     intr = dc.CameraIntrinsics(fx=40, fy=40, cx=16, cy=12, width=32, height=24)
     rng = np.random.default_rng(1)
-    data = rng.uniform(1.0, 4.0, (24, 32))
-    cloud = dc.depth_to_cloud(dc.DepthImage(32, 24, data), intr)
+    img = dc.DepthImage(32, 24, rng.uniform(1.0, 4.0, (24, 32)))
+    cloud = dc.depth_to_cloud(img, intr)
     coeffs = rng.uniform(0.95, 1.05, identity_map().coefficients.shape)
     coeffs[:, :, 0] *= 0.02
     coeffs[:, :, 2] *= 0.01
     m = identity_map().with_coefficients(coeffs)
-    out = dc.apply_undistortion(m, cloud)
+    out = dc.depth_to_cloud(dc.apply_undistortion(m, img), intr)
     cross = np.cross(out.points.reshape(-1, 3), cloud.points.reshape(-1, 3))
     assert np.max(np.abs(cross)) < 1e-12
     # scale factors are positive
@@ -485,8 +486,8 @@ def test_apply_round_trip_with_inverse_map():
     plane_depth = 2.5
     dense = m.dense_coefficients()
     distorted_depth = (plane_depth - dense[:, :, 0]) / dense[:, :, 1]
-    distorted = dc.depth_to_cloud(dc.DepthImage(32, 24, distorted_depth), intr)
-    restored = dc.apply_undistortion(m, distorted)
+    distorted = dc.DepthImage(32, 24, distorted_depth)
+    restored = dc.depth_to_cloud(dc.apply_undistortion(m, distorted), intr)
 
     pts = restored.points.reshape(-1, 3)
     plane = dc.fit_plane(pts)
@@ -499,6 +500,16 @@ def test_apply_dimension_mismatch():
     img = dc.DepthImage(16, 16, np.ones((16, 16)))
     with pytest.raises(MapError):
         dc.apply_undistortion(identity_map(), img)
+
+
+def test_maps_reject_clouds():
+    # a corrected cloud is the back-projection of a corrected depth image
+    intr = dc.CameraIntrinsics(fx=40, fy=40, cx=16, cy=12, width=32, height=24)
+    cloud = dc.depth_to_cloud(dc.DepthImage(32, 24, np.full((24, 32), 2.0)), intr)
+    with pytest.raises(MapError, match="OrganizedCloud"):
+        dc.apply_undistortion(identity_map(), cloud)
+    with pytest.raises(MapError, match="OrganizedCloud"):
+        dc.apply_global(dc.GlobalMap.identity(32, 24), cloud)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +530,7 @@ def test_global_eval_center_is_mean():
     g = gmap_from([(1.0, 0.0), (1.02, 0.0), (0.98, 0.001)])
     d = 2.0
     corners = [g.corner_00, g.corner_w0, g.corner_0h, g.corner_wh]
-    expected = np.mean([dc.poly_eval(c, d) for c in corners])
+    expected = np.mean([c(d) for c in corners])
     assert global_eval(g, 16, 12, d) == pytest.approx(expected, abs=1e-14)
 
 
@@ -560,8 +571,8 @@ def test_dependent_corner_invariant_at_sampled_depths(coef):
             (1.0 + coef[4], coef[5])]
     g = gmap_from(rows)
     d = np.linspace(0.5, 5.0, 20)
-    lhs = dc.poly_eval(g.corner_00, d) + dc.poly_eval(g.corner_wh, d)
-    rhs = dc.poly_eval(g.corner_w0, d) + dc.poly_eval(g.corner_0h, d)
+    lhs = g.corner_00(d) + g.corner_wh(d)
+    rhs = g.corner_w0(d) + g.corner_0h(d)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -669,6 +680,21 @@ def test_apply_calibration_same_bytes_for_any_band_split(height, threads):
     assert np.array_equal(single.valid, multi.valid)
 
 
+def test_apply_calibration_with_identity_g_is_undistorted_cloud():
+    # the cloud stages one and two use is apply_calibration's with G = identity
+    umap, _ = random_maps(32, 24, 17)
+    img, intr = random_frame(32, 24, 18)
+    coeffs = umap.coefficients.copy()
+    coeffs[0, 0] = (-4.0, 1.0, 0.0)  # sends the top-left depths below 4 m to <= 0
+    umap = umap.with_coefficients(coeffs)
+    undistorted = dc.apply_undistortion(umap, img)
+    assert np.count_nonzero(img.valid & ~undistorted.valid) > 0
+    got = dc.apply_calibration(umap, dc.GlobalMap.identity(32, 24), img, intr, 1)
+    want = dc.depth_to_cloud(undistorted, intr)
+    assert np.array_equal(got.valid, want.valid)
+    assert np.array_equal(got.points, want.points)
+
+
 def test_apply_calibration_matches_pixel_oracles():
     umap, gmap = random_maps(32, 24, 15)
     img, intr = random_frame(32, 24, 16)
@@ -702,14 +728,16 @@ def test_concurrent_application_on_shared_map():
     intr = small_camera()
     rng = np.random.default_rng(11)
     img = dc.DepthImage(32, 24, rng.uniform(1.0, 4.0, (24, 32)))
-    cloud = dc.depth_to_cloud(img, intr)
     coeffs = identity_map().coefficients + rng.normal(0, 0.005,
                                                       identity_map().coefficients.shape)
     m = identity_map().with_coefficients(coeffs)
-    reference = dc.apply_undistortion(m, cloud)
+
+    def undistorted_cloud(_):
+        return dc.depth_to_cloud(dc.apply_undistortion(m, img), intr)
+
+    reference = undistorted_cloud(None)
     with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(lambda _: dc.apply_undistortion(m, cloud),
-                                range(16)))
+        results = list(pool.map(undistorted_cloud, range(16)))
     for out in results:
         assert np.array_equal(out.points, reference.points)
 
@@ -723,6 +751,6 @@ def test_correct_depth_image_invalid_passthrough():
     img_data = np.full((24, 32), 2.0)
     img_data[3, 4] = 0.0
     img = dc.DepthImage(32, 24, img_data)
-    out = dc.correct_depth_image(identity_map(), dc.GlobalMap.identity(32, 24), img)
+    out = correct_depth_image(identity_map(), dc.GlobalMap.identity(32, 24), img)
     assert out.data[3, 4] == 0.0
     assert out.valid.sum() == img.valid.sum()
