@@ -52,6 +52,7 @@ from .calib_global import (
     build_observations,
     init_global,
     refine,
+    wall_points,
 )
 from .pipeline import CalibrationResult, apply_calibration, calibrate
 from .synthbench import (

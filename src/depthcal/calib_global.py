@@ -1,12 +1,17 @@
 """Stage two of the calibration: global correction and extrinsics.
 
-Each frame enters stage two as its wall alone: the undistorted cloud
-points at its stage-one inlier pixels. Initialization pairs the
+Each frame enters stage two as its wall alone: the stage-one wall mask of
+the frame, from which `wall_points` derives the undistorted cloud points
+at the wall pixels (the final U applied to the frame's depth image at
+those pixels only, then back-projected). Initialization reads the frames
+in two passes and derives each frame's wall points again in each, so only
+one frame's points are held at a time. The first pass pairs the
 checkerboard plane seen by the RGB camera (from the board pose stage one
-solved) with the plane of those wall points in every frame, solves the
-camera-depth rigid transform from the plane pairs, and fits the
-four-corner global map against the board planes with the same binned
-update machinery as stage one (bin size = whole image).
+solved) with the plane of the wall points, and packs the frame's
+observations for the refinement; the camera-depth rigid transform is
+solved from the plane pairs. The second pass fits the four-corner global
+map against the board planes with the same binned update machinery as
+stage one (bin size = whole image).
 
 The refinement then jointly adjusts the global map coefficients, the
 camera-depth transform, all board poses and the depth intrinsics by
@@ -28,6 +33,7 @@ from .calib_undistort import BoardSpec, CalibrationError, update_map
 from .geometry import (
     CameraIntrinsics,
     GeometryError,
+    IndexSet,
     KINECT1_QUANTIZATION,
     RigidTransform,
     axis_angle_to_quat,
@@ -40,7 +46,7 @@ from .geometry import (
     quat_to_matrix,
     transform_plane,
 )
-from .maps import FitMoments, GlobalMap, UndistortionMap
+from .maps import FitMoments, GlobalMap, UndistortionMap, undistort_at
 
 log = logging.getLogger(__name__)
 
@@ -79,65 +85,96 @@ class RefinementState:
     gmap: GlobalMap
 
 
-def build_observations(frames, inlier_sets, wall_points, max_points):
-    """Pack frames into FrameObservations, subsampling inliers evenly.
+def wall_points(umap: UndistortionMap, depth, wall, intr: CameraIntrinsics):
+    """One frame's wall as stage two reads it: (IndexSet, points (N, 3)).
 
-    The three lists align: frame k's wall pixels are `inlier_sets[k]` and
-    its undistorted cloud points there are `wall_points[k]` (N, 3), whose z
-    column is the undistorted depth.
+    `wall` is the frame's (H, W) bool wall mask, and the IndexSet holds its
+    pixels in row-major order. The points are bit for bit
+    `depth_to_cloud(apply_undistortion(umap, depth), intr).points_at(inliers)`,
+    computed on the wall pixels only: u(d) by `maps.undistort_at`, then
+    x = z (u - cx) / fx and y = z (v - cy) / fy with the ray factors of
+    `depth_to_cloud`. A pixel whose u(d) is not positive gets (0, 0, 0).
     """
-    obs = []
-    for frame, inl, points in zip(frames, inlier_sets, wall_points):
-        n = len(inl)
-        if n == 0:
-            raise CalibrationError(f"frame {frame.frame_id}: empty inlier set")
-        take = np.unique(np.linspace(0, n - 1, min(n, max_points)).astype(int))
-        obs.append(FrameObservations(frame.frame_id, frame.corner_points.copy(),
-                                     inl.uv[take], points[take, 2]))
-    return obs
+    wall = np.asarray(wall, dtype=bool)
+    if wall.shape != (intr.height, intr.width):
+        raise CalibrationError("wall mask size does not match the intrinsics")
+    inliers = IndexSet.from_mask(wall)
+    z = undistort_at(umap, depth, np.flatnonzero(wall))
+    xs = (np.arange(intr.width, dtype=float) - intr.cx) / intr.fx
+    ys = (np.arange(intr.height, dtype=float) - intr.cy) / intr.fy
+    points = np.empty((z.size, 3))
+    np.multiply(z, xs[inliers.u], out=points[:, 0])
+    np.multiply(z, ys[inliers.v], out=points[:, 1])
+    points[:, 2] = z
+    return inliers, points
 
 
-def init_global(wall_points, inlier_sets, board_poses, board: BoardSpec,
-                width, height):
-    """Initial global map and camera-depth transform (plane pairs).
-
-    Per frame: board plane from the corners moved by the frame's board pose
-    (board -> RGB camera, as solved in stage one), wall plane from the
-    undistorted wall points (N, 3) at the frame's inlier pixels. The rigid
-    transform aligning board planes (camera frame) onto wall planes (depth
-    frame) initializes the extrinsic; the board planes moved into the depth
-    frame then drive the four-corner map fit over the width x height image.
-    Stage one has already fit a plane to every frame's inliers, so a plane
-    fit that fails here raises CalibrationError naming the frame.
-    Returns (gmap, extrinsic depth -> camera).
+def build_observations(frame, inliers, points, max_points) -> FrameObservations:
+    """One frame's FrameObservations: its corners, plus an even subsample of
+    at most `max_points` of its wall pixels `inliers` with the undistorted
+    depths there, the z column of `points` (N, 3).
     """
-    if not (len(wall_points) == len(inlier_sets) == len(board_poses)):
-        raise CalibrationError("wall points, inlier sets and board poses must align")
-    if len(board_poses) < 3:
+    n = len(inliers)
+    if n == 0:
+        raise CalibrationError(f"frame {frame.frame_id}: empty inlier set")
+    take = np.unique(np.linspace(0, n - 1, min(n, max_points)).astype(int))
+    return FrameObservations(frame.frame_id, frame.corner_points.copy(),
+                             inliers.uv[take], points[take, 2])
+
+
+def init_global(frames, walls, board_poses, umap: UndistortionMap,
+                intr_depth: CameraIntrinsics, board: BoardSpec, max_points):
+    """Initial global map and camera-depth transform (plane pairs), and the
+    refinement's observations.
+
+    `frames` are the usable frames; `walls` and `board_poses` map each
+    frame's id to its stage-one wall mask and board pose (board -> RGB
+    camera). The frames are read in two passes, and each derives a frame's
+    wall points again by `wall_points` under the final U, so no list of
+    every frame's points is held.
+    Pass 1, per frame: board plane from the corners moved by the board
+    pose, wall plane from the wall points, and `build_observations` with at
+    most `max_points` wall pixels. The rigid transform aligning board planes
+    (camera frame) onto wall planes (depth frame) initializes the extrinsic.
+    Pass 2: the board planes moved into the depth frame drive the
+    four-corner map fit (`update_map`) over the image.
+    Stage one has already fit a plane to every frame's wall, so a plane fit
+    that fails here raises CalibrationError naming the frame.
+    Returns (gmap, extrinsic depth -> camera, observations).
+    """
+    if len(frames) < 3:
         raise CalibrationError("stage two needs at least 3 usable frames")
     board_planes_cam = []
     wall_planes_depth = []
-    for k, (points, pose) in enumerate(zip(wall_points, board_poses)):
+    observations = []
+    for k, frame in enumerate(frames):
+        inliers, points = wall_points(umap, frame.depth, walls[frame.frame_id],
+                                      intr_depth)
         try:
-            board_planes_cam.append(fit_plane(pose.apply(board.corners_3d())))
+            board_planes_cam.append(fit_plane(
+                board_poses[frame.frame_id].apply(board.corners_3d())))
             wall_planes_depth.append(fit_plane(points))
         except GeometryError as exc:
             raise CalibrationError(
                 f"init_global: frame {k}: plane fit failed ({exc})") from exc
+        observations.append(build_observations(frame, inliers, points,
+                                                max_points))
     cam_to_depth = estimate_transform_from_planes(board_planes_cam, wall_planes_depth)
 
+    width, height = intr_depth.width, intr_depth.height
     grid = UndistortionMap.identity(width, height, width, height,
                                     degree=GMAP_DEGREE, constant_zero=True)
     moments = FitMoments(grid.grid_shape, GMAP_DEGREE)
-    for points, inliers, plane_cam in zip(wall_points, inlier_sets,
-                                          board_planes_cam):
+    for frame, plane_cam in zip(frames, board_planes_cam):
+        inliers, points = wall_points(umap, frame.depth, walls[frame.frame_id],
+                                      intr_depth)
         plane_depth = transform_plane(cam_to_depth, plane_cam)
         grid = update_map(grid, moments, points, inliers, plane_depth)
     gmap = GlobalMap(width, height,
                      grid.control_function(0, 0),
                      grid.control_function(1, 0),
                      grid.control_function(0, 1))
-    return gmap, cam_to_depth.inverse()
+    return gmap, cam_to_depth.inverse(), observations
 
 
 # ---------------------------------------------------------------------------

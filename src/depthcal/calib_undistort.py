@@ -9,6 +9,7 @@ select the wall points of that cloud with a checkerboard-seeded RANSAC, fit
 the reference plane to the *original* cloud near the wall center, add one
 line-of-sight sample per control pixel to its running weighted moments
 (FitMoments), and refit the touched control polynomials from those moments.
+Each usable frame's wall leaves stage one as an (H, W) bool mask.
 `update_map` splats the samples onto the control pixels with
 `UndistortionMap.splat`: the weights live in `maps`.
 
@@ -165,7 +166,10 @@ def select_wall_points(undistorted: OrganizedCloud, board_pose: RigidTransform,
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     seed = _seed_plane(board_pose, t0, board)
-    pts = undistorted.points[undistorted.valid]  # row-major, like IndexSet.from_mask
+    # row-major, like IndexSet.from_mask; a flat take is about 3x as fast
+    # as indexing the (H, W, 3) points with the 2-D mask
+    pts = undistorted.points.reshape(-1, 3).take(np.flatnonzero(undistorted.valid),
+                                                 axis=0)
     if pts.shape[0] < cfg.min_inliers:
         raise CalibrationError("not enough valid depth points for wall selection")
 
@@ -184,7 +188,7 @@ def select_wall_points(undistorted: OrganizedCloud, board_pose: RigidTransform,
         return np.abs(plane.signed_distance(pts)) <= threshold
 
     best_plane, best_mask = seed, count_inliers(seed)
-    best_count = int(best_mask.sum())
+    best_count = np.count_nonzero(best_mask)
     for _ in range(RANSAC_ITERATIONS):
         take = rng.integers(0, pts.shape[0], size=3)
         try:
@@ -194,7 +198,7 @@ def select_wall_points(undistorted: OrganizedCloud, board_pose: RigidTransform,
         if not near_seed(cand):
             continue
         mask = count_inliers(cand)
-        n = int(mask.sum())
+        n = np.count_nonzero(mask)
         if n > best_count:
             best_plane, best_mask, best_count = cand, mask, n
     if best_count < cfg.min_inliers:
@@ -204,7 +208,7 @@ def select_wall_points(undistorted: OrganizedCloud, board_pose: RigidTransform,
     refined = fit_plane(pts[best_mask])
     if near_seed(refined):
         mask = count_inliers(refined)
-        if int(mask.sum()) >= cfg.min_inliers:
+        if np.count_nonzero(mask) >= cfg.min_inliers:
             best_mask = mask
     wall = undistorted.valid.copy()
     wall[wall] = best_mask
@@ -224,7 +228,7 @@ def fit_reference_plane(original: OrganizedCloud, inliers: IndexSet,
     uv = inliers.uv.astype(float)
     centroid = uv.mean(axis=0)
     keep = np.hypot(uv[:, 0] - centroid[0], uv[:, 1] - centroid[1]) <= cfg.fit_radius
-    if keep.sum() < 3:
+    if np.count_nonzero(keep) < 3:
         raise CalibrationError("fewer than 3 inliers inside the fit radius")
     pts = original.points[inliers.v[keep], inliers.u[keep]]
     return fit_plane(pts)
@@ -292,10 +296,12 @@ def estimate_undistortion_map(frames, t0: RigidTransform, intr_rgb: CameraIntrin
                               cfg: UndistortConfig):
     """Run stage one over a frame list.
 
-    Returns (map, inlier_sets, board_poses). inlier_sets maps frame id ->
-    IndexSet of the wall pixels selected for that frame, and board_poses maps
-    the same ids to the frame's PnP board pose (board -> RGB camera); stage
-    two consumes both. Deterministic for a fixed cfg.seed.
+    Returns (map, walls, board_poses). walls maps the id of every usable
+    frame to its wall: a read-only (H, W) bool mask of the pixels
+    `select_wall_points` selected for it, 1 byte per pixel where an
+    IndexSet holds 16 per wall pixel. board_poses maps the same ids to the
+    frame's PnP board pose (board -> RGB camera). Stage two reads both.
+    Deterministic for a fixed cfg.seed.
     """
     if len(frames) < cfg.degree + 1:
         raise CalibrationError(
@@ -308,7 +314,7 @@ def estimate_undistortion_map(frames, t0: RigidTransform, intr_rgb: CameraIntrin
     width, height = intr_depth.width, intr_depth.height
     umap = UndistortionMap.identity(width, height, cfg.chi, cfg.psi, cfg.degree)
     moments = FitMoments(umap.grid_shape, cfg.degree)
-    inlier_sets = {}
+    walls = {}
     board_poses = {}
     for frame, pose in ordered:
         original = depth_to_cloud(frame.depth, intr_depth)
@@ -321,8 +327,11 @@ def estimate_undistortion_map(frames, t0: RigidTransform, intr_rgb: CameraIntrin
             continue
         umap = update_map(umap, moments, original.points_at(inliers), inliers,
                           plane)
-        inlier_sets[frame.frame_id] = inliers
+        wall = np.zeros((height, width), dtype=bool)
+        wall[inliers.v, inliers.u] = True
+        wall.setflags(write=False)
+        walls[frame.frame_id] = wall
         board_poses[frame.frame_id] = pose
-    if len(inlier_sets) < cfg.degree + 1:
+    if len(walls) < cfg.degree + 1:
         raise CalibrationError("too few usable frames after wall selection")
-    return umap, inlier_sets, board_poses
+    return umap, walls, board_poses

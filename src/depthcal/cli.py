@@ -17,6 +17,7 @@ from .calib_global import GlobalConfig
 from .calib_undistort import CalibrationError, UndistortConfig, select_wall_points
 from .geometry import (
     GeometryError,
+    IndexSet,
     RigidTransform,
     depth_to_cloud,
     fit_plane,
@@ -151,7 +152,7 @@ def _write_calibration_report(path, result, frames, intr_depth_guess, ucfg):
         if frame.frame_id not in result.inlier_sets:
             writer.writerow(["undistortion", frame.frame_id, "skipped", ""])
             continue
-        inl = result.inlier_sets[frame.frame_id]
+        inl = IndexSet.from_mask(result.inlier_sets[frame.frame_id])
         cloud = depth_to_cloud(frame.depth, intr_depth_guess)
         und = depth_to_cloud(apply_undistortion(result.umap, frame.depth),
                              intr_depth_guess)

