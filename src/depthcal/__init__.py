@@ -33,7 +33,6 @@ from .maps import (
     UndistortionMap,
     apply_global,
     apply_undistortion,
-    complete_dependent_corner,
 )
 from .calib_undistort import (
     BoardSpec,

@@ -5,13 +5,13 @@ the frame, from which `wall_points` derives the undistorted cloud points
 at the wall pixels (the final U applied to the frame's depth image at
 those pixels only, then back-projected). Initialization reads the frames
 in two passes and derives each frame's wall points again in each, so only
-one frame's points are held at a time. The first pass pairs the
-checkerboard plane seen by the RGB camera (from the board pose stage one
-solved) with the plane of the wall points, and packs the frame's
+one frame's points are held at a time. The first pass pairs the board
+plane with the plane fitted to the wall points, and packs the frame's
 observations for the refinement; the camera-depth rigid transform is
 solved from the plane pairs. The second pass fits the four-corner global
 map against the board planes with the same binned update machinery as
-stage one (bin size = whole image).
+stage one (bin size = whole image). Throughout stage two a board plane is
+the board's z = 0 plane moved by the frame's board pose, never a fit.
 
 The refinement then jointly adjusts the global map coefficients, the
 camera-depth transform, all board poses and the depth intrinsics by
@@ -39,7 +39,6 @@ from .geometry import (
     axis_angle_to_quat,
     estimate_transform_from_planes,
     fit_plane,
-    fit_planes,
     lm_minimize,
     project_point,
     quat_multiply,
@@ -132,13 +131,14 @@ def init_global(frames, walls, board_poses, umap: UndistortionMap,
     camera). The frames are read in two passes, and each derives a frame's
     wall points again by `wall_points` under the final U, so no list of
     every frame's points is held.
-    Pass 1, per frame: board plane from the corners moved by the board
-    pose, wall plane from the wall points, and `build_observations` with at
-    most `max_points` wall pixels. The rigid transform aligning board planes
-    (camera frame) onto wall planes (depth frame) initializes the extrinsic.
+    Pass 1, per frame: board plane from the board pose (the board's z = 0
+    plane moved by it), wall plane fitted to the wall points, and
+    `build_observations` with at most `max_points` wall pixels. The rigid
+    transform aligning board planes (camera frame) onto wall planes (depth
+    frame) initializes the extrinsic.
     Pass 2: the board planes moved into the depth frame drive the
     four-corner map fit (`update_map`) over the image.
-    Stage one has already fit a plane to every frame's wall, so a plane fit
+    Stage one has already fit a plane to every frame's wall, so a wall fit
     that fails here raises CalibrationError naming the frame.
     Returns (gmap, extrinsic depth -> camera, observations).
     """
@@ -150,9 +150,9 @@ def init_global(frames, walls, board_poses, umap: UndistortionMap,
     for k, frame in enumerate(frames):
         inliers, points = wall_points(umap, frame.depth, walls[frame.frame_id],
                                       intr_depth)
+        board_planes_cam.append(transform_plane(board_poses[frame.frame_id],
+                                                board.plane))
         try:
-            board_planes_cam.append(fit_plane(
-                board_poses[frame.frame_id].apply(board.corners_3d())))
             wall_planes_depth.append(fit_plane(points))
         except GeometryError as exc:
             raise CalibrationError(
@@ -183,6 +183,19 @@ def init_global(frames, walls, board_poses, umap: UndistortionMap,
 
 # every residual row of a frame with a board corner behind the camera
 _BEHIND_PENALTY = 1e6
+
+
+def _board_planes_depth(extr_r, extr_t, pose_r, pose_t):
+    """Depth-frame board planes (normals (m, 3), offsets (m,) >= 0) of m
+    board -> camera poses and the depth -> camera extrinsic. Pose k moves the
+    board's z = 0 plane to normal n = pose_r[k][:, 2], offset n . pose_t[k];
+    the extrinsic to normal extr_r^T n, offset n . (pose_t[k] - extr_t).
+    """
+    n_cam = pose_r[:, :, 2]
+    normals = n_cam @ extr_r
+    offsets = np.einsum("mi,mi->m", n_cam, pose_t - extr_t)
+    sign = np.where(offsets < 0, -1.0, 1.0)
+    return normals * sign[:, None], offsets * sign
 
 
 class _RefineProblem:
@@ -270,16 +283,13 @@ class _RefineProblem:
             behind[:, None, None], 1.0, corners_cam).reshape(-1, 3))
         r_repr = (proj.reshape(m, -1, 2) - self.corners_px) / SIGMA_C
 
-        # board planes in the depth frame (dependent corner always rebuilt
-        # from the free coefficients, so the planarity constraint holds at
-        # every evaluation)
-        inv = RigidTransform(extr_q, x[3:6]).inverse()
-        corners_depth = corners_cam @ inv.rotation_matrix.T + inv.translation
-        normals, offsets, _ = fit_planes(corners_depth)
-
+        normals, offsets = _board_planes_depth(quat_to_matrix(extr_q), x[3:6],
+                                              pose_r, pose_t)
         fx, fy, cx, cy = x[6], x[7], x[8], x[9]
         rays_x = (self.uv[:, :, 0] - cx) / fx
         rays_y = (self.uv[:, :, 1] - cy) / fy
+        # G holds only the free corners, so the planarity constraint holds
+        # at every evaluation
         gmap = GlobalMap.from_free_coefficients(self.width, self.height,
                                                 x[10:16], self.degree)
         corrected = gmap.correct(self.uv[:, :, 0], self.uv[:, :, 1], self.dhat)

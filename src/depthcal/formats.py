@@ -13,6 +13,7 @@ millimeters; 0 marks an invalid pixel. Values convert to meters on load.
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 
@@ -291,9 +292,9 @@ def write_calibration(path, umap: UndistortionMap, gmap: GlobalMap,
 def read_calibration(path):
     """Returns (umap, gmap, extrinsic, intr_depth, intr_rgb).
 
-    Raises FormatError on any malformed content. The dependent global-map
-    corner is rebuilt from the three stored free corners, so the planarity
-    constraint cannot be broken by file edits.
+    Raises FormatError on any malformed content. Only the three free
+    global-map corners are stored, so the planarity constraint cannot be
+    broken by file edits.
     """
     kv = {}
     umap_fns = []
@@ -543,7 +544,8 @@ def read_cloud_ply(path):
     for k, ln in enumerate(lines):
         if ln.startswith("element vertex"):
             tokens = ln.split()
-            if len(tokens) != 3 or not tokens[2].isdigit():
+            # ASCII digits only: int() rejects '²', which str.isdigit() passes
+            if len(tokens) != 3 or not re.fullmatch(r"[0-9]{1,18}", tokens[2]):
                 raise FormatError(f"{path}: malformed vertex count {ln!r}")
             count = int(tokens[2])
         if ln == "end_header":

@@ -363,12 +363,17 @@ class IndexSet:
         return out
 
 
-def horner(coefficients, z):
-    """sum_k coefficients[k] z^k by Horner's rule; a float for scalar z."""
+def horner(coefficients, z, out=None):
+    """sum_k c[..., k] z^k by Horner's rule, c (..., k) broadcasting against
+    z, into `out` when given; a float for one coefficient row and scalar z."""
+    c = np.asarray(coefficients, dtype=float)
     z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    for c in reversed(coefficients):
-        out = out * z + c
+    if out is None:
+        out = np.empty(np.broadcast_shapes(c.shape[:-1], z.shape))
+    np.copyto(out, c[..., -1])
+    for k in range(c.shape[-1] - 2, -1, -1):
+        out *= z
+        out += c[..., k]
     return float(out) if out.ndim == 0 else out
 
 
@@ -467,20 +472,22 @@ def undistort_pixel(intr: CameraIntrinsics, uv, iterations: int = 10) -> np.ndar
 
 
 def fit_planes(points):
-    """Total-least-squares planes of point sets (..., N, 3).
+    """Total-least-squares plane of one point set (N, 3), with its scatter.
 
-    Each normal is the eigenvector of the smallest eigenvalue of the set's
-    3 x 3 scatter matrix about its centroid. Returns (normals (..., 3),
-    offsets (...), eigenvalues (..., 3) ascending), each normal oriented so
-    its offset is >= 0. Nothing is checked: `fit_plane` checks one set.
+    The normal is the eigenvector of the smallest eigenvalue of the 3 x 3
+    scatter matrix about the centroid. Returns (normal (3,), offset,
+    eigenvalues (3,) ascending), the normal oriented so the offset is >= 0;
+    the smallest eigenvalue over N is the mean squared distance to the
+    plane. Nothing is checked: `fit_plane` does that.
     """
-    centroid = points.mean(axis=-2, keepdims=True)
+    centroid = points.mean(axis=0)
     centered = points - centroid
-    lam, vec = np.linalg.eigh(np.swapaxes(centered, -1, -2) @ centered)
-    normals = vec[..., 0]
-    offsets = np.einsum("...i,...i->...", normals, centroid[..., 0, :])
-    sign = np.where(offsets < 0, -1.0, 1.0)
-    return normals * sign[..., None], offsets * sign, lam
+    lam, vec = np.linalg.eigh(centered.T @ centered)
+    normal = vec[:, 0]
+    offset = np.einsum("i,i->", normal, centroid)
+    if offset < 0:
+        normal, offset = -normal, -offset
+    return normal, offset, lam
 
 
 def fit_plane(points) -> Plane:

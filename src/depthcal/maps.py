@@ -326,17 +326,6 @@ class UndistortionMap:
                 and np.array_equal(self.coefficients, other.coefficients))
 
 
-def _eval_dense(dense, d, out=None):
-    """Horner evaluation of per-pixel coefficients `dense` (..., degree+1) at
-    depths d (...)."""
-    out = np.empty(d.shape) if out is None else out
-    np.copyto(out, dense[..., -1])
-    for k in range(dense.shape[-1] - 2, -1, -1):
-        out *= d
-        out += dense[..., k]
-    return out
-
-
 def _correct_image(m, img, evaluate):
     """DepthImage of evaluate(img.data (H, W)) for a map `m` of img's size.
 
@@ -356,7 +345,7 @@ def _correct_image(m, img, evaluate):
 def apply_undistortion(umap: UndistortionMap, img: DepthImage) -> DepthImage:
     """u(d) on every pixel of a depth image."""
     return _correct_image(umap, img,
-                          lambda d: _eval_dense(umap.dense_coefficients(), d))
+                          lambda d: horner(umap.dense_coefficients(), d))
 
 
 def undistort_at(umap: UndistortionMap, img: DepthImage, flat) -> np.ndarray:
@@ -371,42 +360,33 @@ def undistort_at(umap: UndistortionMap, img: DepthImage, flat) -> np.ndarray:
         raise MapError("input size does not match the map")
     d = img.data.reshape(-1).take(flat)
     planes = np.moveaxis(umap.dense_coefficients(), -1, 0)  # contiguous (k, H, W)
-    z = _eval_dense(planes.reshape(planes.shape[0], -1).take(flat, axis=1).T, d)
+    z = horner(planes.reshape(planes.shape[0], -1).take(flat, axis=1).T, d)
     z[~((d > 0.0) & (z > 0.0))] = 0.0
     return z
-
-
-def complete_dependent_corner(g00: PolyFn, gw0: PolyFn, g0h: PolyFn) -> PolyFn:
-    """Fourth-corner polynomial from the planarity constraint gWH = gW0 + g0H - g00."""
-    if not (g00.degree == gw0.degree == g0h.degree):
-        raise MapError("corner polynomials must share the same degree")
-    if not (g00.constant_zero and gw0.constant_zero and g0h.constant_zero):
-        raise MapError("corner polynomials must have constant_zero set")
-    coeffs = tuple(b + c - a for a, b, c in
-                   zip(g00.coefficients, gw0.coefficients, g0h.coefficients))
-    return PolyFn(coeffs, constant_zero=True)
 
 
 class GlobalMap:
     """Four-corner systematic error correction.
 
-    Three free corner polynomials at (0,0), (W,0) and (0,H); the corner at
-    (W,H) is always rebuilt from the planarity constraint, so the blended
-    coefficient field is affine over the image no matter what the free
-    corners are.
+    Three free corner polynomials at (0,0), (W,0) and (0,H), of one degree
+    and with `constant_zero` set; the corner at (W,H) is never stored: the
+    planarity constraint gWH = gW0 + g0H - g00 makes the blended coefficient
+    field affine over the image no matter what the free corners are.
     """
 
     __slots__ = ("width", "height", "corner_00", "corner_w0", "corner_0h",
-                 "corner_wh", "corners")
+                 "corners")
 
     def __init__(self, width, height, corner_00: PolyFn, corner_w0: PolyFn,
                  corner_0h: PolyFn):
+        free = (corner_00, corner_w0, corner_0h)
+        if len({f.degree for f in free}) > 1 or not all(f.constant_zero for f in free):
+            raise MapError("corner polynomials must share one degree and set constant_zero")
         self.width = int(width)
         self.height = int(height)
         self.corner_00 = corner_00
         self.corner_w0 = corner_w0
         self.corner_0h = corner_0h
-        self.corner_wh = complete_dependent_corner(corner_00, corner_w0, corner_0h)
         self.corners = np.array([corner_00.coefficients, corner_w0.coefficients,
                                  corner_0h.coefficients])
         self.corners.setflags(write=False)
@@ -498,7 +478,7 @@ def correct_rows(dense_u, gmap: GlobalMap, data, v0, v1, out, valid, scratch):
     checked here; callers run `check_sizes` first.
     """
     d = data[v0:v1]
-    dhat = _eval_dense(dense_u[v0:v1], d, scratch[0])
+    dhat = horner(dense_u[v0:v1], d, scratch[0])
     dstar = _correct_image_rows(gmap, dhat, v0, scratch[1])
     # min(d, u(d), d*) > 0 is the validity test; a NaN anywhere fails it
     np.minimum(dhat, d, out=dhat)

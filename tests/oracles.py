@@ -8,7 +8,8 @@ an SVD. The moment solve is checked against it.
 The per-pixel map evaluations, the per-frame stage-two residuals and the
 line-of-sight and orthogonal projections are scalar or per-frame forms of
 what the library computes vectorized. `global_eval` blends all four corners
-bilinearly, so it does not share the affine evaluator of `GlobalMap.correct`.
+bilinearly, the fourth from `complete_dependent_corner`, so it does not share
+the affine evaluator of `GlobalMap.correct`, which stores no fourth corner.
 """
 
 import numpy as np
@@ -138,12 +139,28 @@ def undistort_depth(umap: UndistortionMap, u, v, d):
     return _horner(umap.pixel_coefficients(float(u), float(v)), d)
 
 
+def complete_dependent_corner(g00: PolyFn, gw0: PolyFn, g0h: PolyFn) -> PolyFn:
+    """Fourth-corner polynomial from the planarity constraint gWH = gW0 + g0H - g00."""
+    if not (g00.degree == gw0.degree == g0h.degree):
+        raise MapError("corner polynomials must share the same degree")
+    if not (g00.constant_zero and gw0.constant_zero and g0h.constant_zero):
+        raise MapError("corner polynomials must have constant_zero set")
+    coeffs = tuple(b + c - a for a, b, c in
+                   zip(g00.coefficients, gw0.coefficients, g0h.coefficients))
+    return PolyFn(coeffs, constant_zero=True)
+
+
+def corner_wh(gmap: GlobalMap) -> PolyFn:
+    """The dependent corner (W, H) of a global map."""
+    return complete_dependent_corner(gmap.corner_00, gmap.corner_w0, gmap.corner_0h)
+
+
 def four_corner_coefficients(gmap: GlobalMap, u, v):
     """Bilinear blend of all 4 corner polynomials (the dependent one too)."""
     fu = np.asarray(u, dtype=float)[..., None] / gmap.width
     fv = np.asarray(v, dtype=float)[..., None] / gmap.height
     c = [np.asarray(f.coefficients) for f in
-         (gmap.corner_00, gmap.corner_w0, gmap.corner_0h, gmap.corner_wh)]
+         (gmap.corner_00, gmap.corner_w0, gmap.corner_0h, corner_wh(gmap))]
     return ((1 - fu) * (1 - fv) * c[0] + fu * (1 - fv) * c[1]
             + (1 - fu) * fv * c[2] + fu * fv * c[3])
 

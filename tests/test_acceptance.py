@@ -16,7 +16,7 @@ from depthcal import formats, pipeline
 from depthcal import synthbench as sb
 from depthcal.calib_global import refine
 from depthcal.cli import main as cli_main
-from depthcal.geometry import lm_jacobian
+from depthcal.geometry import horner, lm_jacobian
 from depthcal.maps import PolyFn
 from oracles import correct_depth_image, surrounding
 
@@ -178,13 +178,15 @@ def test_criterion_7_invariants(small_refine_setup, pipeline_b_clean, tmp_path):
         finally:
             calib_global._RefineProblem.residual = original_residual
         assert len(recorded) > 10
+        d = np.linspace(0.5, 5.0, 20)
         for prob, x in recorded:
             g = prob.unpack(x).gmap
             expected = [b + c - a for a, b, c in zip(g.corner_00.coefficients,
                                                      g.corner_w0.coefficients,
                                                      g.corner_0h.coefficients)]
-            assert np.max(np.abs(np.asarray(g.corner_wh.coefficients)
-                                 - expected)) < 1e-12
+            # G's value at its dependent corner (W, H)
+            assert np.max(np.abs(g.correct(g.width, g.height, d)
+                                 - horner(expected, d))) < 1e-12
 
         # a valid global map keeps exact planes exact: the blended field is
         # affine over the image, so a fronto-parallel plane's corrected

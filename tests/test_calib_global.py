@@ -13,8 +13,15 @@ from depthcal.calib_global import (
     _BEHIND_PENALTY,
     FrameObservations,
     _RefineProblem,
+    _board_planes_depth,
 )
-from depthcal.geometry import axis_angle_to_quat, lm_jacobian, quat_multiply
+from depthcal.geometry import (
+    axis_angle_to_quat,
+    horner,
+    lm_jacobian,
+    quat_multiply,
+    quat_to_matrix,
+)
 from depthcal.maps import PolyFn
 from oracles import (
     board_plane_depth,
@@ -125,8 +132,8 @@ def test_init_global_needs_three_frames(clean_setup):
 @pytest.mark.parametrize("failing_call", [0, 1, 4, 5])
 def test_init_global_raises_on_failed_plane_fit(clean_setup, monkeypatch,
                                                 failing_call):
-    # fit_plane runs board then wall per frame: call 2k fits frame k's board
-    # plane and call 2k + 1 its wall plane
+    # fit_plane runs once per frame, on its wall: call k fits frame k's wall
+    # plane (the board planes come from the poses)
     scene, frames, _ = clean_setup
     calls = []
 
@@ -137,15 +144,31 @@ def test_init_global_raises_on_failed_plane_fit(clean_setup, monkeypatch,
         return dc.fit_plane(points)
 
     monkeypatch.setattr(cg, "fit_plane", failing_fit)
-    with pytest.raises(dc.CalibrationError, match=f"frame {failing_call // 2}:"):
+    with pytest.raises(dc.CalibrationError, match=f"frame {failing_call}:"):
         init_global_on_truth(scene, frames)
+
+
+def test_init_global_fits_one_plane_per_frame(clean_setup, monkeypatch):
+    scene, frames, _ = clean_setup
+    fitted = []
+
+    def counting_fit(points):
+        fitted.append(len(points))
+        return dc.fit_plane(points)
+
+    monkeypatch.setattr(cg, "fit_plane", counting_fit)
+    init_global_on_truth(scene, frames)
+    walls = [np.count_nonzero(lf.labels == sb.LABEL_WALL)
+             for lf in frames if not lf.is_test]
+    assert fitted == walls
 
 
 def test_init_global_dependent_corner_invariant(clean_setup):
     scene, frames, _ = clean_setup
     gmap, _, _ = init_global_on_truth(scene, frames)
     d = np.linspace(0.5, 5.0, 20)
-    lhs = gmap.corner_00(d) + gmap.corner_wh(d)
+    # the map's own value at the dependent corner (W, H)
+    lhs = gmap.corner_00(d) + gmap.correct(gmap.width, gmap.height, d)
     rhs = gmap.corner_w0(d) + gmap.corner_0h(d)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -388,6 +411,34 @@ def test_vectorized_residual_matches_reference(clean_setup):
     assert np.allclose(full, ref, rtol=1e-9, atol=1e-9)
 
 
+def test_board_planes_from_poses_match_fitted_planes():
+    # the refinement moves the board's z = 0 plane by pose and extrinsic; the
+    # oracle fits a plane to the moved corners. Each pose also appears turned
+    # half a turn about the board's x axis, so that one normal of each pair
+    # points toward the camera.
+    board = dc.BoardSpec(6, 8, 0.04)
+    half_turn = dc.RigidTransform((0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        extr = dc.RigidTransform(axis_angle_to_quat(rng.normal(0, 0.3, 3)),
+                                 rng.normal(0, 0.05, 3))
+        poses = []
+        for _ in range(4):
+            pose = dc.RigidTransform(axis_angle_to_quat(rng.normal(0, 1.0, 3)),
+                                     rng.uniform([-0.5, -0.5, 1.0], [0.5, 0.5, 4.0]))
+            poses += [pose, pose.compose(half_turn)]
+        toward = [p.rotation_matrix[:, 2] @ p.translation < 0 for p in poses]
+        assert toward[0::2] == [not t for t in toward[1::2]]
+        normals, offsets = _board_planes_depth(
+            extr.rotation_matrix, extr.translation,
+            quat_to_matrix(np.array([p.quaternion for p in poses])),
+            np.array([p.translation for p in poses]))
+        for n, o, pose in zip(normals, offsets, poses):
+            plane = board_plane_depth(extr, pose, board)
+            assert np.max(np.abs(n - plane.normal)) < 1e-12
+            assert abs(o - plane.offset) < 1e-12
+
+
 def test_parameter_vector_length(clean_setup):
     scene, frames, (walls, inliers, corners, ids) = clean_setup
     obs = observations_from(walls, inliers, corners, ids, cap=20)
@@ -474,7 +525,10 @@ def test_refine_keeps_dependent_corner_invariant(clean_setup):
     expected = [b + c - a for a, b, c in zip(g.corner_00.coefficients,
                                              g.corner_w0.coefficients,
                                              g.corner_0h.coefficients)]
-    assert np.allclose(g.corner_wh.coefficients, expected, atol=1e-15)
+    d = np.linspace(0.5, 5.0, 20)
+    # G's value at its dependent corner (W, H)
+    assert np.allclose(g.correct(g.width, g.height, d), horner(expected, d),
+                       atol=1e-15)
 
 
 def test_refine_jacobian_matches_cost_gradient(clean_setup):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import depthcal as dc
 from depthcal import formats
 from depthcal.formats import FormatError
+from oracles import corner_wh
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +197,10 @@ def test_calibration_dependent_corner_rebuilt_on_load(tmp_path):
     path = tmp_path / "calib.txt"
     formats.write_calibration(path, umap, gmap, extr, intr_d, intr_rgb)
     _, g2, *_ = formats.read_calibration(path)
-    expected = [b + c - a for a, b, c in zip(g2.corner_00.coefficients,
-                                             g2.corner_w0.coefficients,
-                                             g2.corner_0h.coefficients)]
-    assert np.allclose(g2.corner_wh.coefficients, expected, atol=0)
+    # no fourth corner is stored: the loaded map's value at (W, H) is the
+    # dependent corner of its free corners
+    d = np.linspace(0.5, 5.0, 10)
+    assert np.max(np.abs(g2.correct(g2.width, g2.height, d) - corner_wh(g2)(d))) < 1e-12
 
 
 def test_calibration_rejects_missing_key(tmp_path):
@@ -530,6 +531,8 @@ def test_ply_header(tmp_path):
 @pytest.mark.parametrize("fmt, vertex_line, body", [
     pytest.param("ascii", "element vertex", "", id="no-count"),
     pytest.param("ascii", "element vertex -1", "", id="negative-count"),
+    pytest.param("ascii", "element vertex \u00b2", "", id="non-ascii-count"),
+    pytest.param("ascii", "element vertex " + "9" * 5000, "", id="huge-count"),
     pytest.param("ascii", "element vertex 1", "nan 0 1", id="nan-coordinate"),
     # an ASCII body under a binary header must not be read as ASCII
     pytest.param("binary_little_endian", "element vertex 1", "1 2 3", id="binary-format"),
@@ -537,7 +540,8 @@ def test_ply_header(tmp_path):
 def test_ply_rejects_malformed(tmp_path, fmt, vertex_line, body):
     path = tmp_path / "c.ply"
     path.write_text(f"ply\nformat {fmt} 1.0\n" + vertex_line + "\nproperty double x\n"
-                    "property double y\nproperty double z\nend_header\n" + body + "\n")
+                    "property double y\nproperty double z\nend_header\n" + body + "\n",
+                    encoding="utf-8")
     with pytest.raises(FormatError):
         formats.read_cloud_ply(path)
 

@@ -8,6 +8,8 @@ from depthcal import maps
 from depthcal.maps import MapError, fit_weighted_poly_batch
 from oracles import (
     apply_full_correction,
+    complete_dependent_corner,
+    corner_wh,
     correct_depth_image,
     fit_weighted_poly,
     global_eval,
@@ -529,7 +531,7 @@ def test_global_eval_identity():
 def test_global_eval_center_is_mean():
     g = gmap_from([(1.0, 0.0), (1.02, 0.0), (0.98, 0.001)])
     d = 2.0
-    corners = [g.corner_00, g.corner_w0, g.corner_0h, g.corner_wh]
+    corners = [g.corner_00, g.corner_w0, g.corner_0h, corner_wh(g)]
     expected = np.mean([c(d) for c in corners])
     assert global_eval(g, 16, 12, d) == pytest.approx(expected, abs=1e-14)
 
@@ -551,17 +553,26 @@ def test_complete_dependent_corner_examples():
     ident = dc.PolyFn((0.0, 1.0), constant_zero=True)
     gw0 = dc.PolyFn((0.0, 1.01), constant_zero=True)
     g0h = dc.PolyFn((0.0, 0.99), constant_zero=True)
-    out = dc.complete_dependent_corner(ident, gw0, g0h)
+    out = complete_dependent_corner(ident, gw0, g0h)
     assert np.allclose(out.coefficients, (0.0, 1.0))
-    same = dc.complete_dependent_corner(ident, ident, ident)
+    same = complete_dependent_corner(ident, ident, ident)
     assert same == ident
 
 
 def test_complete_dependent_corner_degree_mismatch():
     with pytest.raises(MapError):
-        dc.complete_dependent_corner(dc.PolyFn((0.0, 1.0), constant_zero=True),
-                                     dc.PolyFn((0.0, 1.0, 0.0), constant_zero=True),
-                                     dc.PolyFn((0.0, 1.0), constant_zero=True))
+        complete_dependent_corner(dc.PolyFn((0.0, 1.0), constant_zero=True),
+                                  dc.PolyFn((0.0, 1.0, 0.0), constant_zero=True),
+                                  dc.PolyFn((0.0, 1.0), constant_zero=True))
+
+
+def test_global_map_rejects_corners_without_a_dependent_corner():
+    lin = dc.PolyFn((0.0, 1.0), constant_zero=True)
+    quad = dc.PolyFn((0.0, 1.0, 0.0), constant_zero=True)
+    with pytest.raises(MapError, match="degree"):
+        dc.GlobalMap(32, 24, lin, quad, lin)
+    with pytest.raises(MapError, match="constant_zero"):
+        dc.GlobalMap(32, 24, lin, lin, dc.PolyFn((0.0, 1.0)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -571,7 +582,8 @@ def test_dependent_corner_invariant_at_sampled_depths(coef):
             (1.0 + coef[4], coef[5])]
     g = gmap_from(rows)
     d = np.linspace(0.5, 5.0, 20)
-    lhs = g.corner_00(d) + g.corner_wh(d)
+    # the map's own value at the dependent corner (W, H)
+    lhs = g.corner_00(d) + g.correct(g.width, g.height, d)
     rhs = g.corner_w0(d) + g.corner_0h(d)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
