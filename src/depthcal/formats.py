@@ -2,9 +2,15 @@
 
 Text formats are line-oriented `key value...` with `#` comments, UTF-8 and
 '.' decimal separators. Floats are written with 17 significant digits so
-every serialization round-trips exactly. Writes go to a temp file in the
-target directory and are renamed into place, so readers never see partial
-files.
+every serialization round-trips exactly. Number blocks (PLY vertices, the
+per-control-pixel `_fn` lines, corner grids) are formatted BLOCK_ROWS rows
+per `%` call and streamed to disk chunk by chunk, so no block's text is held
+whole. Readers parse a file from one text, and its number blocks into
+arrays.
+
+Writes go to a temp file in the target directory and are renamed into
+place, so readers never see partial files. A written file gets the mode
+`open()` would give it: 0o666 less the umask.
 
 Depth PGM: binary P5, maxval 65535, 16-bit big-endian samples holding
 millimeters; 0 marks an invalid pixel. Values convert to meters on load.
@@ -14,8 +20,8 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -30,6 +36,7 @@ from .geometry import (
 from .maps import MAX_DEGREE, GlobalMap, MapError, PolyFn, UndistortionMap, _grid_shape
 
 FORMAT_VERSION = 1
+BLOCK_ROWS = 4096  # rows of a number block formatted and written per chunk
 
 
 class FormatError(ValueError):
@@ -40,13 +47,34 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _atomic_write_bytes(path, payload: bytes):
+def _format_rows(line, rows):
+    """ASCII bytes of `line % row` for each row of a 2-D array, in chunks of
+    BLOCK_ROWS rows, each from one format call.
+
+    `%.17g` of a Python float gives the bytes of `_fmt`, and `%d` of an
+    integral float those of the int.
+    """
+    rows = np.asarray(rows, dtype=float)
+    for start in range(0, rows.shape[0], BLOCK_ROWS):
+        block = rows[start:start + BLOCK_ROWS]
+        yield ((line * block.shape[0]) % tuple(block.ravel().tolist())).encode("ascii")
+
+
+def _atomic_write_bytes(path, chunks):
+    """Write an iterable of byte chunks to `path` through a temp file.
+
+    The temp file is created with mode 0o666, so the umask applies as it
+    does to `open()`. If the chunks raise, neither file is left behind.
+    """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_depthcal_")
+    tmp = os.path.join(os.path.dirname(path) or ".",
+                       f".tmp_depthcal_{os.urandom(8).hex()}")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -54,15 +82,21 @@ def _atomic_write_bytes(path, payload: bytes):
         raise
 
 
+def _text(lines):
+    """Lines joined into a text, each ending in a newline."""
+    return "".join(f"{ln}\n" for ln in lines)
+
+
 def _atomic_write_text(path, text: str):
-    _atomic_write_bytes(path, text.encode("utf-8"))
+    _atomic_write_bytes(path, [text.encode("utf-8")])
 
 
 def _read_lines(path):
-    """The lines of a UTF-8 text file; undecodable bytes raise FormatError."""
+    """The lines of a UTF-8 text file, read as one text; undecodable bytes
+    raise FormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            yield from fh
+            return fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
@@ -71,11 +105,9 @@ def _read_keyvals(path):
     """Parse a key-value text file into an ordered list of (key, tokens)."""
     out = []
     for line in _read_lines(path):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        out.append((tokens[0], tokens[1:]))
+        tokens = line.partition("#")[0].split()
+        if tokens:
+            out.append((tokens[0], tokens[1:]))
     return out
 
 
@@ -89,7 +121,7 @@ def write_depth_pgm(path, img: DepthImage):
     if np.any(mm < 0) or np.any(mm > 65535):
         raise FormatError("depth out of the 16-bit millimeter range")
     header = f"P5\n{img.width} {img.height}\n65535\n".encode("ascii")
-    _atomic_write_bytes(path, header + mm.astype(">u2").tobytes())
+    _atomic_write_bytes(path, [header, mm.astype(">u2").tobytes()])
 
 
 def read_depth_pgm(path) -> DepthImage:
@@ -137,11 +169,11 @@ def read_depth_pgm(path) -> DepthImage:
 def write_corners_csv(path, corners):
     """Corner grid (rows, cols, 2) -> `row,col,u,v` lines."""
     corners = np.asarray(corners, dtype=float)
-    lines = ["row,col,u,v"]
-    for r in range(corners.shape[0]):
-        for c in range(corners.shape[1]):
-            lines.append(f"{r},{c},{_fmt(corners[r, c, 0])},{_fmt(corners[r, c, 1])}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    rows, cols = corners.shape[:2]
+    r, c = np.indices((rows, cols)).reshape(2, -1)
+    grid = np.column_stack([r, c, corners.reshape(rows * cols, 2)])
+    _atomic_write_bytes(path, chain([b"row,col,u,v\n"],
+                                    _format_rows("%d,%d,%.17g,%.17g\n", grid)))
 
 
 def read_corners_csv(path):
@@ -222,6 +254,15 @@ def _transform(quaternion_tokens, translation_tokens, what):
         raise FormatError(f"{what}: {exc}") from exc
 
 
+def _fn_block(prefix, umap: UndistortionMap):
+    """`<prefix>_fn i j c0 .. cd` lines of every control pixel, row by row, as
+    byte chunks."""
+    gh, gw = umap.grid_shape
+    j, i = np.indices((gh, gw)).reshape(2, -1)
+    rows = np.column_stack([i, j, umap.coefficients.reshape(gh * gw, -1)])
+    return _format_rows(f"{prefix}_fn %d %d" + " %.17g" * (umap.degree + 1) + "\n", rows)
+
+
 def _undistortion_map(kv, fn_lines, prefix, path):
     """UndistortionMap from `<prefix>_size`, `_bins` and `_degree` in kv and
     one `<prefix>_fn i j c0 .. cd` token list per control pixel."""
@@ -234,29 +275,35 @@ def _undistortion_map(kv, fn_lines, prefix, path):
         raise FormatError(f"{path}: {prefix}_degree must be between 1 and {MAX_DEGREE}")
     # the count is checked from the grid shape before anything is allocated
     gh, gw = _grid_shape(width, height, chi, psi)
-    if len(fn_lines) != gh * gw:
-        raise FormatError(f"{path}: expected {gh * gw} {prefix}_fn lines, "
-                          f"got {len(fn_lines)}")
-    coeffs = np.empty((gh, gw, degree + 1))
-    seen = np.zeros((gh, gw), dtype=bool)
-    for tokens in fn_lines:
-        if len(tokens) != degree + 3:
-            raise FormatError(f"{path}: {prefix}_fn {' '.join(tokens[:2])} has "
-                              "wrong coefficient count")
-        try:
-            i, j = int(tokens[0]), int(tokens[1])
-            vals = [float(t) for t in tokens[2:]]
-        except ValueError as exc:
-            raise FormatError(f"{path}: malformed {prefix}_fn {' '.join(tokens)!r}") from exc
-        if not (0 <= i < gw and 0 <= j < gh):
-            raise FormatError(f"{path}: {prefix}_fn {i} {j} outside the {gw}x{gh} grid")
-        if seen[j, i]:
-            raise FormatError(f"{path}: duplicate {prefix}_fn {i} {j}")
-        seen[j, i] = True
-        coeffs[j, i] = vals
-    if not np.all(np.isfinite(coeffs)):
+    n = len(fn_lines)
+    if n != gh * gw:
+        raise FormatError(f"{path}: expected {gh * gw} {prefix}_fn lines, got {n}")
+    wrong = [tokens for tokens in fn_lines if len(tokens) != degree + 3]
+    if wrong:
+        raise FormatError(f"{path}: {prefix}_fn {' '.join(wrong[0][:2])} has "
+                          "wrong coefficient count")
+    columns = list(zip(*fn_lines))  # i, j, c0 .. cd: n tokens each
+    try:
+        # an index beyond int64 makes an object array, which compares alike
+        i = np.array(list(map(int, columns[0])))
+        j = np.array(list(map(int, columns[1])))
+        vals = np.fromiter(map(float, chain.from_iterable(columns[2:])),
+                           dtype=float, count=n * (degree + 1))
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed {prefix}_fn value ({exc})") from exc
+    outside = np.flatnonzero((i < 0) | (i >= gw) | (j < 0) | (j >= gh))
+    if outside.size:
+        k = outside[0]
+        raise FormatError(f"{path}: {prefix}_fn {i[k]} {j[k]} outside the {gw}x{gh} grid")
+    cell = (j * gw + i).astype(np.intp)
+    twice = np.flatnonzero(np.bincount(cell, minlength=n) > 1)
+    if twice.size:
+        raise FormatError(f"{path}: duplicate {prefix}_fn {twice[0] % gw} {twice[0] // gw}")
+    if not np.all(np.isfinite(vals)):
         raise FormatError(f"{path}: non-finite {prefix}_fn coefficient")
-    return UndistortionMap(width, height, chi, psi, coeffs)
+    coeffs = np.empty((gh * gw, degree + 1))
+    coeffs[cell] = vals.reshape(degree + 1, n).T
+    return UndistortionMap(width, height, chi, psi, coeffs.reshape(gh, gw, degree + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +313,7 @@ def _undistortion_map(kv, fn_lines, prefix, path):
 def write_calibration(path, umap: UndistortionMap, gmap: GlobalMap,
                       extrinsic: RigidTransform, intr_depth: CameraIntrinsics,
                       intr_rgb: CameraIntrinsics):
-    lines = [
+    head = [
         "# depthcal calibration",
         f"version {FORMAT_VERSION}",
         f"rgb_intrinsics {_intr_tokens(intr_rgb)}",
@@ -276,17 +323,13 @@ def write_calibration(path, umap: UndistortionMap, gmap: GlobalMap,
         f"umap_bins {umap.chi} {umap.psi}",
         f"umap_degree {umap.degree}",
     ]
-    gh, gw = umap.grid_shape
-    for j in range(gh):
-        for i in range(gw):
-            coeffs = " ".join(_fmt(c) for c in umap.coefficients[j, i])
-            lines.append(f"umap_fn {i} {j} {coeffs}")
-    lines.append(f"gmap_degree {gmap.degree}")
+    tail = [f"gmap_degree {gmap.degree}"]
     for name, fn in (("00", gmap.corner_00), ("w0", gmap.corner_w0),
                      ("0h", gmap.corner_0h)):
         coeffs = " ".join(_fmt(c) for c in fn.coefficients)
-        lines.append(f"gmap_corner_{name} {coeffs}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+        tail.append(f"gmap_corner_{name} {coeffs}")
+    _atomic_write_bytes(path, chain([_text(head).encode("utf-8")], _fn_block("umap", umap),
+                                    [_text(tail).encode("utf-8")]))
 
 
 def read_calibration(path):
@@ -360,7 +403,7 @@ def write_manifest(path, manifest: DatasetManifest):
     for fr in manifest.frames:
         extra = f" {_fmt(fr.true_distance)}" if fr.true_distance is not None else ""
         lines.append(f"frame {fr.frame_id} {fr.depth_path} {fr.corners_path}{extra}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write_text(path, _text(lines))
 
 
 def read_manifest(path) -> DatasetManifest:
@@ -469,14 +512,9 @@ def write_dataset(scene, labeled_frames, out_dir):
         f"noise {int(scene.noise)}",
         f"seed {scene.seed}",
     ]
-    gh, gw = field.grid_shape
-    for j in range(gh):
-        for i in range(gw):
-            coeffs = " ".join(_fmt(c) for c in field.coefficients[j, i])
-            lines.append(f"distortion_fn {i} {j} {coeffs}")
-    lines.extend(truth_lines)
-    _atomic_write_text(os.path.join(out_dir, "ground_truth.txt"),
-                       "\n".join(lines) + "\n")
+    _atomic_write_bytes(os.path.join(out_dir, "ground_truth.txt"),
+                        chain([_text(lines).encode("utf-8")], _fn_block("distortion", field),
+                              [_text(truth_lines).encode("utf-8")]))
     return out_dir
 
 
@@ -518,7 +556,7 @@ def read_ground_truth(path):
 def write_cloud_ply(path, cloud: OrganizedCloud):
     """ASCII PLY of the valid points, double precision for exact round trips."""
     pts = cloud.points[cloud.valid]
-    lines = [
+    header = _text([
         "ply",
         "format ascii 1.0",
         "comment depthcal corrected point cloud",
@@ -527,21 +565,22 @@ def write_cloud_ply(path, cloud: OrganizedCloud):
         "property double y",
         "property double z",
         "end_header",
-    ]
-    lines.extend(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}" for p in pts)
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    ])
+    _atomic_write_bytes(path, chain([header.encode("ascii")],
+                                    _format_rows("%.17g %.17g %.17g\n", pts)))
 
 
 def read_cloud_ply(path):
     """Parse the vertex block of an ASCII PLY written by write_cloud_ply."""
-    lines = [ln.strip() for ln in _read_lines(path)]
-    if not lines or lines[0] != "ply":
+    lines = _read_lines(path)
+    if lines[0].strip() != "ply":
         raise FormatError(f"{path}: not a PLY file")
-    if lines[1:2] != ["format ascii 1.0"]:
+    if [ln.strip() for ln in lines[1:2]] != ["format ascii 1.0"]:
         raise FormatError(f"{path}: not an ASCII PLY 1.0 file")
     count = None
     body_at = None
     for k, ln in enumerate(lines):
+        ln = ln.strip()
         if ln.startswith("element vertex"):
             tokens = ln.split()
             # ASCII digits only: int() rejects '²', which str.isdigit() passes
@@ -553,13 +592,20 @@ def read_cloud_ply(path):
             break
     if count is None or body_at is None:
         raise FormatError(f"{path}: malformed PLY header")
+    body = lines[body_at:body_at + count]
+    if len(body) != count:
+        raise FormatError(f"{path}: vertex count mismatch")
+    # Each line gets a closing ';' token, which float() rejects. The block is
+    # well formed only if every fourth token is ';' and the rest parse, which
+    # holds only when every line holds exactly three tokens.
+    tokens = " ;\n".join(body + [""]).split()
+    if len(tokens) != 4 * count or tokens[3::4].count(";") != count:
+        raise FormatError(f"{path}: malformed vertex line")
+    del tokens[3::4]
     try:
-        pts = np.array([[float(v) for v in ln.split()]
-                        for ln in lines[body_at:body_at + count]])
+        pts = np.fromiter(map(float, tokens), dtype=float, count=3 * count)
     except ValueError as exc:
         raise FormatError(f"{path}: malformed vertex line") from exc
-    if pts.shape != (count, 3) and count > 0:
-        raise FormatError(f"{path}: vertex count mismatch")
     if not np.all(np.isfinite(pts)):
         raise FormatError(f"{path}: non-finite vertex coordinate")
     return pts.reshape(count, 3)

@@ -10,18 +10,24 @@ line-of-sight and orthogonal projections are scalar or per-frame forms of
 what the library computes vectorized. `global_eval` blends all four corners
 bilinearly, the fourth from `complete_dependent_corner`, so it does not share
 the affine evaluator of `GlobalMap.correct`, which stores no fourth corner.
+
+The text writers at the end format one number at a time with
+`format(x, ".17g")`. They are the reference for the bytes of the files
+`depthcal.formats` writes a block at a time.
 """
 
 import numpy as np
 
 from depthcal.calib_global import FrameObservations
 from depthcal.calib_undistort import BoardSpec, CalibrationError
+from depthcal.formats import FORMAT_VERSION, _intr_tokens, _transform_lines
 from depthcal.geometry import (
     KINECT1_QUANTIZATION,
     CameraIntrinsics,
     DepthImage,
     GeometryError,
     NoiseModel,
+    OrganizedCloud,
     Plane,
     RigidTransform,
     depth_to_cloud,
@@ -266,3 +272,93 @@ def residual_pos(extrinsic: RigidTransform, pose: RigidTransform,
     sign = np.sign(plane.signed_distance(pts))
     scale = np.sqrt(obs.uv.shape[0]) * sigma_u.sigma(obs.dhat)
     return sign * dist / scale
+
+
+# ---------------------------------------------------------------------------
+# text files, one number at a time
+
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def _fn_lines(prefix, umap: UndistortionMap):
+    gh, gw = umap.grid_shape
+    lines = []
+    for j in range(gh):
+        for i in range(gw):
+            coeffs = " ".join(_fmt(c) for c in umap.coefficients[j, i])
+            lines.append(f"{prefix}_fn {i} {j} {coeffs}")
+    return lines
+
+
+def corners_text(corners):
+    corners = np.asarray(corners, dtype=float)
+    lines = ["row,col,u,v"]
+    for r in range(corners.shape[0]):
+        for c in range(corners.shape[1]):
+            lines.append(f"{r},{c},{_fmt(corners[r, c, 0])},{_fmt(corners[r, c, 1])}")
+    return "\n".join(lines) + "\n"
+
+
+def calibration_text(umap: UndistortionMap, gmap: GlobalMap,
+                     extrinsic: RigidTransform, intr_depth: CameraIntrinsics,
+                     intr_rgb: CameraIntrinsics):
+    lines = [
+        "# depthcal calibration",
+        f"version {FORMAT_VERSION}",
+        f"rgb_intrinsics {_intr_tokens(intr_rgb)}",
+        f"depth_intrinsics {_intr_tokens(intr_depth)}",
+        *_transform_lines("extrinsic", extrinsic),
+        f"umap_size {umap.width} {umap.height}",
+        f"umap_bins {umap.chi} {umap.psi}",
+        f"umap_degree {umap.degree}",
+        *_fn_lines("umap", umap),
+        f"gmap_degree {gmap.degree}",
+    ]
+    for name, fn in (("00", gmap.corner_00), ("w0", gmap.corner_w0),
+                     ("0h", gmap.corner_0h)):
+        coeffs = " ".join(_fmt(c) for c in fn.coefficients)
+        lines.append(f"gmap_corner_{name} {coeffs}")
+    return "\n".join(lines) + "\n"
+
+
+def ground_truth_text(scene, labeled_frames):
+    """The `ground_truth.txt` that `write_dataset` writes for these frames."""
+    field = scene.distortion.undistortion_field
+    gcorr = scene.distortion.global_correction
+    lines = [
+        "# depthcal synthetic ground truth (never read by calibration code)",
+        f"version {FORMAT_VERSION}",
+        *_transform_lines("true_extrinsic", scene.true_extrinsic),
+        f"global_correction {' '.join(_fmt(c) for c in gcorr.coefficients)}",
+        f"distortion_size {field.width} {field.height}",
+        f"distortion_bins {field.chi} {field.psi}",
+        f"distortion_degree {field.degree}",
+        f"noise {int(scene.noise)}",
+        f"seed {scene.seed}",
+        *_fn_lines("distortion", field),
+    ]
+    for lf in labeled_frames:
+        q = lf.true_board_pose.quaternion
+        t = lf.true_board_pose.translation
+        lines.append(
+            "frame_truth " + lf.frame.frame_id + " " + _fmt(lf.wall_distance) + " "
+            + " ".join(_fmt(v) for v in t) + " " + " ".join(_fmt(v) for v in q))
+    return "\n".join(lines) + "\n"
+
+
+def ply_text(cloud: OrganizedCloud):
+    pts = cloud.points[cloud.valid]
+    lines = [
+        "ply",
+        "format ascii 1.0",
+        "comment depthcal corrected point cloud",
+        f"element vertex {pts.shape[0]}",
+        "property double x",
+        "property double y",
+        "property double z",
+        "end_header",
+    ]
+    lines.extend(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}" for p in pts)
+    return "\n".join(lines) + "\n"

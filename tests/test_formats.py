@@ -1,4 +1,5 @@
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,8 +8,15 @@ from hypothesis import strategies as st
 
 import depthcal as dc
 from depthcal import formats
+from depthcal import synthbench as sb
 from depthcal.formats import FormatError
-from oracles import corner_wh
+from oracles import (
+    calibration_text,
+    corner_wh,
+    corners_text,
+    ground_truth_text,
+    ply_text,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +235,8 @@ def write_sample_calibration(path, edit):
     path.write_text("\n".join(edit(ln) for ln in path.read_text().splitlines()) + "\n")
 
 
-@pytest.mark.parametrize("index", ["-1 0", "0 -1", "999 0", "0 999"])
+@pytest.mark.parametrize("index", ["-1 0", "0 -1", "999 0", "0 999",
+                                   f"{10 ** 30} 0", f"0 {-10 ** 30}", f"{2 ** 63} 0"])
 def test_calibration_rejects_out_of_range_index(tmp_path, index):
     # the sample grid is 9 x 7: "-1 0" used to alias cell "8 0" it replaces
     path = tmp_path / "calib.txt"
@@ -273,6 +282,9 @@ def test_calibration_rejects_nan_focal_length(tmp_path):
     pytest.param("umap_size ", "umap_size", id="empty-size"),
     pytest.param("version ", "version", id="bare-version"),
     pytest.param("umap_fn 0 0 ", "umap_fn x 0 0 1 0", id="non-integer-index"),
+    pytest.param("umap_fn 8 0 ", "umap_fn 1.5 0 0 1 0", id="fractional-index"),
+    pytest.param("umap_fn 8 0 ", "umap_fn 7 0 0 1 0", id="duplicate-index"),
+    pytest.param("umap_fn 8 0 ", "umap_fn 8 0 0 1", id="two-coefficients"),
     pytest.param("extrinsic_quaternion ", "extrinsic_quaternion 1 0 0 0 0",
                  id="five-value-quaternion"),
     pytest.param("extrinsic_quaternion ", "extrinsic_quaternion 1e200 0 0 0",
@@ -534,6 +546,12 @@ def test_ply_header(tmp_path):
     pytest.param("ascii", "element vertex \u00b2", "", id="non-ascii-count"),
     pytest.param("ascii", "element vertex " + "9" * 5000, "", id="huge-count"),
     pytest.param("ascii", "element vertex 1", "nan 0 1", id="nan-coordinate"),
+    # six tokens over two lines, but not three on each
+    pytest.param("ascii", "element vertex 2", "1 2\n3 4 5 6", id="two-and-four-tokens"),
+    pytest.param("ascii", "element vertex 2", "1 2 3 4\n5 6", id="four-and-two-tokens"),
+    pytest.param("ascii", "element vertex 2", "1 2 3 ;\n5 6", id="separator-token"),
+    pytest.param("ascii", "element vertex 2", "1 2 3", id="missing-line"),
+    pytest.param("ascii", "element vertex 2", "\n1 2 3", id="blank-line"),
     # an ASCII body under a binary header must not be read as ASCII
     pytest.param("binary_little_endian", "element vertex 1", "1 2 3", id="binary-format"),
 ])
@@ -546,8 +564,122 @@ def test_ply_rejects_malformed(tmp_path, fmt, vertex_line, body):
         formats.read_cloud_ply(path)
 
 
+def per_line_vertices(text):
+    """The vertex block parsed line by line: None where a line does not hold
+    three finite numbers or lines are missing."""
+    lines = text.split("\n")
+    count = int(lines[3].split()[2])
+    body = lines[8:8 + count]
+    try:
+        rows = [[float(v) for v in ln.split()] for ln in body]
+    except ValueError:
+        return None
+    if len(rows) != count or any(len(r) != 3 for r in rows):
+        return None
+    pts = np.array(rows).reshape(count, 3)
+    return pts if np.all(np.isfinite(pts)) else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_ply_reader_matches_per_line_parse(tmp_path_factory, data):
+    """One vertex line loses, repeats or changes one token: the reader
+    raises FormatError exactly when a line-by-line parse fails."""
+    rng = np.random.default_rng(3)
+    cloud = dc.OrganizedCloud(3, 1, rng.normal(size=(1, 3, 3)), np.ones((1, 3), bool))
+    text = ply_text(cloud)
+    head, body = text.split("end_header\n")
+    text = head + "end_header\n" + mutate_one_token(data, body)
+    path = tmp_path_factory.mktemp("ply") / "c.ply"
+    path.write_text(text)
+    expect = per_line_vertices(text)
+    if expect is None:
+        with pytest.raises(FormatError):
+            formats.read_cloud_ply(path)
+    else:
+        assert np.array_equal(formats.read_cloud_ply(path), expect)
+
+
 # ---------------------------------------------------------------------------
-# atomicity
+# bytes of the number-block writers, against the per-value oracles
+
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, 1e-300, 1e308, -1.7976931348623157e308, 0.1]
+
+
+def with_special_values(shape, seed):
+    """Normal draws of a wide range of scales, led by SPECIAL_VALUES."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+    flat = values.reshape(-1)
+    k = min(flat.size, len(SPECIAL_VALUES))
+    flat[:k] = SPECIAL_VALUES[:k]
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(allow_nan=True, allow_infinity=True))
+def test_format_rows_matches_fmt(x):
+    chunks = formats._format_rows("%.17g|%d\n", [[x, 7.0]])
+    assert b"".join(chunks) == (formats._fmt(x) + "|7\n").encode("ascii")
+
+
+@pytest.mark.parametrize("count", [0, 1, formats.BLOCK_ROWS + 1])
+def test_ply_bytes_match_oracle(tmp_path, count):
+    points = with_special_values((1, count + 2, 3), count)
+    valid = np.ones((1, count + 2), bool)
+    valid[0, :2] = False  # two invalid pixels are left out
+    points[0, :2] = np.nan
+    cloud = dc.OrganizedCloud(count + 2, 1, points, valid)
+    path = tmp_path / "c.ply"
+    formats.write_cloud_ply(path, cloud)
+    assert path.read_bytes() == ply_text(cloud).encode("ascii")
+    assert np.array_equal(formats.read_cloud_ply(path), cloud.points[cloud.valid])
+
+
+@pytest.mark.parametrize("size", [(32, 24, 4, 4), (160, 120, 2, 2)],
+                         ids=["63-cells", "4941-cells"])
+def test_calibration_bytes_match_oracle(tmp_path, size):
+    _, gmap, extr, intr_d, intr_rgb = sample_calibration()
+    umap = dc.UndistortionMap.identity(*size, 2)
+    umap = umap.with_coefficients(with_special_values(umap.coefficients.shape, 4))
+    path = tmp_path / "calib.txt"
+    formats.write_calibration(path, umap, gmap, extr, intr_d, intr_rgb)
+    assert path.read_bytes() == calibration_text(umap, gmap, extr, intr_d,
+                                                 intr_rgb).encode("utf-8")
+    assert formats.read_calibration(path)[0] == umap
+
+
+def test_corners_bytes_match_oracle(tmp_path):
+    corners = with_special_values((3, 4, 2), 5)
+    path = tmp_path / "c.csv"
+    formats.write_corners_csv(path, corners)
+    assert path.read_bytes() == corners_text(corners).encode("utf-8")
+
+
+def test_ground_truth_bytes_match_oracle(tmp_path):
+    scene = sb.standard_scene(n_train=2, n_test=1, seed=3, noise=False, width=32,
+                              height=24,
+                              distortion=sb.bowl_distortion(32, 24, grid_bin=(4, 4)))
+    frames = [sb.render_frame(scene, k) for k in (0, 2)]
+    field = scene.distortion.undistortion_field
+    # the special values would fail GroundTruthDistortion's monotonicity check
+    special = SimpleNamespace(
+        distortion=SimpleNamespace(
+            undistortion_field=field.with_coefficients(
+                with_special_values(field.coefficients.shape, 6)),
+            global_correction=scene.distortion.global_correction),
+        **{k: getattr(scene, k) for k in ("board", "intr_rgb", "intr_depth",
+                                          "true_extrinsic", "noise", "seed")})
+    formats.write_dataset(special, frames, tmp_path)
+    got = (tmp_path / "ground_truth.txt").read_bytes()
+    assert got == ground_truth_text(special, frames).encode("utf-8")
+    for lf in frames:
+        csv = tmp_path / "corners" / f"{lf.frame.frame_id}.csv"
+        assert csv.read_bytes() == corners_text(lf.frame.corners).encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# atomicity and file modes
 
 
 def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
@@ -557,3 +689,33 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
         formats.write_depth_pgm(path, img)
     assert not path.exists()
     assert not any(p.name.startswith(".tmp_depthcal") for p in tmp_path.iterdir())
+
+
+def test_failed_chunk_source_leaves_no_file(tmp_path):
+    def chunks():
+        yield b"ply\n"
+        raise RuntimeError("source failed")
+
+    path = tmp_path / "c.ply"
+    with pytest.raises(RuntimeError, match="source failed"):
+        formats._atomic_write_bytes(path, chunks())
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_written_files_get_open_modes(tmp_path, umask):
+    """Every writer gives its file the mode a plain open() would."""
+    cloud = dc.OrganizedCloud(1, 1, np.ones((1, 1, 3)), np.ones((1, 1), bool))
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+        formats.write_calibration(tmp_path / "calib.txt", *sample_calibration())
+        formats.write_cloud_ply(tmp_path / "c.ply", cloud)
+        formats.write_depth_pgm(tmp_path / "d.pgm", dc.DepthImage(1, 1, np.ones((1, 1))))
+        formats.write_corners_csv(tmp_path / "c.csv", np.zeros((1, 1, 2)))
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes["plain.txt"] == 0o666 & ~umask
+    assert set(modes.values()) == {0o666 & ~umask}, modes
