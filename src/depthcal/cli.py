@@ -89,7 +89,8 @@ _SWITCH = {"on": True, "1": True, "true": True, "off": False, "0": False,
 
 def _read_scene_file(path):
     params = {}
-    for key, tokens in formats._read_keyvals(path):
+    kv, _ = formats._read_keyvals(path)
+    for key, tokens in kv.items():
         if key not in _SCENE_KEYS:
             raise formats.FormatError(f"{path}: unknown scene key {key!r}")
         count, kind = _SCENE_KEYS[key]

@@ -5,8 +5,12 @@ Text formats are line-oriented `key value...` with `#` comments, UTF-8 and
 every serialization round-trips exactly. Number blocks (PLY vertices, the
 per-control-pixel `_fn` lines, corner grids) are formatted BLOCK_ROWS rows
 per `%` call and streamed to disk chunk by chunk, so no block's text is held
-whole. Readers parse a file from one text, and its number blocks into
-arrays.
+whole. Readers split a file into lines once. A number block is read back by
+`_parse_rows`, the mirror of `_format_rows`: it splits BLOCK_ROWS lines at a
+time and parses them into one float array. An index column read this way
+(`_fn` and corner indices) must hold integral values inside its grid, each
+index given once. Key-value files are collected by `_read_keyvals`; a key
+given twice is an error.
 
 Writes go to a temp file in the target directory and are renamed into
 place, so readers never see partial files. A written file gets the mode
@@ -101,14 +105,66 @@ def _read_lines(path):
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _read_keyvals(path):
-    """Parse a key-value text file into an ordered list of (key, tokens)."""
-    out = []
+def _read_keyvals(path, repeated=()):
+    """A key-value text file as ({key: tokens}, {key: texts}): the tokens of
+    each key given once, and for each key in `repeated` the text after the
+    key on each of its lines. Any other key given twice raises FormatError."""
+    kv = {}
+    texts = {key: [] for key in repeated}
     for line in _read_lines(path):
-        tokens = line.partition("#")[0].split()
-        if tokens:
-            out.append((tokens[0], tokens[1:]))
+        head = line.partition("#")[0].split(None, 1)
+        if not head:
+            continue
+        key, text = head[0], "".join(head[1:])
+        if key in texts:
+            texts[key].append(text)
+        elif key in kv:
+            raise FormatError(f"{path}: {key} given twice")
+        else:
+            kv[key] = text.split()
+    return kv, texts
+
+
+def _parse_rows(lines, ncols, what):
+    """(len(lines), ncols) array of lines of `ncols` finite numbers each, the
+    reader that matches `_format_rows`: BLOCK_ROWS lines are split at a time.
+
+    Each line gets a closing ';' token, which float() rejects. A chunk is well
+    formed only if every (ncols + 1)-th token is ';' and the rest parse, which
+    holds only when every line holds exactly `ncols` tokens.
+    """
+    out = np.empty((len(lines), ncols))
+    for start in range(0, len(lines), BLOCK_ROWS):
+        chunk = lines[start:start + BLOCK_ROWS]
+        tokens = " ;\n".join(chunk + [""]).split()
+        if (len(tokens) != (ncols + 1) * len(chunk)
+                or tokens[ncols::ncols + 1].count(";") != len(chunk)):
+            raise FormatError(f"{what}: expected {ncols} values per line")
+        del tokens[ncols::ncols + 1]
+        try:
+            out[start:start + len(chunk)] = np.fromiter(
+                map(float, tokens), dtype=float, count=len(tokens)).reshape(-1, ncols)
+        except ValueError as exc:
+            raise FormatError(f"{what}: malformed value ({exc})") from exc
+    if not np.all(np.isfinite(out)):
+        raise FormatError(f"{what}: non-finite value")
     return out
+
+
+def _grid_index(index, shape, what):
+    """The two columns of an (N, 2) float index as ints, once each row is
+    checked to be integral and inside a grid of `shape`, and given once."""
+    ok = np.all((index == np.floor(index)) & (index >= 0) & (index < shape), axis=1)
+    if not np.all(ok):
+        a, b = index[np.argmin(ok)]
+        raise FormatError(f"{what} {_fmt(a)} {_fmt(b)} is fractional, negative or outside "
+                          f"the {_fmt(shape[0])}x{_fmt(shape[1])} grid")
+    a, b = index.astype(np.intp).T
+    cols = int(shape[1])
+    twice = np.flatnonzero(np.bincount(a * cols + b) > 1)
+    if twice.size:
+        raise FormatError(f"{what} {twice[0] // cols} {twice[0] % cols} given twice")
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -180,26 +236,19 @@ def read_corners_csv(path):
     lines = [ln.strip() for ln in _read_lines(path) if ln.strip()]
     if not lines or lines[0].replace(" ", "") != "row,col,u,v":
         raise FormatError(f"{path}: expected header 'row,col,u,v'")
-    entries = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise FormatError(f"{path}: malformed corner line {ln!r}")
-        r, c = _values(parts[:2], 2, f"{path}: corner index", int)
-        if r < 0 or c < 0:
-            raise FormatError(f"{path}: negative corner index ({r}, {c})")
-        if (r, c) in entries:
-            raise FormatError(f"{path}: duplicate corner ({r}, {c})")
-        entries[(r, c)] = _values(parts[2:], 2, f"{path}: corner ({r}, {c})")
-    if not entries:
+    if any(ln.count(",") != 3 for ln in lines[1:]):
+        raise FormatError(f"{path}: a corner line needs 4 comma-separated values")
+    entries = _parse_rows([ln.replace(",", " ") for ln in lines[1:]], 4, f"{path}: corner")
+    if not len(entries):
         raise FormatError(f"{path}: no corners")
-    rows = max(r for r, _ in entries) + 1
-    cols = max(c for _, c in entries) + 1
+    # the grid is checked complete before anything of its size is allocated;
+    # Python floats overflow to inf without a warning
+    rows, cols = (entries[:, :2].max(axis=0) + 1).tolist()
     if len(entries) != rows * cols:
-        raise FormatError(f"{path}: incomplete {rows}x{cols} corner grid")
-    out = np.empty((rows, cols, 2))
-    for (r, c), uv in entries.items():
-        out[r, c] = uv
+        raise FormatError(f"{path}: incomplete {_fmt(rows)}x{_fmt(cols)} corner grid")
+    r, c = _grid_index(entries[:, :2], (rows, cols), f"{path}: corner")
+    out = np.empty((int(rows), int(cols), 2))
+    out[r, c] = entries[:, 2:]
     return out
 
 
@@ -228,6 +277,8 @@ def _values(tokens, count, what, kind=float):
 
 def _intr_from_tokens(tokens):
     vals = _values(tokens, 11, "intrinsics")
+    if not (vals[4].is_integer() and vals[5].is_integer()):
+        raise FormatError(f"intrinsics: image size {vals[4]!r}x{vals[5]!r} is not integral")
     try:
         return CameraIntrinsics(fx=vals[0], fy=vals[1], cx=vals[2], cy=vals[3],
                                 width=int(vals[4]), height=int(vals[5]),
@@ -265,7 +316,7 @@ def _fn_block(prefix, umap: UndistortionMap):
 
 def _undistortion_map(kv, fn_lines, prefix, path):
     """UndistortionMap from `<prefix>_size`, `_bins` and `_degree` in kv and
-    one `<prefix>_fn i j c0 .. cd` token list per control pixel."""
+    the text `i j c0 .. cd` of one `<prefix>_fn` line per control pixel."""
     width, height = _values(kv[f"{prefix}_size"], 2, f"{path}: {prefix}_size", int)
     chi, psi = _values(kv[f"{prefix}_bins"], 2, f"{path}: {prefix}_bins", int)
     [degree] = _values(kv[f"{prefix}_degree"], 1, f"{path}: {prefix}_degree", int)
@@ -275,35 +326,13 @@ def _undistortion_map(kv, fn_lines, prefix, path):
         raise FormatError(f"{path}: {prefix}_degree must be between 1 and {MAX_DEGREE}")
     # the count is checked from the grid shape before anything is allocated
     gh, gw = _grid_shape(width, height, chi, psi)
-    n = len(fn_lines)
-    if n != gh * gw:
-        raise FormatError(f"{path}: expected {gh * gw} {prefix}_fn lines, got {n}")
-    wrong = [tokens for tokens in fn_lines if len(tokens) != degree + 3]
-    if wrong:
-        raise FormatError(f"{path}: {prefix}_fn {' '.join(wrong[0][:2])} has "
-                          "wrong coefficient count")
-    columns = list(zip(*fn_lines))  # i, j, c0 .. cd: n tokens each
-    try:
-        # an index beyond int64 makes an object array, which compares alike
-        i = np.array(list(map(int, columns[0])))
-        j = np.array(list(map(int, columns[1])))
-        vals = np.fromiter(map(float, chain.from_iterable(columns[2:])),
-                           dtype=float, count=n * (degree + 1))
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed {prefix}_fn value ({exc})") from exc
-    outside = np.flatnonzero((i < 0) | (i >= gw) | (j < 0) | (j >= gh))
-    if outside.size:
-        k = outside[0]
-        raise FormatError(f"{path}: {prefix}_fn {i[k]} {j[k]} outside the {gw}x{gh} grid")
-    cell = (j * gw + i).astype(np.intp)
-    twice = np.flatnonzero(np.bincount(cell, minlength=n) > 1)
-    if twice.size:
-        raise FormatError(f"{path}: duplicate {prefix}_fn {twice[0] % gw} {twice[0] // gw}")
-    if not np.all(np.isfinite(vals)):
-        raise FormatError(f"{path}: non-finite {prefix}_fn coefficient")
-    coeffs = np.empty((gh * gw, degree + 1))
-    coeffs[cell] = vals.reshape(degree + 1, n).T
-    return UndistortionMap(width, height, chi, psi, coeffs.reshape(gh, gw, degree + 1))
+    if len(fn_lines) != gh * gw:
+        raise FormatError(f"{path}: expected {gh * gw} {prefix}_fn lines, got {len(fn_lines)}")
+    rows = _parse_rows(fn_lines, degree + 3, f"{path}: {prefix}_fn")
+    i, j = _grid_index(rows[:, :2], (gw, gh), f"{path}: {prefix}_fn")
+    coeffs = np.empty((gh, gw, degree + 1))
+    coeffs[j, i] = rows[:, 2:]
+    return UndistortionMap(width, height, chi, psi, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +368,7 @@ def read_calibration(path):
     global-map corners are stored, so the planarity constraint cannot be
     broken by file edits.
     """
-    kv = {}
-    umap_fns = []
-    for key, tokens in _read_keyvals(path):
-        if key == "umap_fn":
-            umap_fns.append(tokens)
-        else:
-            kv[key] = tokens
+    kv, texts = _read_keyvals(path, repeated=("umap_fn",))
     try:
         [version] = _values(kv["version"], 1, f"{path}: version", int)
         if version != FORMAT_VERSION:
@@ -354,7 +377,7 @@ def read_calibration(path):
         intr_depth = _intr_from_tokens(kv["depth_intrinsics"])
         extrinsic = _transform(kv["extrinsic_quaternion"],
                                kv["extrinsic_translation"], f"{path}: extrinsic")
-        umap = _undistortion_map(kv, umap_fns, "umap", path)
+        umap = _undistortion_map(kv, texts["umap_fn"], "umap", path)
         [g_degree] = _values(kv["gmap_degree"], 1, f"{path}: gmap_degree", int)
         if not 1 <= g_degree <= MAX_DEGREE:
             raise FormatError(f"{path}: gmap_degree must be between 1 and {MAX_DEGREE}")
@@ -407,18 +430,15 @@ def write_manifest(path, manifest: DatasetManifest):
 
 
 def read_manifest(path) -> DatasetManifest:
-    kv = {}
+    kv, texts = _read_keyvals(path, repeated=("frame",))
     frames = []
-    for key, tokens in _read_keyvals(path):
-        if key == "frame":
-            if len(tokens) not in (3, 4):
-                raise FormatError(f"{path}: malformed frame line")
-            dist = None
-            if len(tokens) == 4:
-                [dist] = _values(tokens[3:], 1, f"{path}: frame {tokens[0]} distance")
-            frames.append(ManifestFrame(tokens[0], tokens[1], tokens[2], dist))
-        else:
-            kv[key] = tokens
+    for tokens in map(str.split, texts["frame"]):
+        if len(tokens) not in (3, 4):
+            raise FormatError(f"{path}: malformed frame line")
+        dist = None
+        if len(tokens) == 4:
+            [dist] = _values(tokens[3:], 1, f"{path}: frame {tokens[0]} distance")
+        frames.append(ManifestFrame(tokens[0], tokens[1], tokens[2], dist))
     try:
         rows, cols = _values(kv["board"][:2], 2, f"{path}: board corners", int)
         [square] = _values(kv["board"][2:], 1, f"{path}: board square size")
@@ -521,27 +541,23 @@ def write_dataset(scene, labeled_frames, out_dir):
 def read_ground_truth(path):
     """Ground-truth sidecar: (true_extrinsic, global_correction PolyFn,
     distortion UndistortionMap, frame truths {id: (wall_distance, pose)})."""
-    kv = {}
-    fns = []
+    kv, texts = _read_keyvals(path, repeated=("distortion_fn", "frame_truth"))
     truths = {}
-    for key, tokens in _read_keyvals(path):
-        if key == "distortion_fn":
-            fns.append(tokens)
-        elif key == "frame_truth":
-            if len(tokens) != 9:
-                raise FormatError(f"{path}: frame_truth needs an id and 8 values")
-            what = f"{path}: frame_truth {tokens[0]}"
-            [dist] = _values(tokens[1:2], 1, f"{what} distance")
-            truths[tokens[0]] = (dist, _transform(tokens[5:9], tokens[2:5], what))
-        else:
-            kv[key] = tokens
+    for tokens in map(str.split, texts["frame_truth"]):
+        if len(tokens) != 9:
+            raise FormatError(f"{path}: frame_truth needs an id and 8 values")
+        what = f"{path}: frame_truth {tokens[0]}"
+        if tokens[0] in truths:
+            raise FormatError(f"{what} given twice")
+        [dist] = _values(tokens[1:2], 1, f"{what} distance")
+        truths[tokens[0]] = (dist, _transform(tokens[5:9], tokens[2:5], what))
     try:
         extrinsic = _transform(kv["true_extrinsic_quaternion"],
                                kv["true_extrinsic_translation"],
                                f"{path}: true_extrinsic")
         gcorr = PolyFn(_values(kv["global_correction"], len(kv["global_correction"]),
                                f"{path}: global_correction"), constant_zero=True)
-        distortion = _undistortion_map(kv, fns, "distortion", path)
+        distortion = _undistortion_map(kv, texts["distortion_fn"], "distortion", path)
     except KeyError as exc:
         raise FormatError(f"{path}: missing key {exc}") from exc
     except MapError as exc:
@@ -595,17 +611,4 @@ def read_cloud_ply(path):
     body = lines[body_at:body_at + count]
     if len(body) != count:
         raise FormatError(f"{path}: vertex count mismatch")
-    # Each line gets a closing ';' token, which float() rejects. The block is
-    # well formed only if every fourth token is ';' and the rest parse, which
-    # holds only when every line holds exactly three tokens.
-    tokens = " ;\n".join(body + [""]).split()
-    if len(tokens) != 4 * count or tokens[3::4].count(";") != count:
-        raise FormatError(f"{path}: malformed vertex line")
-    del tokens[3::4]
-    try:
-        pts = np.fromiter(map(float, tokens), dtype=float, count=3 * count)
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed vertex line") from exc
-    if not np.all(np.isfinite(pts)):
-        raise FormatError(f"{path}: non-finite vertex coordinate")
-    return pts.reshape(count, 3)
+    return _parse_rows(body, 3, f"{path}: vertex")

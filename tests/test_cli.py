@@ -143,7 +143,8 @@ def test_calibrate_writes_calibration_and_report(calibration):
     assert os.path.exists(calibration + ".report.csv")
     umap, gmap, extrinsic, intr_depth, intr_rgb = formats.read_calibration(calibration)
     assert umap.width == 160
-    report = open(calibration + ".report.csv").read().splitlines()
+    with open(calibration + ".report.csv") as fh:
+        report = fh.read().splitlines()
     assert report[0] == "stage,frame_id,metric,value"
     assert any("planarity_undistorted" in row for row in report)
     assert any("final_cost" in row for row in report)

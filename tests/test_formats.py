@@ -1,4 +1,6 @@
+import functools
 import os
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 import depthcal as dc
 from depthcal import formats
 from depthcal import synthbench as sb
+from depthcal.cli import _read_scene_file
 from depthcal.formats import FormatError
 from oracles import (
     calibration_text,
@@ -289,6 +292,9 @@ def test_calibration_rejects_nan_focal_length(tmp_path):
                  id="five-value-quaternion"),
     pytest.param("extrinsic_quaternion ", "extrinsic_quaternion 1e200 0 0 0",
                  id="overflowing-quaternion"),
+    # int() would truncate the width to 32
+    pytest.param("depth_intrinsics ", "depth_intrinsics 290 290 15.5 11.5 32.9 24 0 0 0 0 0",
+                 id="fractional-width"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_calibration_rejects_malformed_line(tmp_path, prefix, line):
@@ -426,6 +432,7 @@ def test_manifest_rejects_duplicate_ids(tmp_path):
     pytest.param("ct.csv 2.5", "ct.csv x", id="non-numeric-distance"),
     pytest.param("guess_quaternion 1 0 0 0", "guess_quaternion 1 0 0",
                  id="three-value-quaternion"),
+    pytest.param("159.5 119.5 320 240", "159.5 119.5 320 240.5", id="fractional-height"),
 ])
 def test_manifest_rejects_malformed_line(tmp_path, old, new):
     path = tmp_path / "manifest.txt"
@@ -463,6 +470,33 @@ def test_text_readers_raise_only_format_error(tmp_path_factory, data, reader,
         reader(path)
     except FormatError:
         return
+
+
+def sample_calibration_text(tmp_path):
+    formats.write_calibration(tmp_path / "calib.txt", *sample_calibration())
+    return (tmp_path / "calib.txt").read_text()
+
+
+@pytest.mark.parametrize("reader, valid, line", [
+    pytest.param(formats.read_calibration, sample_calibration_text,
+                 "extrinsic_translation 1 2 3", id="calibration"),
+    pytest.param(formats.read_manifest, lambda _: MANIFEST_TEXT, "board 6 8 0.2", id="manifest"),
+    pytest.param(formats.read_ground_truth, lambda _: sample_ground_truth(), "seed 4",
+                 id="ground-truth"),
+    pytest.param(formats.read_ground_truth, lambda _: sample_ground_truth(),
+                 "frame_truth f1 3 0 0 3 1 0 0 0", id="ground-truth-frame-id"),
+    pytest.param(_read_scene_file, lambda _: "peak 0.01\nimage_width 80\n", "peak 0.02",
+                 id="scene"),
+])
+def test_key_value_readers_reject_key_given_twice(tmp_path, reader, valid, line):
+    """Without the check the last line would win."""
+    text = valid(tmp_path)
+    path = tmp_path / "file.txt"
+    path.write_text(text)
+    reader(path)
+    path.write_text(text + line + "\n")
+    with pytest.raises(FormatError, match="given twice"):
+        reader(path)
 
 
 @pytest.mark.parametrize("reader", [
@@ -598,6 +632,141 @@ def test_ply_reader_matches_per_line_parse(tmp_path_factory, data):
             formats.read_cloud_ply(path)
     else:
         assert np.array_equal(formats.read_cloud_ply(path), expect)
+
+
+def per_line_rows(lines, ncols):
+    """Float rows of one token list per line, parsed one by one: None unless
+    each holds `ncols` finite numbers."""
+    try:
+        rows = [[float(v) for v in ln] for ln in lines]
+    except ValueError:
+        return None
+    if any(len(r) != ncols for r in rows) or not np.all(np.isfinite(rows)):
+        return None
+    return rows
+
+
+def per_line_grid(rows, shape):
+    """{(a, b): values} of rows `a b values..`, or None unless every index is
+    a non-negative integer below `shape` and is given once."""
+    cells = {(a, b): vals for a, b, *vals in rows}
+    if len(cells) != len(rows) or not all(
+            a.is_integer() and b.is_integer() and 0 <= a < shape[0] and 0 <= b < shape[1]
+            for a, b in cells):
+        return None
+    return cells
+
+
+def mutate_lines(data, lines, start, sep=None):
+    """`lines` with one token of one line from `start` on mutated."""
+    return lines[:start] + mutate_one_token(data, "\n".join(lines[start:]), sep).splitlines()
+
+
+@functools.lru_cache
+def calibration_parts(size):
+    """The lines of the sample calibration with an identity U of `size`,
+    split into those before, of and after the `umap_fn` block."""
+    umap = dc.UndistortionMap.identity(*size, 2)
+    head, fns, tail = [], [], []
+    for ln in calibration_text(umap, *sample_calibration()[1:]).splitlines():
+        (fns if ln.startswith("umap_fn ") else tail if fns else head).append(ln)
+    return umap.grid_shape, head, fns, tail
+
+
+@pytest.mark.parametrize("size, start", [
+    pytest.param((32, 24, 4, 4), 0, id="63-cells"),
+    # BLOCK_ROWS + 1 lines, mutated in the second chunk
+    pytest.param((240, 16, 1, 1), formats.BLOCK_ROWS, id="4097-cells"),
+])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fn_block_reader_matches_per_line_parse(tmp_path_factory, data, size, start):
+    """One `umap_fn` line loses, repeats or changes one token after its key:
+    read_calibration raises FormatError exactly when a line-by-line parse of
+    the block fails, and otherwise reads the same coefficients."""
+    grid_shape, head, fns, tail = calibration_parts(size)
+    assert len(fns) == np.prod(grid_shape) > start
+    texts = mutate_lines(data, [ln[len("umap_fn "):] for ln in fns], start)
+    path = tmp_path_factory.mktemp("fn") / "calib.txt"
+    path.write_text("\n".join(head + ["umap_fn " + t for t in texts] + tail) + "\n")
+    rows = per_line_rows([t.split() for t in texts], 5)
+    cells = rows and per_line_grid(rows, grid_shape[::-1])
+    if cells is None:
+        with pytest.raises(FormatError):
+            formats.read_calibration(path)
+        return
+    expect = np.empty((*grid_shape, 3))
+    for (i, j), vals in cells.items():
+        expect[int(j), int(i)] = vals
+    assert np.array_equal(formats.read_calibration(path)[0].coefficients, expect)
+
+
+@functools.lru_cache
+def corner_lines(shape):
+    rng = np.random.default_rng(4)
+    return corners_text(rng.uniform(0, 640, size=(*shape, 2))).splitlines()
+
+
+@pytest.mark.parametrize("shape, start", [
+    pytest.param((2, 3), 1, id="6-corners"),
+    # BLOCK_ROWS + 1 corner lines, mutated in the second chunk
+    pytest.param((17, 241), formats.BLOCK_ROWS + 1, id="4097-corners"),
+])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_corners_reader_matches_per_line_parse(tmp_path_factory, data, shape, start):
+    """One corner line loses, repeats or changes one field: read_corners_csv
+    raises FormatError exactly when a line-by-line parse fails, and otherwise
+    reads the same grid."""
+    lines = mutate_lines(data, corner_lines(shape), start, ",")
+    path = tmp_path_factory.mktemp("corners") / "c.csv"
+    path.write_text("\n".join(lines) + "\n")
+    rows = per_line_rows([ln.split(",") for ln in lines[1:]], 4)
+    if rows is not None:
+        size = [max(col) + 1 for col in list(zip(*rows))[:2]]
+        cells = size[0] * size[1] == len(rows) and per_line_grid(rows, size)
+    if rows is None or not cells:
+        with pytest.raises(FormatError):
+            formats.read_corners_csv(path)
+        return
+    expect = np.empty((int(size[0]), int(size[1]), 2))
+    for (r, c), uv in cells.items():
+        expect[int(r), int(c)] = uv
+    assert np.array_equal(formats.read_corners_csv(path), expect)
+
+
+def test_index_written_as_integral_float_is_read(tmp_path):
+    """`1.0` is read as index 1; a fractional index stays an error."""
+    path = tmp_path / "c.csv"
+    path.write_text("row,col,u,v\n0,0,1,2\n0,1.0,3,4\n1e0,0,5,6\n1,1,7,8\n")
+    assert np.array_equal(formats.read_corners_csv(path), [[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
+    umap = sample_calibration()[0]
+    write_sample_calibration(tmp_path / "calib.txt",
+                             lambda ln: ln.replace("umap_fn 8 0 ", "umap_fn 8.0 0.0 "))
+    assert formats.read_calibration(tmp_path / "calib.txt")[0] == umap
+    # 8.5 would truncate to the index 8 it replaces
+    write_sample_calibration(tmp_path / "calib.txt",
+                             lambda ln: ln.replace("umap_fn 8 0 ", "umap_fn 8.5 0 "))
+    with pytest.raises(FormatError, match="fractional"):
+        formats.read_calibration(tmp_path / "calib.txt")
+
+
+def test_ply_reader_peak_memory_per_point(tmp_path):
+    """The vertex block is parsed a chunk at a time, so the tokens of the
+    whole block are never held at once (that took about 426 B per point)."""
+    count = 8 * formats.BLOCK_ROWS
+    points = np.random.default_rng(5).normal(size=(1, count, 3))
+    cloud = dc.OrganizedCloud(count, 1, points, np.ones((1, count), bool))
+    path = tmp_path / "c.ply"
+    formats.write_cloud_ply(path, cloud)
+    tracemalloc.start()
+    try:
+        pts = formats.read_cloud_ply(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(pts, points[0])
+    assert peak / count < 300, f"{peak / count:.0f} B per point"
 
 
 # ---------------------------------------------------------------------------
