@@ -3,14 +3,17 @@
 Text formats are line-oriented `key value...` with `#` comments, UTF-8 and
 '.' decimal separators. Floats are written with 17 significant digits so
 every serialization round-trips exactly. Number blocks (PLY vertices, the
-per-control-pixel `_fn` lines, corner grids) are formatted BLOCK_ROWS rows
-per `%` call and streamed to disk chunk by chunk, so no block's text is held
-whole. Readers split a file into lines once. A number block is read back by
-`_parse_rows`, the mirror of `_format_rows`: it splits BLOCK_ROWS lines at a
-time and parses them into one float array. An index column read this way
-(`_fn` and corner indices) must hold integral values inside its grid, each
-index given once. Key-value files are collected by `_read_keyvals`; a key
-given twice is an error.
+per-control-pixel `_fn` lines, corner grids) are formatted by `_format_rows`
+BLOCK_ROWS rows at a time and streamed to disk chunk by chunk, so no block's
+text is held whole. A block of SMALL_BLOCK_ROWS rows or more is printed by
+array code (`_format_chunk`) that gives the bytes of `%` exactly; a smaller
+one takes one `%` call. Readers split a file into lines once, except that
+`read_cloud_ply` reads its vertex block BLOCK_ROWS lines at a time. A number
+block is read back by `_parse_rows`, the mirror of `_format_rows`: it splits
+BLOCK_ROWS lines at a time and parses them into one float array. An index
+column read this way (`_fn` and corner indices) must hold integral values
+inside its grid, each index given once. Key-value files are collected by
+`_read_keyvals`; a key given twice is an error.
 
 Writes go to a temp file in the target directory and are renamed into
 place, so readers never see partial files. A written file gets the mode
@@ -24,8 +27,9 @@ from __future__ import annotations
 
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -41,6 +45,11 @@ from .maps import MAX_DEGREE, GlobalMap, MapError, PolyFn, UndistortionMap, _gri
 
 FORMAT_VERSION = 1
 BLOCK_ROWS = 4096  # rows of a number block formatted and written per chunk
+# Blocks of fewer rows are formatted by one `%` call. The array path costs
+# about 0.25 ms a call before its first row, so `%` is faster up to 128-512
+# rows, by columns and by the share of values printed one by one; a 48-row
+# corner grid takes 66 us by `%` and 378 us by the array path.
+SMALL_BLOCK_ROWS = 256
 
 
 class FormatError(ValueError):
@@ -51,17 +60,197 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+_CONVERSION = re.compile(r"(%\.17g|%d)")
+_POW5 = np.array([5 ** k for k in range(22)], dtype=np.uint64)  # 5**21 < 2**49
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+
+
+def _digit_words():
+    """The word table of `_format_chunk`: 4-byte words of ASCII text in which
+    a NUL byte stands for no byte.
+
+    First the point words: none, '.', '.0', '.00' and '.000'. Then, from
+    _PLAIN on, 10,000 words each for 0000..9999 in full, with leading zeros
+    as NUL, the same but with the last digit kept, and with trailing zeros
+    as NUL. Last, from _SIGNED on, 000..999 with leading zeros as NUL and a
+    '-' in the first byte.
+    """
+    plain = np.frombuffer("".join(f"{k:04d}" for k in range(10000)).encode("ascii"),
+                          dtype=np.uint8).reshape(-1, 4)
+    zero = plain == ord("0")
+    lead = np.where(np.logical_and.accumulate(zero, axis=1), 0, plain)
+    units = lead.copy()
+    units[0, 3] = ord("0")
+    trail = np.where(np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1], 0, plain)
+    signed = lead[:1000].copy()
+    signed[:, 0] = ord("-")
+    dots = np.frombuffer(b"\0\0\0\0.\0\0\0.0\0\0.00\0.000", dtype=np.uint8).reshape(-1, 4)
+    return np.concatenate([dots, plain, lead, units, trail, signed]).view(np.uint32).ravel()
+
+
+_WORDS = _digit_words()
+# _PLAIN + g + 10000 * t is the 4-digit group g in full (t = 0), without
+# leading zeros (1), the same but with its last digit kept (2), or without
+# trailing zeros (3); _SIGNED + g is group g < 1000 as t = 1 after a '-'
+_PLAIN, _LEAD, _UNITS, _TRAIL, _SIGNED = (5 + 10000 * t for t in range(5))
+_VALUE_WORDS = 10  # words of one fast-path value: sign and 15 digits, dot, 17 digits
+
+
 def _format_rows(line, rows):
     """ASCII bytes of `line % row` for each row of a 2-D array, in chunks of
-    BLOCK_ROWS rows, each from one format call.
+    BLOCK_ROWS rows. `line` holds `%.17g` and `%d` conversions only.
 
     `%.17g` of a Python float gives the bytes of `_fmt`, and `%d` of an
-    integral float those of the int.
+    integral float those of the int. A block of fewer than SMALL_BLOCK_ROWS
+    rows is formatted by one `%` call, which is faster there; larger blocks
+    by `_format_chunk`, which gives the same bytes.
     """
+    literals = _CONVERSION.split(line)
+    if any("%" in text or "\0" in text for text in literals[::2]):
+        raise ValueError(f"{line!r}: only %.17g and %d conversions are supported")
     rows = np.asarray(rows, dtype=float)
+    if rows.shape[0] < SMALL_BLOCK_ROWS:
+        if rows.shape[0]:
+            yield ((line * rows.shape[0]) % tuple(rows.ravel().tolist())).encode("ascii")
+        return
     for start in range(0, rows.shape[0], BLOCK_ROWS):
-        block = rows[start:start + BLOCK_ROWS]
-        yield ((line * block.shape[0]) % tuple(block.ravel().tolist())).encode("ascii")
+        yield _format_chunk(literals, rows[start:start + BLOCK_ROWS])
+
+
+def _decimal_digits(m, exp2, x):
+    """N = round-half-even(m * 2**exp2 * 10**(16 - x)) as uint64, exact.
+
+    With s = 16 - x this is m * 5**s * 2**(exp2 + s). m < 2**53 and
+    5**s < 2**49 (1 <= s <= 21), so the product P = m * 5**s is summed from
+    the products of 32-bit halves into two uint64 words, P < 2**102. N is P
+    shifted right by r = -(exp2 + s), which is 1..46 for 1e-4 <= v < 1e15
+    with x the decimal exponent of v, or one off it next to a power of ten
+    as floor(log10 v) may be; the bits shifted out round it, half to even.
+    Numpy array arithmetic on uint64 wraps without a warning, which the
+    carry into the high word relies on.
+    """
+    s = 16 - x
+    r = (-(exp2 + s)).astype(np.uint64)
+    p = _POW5[s]
+    m_hi, m_lo = m >> 32, m & 0xFFFFFFFF
+    p_hi, p_lo = p >> 32, p & 0xFFFFFFFF
+    lo = m_lo * p_lo
+    mid = m_hi * p_lo + m_lo * p_hi
+    lo_sum = lo + (mid << 32)
+    hi = m_hi * p_hi + (mid >> 32) + (lo_sum < lo)
+    n = (hi << (64 - r)) | (lo_sum >> r)
+    rest = lo_sum & ((1 << r) - 1)
+    half = 1 << (r - 1)
+    return n + ((rest > half) | ((rest == half) & (n & 1 == 1)))
+
+
+def _significand(a):
+    """(N, X) for positive a in [1e-4, 1e15): the 17 significant digits of
+    `%.17g` as an int N in [10**16, 10**17), and the decimal exponent X.
+
+    a = m * 2**e exactly (np.frexp, m < 2**53). X is first floor(log10 a),
+    which may be one off next to a power of ten; then N falls outside
+    [10**16, 10**17), so X moves by one and N is computed again. No value
+    in this range rounds up to the next power of ten at 17 digits: the
+    double next below each 10**k, k = -3..15, lies more than half a 17th
+    digit below it.
+    """
+    frac, exp2 = np.frexp(a)
+    m = (frac * 2.0 ** 53).astype(np.uint64)
+    exp2 = exp2.astype(np.int64) - 53
+    x = np.floor(np.log10(a)).astype(np.int64)
+    digits = _decimal_digits(m, exp2, x)
+    over, under = digits >= 10 ** 17, digits < 10 ** 16
+    moved = np.flatnonzero(over | under)
+    if moved.size:
+        x[moved] += over[moved].astype(np.int64) - under[moved]
+        digits[moved] = _decimal_digits(m[moved], exp2[moved], x[moved])
+    return digits.astype(np.int64), x
+
+
+def _format_chunk(literals, block):
+    """ASCII bytes of `line % row` for the rows of one chunk, where `line` is
+    split into `literals` by _CONVERSION; the bytes of `%` without a `%` per
+    value.
+
+    A value v with 1e-4 <= |v| < 1e15 (and integral in a `%d` column, where
+    `%d` then prints what `%.17g` prints) is printed by array code. There
+    `%.17g` prints its 17 significant digits N in fixed notation: the X + 1
+    digits before the point, then the rest, or for X < 0 `0.`, -X - 1 zeros
+    and all 17; trailing zeros after the point are dropped, and the point
+    with them when nothing follows it. So N is split into the whole part
+    and the fraction, each into 4-digit groups, and each group is looked up
+    in `_WORDS`, where a NUL byte stands for a byte not printed: leading
+    zeros of the whole part, trailing zeros of the fraction. A value takes
+    ten words: '-' and whole-part groups, the point word, fraction groups.
+    Every row is its values' words between the literal text's words, and
+    deleting the NUL bytes gives the chunk's text.
+
+    Every other value (0 and -0, nan, inf, |v| < 1e-4, printed in
+    scientific notation, |v| >= 1e15, and a fractional `%d` value) is
+    printed by its own conversion, `%.17g` or `%d`, and its bytes replace
+    its words; the words per value grow to fit the longest.
+    """
+    n, k = block.shape
+    convs = literals[1::2]
+    v = block.T.ravel()  # field-major: the values of field c are v[c * n:(c + 1) * n]
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e15)
+    if "%d" in convs:
+        fast &= np.repeat([c != "%d" for c in convs], n) | (v == np.floor(v))
+    slow = np.flatnonzero(~fast)
+    texts = [convs[i // n] % x for i, x in zip(slow.tolist(), v[slow].tolist())]
+    width = max(_VALUE_WORDS, -(-max(map(len, texts), default=0) // 4))
+
+    digits, x = _significand(np.where(fast, a, 1.0))
+    unit = _POW10[np.minimum(16 - x, 17)]
+    whole = digits // unit
+    frac = (digits - whole * unit) * _POW10[np.maximum(x, 0)]  # 16 digits for X >= 0
+    w_hi = whole // 10 ** 8
+    w_lo = whole - w_hi * 10 ** 8
+    w0 = w_hi // 10 ** 4
+    w1 = w_hi - w0 * 10 ** 4
+    w2 = w_lo // 10 ** 4
+    w3 = w_lo - w2 * 10 ** 4
+    f_hi = frac // 10 ** 8
+    f_lo = frac - f_hi * 10 ** 8
+    f0 = f_hi // 10 ** 8
+    f1 = (f_hi - f0 * 10 ** 8) // 10 ** 4
+    f2 = f_hi - f0 * 10 ** 8 - f1 * 10 ** 4
+    f3 = f_lo // 10 ** 4
+    f4 = f_lo - f3 * 10 ** 4
+    words = [
+        _LEAD + w0 + (v < 0) * (_SIGNED - _LEAD),
+        np.where(w0 == 0, _LEAD, _PLAIN) + w1,
+        np.where(w_hi == 0, _LEAD, _PLAIN) + w2,
+        np.where(whole < 10 ** 4, _UNITS, _PLAIN) + w3,
+        np.where(x < 0, -x, frac != 0),
+        _LEAD + f0,
+        np.where((f2 == 0) & (f_lo == 0), _TRAIL, _PLAIN) + f1,
+        np.where(f_lo == 0, _TRAIL, _PLAIN) + f2,
+        np.where(f4 == 0, _TRAIL, _PLAIN) + f3,
+        _TRAIL + f4,
+    ]
+
+    heads = [np.frombuffer(t.encode("ascii").ljust(-(-len(t) // 4) * 4, b"\0"),
+                           dtype=np.uint32) for t in literals[::2]]
+    # a row's words: head 0, value 0, head 1, .., value k - 1, head k; a
+    # value's ten words end its `width` words, which start with NUL words
+    starts = np.cumsum([0] + [len(h) + width for h in heads])
+    index = np.zeros((starts[-1] - width, n), np.intp)
+    for j, word in enumerate(words, start=width - _VALUE_WORDS):
+        index[starts[1:-1] - width + j] = word.reshape(k, n)
+    record = np.ascontiguousarray(_WORDS[index.T])
+    for head, start in zip(heads, starts):
+        record[:, start:start + len(head)] = head
+    if slow.size:  # each such value's bytes, at the start of its zeroed words
+        first = slow % n * record.shape[1] + starts[1 + slow // n] - width
+        record.reshape(-1)[first[:, None] + np.arange(width)] = 0
+        size = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+        at = np.repeat(4 * first - np.cumsum(size) + size, size) + np.arange(size.sum())
+        record.view(np.uint8).reshape(-1)[at] = np.frombuffer(
+            "".join(texts).encode("ascii"), dtype=np.uint8)
+    return record.tobytes().translate(None, b"\0")
 
 
 def _atomic_write_bytes(path, chunks):
@@ -95,14 +284,21 @@ def _atomic_write_text(path, text: str):
     _atomic_write_bytes(path, [text.encode("utf-8")])
 
 
-def _read_lines(path):
-    """The lines of a UTF-8 text file, read as one text; undecodable bytes
+@contextmanager
+def _open_text(path):
+    """`path` opened as UTF-8 text with universal newlines; undecodable bytes
     raise FormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().split("\n")
+            yield fh
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _read_lines(path):
+    """The lines of a UTF-8 text file, read as one text."""
+    with _open_text(path) as fh:
+        return fh.read().split("\n")
 
 
 def _read_keyvals(path, repeated=()):
@@ -587,28 +783,40 @@ def write_cloud_ply(path, cloud: OrganizedCloud):
 
 
 def read_cloud_ply(path):
-    """Parse the vertex block of an ASCII PLY written by write_cloud_ply."""
-    lines = _read_lines(path)
-    if lines[0].strip() != "ply":
-        raise FormatError(f"{path}: not a PLY file")
-    if [ln.strip() for ln in lines[1:2]] != ["format ascii 1.0"]:
-        raise FormatError(f"{path}: not an ASCII PLY 1.0 file")
-    count = None
-    body_at = None
-    for k, ln in enumerate(lines):
-        ln = ln.strip()
-        if ln.startswith("element vertex"):
-            tokens = ln.split()
-            # ASCII digits only: int() rejects '²', which str.isdigit() passes
-            if len(tokens) != 3 or not re.fullmatch(r"[0-9]{1,18}", tokens[2]):
-                raise FormatError(f"{path}: malformed vertex count {ln!r}")
-            count = int(tokens[2])
-        if ln == "end_header":
-            body_at = k + 1
-            break
-    if count is None or body_at is None:
-        raise FormatError(f"{path}: malformed PLY header")
-    body = lines[body_at:body_at + count]
-    if len(body) != count:
-        raise FormatError(f"{path}: vertex count mismatch")
-    return _parse_rows(body, 3, f"{path}: vertex")
+    """Parse the vertex block of an ASCII PLY written by write_cloud_ply.
+
+    The header is read line by line and the body BLOCK_ROWS lines at a time,
+    so the file's text is never held whole. Lines after the vertex block
+    are read only to check that they decode.
+    """
+    with _open_text(path) as fh:
+        if fh.readline().strip() != "ply":
+            raise FormatError(f"{path}: not a PLY file")
+        if fh.readline().strip() != "format ascii 1.0":
+            raise FormatError(f"{path}: not an ASCII PLY 1.0 file")
+        count = None
+        for ln in fh:
+            ln = ln.strip()
+            if ln.startswith("element vertex"):
+                tokens = ln.split()
+                # ASCII digits only: int() rejects '²', which str.isdigit() passes
+                if len(tokens) != 3 or not re.fullmatch(r"[0-9]{1,18}", tokens[2]):
+                    raise FormatError(f"{path}: malformed vertex count {ln!r}")
+                count = int(tokens[2])
+            if ln == "end_header":
+                break
+        else:
+            count = None  # no end_header
+        if count is None:
+            raise FormatError(f"{path}: malformed PLY header")
+        # the count is not trusted with an allocation before its lines are read
+        parts = [np.empty((0, 3))]
+        for start in range(0, count, BLOCK_ROWS):
+            want = min(BLOCK_ROWS, count - start)
+            chunk = list(islice(fh, want))
+            if len(chunk) != want:
+                raise FormatError(f"{path}: vertex count mismatch")
+            parts.append(_parse_rows(chunk, 3, f"{path}: vertex"))
+        for _ in fh:
+            pass
+    return np.concatenate(parts)

@@ -598,6 +598,28 @@ def test_ply_rejects_malformed(tmp_path, fmt, vertex_line, body):
         formats.read_cloud_ply(path)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_ply_reader_newlines_and_lines_after_the_body(tmp_path, newline):
+    """Any newline convention reads, and lines after the vertex block are
+    not read as vertices."""
+    lines = ["ply", "format ascii 1.0", "element vertex 2", "property double x",
+             "property double y", "property double z", "end_header", "1 2 3", "4 5 6",
+             "not a vertex"]
+    path = tmp_path / "c.ply"
+    path.write_bytes(newline.join(lines).encode("ascii"))
+    assert np.array_equal(formats.read_cloud_ply(path), [[1, 2, 3], [4, 5, 6]])
+
+
+def test_ply_reader_rejects_undecodable_bytes_after_the_body(tmp_path):
+    """The body is read a chunk at a time; bytes after it still must decode."""
+    count = formats.BLOCK_ROWS + 1
+    path = tmp_path / "c.ply"
+    path.write_bytes(f"ply\nformat ascii 1.0\nelement vertex {count}\nend_header\n".encode()
+                     + b"1 2 3\n" * count + b"\xff\n")
+    with pytest.raises(FormatError, match="not UTF-8"):
+        formats.read_cloud_ply(path)
+
+
 def per_line_vertices(text):
     """The vertex block parsed line by line: None where a line does not hold
     three finite numbers or lines are missing."""
@@ -752,8 +774,9 @@ def test_index_written_as_integral_float_is_read(tmp_path):
 
 
 def test_ply_reader_peak_memory_per_point(tmp_path):
-    """The vertex block is parsed a chunk at a time, so the tokens of the
-    whole block are never held at once (that took about 426 B per point)."""
+    """The vertex block is read and parsed a chunk at a time, so neither the
+    file's text nor its tokens are held whole (about 78 B per point here;
+    holding the text took about 217 B per point, and the tokens 426)."""
     count = 8 * formats.BLOCK_ROWS
     points = np.random.default_rng(5).normal(size=(1, count, 3))
     cloud = dc.OrganizedCloud(count, 1, points, np.ones((1, count), bool))
@@ -766,7 +789,7 @@ def test_ply_reader_peak_memory_per_point(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(pts, points[0])
-    assert peak / count < 300, f"{peak / count:.0f} B per point"
+    assert peak / count < 100, f"{peak / count:.0f} B per point"
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +813,76 @@ def with_special_values(shape, seed):
 def test_format_rows_matches_fmt(x):
     chunks = formats._format_rows("%.17g|%d\n", [[x, 7.0]])
     assert b"".join(chunks) == (formats._fmt(x) + "|7\n").encode("ascii")
+
+
+def percent_bytes(line, rows):
+    """The reference for `_format_rows`: one `%` call over the whole block."""
+    rows = np.asarray(rows, dtype=float)
+    return ((line * rows.shape[0]) % tuple(rows.ravel().tolist())).encode("ascii")
+
+
+def array_path_block(values, ncols):
+    """`values` repeated over SMALL_BLOCK_ROWS rows, the fewest that
+    `_format_rows` formats by array code."""
+    return np.resize(np.asarray(values, dtype=float), (formats.SMALL_BLOCK_ROWS, ncols))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.floats(), min_size=1, max_size=48),
+       whole=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                      max_size=16))
+def test_format_rows_block_matches_percent(values, whole):
+    """Any floats, and any finite floats in a `%d` column, formatted as one
+    block: values printed by array code and by their own conversion share
+    a chunk."""
+    block = np.column_stack([array_path_block(values, 2), array_path_block(whole, 1)])
+    line = "%.17g %.17g|%d\n"
+    assert b"".join(formats._format_rows(line, block)) == percent_bytes(line, block)
+
+
+def edge_values():
+    """Both ends of the array path's range and the powers of ten between
+    them, each with its neighbours (the one below 0.1 prints as
+    0.099999999999999992), and two exact binary ties at the 17th digit
+    (…62|5 rounds down to even, …37|5 up)."""
+    powers = [float(f"1e{k}") for k in range(-4, 16)]
+    values = [0.0, 123456789012345.625, 123456789012345.375]
+    values += [x for p in powers for x in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))]
+    return [float(x) for x in values + [-x for x in values]]
+
+
+@pytest.mark.parametrize("value", edge_values(), ids=repr)
+def test_format_rows_edge_values_match_percent(value):
+    block = array_path_block([value, 1.5], 3)
+    line = "%.17g %.17g %.17g\n"
+    assert b"".join(formats._format_rows(line, block)) == percent_bytes(line, block)
+
+
+def test_format_rows_ties_round_half_even():
+    block = array_path_block([123456789012345.625, -123456789012345.375], 2)
+    text = b"".join(formats._format_rows("%.17g %.17g\n", block))
+    assert text.split(b"\n")[0] == b"123456789012345.62 -123456789012345.38"
+
+
+def test_format_rows_integer_column_matches_percent():
+    """`%d` takes the array path for integral values below 1e15 only; -0.0
+    prints as 0 there and -0 under `%.17g`, and 1e300 widens every slot."""
+    whole = [0.0, 1.0, 10.0 ** 15 - 1, 10.0 ** 15, 2.0 ** 53, -0.0, -7.0, 2.5, 1e300]
+    block = np.column_stack([array_path_block(whole, 1), array_path_block(whole[::-1], 1)])
+    line = "i %d: %.17g\n"
+    assert b"".join(formats._format_rows(line, block)) == percent_bytes(line, block)
+
+
+def test_format_rows_value_printed_alone_in_second_chunk():
+    """The only value outside the array path's range is in the second chunk."""
+    rng = np.random.default_rng(7)
+    block = rng.uniform(1.0, 2.0, size=(formats.BLOCK_ROWS + 1, 3))
+    block *= rng.choice([-1.0, 1.0], size=block.shape)
+    block[-1, 1] = 0.0
+    line = "%.17g %.17g %.17g\n"
+    chunks = list(formats._format_rows(line, block))
+    assert len(chunks) == 2
+    assert b"".join(chunks) == percent_bytes(line, block)
 
 
 @pytest.mark.parametrize("count", [0, 1, formats.BLOCK_ROWS + 1])
