@@ -37,6 +37,7 @@ from .geometry import (
     KINECT1_QUANTIZATION,
     RigidTransform,
     axis_angle_to_quat,
+    back_project,
     estimate_transform_from_planes,
     fit_plane,
     lm_minimize,
@@ -90,22 +91,15 @@ def wall_points(umap: UndistortionMap, depth, wall, intr: CameraIntrinsics):
     `wall` is the frame's (H, W) bool wall mask, and the IndexSet holds its
     pixels in row-major order. The points are bit for bit
     `depth_to_cloud(apply_undistortion(umap, depth), intr).points_at(inliers)`,
-    computed on the wall pixels only: u(d) by `maps.undistort_at`, then
-    x = z (u - cx) / fx and y = z (v - cy) / fy with the ray factors of
-    `depth_to_cloud`. A pixel whose u(d) is not positive gets (0, 0, 0).
+    computed on the wall pixels only (`maps.undistort_at`, then
+    `back_project`); a pixel whose u(d) is not positive gets (0, 0, 0).
     """
     wall = np.asarray(wall, dtype=bool)
     if wall.shape != (intr.height, intr.width):
         raise CalibrationError("wall mask size does not match the intrinsics")
     inliers = IndexSet.from_mask(wall)
     z = undistort_at(umap, depth, np.flatnonzero(wall))
-    xs = (np.arange(intr.width, dtype=float) - intr.cx) / intr.fx
-    ys = (np.arange(intr.height, dtype=float) - intr.cy) / intr.fy
-    points = np.empty((z.size, 3))
-    np.multiply(z, xs[inliers.u], out=points[:, 0])
-    np.multiply(z, ys[inliers.v], out=points[:, 1])
-    points[:, 2] = z
-    return inliers, points
+    return inliers, back_project(z, inliers.u, inliers.v, intr)
 
 
 def build_observations(frame, inliers, points, max_points) -> FrameObservations:

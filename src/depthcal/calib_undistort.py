@@ -4,12 +4,13 @@ Frames are processed nearest-first so the map learned from close, barely
 distorted shots bootstraps the wall segmentation of the farther ones. The
 board pose of every frame is solved once, by PnP, and serves both the
 distance sort and the RANSAC seed plane (stage two reuses it too). Per
-frame: undistort the depth image with the current map and back-project it,
-select the wall points of that cloud with a checkerboard-seeded RANSAC, fit
-the reference plane to the *original* cloud near the wall center, add one
-line-of-sight sample per control pixel to its running weighted moments
-(FitMoments), and refit the touched control polynomials from those moments.
-Each usable frame's wall leaves stage one as an (H, W) bool mask.
+frame: back-project the current map's u(d) at the frame's valid pixels,
+select the wall among those points with a checkerboard-seeded RANSAC, fit
+the reference plane to the *original* depths back-projected at the wall
+pixels near its center, add one line-of-sight sample per control pixel to
+its running weighted moments (FitMoments), and refit the touched control
+polynomials from those moments. Each usable frame's wall leaves stage one
+as an (H, W) bool mask.
 `update_map` splats the samples onto the control pixels with
 `UndistortionMap.splat`: the weights live in `maps`.
 
@@ -30,16 +31,15 @@ from .geometry import (
     GeometryError,
     IndexSet,
     KINECT1_QUANTIZATION,
-    OrganizedCloud,
     Plane,
     RigidTransform,
-    depth_to_cloud,
+    back_project,
     fit_plane,
     plane_through,
     solve_pnp,
     transform_plane,
 )
-from .maps import FitMoments, UndistortionMap, apply_undistortion, fit_weighted_poly_batch
+from .maps import FitMoments, UndistortionMap, fit_weighted_poly_batch, undistort_at
 
 log = logging.getLogger(__name__)
 
@@ -154,29 +154,44 @@ def _seed_plane(board_pose, t0, board) -> Plane:
     return transform_plane(t0.inverse(), plane_cam)
 
 
-def select_wall_points(undistorted: OrganizedCloud, board_pose: RigidTransform,
-                       t0: RigidTransform, board: BoardSpec,
-                       cfg: UndistortConfig, rng=None) -> IndexSet:
-    """Wall pixel coordinates by checkerboard-seeded RANSAC on the undistorted cloud.
+def undistorted_points(umap, depth: DepthImage, intr: CameraIntrinsics):
+    """Stage one's view of a frame, read at its valid pixels only: (pixels,
+    points), the (H, W) mask of the pixels where d and u(d) are positive,
+    which `apply_undistortion` leaves valid, and the points (N, 3) of
+    `depth_to_cloud(apply_undistortion(umap, depth), intr)` there, row-major
+    and bit for bit.
+    """
+    if (depth.width, depth.height) != (intr.width, intr.height):
+        raise GeometryError("depth image size does not match intrinsics")
+    pixels = depth.valid
+    flat = np.flatnonzero(pixels)
+    z = undistort_at(umap, depth, flat)
+    pixels[pixels] = keep = z > 0.0
+    v, u = np.divmod(flat[keep], depth.width)
+    return pixels, back_project(z[keep], u, v, intr)
 
-    The consensus plane must stay near the seed (normal angle and offset
-    gates), which rejects other scene planes such as the floor. The inlier
-    threshold scales with the quantization noise at the seed plane depth.
+
+def select_wall_points(points, pixels, board_pose: RigidTransform, t0: RigidTransform,
+                       board: BoardSpec, cfg: UndistortConfig, rng=None) -> IndexSet:
+    """Wall pixel coordinates by checkerboard-seeded RANSAC on undistorted points.
+
+    `points` (N, 3) lie at the True pixels of the (H, W) mask `pixels`,
+    row-major. The consensus plane must stay near the seed (normal angle and
+    offset gates), which rejects other scene planes such as the floor. The
+    inlier threshold scales with the quantization noise at the seed depth.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     seed = _seed_plane(board_pose, t0, board)
-    # row-major, like IndexSet.from_mask; a flat take is about 3x as fast
-    # as indexing the (H, W, 3) points with the 2-D mask
-    pts = undistorted.points.reshape(-1, 3).take(np.flatnonzero(undistorted.valid),
-                                                 axis=0)
-    if pts.shape[0] < cfg.min_inliers:
+    if points.shape[0] != np.count_nonzero(pixels):
+        raise CalibrationError("wall selection needs one point per pixel")
+    if points.shape[0] < cfg.min_inliers:
         raise CalibrationError("not enough valid depth points for wall selection")
 
     if abs(seed.normal[2]) > 0.2:
         z_bar = seed.offset / abs(seed.normal[2])
     else:
-        z_bar = float(np.mean(pts[:, 2]))
+        z_bar = float(np.mean(points[:, 2]))
     threshold = KAPPA * KINECT1_QUANTIZATION.sigma(z_bar)
     cos_gate = np.cos(np.deg2rad(SEED_ANGLE_DEG))
 
@@ -185,14 +200,14 @@ def select_wall_points(undistorted: OrganizedCloud, board_pose: RigidTransform,
                 and abs(plane.offset - seed.offset) <= SEED_OFFSET_M)
 
     def count_inliers(plane):
-        return np.abs(plane.signed_distance(pts)) <= threshold
+        return np.abs(plane.signed_distance(points)) <= threshold
 
     best_plane, best_mask = seed, count_inliers(seed)
     best_count = np.count_nonzero(best_mask)
     for _ in range(RANSAC_ITERATIONS):
-        take = rng.integers(0, pts.shape[0], size=3)
+        take = rng.integers(0, points.shape[0], size=3)
         try:
-            cand = plane_through(pts[take])
+            cand = plane_through(points[take])
         except GeometryError:  # repeated or collinear draw
             continue
         if not near_seed(cand):
@@ -205,19 +220,19 @@ def select_wall_points(undistorted: OrganizedCloud, board_pose: RigidTransform,
         raise CalibrationError("no candidate plane near the checkerboard seed "
                                f"({best_count} inliers < {cfg.min_inliers})")
     # consensus refinement: refit on the inliers, recount once
-    refined = fit_plane(pts[best_mask])
+    refined = fit_plane(points[best_mask])
     if near_seed(refined):
         mask = count_inliers(refined)
         if np.count_nonzero(mask) >= cfg.min_inliers:
             best_mask = mask
-    wall = undistorted.valid.copy()
+    wall = np.array(pixels, dtype=bool)
     wall[wall] = best_mask
     return IndexSet.from_mask(wall)
 
 
-def fit_reference_plane(original: OrganizedCloud, inliers: IndexSet,
-                        cfg: UndistortConfig) -> Plane:
-    """Reference plane for the map update, fit to the original (distorted) cloud.
+def fit_reference_plane(points, inliers: IndexSet, cfg: UndistortConfig) -> Plane:
+    """Reference plane for the map update, fit to the original (distorted)
+    cloud's points (N, 3) at the wall pixels `inliers`, in their order.
 
     Only inlier pixels within `fit_radius` of the inlier centroid are used;
     restricting the fit to the wall center keeps it stable under the
@@ -230,8 +245,7 @@ def fit_reference_plane(original: OrganizedCloud, inliers: IndexSet,
     keep = np.hypot(uv[:, 0] - centroid[0], uv[:, 1] - centroid[1]) <= cfg.fit_radius
     if np.count_nonzero(keep) < 3:
         raise CalibrationError("fewer than 3 inliers inside the fit radius")
-    pts = original.points[inliers.v[keep], inliers.u[keep]]
-    return fit_plane(pts)
+    return fit_plane(points[keep])
 
 
 def update_map(umap: UndistortionMap, moments: FitMoments, points,
@@ -314,19 +328,18 @@ def estimate_undistortion_map(frames, t0: RigidTransform, intr_rgb: CameraIntrin
     width, height = intr_depth.width, intr_depth.height
     umap = UndistortionMap.identity(width, height, cfg.chi, cfg.psi, cfg.degree)
     moments = FitMoments(umap.grid_shape, cfg.degree)
-    walls = {}
-    board_poses = {}
+    walls, board_poses = {}, {}
     for frame, pose in ordered:
-        original = depth_to_cloud(frame.depth, intr_depth)
-        undistorted = depth_to_cloud(apply_undistortion(umap, frame.depth), intr_depth)
+        pixels, points = undistorted_points(umap, frame.depth, intr_depth)
         try:
-            inliers = select_wall_points(undistorted, pose, t0, board, cfg, rng)
+            inliers = select_wall_points(points, pixels, pose, t0, board, cfg, rng)
+            original = back_project(frame.depth.data[inliers.v, inliers.u],
+                                    inliers.u, inliers.v, intr_depth)
             plane = fit_reference_plane(original, inliers, cfg)
         except (CalibrationError, GeometryError) as exc:
             log.warning("frame %s skipped: %s", frame.frame_id, exc)
             continue
-        umap = update_map(umap, moments, original.points_at(inliers), inliers,
-                          plane)
+        umap = update_map(umap, moments, original, inliers, plane)
         wall = np.zeros((height, width), dtype=bool)
         wall[inliers.v, inliers.u] = True
         wall.setflags(write=False)

@@ -16,6 +16,7 @@ from . import formats, pipeline, synthbench
 from .calib_global import GlobalConfig
 from .calib_undistort import CalibrationError, UndistortConfig, select_wall_points
 from .geometry import (
+    DepthImage,
     GeometryError,
     IndexSet,
     RigidTransform,
@@ -141,8 +142,6 @@ def cmd_calibrate(args):
 
 
 def _write_calibration_report(path, result, frames, intr_depth_guess, ucfg):
-    from .synthbench import planarity_error
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["stage", "frame_id", "metric", "value"])
@@ -154,13 +153,11 @@ def _write_calibration_report(path, result, frames, intr_depth_guess, ucfg):
             writer.writerow(["undistortion", frame.frame_id, "skipped", ""])
             continue
         inl = IndexSet.from_mask(result.inlier_sets[frame.frame_id])
-        cloud = depth_to_cloud(frame.depth, intr_depth_guess)
-        und = depth_to_cloud(apply_undistortion(result.umap, frame.depth),
-                             intr_depth_guess)
-        writer.writerow(["undistortion", frame.frame_id, "planarity_original",
-                         format(planarity_error(cloud, inl), ".17g")])
-        writer.writerow(["undistortion", frame.frame_id, "planarity_undistorted",
-                         format(planarity_error(und, inl), ".17g")])
+        und = apply_undistortion(result.umap, frame.depth)
+        for name, image in (("original", frame.depth), ("undistorted", und)):
+            cloud = depth_to_cloud(image, intr_depth_guess)
+            writer.writerow(["undistortion", frame.frame_id, f"planarity_{name}",
+                             format(synthbench.planarity_error(cloud, inl), ".17g")])
     writer.writerow(["refinement", "", "initial_cost",
                      format(result.cost_trace[0], ".17g")])
     writer.writerow(["refinement", "", "final_cost",
@@ -193,10 +190,7 @@ def cmd_evaluate(args):
     ucfg = UndistortConfig(seed=args.seed, min_inliers=50)
     rng = np.random.default_rng(args.seed)
 
-    rows_plan = []
-    rows_glob = []
-    rows_rot = []
-    rows_depth = []
+    rows_plan, rows_glob, rows_rot, rows_depth = [], [], [], []
     for mf, frame in entries:
         original = depth_to_cloud(frame.depth, intr_depth)
         # wall indices come from the corrected cloud, then every variant is
@@ -205,19 +199,17 @@ def cmd_evaluate(args):
         corrected = pipeline.apply_calibration(umap, gmap, frame.depth, intr_depth)
         pose, _ = solve_pnp(manifest.board.corners_3d(), frame.corner_points,
                             intr_rgb)
-        inliers = select_wall_points(corrected, pose, extrinsic, manifest.board,
-                                     ucfg, rng)
+        inliers = select_wall_points(corrected.points[corrected.valid], corrected.valid,
+                                     pose, extrinsic, manifest.board, ucfg, rng)
         board_plane_cam = transform_plane(pose, manifest.board.plane)
         board_plane_depth = transform_plane(extrinsic.inverse(), board_plane_cam)
 
-        rows_plan.append([mf.true_distance,
-                          synthbench.planarity_error(original, inliers),
-                          synthbench.planarity_error(und_only, inliers),
-                          synthbench.planarity_error(corrected, inliers)])
-        rows_glob.append([mf.true_distance,
-                          synthbench.global_error(original, inliers, board_plane_depth),
-                          synthbench.global_error(und_only, inliers, board_plane_depth),
-                          synthbench.global_error(corrected, inliers, board_plane_depth)])
+        variants = (original, und_only, corrected)
+        rows_plan.append([mf.true_distance] + [
+            synthbench.planarity_error(cloud, inliers) for cloud in variants])
+        rows_glob.append([mf.true_distance] + [
+            synthbench.global_error(cloud, inliers, board_plane_depth)
+            for cloud in variants])
         axes_cam = pose.rotation_matrix[:, :2]  # board x/y axes in camera frame
         axes_depth = extrinsic.inverse().rotation_matrix @ axes_cam
         rot_row = [mf.true_distance]
@@ -226,11 +218,9 @@ def cmd_evaluate(args):
             rot_row.extend([synthbench.rotation_error(normal, axes_depth[:, 0]),
                             synthbench.rotation_error(normal, axes_depth[:, 1])])
         rows_rot.append(rot_row)
-        rows_depth.append([mf.true_distance,
-                           synthbench.depth_vs_ground_truth(original, inliers,
-                                                            mf.true_distance),
-                           synthbench.depth_vs_ground_truth(corrected, inliers,
-                                                            mf.true_distance)])
+        rows_depth.append([mf.true_distance] + [
+            synthbench.depth_vs_ground_truth(cloud, inliers, mf.true_distance)
+            for cloud in (original, corrected)])
 
     def write_csv(name, header, rows):
         buf = io.StringIO()
@@ -250,7 +240,7 @@ def cmd_evaluate(args):
     write_csv("rotation_error.csv",
               ["true_distance_m", "x_original_deg", "y_original_deg",
                "x_corrected_deg", "y_corrected_deg"],
-              [[r[0], r[1], r[2], r[3], r[4]] for r in rows_rot])
+              rows_rot)
     write_csv("depth_vs_ground_truth.csv",
               ["true_distance_m", "original_m", "corrected_m"],
               rows_depth)
@@ -263,8 +253,6 @@ def cmd_bench(args):
     # synthetic benchmark frame: a fully valid tilted wall
     v, u = np.mgrid[0:intr_depth.height, 0:intr_depth.width]
     depth = 1.5 + 2.0 * (u / max(intr_depth.width - 1, 1))
-    from .geometry import DepthImage
-
     img = DepthImage(intr_depth.width, intr_depth.height, depth)
     threads = _threads_from_env(os.cpu_count() or 1)
 
@@ -349,7 +337,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (CalibrationError, GeometryError, formats.FormatError,
-            FileNotFoundError, ValueError) as exc:
+            synthbench.RenderError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

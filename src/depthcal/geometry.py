@@ -404,23 +404,29 @@ KINECT1_QUANTIZATION = NoiseModel((-0.00029, 0.00037, 0.001365))
 # operations
 
 
-def depth_to_cloud(img: DepthImage, intr: CameraIntrinsics) -> OrganizedCloud:
-    """Back-project a depth image through the ideal pinhole model.
+def back_project(z, u, v, intr: CameraIntrinsics, out=None) -> np.ndarray:
+    """Pinhole points (..., 3) of depths z at integer pixels (u, v), which
+    broadcast against z; into `out` when given, and z may be `out[..., 2]`.
 
-    Lens distortion is deliberately not applied here: residual depth-lens
-    effects are absorbed by the per-pixel undistortion map.
+    Every cloud and both calibration stages back-project here, so their
+    points agree bit for bit. Lens distortion is deliberately not applied:
+    the per-pixel undistortion map absorbs residual depth-lens effects.
     """
+    xs = (np.arange(intr.width, dtype=float) - intr.cx) / intr.fx
+    ys = (np.arange(intr.height, dtype=float) - intr.cy) / intr.fy
+    out = np.empty(np.shape(z) + (3,)) if out is None else out
+    np.multiply(z, xs[u], out=out[..., 0])
+    np.multiply(z, ys[v], out=out[..., 1])
+    out[..., 2] = z
+    return out
+
+
+def depth_to_cloud(img: DepthImage, intr: CameraIntrinsics) -> OrganizedCloud:
+    """Back-project every pixel of a depth image (`back_project`)."""
     if (img.width, img.height) != (intr.width, intr.height):
         raise GeometryError("depth image size does not match intrinsics")
-    u = np.arange(img.width, dtype=float)
-    v = np.arange(img.height, dtype=float)
-    xs = (u - intr.cx) / intr.fx
-    ys = (v - intr.cy) / intr.fy
-    d = img.data
-    pts = np.empty((img.height, img.width, 3))
-    pts[:, :, 0] = d * xs[None, :]
-    pts[:, :, 1] = d * ys[:, None]
-    pts[:, :, 2] = d
+    pts = back_project(img.data, np.arange(img.width),
+                       np.arange(img.height)[:, None], intr)
     return OrganizedCloud(img.width, img.height, pts, img.valid)
 
 

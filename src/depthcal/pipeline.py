@@ -21,7 +21,7 @@ from .geometry import (
     GeometryError,
     OrganizedCloud,
     RigidTransform,
-    depth_to_cloud,  # unused here; the benchmark tracer wraps this name
+    back_project,
 )
 from .maps import GlobalMap, UndistortionMap, check_sizes, correct_rows
 
@@ -103,15 +103,13 @@ def apply_calibration(umap: UndistortionMap, gmap: GlobalMap, img: DepthImage,
     per-call pool runs the others concurrently. The per-pixel arithmetic
     does not depend on the bands, so every thread count gives the same
     result. With an identity G it is, bit for bit, the undistorted cloud
-    `depth_to_cloud(apply_undistortion(umap, img), intr)` of the stages.
+    `depth_to_cloud(apply_undistortion(umap, img), intr)` the stages read.
     """
     check_sizes(umap, gmap, img)
     if (img.width, img.height) != (intr.width, intr.height):
         raise GeometryError("depth image size does not match intrinsics")
     dense_u = umap.dense_coefficients()
     h, w = img.height, img.width
-    xs = (np.arange(w) - intr.cx) / intr.fx
-    ys = (np.arange(h) - intr.cy) / intr.fy
     pts = np.empty((h, w, 3))
     valid = np.empty((h, w), dtype=bool)
     scratch = np.empty((2, h, w))
@@ -120,8 +118,7 @@ def apply_calibration(umap: UndistortionMap, gmap: GlobalMap, img: DepthImage,
         z = pts[v0:v1, :, 2]
         correct_rows(dense_u, gmap, img.data, v0, v1, z, valid[v0:v1],
                      scratch[:, v0:v1])
-        np.multiply(z, xs[None, :], out=pts[v0:v1, :, 0])
-        np.multiply(z, ys[v0:v1, None], out=pts[v0:v1, :, 1])
+        back_project(z, np.arange(w), np.arange(v0, v1)[:, None], intr, out=pts[v0:v1])
 
     bands = max(1, min(threads, h))
     bounds = np.linspace(0, h, bands + 1).astype(int)

@@ -180,6 +180,8 @@ class SceneSpec:
             raise ValueError("board pose must place the board on the wall plane")
         if list(self.test_distances) != sorted(set(self.test_distances)):
             raise ValueError("test distances must be strictly increasing")
+        if not self.sigma_c >= 0.0:
+            raise ValueError(f"sigma_c must not be negative, got {self.sigma_c}")
 
     @property
     def n_train(self):

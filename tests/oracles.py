@@ -5,6 +5,10 @@ moments of `depthcal.maps.FitMoments` stand in for: the same normal
 equations, summed over stored samples, with the condition number taken from
 an SVD. The moment solve is checked against it.
 
+`estimate_undistortion_map` is stage one reading every frame as two
+whole-frame clouds, the original and the undistorted one, where the library
+back-projects only the pixels it reads.
+
 The per-pixel map evaluations, the per-frame stage-two residuals and the
 line-of-sight and orthogonal projections are scalar or per-frame forms of
 what the library computes vectorized. `global_eval` blends all four corners
@@ -19,7 +23,14 @@ The text writers at the end format one number at a time with
 import numpy as np
 
 from depthcal.calib_global import FrameObservations
-from depthcal.calib_undistort import BoardSpec, CalibrationError
+from depthcal.calib_undistort import (
+    BoardSpec,
+    CalibrationError,
+    fit_reference_plane,
+    select_wall_points,
+    sort_frames_by_distance,
+    update_map,
+)
 from depthcal.formats import FORMAT_VERSION, _intr_tokens, _transform_lines
 from depthcal.geometry import (
     KINECT1_QUANTIZATION,
@@ -40,6 +51,7 @@ from depthcal.maps import (
     MapError,
     PolyFn,
     UndistortionMap,
+    apply_undistortion,
     check_sizes,
     correct_rows,
 )
@@ -196,6 +208,41 @@ def apply_full_correction(umap: UndistortionMap, gmap: GlobalMap, img,
                           intr: CameraIntrinsics):
     """Undistort, globally correct, and back-project a depth image."""
     return depth_to_cloud(correct_depth_image(umap, gmap, img), intr)
+
+
+# ---------------------------------------------------------------------------
+# stage one
+
+
+def estimate_undistortion_map(frames, t0, intr_rgb, intr_depth, board, cfg):
+    """Stage one over whole-frame clouds: (map, walls, board_poses) as
+    `depthcal.estimate_undistortion_map` returns them.
+
+    Per frame it back-projects the whole depth image twice, as it is and
+    undistorted by the current map, selects the wall among the undistorted
+    cloud's valid points, and takes the original points at the wall pixels.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    umap = UndistortionMap.identity(intr_depth.width, intr_depth.height,
+                                    cfg.chi, cfg.psi, cfg.degree)
+    moments = FitMoments(umap.grid_shape, cfg.degree)
+    walls, board_poses = {}, {}
+    for frame, pose in sort_frames_by_distance(frames, intr_rgb, board):
+        original = depth_to_cloud(frame.depth, intr_depth)
+        undistorted = depth_to_cloud(apply_undistortion(umap, frame.depth), intr_depth)
+        try:
+            inliers = select_wall_points(undistorted.points[undistorted.valid],
+                                         undistorted.valid, pose, t0, board, cfg, rng)
+            plane = fit_reference_plane(original.points_at(inliers), inliers, cfg)
+        except (CalibrationError, GeometryError):
+            continue
+        umap = update_map(umap, moments, original.points_at(inliers), inliers,
+                          plane)
+        wall = np.zeros((intr_depth.height, intr_depth.width), dtype=bool)
+        wall[inliers.v, inliers.u] = True
+        walls[frame.frame_id] = wall
+        board_poses[frame.frame_id] = pose
+    return umap, walls, board_poses
 
 
 # ---------------------------------------------------------------------------

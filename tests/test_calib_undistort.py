@@ -3,7 +3,9 @@ import pytest
 
 import depthcal as dc
 from depthcal import synthbench as sb
+from depthcal.calib_undistort import undistorted_points
 from depthcal.maps import fit_weighted_poly_batch
+from oracles import estimate_undistortion_map as whole_frame_stage_one
 
 
 T0 = dc.RigidTransform((1, 0, 0, 0), (0.025, 0.0, 0.0))
@@ -98,6 +100,40 @@ def test_sort_drops_frames_with_garbage_corners(clean_scene):
 
 
 # ---------------------------------------------------------------------------
+# undistorted_points
+
+
+def test_undistorted_points_are_the_undistorted_cloud_at_its_valid_pixels():
+    intr = dc.CameraIntrinsics(fx=61.0, fy=63.0, cx=19.3, cy=14.6, width=40,
+                               height=30)
+    rng = np.random.default_rng(5)
+    umap = dc.UndistortionMap.identity(40, 30, 4, 4, 2)
+    coeffs = umap.coefficients.copy()
+    coeffs[:, :, 0] = rng.normal(0.0, 0.01, coeffs.shape[:2])
+    coeffs[:, :, 2] = rng.normal(0.0, 2e-3, coeffs.shape[:2])
+    coeffs[2:5, 3:7] = (1.5, -0.5, 0.0)  # u(d) = 1.5 - d / 2: <= 0 beyond 3 m
+    umap = umap.with_coefficients(coeffs)
+    data = rng.uniform(0.8, 4.0, (30, 40))
+    data[rng.random((30, 40)) < 0.1] = 0.0
+    img = dc.DepthImage(40, 30, data)
+    undistorted = dc.apply_undistortion(umap, img)
+    dropped = img.valid & ~undistorted.valid
+    assert dropped.sum() > 5 and (~img.valid).sum() > 50
+
+    pixels, points = undistorted_points(umap, img, intr)
+    # exactly the pixels apply_undistortion invalidates are dropped
+    assert np.array_equal(pixels, undistorted.valid)
+    expect = dc.depth_to_cloud(undistorted, intr).points_at(
+        dc.IndexSet.from_mask(undistorted.valid))
+    assert points.shape == expect.shape
+    assert points.tobytes() == expect.tobytes()
+    wide = dc.CameraIntrinsics(fx=61.0, fy=63.0, cx=19.3, cy=14.6, width=41,
+                               height=30)
+    with pytest.raises(dc.GeometryError, match="does not match intrinsics"):
+        undistorted_points(umap, img, wide)
+
+
+# ---------------------------------------------------------------------------
 # select_wall_points
 
 
@@ -111,7 +147,8 @@ def test_select_wall_points_takes_whole_wall_when_undistorted(clean_scene):
     fixed_cloud = dc.depth_to_cloud(
         dc.DepthImage(160, 120, np.where(lf.frame.depth.valid, fixed, 0.0)),
         scene.intr_depth)
-    inl = dc.select_wall_points(fixed_cloud, board_pose(scene, lf.frame), T0,
+    inl = dc.select_wall_points(fixed_cloud.points[fixed_cloud.valid],
+                                fixed_cloud.valid, board_pose(scene, lf.frame), T0,
                                 scene.board, small_cfg(), np.random.default_rng(0))
     assert len(inl) == int((lf.labels == sb.LABEL_WALL).sum())
 
@@ -122,20 +159,31 @@ def test_select_wall_points_excludes_floor():
     lf = sb.render_frame(scene, scene.n_frames - 1)
     assert (lf.labels == sb.LABEL_FLOOR).any()
     cloud = dc.depth_to_cloud(lf.frame.depth, scene.intr_depth)
-    inl = dc.select_wall_points(cloud, board_pose(scene, lf.frame),
-                                scene.true_extrinsic, scene.board, small_cfg(),
-                                np.random.default_rng(0))
+    inl = dc.select_wall_points(cloud.points[cloud.valid], cloud.valid,
+                                board_pose(scene, lf.frame), scene.true_extrinsic,
+                                scene.board, small_cfg(), np.random.default_rng(0))
     labels = lf.labels[inl.v, inl.u]
     assert np.all(labels == sb.LABEL_WALL)
 
 
 def test_select_wall_points_empty_image_errors(clean_scene):
     scene, frames = clean_scene
-    empty = dc.depth_to_cloud(dc.DepthImage(160, 120, np.zeros((120, 160))),
-                              scene.intr_depth)
-    with pytest.raises(dc.CalibrationError):
-        dc.select_wall_points(empty, board_pose(scene, frames[0].frame), T0,
+    pixels, points = undistorted_points(
+        dc.UndistortionMap.identity(160, 120, 2, 2, 2),
+        dc.DepthImage(160, 120, np.zeros((120, 160))), scene.intr_depth)
+    assert points.shape == (0, 3) and not pixels.any()
+    with pytest.raises(dc.CalibrationError, match="not enough"):
+        dc.select_wall_points(points, pixels, board_pose(scene, frames[0].frame), T0,
                               scene.board, small_cfg(), np.random.default_rng(0))
+
+
+def test_select_wall_points_needs_one_point_per_pixel(clean_scene):
+    scene, frames = clean_scene
+    cloud = dc.depth_to_cloud(frames[0].frame.depth, scene.intr_depth)
+    with pytest.raises(dc.CalibrationError, match="one point per pixel"):
+        dc.select_wall_points(cloud.points[cloud.valid][1:], cloud.valid,
+                              board_pose(scene, frames[0].frame), T0, scene.board,
+                              small_cfg(), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +196,7 @@ def test_fit_reference_plane_matches_restricted_fit(clean_scene):
     cloud = dc.depth_to_cloud(lf.frame.depth, scene.intr_depth)
     inl = dc.IndexSet.from_mask(lf.labels == sb.LABEL_WALL)
     cfg = small_cfg()
-    plane = dc.fit_reference_plane(cloud, inl, cfg)
+    plane = dc.fit_reference_plane(cloud.points_at(inl), inl, cfg)
     uv = inl.uv.astype(float)
     centroid = uv.mean(axis=0)
     keep = np.hypot(*(uv - centroid).T) <= cfg.fit_radius
@@ -162,7 +210,8 @@ def test_fit_reference_plane_huge_radius_is_unrestricted(clean_scene):
     lf = frames[0]
     cloud = dc.depth_to_cloud(lf.frame.depth, scene.intr_depth)
     inl = dc.IndexSet.from_mask(lf.labels == sb.LABEL_WALL)
-    plane = dc.fit_reference_plane(cloud, inl, small_cfg(fit_radius=10000))
+    plane = dc.fit_reference_plane(cloud.points_at(inl), inl,
+                                   small_cfg(fit_radius=10000))
     expected = dc.fit_plane(cloud.points_at(inl))
     assert np.allclose(plane.normal, expected.normal, atol=1e-12)
 
@@ -173,7 +222,7 @@ def test_fit_reference_plane_depth_within_distorted_bounds(clean_scene):
     far = max((f for f in frames if not f.is_test), key=lambda f: f.wall_distance)
     cloud = dc.depth_to_cloud(far.frame.depth, scene.intr_depth)
     inl = dc.IndexSet.from_mask(far.labels == sb.LABEL_WALL)
-    plane = dc.fit_reference_plane(cloud, inl, small_cfg())
+    plane = dc.fit_reference_plane(cloud.points_at(inl), inl, small_cfg())
     depth_at_axis = plane.offset / plane.normal[2]
     z = cloud.points_at(inl)[:, 2]
     assert z.min() <= depth_at_axis <= z.max()
@@ -181,9 +230,9 @@ def test_fit_reference_plane_depth_within_distorted_bounds(clean_scene):
 
 def test_fit_reference_plane_empty_inliers(clean_scene):
     scene, frames = clean_scene
-    cloud = dc.depth_to_cloud(frames[0].frame.depth, scene.intr_depth)
     with pytest.raises(dc.CalibrationError):
-        dc.fit_reference_plane(cloud, dc.IndexSet(np.empty((0, 2))), small_cfg())
+        dc.fit_reference_plane(np.empty((0, 3)), dc.IndexSet(np.empty((0, 2))),
+                               small_cfg())
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +271,7 @@ def test_update_map_weighted_mean_matches_oracle(clean_scene):
     lf = frames[0]
     cloud, inl = frame_pieces(scene, lf)
     cfg = small_cfg()
-    plane = dc.fit_reference_plane(cloud, inl, cfg)
+    plane = dc.fit_reference_plane(cloud.points_at(inl), inl, cfg)
     umap = dc.UndistortionMap.identity(160, 120, cfg.chi, cfg.psi, cfg.degree)
     moments = dc.FitMoments(umap.grid_shape, cfg.degree)
     dc.update_map(umap, moments, cloud.points_at(inl), inl, plane)
@@ -286,7 +335,8 @@ def test_update_map_leaves_unsampled_controls_alone(clean_scene):
     mask[:40, :40] = lf.labels[:40, :40] == sb.LABEL_WALL
     inl = dc.IndexSet.from_mask(mask)
     cfg = small_cfg()
-    plane = dc.fit_reference_plane(cloud, inl, small_cfg(fit_radius=10000))
+    plane = dc.fit_reference_plane(cloud.points_at(inl), inl,
+                                   small_cfg(fit_radius=10000))
     rng = np.random.default_rng(2)
     start = dc.UndistortionMap.identity(160, 120, cfg.chi, cfg.psi, cfg.degree)
     noisy_coeffs = start.coefficients + rng.normal(0, 0.01, start.coefficients.shape)
@@ -339,6 +389,22 @@ def test_estimate_recovers_injected_field(clean_scene):
         diff = rec - tru
         diff -= diff.mean()
         assert np.max(np.abs(diff)) < 1.5e-3
+
+
+def test_estimate_matches_the_whole_frame_oracle():
+    scene = small_scene(noise=True, seed=6)
+    train = [sb.render_frame(scene, k).frame for k in range(scene.n_train)]
+    args = (train, T0, scene.intr_rgb, scene.intr_depth, scene.board,
+            small_cfg(seed=5))
+    umap, walls, poses = dc.estimate_undistortion_map(*args)
+    ref_umap, ref_walls, ref_poses = whole_frame_stage_one(*args)
+    assert umap.coefficients[:, :, 2].any()  # U is not the identity
+    assert umap.coefficients.tobytes() == ref_umap.coefficients.tobytes()
+    assert list(walls) == list(ref_walls) and len(walls) == scene.n_train
+    for fid, wall in walls.items():
+        assert np.array_equal(wall, ref_walls[fid])
+        assert poses[fid] == ref_poses[fid]
+    assert list(poses) == list(ref_poses)
 
 
 def test_estimate_requires_enough_frames(clean_scene):

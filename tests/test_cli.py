@@ -79,6 +79,28 @@ def test_simulate_rejects_unknown_scene_key(tmp_path):
     assert code == 1
 
 
+def test_simulate_reports_poses_that_see_no_wall(tmp_path, capsys):
+    scene_file = tmp_path / "scene.txt"
+    scene_file.write_text("image_width 80\nimage_height 60\n"
+                          "distance_range 0.05 0.1\n")
+    code = main(["simulate", "--scene", str(scene_file), "--out",
+                 str(tmp_path / "ds"), "--train", "10", "--test", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pose ") and "sees no wall" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_rejects_negative_corner_noise(tmp_path, capsys):
+    scene_file = tmp_path / "scene.txt"
+    scene_file.write_text("image_width 80\nimage_height 60\nsigma_c -1\n")
+    code = main(["simulate", "--scene", str(scene_file), "--out",
+                 str(tmp_path / "ds"), "--train", "10", "--test", "2"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: sigma_c must not be negative")
+    assert not (tmp_path / "ds").exists()
+
+
 VALID_SCENE = ("image_width 80\nimage_height 60\npeak 0.01\nflat_frac 0.4\n"
                "asym 0.1\nzero_depth 1.05\nbowl_bins 2 2\n"
                "global_correction 0.98 0.004\nextrinsic_translation 0.025 0 0\n"

@@ -7,6 +7,7 @@ import depthcal as dc
 from depthcal.geometry import (
     GeometryError,
     axis_angle_to_quat,
+    back_project,
     lm_jacobian,
     plane_through,
     quat_multiply,
@@ -171,6 +172,27 @@ def test_points_at_gathers_the_pixels():
     for uv in [(7, 0), (0, 5), (-1, 2)]:
         with pytest.raises(ValueError):
             cloud.points_at(dc.IndexSet([uv]))
+
+
+def test_back_project_at_pixels_matches_the_whole_frame():
+    intr = dc.CameraIntrinsics(fx=61.0, fy=63.0, cx=19.3, cy=14.6, width=40,
+                               height=30)
+    rng = np.random.default_rng(8)
+    img = dc.DepthImage(40, 30, rng.uniform(0.5, 4.0, (30, 40)))
+    cloud = dc.depth_to_cloud(img, intr)
+    u, v = rng.integers(0, 40, 50), rng.integers(0, 30, 50)
+    got = back_project(img.data[v, u], u, v, intr)
+    assert got.tobytes() == cloud.points[v, u].tobytes()
+    # the pinhole model, one value at a time
+    x = img.data[v, u] * ((u - intr.cx) / intr.fx)
+    y = img.data[v, u] * ((v - intr.cy) / intr.fy)
+    assert np.array_equal(got, np.column_stack([x, y, img.data[v, u]]))
+    # in place, with z already in the output's last column
+    out = np.empty((5, 40, 3))
+    out[:, :, 2] = img.data[10:15]
+    back_project(out[:, :, 2], np.arange(40), np.arange(10, 15)[:, None], intr,
+                 out=out)
+    assert out.tobytes() == cloud.points[10:15].tobytes()
 
 
 def test_depth_to_cloud_dimension_mismatch():
