@@ -3,9 +3,10 @@
 
 Runs the full two-stage calibration on the scenes of the acceptance suite
 (`tests/conftest.py`: scene A clean, scene B clean and noisy) and keeps U,
-the free G corners, the extrinsic, the depth intrinsics and the cost trace
-of each. Save them from one checkout and compare from another to see how
-far a change moves the outputs:
+the free G corners, the extrinsic, the depth intrinsics, the cost trace and
+stage one's wall masks (`CalibrationResult.inlier_sets`) of each. Save them
+from one checkout and compare from another to see how far a change moves
+the outputs:
 
     python scripts/compare_calibrations.py --save before.npz
     python scripts/compare_calibrations.py --against before.npz
@@ -13,10 +14,15 @@ far a change moves the outputs:
 Each scene prints one line, which ends with the scene's stage times
 (`CalibrationResult.timings`). With `--against` the line starts with the
 max |delta| per quantity, then the two cost-trace lengths and, when they
-agree, the trace's max |delta|, and whether it is within the output
-gates: U, G, translation and quaternion within 1e-9, the depth
-intrinsics within 1e-6 px, and cost traces of equal length. The script
-exits 1 when a scene is outside them or missing from the saved run.
+agree, the trace's max |delta|, then the wall pixels that differ, and
+whether it is within the output gates: U, G, translation and quaternion
+within 1e-9, the depth intrinsics within 1e-6 px, cost traces of equal
+length, and walls for the same frame ids with no pixel differing. The best
+mask feeds the refit, so a wall that moves is a change even when the maps
+stay inside their gates. The script exits 1 when a scene is outside them or
+missing from the saved run. A file saved before the walls were kept has
+none, and every scene compared against it is outside the gates: save the
+reference with this script in both checkouts.
 
 `--bench-seed N` adds a clean scene B with seed N, the scene a benchmark
 `calib-accept` run with that seed calibrates.
@@ -53,12 +59,26 @@ def calibrate(seed, noise, bias):
                                           min_inliers=200, fit_radius=48),
                        dc.GlobalConfig(max_points_per_frame=800))
     k = res.intr_depth
+    ids = sorted(res.inlier_sets)
     outputs = {"umap": res.umap.coefficients, "gmap": res.gmap.corners,
                "translation": res.extrinsic.translation,
                "quaternion": res.extrinsic.quaternion,
                "intrinsics": np.array([k.fx, k.fy, k.cx, k.cy]),
-               "trace": np.asarray(res.cost_trace)}
+               "trace": np.asarray(res.cost_trace),
+               "wall_ids": np.array(ids),
+               "walls": np.stack([res.inlier_sets[i] for i in ids])}
     return outputs, res.timings
+
+
+def wall_change(name, out, ref):
+    """(text, ok) for the scene's wall masks against the saved run."""
+    if f"{name}/walls" not in ref:
+        return "walls not saved", False
+    ids = out[f"{name}/wall_ids"]
+    if ids.tolist() != ref[f"{name}/wall_ids"].tolist():
+        return "walls for other frame ids", False
+    differ = np.count_nonzero(out[f"{name}/walls"] != ref[f"{name}/walls"])
+    return f"walls {ids.size} frames {differ} px differ", differ == 0
 
 
 def main(args):
@@ -92,9 +112,13 @@ def main(args):
         outside = [q for q, d in delta.items() if not d <= GATES[q]]
         if not same_length:
             outside.append("trace length")
+        walls, walls_ok = wall_change(name, out, ref)
+        if not walls_ok:
+            outside.append("walls")
         verdict = (f"OUTSIDE gates ({', '.join(outside)})" if outside
                    else "within gates")
-        print(f"{name}: max |delta|  {diffs}  {trace}  {verdict}  |  {stages[name]}")
+        print(f"{name}: max |delta|  {diffs}  {trace}  {walls}  {verdict}  |  "
+              f"{stages[name]}")
         status |= bool(outside)
     return status
 

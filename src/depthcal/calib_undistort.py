@@ -172,16 +172,15 @@ def undistorted_points(umap, depth: DepthImage, intr: CameraIntrinsics):
 
 
 def select_wall_points(points, pixels, board_pose: RigidTransform, t0: RigidTransform,
-                       board: BoardSpec, cfg: UndistortConfig, rng=None) -> IndexSet:
+                       board: BoardSpec, cfg: UndistortConfig, rng) -> IndexSet:
     """Wall pixel coordinates by checkerboard-seeded RANSAC on undistorted points.
 
     `points` (N, 3) lie at the True pixels of the (H, W) mask `pixels`,
     row-major. The consensus plane must stay near the seed (normal angle and
     offset gates), which rejects other scene planes such as the floor. The
     inlier threshold scales with the quantization noise at the seed depth.
+    `rng` draws the RANSAC samples.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     seed = _seed_plane(board_pose, t0, board)
     if points.shape[0] != np.count_nonzero(pixels):
         raise CalibrationError("wall selection needs one point per pixel")

@@ -109,7 +109,7 @@ def _read_scene_file(path):
 
 def cmd_simulate(args):
     scene = _scene_from_args(args)
-    out = synthbench.generate_dataset(scene, args.train, args.test, args.out)
+    out = synthbench.generate_dataset(scene, args.out)
     print(f"dataset written to {out} ({args.train} training + {args.test} test frames)")
     return 0
 
@@ -187,7 +187,7 @@ def cmd_evaluate(args):
     if not entries:
         raise CalibrationError("dataset has no test frames (true distances missing)")
     os.makedirs(args.out, exist_ok=True)
-    ucfg = UndistortConfig(seed=args.seed, min_inliers=50)
+    ucfg = UndistortConfig(min_inliers=50)
     rng = np.random.default_rng(args.seed)
 
     rows_plan, rows_glob, rows_rot, rows_depth = [], [], [], []

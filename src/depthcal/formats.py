@@ -304,7 +304,8 @@ def _read_lines(path):
 def _read_keyvals(path, repeated=()):
     """A key-value text file as ({key: tokens}, {key: texts}): the tokens of
     each key given once, and for each key in `repeated` the text after the
-    key on each of its lines. Any other key given twice raises FormatError."""
+    key on each of its lines. Any other key given twice raises FormatError, and
+    so does a `version` line that does not name FORMAT_VERSION."""
     kv = {}
     texts = {key: [] for key in repeated}
     for line in _read_lines(path):
@@ -318,6 +319,10 @@ def _read_keyvals(path, repeated=()):
             raise FormatError(f"{path}: {key} given twice")
         else:
             kv[key] = text.split()
+    if "version" in kv:
+        [version] = _values(kv["version"], 1, f"{path}: version", int)
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
     return kv, texts
 
 
@@ -565,10 +570,9 @@ def read_calibration(path):
     broken by file edits.
     """
     kv, texts = _read_keyvals(path, repeated=("umap_fn",))
+    if "version" not in kv:
+        raise FormatError(f"{path}: missing key 'version'")
     try:
-        [version] = _values(kv["version"], 1, f"{path}: version", int)
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
         intr_rgb = _intr_from_tokens(kv["rgb_intrinsics"])
         intr_depth = _intr_from_tokens(kv["depth_intrinsics"])
         extrinsic = _transform(kv["extrinsic_quaternion"],
@@ -660,14 +664,18 @@ def read_manifest(path) -> DatasetManifest:
 
 def load_frames(manifest: DatasetManifest, base_dir, test_only=False,
                 train_only=False):
-    """Load manifest frames from disk; corners validated against RGB bounds."""
+    """Load manifest frames from disk; depth sizes and corner bounds checked."""
     frames = []
+    intr = manifest.intr_depth_guess
     for fr in manifest.frames:
         if test_only and fr.true_distance is None:
             continue
         if train_only and fr.true_distance is not None:
             continue
         depth = read_depth_pgm(os.path.join(base_dir, fr.depth_path))
+        if (depth.width, depth.height) != (intr.width, intr.height):
+            raise FormatError(f"{fr.frame_id}: {fr.depth_path} is {depth.width}x{depth.height}, "
+                              f"not the depth intrinsics' {intr.width}x{intr.height}")
         corners = read_corners_csv(os.path.join(base_dir, fr.corners_path))
         if (corners.shape[0], corners.shape[1]) != (manifest.board.rows,
                                                     manifest.board.cols):

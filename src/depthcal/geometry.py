@@ -453,7 +453,10 @@ def project_point(intr: CameraIntrinsics, p) -> np.ndarray:
     return uv[0] if single else uv
 
 
-def undistort_pixel(intr: CameraIntrinsics, uv, iterations: int = 10) -> np.ndarray:
+UNDISTORT_ITERATIONS = 10  # fixed-point steps of `undistort_pixel`
+
+
+def undistort_pixel(intr: CameraIntrinsics, uv) -> np.ndarray:
     """Invert the distortion model: pixel -> normalized (x, y) coordinates."""
     uv = np.asarray(uv, dtype=float)
     single = uv.ndim == 1
@@ -466,7 +469,7 @@ def undistort_pixel(intr: CameraIntrinsics, uv, iterations: int = 10) -> np.ndar
     k1, k2, k3 = intr.radial_dist
     p1, p2 = intr.tangential_dist
     x, y = xd.copy(), yd.copy()
-    for _ in range(iterations):
+    for _ in range(UNDISTORT_ITERATIONS):
         r2 = x * x + y * y
         radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
         dx = 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x)

@@ -35,6 +35,7 @@ import numpy as np
 from .geometry import DepthImage, NoiseModel, horner
 
 MAX_DEGREE = 4
+COND_LIMIT = 1e12  # a fit whose normal matrix is this ill-conditioned is not ok
 
 
 class MapError(ValueError):
@@ -146,7 +147,7 @@ def _ldl_inverse(a):
     return m, d
 
 
-def fit_weighted_poly_batch(zpow, zpi, count, degree, constant_zero, cond_limit=1e12):
+def fit_weighted_poly_batch(zpow, zpi, count, degree, constant_zero):
     """Weighted polynomial fits minimizing sum w (f(z) - z_pi)^2, one per row.
 
     zpow (R, >= 2 * degree + 1), zpi (R, >= degree + 1) and count (R,) are
@@ -154,16 +155,16 @@ def fit_weighted_poly_batch(zpow, zpi, count, degree, constant_zero, cond_limit=
     from them. With constant_zero the constant column is omitted. Returns
     (coeffs (R, degree + 1), ok (R,)) where ok is False for fits that are
     underdetermined or whose normal matrix has a 2-norm condition number of
-    at least cond_limit; their coefficient rows are 0.
+    at least COND_LIMIT; their coefficient rows are 0.
 
     All rows are factored at once by `_ldl_inverse`, and the solve uses the
     same factors. A pivot <= 0 makes a fit not ok: LDL^T of a positive
     definite A completes whenever 20 k^1.5 cond_2(H) eps < 1, with H the
     unit-diagonal scaling of A (Demmel, 1989), and cond_2(H) <=
-    k cond_2(A); so for k <= 5 and a cond_limit up to 8e12 such a row is
+    k cond_2(A); so for k <= 5 and a COND_LIMIT up to 8e12 such a row is
     beyond the limit. For a positive definite A, lambda_max <= tr(A) and
     1 / lambda_min <= tr(A^-1), so cond_2(A) <= tr(A) tr(A^-1) <=
-    k^2 cond_2(A). A row that this bound puts below cond_limit / 2 is ok,
+    k^2 cond_2(A). A row that this bound puts below COND_LIMIT / 2 is ok,
     with room for the rounding of the bound; only the remaining rows are
     decided by their eigenvalues.
     """
@@ -181,13 +182,13 @@ def fit_weighted_poly_batch(zpow, zpi, count, degree, constant_zero, cond_limit=
         y = np.sum(m * rhs, axis=1) / d
         coeffs = np.zeros((normal.shape[2], degree + 1))
         coeffs[:, first:] = np.sum(m * y[:, None], axis=0).T
-    exact = ok & ~(bound < cond_limit / 2)
+    exact = ok & ~(bound < COND_LIMIT / 2)
     if np.any(exact):
         # symmetric PSD: the singular values are the absolute eigenvalues
         eig = np.abs(np.linalg.eigvalsh(np.moveaxis(normal[..., exact], -1, 0)))
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = eig.max(axis=1) / eig.min(axis=1)
-        ok[exact] = cond < cond_limit
+        ok[exact] = cond < COND_LIMIT
     coeffs[~ok] = 0.0
     return coeffs, ok
 

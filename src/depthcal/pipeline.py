@@ -37,7 +37,6 @@ class CalibrationResult:
     extrinsic: RigidTransform  # depth -> camera
     intr_depth: CameraIntrinsics
     intr_rgb: CameraIntrinsics
-    board: BoardSpec
     inlier_sets: dict  # frame id -> (H, W) bool wall mask, usable frames only
     cost_trace: tuple
     timings: dict
@@ -86,7 +85,6 @@ def calibrate(frames, t0: RigidTransform, intr_rgb: CameraIntrinsics,
         extrinsic=state.extrinsic,
         intr_depth=state.intr_depth,
         intr_rgb=intr_rgb,
-        board=board,
         inlier_sets=walls,
         cost_trace=tuple(lm_result.cost_trace),
         timings=timings,

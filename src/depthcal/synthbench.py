@@ -16,7 +16,7 @@ calibration paths.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .geometry import (
     DepthImage,
     IndexSet,
     KINECT1_QUANTIZATION,
-    NoiseModel,
     OrganizedCloud,
     Plane,
     RigidTransform,
@@ -44,6 +43,9 @@ log = logging.getLogger(__name__)
 LABEL_NONE = 0
 LABEL_WALL = 1
 LABEL_FLOOR = 2
+
+DEPTH_RANGE = (0.4, 6.0)  # depths the sensor reports, meters
+FLOOR_GAP = 0.4  # the floor stops this far in front of the wall, meters
 
 
 class RenderError(RuntimeError):
@@ -78,7 +80,6 @@ class GroundTruthDistortion:
 
     undistortion_field: UndistortionMap
     global_correction: PolyFn
-    description: str = ""
 
     def __post_init__(self):
         if not self.global_correction.constant_zero:
@@ -94,12 +95,6 @@ class GroundTruthDistortion:
             slope = sum(k * gc[k] * z ** (k - 1) for k in range(1, len(gc)))
             if slope <= 0:
                 raise ValueError("global correction is not monotone on [0.5, 5] m")
-
-    @staticmethod
-    def none(width, height):
-        return GroundTruthDistortion(
-            UndistortionMap.identity(width, height, width, height, degree=2),
-            PolyFn.identity(2, constant_zero=True), "identity")
 
     def corrupt(self, true_depth, valid):
         """Forward corruption of a (H, W) true depth field (noise-free part)."""
@@ -147,9 +142,7 @@ def bowl_distortion(width, height, peak=0.022, flat_frac=0.2, asym=0.15,
     coeffs[:, :, 2] = -gamma
     if global_correction is None:
         global_correction = PolyFn.identity(2, constant_zero=True)
-    return GroundTruthDistortion(fieldmap.with_coefficients(coeffs),
-                                 global_correction,
-                                 f"cosine bulge peak={peak} asym={asym}")
+    return GroundTruthDistortion(fieldmap.with_coefficients(coeffs), global_correction)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,9 +162,6 @@ class SceneSpec:
     noise: bool = True
     sigma_c: float = 0.2  # corner detection noise, pixels
     seed: int = 0
-    depth_range: tuple = (0.4, 6.0)
-    noise_model: NoiseModel = field(default=KINECT1_QUANTIZATION)
-    floor_gap: float = 0.4  # the floor stops this far in front of the wall, meters
 
     def __post_init__(self):
         board_plane_world = transform_plane(self.board_pose, self.board.plane)
@@ -312,10 +302,10 @@ def render_frame(scene: SceneSpec, index) -> LabeledFrame:
         # the floor stops short of the wall, so no floor point sits inside
         # the wall's RANSAC slab near the seam
         hit_to_wall = (rays @ wall_s.normal) * t_floor - wall_s.offset
-        floor_wins = (t_floor < depth) & (hit_to_wall <= -scene.floor_gap)
+        floor_wins = (t_floor < depth) & (hit_to_wall <= -FLOOR_GAP)
         depth = np.where(floor_wins, t_floor, depth)
         labels = np.where(floor_wins, LABEL_FLOOR, labels)
-    lo, hi = scene.depth_range
+    lo, hi = DEPTH_RANGE
     in_range = np.isfinite(depth) & (depth >= lo) & (depth <= hi)
     if not np.any(in_range & (labels == LABEL_WALL)):
         raise RenderError(f"pose {index} sees no wall")
@@ -325,7 +315,7 @@ def render_frame(scene: SceneSpec, index) -> LabeledFrame:
     rng = np.random.default_rng([scene.seed, int(index)])
     if scene.noise:
         noise = rng.normal(0.0, 1.0, observed.shape)
-        sigma = scene.noise_model.sigma(np.where(in_range, observed, 1.0))
+        sigma = KINECT1_QUANTIZATION.sigma(np.where(in_range, observed, 1.0))
         observed = observed + noise * sigma
         observed = np.round(observed * 1000.0) / 1000.0  # millimeter quantization
     valid = in_range & (observed > 0)
@@ -355,7 +345,7 @@ def render_frame(scene: SceneSpec, index) -> LabeledFrame:
                         is_test=scene.is_test(index))
 
 
-def generate_dataset(scene: SceneSpec, n_train, n_test, out_dir):
+def generate_dataset(scene: SceneSpec, out_dir):
     """Render and write a dataset directory (manifest, PGM depths, corner CSVs).
 
     Also writes the `ground_truth.txt` sidecar holding the injected fields;
@@ -363,12 +353,9 @@ def generate_dataset(scene: SceneSpec, n_train, n_test, out_dir):
     """
     from . import formats
 
-    if n_train < 10:
+    if scene.n_train < 10:
         raise ValueError("need at least 10 training frames")
-    if n_train > scene.n_train or n_test > len(scene.test_distances):
-        raise ValueError("scene does not define enough poses")
-    indices = list(range(n_train)) + [scene.n_train + i for i in range(n_test)]
-    frames = [render_frame(scene, k) for k in indices]
+    frames = [render_frame(scene, k) for k in range(scene.n_frames)]
     return formats.write_dataset(scene, frames, out_dir)
 
 

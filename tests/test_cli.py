@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ def dataset(tmp_path_factory):
                               width=160, height=120,
                               distortion=sb.bowl_distortion(160, 120,
                                                             grid_bin=(2, 2)))
-    sb.generate_dataset(scene, 12, 3, out)
+    sb.generate_dataset(scene, out)
     return str(out)
 
 
@@ -158,6 +159,19 @@ def test_missing_calibration_file_exits_1(tmp_path, capsys):
                  "--out", str(tmp_path / "out.ply")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_calibrate_names_a_depth_image_of_the_wrong_size(dataset, tmp_path, capsys):
+    copy = tmp_path / "ds"
+    shutil.copytree(dataset, copy)
+    pgm = copy / "depth" / "train_000.pgm"
+    img = formats.read_depth_pgm(pgm)
+    formats.write_depth_pgm(pgm, dc.DepthImage(img.width - 1, img.height,
+                                               img.data[:, :-1]))
+    code = main(["calibrate", "--dataset", str(copy), "--out", str(tmp_path / "c.txt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "train_000" in err and "159x120" in err
 
 
 def test_calibrate_writes_calibration_and_report(calibration):

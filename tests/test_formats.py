@@ -284,6 +284,7 @@ def test_calibration_rejects_nan_focal_length(tmp_path):
     pytest.param("umap_size ", "umap_size 8 6 7", id="three-sizes"),
     pytest.param("umap_size ", "umap_size", id="empty-size"),
     pytest.param("version ", "version", id="bare-version"),
+    pytest.param("version ", "version 2", id="version-2"),
     pytest.param("umap_fn 0 0 ", "umap_fn x 0 0 1 0", id="non-integer-index"),
     pytest.param("umap_fn 8 0 ", "umap_fn 1.5 0 0 1 0", id="fractional-index"),
     pytest.param("umap_fn 8 0 ", "umap_fn 7 0 0 1 0", id="duplicate-index"),
@@ -366,6 +367,7 @@ def sample_ground_truth():
 
 
 @pytest.mark.parametrize("prefix, line", [
+    pytest.param("version ", "version 2", id="version-2"),
     pytest.param("frame_truth ", "frame_truth f1 1.0", id="short-frame-truth"),
     pytest.param("frame_truth ", "frame_truth f1 x 0 0 2 1 0 0 0",
                  id="non-numeric-distance"),
@@ -433,6 +435,7 @@ def test_manifest_rejects_duplicate_ids(tmp_path):
     pytest.param("guess_quaternion 1 0 0 0", "guess_quaternion 1 0 0",
                  id="three-value-quaternion"),
     pytest.param("159.5 119.5 320 240", "159.5 119.5 320 240.5", id="fractional-height"),
+    pytest.param("board 6 8 0.1", "version 2\nboard 6 8 0.1", id="version-2"),
 ])
 def test_manifest_rejects_malformed_line(tmp_path, old, new):
     path = tmp_path / "manifest.txt"
@@ -545,6 +548,21 @@ def test_load_frames_checks_corner_bounds(tmp_path):
         extrinsic_guess=dc.RigidTransform.identity(),
         frames=(formats.ManifestFrame("a", "d.pgm", "c.csv"),))
     with pytest.raises(FormatError):
+        formats.load_frames(manifest, tmp_path)
+
+
+def test_load_frames_checks_depth_image_size(tmp_path):
+    formats.write_depth_pgm(tmp_path / "d.pgm", dc.DepthImage(3, 4, np.full((4, 3), 1.0)))
+    formats.write_corners_csv(tmp_path / "c.csv", np.full((3, 3, 2), 10.0))
+    manifest = formats.DatasetManifest(
+        board=dc.BoardSpec(3, 3, 0.1),
+        intr_rgb=dc.CameraIntrinsics(fx=525, fy=525, cx=319.5, cy=239.5,
+                                     width=640, height=480),
+        intr_depth_guess=dc.CameraIntrinsics(fx=40, fy=40, cx=2, cy=2,
+                                             width=4, height=4),
+        extrinsic_guess=dc.RigidTransform.identity(),
+        frames=(formats.ManifestFrame("a", "d.pgm", "c.csv"),))
+    with pytest.raises(FormatError, match=r"a: d\.pgm is 3x4, not .* 4x4"):
         formats.load_frames(manifest, tmp_path)
 
 

@@ -246,7 +246,7 @@ def test_fit_batch_flags_straddle_cond_limit(monkeypatch, degree, constant_zero)
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     coeffs, ok = fit_weighted_poly_batch(zpow, moments.zpi.reshape(len(names), -1),
                                          moments.count.reshape(-1), degree,
-                                         constant_zero, COND_LIMIT)
+                                         constant_zero)
     ref, ref_ok = oracle_batch(z, z_pi, mask, NM, degree, constant_zero, COND_LIMIT)
 
     assert ok.tolist() == ref_ok.tolist() == [rows[name][1] for name in names]

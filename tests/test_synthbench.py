@@ -125,7 +125,7 @@ def test_render_floor_respects_gap():
     cloud = dc.depth_to_cloud(lf.true_depth, scene.intr_depth)
     wall_s = dc.transform_plane(scene.pose(scene.n_frames - 1).inverse(), scene.wall)
     gaps = wall_s.signed_distance(cloud.points[floor])
-    assert np.max(gaps) <= -scene.floor_gap + 1e-9
+    assert np.max(gaps) <= -sb.FLOOR_GAP + 1e-9
 
 
 def test_render_corner_noise_uses_sigma_c():
@@ -225,7 +225,7 @@ def test_depth_vs_ground_truth_bias():
 
 def test_generate_dataset_layout(tmp_path):
     scene = tiny_scene(noise=True)
-    out = sb.generate_dataset(scene, 10, 3, tmp_path / "ds")
+    out = sb.generate_dataset(scene, tmp_path / "ds")
     manifest = formats.read_manifest(f"{out}/manifest.txt")
     assert len(manifest.frames) == 13
     test_dists = [fr.true_distance for fr in manifest.frames
@@ -236,14 +236,14 @@ def test_generate_dataset_layout(tmp_path):
 
 
 def test_generate_dataset_requires_ten_training_frames(tmp_path):
-    scene = tiny_scene()
+    scene = tiny_scene(n_train=5, n_test=2)
     with pytest.raises(ValueError):
-        sb.generate_dataset(scene, 5, 2, tmp_path / "ds")
+        sb.generate_dataset(scene, tmp_path / "ds")
 
 
 def test_dataset_round_trip_bit_exact(tmp_path):
-    scene = tiny_scene(noise=True)
-    out = sb.generate_dataset(scene, 10, 2, tmp_path / "ds")
+    scene = tiny_scene(noise=True, n_test=2)
+    out = sb.generate_dataset(scene, tmp_path / "ds")
     manifest = formats.read_manifest(f"{out}/manifest.txt")
     loaded = dict(formats.load_frames(manifest, out))
     for k in range(scene.n_train):
@@ -256,8 +256,8 @@ def test_dataset_round_trip_bit_exact(tmp_path):
 
 
 def test_ground_truth_sidecar_round_trip(tmp_path):
-    scene = tiny_scene(noise=True)
-    out = sb.generate_dataset(scene, 10, 2, tmp_path / "ds")
+    scene = tiny_scene(noise=True, n_test=2)
+    out = sb.generate_dataset(scene, tmp_path / "ds")
     extr, gcorr, field, truths = formats.read_ground_truth(f"{out}/ground_truth.txt")
     assert np.allclose(extr.translation, scene.true_extrinsic.translation)
     assert gcorr == scene.distortion.global_correction
