@@ -36,8 +36,10 @@ def _threads_from_env(default=1):
     try:
         n = int(raw)
     except ValueError:
-        raise SystemExit(f"DEPTHCAL_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
+        n = 0
+    if n < 1:
+        raise SystemExit(f"DEPTHCAL_THREADS must be a positive integer, got {raw!r}")
+    return n
 
 
 def _parse_bin(text):

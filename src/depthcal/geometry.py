@@ -370,8 +370,14 @@ def horner(coefficients, z, out=None):
     z = np.asarray(z, dtype=float)
     if out is None:
         out = np.empty(np.broadcast_shapes(c.shape[:-1], z.shape))
-    np.copyto(out, c[..., -1])
-    for k in range(c.shape[-1] - 2, -1, -1):
+    top = c.shape[-1] - 1
+    if top == 0:
+        np.copyto(out, c[..., 0])
+    else:
+        # c_top * z in one pass: the bits of copying c_top and scaling by z
+        np.multiply(c[..., top], z, out=out)
+        out += c[..., top - 1]
+    for k in range(top - 2, -1, -1):
         out *= z
         out += c[..., k]
     return float(out) if out.ndim == 0 else out

@@ -20,10 +20,14 @@ Maps correct depth images, never clouds: `apply_undistortion` and
 the pinhole back-projection (`geometry.depth_to_cloud`) of a corrected
 image. `undistort_at` evaluates U at chosen pixels of an image only, with
 the bits `apply_undistortion` gives there. `correct_rows` is the one kernel
-of the full correction, d* = g(u(d)) on a band of image rows;
-`pipeline.apply_calibration` runs it. Maps are immutable after estimation;
-application is embarrassingly parallel per pixel and may be called
-concurrently on a shared map.
+of the full correction, d* = g(u(d)) on one block of image rows, small
+enough to stay in cache through all its passes. `pipeline.apply_calibration`
+runs it block by block: each thread takes one band, a contiguous run of
+blocks, and back-projects each block as soon as it is corrected. The
+per-pixel arithmetic does not depend on the blocks or bands, so every
+block size and thread count gives the same bits. Maps are immutable after
+estimation; application is embarrassingly parallel per pixel and may be
+called concurrently on a shared map.
 """
 
 from __future__ import annotations
@@ -422,8 +426,9 @@ class GlobalMap:
 
         The coefficients at (u, v) are c00 + (u/W)(cW0 - c00) + (v/H)(c0H - c00),
         a row term in u plus a column term in v. Equal free corners blend to
-        exactly their value, so an identity map is the identity. For an
-        image band pass u (W,) and v (rows, 1): no per-pixel coefficient
+        exactly their value, so an identity map is the identity. Every
+        constant term is 0, so Horner's last step only scales by d. For an
+        image block pass u (W,) and v (rows, 1): no per-pixel coefficient
         array is formed.
         """
         un = np.asarray(u, dtype=float) / self.width
@@ -437,8 +442,9 @@ class GlobalMap:
         np.add(c00[top] + un * du[top], vn * dv[top], out=out)
         for k in range(top - 1, -1, -1):
             out *= d
-            out += c00[k] + un * du[k]
-            out += vn * dv[k]
+            if k:  # every corner's constant term is 0 (constant_zero)
+                out += c00[k] + un * du[k]
+                out += vn * dv[k]
         return out
 
     def __eq__(self, other):
@@ -468,15 +474,17 @@ def check_sizes(umap: UndistortionMap, gmap: GlobalMap, img: DepthImage):
         raise MapError("input size does not match the global map")
 
 
-def correct_rows(dense_u, gmap: GlobalMap, data, v0, v1, out, valid, scratch):
-    """The correction kernel: d* = g(u(d)) on image rows v0:v1 of data.
+def correct_rows(dense_u, gmap: GlobalMap, data, v0, v1, valid, scratch):
+    """The correction kernel: d* = g(u(d)) on one block of image rows v0:v1.
 
-    `dense_u` is the undistortion map's `dense_coefficients()`. Writes d*
-    to `out` (rows, W) and its mask to `valid`; pixels whose input, u(d) or
-    d* is not positive get 0 and False. `scratch` (2, rows, W) is work
-    space. The kernel allocates no image-sized array, so bands run in
-    worker threads without going through the allocator. Sizes are not
-    checked here; callers run `check_sizes` first.
+    `dense_u` is the undistortion map's `dense_coefficients()`. Writes the
+    block's mask to `valid` (rows, W) and returns d* (rows, W) as a view of
+    `scratch[1]`; pixels whose input, u(d) or d* is not positive get 0 and
+    False. `scratch` (2, rows, W) is work space that a caller reuses from
+    block to block: with a few dozen rows of a 640-wide image, the block's
+    arrays stay in a core's L2 cache through every pass of the kernel. Only
+    block-sized arrays are allocated. Sizes are not checked here; callers
+    run `check_sizes` first.
     """
     d = data[v0:v1]
     dhat = horner(dense_u[v0:v1], d, scratch[0])
@@ -485,5 +493,5 @@ def correct_rows(dense_u, gmap: GlobalMap, data, v0, v1, out, valid, scratch):
     np.minimum(dhat, d, out=dhat)
     np.minimum(dhat, dstar, out=dhat)
     np.greater(dhat, 0.0, out=valid)
-    out[...] = 0.0
-    np.copyto(out, dstar, where=valid)
+    np.copyto(dstar, 0.0, where=~valid)
+    return dstar

@@ -27,6 +27,12 @@ from .maps import GlobalMap, UndistortionMap, check_sizes, correct_rows
 
 log = logging.getLogger(__name__)
 
+# Rows per correction block. At 640 wide one of a block's arrays takes
+# 246 KB, and a pass of the kernel touches a few of them, so they stay in a
+# core's 2 MiB L2 from pass to pass. 32 to 64 rows measured fastest on a
+# 640x480 frame; fewer rows pay more per-call overhead.
+BLOCK_ROWS = 48
+
 
 @dataclass(frozen=True)
 class CalibrationResult:
@@ -95,13 +101,17 @@ def apply_calibration(umap: UndistortionMap, gmap: GlobalMap, img: DepthImage,
                       intr: CameraIntrinsics, threads: int = 1) -> OrganizedCloud:
     """Correct one depth frame (d* = g(u(d))) and back-project it.
 
-    Sizes are checked first. The image is then split into min(threads, H)
-    row bands, each corrected by `maps.correct_rows` and back-projected into
-    preallocated arrays. The calling thread runs the first band and a
-    per-call pool runs the others concurrently. The per-pixel arithmetic
-    does not depend on the bands, so every thread count gives the same
-    result. With an identity G it is, bit for bit, the undistorted cloud
-    `depth_to_cloud(apply_undistortion(umap, img), intr)` the stages read.
+    Sizes are checked first. The image is then cut into blocks of
+    BLOCK_ROWS rows (the last may be shorter), and the blocks into
+    min(threads, blocks) bands of contiguous blocks. Each band walks its
+    blocks with one reused scratch: `maps.correct_rows` corrects a block,
+    and `back_project` writes its points into the preallocated cloud while
+    the block is still in cache. The calling thread runs the first band and
+    a per-call pool of bands - 1 threads runs the others. The per-pixel
+    arithmetic does not depend on the blocks or bands, so every thread
+    count gives the same result. With an identity G it is, bit for bit, the
+    undistorted cloud `depth_to_cloud(apply_undistortion(umap, img), intr)`
+    the stages read.
     """
     check_sizes(umap, gmap, img)
     if (img.width, img.height) != (intr.width, intr.height):
@@ -110,21 +120,25 @@ def apply_calibration(umap: UndistortionMap, gmap: GlobalMap, img: DepthImage,
     h, w = img.height, img.width
     pts = np.empty((h, w, 3))
     valid = np.empty((h, w), dtype=bool)
-    scratch = np.empty((2, h, w))
+    starts = range(0, h, BLOCK_ROWS)
+    bands = max(1, min(threads, len(starts)))
+    bounds = np.linspace(0, len(starts), bands + 1).astype(int)
+    # allocated here, so pool threads leave no arrays in their own arenas
+    scratch = np.empty((bands, 2, min(BLOCK_ROWS, h), w))
 
-    def run_band(v0, v1):
-        z = pts[v0:v1, :, 2]
-        correct_rows(dense_u, gmap, img.data, v0, v1, z, valid[v0:v1],
-                     scratch[:, v0:v1])
-        back_project(z, np.arange(w), np.arange(v0, v1)[:, None], intr, out=pts[v0:v1])
+    def run_band(b0, b1, work):
+        for v0 in starts[b0:b1]:
+            v1 = min(v0 + BLOCK_ROWS, h)
+            z = correct_rows(dense_u, gmap, img.data, v0, v1, valid[v0:v1],
+                             work[:, :v1 - v0])
+            back_project(z, np.arange(w), np.arange(v0, v1)[:, None], intr,
+                         out=pts[v0:v1])
 
-    bands = max(1, min(threads, h))
-    bounds = np.linspace(0, h, bands + 1).astype(int)
     if bands == 1:
-        run_band(0, h)
+        run_band(0, len(starts), scratch[0])
     else:
         with ThreadPoolExecutor(max_workers=bands - 1) as pool:
-            others = pool.map(run_band, bounds[1:-1], bounds[2:])
-            run_band(bounds[0], bounds[1])
+            others = pool.map(run_band, bounds[1:-1], bounds[2:], scratch[1:])
+            run_band(bounds[0], bounds[1], scratch[0])
             list(others)
     return OrganizedCloud(w, h, pts, valid)

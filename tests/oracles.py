@@ -15,6 +15,11 @@ what the library computes vectorized. `global_eval` blends all four corners
 bilinearly, the fourth from `complete_dependent_corner`, so it does not share
 the affine evaluator of `GlobalMap.correct`, which stores no fourth corner.
 
+`correct_rows` is the correction kernel making each pass over a whole frame,
+with the Horner steps of `horner_steps` and `global_correct`, one pass more
+each than the library's. It is the reference for the bits of the blocked
+kernel that `pipeline.apply_calibration` runs.
+
 The text writers at the end format one number at a time with
 `format(x, ".17g")`. They are the reference for the bytes of the files
 `depthcal.formats` writes a block at a time.
@@ -53,7 +58,6 @@ from depthcal.maps import (
     UndistortionMap,
     apply_undistortion,
     check_sizes,
-    correct_rows,
 )
 
 
@@ -190,12 +194,63 @@ def global_eval(gmap: GlobalMap, u, v, d):
     return _horner(four_corner_coefficients(gmap, u, v), d)
 
 
+def horner_steps(c, z, out):
+    """sum_k c[..., k] z^k into `out`: c_top copied there, then one in-place
+    scale by z and add per lower coefficient. `geometry.horner` gives these
+    bits with one pass fewer."""
+    np.copyto(out, c[..., -1])
+    for k in range(c.shape[-1] - 2, -1, -1):
+        out *= z
+        out += c[..., k]
+    return out
+
+
+def global_correct(gmap: GlobalMap, u, v, d, out=None):
+    """`GlobalMap.correct` with every Horner step, the zero constant terms
+    added too. The same bits, except that a -0.0 comes out as +0.0."""
+    un = np.asarray(u, dtype=float) / gmap.width
+    vn = np.asarray(v, dtype=float) / gmap.height
+    c00, cw0, c0h = gmap.corners
+    du = cw0 - c00
+    dv = c0h - c00
+    top = c00.size - 1
+    if out is None:
+        out = np.empty(np.broadcast_shapes(un.shape, vn.shape, np.shape(d)))
+    np.add(c00[top] + un * du[top], vn * dv[top], out=out)
+    for k in range(top - 1, -1, -1):
+        out *= d
+        out += c00[k] + un * du[k]
+        out += vn * dv[k]
+    return out
+
+
+def correct_rows(dense_u, gmap: GlobalMap, data, v0, v1, out, valid, scratch):
+    """d* = g(u(d)) on image rows v0:v1 of data, each pass over all the rows.
+
+    The correction kernel as it was before `depthcal.maps.correct_rows`
+    walked row blocks, and the reference for the bits of
+    `pipeline.apply_calibration`. Writes d* to `out` (rows, W) and its mask
+    to `valid`; pixels whose input, u(d) or d* is not positive get 0 and
+    False. `scratch` (2, rows, W) is work space.
+    """
+    d = data[v0:v1]
+    dhat = horner_steps(dense_u[v0:v1], d, scratch[0])
+    dstar = global_correct(gmap, np.arange(gmap.width), np.arange(v0, v1)[:, None],
+                           dhat, scratch[1])
+    # min(d, u(d), d*) > 0 is the validity test; a NaN anywhere fails it
+    np.minimum(dhat, d, out=dhat)
+    np.minimum(dhat, dstar, out=dhat)
+    np.greater(dhat, 0.0, out=valid)
+    out[...] = 0.0
+    np.copyto(out, dstar, where=valid)
+
+
 def correct_depth_image(umap: UndistortionMap, gmap: GlobalMap,
                         img: DepthImage) -> DepthImage:
     """Fully corrected depths d* = g(u(d)); invalid pixels stay invalid.
 
     The depth image that `pipeline.apply_calibration` back-projects, from
-    one band of `correct_rows`.
+    one whole-frame call of `correct_rows`.
     """
     check_sizes(umap, gmap, img)
     out = np.empty((img.height, img.width))

@@ -25,6 +25,7 @@ from depthcal.geometry import (
 from depthcal.maps import PolyFn
 from oracles import (
     board_plane_depth,
+    global_correct,
     global_eval,
     orth_project,
     residual_pos,
@@ -409,6 +410,20 @@ def test_vectorized_residual_matches_reference(clean_setup):
     ref = np.concatenate(ref)
     assert full.shape == ref.shape
     assert np.allclose(full, ref, rtol=1e-9, atol=1e-9)
+
+
+def test_residual_keeps_its_bits_without_the_zero_constant_step(clean_setup, monkeypatch):
+    # GlobalMap.correct skips adding the corners' zero constant terms; the
+    # refine residual must read the bits of the evaluator that adds them
+    scene, frames, (walls, inliers, corners, ids) = clean_setup
+    obs = observations_from(walls, inliers, corners, ids, cap=40)
+    problem = _RefineProblem(truth_state(scene, frames, ids), obs, scene.intr_rgb,
+                             scene.board)
+    x = problem.pack_initial()
+    x = x + np.random.default_rng(9).normal(0, 1e-3, x.size)
+    got = problem.residual(x)
+    monkeypatch.setattr(dc.GlobalMap, "correct", global_correct)
+    assert problem.residual(x).tobytes() == got.tobytes()
 
 
 def test_board_planes_from_poses_match_fitted_planes():

@@ -232,11 +232,12 @@ def test_correct_threaded_identical(tmp_path, monkeypatch):
 
 
 def test_threads_env_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("DEPTHCAL_THREADS", "many")
     calib = tmp_path / "ident.txt"
     identity_calibration(calib)
-    with pytest.raises(SystemExit):
-        main(["bench", "--calib", str(calib), "--frames", "1"])
+    for raw in ("many", "0", "-2"):
+        monkeypatch.setenv("DEPTHCAL_THREADS", raw)
+        with pytest.raises(SystemExit, match="positive integer"):
+            main(["bench", "--calib", str(calib), "--frames", "1"])
 
 
 def test_evaluate_writes_reports(dataset, calibration, tmp_path):

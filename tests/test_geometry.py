@@ -8,13 +8,14 @@ from depthcal.geometry import (
     GeometryError,
     axis_angle_to_quat,
     back_project,
+    horner,
     lm_jacobian,
     plane_through,
     quat_multiply,
     quat_normalize,
     quat_to_matrix,
 )
-from oracles import los_project, orth_project
+from oracles import horner_steps, los_project, orth_project
 
 
 def ideal_camera(fx=500.0, fy=500.0, cx=320.0, cy=240.0):
@@ -172,6 +173,22 @@ def test_points_at_gathers_the_pixels():
     for uv in [(7, 0), (0, 5), (-1, 2)]:
         with pytest.raises(ValueError):
             cloud.points_at(dc.IndexSet([uv]))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_horner_has_the_bits_of_copy_then_scale(degree):
+    # the first step multiplies c_top by z in one pass; a copy of c_top
+    # scaled in place gives the same bits, at every shape horner takes
+    rng = np.random.default_rng(degree)
+    c = rng.normal(0, 1, (6, 7, degree + 1))
+    z = rng.uniform(-2, 5, (6, 7))
+    z[0, :3] = (0.0, -0.0, np.inf)
+    with np.errstate(invalid="ignore"):
+        got = horner(c, z)
+        assert got.tobytes() == horner_steps(c, z, np.empty(z.shape)).tobytes()
+        row = c[0, 0]
+        assert horner(row, z).tobytes() == horner_steps(row, z, np.empty(z.shape)).tobytes()
+    assert horner(row, 1.5) == horner_steps(row, 1.5, np.empty(()))[()]
 
 
 def test_back_project_at_pixels_matches_the_whole_frame():

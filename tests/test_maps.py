@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import depthcal as dc
-from depthcal import maps
+from depthcal import maps, pipeline
 from depthcal.maps import MapError, fit_weighted_poly_batch
 from oracles import (
     apply_full_correction,
@@ -12,6 +12,7 @@ from oracles import (
     corner_wh,
     correct_depth_image,
     fit_weighted_poly,
+    global_correct,
     global_eval,
     moments_of,
     surrounding,
@@ -549,6 +550,26 @@ def test_global_eval_affine_ramp():
         assert global_eval(g, u, v, d) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_global_correct_matches_oracles_and_identity_is_exact(degree):
+    rng = np.random.default_rng(40 + degree)
+    ident = np.tile([1.0] + [0.0] * (degree - 1), 3)
+    g = dc.GlobalMap.from_free_coefficients(32, 24, ident + rng.normal(0, 0.05, 3 * degree),
+                                            degree)
+    u, v = rng.uniform(0, 32, 300), rng.uniform(0, 24, 300)
+    d = rng.uniform(-1.0, 5.0, 300)
+    d[:6] = (0.0, -0.0, 0.0, -0.0, 1e-300, -1e-300)
+    got = g.correct(u, v, d)
+    # the evaluator that also adds the zero constant terms: the same bits,
+    # but for the sign of a zero
+    ref = global_correct(g, u, v, d)
+    assert np.array_equal(got, ref)
+    assert got[ref != 0.0].tobytes() == ref[ref != 0.0].tobytes()
+    for k in np.flatnonzero(d > 0.0):
+        assert got[k] == pytest.approx(global_eval(g, u[k], v[k], d[k]), abs=1e-12)
+    assert dc.GlobalMap.identity(32, 24, degree).correct(u, v, d).tobytes() == d.tobytes()
+
+
 def test_complete_dependent_corner_examples():
     ident = dc.PolyFn((0.0, 1.0), constant_zero=True)
     gw0 = dc.PolyFn((0.0, 1.01), constant_zero=True)
@@ -718,6 +739,73 @@ def test_apply_calibration_matches_pixel_oracles():
             expected = (z * (u - intr.cx) / intr.fx, z * (v - intr.cy) / intr.fy, z)
             assert cloud.valid[v, u] == (z > 0.0)
             assert np.max(np.abs(cloud.points[v, u] - expected)) <= 1e-12
+
+
+ROWS = pipeline.BLOCK_ROWS
+
+
+def edge_case_frame(width, height, seed):
+    """Maps and a frame with zero depths, u(d) <= 0 on the top-left block
+    of control functions and d* < 0 beyond about 3.3 m."""
+    umap, _ = random_maps(width, height, seed)
+    coeffs = umap.coefficients.copy()
+    coeffs[0, :2] = (-4.0, 1.0, 0.0)
+    umap = umap.with_coefficients(coeffs)
+    gmap = dc.GlobalMap.from_free_coefficients(width, height,
+                                               [1.0, -0.3, 1.01, -0.29, 0.99, -0.31])
+    img, intr = random_frame(width, height, seed + 1)
+    return umap, gmap, img, intr
+
+
+@pytest.mark.parametrize("height", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 5])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_apply_calibration_has_the_bits_of_the_whole_frame_kernel(height, threads):
+    umap, gmap, img, intr = edge_case_frame(16, height, 21)
+    want = apply_full_correction(umap, gmap, img, intr)
+    got = dc.apply_calibration(umap, gmap, img, intr, threads)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.valid.tobytes() == want.valid.tobytes()
+    d = img.data
+    dhat = dc.apply_undistortion(umap, img).data
+    dstar = gmap.correct(np.arange(16), np.arange(height)[:, None], dhat)
+    assert np.any(d == 0.0) and np.any((d > 0.0) & (dhat <= 0.0))
+    if height > 1:
+        assert np.any(dstar < 0.0)
+    # an invalid pixel's depth is +0.0, never -0.0
+    assert not np.any(np.signbit(got.points[~got.valid, 2]))
+
+
+class InlinePool:
+    """Stands in for ThreadPoolExecutor: records max_workers, runs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *args):
+        return list(map(fn, *args))
+
+
+@pytest.mark.parametrize("height, threads, workers", [
+    (2 * ROWS + 5, 64, [2]), (2 * ROWS + 5, 2, [1]), (ROWS, 64, []), (1, 8, []),
+    (2 * ROWS + 5, 1, [])])
+def test_apply_calibration_starts_a_thread_per_block_at_most(height, threads, workers,
+                                                            monkeypatch):
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    umap, gmap = random_maps(16, height, 13)
+    img, intr = random_frame(16, height, 14)
+    cloud = dc.apply_calibration(umap, gmap, img, intr, threads)
+    assert InlinePool.sizes == workers
+    want = apply_full_correction(umap, gmap, img, intr)
+    assert cloud.points.tobytes() == want.points.tobytes()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
