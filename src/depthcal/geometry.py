@@ -12,6 +12,7 @@ functions of their inputs, so they are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -418,13 +419,22 @@ def back_project(z, u, v, intr: CameraIntrinsics, out=None) -> np.ndarray:
     points agree bit for bit. Lens distortion is deliberately not applied:
     the per-pixel undistortion map absorbs residual depth-lens effects.
     """
-    xs = (np.arange(intr.width, dtype=float) - intr.cx) / intr.fx
-    ys = (np.arange(intr.height, dtype=float) - intr.cy) / intr.fy
+    xs, ys = _ray_slopes(intr)
     out = np.empty(np.shape(z) + (3,)) if out is None else out
     np.multiply(z, xs[u], out=out[..., 0])
     np.multiply(z, ys[v], out=out[..., 1])
     out[..., 2] = z
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _ray_slopes(intr: CameraIntrinsics):
+    """x/z of each pixel column and y/z of each pixel row, read-only."""
+    xs = (np.arange(intr.width, dtype=float) - intr.cx) / intr.fx
+    ys = (np.arange(intr.height, dtype=float) - intr.cy) / intr.fy
+    xs.setflags(write=False)
+    ys.setflags(write=False)
+    return xs, ys
 
 
 def depth_to_cloud(img: DepthImage, intr: CameraIntrinsics) -> OrganizedCloud:

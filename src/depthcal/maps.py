@@ -11,9 +11,10 @@ polynomials of the depth:
 * GlobalMap: one polynomial per image corner, with the fourth corner locked
   to gWH = gW0 + g0H - g00 so the blended coefficient field is affine over
   the image: c00 + (u/W)(cW0 - c00) + (v/H)(c0H - c00). `GlobalMap.correct`
-  is its one evaluator. Over a whole image the field is a (W,) row term plus
-  an (H,) column term, so G keeps no per-pixel cache. Removes the systematic
-  depth bias.
+  is its evaluator. Over a whole image the field is a (W,) row term plus an
+  (H,) column term per coefficient; `GlobalMap.correct_image_rows` computes
+  those once and keeps them, so G keeps no per-pixel cache. Removes the
+  systematic depth bias.
 
 Maps correct depth images, never clouds: `apply_undistortion` and
 `apply_global` take a DepthImage and return one, and a corrected cloud is
@@ -22,12 +23,13 @@ image. `undistort_at` evaluates U at chosen pixels of an image only, with
 the bits `apply_undistortion` gives there. `correct_rows` is the one kernel
 of the full correction, d* = g(u(d)) on one block of image rows, small
 enough to stay in cache through all its passes. `pipeline.apply_calibration`
-runs it block by block: each thread takes one band, a contiguous run of
-blocks, and back-projects each block as soon as it is corrected. The
-per-pixel arithmetic does not depend on the blocks or bands, so every
-block size and thread count gives the same bits. Maps are immutable after
-estimation; application is embarrassingly parallel per pixel and may be
-called concurrently on a shared map.
+runs it block by block, its threads taking blocks from a shared queue, and
+back-projects each block as soon as it is corrected. The per-pixel
+arithmetic does not depend on the blocks, so every block size and thread
+count gives the same bits. Maps are immutable after estimation (their
+caches hold only what their coefficients define); application is
+embarrassingly parallel per pixel and may be called concurrently on a
+shared map.
 """
 
 from __future__ import annotations
@@ -380,7 +382,7 @@ class GlobalMap:
     """
 
     __slots__ = ("width", "height", "corner_00", "corner_w0", "corner_0h",
-                 "corners")
+                 "corners", "_image_terms")
 
     def __init__(self, width, height, corner_00: PolyFn, corner_w0: PolyFn,
                  corner_0h: PolyFn):
@@ -395,6 +397,7 @@ class GlobalMap:
         self.corners = np.array([corner_00.coefficients, corner_w0.coefficients,
                                  corner_0h.coefficients])
         self.corners.setflags(write=False)
+        self._image_terms = None
 
     @staticmethod
     def identity(width, height, degree=2):
@@ -431,20 +434,40 @@ class GlobalMap:
         image block pass u (W,) and v (rows, 1): no per-pixel coefficient
         array is formed.
         """
+        return self._horner(*self._terms(u, v), d, out)
+
+    def correct_image_rows(self, d, v0=0, out=None):
+        """`correct` on the image rows v0, v0 + 1, ... held by d (rows, W),
+        from row and column terms computed once for the whole image."""
+        if self._image_terms is None:
+            self._image_terms = self._terms(np.arange(self.width),
+                                            np.arange(self.height)[:, None])
+        rows, cols = self._image_terms
+        return self._horner(rows, [c[v0:v0 + d.shape[0]] for c in cols], d, out)
+
+    def _terms(self, u, v):
+        """Row terms c00 + (u/W)(cW0 - c00) and column terms (v/H)(c0H - c00)
+        of the coefficients from the top one down to the first. The constant
+        one is 0 at every corner and is left out, unless it is the only one."""
         un = np.asarray(u, dtype=float) / self.width
         vn = np.asarray(v, dtype=float) / self.height
         c00, cw0, c0h = self.corners
         du = cw0 - c00
         dv = c0h - c00
-        top = c00.size - 1
+        ks = range(c00.size - 1, 0, -1) if c00.size > 1 else (0,)
+        return [c00[k] + un * du[k] for k in ks], [vn * dv[k] for k in ks]
+
+    def _horner(self, rows, cols, d, out):
+        """Horner's rule on the coefficients rows[i] + cols[i], top first."""
         if out is None:
-            out = np.empty(np.broadcast_shapes(un.shape, vn.shape, np.shape(d)))
-        np.add(c00[top] + un * du[top], vn * dv[top], out=out)
-        for k in range(top - 1, -1, -1):
+            out = np.empty(np.broadcast_shapes(rows[0].shape, cols[0].shape, np.shape(d)))
+        np.add(rows[0], cols[0], out=out)
+        for row, col in zip(rows[1:], cols[1:]):
             out *= d
-            if k:  # every corner's constant term is 0 (constant_zero)
-                out += c00[k] + un * du[k]
-                out += vn * dv[k]
+            out += row
+            out += col
+        if self.degree:
+            out *= d  # the constant term, 0 at every corner (constant_zero)
         return out
 
     def __eq__(self, other):
@@ -455,15 +478,9 @@ class GlobalMap:
                 and self.corner_0h == other.corner_0h)
 
 
-def _correct_image_rows(gmap: GlobalMap, d, v0=0, out=None):
-    """g(d) for the image rows v0, v0 + 1, ... held by d (rows, W)."""
-    return gmap.correct(np.arange(gmap.width), np.arange(v0, v0 + d.shape[0])[:, None],
-                        d, out)
-
-
 def apply_global(gmap: GlobalMap, img: DepthImage) -> DepthImage:
     """g(d) on every pixel of a depth image."""
-    return _correct_image(gmap, img, lambda d: _correct_image_rows(gmap, d))
+    return _correct_image(gmap, img, gmap.correct_image_rows)
 
 
 def check_sizes(umap: UndistortionMap, gmap: GlobalMap, img: DepthImage):
@@ -488,7 +505,7 @@ def correct_rows(dense_u, gmap: GlobalMap, data, v0, v1, valid, scratch):
     """
     d = data[v0:v1]
     dhat = horner(dense_u[v0:v1], d, scratch[0])
-    dstar = _correct_image_rows(gmap, dhat, v0, scratch[1])
+    dstar = gmap.correct_image_rows(dhat, v0, scratch[1])
     # min(d, u(d), d*) > 0 is the validity test; a NaN anywhere fails it
     np.minimum(dhat, d, out=dhat)
     np.minimum(dhat, dstar, out=dhat)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import logging
+import os
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,10 +29,12 @@ from .maps import GlobalMap, UndistortionMap, check_sizes, correct_rows
 
 log = logging.getLogger(__name__)
 
-# Rows per correction block. At 640 wide one of a block's arrays takes
-# 246 KB, and a pass of the kernel touches a few of them, so they stay in a
-# core's 2 MiB L2 from pass to pass. 32 to 64 rows measured fastest on a
-# 640x480 frame; fewer rows pay more per-call overhead.
+# Rows per correction block on one thread, and the fewest in a block shared
+# between threads. At 640 wide one of a block's arrays takes 246 KB, and a
+# pass of the kernel touches a few of them, so they stay in a core's 2 MiB
+# L2 from pass to pass. 32 to 64 rows measured fastest on a 640x480 frame;
+# fewer rows pay more per-call overhead. Shared blocks are larger: a numpy
+# call that ends while another thread holds the GIL waits for it.
 BLOCK_ROWS = 48
 
 
@@ -101,17 +105,19 @@ def apply_calibration(umap: UndistortionMap, gmap: GlobalMap, img: DepthImage,
                       intr: CameraIntrinsics, threads: int = 1) -> OrganizedCloud:
     """Correct one depth frame (d* = g(u(d))) and back-project it.
 
-    Sizes are checked first. The image is then cut into blocks of
-    BLOCK_ROWS rows (the last may be shorter), and the blocks into
-    min(threads, blocks) bands of contiguous blocks. Each band walks its
-    blocks with one reused scratch: `maps.correct_rows` corrects a block,
+    Sizes are checked first. `maps.correct_rows` corrects a block of rows
     and `back_project` writes its points into the preallocated cloud while
-    the block is still in cache. The calling thread runs the first band and
-    a per-call pool of bands - 1 threads runs the others. The per-pixel
-    arithmetic does not depend on the blocks or bands, so every thread
-    count gives the same result. With an identity G it is, bit for bit, the
-    undistorted cloud `depth_to_cloud(apply_undistortion(umap, img), intr)`
-    the stages read.
+    the block is still in cache. One thread walks the frame in blocks of
+    BLOCK_ROWS rows (the last may be shorter). More threads share a queue of
+    blocks, at least three per thread and none shorter than BLOCK_ROWS: the
+    calling thread takes them from the top of the frame and a per-call pool
+    of min(threads, ceil(H / BLOCK_ROWS)) - 1 threads from the bottom, so a
+    thread that starts late leaves its share to the others. The pool's
+    threads are kept off the calling thread's CPU (`_other_cpus`). Each
+    thread reuses one block-sized scratch. The per-pixel arithmetic does not
+    depend on the blocks, so every thread count gives the same result. With
+    an identity G it is, bit for bit, the undistorted cloud
+    `depth_to_cloud(apply_undistortion(umap, img), intr)` the stages read.
     """
     check_sizes(umap, gmap, img)
     if (img.width, img.height) != (intr.width, intr.height):
@@ -120,25 +126,60 @@ def apply_calibration(umap: UndistortionMap, gmap: GlobalMap, img: DepthImage,
     h, w = img.height, img.width
     pts = np.empty((h, w, 3))
     valid = np.empty((h, w), dtype=bool)
-    starts = range(0, h, BLOCK_ROWS)
-    bands = max(1, min(threads, len(starts)))
-    bounds = np.linspace(0, len(starts), bands + 1).astype(int)
+    cols = np.arange(w)
+    bands = max(1, min(threads, -(-h // BLOCK_ROWS)))
+    rows = max(BLOCK_ROWS, -(-h // (3 * bands))) if bands > 1 else BLOCK_ROWS
+    todo = deque((v0, min(v0 + rows, h)) for v0 in range(0, h, rows))
     # allocated here, so pool threads leave no arrays in their own arenas
-    scratch = np.empty((bands, 2, min(BLOCK_ROWS, h), w))
+    scratch = np.empty((bands, 2, min(rows, h), w))
 
-    def run_band(b0, b1, work):
-        for v0 in starts[b0:b1]:
-            v1 = min(v0 + BLOCK_ROWS, h)
+    def take(pop, work):
+        while True:
+            try:
+                v0, v1 = pop()  # deque pops are atomic: no block is taken twice
+            except IndexError:
+                return
             z = correct_rows(dense_u, gmap, img.data, v0, v1, valid[v0:v1],
                              work[:, :v1 - v0])
-            back_project(z, np.arange(w), np.arange(v0, v1)[:, None], intr,
-                         out=pts[v0:v1])
+            back_project(z, cols, np.arange(v0, v1)[:, None], intr, out=pts[v0:v1])
 
     if bands == 1:
-        run_band(0, len(starts), scratch[0])
-    else:
-        with ThreadPoolExecutor(max_workers=bands - 1) as pool:
-            others = pool.map(run_band, bounds[1:-1], bounds[2:], scratch[1:])
-            run_band(bounds[0], bounds[1], scratch[0])
-            list(others)
+        take(todo.popleft, scratch[0])
+        return OrganizedCloud(w, h, pts, valid)
+    pool = ThreadPoolExecutor(max_workers=bands - 1, initializer=_run_on,
+                              initargs=(_other_cpus(),))
+    try:
+        others = pool.map(take, [todo.pop] * (bands - 1), scratch[1:])
+        take(todo.popleft, scratch[0])
+        list(others)
+    finally:
+        # every block is done or an error is raised: nothing waits for the
+        # idle threads to exit
+        pool.shutdown(wait=False)
     return OrganizedCloud(w, h, pts, valid)
+
+
+def _other_cpus():
+    """The CPUs the calling thread may run on, less the one it runs on now.
+
+    None where the OS does not say. A new thread started here on Linux has
+    been seen to stay on its creator's core for as long as a frame takes,
+    so two threads shared one core while the other idled.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return None
+    try:
+        with open("/proc/thread-self/stat") as f:
+            here = int(f.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+    return os.sched_getaffinity(0) - {here} or None
+
+
+def _run_on(cpus):
+    """Pool initializer: move the new thread onto `cpus`, when given."""
+    if cpus:
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass

@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -570,6 +573,23 @@ def test_global_correct_matches_oracles_and_identity_is_exact(degree):
     assert dc.GlobalMap.identity(32, 24, degree).correct(u, v, d).tobytes() == d.tobytes()
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_global_correct_image_rows_has_the_bits_of_correct(degree):
+    rng = np.random.default_rng(50 + degree)
+    corners = [dc.PolyFn((0.0, *rng.normal(0, 0.5, degree)), constant_zero=True)
+               for _ in range(3)]
+    g = dc.GlobalMap(32, 24, *corners)
+    d = rng.uniform(-1.0, 5.0, (24, 32))
+    d[0, :4] = (0.0, -0.0, 1e-300, -1e-300)
+    for v0, v1 in [(0, 24), (0, 1), (5, 17), (23, 24)]:
+        want = g.correct(np.arange(32), np.arange(v0, v1)[:, None], d[v0:v1])
+        got = g.correct_image_rows(d[v0:v1], v0)
+        assert got.tobytes() == want.tobytes()
+        out = np.empty((v1 - v0, 32))
+        assert g.correct_image_rows(d[v0:v1], v0, out) is out
+        assert out.tobytes() == want.tobytes()
+
+
 def test_complete_dependent_corner_examples():
     ident = dc.PolyFn((0.0, 1.0), constant_zero=True)
     gw0 = dc.PolyFn((0.0, 1.01), constant_zero=True)
@@ -780,17 +800,14 @@ class InlinePool:
 
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
     def map(self, fn, *args):
         return list(map(fn, *args))
+
+    def shutdown(self, wait=True):
+        pass
 
 
 @pytest.mark.parametrize("height, threads, workers", [
@@ -806,6 +823,31 @@ def test_apply_calibration_starts_a_thread_per_block_at_most(height, threads, wo
     assert InlinePool.sizes == workers
     want = apply_full_correction(umap, gmap, img, intr)
     assert cloud.points.tobytes() == want.points.tobytes()
+
+
+def test_threads_share_the_blocks_of_a_frame_without_losing_one():
+    # more threads than cores, switching as often as the interpreter allows:
+    # a block taken twice or never would change the cloud's bytes
+    umap, gmap, img, intr = edge_case_frame(16, 12 * ROWS + 7, 23)
+    want = dc.apply_calibration(umap, gmap, img, intr, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (2, 5, 8):
+            got = dc.apply_calibration(umap, gmap, img, intr, threads)
+            assert got.points.tobytes() == want.points.tobytes()
+            assert got.valid.tobytes() == want.valid.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pool_threads_run_off_the_calling_threads_cpu():
+    others = pipeline._other_cpus()
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        assert others is None
+        return
+    mask = os.sched_getaffinity(0)
+    assert others < mask and len(others) == len(mask) - 1
 
 
 @pytest.mark.parametrize("threads", [1, 2])
