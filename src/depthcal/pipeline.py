@@ -169,8 +169,12 @@ def _other_cpus():
     if not hasattr(os, "sched_getaffinity"):
         return None
     try:
-        with open("/proc/thread-self/stat") as f:
-            here = int(f.read().rsplit(")", 1)[1].split()[36])
+        fd = os.open("/proc/thread-self/stat", os.O_RDONLY)
+        try:
+            stat = os.read(fd, 4096)
+        finally:
+            os.close(fd)
+        here = int(stat.rsplit(b")", 1)[1].split()[36])  # field 39: processor
     except (OSError, ValueError, IndexError):
         return None
     return os.sched_getaffinity(0) - {here} or None
