@@ -64,6 +64,10 @@ class GlobalConfig:
 
     max_points_per_frame: int = 400  # wall points kept per frame in the refinement
 
+    def __post_init__(self):
+        if not self.max_points_per_frame >= 1:
+            raise CalibrationError("max_points_per_frame must be at least 1")
+
 
 @dataclass(frozen=True, eq=False)
 class FrameObservations:

@@ -123,9 +123,9 @@ class UndistortConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.chi, self.psi, self.degree, self.min_inliers,
-               self.fit_radius) <= 0:
-            raise CalibrationError("config values must be positive")
+        for name in ("chi", "psi", "degree", "min_inliers", "fit_radius"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise CalibrationError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 def sort_frames_by_distance(frames, intr_rgb: CameraIntrinsics, board: BoardSpec):
@@ -270,8 +270,7 @@ def update_map(umap: UndistortionMap, moments: FitMoments, points,
                                          samples).reshape(3, gh * gw)
 
     sel = np.nonzero(w_sum > 0)[0]
-    moments.add(sel, wz_sum[sel] / w_sum[sel], wzpi_sum[sel] / w_sum[sel],
-                KINECT1_QUANTIZATION)
+    moments.add(sel, wz_sum[sel] / w_sum[sel], wzpi_sum[sel] / w_sum[sel])
 
     # Refit only the control functions whose moments changed. While a
     # control pixel has too few samples, or too narrow a depth spread, for

@@ -143,32 +143,36 @@ def cmd_calibrate(args):
     return 0
 
 
-def _write_calibration_report(path, result, frames, intr_depth_guess, ucfg):
+def _write_csv(path, header, rows):
+    """A CSV file of a header and rows; floats are written with 17
+    significant digits, any other value as `csv` writes it."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["stage", "frame_id", "metric", "value"])
-    writer.writerow(["config", "", "seed", str(ucfg.seed)])
-    writer.writerow(["config", "", "bin", f"{ucfg.chi}x{ucfg.psi}"])
-    writer.writerow(["config", "", "degree", str(ucfg.degree)])
+    writer.writerow(header)
+    writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
+                     for row in rows)
+    formats._atomic_write_text(path, buf.getvalue())
+
+
+def _write_calibration_report(path, result, frames, intr_depth_guess, ucfg):
+    rows = [["config", "", "seed", ucfg.seed],
+            ["config", "", "bin", f"{ucfg.chi}x{ucfg.psi}"],
+            ["config", "", "degree", ucfg.degree]]
     for frame in frames:
         if frame.frame_id not in result.inlier_sets:
-            writer.writerow(["undistortion", frame.frame_id, "skipped", ""])
+            rows.append(["undistortion", frame.frame_id, "skipped", ""])
             continue
         inl = IndexSet.from_mask(result.inlier_sets[frame.frame_id])
         und = apply_undistortion(result.umap, frame.depth)
         for name, image in (("original", frame.depth), ("undistorted", und)):
             cloud = depth_to_cloud(image, intr_depth_guess)
-            writer.writerow(["undistortion", frame.frame_id, f"planarity_{name}",
-                             format(synthbench.planarity_error(cloud, inl), ".17g")])
-    writer.writerow(["refinement", "", "initial_cost",
-                     format(result.cost_trace[0], ".17g")])
-    writer.writerow(["refinement", "", "final_cost",
-                     format(result.cost_trace[-1], ".17g")])
-    writer.writerow(["refinement", "", "accepted_steps",
-                     str(len(result.cost_trace) - 1)])
-    for name, value in result.timings.items():
-        writer.writerow(["timing", "", name, f"{value:.3f}"])
-    formats._atomic_write_text(path, buf.getvalue())
+            rows.append(["undistortion", frame.frame_id, f"planarity_{name}",
+                         synthbench.planarity_error(cloud, inl)])
+    rows += [["refinement", "", "initial_cost", result.cost_trace[0]],
+             ["refinement", "", "final_cost", result.cost_trace[-1]],
+             ["refinement", "", "accepted_steps", len(result.cost_trace) - 1]]
+    rows += [["timing", "", name, f"{value:.3f}"] for name, value in result.timings.items()]
+    _write_csv(path, ["stage", "frame_id", "metric", "value"], rows)
 
 
 def cmd_correct(args):
@@ -224,28 +228,19 @@ def cmd_evaluate(args):
             synthbench.depth_vs_ground_truth(cloud, inliers, mf.true_distance)
             for cloud in (original, corrected)])
 
-    def write_csv(name, header, rows):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format(v, ".17g") if isinstance(v, float) else v
-                             for v in row])
-        formats._atomic_write_text(os.path.join(args.out, name), buf.getvalue())
-
-    write_csv("planarity.csv",
-              ["true_distance_m", "original_m", "undistorted_m", "corrected_m"],
-              rows_plan)
-    write_csv("global_error.csv",
-              ["true_distance_m", "original_m", "undistorted_m", "corrected_m"],
-              rows_glob)
-    write_csv("rotation_error.csv",
-              ["true_distance_m", "x_original_deg", "y_original_deg",
-               "x_corrected_deg", "y_corrected_deg"],
-              rows_rot)
-    write_csv("depth_vs_ground_truth.csv",
-              ["true_distance_m", "original_m", "corrected_m"],
-              rows_depth)
+    _write_csv(os.path.join(args.out, "planarity.csv"),
+               ["true_distance_m", "original_m", "undistorted_m", "corrected_m"],
+               rows_plan)
+    _write_csv(os.path.join(args.out, "global_error.csv"),
+               ["true_distance_m", "original_m", "undistorted_m", "corrected_m"],
+               rows_glob)
+    _write_csv(os.path.join(args.out, "rotation_error.csv"),
+               ["true_distance_m", "x_original_deg", "y_original_deg",
+                "x_corrected_deg", "y_corrected_deg"],
+               rows_rot)
+    _write_csv(os.path.join(args.out, "depth_vs_ground_truth.csv"),
+               ["true_distance_m", "original_m", "corrected_m"],
+               rows_depth)
     print(f"evaluation reports written to {args.out} ({len(entries)} test frames)")
     return 0
 

@@ -5,9 +5,10 @@ Text formats are line-oriented `key value...` with `#` comments, UTF-8 and
 every serialization round-trips exactly. Number blocks (PLY vertices, the
 per-control-pixel `_fn` lines, corner grids) are formatted by `_format_rows`
 BLOCK_ROWS rows at a time and streamed to disk chunk by chunk, so no block's
-text is held whole. A block of SMALL_BLOCK_ROWS rows or more is printed by
-array code (`_format_chunk`) that gives the bytes of `%` exactly; a smaller
-one takes one `%` call. Readers split a file into lines once, except that
+text is held whole. Every number, grid indices too, is printed by `%.17g`.
+A block of SMALL_BLOCK_ROWS rows or more is printed by array code
+(`_format_chunk`) that gives the bytes of `%` exactly; a smaller one takes
+one `%` call. Readers split a file into lines once, except that
 `read_cloud_ply` reads its vertex block BLOCK_ROWS lines at a time. A number
 block is read back by `_parse_rows`, the mirror of `_format_rows`: it splits
 BLOCK_ROWS lines at a time and parses them into one float array. An index
@@ -60,7 +61,6 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-_CONVERSION = re.compile(r"(%\.17g|%d)")
 _POW5 = np.array([5 ** k for k in range(22)], dtype=np.uint64)  # 5**21 < 2**49
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 
@@ -93,21 +93,19 @@ _WORDS = _digit_words()
 # leading zeros (1), the same but with its last digit kept (2), or without
 # trailing zeros (3); _SIGNED + g is group g < 1000 as t = 1 after a '-'
 _PLAIN, _LEAD, _UNITS, _TRAIL, _SIGNED = (5 + 10000 * t for t in range(5))
-_VALUE_WORDS = 10  # words of one fast-path value: sign and 15 digits, dot, 17 digits
+_VALUE_WORDS = 10  # words of one value: sign and 15 digits, dot, 17 digits
 
 
 def _format_rows(line, rows):
     """ASCII bytes of `line % row` for each row of a 2-D array, in chunks of
-    BLOCK_ROWS rows. `line` holds `%.17g` and `%d` conversions only.
-
-    `%.17g` of a Python float gives the bytes of `_fmt`, and `%d` of an
-    integral float those of the int. A block of fewer than SMALL_BLOCK_ROWS
-    rows is formatted by one `%` call, which is faster there; larger blocks
-    by `_format_chunk`, which gives the same bytes.
+    BLOCK_ROWS rows. `line` holds `%.17g` conversions only, which give the
+    bytes of `_fmt`. A block of fewer than SMALL_BLOCK_ROWS rows is formatted
+    by one `%` call, which is faster there; larger blocks by `_format_chunk`,
+    which gives the same bytes.
     """
-    literals = _CONVERSION.split(line)
-    if any("%" in text or "\0" in text for text in literals[::2]):
-        raise ValueError(f"{line!r}: only %.17g and %d conversions are supported")
+    literals = line.split("%.17g")
+    if any("%" in text or "\0" in text for text in literals):
+        raise ValueError(f"{line!r}: only %.17g conversions are supported")
     rows = np.asarray(rows, dtype=float)
     if rows.shape[0] < SMALL_BLOCK_ROWS:
         if rows.shape[0]:
@@ -170,11 +168,10 @@ def _significand(a):
 
 def _format_chunk(literals, block):
     """ASCII bytes of `line % row` for the rows of one chunk, where `line` is
-    split into `literals` by _CONVERSION; the bytes of `%` without a `%` per
+    the `literals` joined by `%.17g`; the bytes of `%` without a `%` per
     value.
 
-    A value v with 1e-4 <= |v| < 1e15 (and integral in a `%d` column, where
-    `%d` then prints what `%.17g` prints) is printed by array code. There
+    A value v with 1e-4 <= |v| < 1e15 is printed by array code. There
     `%.17g` prints its 17 significant digits N in fixed notation: the X + 1
     digits before the point, then the rest, or for X < 0 `0.`, -X - 1 zeros
     and all 17; trailing zeros after the point are dropped, and the point
@@ -187,20 +184,16 @@ def _format_chunk(literals, block):
     deleting the NUL bytes gives the chunk's text.
 
     Every other value (0 and -0, nan, inf, |v| < 1e-4, printed in
-    scientific notation, |v| >= 1e15, and a fractional `%d` value) is
-    printed by its own conversion, `%.17g` or `%d`, and its bytes replace
-    its words; the words per value grow to fit the longest.
+    scientific notation, and |v| >= 1e15) is printed by `_fmt`, and its
+    bytes replace its ten words: they take 24 bytes at most
+    (-2.2250738585072014e-308).
     """
     n, k = block.shape
-    convs = literals[1::2]
     v = block.T.ravel()  # field-major: the values of field c are v[c * n:(c + 1) * n]
     a = np.abs(v)
     fast = (a >= 1e-4) & (a < 1e15)
-    if "%d" in convs:
-        fast &= np.repeat([c != "%d" for c in convs], n) | (v == np.floor(v))
     slow = np.flatnonzero(~fast)
-    texts = [convs[i // n] % x for i, x in zip(slow.tolist(), v[slow].tolist())]
-    width = max(_VALUE_WORDS, -(-max(map(len, texts), default=0) // 4))
+    texts = [_fmt(x) for x in v[slow].tolist()]
 
     digits, x = _significand(np.where(fast, a, 1.0))
     unit = _POW10[np.minimum(16 - x, 17)]
@@ -233,19 +226,18 @@ def _format_chunk(literals, block):
     ]
 
     heads = [np.frombuffer(t.encode("ascii").ljust(-(-len(t) // 4) * 4, b"\0"),
-                           dtype=np.uint32) for t in literals[::2]]
-    # a row's words: head 0, value 0, head 1, .., value k - 1, head k; a
-    # value's ten words end its `width` words, which start with NUL words
-    starts = np.cumsum([0] + [len(h) + width for h in heads])
-    index = np.zeros((starts[-1] - width, n), np.intp)
-    for j, word in enumerate(words, start=width - _VALUE_WORDS):
-        index[starts[1:-1] - width + j] = word.reshape(k, n)
+                           dtype=np.uint32) for t in literals]
+    # a row's words: head 0, value 0, head 1, .., value k - 1, head k
+    starts = np.cumsum([0] + [len(h) + _VALUE_WORDS for h in heads])
+    index = np.zeros((starts[-1] - _VALUE_WORDS, n), np.intp)
+    for j, word in enumerate(words):
+        index[starts[1:-1] - _VALUE_WORDS + j] = word.reshape(k, n)
     record = np.ascontiguousarray(_WORDS[index.T])
     for head, start in zip(heads, starts):
         record[:, start:start + len(head)] = head
     if slow.size:  # each such value's bytes, at the start of its zeroed words
-        first = slow % n * record.shape[1] + starts[1 + slow // n] - width
-        record.reshape(-1)[first[:, None] + np.arange(width)] = 0
+        first = slow % n * record.shape[1] + starts[1 + slow // n] - _VALUE_WORDS
+        record.reshape(-1)[first[:, None] + np.arange(_VALUE_WORDS)] = 0
         size = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
         at = np.repeat(4 * first - np.cumsum(size) + size, size) + np.arange(size.sum())
         record.view(np.uint8).reshape(-1)[at] = np.frombuffer(
@@ -430,7 +422,7 @@ def write_corners_csv(path, corners):
     r, c = np.indices((rows, cols)).reshape(2, -1)
     grid = np.column_stack([r, c, corners.reshape(rows * cols, 2)])
     _atomic_write_bytes(path, chain([b"row,col,u,v\n"],
-                                    _format_rows("%d,%d,%.17g,%.17g\n", grid)))
+                                    _format_rows("%.17g,%.17g,%.17g,%.17g\n", grid)))
 
 
 def read_corners_csv(path):
@@ -512,7 +504,7 @@ def _fn_block(prefix, umap: UndistortionMap):
     gh, gw = umap.grid_shape
     j, i = np.indices((gh, gw)).reshape(2, -1)
     rows = np.column_stack([i, j, umap.coefficients.reshape(gh * gw, -1)])
-    return _format_rows(f"{prefix}_fn %d %d" + " %.17g" * (umap.degree + 1) + "\n", rows)
+    return _format_rows(f"{prefix}_fn" + " %.17g" * (umap.degree + 3) + "\n", rows)
 
 
 def _undistortion_map(kv, fn_lines, prefix, path):

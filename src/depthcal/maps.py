@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DepthImage, NoiseModel, horner
+from .geometry import KINECT1_QUANTIZATION, DepthImage, horner
 
 MAX_DEGREE = 4
 COND_LIMIT = 1e12  # a fit whose normal matrix is this ill-conditioned is not ok
@@ -89,8 +89,9 @@ class FitMoments:
     normal equations are sums over samples. Per control pixel this keeps
     sum w z^p for p <= 2 * degree and sum w z^p z_pi for p <= degree, with
     w = 1 / sigma(z)^2, plus the sample count and the running depth range for
-    the spread gates. Fits of any degree up to `degree` read these sums; the
-    samples themselves are not kept.
+    the spread gates. sigma is the depth noise of the one sensor model,
+    `geometry.KINECT1_QUANTIZATION`. Fits of any degree up to `degree` read
+    these sums; the samples themselves are not kept.
 
     Arrays are indexed by (grid row, grid column); `add` takes flat control
     indices j * gw + i.
@@ -107,7 +108,7 @@ class FitMoments:
         self.zmin = np.full((gh, gw), np.inf)
         self.zmax = np.full((gh, gw), -np.inf)
 
-    def add(self, idx, z, z_pi, nm: NoiseModel):
+    def add(self, idx, z, z_pi):
         """Add one sample (z[k], z_pi[k]) to control pixel idx[k], in place.
 
         `idx` holds distinct flat control indices.
@@ -115,7 +116,7 @@ class FitMoments:
         z = np.asarray(z, dtype=float)
         if np.any(z <= 0):
             raise MapError("sample depths must be positive")
-        sigma = nm.sigma(z)
+        sigma = KINECT1_QUANTIZATION.sigma(z)
         w = 1.0 / (sigma * sigma)
         wz = w[:, None] * z[:, None] ** np.arange(2 * self.degree + 1)
         g = self.count.size
@@ -376,9 +377,10 @@ class GlobalMap:
     """Four-corner systematic error correction.
 
     Three free corner polynomials at (0,0), (W,0) and (0,H), of one degree
-    and with `constant_zero` set; the corner at (W,H) is never stored: the
-    planarity constraint gWH = gW0 + g0H - g00 makes the blended coefficient
-    field affine over the image no matter what the free corners are.
+    of at least 1 and with `constant_zero` set; the corner at (W,H) is never
+    stored: the planarity constraint gWH = gW0 + g0H - g00 makes the blended
+    coefficient field affine over the image no matter what the free corners
+    are.
     """
 
     __slots__ = ("width", "height", "corner_00", "corner_w0", "corner_0h",
@@ -389,6 +391,8 @@ class GlobalMap:
         free = (corner_00, corner_w0, corner_0h)
         if len({f.degree for f in free}) > 1 or not all(f.constant_zero for f in free):
             raise MapError("corner polynomials must share one degree and set constant_zero")
+        if corner_00.degree < 1:
+            raise MapError("corner polynomials must have degree 1 or more")
         self.width = int(width)
         self.height = int(height)
         self.corner_00 = corner_00
@@ -448,13 +452,13 @@ class GlobalMap:
     def _terms(self, u, v):
         """Row terms c00 + (u/W)(cW0 - c00) and column terms (v/H)(c0H - c00)
         of the coefficients from the top one down to the first. The constant
-        one is 0 at every corner and is left out, unless it is the only one."""
+        one is 0 at every corner and is left out."""
         un = np.asarray(u, dtype=float) / self.width
         vn = np.asarray(v, dtype=float) / self.height
         c00, cw0, c0h = self.corners
         du = cw0 - c00
         dv = c0h - c00
-        ks = range(c00.size - 1, 0, -1) if c00.size > 1 else (0,)
+        ks = range(c00.size - 1, 0, -1)
         return [c00[k] + un * du[k] for k in ks], [vn * dv[k] for k in ks]
 
     def _horner(self, rows, cols, d, out):
@@ -466,8 +470,7 @@ class GlobalMap:
             out *= d
             out += row
             out += col
-        if self.degree:
-            out *= d  # the constant term, 0 at every corner (constant_zero)
+        out *= d  # the constant term, 0 at every corner (constant_zero)
         return out
 
     def __eq__(self, other):

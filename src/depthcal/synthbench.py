@@ -84,16 +84,16 @@ class GroundTruthDistortion:
     def __post_init__(self):
         if not self.global_correction.constant_zero:
             raise ValueError("global correction must have a zero constant term")
-        # monotonicity of every control quadratic over the working range
         c = self.undistortion_field.coefficients
+        gc = self.global_correction.coefficients
+        if not np.all(np.isfinite(np.append(c, gc))):
+            raise ValueError("distortion coefficients must be finite")
+        # every control quadratic and the global correction rise on [0.5, 5] m
         for z in (0.5, 5.0):
             slope = c[:, :, 1] + 2.0 * c[:, :, 2] * z if c.shape[2] > 2 else c[:, :, 1]
-            if np.any(slope <= 0):
+            if not np.all(slope > 0):
                 raise ValueError("undistortion field is not monotone on [0.5, 5] m")
-        gc = self.global_correction.coefficients
-        for z in (0.5, 5.0):
-            slope = sum(k * gc[k] * z ** (k - 1) for k in range(1, len(gc)))
-            if slope <= 0:
+            if not sum(k * gc[k] * z ** (k - 1) for k in range(1, len(gc))) > 0:
                 raise ValueError("global correction is not monotone on [0.5, 5] m")
 
     def corrupt(self, true_depth, valid):
@@ -128,6 +128,10 @@ def bowl_distortion(width, height, peak=0.022, flat_frac=0.2, asym=0.15,
     which the binned estimator needs: it sees hat-weighted neighborhood
     means, not point samples.
     """
+    if not 0.0 <= flat_frac < 1.0:
+        raise ValueError(f"flat_frac must be in [0, 1), got {flat_frac!r}")
+    if min(width, height) < 2:
+        raise ValueError(f"image width and height must be at least 2, got {width}x{height}")
     chi, psi = grid_bin
     fieldmap = UndistortionMap.identity(width, height, chi, psi, degree=2)
     gh, gw = fieldmap.grid_shape

@@ -115,11 +115,11 @@ def fit_weighted_poly(samples, nm, degree, constant_zero=False) -> PolyFn:
     return PolyFn(tuple(coeffs[0]), constant_zero)
 
 
-def moments_of(z, z_pi, nm, degree):
+def moments_of(z, z_pi, degree):
     """A one-pixel FitMoments state holding the samples (z[k], z_pi[k])."""
     moments = FitMoments((1, 1), degree)
     for zk, zpk in zip(np.asarray(z, dtype=float), np.asarray(z_pi, dtype=float)):
-        moments.add(np.array([0]), np.array([zk]), np.array([zpk]), nm)
+        moments.add(np.array([0]), np.array([zk]), np.array([zpk]))
     return moments
 
 

@@ -238,6 +238,13 @@ def test_wall_points_are_the_undistorted_cloud_at_the_mask():
         dc.wall_points(umap, depth, wall[:, :-1], intr)
 
 
+@pytest.mark.parametrize("count", [0, -1, 0.5, float("nan")])
+def test_global_config_needs_a_point_per_frame(count):
+    # 0 points would leave stage two with no plane residual
+    with pytest.raises(dc.CalibrationError, match="max_points_per_frame must be at least 1"):
+        dc.GlobalConfig(max_points_per_frame=count)
+
+
 def test_stage_two_peak_stays_below_the_wall_points(monkeypatch):
     # stage two holds one frame's wall points at a time, never every frame's
     scene = scene_no_bias(n_train=16)

@@ -63,6 +63,13 @@ def test_frame_rejects_incomplete_corners():
         dc.Frame("x", depth, corners)
 
 
+@pytest.mark.parametrize("name", ["chi", "psi", "degree", "min_inliers", "fit_radius"])
+def test_config_rejects_nan(name):
+    # NaN fails every comparison, so a `<= 0` check lets it through
+    with pytest.raises(dc.CalibrationError, match=f"{name} must be positive, got nan"):
+        small_cfg(**{name: float("nan")})
+
+
 # ---------------------------------------------------------------------------
 # sort_frames_by_distance
 
@@ -449,7 +456,7 @@ def test_batch_fit_respects_constant_zero_everywhere():
     zpi = 0.97 * z + 0.01 * z * z
     moments = dc.FitMoments((1, 5), 2)
     for zk, zpik in zip(z, zpi):  # one sample per control pixel and frame
-        moments.add(np.arange(5), zk, zpik, dc.KINECT1_QUANTIZATION)
+        moments.add(np.arange(5), zk, zpik)
     coeffs, ok = fit_weighted_poly_batch(moments.zpow[0], moments.zpi[0],
                                          moments.count[0], 2, True)
     assert ok.all()

@@ -102,6 +102,22 @@ def test_simulate_rejects_negative_corner_noise(tmp_path, capsys):
     assert not (tmp_path / "ds").exists()
 
 
+@pytest.mark.parametrize("scene, message", [
+    ("image_width 80\nimage_height 60\nflat_frac 1\n", "flat_frac must be in [0, 1), got 1.0"),
+    ("image_width 1\nimage_height 60\n", "at least 2, got 1x60"),
+], ids=["flat_frac 1", "image_width 1"])
+def test_simulate_rejects_a_scene_whose_distortion_divides_by_zero(tmp_path, capsys,
+                                                                    scene, message):
+    # the field's 0 / 0 would write a NaN ground truth that the reader rejects
+    scene_file = tmp_path / "scene.txt"
+    scene_file.write_text(scene)
+    code = main(["simulate", "--scene", str(scene_file), "--out",
+                 str(tmp_path / "ds"), "--train", "10", "--test", "2"])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ds" / "ground_truth.txt").exists()
+
+
 VALID_SCENE = ("image_width 80\nimage_height 60\npeak 0.01\nflat_frac 0.4\n"
                "asym 0.1\nzero_depth 1.05\nbowl_bins 2 2\n"
                "global_correction 0.98 0.004\nextrinsic_translation 0.025 0 0\n"
@@ -172,6 +188,16 @@ def test_calibrate_names_a_depth_image_of_the_wrong_size(dataset, tmp_path, caps
     assert code == 1
     err = capsys.readouterr().err
     assert "train_000" in err and "159x120" in err
+
+
+def test_calibrate_rejects_a_nan_fit_radius(dataset, tmp_path, capsys):
+    # rejected before stage one, not after it skipped every frame
+    out = tmp_path / "c.txt"
+    code = main(["calibrate", "--dataset", str(dataset), "--out", str(out),
+                 "--fit-radius", "nan"])
+    assert code == 1
+    assert "fit_radius must be positive, got nan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_calibrate_writes_calibration_and_report(calibration):

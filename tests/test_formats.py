@@ -829,7 +829,7 @@ def with_special_values(shape, seed):
 @settings(max_examples=200, deadline=None)
 @given(x=st.floats(allow_nan=True, allow_infinity=True))
 def test_format_rows_matches_fmt(x):
-    chunks = formats._format_rows("%.17g|%d\n", [[x, 7.0]])
+    chunks = formats._format_rows("%.17g|%.17g\n", [[x, 7.0]])
     assert b"".join(chunks) == (formats._fmt(x) + "|7\n").encode("ascii")
 
 
@@ -847,15 +847,22 @@ def array_path_block(values, ncols):
 
 @settings(max_examples=100, deadline=None)
 @given(values=st.lists(st.floats(), min_size=1, max_size=48),
-       whole=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
-                      max_size=16))
-def test_format_rows_block_matches_percent(values, whole):
-    """Any floats, and any finite floats in a `%d` column, formatted as one
-    block: values printed by array code and by their own conversion share
-    a chunk."""
-    block = np.column_stack([array_path_block(values, 2), array_path_block(whole, 1)])
-    line = "%.17g %.17g|%d\n"
+       finite=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                       max_size=16))
+def test_format_rows_block_matches_percent(values, finite):
+    """Any floats, and any finite floats in a column of their own, formatted
+    as one block: values printed by array code and by `_fmt` share a
+    chunk."""
+    block = np.column_stack([array_path_block(values, 2), array_path_block(finite, 1)])
+    line = "%.17g %.17g|%.17g\n"
     assert b"".join(formats._format_rows(line, block)) == percent_bytes(line, block)
+
+
+@pytest.mark.parametrize("line", ["%d\n", "i %d: %.17g\n", "%.17f\n", "100%%\n"],
+                         ids=["%d", "%d and %.17g", "%.17f", "%%"])
+def test_format_rows_rejects_other_conversions(line):
+    with pytest.raises(ValueError, match="only %.17g"):
+        list(formats._format_rows(line, [[1.0, 2.0]]))
 
 
 def edge_values():
@@ -882,13 +889,29 @@ def test_format_rows_ties_round_half_even():
     assert text.split(b"\n")[0] == b"123456789012345.62 -123456789012345.38"
 
 
-def test_format_rows_integer_column_matches_percent():
-    """`%d` takes the array path for integral values below 1e15 only; -0.0
-    prints as 0 there and -0 under `%.17g`, and 1e300 widens every slot."""
-    whole = [0.0, 1.0, 10.0 ** 15 - 1, 10.0 ** 15, 2.0 ** 53, -0.0, -7.0, 2.5, 1e300]
-    block = np.column_stack([array_path_block(whole, 1), array_path_block(whole[::-1], 1)])
-    line = "i %d: %.17g\n"
-    assert b"".join(formats._format_rows(line, block)) == percent_bytes(line, block)
+def test_index_columns_keep_the_bytes_of_the_integer_conversion(tmp_path):
+    """`_fn` and corner indices are printed by `%.17g` and keep the bytes
+    of the `%d` templates they were once written with: both blocks take the
+    array path, and 201 control columns give three-digit indices."""
+    _, gmap, extr, intr_d, intr_rgb = sample_calibration()
+    umap = dc.UndistortionMap.identity(400, 6, 2, 2, 2)  # 4 x 201 control pixels
+    umap = umap.with_coefficients(with_special_values(umap.coefficients.shape, 8))
+    gh, gw = umap.grid_shape
+    assert gw > 100 and gh * gw >= formats.SMALL_BLOCK_ROWS
+    path = tmp_path / "calib.txt"
+    formats.write_calibration(path, umap, gmap, extr, intr_d, intr_rgb)
+    fn = [ln for ln in path.read_bytes().splitlines(keepends=True)
+          if ln.startswith(b"umap_fn ")]
+    j, i = np.indices((gh, gw)).reshape(2, -1)
+    rows = np.column_stack([i, j, umap.coefficients.reshape(gh * gw, -1)])
+    assert b"".join(fn) == percent_bytes("umap_fn %d %d %.17g %.17g %.17g\n", rows)
+
+    corners = with_special_values((16, 20, 2), 9)
+    formats.write_corners_csv(tmp_path / "c.csv", corners)
+    r, c = np.indices((16, 20)).reshape(2, -1)
+    grid = np.column_stack([r, c, corners.reshape(-1, 2)])
+    assert (tmp_path / "c.csv").read_bytes() == (
+        b"row,col,u,v\n" + percent_bytes("%d,%d,%.17g,%.17g\n", grid))
 
 
 def test_format_rows_value_printed_alone_in_second_chunk():

@@ -1,5 +1,6 @@
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ def test_polyfn_rejects_degree_5():
 
 def moment_fit(z, z_pi, degree, constant_zero=False):
     """(coeffs, ok) of the moment solve over one pixel holding the samples."""
-    m = moments_of(z, z_pi, NM, degree)
+    m = moments_of(z, z_pi, degree)
     coeffs, ok = fit_weighted_poly_batch(m.zpow.reshape(1, -1), m.zpi.reshape(1, -1),
                                          m.count.reshape(1), degree, constant_zero)
     return coeffs[0], bool(ok[0])
@@ -130,7 +131,7 @@ def test_fit_batch_flags_bad_sets():
     moments = dc.FitMoments((1, 2), 2)
     for z in ([1.0, 2.0], [2.0, 2.0], [3.0, 2.0], [4.0, 2.0]):
         z = np.array(z)
-        moments.add(np.array([0, 1]), z, z, NM)
+        moments.add(np.array([0, 1]), z, z)
     coeffs, ok = fit_weighted_poly_batch(moments.zpow.reshape(2, -1),
                                          moments.zpi.reshape(2, -1),
                                          moments.count.reshape(2), 2, False)
@@ -142,14 +143,14 @@ def test_fit_batch_flags_bad_sets():
 def test_fit_moments_reject_nonpositive_depth():
     moments = dc.FitMoments((1, 1), 2)
     with pytest.raises(MapError):
-        moments.add(np.array([0]), np.array([0.0]), np.array([1.0]), NM)
+        moments.add(np.array([0]), np.array([0.0]), np.array([1.0]))
     assert moments.count[0, 0] == 0
 
 
 def test_fit_moments_track_count_and_depth_range():
     moments = dc.FitMoments((2, 3), 2)
-    moments.add(np.array([4, 1]), np.array([2.0, 3.0]), np.array([2.1, 3.1]), NM)
-    moments.add(np.array([4]), np.array([1.5]), np.array([1.4]), NM)
+    moments.add(np.array([4, 1]), np.array([2.0, 3.0]), np.array([2.1, 3.1]))
+    moments.add(np.array([4]), np.array([1.5]), np.array([1.4]))
     assert moments.count.tolist() == [[0, 1, 0], [0, 2, 0]]
     assert (moments.zmin[1, 1], moments.zmax[1, 1]) == (1.5, 2.0)
     assert (moments.zmin[0, 1], moments.zmax[0, 1]) == (3.0, 3.0)
@@ -232,7 +233,7 @@ def test_fit_batch_flags_straddle_cond_limit(monkeypatch, degree, constant_zero)
     moments = dc.FitMoments((len(names), 1), degree)
     for col in range(n):
         idx = np.nonzero(mask[:, col])[0]
-        moments.add(idx, z[idx, col], z_pi[idx, col], NM)
+        moments.add(idx, z[idx, col], z_pi[idx, col])
     zpow = moments.zpow.reshape(len(names), -1)
     powers = np.arange(1 if constant_zero else 0, degree + 1)
     normals = zpow[:, powers[:, None] + powers[None, :]]
@@ -578,6 +579,10 @@ def test_global_correct_image_rows_has_the_bits_of_correct(degree):
     rng = np.random.default_rng(50 + degree)
     corners = [dc.PolyFn((0.0, *rng.normal(0, 0.5, degree)), constant_zero=True)
                for _ in range(3)]
+    if degree == 0:  # a G of constant corners maps every depth to 0
+        with pytest.raises(MapError, match="degree 1 or more"):
+            dc.GlobalMap(32, 24, *corners)
+        return
     g = dc.GlobalMap(32, 24, *corners)
     d = rng.uniform(-1.0, 5.0, (24, 32))
     d[0, :4] = (0.0, -0.0, 1e-300, -1e-300)
@@ -703,6 +708,8 @@ def test_full_correction_order_is_u_then_g():
 # ---------------------------------------------------------------------------
 # apply_calibration: one banded kernel for every thread count
 
+ROWS = pipeline.BLOCK_ROWS
+
 
 def random_maps(width, height, seed):
     rng = np.random.default_rng(seed)
@@ -723,12 +730,36 @@ def random_frame(width, height, seed):
     return dc.DepthImage(width, height, data), intr
 
 
-@pytest.mark.parametrize("height, threads", [(47, 2), (47, 3), (47, 5), (6, 8)])
-def test_apply_calibration_same_bytes_for_any_band_split(height, threads):
+@pytest.mark.parametrize("height, threads", [(2 * ROWS + 5, 2), (3 * ROWS + 1, 3),
+                                             (5 * ROWS - 1, 5), (6, 8)])
+def test_apply_calibration_same_bytes_for_any_band_split(height, threads, monkeypatch):
+    # every multi-thread case has a block per thread at least; 6 rows are
+    # one block, whatever the thread count
     umap, gmap = random_maps(32, height, 13)
     img, intr = random_frame(32, height, 14)
     single = dc.apply_calibration(umap, gmap, img, intr, 1)
+    # the calling thread waits at its first block, if it gets one, until
+    # the pool has done every other block: pool threads take blocks however
+    # fast the calling thread is
+    blocks = -(-height // ROWS)
+    caller = threading.get_ident()
+    by_pool = []
+    pool_done = threading.Event()
+    kernel = pipeline.correct_rows
+
+    def correct_rows(*args):
+        if threading.get_ident() == caller:
+            assert blocks == 1 or pool_done.wait(timeout=10), "the pool lost a block"
+            return kernel(*args)
+        out = kernel(*args)
+        by_pool.append(args[3])
+        if len(by_pool) == blocks - 1:
+            pool_done.set()
+        return out
+
+    monkeypatch.setattr(pipeline, "correct_rows", correct_rows)
     multi = dc.apply_calibration(umap, gmap, img, intr, threads)
+    assert len(by_pool) >= blocks - 1
     assert np.array_equal(single.points, multi.points)
     assert np.array_equal(single.valid, multi.valid)
 
@@ -759,9 +790,6 @@ def test_apply_calibration_matches_pixel_oracles():
             expected = (z * (u - intr.cx) / intr.fx, z * (v - intr.cy) / intr.fy, z)
             assert cloud.valid[v, u] == (z > 0.0)
             assert np.max(np.abs(cloud.points[v, u] - expected)) <= 1e-12
-
-
-ROWS = pipeline.BLOCK_ROWS
 
 
 def edge_case_frame(width, height, seed):

@@ -47,6 +47,21 @@ def test_distortion_requires_monotone_field():
                                  PolyFn.identity(2, constant_zero=True))
 
 
+@pytest.mark.parametrize("where", ["field", "global"])
+def test_distortion_rejects_nan_coefficients(where):
+    # NaN fails every comparison, so a `slope <= 0` check lets it through
+    field = dc.UndistortionMap.identity(16, 16, 16, 16, degree=2)
+    coeffs = field.coefficients.copy()
+    gc = [0.0, 1.0, 0.0]
+    if where == "field":
+        coeffs[0, 0, 2] = np.nan
+    else:
+        gc[2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        sb.GroundTruthDistortion(field.with_coefficients(coeffs),
+                                 PolyFn(gc, constant_zero=True))
+
+
 def test_corrupt_then_correct_is_identity():
     dist = sb.bowl_distortion(32, 24, peak=0.02, grid_bin=(4, 4),
                               global_correction=PolyFn((0.0, 0.97, 0.008),
