@@ -39,7 +39,7 @@ from .geometry import (
     solve_pnp,
     transform_plane,
 )
-from .maps import FitMoments, UndistortionMap, fit_weighted_poly_batch, undistort_at
+from .maps import MAX_DEGREE, FitMoments, UndistortionMap, fit_weighted_poly_batch, undistort_at
 
 log = logging.getLogger(__name__)
 
@@ -126,6 +126,8 @@ class UndistortConfig:
         for name in ("chi", "psi", "degree", "min_inliers", "fit_radius"):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise CalibrationError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.degree > MAX_DEGREE:
+            raise CalibrationError(f"degree must be at most {MAX_DEGREE}, got {self.degree!r}")
 
 
 def sort_frames_by_distance(frames, intr_rgb: CameraIntrinsics, board: BoardSpec):

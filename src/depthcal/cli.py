@@ -1,4 +1,4 @@
-"""Command-line surface: simulate, calibrate, correct, evaluate, bench."""
+"""Command-line surface: simulate, calibrate, correct, evaluate."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import io
 import logging
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -16,7 +15,6 @@ from . import formats, pipeline, synthbench
 from .calib_global import GlobalConfig
 from .calib_undistort import CalibrationError, UndistortConfig, select_wall_points
 from .geometry import (
-    DepthImage,
     GeometryError,
     IndexSet,
     RigidTransform,
@@ -27,19 +25,6 @@ from .geometry import (
 )
 from .maps import PolyFn, apply_undistortion
 from .synthbench import bowl_distortion, standard_scene
-
-
-def _threads_from_env(default=1):
-    raw = os.environ.get("DEPTHCAL_THREADS", "")
-    if not raw:
-        return default
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise SystemExit(f"DEPTHCAL_THREADS must be a positive integer, got {raw!r}")
-    return n
 
 
 def _parse_bin(text):
@@ -178,11 +163,9 @@ def _write_calibration_report(path, result, frames, intr_depth_guess, ucfg):
 def cmd_correct(args):
     umap, gmap, _, intr_depth, _ = formats.read_calibration(args.calib)
     img = formats.read_depth_pgm(getattr(args, "in"))
-    threads = _threads_from_env(1)
-    cloud = pipeline.apply_calibration(umap, gmap, img, intr_depth, threads)
+    cloud = pipeline.apply_calibration(umap, gmap, img, intr_depth)
     formats.write_cloud_ply(args.out, cloud)
-    print(f"corrected cloud written to {args.out} "
-          f"({int(cloud.valid.sum())} points, {threads} thread(s))")
+    print(f"corrected cloud written to {args.out} ({int(cloud.valid.sum())} points)")
     return 0
 
 
@@ -245,39 +228,6 @@ def cmd_evaluate(args):
     return 0
 
 
-def cmd_bench(args):
-    umap, gmap, _, intr_depth, _ = formats.read_calibration(args.calib)
-    # synthetic benchmark frame: a fully valid tilted wall
-    v, u = np.mgrid[0:intr_depth.height, 0:intr_depth.width]
-    depth = 1.5 + 2.0 * (u / max(intr_depth.width - 1, 1))
-    img = DepthImage(intr_depth.width, intr_depth.height, depth)
-    threads = _threads_from_env(os.cpu_count() or 1)
-
-    def run(n_threads):
-        pipeline.apply_calibration(umap, gmap, img, intr_depth, n_threads)  # warmup
-        times = []
-        for _ in range(args.frames):
-            t0 = time.perf_counter()
-            cloud = pipeline.apply_calibration(umap, gmap, img, intr_depth, n_threads)
-            times.append((time.perf_counter() - t0) * 1000.0)
-        return np.asarray(times), cloud
-
-    single, cloud_single = run(1)
-    print(f"frame {intr_depth.width}x{intr_depth.height}, {args.frames} runs")
-    print(f"threads=1 mean={single.mean():.3f} ms p99={np.percentile(single, 99):.3f} ms")
-    if threads > 1:
-        multi, cloud_multi = run(threads)
-        identical = (np.array_equal(cloud_single.points, cloud_multi.points)
-                     and np.array_equal(cloud_single.valid, cloud_multi.valid))
-        print(f"threads={threads} mean={multi.mean():.3f} ms "
-              f"p99={np.percentile(multi, 99):.3f} ms identical={identical}")
-        if not identical:
-            raise CalibrationError("multi-threaded correction diverged from single-threaded")
-    else:
-        print("threads=1 only (set DEPTHCAL_THREADS or add cores for the parallel run)")
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="depthcal",
@@ -319,22 +269,21 @@ def build_parser():
     p.add_argument("--out", required=True, help="report directory")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_evaluate)
-
-    p = sub.add_parser("bench", help="latency of the correction stage")
-    p.add_argument("--calib", required=True)
-    p.add_argument("--frames", type=int, default=100)
-    p.set_defaults(fn=cmd_bench)
     return parser
 
 
 def main(argv=None):
-    logging.basicConfig(level=os.environ.get("DEPTHCAL_LOG", "WARNING"))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    level = os.environ.get("DEPTHCAL_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: DEPTHCAL_LOG must name a logging level such as INFO, "
+              f"got {level!r}", file=sys.stderr)
+        return 1
+    logging.basicConfig(level=level)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (CalibrationError, GeometryError, formats.FormatError,
-            synthbench.RenderError, FileNotFoundError, ValueError) as exc:
+            synthbench.RenderError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

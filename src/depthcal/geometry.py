@@ -689,10 +689,13 @@ class LMResult:
     x: np.ndarray
     final_cost: float
     iterations: int
-    converged: bool
     reason: str
     cost_trace: list = field(default_factory=list)
     residual: np.ndarray | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.reason != "max_iter"
 
 
 def lm_jacobian(residual_fn, x, r=None):
@@ -770,6 +773,5 @@ def lm_minimize(residual_fn, x0, max_iter=200, ftol=1e-10, xtol=1e-12,
             break
         if reason != "max_iter":
             break
-    return LMResult(x=x, final_cost=cost, iterations=iterations,
-                    converged=reason != "max_iter", reason=reason,
+    return LMResult(x=x, final_cost=cost, iterations=iterations, reason=reason,
                     cost_trace=trace, residual=r)

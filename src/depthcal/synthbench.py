@@ -15,7 +15,6 @@ calibration paths.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,6 @@ from .geometry import (
     transform_plane,
 )
 from .maps import PolyFn, UndistortionMap
-
-log = logging.getLogger(__name__)
 
 LABEL_NONE = 0
 LABEL_WALL = 1

@@ -4,7 +4,7 @@ import pytest
 import depthcal as dc
 from depthcal import synthbench as sb
 from depthcal.calib_undistort import undistorted_points
-from depthcal.maps import fit_weighted_poly_batch
+from depthcal.maps import MAX_DEGREE, fit_weighted_poly_batch
 from oracles import estimate_undistortion_map as whole_frame_stage_one
 
 
@@ -68,6 +68,13 @@ def test_config_rejects_nan(name):
     # NaN fails every comparison, so a `<= 0` check lets it through
     with pytest.raises(dc.CalibrationError, match=f"{name} must be positive, got nan"):
         small_cfg(**{name: float("nan")})
+
+
+def test_config_rejects_a_degree_the_maps_cannot_hold():
+    # rejected here, not by the map after every frame's PnP
+    small_cfg(degree=MAX_DEGREE)
+    with pytest.raises(dc.CalibrationError, match="degree must be at most 4, got 9"):
+        small_cfg(degree=9)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,38 @@ def test_missing_calibration_file_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["correct", "--calib", "calib.txt", "--in", "a_dir", "--out", "out.ply"],
+    ["correct", "--calib", "a_dir", "--in", "depth.pgm", "--out", "out.ply"],
+    ["correct", "--calib", "calib.txt", "--in", "depth.pgm", "--out", "a_dir"],
+    ["simulate", "--scene", "scene.txt", "--out", "a_file", "--train", "10",
+     "--test", "1"],
+], ids=["correct --in dir", "correct --calib dir", "correct --out dir",
+        "simulate --out file"])
+def test_a_path_of_the_wrong_kind_is_an_error_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    identity_calibration(tmp_path / "calib.txt")
+    formats.write_depth_pgm(tmp_path / "depth.pgm",
+                            dc.DepthImage(32, 24, np.full((24, 32), 1.5)))
+    (tmp_path / "scene.txt").write_text("image_width 40\nimage_height 30\n")
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("")
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.rglob(".tmp_depthcal_*"))
+    assert not (tmp_path / "out.ply").exists()
+
+
+@pytest.mark.parametrize("level", ["bogus", "info", ""])
+def test_an_unknown_log_level_is_an_error_line(tmp_path, monkeypatch, capsys, level):
+    monkeypatch.setenv("DEPTHCAL_LOG", level)
+    out = tmp_path / "ds"
+    code = main(["simulate", "--out", str(out), "--train", "10", "--test", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: DEPTHCAL_LOG must name a logging level")
+    assert not out.exists()
+
+
 def test_calibrate_names_a_depth_image_of_the_wrong_size(dataset, tmp_path, capsys):
     copy = tmp_path / "ds"
     shutil.copytree(dataset, copy)
@@ -198,6 +230,17 @@ def test_calibrate_rejects_a_nan_fit_radius(dataset, tmp_path, capsys):
     assert code == 1
     assert "fit_radius must be positive, got nan" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_calibrate_rejects_a_degree_above_the_maximum(dataset, tmp_path, capsys):
+    # rejected before stage one solves PnP for every frame
+    out = tmp_path / "c.txt"
+    code = main(["calibrate", "--dataset", str(dataset), "--out", str(out),
+                 "--degree", "9"])
+    assert code == 1
+    assert "degree must be at most 4, got 9" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "c.txt.report.csv").exists()
 
 
 def test_calibrate_writes_calibration_and_report(calibration):
@@ -240,32 +283,6 @@ def test_correct_identity_equals_depth_to_cloud(tmp_path):
     assert np.array_equal(pts, expected.points[expected.valid])
 
 
-def test_correct_threaded_identical(tmp_path, monkeypatch):
-    calib = tmp_path / "ident.txt"
-    identity_calibration(calib)
-    rng = np.random.default_rng(9)
-    img = dc.DepthImage(32, 24, rng.integers(500, 4000, (24, 32)) / 1000.0)
-    depth_path = tmp_path / "depth.pgm"
-    formats.write_depth_pgm(depth_path, img)
-    single, multi = tmp_path / "a.ply", tmp_path / "b.ply"
-    monkeypatch.delenv("DEPTHCAL_THREADS", raising=False)
-    assert main(["correct", "--calib", str(calib), "--in", str(depth_path),
-                 "--out", str(single)]) == 0
-    monkeypatch.setenv("DEPTHCAL_THREADS", "3")
-    assert main(["correct", "--calib", str(calib), "--in", str(depth_path),
-                 "--out", str(multi)]) == 0
-    assert single.read_bytes() == multi.read_bytes()
-
-
-def test_threads_env_validation(tmp_path, monkeypatch):
-    calib = tmp_path / "ident.txt"
-    identity_calibration(calib)
-    for raw in ("many", "0", "-2"):
-        monkeypatch.setenv("DEPTHCAL_THREADS", raw)
-        with pytest.raises(SystemExit, match="positive integer"):
-            main(["bench", "--calib", str(calib), "--frames", "1"])
-
-
 def test_evaluate_writes_reports(dataset, calibration, tmp_path):
     out = tmp_path / "report"
     code = main(["evaluate", "--calib", calibration, "--dataset", dataset,
@@ -279,13 +296,3 @@ def test_evaluate_writes_reports(dataset, calibration, tmp_path):
     for row in rows:
         dist, original, corrected = (float(v) for v in row.split(","))
         assert abs(corrected) < abs(original) + 0.01
-
-
-def test_bench_runs_and_reports(calibration, capsys, monkeypatch):
-    monkeypatch.setenv("DEPTHCAL_THREADS", "2")
-    code = main(["bench", "--calib", calibration, "--frames", "5"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "threads=1 mean=" in out
-    assert "threads=2 mean=" in out
-    assert "identical=True" in out
