@@ -51,7 +51,6 @@ from .calib_global import (
     build_observations,
     init_global,
     refine,
-    wall_points,
 )
 from .pipeline import CalibrationResult, apply_calibration, calibrate
 from .synthbench import (

@@ -1,11 +1,12 @@
 """Stage two of the calibration: global correction and extrinsics.
 
 Each frame enters stage two as its wall alone: the stage-one wall mask of
-the frame, from which `wall_points` derives the undistorted cloud points
-at the wall pixels (the final U applied to the frame's depth image at
-those pixels only, then back-projected). Initialization reads the frames
-in two passes and derives each frame's wall points again in each, so only
-one frame's points are held at a time. The first pass pairs the board
+the frame, at which stage one's reader `undistorted_points` derives the
+undistorted cloud points (the final U applied to the frame's depth image
+at those pixels only, then back-projected; a pixel whose u(d) is not
+positive is dropped). Initialization reads the frames in two passes and
+derives each frame's wall points again in each, so only one frame's points
+are held at a time. The first pass pairs the board
 plane with the plane fitted to the wall points, and packs the frame's
 observations for the refinement; the camera-depth rigid transform is
 solved from the plane pairs. The second pass fits the four-corner global
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calib_undistort import BoardSpec, CalibrationError, update_map
+from .calib_undistort import BoardSpec, CalibrationError, undistorted_points, update_map
 from .geometry import (
     CameraIntrinsics,
     GeometryError,
@@ -37,7 +38,6 @@ from .geometry import (
     KINECT1_QUANTIZATION,
     RigidTransform,
     axis_angle_to_quat,
-    back_project,
     estimate_transform_from_planes,
     fit_plane,
     lm_minimize,
@@ -46,7 +46,7 @@ from .geometry import (
     quat_to_matrix,
     transform_plane,
 )
-from .maps import FitMoments, GlobalMap, UndistortionMap, undistort_at
+from .maps import FitMoments, GlobalMap, UndistortionMap
 
 log = logging.getLogger(__name__)
 
@@ -89,23 +89,6 @@ class RefinementState:
     gmap: GlobalMap
 
 
-def wall_points(umap: UndistortionMap, depth, wall, intr: CameraIntrinsics):
-    """One frame's wall as stage two reads it: (IndexSet, points (N, 3)).
-
-    `wall` is the frame's (H, W) bool wall mask, and the IndexSet holds its
-    pixels in row-major order. The points are bit for bit
-    `depth_to_cloud(apply_undistortion(umap, depth), intr).points_at(inliers)`,
-    computed on the wall pixels only (`maps.undistort_at`, then
-    `back_project`); a pixel whose u(d) is not positive gets (0, 0, 0).
-    """
-    wall = np.asarray(wall, dtype=bool)
-    if wall.shape != (intr.height, intr.width):
-        raise CalibrationError("wall mask size does not match the intrinsics")
-    inliers = IndexSet.from_mask(wall)
-    z = undistort_at(umap, depth, np.flatnonzero(wall))
-    return inliers, back_project(z, inliers.u, inliers.v, intr)
-
-
 def build_observations(frame, inliers, points, max_points) -> FrameObservations:
     """One frame's FrameObservations: its corners, plus an even subsample of
     at most `max_points` of its wall pixels `inliers` with the undistorted
@@ -127,8 +110,8 @@ def init_global(frames, walls, board_poses, umap: UndistortionMap,
     `frames` are the usable frames; `walls` and `board_poses` map each
     frame's id to its stage-one wall mask and board pose (board -> RGB
     camera). The frames are read in two passes, and each derives a frame's
-    wall points again by `wall_points` under the final U, so no list of
-    every frame's points is held.
+    wall points again by `undistorted_points` under the final U, so no list
+    of every frame's points is held.
     Pass 1, per frame: board plane from the board pose (the board's z = 0
     plane moved by it), wall plane fitted to the wall points, and
     `build_observations` with at most `max_points` wall pixels. The rigid
@@ -146,8 +129,9 @@ def init_global(frames, walls, board_poses, umap: UndistortionMap,
     wall_planes_depth = []
     observations = []
     for k, frame in enumerate(frames):
-        inliers, points = wall_points(umap, frame.depth, walls[frame.frame_id],
-                                      intr_depth)
+        kept, points = undistorted_points(umap, frame.depth, walls[frame.frame_id],
+                                          intr_depth)
+        inliers = IndexSet.from_mask(kept)
         board_planes_cam.append(transform_plane(board_poses[frame.frame_id],
                                                 board.plane))
         try:
@@ -164,8 +148,9 @@ def init_global(frames, walls, board_poses, umap: UndistortionMap,
                                     degree=GMAP_DEGREE, constant_zero=True)
     moments = FitMoments(grid.grid_shape, GMAP_DEGREE)
     for frame, plane_cam in zip(frames, board_planes_cam):
-        inliers, points = wall_points(umap, frame.depth, walls[frame.frame_id],
-                                      intr_depth)
+        kept, points = undistorted_points(umap, frame.depth, walls[frame.frame_id],
+                                          intr_depth)
+        inliers = IndexSet.from_mask(kept)
         plane_depth = transform_plane(cam_to_depth, plane_cam)
         grid = update_map(grid, moments, points, inliers, plane_depth)
     gmap = GlobalMap(width, height,

@@ -156,21 +156,24 @@ def _seed_plane(board_pose, t0, board) -> Plane:
     return transform_plane(t0.inverse(), plane_cam)
 
 
-def undistorted_points(umap, depth: DepthImage, intr: CameraIntrinsics):
-    """Stage one's view of a frame, read at its valid pixels only: (pixels,
-    points), the (H, W) mask of the pixels where d and u(d) are positive,
+def undistorted_points(umap, depth: DepthImage, pixels, intr: CameraIntrinsics):
+    """A frame read at the True pixels of the (H, W) mask `pixels` only:
+    (kept, points), the mask of those pixels where d and u(d) are positive,
     which `apply_undistortion` leaves valid, and the points (N, 3) of
     `depth_to_cloud(apply_undistortion(umap, depth), intr)` there, row-major
-    and bit for bit.
+    and bit for bit. Stage one reads a frame at its valid pixels, stage two
+    at its wall.
     """
     if (depth.width, depth.height) != (intr.width, intr.height):
         raise GeometryError("depth image size does not match intrinsics")
-    pixels = depth.valid
-    flat = np.flatnonzero(pixels)
+    if np.shape(pixels) != (depth.height, depth.width):
+        raise GeometryError("pixel mask size does not match the depth image")
+    kept = np.array(pixels, dtype=bool)
+    flat = np.flatnonzero(kept)
     z = undistort_at(umap, depth, flat)
-    pixels[pixels] = keep = z > 0.0
+    kept[kept] = keep = z > 0.0
     v, u = np.divmod(flat[keep], depth.width)
-    return pixels, back_project(z[keep], u, v, intr)
+    return kept, back_project(z[keep], u, v, intr)
 
 
 def select_wall_points(points, pixels, board_pose: RigidTransform, t0: RigidTransform,
@@ -330,7 +333,8 @@ def estimate_undistortion_map(frames, t0: RigidTransform, intr_rgb: CameraIntrin
     moments = FitMoments(umap.grid_shape, cfg.degree)
     walls, board_poses = {}, {}
     for frame, pose in ordered:
-        pixels, points = undistorted_points(umap, frame.depth, intr_depth)
+        pixels, points = undistorted_points(umap, frame.depth, frame.depth.valid,
+                                            intr_depth)
         try:
             inliers = select_wall_points(points, pixels, pose, t0, board, cfg, rng)
             original = back_project(frame.depth.data[inliers.v, inliers.u],

@@ -115,12 +115,15 @@ def cmd_calibrate(args):
     result = pipeline.calibrate(frames, manifest.extrinsic_guess,
                                 manifest.intr_rgb, manifest.intr_depth_guess,
                                 manifest.board, ucfg, gcfg)
-    formats.write_calibration(args.out, result.umap, result.gmap,
-                              result.extrinsic, result.intr_depth,
-                              result.intr_rgb)
     report_path = args.report or args.out + ".report.csv"
-    _write_calibration_report(report_path, result, frames,
-                              manifest.intr_depth_guess, ucfg)
+    # the calibration is renamed into place after its report, so a failed
+    # write of either leaves no new calibration file
+    with formats.replacing(report_path, args.out) as (report_tmp, calib_tmp):
+        formats.write_calibration(calib_tmp, result.umap, result.gmap,
+                                  result.extrinsic, result.intr_depth,
+                                  result.intr_rgb)
+        _write_calibration_report(report_tmp, result, frames,
+                                  manifest.intr_depth_guess, ucfg)
     print(f"calibration written to {args.out}")
     print(f"report written to {report_path}")
     print(f"refinement cost {result.cost_trace[0]:.6g} -> {result.cost_trace[-1]:.6g} "

@@ -1,24 +1,30 @@
 """File formats: depth PGM, corner CSV, manifests, calibration files, PLY.
 
+Every file written here is read by a program: `calibrate` reads a dataset
+(manifest, depth PGMs, corner CSVs), `correct` and `evaluate` read a
+calibration file, and the benchmark reads back the PLY that `correct`
+writes. Of a synthetic scene's truth, only the test frames' wall distances
+are written, in the manifest; the rest stays in its `synthbench.SceneSpec`.
+
 Text formats are line-oriented `key value...` with `#` comments, UTF-8 and
 '.' decimal separators. Floats are written with 17 significant digits so
 every serialization round-trips exactly. Number blocks (PLY vertices, the
-per-control-pixel `_fn` lines, corner grids) are formatted by `_format_rows`
-BLOCK_ROWS rows at a time and streamed to disk chunk by chunk, so no block's
-text is held whole. Every number, grid indices too, is printed by `%.17g`.
-A block of SMALL_BLOCK_ROWS rows or more is printed by array code
-(`_format_chunk`) that gives the bytes of `%` exactly; a smaller one takes
-one `%` call. Readers split a file into lines once, except that
+per-control-pixel `umap_fn` lines, corner grids) are formatted by
+`_format_rows` BLOCK_ROWS rows at a time and streamed to disk chunk by
+chunk, so no block's text is held whole. Every number, grid indices too,
+is printed by `%.17g`. A block of SMALL_BLOCK_ROWS rows or more is printed
+by array code (`_format_chunk`) that gives the bytes of `%` exactly; a
+smaller one takes one `%` call. Readers split a file into lines once, except that
 `read_cloud_ply` reads its vertex block BLOCK_ROWS lines at a time. A number
 block is read back by `_parse_rows`, the mirror of `_format_rows`: it splits
 BLOCK_ROWS lines at a time and parses them into one float array. An index
-column read this way (`_fn` and corner indices) must hold integral values
+column read this way (`umap_fn` and corner indices) must hold integral values
 inside its grid, each index given once. Key-value files are collected by
 `_read_keyvals`; a key given twice is an error.
 
 Writes go to a temp file in the target directory and are renamed into
-place, so readers never see partial files. A written file gets the mode
-`open()` would give it: 0o666 less the umask.
+place by `replacing`, so readers never see partial files. A written file
+gets the mode `open()` would give it: 0o666 less the umask.
 
 Depth PGM: binary P5, maxval 65535, 16-bit big-endian samples holding
 millimeters; 0 marks an invalid pixel. Values convert to meters on load.
@@ -245,26 +251,43 @@ def _format_chunk(literals, block):
     return record.tobytes().translate(None, b"\0")
 
 
+@contextmanager
+def replacing(*paths):
+    """Temp paths beside `paths`, one each, for the block to write; renamed
+    onto `paths` in their order once the block ends without error.
+
+    A block that raises changes none of `paths`, and no temp file is left
+    behind. A rename that fails leaves the paths before it replaced and
+    the rest as they were. An OSError about a temp file names the path it
+    stands for.
+    """
+    tmps = {os.path.join(os.path.dirname(os.fspath(p)) or ".",
+                         f".tmp_depthcal_{os.urandom(8).hex()}"): os.fspath(p)
+            for p in paths}
+    try:
+        yield list(tmps)
+        for tmp, path in tmps.items():
+            os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename not in tmps:
+            raise
+        raise OSError(exc.errno, exc.strerror, tmps[exc.filename]) from exc
+    finally:
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+
+
 def _atomic_write_bytes(path, chunks):
     """Write an iterable of byte chunks to `path` through a temp file.
 
     The temp file is created with mode 0o666, so the umask applies as it
     does to `open()`. If the chunks raise, neither file is left behind.
     """
-    path = os.fspath(path)
-    tmp = os.path.join(os.path.dirname(path) or ".",
-                       f".tmp_depthcal_{os.urandom(8).hex()}")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    fd = os.open(tmp, flags, 0o666)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with replacing(path) as [tmp], os.fdopen(os.open(tmp, flags, 0o666), "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _text(lines):
@@ -498,31 +521,31 @@ def _transform(quaternion_tokens, translation_tokens, what):
         raise FormatError(f"{what}: {exc}") from exc
 
 
-def _fn_block(prefix, umap: UndistortionMap):
-    """`<prefix>_fn i j c0 .. cd` lines of every control pixel, row by row, as
+def _fn_block(umap: UndistortionMap):
+    """`umap_fn i j c0 .. cd` lines of every control pixel, row by row, as
     byte chunks."""
     gh, gw = umap.grid_shape
     j, i = np.indices((gh, gw)).reshape(2, -1)
     rows = np.column_stack([i, j, umap.coefficients.reshape(gh * gw, -1)])
-    return _format_rows(f"{prefix}_fn" + " %.17g" * (umap.degree + 3) + "\n", rows)
+    return _format_rows("umap_fn" + " %.17g" * (umap.degree + 3) + "\n", rows)
 
 
-def _undistortion_map(kv, fn_lines, prefix, path):
-    """UndistortionMap from `<prefix>_size`, `_bins` and `_degree` in kv and
-    the text `i j c0 .. cd` of one `<prefix>_fn` line per control pixel."""
-    width, height = _values(kv[f"{prefix}_size"], 2, f"{path}: {prefix}_size", int)
-    chi, psi = _values(kv[f"{prefix}_bins"], 2, f"{path}: {prefix}_bins", int)
-    [degree] = _values(kv[f"{prefix}_degree"], 1, f"{path}: {prefix}_degree", int)
+def _undistortion_map(kv, fn_lines, path):
+    """UndistortionMap from `umap_size`, `umap_bins` and `umap_degree` in kv
+    and the text `i j c0 .. cd` of one `umap_fn` line per control pixel."""
+    width, height = _values(kv["umap_size"], 2, f"{path}: umap_size", int)
+    chi, psi = _values(kv["umap_bins"], 2, f"{path}: umap_bins", int)
+    [degree] = _values(kv["umap_degree"], 1, f"{path}: umap_degree", int)
     if min(width, height, chi, psi) <= 0:
-        raise FormatError(f"{path}: {prefix} size and bins must be positive")
+        raise FormatError(f"{path}: umap size and bins must be positive")
     if not 1 <= degree <= MAX_DEGREE:
-        raise FormatError(f"{path}: {prefix}_degree must be between 1 and {MAX_DEGREE}")
+        raise FormatError(f"{path}: umap_degree must be between 1 and {MAX_DEGREE}")
     # the count is checked from the grid shape before anything is allocated
     gh, gw = _grid_shape(width, height, chi, psi)
     if len(fn_lines) != gh * gw:
-        raise FormatError(f"{path}: expected {gh * gw} {prefix}_fn lines, got {len(fn_lines)}")
-    rows = _parse_rows(fn_lines, degree + 3, f"{path}: {prefix}_fn")
-    i, j = _grid_index(rows[:, :2], (gw, gh), f"{path}: {prefix}_fn")
+        raise FormatError(f"{path}: expected {gh * gw} umap_fn lines, got {len(fn_lines)}")
+    rows = _parse_rows(fn_lines, degree + 3, f"{path}: umap_fn")
+    i, j = _grid_index(rows[:, :2], (gw, gh), f"{path}: umap_fn")
     coeffs = np.empty((gh, gw, degree + 1))
     coeffs[j, i] = rows[:, 2:]
     return UndistortionMap(width, height, chi, psi, coeffs)
@@ -550,7 +573,7 @@ def write_calibration(path, umap: UndistortionMap, gmap: GlobalMap,
                      ("0h", gmap.corner_0h)):
         coeffs = " ".join(_fmt(c) for c in fn.coefficients)
         tail.append(f"gmap_corner_{name} {coeffs}")
-    _atomic_write_bytes(path, chain([_text(head).encode("utf-8")], _fn_block("umap", umap),
+    _atomic_write_bytes(path, chain([_text(head).encode("utf-8")], _fn_block(umap),
                                     [_text(tail).encode("utf-8")]))
 
 
@@ -569,7 +592,7 @@ def read_calibration(path):
         intr_depth = _intr_from_tokens(kv["depth_intrinsics"])
         extrinsic = _transform(kv["extrinsic_quaternion"],
                                kv["extrinsic_translation"], f"{path}: extrinsic")
-        umap = _undistortion_map(kv, texts["umap_fn"], "umap", path)
+        umap = _undistortion_map(kv, texts["umap_fn"], path)
         [g_degree] = _values(kv["gmap_degree"], 1, f"{path}: gmap_degree", int)
         if not 1 <= g_degree <= MAX_DEGREE:
             raise FormatError(f"{path}: gmap_degree must be between 1 and {MAX_DEGREE}")
@@ -687,14 +710,14 @@ def load_frames(manifest: DatasetManifest, base_dir, test_only=False,
 def write_dataset(scene, labeled_frames, out_dir):
     """Write rendered frames as a dataset directory; returns out_dir.
 
-    Layout: manifest.txt, depth/<id>.pgm, corners/<id>.csv plus the
-    ground_truth.txt sidecar that only evaluation code may read.
+    Layout: manifest.txt, depth/<id>.pgm and corners/<id>.csv. The manifest
+    holds each test frame's true wall distance; the rest of the synthetic
+    truth stays in the scene.
     """
     out_dir = os.fspath(out_dir)
     os.makedirs(os.path.join(out_dir, "depth"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "corners"), exist_ok=True)
     entries = []
-    truth_lines = []
     for lf in labeled_frames:
         fid = lf.frame.frame_id
         depth_rel = f"depth/{fid}.pgm"
@@ -703,62 +726,13 @@ def write_dataset(scene, labeled_frames, out_dir):
         write_corners_csv(os.path.join(out_dir, corners_rel), lf.frame.corners)
         entries.append(ManifestFrame(fid, depth_rel, corners_rel,
                                      lf.wall_distance if lf.is_test else None))
-        q = lf.true_board_pose.quaternion
-        t = lf.true_board_pose.translation
-        truth_lines.append(
-            "frame_truth " + fid + " " + _fmt(lf.wall_distance) + " "
-            + " ".join(_fmt(v) for v in t) + " " + " ".join(_fmt(v) for v in q))
     factory_guess = RigidTransform((1.0, 0.0, 0.0, 0.0), (0.025, 0.0, 0.0))
     manifest = DatasetManifest(board=scene.board, intr_rgb=scene.intr_rgb,
                                intr_depth_guess=scene.intr_depth,
                                extrinsic_guess=factory_guess,
                                frames=tuple(entries))
     write_manifest(os.path.join(out_dir, "manifest.txt"), manifest)
-
-    field = scene.distortion.undistortion_field
-    gcorr = scene.distortion.global_correction
-    lines = [
-        "# depthcal synthetic ground truth (never read by calibration code)",
-        f"version {FORMAT_VERSION}",
-        *_transform_lines("true_extrinsic", scene.true_extrinsic),
-        f"global_correction {' '.join(_fmt(c) for c in gcorr.coefficients)}",
-        f"distortion_size {field.width} {field.height}",
-        f"distortion_bins {field.chi} {field.psi}",
-        f"distortion_degree {field.degree}",
-        f"noise {int(scene.noise)}",
-        f"seed {scene.seed}",
-    ]
-    _atomic_write_bytes(os.path.join(out_dir, "ground_truth.txt"),
-                        chain([_text(lines).encode("utf-8")], _fn_block("distortion", field),
-                              [_text(truth_lines).encode("utf-8")]))
     return out_dir
-
-
-def read_ground_truth(path):
-    """Ground-truth sidecar: (true_extrinsic, global_correction PolyFn,
-    distortion UndistortionMap, frame truths {id: (wall_distance, pose)})."""
-    kv, texts = _read_keyvals(path, repeated=("distortion_fn", "frame_truth"))
-    truths = {}
-    for tokens in map(str.split, texts["frame_truth"]):
-        if len(tokens) != 9:
-            raise FormatError(f"{path}: frame_truth needs an id and 8 values")
-        what = f"{path}: frame_truth {tokens[0]}"
-        if tokens[0] in truths:
-            raise FormatError(f"{what} given twice")
-        [dist] = _values(tokens[1:2], 1, f"{what} distance")
-        truths[tokens[0]] = (dist, _transform(tokens[5:9], tokens[2:5], what))
-    try:
-        extrinsic = _transform(kv["true_extrinsic_quaternion"],
-                               kv["true_extrinsic_translation"],
-                               f"{path}: true_extrinsic")
-        gcorr = PolyFn(_values(kv["global_correction"], len(kv["global_correction"]),
-                               f"{path}: global_correction"), constant_zero=True)
-        distortion = _undistortion_map(kv, texts["distortion_fn"], "distortion", path)
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing key {exc}") from exc
-    except MapError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    return extrinsic, gcorr, distortion, truths
 
 
 # ---------------------------------------------------------------------------

@@ -349,8 +349,9 @@ def render_frame(scene: SceneSpec, index) -> LabeledFrame:
 def generate_dataset(scene: SceneSpec, out_dir):
     """Render and write a dataset directory (manifest, PGM depths, corner CSVs).
 
-    Also writes the `ground_truth.txt` sidecar holding the injected fields;
-    calibration code never reads it. Returns the directory path.
+    The manifest holds the test frames' true wall distances; the injected
+    fields, extrinsic and board poses stay in `scene`. Returns the directory
+    path.
     """
     from . import formats
 

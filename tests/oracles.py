@@ -384,13 +384,13 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _fn_lines(prefix, umap: UndistortionMap):
+def _fn_lines(umap: UndistortionMap):
     gh, gw = umap.grid_shape
     lines = []
     for j in range(gh):
         for i in range(gw):
             coeffs = " ".join(_fmt(c) for c in umap.coefficients[j, i])
-            lines.append(f"{prefix}_fn {i} {j} {coeffs}")
+            lines.append(f"umap_fn {i} {j} {coeffs}")
     return lines
 
 
@@ -415,38 +415,13 @@ def calibration_text(umap: UndistortionMap, gmap: GlobalMap,
         f"umap_size {umap.width} {umap.height}",
         f"umap_bins {umap.chi} {umap.psi}",
         f"umap_degree {umap.degree}",
-        *_fn_lines("umap", umap),
+        *_fn_lines(umap),
         f"gmap_degree {gmap.degree}",
     ]
     for name, fn in (("00", gmap.corner_00), ("w0", gmap.corner_w0),
                      ("0h", gmap.corner_0h)):
         coeffs = " ".join(_fmt(c) for c in fn.coefficients)
         lines.append(f"gmap_corner_{name} {coeffs}")
-    return "\n".join(lines) + "\n"
-
-
-def ground_truth_text(scene, labeled_frames):
-    """The `ground_truth.txt` that `write_dataset` writes for these frames."""
-    field = scene.distortion.undistortion_field
-    gcorr = scene.distortion.global_correction
-    lines = [
-        "# depthcal synthetic ground truth (never read by calibration code)",
-        f"version {FORMAT_VERSION}",
-        *_transform_lines("true_extrinsic", scene.true_extrinsic),
-        f"global_correction {' '.join(_fmt(c) for c in gcorr.coefficients)}",
-        f"distortion_size {field.width} {field.height}",
-        f"distortion_bins {field.chi} {field.psi}",
-        f"distortion_degree {field.degree}",
-        f"noise {int(scene.noise)}",
-        f"seed {scene.seed}",
-        *_fn_lines("distortion", field),
-    ]
-    for lf in labeled_frames:
-        q = lf.true_board_pose.quaternion
-        t = lf.true_board_pose.translation
-        lines.append(
-            "frame_truth " + lf.frame.frame_id + " " + _fmt(lf.wall_distance) + " "
-            + " ".join(_fmt(v) for v in t) + " " + " ".join(_fmt(v) for v in q))
     return "\n".join(lines) + "\n"
 
 

@@ -15,6 +15,7 @@ from depthcal.calib_global import (
     _RefineProblem,
     _board_planes_depth,
 )
+from depthcal.calib_undistort import undistorted_points
 from depthcal.geometry import (
     axis_angle_to_quat,
     horner,
@@ -209,6 +210,7 @@ def test_build_observations_dhat_is_undistorted_depth(clean_setup):
 
 
 def test_wall_points_are_the_undistorted_cloud_at_the_mask():
+    # stage two reads a frame at its wall mask with stage one's reader
     intr = dc.CameraIntrinsics(fx=61.0, fy=63.0, cx=19.3, cy=14.6, width=40,
                                height=30)
     rng = np.random.default_rng(17)
@@ -227,15 +229,36 @@ def test_wall_points_are_the_undistorted_cloud_at_the_mask():
     undistorted = dc.apply_undistortion(umap, depth)
     assert undistorted.data[0, 0] == 0.0  # the final u(d) is <= 0 there
 
-    inliers, points = dc.wall_points(umap, depth, wall, intr)
-    expect_idx = dc.IndexSet.from_mask(wall)
-    expect = dc.depth_to_cloud(undistorted, intr).points_at(expect_idx)
-    assert np.array_equal(inliers.uv, expect_idx.uv)
+    kept, points = undistorted_points(umap, depth, wall, intr)
+    assert np.array_equal(kept, wall & undistorted.valid)
+    assert not kept[0, 0] and not kept[7, 11]
+    expect = dc.depth_to_cloud(undistorted, intr).points_at(dc.IndexSet.from_mask(kept))
     assert points.shape == expect.shape
     assert points.tobytes() == expect.tobytes()
-    assert not points[0].any()
-    with pytest.raises(dc.CalibrationError):
-        dc.wall_points(umap, depth, wall[:, :-1], intr)
+    with pytest.raises(dc.GeometryError, match="pixel mask size"):
+        undistorted_points(umap, depth, wall[:, :-1], intr)
+
+
+def test_init_global_drops_wall_pixels_whose_final_depth_is_not_positive(clean_setup):
+    # such a pixel would enter the wall-plane fit at (0, 0, 0) and the
+    # refinement with dhat = 0, where the noise model's sigma is negative
+    scene, frames, _ = clean_setup
+    train = [lf.frame for lf in frames if not lf.is_test]
+    umap, walls, poses = stage_one_walls(scene, train)
+    coeffs = umap.coefficients.copy()
+    coeffs[1, 1] = (0.0, -1.0, 0.0)  # u(d) = -d at one control pixel
+    umap = umap.with_coefficients(coeffs)
+    _, _, obs = dc.init_global(train, walls, poses, umap, scene.intr_depth,
+                               scene.board, max_points=scene.intr_depth.width
+                               * scene.intr_depth.height)
+    dropped = 0
+    for frame, o in zip(train, obs):
+        positive = dc.apply_undistortion(umap, frame.depth).valid
+        wall = walls[frame.frame_id]
+        dropped += np.count_nonzero(wall & ~positive)
+        assert np.array_equal(o.uv, dc.IndexSet.from_mask(wall & positive).uv)
+        assert np.all(o.dhat > 0.0)
+    assert dropped > 0
 
 
 @pytest.mark.parametrize("count", [0, -1, 0.5, float("nan")])

@@ -134,7 +134,7 @@ def test_undistorted_points_are_the_undistorted_cloud_at_its_valid_pixels():
     dropped = img.valid & ~undistorted.valid
     assert dropped.sum() > 5 and (~img.valid).sum() > 50
 
-    pixels, points = undistorted_points(umap, img, intr)
+    pixels, points = undistorted_points(umap, img, img.valid, intr)
     # exactly the pixels apply_undistortion invalidates are dropped
     assert np.array_equal(pixels, undistorted.valid)
     expect = dc.depth_to_cloud(undistorted, intr).points_at(
@@ -144,7 +144,7 @@ def test_undistorted_points_are_the_undistorted_cloud_at_its_valid_pixels():
     wide = dc.CameraIntrinsics(fx=61.0, fy=63.0, cx=19.3, cy=14.6, width=41,
                                height=30)
     with pytest.raises(dc.GeometryError, match="does not match intrinsics"):
-        undistorted_points(umap, img, wide)
+        undistorted_points(umap, img, img.valid, wide)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +182,10 @@ def test_select_wall_points_excludes_floor():
 
 def test_select_wall_points_empty_image_errors(clean_scene):
     scene, frames = clean_scene
+    empty = dc.DepthImage(160, 120, np.zeros((120, 160)))
     pixels, points = undistorted_points(
-        dc.UndistortionMap.identity(160, 120, 2, 2, 2),
-        dc.DepthImage(160, 120, np.zeros((120, 160))), scene.intr_depth)
+        dc.UndistortionMap.identity(160, 120, 2, 2, 2), empty, empty.valid,
+        scene.intr_depth)
     assert points.shape == (0, 3) and not pixels.any()
     with pytest.raises(dc.CalibrationError, match="not enough"):
         dc.select_wall_points(points, pixels, board_pose(scene, frames[0].frame), T0,

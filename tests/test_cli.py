@@ -1,3 +1,4 @@
+import errno
 import os
 import shutil
 
@@ -10,6 +11,7 @@ import depthcal as dc
 from depthcal import formats
 from depthcal import synthbench as sb
 from depthcal.cli import _SCENE_KEYS, _read_scene_file, main
+from depthcal.maps import PolyFn
 from oracles import correct_depth_image
 from test_formats import mutate_one_token
 
@@ -55,7 +57,7 @@ def test_simulate_writes_dataset(tmp_path):
     assert code == 0
     manifest = formats.read_manifest(out / "manifest.txt")
     assert len(manifest.frames) == 12
-    assert (out / "ground_truth.txt").exists()
+    assert sorted(os.listdir(out)) == ["corners", "depth", "manifest.txt"]
 
 
 def test_simulate_scene_file(tmp_path):
@@ -67,9 +69,14 @@ def test_simulate_scene_file(tmp_path):
     code = main(["simulate", "--scene", str(scene_file), "--out", str(out),
                  "--train", "10", "--test", "2", "--seed", "1"])
     assert code == 0
-    _, gcorr, field, _ = formats.read_ground_truth(out / "ground_truth.txt")
-    assert gcorr.coefficients == (0.0, 0.98, 0.004)
-    assert field.width == 80
+    gcorr = PolyFn((0.0, 0.98, 0.004), constant_zero=True)
+    scene = sb.standard_scene(n_train=10, n_test=2, seed=1, noise=False, width=80,
+                              height=60,
+                              distortion=sb.bowl_distortion(80, 60, peak=0.01,
+                                                            global_correction=gcorr))
+    formats.write_depth_pgm(tmp_path / "expect.pgm", sb.render_frame(scene, 0).frame.depth)
+    assert ((out / "depth" / "train_000.pgm").read_bytes()
+            == (tmp_path / "expect.pgm").read_bytes())
 
 
 def test_simulate_rejects_unknown_scene_key(tmp_path):
@@ -108,14 +115,14 @@ def test_simulate_rejects_negative_corner_noise(tmp_path, capsys):
 ], ids=["flat_frac 1", "image_width 1"])
 def test_simulate_rejects_a_scene_whose_distortion_divides_by_zero(tmp_path, capsys,
                                                                     scene, message):
-    # the field's 0 / 0 would write a NaN ground truth that the reader rejects
+    # the field's 0 / 0 would make a NaN distortion field
     scene_file = tmp_path / "scene.txt"
     scene_file.write_text(scene)
     code = main(["simulate", "--scene", str(scene_file), "--out",
                  str(tmp_path / "ds"), "--train", "10", "--test", "2"])
     assert code == 1
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "ds" / "ground_truth.txt").exists()
+    assert not (tmp_path / "ds").exists()
 
 
 VALID_SCENE = ("image_width 80\nimage_height 60\npeak 0.01\nflat_frac 0.4\n"
@@ -197,6 +204,35 @@ def test_a_path_of_the_wrong_kind_is_an_error_line(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(tmp_path.rglob(".tmp_depthcal_*"))
     assert not (tmp_path / "out.ply").exists()
+
+
+@pytest.mark.parametrize("command", ["correct", "calibrate"])
+def test_a_failed_write_names_the_path_given_and_leaves_no_file(
+        dataset, calibration, tmp_path, monkeypatch, capsys, command):
+    # calibrate renames its calibration into place only after the report
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_dir").mkdir()
+    argv = {"correct": ["correct", "--calib", calibration, "--in",
+                        os.path.join(dataset, "depth", "test_00.pgm"), "--out", "a_dir"],
+            "calibrate": ["calibrate", "--dataset", dataset, "--out", "c.txt",
+                          "--report", "a_dir", "--bin", "2x2", "--fit-radius", "24",
+                          "--min-inliers", "50"]}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'a_dir'\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["a_dir"]
+
+
+def test_calibrate_keeps_the_old_calibration_when_the_report_fails(dataset, tmp_path):
+    out = tmp_path / "c.txt"
+    out.write_bytes(b"an earlier calibration\n")
+    (tmp_path / "a_dir").mkdir()
+    code = main(["calibrate", "--dataset", dataset, "--out", str(out), "--report",
+                 str(tmp_path / "a_dir"), "--bin", "2x2", "--fit-radius", "24",
+                 "--min-inliers", "50"])
+    assert code == 1
+    assert out.read_bytes() == b"an earlier calibration\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a_dir", "c.txt"]
 
 
 @pytest.mark.parametrize("level", ["bogus", "info", ""])

@@ -1,7 +1,6 @@
 import functools
 import os
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from oracles import (
     calibration_text,
     corner_wh,
     corners_text,
-    ground_truth_text,
     ply_text,
 )
 
@@ -342,54 +340,6 @@ def test_calibration_reader_raises_only_format_error(tmp_path_factory, data):
     assert isinstance(out, tuple) and len(out) == 5
 
 
-def test_ground_truth_rejects_missing_key(tmp_path):
-    path = tmp_path / "ground_truth.txt"
-    path.write_text("version 1\n")
-    with pytest.raises(FormatError, match="missing key"):
-        formats.read_ground_truth(path)
-
-
-def sample_ground_truth():
-    """A valid ground-truth sidecar on a 4 x 2 image with 2 x 2 bins."""
-    lines = ["version 1",
-             "true_extrinsic_translation 0.025 0 0",
-             "true_extrinsic_quaternion 1 0 0 0",
-             "global_correction 0 0.97 0.008",
-             "distortion_size 4 2",
-             "distortion_bins 2 2",
-             "distortion_degree 2",
-             "noise 0",
-             "seed 3"]
-    lines += [f"distortion_fn {i} {j} 0.001 1 -0.002"
-              for j in range(2) for i in range(3)]
-    lines.append("frame_truth f1 2.5 -0.1 0.2 2.5 1 0 0 0")
-    return "\n".join(lines) + "\n"
-
-
-@pytest.mark.parametrize("prefix, line", [
-    pytest.param("version ", "version 2", id="version-2"),
-    pytest.param("frame_truth ", "frame_truth f1 1.0", id="short-frame-truth"),
-    pytest.param("frame_truth ", "frame_truth f1 x 0 0 2 1 0 0 0",
-                 id="non-numeric-distance"),
-    pytest.param("frame_truth ", "frame_truth f1 2 0 0 2 0 0 0 0",
-                 id="zero-quaternion"),
-    pytest.param("distortion_fn 2 1 ", "distortion_fn 3 1 0 1 0",
-                 id="index-outside-grid"),
-    pytest.param("distortion_fn 2 1 ", "distortion_fn 2 1 0 1",
-                 id="two-coefficients"),
-    pytest.param("true_extrinsic_quaternion ",
-                 "true_extrinsic_quaternion 1e200 1e200 1e200 1e200",
-                 id="overflowing-quaternion"),
-])
-@pytest.mark.filterwarnings("error")
-def test_ground_truth_rejects_malformed_line(tmp_path, prefix, line):
-    path = tmp_path / "ground_truth.txt"
-    path.write_text("\n".join(line if ln.startswith(prefix) else ln
-                              for ln in sample_ground_truth().splitlines()))
-    with pytest.raises(FormatError):
-        formats.read_ground_truth(path)
-
-
 # ---------------------------------------------------------------------------
 # manifest
 
@@ -454,7 +404,6 @@ def sample_corners_text(tmp_path):
 @pytest.mark.parametrize("reader, sep", [
     pytest.param(formats.read_manifest, None, id="manifest"),
     pytest.param(formats.read_corners_csv, ",", id="corners"),
-    pytest.param(formats.read_ground_truth, None, id="ground-truth"),
 ])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
@@ -463,8 +412,7 @@ def test_text_readers_raise_only_format_error(tmp_path_factory, data, reader,
     """One line of a valid file loses, repeats or changes one token."""
     tmp = tmp_path_factory.mktemp("text")
     valid = {formats.read_manifest: MANIFEST_TEXT,
-             formats.read_corners_csv: sample_corners_text(tmp),
-             formats.read_ground_truth: sample_ground_truth()}[reader]
+             formats.read_corners_csv: sample_corners_text(tmp)}[reader]
     path = tmp / "file.txt"
     path.write_text(valid)
     reader(path)
@@ -484,10 +432,6 @@ def sample_calibration_text(tmp_path):
     pytest.param(formats.read_calibration, sample_calibration_text,
                  "extrinsic_translation 1 2 3", id="calibration"),
     pytest.param(formats.read_manifest, lambda _: MANIFEST_TEXT, "board 6 8 0.2", id="manifest"),
-    pytest.param(formats.read_ground_truth, lambda _: sample_ground_truth(), "seed 4",
-                 id="ground-truth"),
-    pytest.param(formats.read_ground_truth, lambda _: sample_ground_truth(),
-                 "frame_truth f1 3 0 0 3 1 0 0 0", id="ground-truth-frame-id"),
     pytest.param(_read_scene_file, lambda _: "peak 0.01\nimage_width 80\n", "peak 0.02",
                  id="scene"),
 ])
@@ -505,7 +449,6 @@ def test_key_value_readers_reject_key_given_twice(tmp_path, reader, valid, line)
 @pytest.mark.parametrize("reader", [
     pytest.param(formats.read_calibration, id="calibration"),
     pytest.param(formats.read_manifest, id="manifest"),
-    pytest.param(formats.read_ground_truth, id="ground-truth"),
     pytest.param(formats.read_corners_csv, id="corners"),
     pytest.param(formats.read_cloud_ply, id="ply"),
 ])
@@ -959,23 +902,12 @@ def test_corners_bytes_match_oracle(tmp_path):
     assert path.read_bytes() == corners_text(corners).encode("utf-8")
 
 
-def test_ground_truth_bytes_match_oracle(tmp_path):
+def test_dataset_corner_bytes_match_oracle(tmp_path):
     scene = sb.standard_scene(n_train=2, n_test=1, seed=3, noise=False, width=32,
                               height=24,
                               distortion=sb.bowl_distortion(32, 24, grid_bin=(4, 4)))
     frames = [sb.render_frame(scene, k) for k in (0, 2)]
-    field = scene.distortion.undistortion_field
-    # the special values would fail GroundTruthDistortion's monotonicity check
-    special = SimpleNamespace(
-        distortion=SimpleNamespace(
-            undistortion_field=field.with_coefficients(
-                with_special_values(field.coefficients.shape, 6)),
-            global_correction=scene.distortion.global_correction),
-        **{k: getattr(scene, k) for k in ("board", "intr_rgb", "intr_depth",
-                                          "true_extrinsic", "noise", "seed")})
-    formats.write_dataset(special, frames, tmp_path)
-    got = (tmp_path / "ground_truth.txt").read_bytes()
-    assert got == ground_truth_text(special, frames).encode("utf-8")
+    formats.write_dataset(scene, frames, tmp_path)
     for lf in frames:
         csv = tmp_path / "corners" / f"{lf.frame.frame_id}.csv"
         assert csv.read_bytes() == corners_text(lf.frame.corners).encode("utf-8")

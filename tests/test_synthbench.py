@@ -268,17 +268,3 @@ def test_dataset_round_trip_bit_exact(tmp_path):
         # noise-on rendering quantizes to whole millimeters, so the PGM
         # round trip reproduces the pixel data exactly
         assert np.array_equal(stored.depth.data, lf.frame.depth.data)
-
-
-def test_ground_truth_sidecar_round_trip(tmp_path):
-    scene = tiny_scene(noise=True, n_test=2)
-    out = sb.generate_dataset(scene, tmp_path / "ds")
-    extr, gcorr, field, truths = formats.read_ground_truth(f"{out}/ground_truth.txt")
-    assert np.allclose(extr.translation, scene.true_extrinsic.translation)
-    assert gcorr == scene.distortion.global_correction
-    assert field == scene.distortion.undistortion_field
-    assert len(truths) == 12
-    lf = sb.render_frame(scene, 0)
-    dist, pose = truths["train_000"]
-    assert dist == pytest.approx(lf.wall_distance, abs=1e-12)
-    assert np.allclose(pose.translation, lf.true_board_pose.translation)
