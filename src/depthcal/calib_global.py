@@ -34,7 +34,6 @@ from .calib_undistort import BoardSpec, CalibrationError, undistorted_points, up
 from .geometry import (
     CameraIntrinsics,
     GeometryError,
-    IndexSet,
     KINECT1_QUANTIZATION,
     RigidTransform,
     axis_angle_to_quat,
@@ -89,17 +88,19 @@ class RefinementState:
     gmap: GlobalMap
 
 
-def build_observations(frame, inliers, points, max_points) -> FrameObservations:
+def build_observations(frame, wall, points, max_points) -> FrameObservations:
     """One frame's FrameObservations: its corners, plus an even subsample of
-    at most `max_points` of its wall pixels `inliers` with the undistorted
-    depths there, the z column of `points` (N, 3).
+    at most `max_points` of its wall points `points` (N, 3), which lie at the
+    True pixels of the (H, W) mask `wall`, row-major: their pixel
+    coordinates and their undistorted depths, the z column.
     """
-    n = len(inliers)
+    n = points.shape[0]
     if n == 0:
         raise CalibrationError(f"frame {frame.frame_id}: empty inlier set")
     take = np.unique(np.linspace(0, n - 1, min(n, max_points)).astype(int))
+    v, u = np.divmod(np.flatnonzero(wall)[take], np.shape(wall)[1])
     return FrameObservations(frame.frame_id, frame.corner_points.copy(),
-                             inliers.uv[take], points[take, 2])
+                             np.column_stack([u, v]), points[take, 2])
 
 
 def init_global(frames, walls, board_poses, umap: UndistortionMap,
@@ -131,7 +132,6 @@ def init_global(frames, walls, board_poses, umap: UndistortionMap,
     for k, frame in enumerate(frames):
         kept, points = undistorted_points(umap, frame.depth, walls[frame.frame_id],
                                           intr_depth)
-        inliers = IndexSet.from_mask(kept)
         board_planes_cam.append(transform_plane(board_poses[frame.frame_id],
                                                 board.plane))
         try:
@@ -139,8 +139,7 @@ def init_global(frames, walls, board_poses, umap: UndistortionMap,
         except GeometryError as exc:
             raise CalibrationError(
                 f"init_global: frame {k}: plane fit failed ({exc})") from exc
-        observations.append(build_observations(frame, inliers, points,
-                                                max_points))
+        observations.append(build_observations(frame, kept, points, max_points))
     cam_to_depth = estimate_transform_from_planes(board_planes_cam, wall_planes_depth)
 
     width, height = intr_depth.width, intr_depth.height
@@ -150,9 +149,8 @@ def init_global(frames, walls, board_poses, umap: UndistortionMap,
     for frame, plane_cam in zip(frames, board_planes_cam):
         kept, points = undistorted_points(umap, frame.depth, walls[frame.frame_id],
                                           intr_depth)
-        inliers = IndexSet.from_mask(kept)
         plane_depth = transform_plane(cam_to_depth, plane_cam)
-        grid = update_map(grid, moments, points, inliers, plane_depth)
+        grid = update_map(grid, moments, points, kept, plane_depth)
     gmap = GlobalMap(width, height,
                      grid.control_function(0, 0),
                      grid.control_function(1, 0),

@@ -5,12 +5,13 @@ distorted shots bootstraps the wall segmentation of the farther ones. The
 board pose of every frame is solved once, by PnP, and serves both the
 distance sort and the RANSAC seed plane (stage two reuses it too). Per
 frame: back-project the current map's u(d) at the frame's valid pixels,
-select the wall among those points with a checkerboard-seeded RANSAC, fit
-the reference plane to the *original* depths back-projected at the wall
-pixels near its center, add one line-of-sight sample per control pixel to
-its running weighted moments (FitMoments), and refit the touched control
-polynomials from those moments. Each usable frame's wall leaves stage one
-as an (H, W) bool mask.
+select the wall among those points with a checkerboard-seeded RANSAC
+that stops scoring a candidate once it cannot win, fit the reference plane
+to the *original* depths back-projected at the wall pixels near its
+center, add one line-of-sight sample per control pixel to its running
+weighted moments (FitMoments), and refit the touched control polynomials
+from those moments. A frame's wall is one (H, W) bool mask, made once from
+the RANSAC's flat pixel indices; the same mask leaves stage one.
 `update_map` splats the samples onto the control pixels with
 `UndistortionMap.splat`: the weights live in `maps`.
 
@@ -29,7 +30,6 @@ from .geometry import (
     CameraIntrinsics,
     DepthImage,
     GeometryError,
-    IndexSet,
     KINECT1_QUANTIZATION,
     Plane,
     RigidTransform,
@@ -169,27 +169,50 @@ def undistorted_points(umap, depth: DepthImage, pixels, intr: CameraIntrinsics):
     if np.shape(pixels) != (depth.height, depth.width):
         raise GeometryError("pixel mask size does not match the depth image")
     kept = np.array(pixels, dtype=bool)
-    flat = np.flatnonzero(kept)
-    z = undistort_at(umap, depth, flat)
+    z = undistort_at(umap, depth, np.flatnonzero(kept))
     kept[kept] = keep = z > 0.0
-    v, u = np.divmod(flat[keep], depth.width)
+    v, u = np.nonzero(kept)
     return kept, back_project(z[keep], u, v, intr)
 
 
-def select_wall_points(points, pixels, board_pose: RigidTransform, t0: RigidTransform,
-                       board: BoardSpec, cfg: UndistortConfig, rng) -> IndexSet:
-    """Wall pixel coordinates by checkerboard-seeded RANSAC on undistorted points.
+# Rows per chunk of a RANSAC score. A chunk needs at least 2 rows: a 1-row
+# `points @ normal` is a dot product whose bits can differ from the
+# matrix-vector product's, while row chunks of 2 or more give its bits.
+SCORE_CHUNK = 8192
 
-    `points` (N, 3) lie at the True pixels of the (H, W) mask `pixels`,
-    row-major. The consensus plane must stay near the seed (normal angle and
-    offset gates), which rejects other scene planes such as the floor. The
-    inlier threshold scales with the quantization noise at the seed depth.
-    `rng` draws the RANSAC samples.
+
+def _chunk_bounds(n, size=SCORE_CHUNK):
+    """Start and stop rows of the chunks of n rows, each of at least 2 rows
+    when n >= 2: a last chunk of 1 row joins the one before it."""
+    bounds = list(range(0, n, size)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def select_wall_points(points, pixels, board_pose: RigidTransform, t0: RigidTransform,
+                       board: BoardSpec, cfg: UndistortConfig, rng):
+    """The wall's pixels by checkerboard-seeded RANSAC on undistorted points:
+    their flat row-major indices into the (H, W) mask `pixels`, ascending.
+
+    `points` (N, 3) lie at the True pixels of `pixels`, row-major. The
+    consensus plane must stay near the seed (normal angle and offset
+    gates), which rejects other scene planes such as the floor. The inlier
+    threshold scales with the quantization noise at the seed depth. `rng`
+    draws the RANSAC samples, all 3 * RANSAC_ITERATIONS indices in one call.
+
+    The seed plane is scored first. A candidate wins only with strictly
+    more inliers than the best so far, so it is scored in row chunks and
+    dropped once its count plus the rows left cannot exceed the best
+    (Capel's bail-out test, exact form); once the best counts every point,
+    no candidate is scored. The winner's mask, the refit on it and the
+    recount are those of scoring every candidate in full.
     """
     seed = _seed_plane(board_pose, t0, board)
-    if points.shape[0] != np.count_nonzero(pixels):
+    n = points.shape[0]
+    if n != np.count_nonzero(pixels):
         raise CalibrationError("wall selection needs one point per pixel")
-    if points.shape[0] < cfg.min_inliers:
+    if n < cfg.min_inliers:
         raise CalibrationError("not enough valid depth points for wall selection")
 
     if abs(seed.normal[2]) > 0.2:
@@ -198,67 +221,78 @@ def select_wall_points(points, pixels, board_pose: RigidTransform, t0: RigidTran
         z_bar = float(np.mean(points[:, 2]))
     threshold = KAPPA * KINECT1_QUANTIZATION.sigma(z_bar)
     cos_gate = np.cos(np.deg2rad(SEED_ANGLE_DEG))
+    chunks = _chunk_bounds(n)
+    dist = np.empty(min(n, SCORE_CHUNK + 1))  # a last chunk may hold one row more
 
     def near_seed(plane):
         return (abs(plane.normal @ seed.normal) >= cos_gate
                 and abs(plane.offset - seed.offset) <= SEED_OFFSET_M)
 
-    def count_inliers(plane):
-        return np.abs(plane.signed_distance(points)) <= threshold
+    def count_inliers(plane, mask, beat=-1):
+        """The inliers of `plane` into `mask` (N,) and their count; stops
+        with a count <= `beat` once the count cannot exceed `beat`."""
+        count = 0
+        for start, stop in chunks:
+            if count + (n - start) <= beat:
+                break
+            d = dist[:stop - start]
+            np.matmul(points[start:stop], plane.normal, out=d)
+            d -= plane.offset
+            np.abs(d, out=d)
+            count += np.count_nonzero(np.less_equal(d, threshold, out=mask[start:stop]))
+        return count
 
-    best_plane, best_mask = seed, count_inliers(seed)
-    best_count = np.count_nonzero(best_mask)
-    for _ in range(RANSAC_ITERATIONS):
-        take = rng.integers(0, points.shape[0], size=3)
+    best_mask, mask = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    best_count = count_inliers(seed, best_mask)
+    for take in rng.integers(0, n, size=(RANSAC_ITERATIONS, 3)):
         try:
             cand = plane_through(points[take])
         except GeometryError:  # repeated or collinear draw
             continue
         if not near_seed(cand):
             continue
-        mask = count_inliers(cand)
-        n = np.count_nonzero(mask)
-        if n > best_count:
-            best_plane, best_mask, best_count = cand, mask, n
+        count = count_inliers(cand, mask, best_count)
+        if count > best_count:
+            best_mask, mask, best_count = mask, best_mask, count
     if best_count < cfg.min_inliers:
         raise CalibrationError("no candidate plane near the checkerboard seed "
                                f"({best_count} inliers < {cfg.min_inliers})")
     # consensus refinement: refit on the inliers, recount once
-    refined = fit_plane(points[best_mask])
-    if near_seed(refined):
-        mask = count_inliers(refined)
-        if np.count_nonzero(mask) >= cfg.min_inliers:
-            best_mask = mask
-    wall = np.array(pixels, dtype=bool)
-    wall[wall] = best_mask
-    return IndexSet.from_mask(wall)
+    refined = fit_plane(np.compress(best_mask, points, axis=0))
+    if near_seed(refined) and count_inliers(refined, mask) >= cfg.min_inliers:
+        best_mask = mask
+    return np.flatnonzero(pixels)[best_mask]
 
 
-def fit_reference_plane(points, inliers: IndexSet, cfg: UndistortConfig) -> Plane:
+def fit_reference_plane(points, wall, cfg: UndistortConfig) -> Plane:
     """Reference plane for the map update, fit to the original (distorted)
-    cloud's points (N, 3) at the wall pixels `inliers`, in their order.
+    cloud's points (N, 3) at the True pixels of the (H, W) mask `wall`,
+    row-major.
 
-    Only inlier pixels within `fit_radius` of the inlier centroid are used;
-    restricting the fit to the wall center keeps it stable under the
-    depth-dependent distortion at the image borders.
+    Only wall pixels within `fit_radius` of the wall's pixel centroid are
+    used; restricting the fit to the wall center keeps it stable under the
+    depth-dependent distortion at the image borders. The centroid is the
+    mean of the integer pixel coordinates: their sums are exact, so it has
+    the bits of the mean of the coordinates as floats.
     """
-    if len(inliers) == 0:
+    v, u = np.nonzero(wall)
+    if u.size == 0:
         raise CalibrationError("empty inlier set")
-    uv = inliers.uv.astype(float)
-    centroid = uv.mean(axis=0)
-    keep = np.hypot(uv[:, 0] - centroid[0], uv[:, 1] - centroid[1]) <= cfg.fit_radius
+    if points.shape[0] != u.size:
+        raise CalibrationError("reference plane needs one point per wall pixel")
+    keep = np.hypot(u - u.mean(), v - v.mean()) <= cfg.fit_radius
     if np.count_nonzero(keep) < 3:
         raise CalibrationError("fewer than 3 inliers inside the fit radius")
     return fit_plane(points[keep])
 
 
-def update_map(umap: UndistortionMap, moments: FitMoments, points,
-               inliers: IndexSet, plane: Plane) -> UndistortionMap:
+def update_map(umap: UndistortionMap, moments: FitMoments, points, wall,
+               plane: Plane) -> UndistortionMap:
     """One frame's map update; returns the new map and adds to `moments` in place.
 
-    `points` (N, 3) are the cloud points at the inlier pixels, in the order
-    of `inliers`. Every inlier pixel contributes (w, z, z_plane) to the
-    sample pools of its 4 surrounding control pixels with its bilinear
+    `points` (N, 3) are the cloud points at the True pixels of the (H, W)
+    mask `wall`, row-major. Every such pixel contributes (w, z, z_plane) to
+    the sample pools of its 4 surrounding control pixels with its bilinear
     weight, summed by `umap.splat`; per control pixel the weighted mean
     becomes this frame's one sample, which is added to the pixel's running
     moments, and the control polynomial is refit from them. Control pixels
@@ -267,12 +301,12 @@ def update_map(umap: UndistortionMap, moments: FitMoments, points,
     """
     denom = points @ plane.normal
     good = np.abs(denom) > 1e-12  # drop rays parallel to the plane
+    wall = np.array(wall, dtype=bool)
+    wall[wall] = good
     z = points[good, 2]
     z_pi = plane.offset * z / denom[good]
     gh, gw = umap.grid_shape
-    samples = np.stack([np.ones_like(z), z, z_pi])
-    w_sum, wz_sum, wzpi_sum = umap.splat(inliers.u[good], inliers.v[good],
-                                         samples).reshape(3, gh * gw)
+    w_sum, wz_sum, wzpi_sum = umap.splat(wall, (1.0, z, z_pi)).reshape(3, gh * gw)
 
     sel = np.nonzero(w_sum > 0)[0]
     moments.add(sel, wz_sum[sel] / w_sum[sel], wzpi_sum[sel] / w_sum[sel])
@@ -315,8 +349,8 @@ def estimate_undistortion_map(frames, t0: RigidTransform, intr_rgb: CameraIntrin
 
     Returns (map, walls, board_poses). walls maps the id of every usable
     frame to its wall: a read-only (H, W) bool mask of the pixels
-    `select_wall_points` selected for it, 1 byte per pixel where an
-    IndexSet holds 16 per wall pixel. board_poses maps the same ids to the
+    `select_wall_points` selected for it, 1 byte per pixel where pixel
+    coordinates take 16 per wall pixel. board_poses maps the same ids to the
     frame's PnP board pose (board -> RGB camera). Stage two reads both.
     Deterministic for a fixed cfg.seed.
     """
@@ -336,16 +370,17 @@ def estimate_undistortion_map(frames, t0: RigidTransform, intr_rgb: CameraIntrin
         pixels, points = undistorted_points(umap, frame.depth, frame.depth.valid,
                                             intr_depth)
         try:
-            inliers = select_wall_points(points, pixels, pose, t0, board, cfg, rng)
-            original = back_project(frame.depth.data[inliers.v, inliers.u],
-                                    inliers.u, inliers.v, intr_depth)
-            plane = fit_reference_plane(original, inliers, cfg)
+            flat = select_wall_points(points, pixels, pose, t0, board, cfg, rng)
+            wall = np.zeros((height, width), dtype=bool)
+            wall.reshape(-1)[flat] = True
+            v, u = np.nonzero(wall)
+            original = back_project(frame.depth.data.reshape(-1).take(flat), u, v,
+                                    intr_depth)
+            plane = fit_reference_plane(original, wall, cfg)
         except (CalibrationError, GeometryError) as exc:
             log.warning("frame %s skipped: %s", frame.frame_id, exc)
             continue
-        umap = update_map(umap, moments, original, inliers, plane)
-        wall = np.zeros((height, width), dtype=bool)
-        wall[inliers.v, inliers.u] = True
+        umap = update_map(umap, moments, original, wall, plane)
         wall.setflags(write=False)
         walls[frame.frame_id] = wall
         board_poses[frame.frame_id] = pose

@@ -191,8 +191,11 @@ def cmd_evaluate(args):
         corrected = pipeline.apply_calibration(umap, gmap, frame.depth, intr_depth)
         pose, _ = solve_pnp(manifest.board.corners_3d(), frame.corner_points,
                             intr_rgb)
-        inliers = select_wall_points(corrected.points[corrected.valid], corrected.valid,
-                                     pose, extrinsic, manifest.board, ucfg, rng)
+        wall = np.zeros(corrected.valid.shape, dtype=bool)
+        wall.reshape(-1)[select_wall_points(corrected.points[corrected.valid],
+                                            corrected.valid, pose, extrinsic,
+                                            manifest.board, ucfg, rng)] = True
+        inliers = IndexSet.from_mask(wall)
         board_plane_cam = transform_plane(pose, manifest.board.plane)
         board_plane_depth = transform_plane(extrinsic.inverse(), board_plane_cam)
 

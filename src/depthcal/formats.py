@@ -32,6 +32,7 @@ millimeters; 0 marks an invalid pixel. Values convert to meters on load.
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 from contextlib import contextmanager
@@ -257,15 +258,21 @@ def replacing(*paths):
     onto `paths` in their order once the block ends without error.
 
     A block that raises changes none of `paths`, and no temp file is left
-    behind. A rename that fails leaves the paths before it replaced and
-    the rest as they were. An OSError about a temp file names the path it
-    stands for.
+    behind. A path that is an existing directory, not a symlink to one,
+    raises IsADirectoryError naming it before the first rename, so it too
+    changes none of `paths`; a symlink is replaced itself, as a rename does.
+    A rename that fails for another reason leaves the paths before it
+    replaced and the rest as they were. An OSError about a temp file names
+    the path it stands for.
     """
     tmps = {os.path.join(os.path.dirname(os.fspath(p)) or ".",
                          f".tmp_depthcal_{os.urandom(8).hex()}"): os.fspath(p)
             for p in paths}
     try:
         yield list(tmps)
+        for path in tmps.values():
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for tmp, path in tmps.items():
             os.replace(tmp, path)
     except OSError as exc:

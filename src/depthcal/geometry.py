@@ -504,9 +504,20 @@ def fit_planes(points):
     eigenvalues (3,) ascending), the normal oriented so the offset is >= 0;
     the smallest eigenvalue over N is the mean squared distance to the
     plane. Nothing is checked: `fit_plane` does that.
+
+    The centroid is each column's running sum over n. On row-major points
+    that is the bits of `points.mean(axis=0)`, which adds the rows one after
+    another, without its 3-element inner loop. The running sum fills the
+    column of the centered copy, which is then centered in place.
     """
-    centroid = points.mean(axis=0)
-    centered = points - centroid
+    n = points.shape[0]
+    centroid = np.empty(3)
+    centered = np.empty_like(points)
+    for j in range(3):
+        column = centered[:, j]
+        np.cumsum(points[:, j], out=column)
+        centroid[j] = column[-1] / n
+        np.subtract(points[:, j], centroid[j], out=column)
     lam, vec = np.linalg.eigh(centered.T @ centered)
     normal = vec[:, 0]
     offset = np.einsum("i,i->", normal, centroid)

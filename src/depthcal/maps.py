@@ -311,18 +311,19 @@ class UndistortionMap:
             self._dense.setflags(write=False)
         return self._dense
 
-    def splat(self, u, v, values):
+    def splat(self, mask, values):
         """The blend run backwards: weighted sums of samples per control pixel.
 
-        `values` (..., N) holds samples at the N distinct pixels (u, v). Each
-        sample adds itself times its blend weight to each control pixel, so
-        the result is (..., gh, gw). Computed as Av^T X Au: X the samples
+        `values` is a sequence of k channels, each a scalar or an (N,) array
+        of samples at the N True pixels of the (H, W) bool `mask`, row-major.
+        Each sample adds itself times its blend weight to each control pixel,
+        so the result is (k, gh, gw). Computed as Av^T X Au: X the samples
         scattered onto the image, Av (H, gh) and Au (W, gw) the hat weights.
         """
-        values = np.asarray(values, dtype=float)
         gh, gw = self.grid_shape
-        image = np.zeros(values.shape[:-1] + (self.height, self.width))
-        image[..., v, u] = values
+        image = np.zeros((len(values), self.height, self.width))
+        for plane, channel in zip(image, values):
+            plane[mask] = channel
         av = _hat_matrix(self.height, self.psi, gh)
         au = _hat_matrix(self.width, self.chi, gw)
         return av.T @ image @ au

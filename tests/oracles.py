@@ -7,7 +7,11 @@ an SVD. The moment solve is checked against it.
 
 `estimate_undistortion_map` is stage one reading every frame as two
 whole-frame clouds, the original and the undistorted one, where the library
-back-projects only the pixels it reads.
+back-projects only the pixels it reads. Its `select_wall_points` draws the
+RANSAC samples one candidate at a time and scores every candidate over all
+points, where the library draws them in one call and stops scoring a
+candidate that can no longer win. `fit_planes_with_mean` is the plane fit
+with the centroid of `mean(axis=0)`, where the library sums each column.
 
 The per-pixel map evaluations, the per-frame stage-two residuals and the
 line-of-sight and orthogonal projections are scalar or per-frame forms of
@@ -29,10 +33,14 @@ import numpy as np
 
 from depthcal.calib_global import FrameObservations
 from depthcal.calib_undistort import (
+    KAPPA,
+    RANSAC_ITERATIONS,
+    SEED_ANGLE_DEG,
+    SEED_OFFSET_M,
     BoardSpec,
     CalibrationError,
+    _seed_plane,
     fit_reference_plane,
-    select_wall_points,
     sort_frames_by_distance,
     update_map,
 )
@@ -48,6 +56,7 @@ from depthcal.geometry import (
     RigidTransform,
     depth_to_cloud,
     fit_plane,
+    plane_through,
     project_point,
 )
 from depthcal.maps import (
@@ -269,6 +278,53 @@ def apply_full_correction(umap: UndistortionMap, gmap: GlobalMap, img,
 # stage one
 
 
+def select_wall_points(points, pixels, board_pose, t0, board, cfg, rng):
+    """`depthcal.select_wall_points` scoring every candidate in full: one
+    `rng.integers(0, N, size=3)` draw per iteration, and every candidate near
+    the seed scored over all N points."""
+    seed = _seed_plane(board_pose, t0, board)
+    if points.shape[0] != np.count_nonzero(pixels):
+        raise CalibrationError("wall selection needs one point per pixel")
+    if points.shape[0] < cfg.min_inliers:
+        raise CalibrationError("not enough valid depth points for wall selection")
+    if abs(seed.normal[2]) > 0.2:
+        z_bar = seed.offset / abs(seed.normal[2])
+    else:
+        z_bar = float(np.mean(points[:, 2]))
+    threshold = KAPPA * KINECT1_QUANTIZATION.sigma(z_bar)
+    cos_gate = np.cos(np.deg2rad(SEED_ANGLE_DEG))
+
+    def near_seed(plane):
+        return (abs(plane.normal @ seed.normal) >= cos_gate
+                and abs(plane.offset - seed.offset) <= SEED_OFFSET_M)
+
+    def count_inliers(plane):
+        return np.abs(plane.signed_distance(points)) <= threshold
+
+    best_mask = count_inliers(seed)
+    best_count = np.count_nonzero(best_mask)
+    for _ in range(RANSAC_ITERATIONS):
+        take = rng.integers(0, points.shape[0], size=3)
+        try:
+            cand = plane_through(points[take])
+        except GeometryError:
+            continue
+        if not near_seed(cand):
+            continue
+        mask = count_inliers(cand)
+        n = np.count_nonzero(mask)
+        if n > best_count:
+            best_mask, best_count = mask, n
+    if best_count < cfg.min_inliers:
+        raise CalibrationError("no candidate plane near the checkerboard seed")
+    refined = fit_plane(points[best_mask])
+    if near_seed(refined):
+        mask = count_inliers(refined)
+        if np.count_nonzero(mask) >= cfg.min_inliers:
+            best_mask = mask
+    return np.flatnonzero(pixels)[best_mask]
+
+
 def estimate_undistortion_map(frames, t0, intr_rgb, intr_depth, board, cfg):
     """Stage one over whole-frame clouds: (map, walls, board_poses) as
     `depthcal.estimate_undistortion_map` returns them.
@@ -285,16 +341,15 @@ def estimate_undistortion_map(frames, t0, intr_rgb, intr_depth, board, cfg):
     for frame, pose in sort_frames_by_distance(frames, intr_rgb, board):
         original = depth_to_cloud(frame.depth, intr_depth)
         undistorted = depth_to_cloud(apply_undistortion(umap, frame.depth), intr_depth)
+        wall = np.zeros((intr_depth.height, intr_depth.width), dtype=bool)
         try:
-            inliers = select_wall_points(undistorted.points[undistorted.valid],
-                                         undistorted.valid, pose, t0, board, cfg, rng)
-            plane = fit_reference_plane(original.points_at(inliers), inliers, cfg)
+            wall.reshape(-1)[select_wall_points(
+                undistorted.points[undistorted.valid], undistorted.valid, pose, t0,
+                board, cfg, rng)] = True
+            plane = fit_reference_plane(original.points[wall], wall, cfg)
         except (CalibrationError, GeometryError):
             continue
-        umap = update_map(umap, moments, original.points_at(inliers), inliers,
-                          plane)
-        wall = np.zeros((intr_depth.height, intr_depth.width), dtype=bool)
-        wall[inliers.v, inliers.u] = True
+        umap = update_map(umap, moments, original.points[wall], wall, plane)
         walls[frame.frame_id] = wall
         board_poses[frame.frame_id] = pose
     return umap, walls, board_poses
@@ -302,6 +357,19 @@ def estimate_undistortion_map(frames, t0, intr_rgb, intr_depth, board, cfg):
 
 # ---------------------------------------------------------------------------
 # geometry
+
+
+def fit_planes_with_mean(points):
+    """`depthcal.geometry.fit_planes` with the centroid `points.mean(axis=0)`
+    and the centered copy `points - centroid`."""
+    centroid = points.mean(axis=0)
+    centered = points - centroid
+    lam, vec = np.linalg.eigh(centered.T @ centered)
+    normal = vec[:, 0]
+    offset = np.einsum("i,i->", normal, centroid)
+    if offset < 0:
+        normal, offset = -normal, -offset
+    return normal, offset, lam
 
 
 def orth_project(p, pl: Plane):

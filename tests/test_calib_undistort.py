@@ -3,9 +3,10 @@ import pytest
 
 import depthcal as dc
 from depthcal import synthbench as sb
-from depthcal.calib_undistort import undistorted_points
+from depthcal.calib_undistort import SCORE_CHUNK, _chunk_bounds, undistorted_points
 from depthcal.maps import MAX_DEGREE, fit_weighted_poly_batch
 from oracles import estimate_undistortion_map as whole_frame_stage_one
+from oracles import select_wall_points as one_by_one_wall_points
 
 
 T0 = dc.RigidTransform((1, 0, 0, 0), (0.025, 0.0, 0.0))
@@ -161,10 +162,10 @@ def test_select_wall_points_takes_whole_wall_when_undistorted(clean_scene):
     fixed_cloud = dc.depth_to_cloud(
         dc.DepthImage(160, 120, np.where(lf.frame.depth.valid, fixed, 0.0)),
         scene.intr_depth)
-    inl = dc.select_wall_points(fixed_cloud.points[fixed_cloud.valid],
-                                fixed_cloud.valid, board_pose(scene, lf.frame), T0,
-                                scene.board, small_cfg(), np.random.default_rng(0))
-    assert len(inl) == int((lf.labels == sb.LABEL_WALL).sum())
+    wall = dc.select_wall_points(fixed_cloud.points[fixed_cloud.valid],
+                                 fixed_cloud.valid, board_pose(scene, lf.frame), T0,
+                                 scene.board, small_cfg(), np.random.default_rng(0))
+    assert len(wall) == int((lf.labels == sb.LABEL_WALL).sum())
 
 
 def test_select_wall_points_excludes_floor():
@@ -173,11 +174,11 @@ def test_select_wall_points_excludes_floor():
     lf = sb.render_frame(scene, scene.n_frames - 1)
     assert (lf.labels == sb.LABEL_FLOOR).any()
     cloud = dc.depth_to_cloud(lf.frame.depth, scene.intr_depth)
-    inl = dc.select_wall_points(cloud.points[cloud.valid], cloud.valid,
-                                board_pose(scene, lf.frame), scene.true_extrinsic,
-                                scene.board, small_cfg(), np.random.default_rng(0))
-    labels = lf.labels[inl.v, inl.u]
-    assert np.all(labels == sb.LABEL_WALL)
+    wall = dc.select_wall_points(cloud.points[cloud.valid], cloud.valid,
+                                 board_pose(scene, lf.frame), scene.true_extrinsic,
+                                 scene.board, small_cfg(), np.random.default_rng(0))
+    assert wall.size > 0
+    assert np.all(lf.labels.reshape(-1)[wall] == sb.LABEL_WALL)
 
 
 def test_select_wall_points_empty_image_errors(clean_scene):
@@ -201,33 +202,129 @@ def test_select_wall_points_needs_one_point_per_pixel(clean_scene):
                               small_cfg(), np.random.default_rng(0))
 
 
+def ransac_frame(case):
+    """(points, pixels, pose, t0, board) of one frame: `clean` sees only the
+    undistorted wall, `noisy` a noisy distorted wall, `floor` a wall above
+    a floor."""
+    if case == "clean":
+        scene = small_scene(peak=0.0, seed=4, n_train=4)
+    elif case == "noisy":
+        scene = small_scene(noise=True, seed=6, n_train=4)
+    else:
+        scene = small_scene(floor=0.8, n_train=4, n_test=3, seed=9, peak=0.0)
+    lf = sb.render_frame(scene, scene.n_train - 1)  # the farthest training pose
+    cloud = dc.depth_to_cloud(lf.frame.depth, scene.intr_depth)
+    return (cloud.points[cloud.valid], cloud.valid, board_pose(scene, lf.frame),
+            scene.true_extrinsic, scene.board)
+
+
+@pytest.mark.parametrize("case", ["clean", "noisy", "floor"])
+def test_select_wall_points_matches_scoring_every_candidate(case):
+    points, pixels, pose, t0, board = ransac_frame(case)
+    for seed in range(3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        wall = dc.select_wall_points(points, pixels, pose, t0, board, small_cfg(), rng)
+        want = one_by_one_wall_points(points, pixels, pose, t0, board, small_cfg(),
+                                      ref_rng)
+        assert np.array_equal(wall, want)
+        # one draw of every sample leaves the generator where 50 draws of 3 do
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if case == "clean":  # the best candidate counts every point
+            assert len(wall) == points.shape[0]
+        else:  # candidates lose part-way
+            assert len(wall) < points.shape[0]
+
+
+def test_a_tied_candidate_does_not_take_the_win():
+    # two fronto-parallel planes 0.1 m apart, 600 pixels each: a sample from
+    # one half counts that half exactly, so later samples of the other tie
+    intr = dc.CameraIntrinsics(fx=40.0, fy=40.0, cx=19.5, cy=14.5, width=40, height=30)
+    data = np.full((30, 40), 2.0)
+    data[15:] = 2.1
+    cloud = dc.depth_to_cloud(dc.DepthImage(40, 30, data), intr)
+    points = cloud.points.reshape(-1, 3)
+    pixels = np.ones((30, 40), dtype=bool)
+    pose = dc.RigidTransform((1, 0, 0, 0), (0.0, 0.0, 2.05))  # seed between them
+    t0 = dc.RigidTransform.identity()
+    board = dc.BoardSpec(3, 3, 0.1)
+    cfg = small_cfg()
+
+    def halves(seed):
+        """The half of each draw of 3 points that lie in one half, in order."""
+        draws = np.random.default_rng(seed).integers(0, 1200, size=(50, 3))
+        return [int(d[0] >= 600) for d in draws if len(set(d // 600)) == 1]
+
+    seed = next(k for k in range(100) if len(set(halves(k))) == 2)
+    first = halves(seed)[0]
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    wall = dc.select_wall_points(points, pixels, pose, t0, board, cfg, rng)
+    assert np.array_equal(wall, np.arange(600) + 600 * first)
+    assert np.array_equal(wall, one_by_one_wall_points(points, pixels, pose, t0, board,
+                                                       cfg, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, SCORE_CHUNK, SCORE_CHUNK + 1, SCORE_CHUNK + 2,
+                               2 * SCORE_CHUNK + 1, 76800, 76801])
+def test_chunked_signed_distance_gives_the_whole_array_bits(n):
+    # a 1-row product is a dot product whose bits can differ, so no chunk
+    # holds one row
+    chunks = _chunk_bounds(n)
+    assert chunks[0][0] == 0 and chunks[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    assert all(stop - start >= 2 for start, stop in chunks)
+    rng = np.random.default_rng(n)
+    points = rng.normal(size=(n, 3)) * (0.5, 0.4, 1.0) + (0.0, 0.0, 2.5)
+    for _ in range(5):
+        plane = dc.Plane(rng.normal(size=3), rng.uniform(0.5, 4.0))
+        whole = plane.signed_distance(points)
+        out = np.empty(n)
+        for start, stop in chunks:
+            d = out[start:stop]
+            np.matmul(points[start:stop], plane.normal, out=d)
+            d -= plane.offset
+        assert out.tobytes() == whole.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # fit_reference_plane
 
 
 def test_fit_reference_plane_matches_restricted_fit(clean_scene):
+    # the mean of the integer pixel coordinates has the bits of the float mean
     scene, frames = clean_scene
     lf = frames[0]
     cloud = dc.depth_to_cloud(lf.frame.depth, scene.intr_depth)
-    inl = dc.IndexSet.from_mask(lf.labels == sb.LABEL_WALL)
+    rng = np.random.default_rng(0)
     cfg = small_cfg()
-    plane = dc.fit_reference_plane(cloud.points_at(inl), inl, cfg)
-    uv = inl.uv.astype(float)
-    centroid = uv.mean(axis=0)
-    keep = np.hypot(*(uv - centroid).T) <= cfg.fit_radius
-    expected = dc.fit_plane(cloud.points[inl.v[keep], inl.u[keep]])
-    assert np.allclose(plane.normal, expected.normal, atol=1e-12)
-    assert plane.offset == pytest.approx(expected.offset, abs=1e-12)
+    for wall in (lf.labels == sb.LABEL_WALL,
+                 (lf.labels == sb.LABEL_WALL) & (rng.random((120, 160)) < 0.7)):
+        inl = dc.IndexSet.from_mask(wall)
+        plane = dc.fit_reference_plane(cloud.points[wall], wall, cfg)
+        uv = inl.uv.astype(float)
+        centroid = uv.mean(axis=0)
+        keep = np.hypot(*(uv - centroid).T) <= cfg.fit_radius
+        assert 3 <= np.count_nonzero(keep) < len(inl)
+        assert plane == dc.fit_plane(cloud.points[inl.v[keep], inl.u[keep]])
+
+
+def test_fit_reference_plane_needs_one_point_per_wall_pixel(clean_scene):
+    scene, frames = clean_scene
+    lf = frames[0]
+    cloud = dc.depth_to_cloud(lf.frame.depth, scene.intr_depth)
+    wall = lf.labels == sb.LABEL_WALL
+    with pytest.raises(dc.CalibrationError, match="one point per wall pixel"):
+        dc.fit_reference_plane(cloud.points[wall][:-1], wall, small_cfg())
 
 
 def test_fit_reference_plane_huge_radius_is_unrestricted(clean_scene):
     scene, frames = clean_scene
     lf = frames[0]
     cloud = dc.depth_to_cloud(lf.frame.depth, scene.intr_depth)
-    inl = dc.IndexSet.from_mask(lf.labels == sb.LABEL_WALL)
-    plane = dc.fit_reference_plane(cloud.points_at(inl), inl,
+    wall = lf.labels == sb.LABEL_WALL
+    plane = dc.fit_reference_plane(cloud.points[wall], wall,
                                    small_cfg(fit_radius=10000))
-    expected = dc.fit_plane(cloud.points_at(inl))
+    expected = dc.fit_plane(cloud.points[wall])
     assert np.allclose(plane.normal, expected.normal, atol=1e-12)
 
 
@@ -236,17 +333,17 @@ def test_fit_reference_plane_depth_within_distorted_bounds(clean_scene):
     # farthest training frame has the strongest bowl
     far = max((f for f in frames if not f.is_test), key=lambda f: f.wall_distance)
     cloud = dc.depth_to_cloud(far.frame.depth, scene.intr_depth)
-    inl = dc.IndexSet.from_mask(far.labels == sb.LABEL_WALL)
-    plane = dc.fit_reference_plane(cloud.points_at(inl), inl, small_cfg())
+    wall = far.labels == sb.LABEL_WALL
+    plane = dc.fit_reference_plane(cloud.points[wall], wall, small_cfg())
     depth_at_axis = plane.offset / plane.normal[2]
-    z = cloud.points_at(inl)[:, 2]
+    z = cloud.points[wall][:, 2]
     assert z.min() <= depth_at_axis <= z.max()
 
 
 def test_fit_reference_plane_empty_inliers(clean_scene):
     scene, frames = clean_scene
     with pytest.raises(dc.CalibrationError):
-        dc.fit_reference_plane(np.empty((0, 3)), dc.IndexSet(np.empty((0, 2))),
+        dc.fit_reference_plane(np.empty((0, 3)), np.zeros((120, 160), dtype=bool),
                                small_cfg())
 
 
@@ -256,8 +353,7 @@ def test_fit_reference_plane_empty_inliers(clean_scene):
 
 def frame_pieces(scene, lf):
     cloud = dc.depth_to_cloud(lf.frame.depth, scene.intr_depth)
-    inl = dc.IndexSet.from_mask(lf.labels == sb.LABEL_WALL)
-    return cloud, inl
+    return cloud, lf.labels == sb.LABEL_WALL
 
 
 def test_update_map_identity_when_points_on_plane():
@@ -266,13 +362,13 @@ def test_update_map_identity_when_points_on_plane():
     scene_plane = dc.Plane((0, 0, 1.0), 2.0)
     img = dc.DepthImage(32, 24, np.full((24, 32), 2.0))
     cloud = dc.depth_to_cloud(img, intr)
-    inl = dc.IndexSet.from_mask(cloud.valid)
+    wall = cloud.valid
     umap = dc.UndistortionMap.identity(32, 24, 4, 4, 2)
     moments = dc.FitMoments(umap.grid_shape, 2)
     for plane_depth in (2.0, 2.5, 3.5):
         img = dc.DepthImage(32, 24, np.full((24, 32), plane_depth))
         cloud = dc.depth_to_cloud(img, intr)
-        umap = dc.update_map(umap, moments, cloud.points_at(inl), inl,
+        umap = dc.update_map(umap, moments, cloud.points[wall], wall,
                              dc.Plane((0, 0, 1.0), plane_depth))
     del scene_plane
     z = np.linspace(2.0, 3.5, 7)
@@ -284,12 +380,13 @@ def test_update_map_identity_when_points_on_plane():
 def test_update_map_weighted_mean_matches_oracle(clean_scene):
     scene, frames = clean_scene
     lf = frames[0]
-    cloud, inl = frame_pieces(scene, lf)
+    cloud, wall = frame_pieces(scene, lf)
+    inl = dc.IndexSet.from_mask(wall)
     cfg = small_cfg()
-    plane = dc.fit_reference_plane(cloud.points_at(inl), inl, cfg)
+    plane = dc.fit_reference_plane(cloud.points[wall], wall, cfg)
     umap = dc.UndistortionMap.identity(160, 120, cfg.chi, cfg.psi, cfg.degree)
     moments = dc.FitMoments(umap.grid_shape, cfg.degree)
-    dc.update_map(umap, moments, cloud.points_at(inl), inl, plane)
+    dc.update_map(umap, moments, cloud.points[wall], wall, plane)
 
     # independent recomputation of the aggregated sample of one control pixel
     target = (20, 15)  # grid column, row -> pixel (40, 30)
@@ -324,10 +421,11 @@ def test_update_map_single_inlier_weight_structure():
     img_data = np.zeros((24, 32))
     img_data[8, 8] = 2.0  # exactly on control pixel (2, 2) for 4x4 bins
     cloud = dc.depth_to_cloud(dc.DepthImage(32, 24, img_data), intr)
-    inl = dc.IndexSet([(8, 8)])
+    wall = np.zeros((24, 32), dtype=bool)
+    wall[8, 8] = True
     umap = dc.UndistortionMap.identity(32, 24, 4, 4, 2)
     moments = dc.FitMoments(umap.grid_shape, 2)
-    dc.update_map(umap, moments, cloud.points_at(inl), inl,
+    dc.update_map(umap, moments, cloud.points[wall], wall,
                   dc.Plane((0, 0, 1.0), 2.0))
     assert moments.count[2, 2] == 1  # weight-1 sample at its own control pixel
     assert moments.zmin[2, 2] == moments.zmax[2, 2] == 2.0
@@ -348,16 +446,15 @@ def test_update_map_leaves_unsampled_controls_alone(clean_scene):
     # restrict inliers to the top-left quadrant
     mask = np.zeros((120, 160), dtype=bool)
     mask[:40, :40] = lf.labels[:40, :40] == sb.LABEL_WALL
-    inl = dc.IndexSet.from_mask(mask)
     cfg = small_cfg()
-    plane = dc.fit_reference_plane(cloud.points_at(inl), inl,
+    plane = dc.fit_reference_plane(cloud.points[mask], mask,
                                    small_cfg(fit_radius=10000))
     rng = np.random.default_rng(2)
     start = dc.UndistortionMap.identity(160, 120, cfg.chi, cfg.psi, cfg.degree)
     noisy_coeffs = start.coefficients + rng.normal(0, 0.01, start.coefficients.shape)
     start = start.with_coefficients(noisy_coeffs)
     moments = dc.FitMoments(start.grid_shape, cfg.degree)
-    updated = dc.update_map(start, moments, cloud.points_at(inl), inl, plane)
+    updated = dc.update_map(start, moments, cloud.points[mask], mask, plane)
     untouched = updated.coefficients[:, 30:]  # far right columns saw no inlier
     assert np.array_equal(untouched, start.coefficients[:, 30:])
     assert np.all(moments.count[:, 30:] == 0)

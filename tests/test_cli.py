@@ -235,6 +235,26 @@ def test_calibrate_keeps_the_old_calibration_when_the_report_fails(dataset, tmp_
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a_dir", "c.txt"]
 
 
+@pytest.mark.parametrize("old_report", [False, True])
+def test_calibrate_out_a_directory_writes_no_report(dataset, tmp_path, monkeypatch,
+                                                    capsys, old_report):
+    # the directory is found before the report is renamed into place
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_dir").mkdir()
+    report = tmp_path / "a_dir.report.csv"
+    if old_report:
+        report.write_bytes(b"an earlier report\n")
+    code = main(["calibrate", "--dataset", dataset, "--out", "a_dir", "--bin", "2x2",
+                 "--fit-radius", "24", "--min-inliers", "50"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'a_dir'\n"
+    if old_report:
+        assert report.read_bytes() == b"an earlier report\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == (
+        ["a_dir", "a_dir.report.csv"] if old_report else ["a_dir"])
+
+
 @pytest.mark.parametrize("level", ["bogus", "info", ""])
 def test_an_unknown_log_level_is_an_error_line(tmp_path, monkeypatch, capsys, level):
     monkeypatch.setenv("DEPTHCAL_LOG", level)

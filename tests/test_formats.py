@@ -937,6 +937,20 @@ def test_failed_chunk_source_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_replacing_a_symlink_to_a_directory_replaces_the_link(tmp_path):
+    # a rename does not follow a symlink at its destination; neither does
+    # the directory check made before it
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "link").symlink_to("a_dir")
+    with formats.replacing(tmp_path / "link") as (tmp,):
+        with open(tmp, "wb") as f:
+            f.write(b"new\n")
+    assert not (tmp_path / "link").is_symlink()
+    assert (tmp_path / "link").read_bytes() == b"new\n"
+    assert (tmp_path / "a_dir").is_dir()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", "link"]
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
 def test_written_files_get_open_modes(tmp_path, umask):
     """Every writer gives its file the mode a plain open() would."""

@@ -8,6 +8,7 @@ from depthcal.geometry import (
     GeometryError,
     axis_angle_to_quat,
     back_project,
+    fit_planes,
     horner,
     lm_jacobian,
     plane_through,
@@ -15,7 +16,7 @@ from depthcal.geometry import (
     quat_normalize,
     quat_to_matrix,
 )
-from oracles import horner_steps, los_project, orth_project
+from oracles import fit_planes_with_mean, horner_steps, los_project, orth_project
 
 
 def ideal_camera(fx=500.0, fy=500.0, cx=320.0, cy=240.0):
@@ -338,6 +339,17 @@ def test_plane_through_matches_fit_plane():
 def test_plane_through_rejects_degenerate_triples(pts):
     with pytest.raises(GeometryError):
         plane_through(pts)
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 1000, 76800])
+@pytest.mark.parametrize("offset", [0.0, 2.5, 1e4, -1e6])
+def test_fit_planes_running_sum_centroid_gives_the_mean_bits(n, offset):
+    # each column's running sum over n is what mean(axis=0) computes on
+    # row-major rows, far from the origin too
+    rng = np.random.default_rng(n)
+    pts = rng.normal(size=(n, 3)) * (1.0, 0.5, 0.01) + offset
+    for got, want in zip(fit_planes(pts), fit_planes_with_mean(pts)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_fit_plane_rigid_equivariance():

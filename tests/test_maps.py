@@ -359,7 +359,7 @@ def test_splat_matches_surrounding_oracle(width, height, chi, psi):
     mask[::psi, ::chi] |= rng.random(mask[::psi, ::chi].shape) < 0.5
     inl = dc.IndexSet.from_mask(mask)
     values = rng.uniform(0.5, 4.0, size=(3, len(inl)))
-    got = umap.splat(inl.u, inl.v, values)
+    got = umap.splat(mask, values)
     want = splat_oracle(umap, inl.u, inl.v, values)
     assert got.shape == want.shape == (3,) + umap.grid_shape
     assert np.array_equal(got == 0.0, want == 0.0)
@@ -368,11 +368,14 @@ def test_splat_matches_surrounding_oracle(width, height, chi, psi):
 
 def test_splat_sample_on_control_pixel_stays_there():
     umap = identity_map(32, 24, 4, 4)
-    u = np.array([8, 0, 28])
-    v = np.array([8, 20, 0])
-    got = umap.splat(u, v, np.array([2.0, 3.0, 5.0]))
-    want = np.zeros(umap.grid_shape)
-    want[v // 4, u // 4] = (2.0, 3.0, 5.0)
+    u = np.array([28, 8, 0])  # row-major
+    v = np.array([0, 8, 20])
+    mask = np.zeros((24, 32), dtype=bool)
+    mask[v, u] = True
+    got = umap.splat(mask, [np.array([5.0, 2.0, 3.0]), 1.0])
+    want = np.zeros((2,) + umap.grid_shape)
+    want[0, v // 4, u // 4] = (5.0, 2.0, 3.0)
+    want[1, v // 4, u // 4] = 1.0
     assert np.array_equal(got, want)
 
 
