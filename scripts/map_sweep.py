@@ -55,6 +55,7 @@ def run(args):
     train = [f.frame for f in frames if not f.is_test]
     tests = [f for f in frames if f.is_test]
     guess = dc.RigidTransform((1, 0, 0, 0), (0.025, 0.0, 0.0))
+    identity_g = dc.GlobalMap.identity(args.width, args.height)
     runs = {}
 
     def planarity(chi, psi, degree, label):
@@ -67,8 +68,8 @@ def run(args):
                 train, guess, scene.intr_rgb, scene.intr_depth, scene.board, cfg)
             row = {}
             for lf in tests:
-                und = dc.depth_to_cloud(dc.apply_undistortion(umap, lf.frame.depth),
-                                        scene.intr_depth)
+                und = dc.apply_calibration(umap, identity_g, lf.frame.depth,
+                                           scene.intr_depth)
                 idx = dc.IndexSet.from_mask((lf.labels == sb.LABEL_WALL) & und.valid)
                 row[lf.wall_distance] = sb.planarity_error(und, idx)
             runs[chi, psi, degree] = row

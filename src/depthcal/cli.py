@@ -23,7 +23,7 @@ from .geometry import (
     solve_pnp,
     transform_plane,
 )
-from .maps import PolyFn, apply_undistortion
+from .maps import GlobalMap, PolyFn
 from .synthbench import bowl_distortion, standard_scene
 
 
@@ -146,16 +146,21 @@ def _write_calibration_report(path, result, frames, intr_depth_guess, ucfg):
     rows = [["config", "", "seed", ucfg.seed],
             ["config", "", "bin", f"{ucfg.chi}x{ucfg.psi}"],
             ["config", "", "degree", ucfg.degree]]
+    identity_g = GlobalMap.identity(result.umap.width, result.umap.height)
     for frame in frames:
         if frame.frame_id not in result.inlier_sets:
             rows.append(["undistortion", frame.frame_id, "skipped", ""])
             continue
-        inl = IndexSet.from_mask(result.inlier_sets[frame.frame_id])
-        und = apply_undistortion(result.umap, frame.depth)
-        for name, image in (("original", frame.depth), ("undistorted", und)):
-            cloud = depth_to_cloud(image, intr_depth_guess)
+        wall = result.inlier_sets[frame.frame_id]
+        original = depth_to_cloud(frame.depth, intr_depth_guess)
+        # the final U can be non-positive at a pixel of the frame's wall,
+        # which the undistorted cloud then leaves invalid
+        und = pipeline.apply_calibration(result.umap, identity_g, frame.depth,
+                                         intr_depth_guess)
+        for name, cloud in (("original", original), ("undistorted", und)):
             rows.append(["undistortion", frame.frame_id, f"planarity_{name}",
-                         synthbench.planarity_error(cloud, inl)])
+                         synthbench.planarity_error(
+                             cloud, IndexSet.from_mask(wall & cloud.valid))])
     rows += [["refinement", "", "initial_cost", result.cost_trace[0]],
              ["refinement", "", "final_cost", result.cost_trace[-1]],
              ["refinement", "", "accepted_steps", len(result.cost_trace) - 1]]
@@ -181,13 +186,14 @@ def cmd_evaluate(args):
     os.makedirs(args.out, exist_ok=True)
     ucfg = UndistortConfig(min_inliers=50)
     rng = np.random.default_rng(args.seed)
+    identity_g = GlobalMap.identity(umap.width, umap.height)
 
     rows_plan, rows_glob, rows_rot, rows_depth = [], [], [], []
     for mf, frame in entries:
         original = depth_to_cloud(frame.depth, intr_depth)
         # wall indices come from the corrected cloud, then every variant is
         # measured on the same index set
-        und_only = depth_to_cloud(apply_undistortion(umap, frame.depth), intr_depth)
+        und_only = pipeline.apply_calibration(umap, identity_g, frame.depth, intr_depth)
         corrected = pipeline.apply_calibration(umap, gmap, frame.depth, intr_depth)
         pose, _ = solve_pnp(manifest.board.corners_3d(), frame.corner_points,
                             intr_rgb)

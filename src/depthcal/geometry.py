@@ -249,10 +249,6 @@ class CameraIntrinsics:
                            tuple(self.radial_dist) + (0.0,) * (3 - len(self.radial_dist)))
         object.__setattr__(self, "tangential_dist", tuple(self.tangential_dist))
 
-    @property
-    def has_distortion(self):
-        return any(c != 0.0 for c in self.radial_dist + self.tangential_dist)
-
 
 @dataclass(frozen=True, eq=False)
 class DepthImage:
@@ -310,57 +306,37 @@ class OrganizedCloud:
         self.valid.setflags(write=False)
 
     def points_at(self, index_set):
-        """Points for pixel coordinates of an IndexSet (all must be valid)."""
-        # one flat-index take; two-axis fancy indexing is about twice as slow.
-        # ravel_multi_index raises ValueError for a pixel outside the cloud.
-        flat = np.ravel_multi_index((index_set.v, index_set.u), (self.height, self.width))
-        return self.points.reshape(-1, 3).take(flat, axis=0)
+        """Points (N, 3) of the pixels of an IndexSet, row-major.
+
+        Raises GeometryError unless the set's mask has the cloud's size and
+        every pixel in it is valid: an invalid pixel carries no point.
+        """
+        mask = index_set.mask
+        if mask.shape != self.valid.shape:
+            raise GeometryError("index set: mask size does not match the cloud")
+        if (mask & ~self.valid).any():
+            raise GeometryError("index set holds invalid pixels")
+        return self.points[mask]
 
 
 class IndexSet:
-    """Duplicate-free set of (u, v) pixel coordinates inside an image."""
+    """A set of pixels of one image: a read-only (height, width) bool mask.
 
-    __slots__ = ("uv",)
+    A mask holds no duplicate and no pixel outside its image, so the set
+    needs no checks. `from_mask` is the one constructor.
+    """
 
-    def __init__(self, uv, width=None, height=None):
-        uv = np.asarray(uv, dtype=np.int64).reshape(-1, 2)
-        if uv.shape[0]:
-            if width is not None and (np.any(uv[:, 0] < 0) or np.any(uv[:, 0] >= width)):
-                raise GeometryError("index set: u coordinate out of bounds")
-            if height is not None and (np.any(uv[:, 1] < 0) or np.any(uv[:, 1] >= height)):
-                raise GeometryError("index set: v coordinate out of bounds")
-            flat = uv[:, 1].astype(np.int64) * (2**32) + uv[:, 0]
-            if np.unique(flat).size != uv.shape[0]:
-                raise GeometryError("index set contains duplicate pixels")
-        self.uv = uv
-        self.uv.setflags(write=False)
-
-    @property
-    def u(self):
-        return self.uv[:, 0]
-
-    @property
-    def v(self):
-        return self.uv[:, 1]
+    __slots__ = ("mask",)
 
     def __len__(self):
-        return self.uv.shape[0]
+        return int(np.count_nonzero(self.mask))
 
     @staticmethod
     def from_mask(mask):
-        """The True pixels of a (height, width) mask, in row-major order.
-
-        A mask holds no duplicates and only coordinates inside its image, so
-        the checks of the constructor are skipped. The flat indices are
-        split into (v, u) by one divmod; a 2-D `np.nonzero` is about four
-        times as slow.
-        """
-        mask = np.asarray(mask, dtype=bool)
-        flat = np.flatnonzero(mask)
+        """The True pixels of a (height, width) mask, held as a read-only copy."""
         out = IndexSet.__new__(IndexSet)
-        out.uv = np.empty((flat.size, 2), dtype=np.int64)
-        np.divmod(flat, mask.shape[1], out=(out.uv[:, 1], out.uv[:, 0]))
-        out.uv.setflags(write=False)
+        out.mask = np.array(mask, dtype=bool)
+        out.mask.setflags(write=False)
         return out
 
 
@@ -479,9 +455,6 @@ def undistort_pixel(intr: CameraIntrinsics, uv) -> np.ndarray:
     px = uv.reshape(-1, 2)
     xd = (px[:, 0] - intr.cx) / intr.fx
     yd = (px[:, 1] - intr.cy) / intr.fy
-    if not intr.has_distortion:
-        out = np.column_stack([xd, yd])
-        return out[0] if single else out
     k1, k2, k3 = intr.radial_dist
     p1, p2 = intr.tangential_dist
     x, y = xd.copy(), yd.copy()

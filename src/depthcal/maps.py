@@ -16,20 +16,23 @@ polynomials of the depth:
   those once and keeps them, so G keeps no per-pixel cache. Removes the
   systematic depth bias.
 
-Maps correct depth images, never clouds: `apply_undistortion` and
-`apply_global` take a DepthImage and return one, and a corrected cloud is
-the pinhole back-projection (`geometry.depth_to_cloud`) of a corrected
-image. `undistort_at` evaluates U at chosen pixels of an image only, with
-the bits `apply_undistortion` gives there. `correct_rows` is the one kernel
-of the full correction, d* = g(u(d)) on one block of image rows, small
-enough to stay in cache through all its passes. `pipeline.apply_calibration`
-runs it block by block, its threads taking blocks from a shared queue, and
+Maps correct depth images, never clouds: a corrected cloud is the pinhole
+back-projection of a corrected image. `correct_rows` is the one kernel of
+the full correction, d* = g(u(d)) on one block of image rows, small enough
+to stay in cache through all its passes. `pipeline.apply_calibration` runs
+it block by block, its threads taking blocks from a shared queue, and
 back-projects each block as soon as it is corrected. The per-pixel
 arithmetic does not depend on the blocks, so every block size and thread
-count gives the same bits. Maps are immutable after estimation (their
-caches hold only what their coefficients define); application is
-embarrassingly parallel per pixel and may be called concurrently on a
-shared map.
+count gives the same bits; with `GlobalMap.identity` the result is the
+undistorted-only cloud. `undistort_at` evaluates U at chosen pixels of an
+image only. Maps are immutable after estimation (their caches hold only
+what their coefficients define); application is embarrassingly parallel
+per pixel and may be called concurrently on a shared map.
+
+The full-frame forms `apply_undistortion` and `apply_global`, which take a
+DepthImage and return one, are on no program path. They are kept for the
+spans of `benchmark/workloads.py` and for the tests, and move to
+`tests/oracles.py` when the benchmark stops timing them.
 """
 
 from __future__ import annotations
@@ -352,7 +355,10 @@ def _correct_image(m, img, evaluate):
 
 
 def apply_undistortion(umap: UndistortionMap, img: DepthImage) -> DepthImage:
-    """u(d) on every pixel of a depth image."""
+    """u(d) on every pixel of a depth image.
+
+    Kept for the benchmark's spans and the tests (see the module notes).
+    """
     return _correct_image(umap, img,
                           lambda d: horner(umap.dense_coefficients(), d))
 
@@ -483,7 +489,10 @@ class GlobalMap:
 
 
 def apply_global(gmap: GlobalMap, img: DepthImage) -> DepthImage:
-    """g(d) on every pixel of a depth image."""
+    """g(d) on every pixel of a depth image.
+
+    Kept for the benchmark's spans and the tests (see the module notes).
+    """
     return _correct_image(gmap, img, gmap.correct_image_rows)
 
 

@@ -163,9 +163,9 @@ def small_refine_setup():
         fixed = scene.distortion.undistortion_field.pixel_coefficients(uu, vv)
         d = lf.frame.depth.data
         dhat = fixed[:, :, 0] + fixed[:, :, 1] * d + fixed[:, :, 2] * d * d
-        inl = dc.IndexSet.from_mask(lf.labels == sb.LABEL_WALL)
-        take = np.unique(np.linspace(0, len(inl) - 1, 60).astype(int))
-        uv = inl.uv[take]
+        v, u = np.nonzero(lf.labels == sb.LABEL_WALL)
+        take = np.unique(np.linspace(0, len(u) - 1, 60).astype(int))
+        uv = np.column_stack([u, v])[take]
         observations.append(FrameObservations(
             lf.frame.frame_id, lf.frame.corner_points.copy(), uv,
             dhat[uv[:, 1], uv[:, 0]]))

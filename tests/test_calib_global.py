@@ -38,7 +38,8 @@ T0 = dc.RigidTransform((1, 0, 0, 0), (0.025, 0.0, 0.0))
 
 
 def stage_two_inputs(scene, frames):
-    """Ground-truth-undistorted wall points and wall inliers per training frame."""
+    """Ground-truth-undistorted wall points and the (u, v) of the wall
+    inliers, row-major, per training frame."""
     walls, inliers, corners, ids = [], [], [], []
     uu, vv = np.meshgrid(np.arange(float(scene.intr_depth.width)),
                          np.arange(float(scene.intr_depth.height)))
@@ -50,9 +51,11 @@ def stage_two_inputs(scene, frames):
         dhat = fixed[:, :, 0] + fixed[:, :, 1] * d + fixed[:, :, 2] * d * d
         img = dc.DepthImage(scene.intr_depth.width, scene.intr_depth.height,
                             np.where(lf.frame.depth.valid, dhat, 0.0))
-        inl = dc.IndexSet.from_mask(lf.labels == sb.LABEL_WALL)
-        walls.append(dc.depth_to_cloud(img, scene.intr_depth).points_at(inl))
-        inliers.append(inl)
+        wall = lf.labels == sb.LABEL_WALL
+        walls.append(dc.depth_to_cloud(img, scene.intr_depth)
+                     .points_at(dc.IndexSet.from_mask(wall)))
+        v, u = np.nonzero(wall)
+        inliers.append(np.column_stack([u, v]))
         corners.append(lf.frame.corner_points)
         ids.append(lf.frame.frame_id)
     return walls, inliers, corners, ids
@@ -65,9 +68,9 @@ def pnp_poses(scene, corners):
 
 def observations_from(walls, inliers, corners, ids, cap=150):
     obs = []
-    for points, inl, crn, fid in zip(walls, inliers, corners, ids):
-        take = np.unique(np.linspace(0, len(inl) - 1, cap).astype(int))
-        obs.append(FrameObservations(fid, np.asarray(crn), inl.uv[take],
+    for points, uv, crn, fid in zip(walls, inliers, corners, ids):
+        take = np.unique(np.linspace(0, len(uv) - 1, cap).astype(int))
+        obs.append(FrameObservations(fid, np.asarray(crn), uv[take],
                                      points[take, 2]))
     return obs
 
@@ -256,7 +259,8 @@ def test_init_global_drops_wall_pixels_whose_final_depth_is_not_positive(clean_s
         positive = dc.apply_undistortion(umap, frame.depth).valid
         wall = walls[frame.frame_id]
         dropped += np.count_nonzero(wall & ~positive)
-        assert np.array_equal(o.uv, dc.IndexSet.from_mask(wall & positive).uv)
+        v, u = np.nonzero(wall & positive)
+        assert np.array_equal(o.uv, np.column_stack([u, v]))
         assert np.all(o.dhat > 0.0)
     assert dropped > 0
 

@@ -299,13 +299,13 @@ def test_fit_reference_plane_matches_restricted_fit(clean_scene):
     cfg = small_cfg()
     for wall in (lf.labels == sb.LABEL_WALL,
                  (lf.labels == sb.LABEL_WALL) & (rng.random((120, 160)) < 0.7)):
-        inl = dc.IndexSet.from_mask(wall)
         plane = dc.fit_reference_plane(cloud.points[wall], wall, cfg)
-        uv = inl.uv.astype(float)
+        v, u = np.nonzero(wall)
+        uv = np.column_stack([u, v]).astype(float)
         centroid = uv.mean(axis=0)
         keep = np.hypot(*(uv - centroid).T) <= cfg.fit_radius
-        assert 3 <= np.count_nonzero(keep) < len(inl)
-        assert plane == dc.fit_plane(cloud.points[inl.v[keep], inl.u[keep]])
+        assert 3 <= np.count_nonzero(keep) < len(uv)
+        assert plane == dc.fit_plane(cloud.points[v[keep], u[keep]])
 
 
 def test_fit_reference_plane_needs_one_point_per_wall_pixel(clean_scene):
@@ -381,7 +381,6 @@ def test_update_map_weighted_mean_matches_oracle(clean_scene):
     scene, frames = clean_scene
     lf = frames[0]
     cloud, wall = frame_pieces(scene, lf)
-    inl = dc.IndexSet.from_mask(wall)
     cfg = small_cfg()
     plane = dc.fit_reference_plane(cloud.points[wall], wall, cfg)
     umap = dc.UndistortionMap.identity(160, 120, cfg.chi, cfg.psi, cfg.degree)
@@ -391,7 +390,7 @@ def test_update_map_weighted_mean_matches_oracle(clean_scene):
     # independent recomputation of the aggregated sample of one control pixel
     target = (20, 15)  # grid column, row -> pixel (40, 30)
     w_sum = z_sum = zpi_sum = 0.0
-    for u, v in inl.uv:
+    for v, u in zip(*np.nonzero(wall)):
         i0, j0 = u // cfg.chi, v // cfg.psi
         for dj in (0, 1):
             for di in (0, 1):

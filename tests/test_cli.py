@@ -1,3 +1,4 @@
+import csv
 import errno
 import os
 import shutil
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 import depthcal as dc
 from depthcal import formats
 from depthcal import synthbench as sb
-from depthcal.cli import _SCENE_KEYS, _read_scene_file, main
+from depthcal import cli
+from depthcal.cli import _SCENE_KEYS, _read_scene_file, _write_calibration_report, main
 from depthcal.maps import PolyFn
 from oracles import correct_depth_image
 from test_formats import mutate_one_token
@@ -311,6 +313,38 @@ def test_calibrate_writes_calibration_and_report(calibration):
     assert any("final_cost" in row for row in report)
 
 
+def test_report_leaves_out_wall_pixels_the_final_u_invalidates(tmp_path):
+    # stage one keeps a frame's wall under the U of its own pass; the final U
+    # can be non-positive at a pixel of it, which then has no point
+    scene = sb.standard_scene(n_train=2, n_test=1, seed=4, noise=True, width=80,
+                              height=60,
+                              distortion=sb.bowl_distortion(80, 60, grid_bin=(2, 2)))
+    frames = [sb.render_frame(scene, k) for k in range(scene.n_train)]
+    walls = {lf.frame.frame_id: lf.labels == sb.LABEL_WALL for lf in frames}
+    umap = dc.UndistortionMap.identity(80, 60, 2, 2, 2)
+    coeffs = umap.coefficients.copy()
+    j, i = np.argwhere(frames[0].labels[::2, ::2] == sb.LABEL_WALL)[0]
+    coeffs[j, i] = (0.0, -1.0, 0.0)  # u(d) = -d at a control pixel on the wall
+    identity_g = dc.GlobalMap.identity(80, 60)
+    result = dc.CalibrationResult(umap.with_coefficients(coeffs), identity_g,
+                                  dc.RigidTransform.identity(), scene.intr_depth,
+                                  scene.intr_rgb, walls, (1.0, 0.5), {})
+    path = tmp_path / "report.csv"
+    _write_calibration_report(path, result, [lf.frame for lf in frames],
+                              scene.intr_depth, dc.UndistortConfig())
+    with open(path) as fh:
+        report = {(row[1], row[2]): row[3] for row in csv.reader(fh)}
+    dropped = 0
+    for lf in frames:
+        fid = lf.frame.frame_id
+        und = dc.apply_calibration(result.umap, identity_g, lf.frame.depth,
+                                   scene.intr_depth)
+        dropped += np.count_nonzero(walls[fid] & ~und.valid)
+        want = sb.planarity_error(und, dc.IndexSet.from_mask(walls[fid] & und.valid))
+        assert float(report[fid, "planarity_undistorted"]) == want
+    assert dropped > 0
+
+
 def test_correct_matches_library_path(dataset, calibration, tmp_path):
     depth_path = os.path.join(dataset, "depth", "test_00.pgm")
     out = tmp_path / "cloud.ply"
@@ -339,7 +373,15 @@ def test_correct_identity_equals_depth_to_cloud(tmp_path):
     assert np.array_equal(pts, expected.points[expected.valid])
 
 
-def test_evaluate_writes_reports(dataset, calibration, tmp_path):
+def test_evaluate_writes_reports(dataset, calibration, tmp_path, monkeypatch):
+    walls = []
+
+    def recording_walls(*args):
+        walls.append(select_wall_points(*args))
+        return walls[-1]
+
+    select_wall_points = cli.select_wall_points
+    monkeypatch.setattr(cli, "select_wall_points", recording_walls)
     out = tmp_path / "report"
     code = main(["evaluate", "--calib", calibration, "--dataset", dataset,
                  "--out", str(out)])
@@ -348,6 +390,19 @@ def test_evaluate_writes_reports(dataset, calibration, tmp_path):
                  "depth_vs_ground_truth.csv"):
         text = (out / name).read_text().splitlines()
         assert len(text) == 4  # header + 3 test frames
+    # the undistorted column is the planarity of the back-projected
+    # U-corrected image at the wall the corrected cloud gave
+    umap, _, _, intr_depth, _ = formats.read_calibration(calibration)
+    manifest = formats.read_manifest(os.path.join(dataset, "manifest.txt"))
+    entries = formats.load_frames(manifest, dataset, test_only=True)
+    rows = (out / "planarity.csv").read_text().splitlines()[1:]
+    assert len(walls) == len(entries) == len(rows)
+    for flat, (_, frame), row in zip(walls, entries, rows):
+        und = dc.depth_to_cloud(dc.apply_undistortion(umap, frame.depth), intr_depth)
+        wall = np.zeros(und.valid.shape, dtype=bool)
+        wall.reshape(-1)[flat] = True
+        want = sb.planarity_error(und, dc.IndexSet.from_mask(wall))
+        assert float(row.split(",")[2]) == want
     rows = (out / "depth_vs_ground_truth.csv").read_text().splitlines()[1:]
     for row in rows:
         dist, original, corrected = (float(v) for v in row.split(","))

@@ -167,13 +167,23 @@ def test_depth_to_cloud_z_reproduces_depth_exactly():
 def test_points_at_gathers_the_pixels():
     rng = np.random.default_rng(6)
     pts = rng.normal(size=(5, 7, 3))
-    cloud = dc.OrganizedCloud(7, 5, pts, np.ones((5, 7), dtype=bool))
-    idx = dc.IndexSet([(6, 0), (0, 4), (3, 2), (6, 4)], 7, 5)
-    assert np.array_equal(cloud.points_at(idx), pts[idx.v, idx.u])
-    # an unchecked set from a larger frame must not wrap into the next row
-    for uv in [(7, 0), (0, 5), (-1, 2)]:
-        with pytest.raises(ValueError):
-            cloud.points_at(dc.IndexSet([uv]))
+    valid = np.ones((5, 7), dtype=bool)
+    valid[1, 5] = False
+    cloud = dc.OrganizedCloud(7, 5, pts, valid)
+    mask = np.zeros((5, 7), dtype=bool)
+    for u, v in [(6, 0), (0, 4), (3, 2), (6, 4)]:
+        mask[v, u] = True
+    # row-major: (6, 0), (3, 2), (0, 4), (6, 4)
+    got = cloud.points_at(dc.IndexSet.from_mask(mask))
+    assert np.array_equal(got, pts[[0, 2, 4, 4], [6, 3, 0, 6]])
+    # a set from a frame of another size must not wrap into the next row
+    for shape in [(5, 8), (6, 7), (35,)]:
+        with pytest.raises(GeometryError, match="size"):
+            cloud.points_at(dc.IndexSet.from_mask(np.ones(shape, dtype=bool)))
+    # an invalid pixel carries no point
+    mask[1, 5] = True
+    with pytest.raises(GeometryError, match="invalid"):
+        cloud.points_at(dc.IndexSet.from_mask(mask))
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
@@ -258,6 +268,19 @@ def test_undistort_pixel_inverts_projection():
     uv = dc.project_point(intr, pts)
     norm = dc.geometry.undistort_pixel(intr, uv)
     assert np.allclose(norm, pts[:, :2], atol=1e-9)
+
+
+def test_undistort_pixel_without_distortion_is_the_pinhole_inverse():
+    # with all-zero coefficients every fixed-point step keeps (uv - c) / f:
+    # the radial factor is exactly 1 and the tangential terms exactly 0
+    intr = dc.CameraIntrinsics(fx=525.3, fy=519.7, cx=319.5, cy=239.5,
+                               width=640, height=480)
+    rng = np.random.default_rng(8)
+    uv = rng.uniform((-200.0, -150.0), (840.0, 630.0), size=(5000, 2))
+    norm = dc.geometry.undistort_pixel(intr, uv)
+    assert norm.tobytes() == np.column_stack([(uv[:, 0] - intr.cx) / intr.fx,
+                                              (uv[:, 1] - intr.cy) / intr.fy]).tobytes()
+    assert np.array_equal(dc.geometry.undistort_pixel(intr, uv[0]), norm[0])
 
 
 # ---------------------------------------------------------------------------
@@ -646,31 +669,14 @@ def test_intrinsics_reject_nonfinite_focal_length(axis, bad):
         dc.CameraIntrinsics(**values)
 
 
-def test_index_set_from_mask_matches_checked_constructor():
+def test_index_set_from_mask():
     rng = np.random.default_rng(3)
     mask = rng.random((12, 17)) < 0.4
-    fast = dc.IndexSet.from_mask(mask)
-    v, u = np.nonzero(mask)
-    checked = dc.IndexSet(np.column_stack([u, v]), width=17, height=12)
-    assert fast.uv.dtype == checked.uv.dtype
-    assert np.array_equal(fast.uv, checked.uv)
-    assert not fast.uv.flags.writeable
-
-
-def test_index_set_rejects_duplicates():
-    with pytest.raises(GeometryError):
-        dc.IndexSet([(1, 2), (1, 2)])
-
-
-def test_index_set_bounds():
-    with pytest.raises(GeometryError):
-        dc.IndexSet([(5, 2)], width=4, height=4)
-
-
-def test_index_set_from_mask():
-    mask = np.zeros((3, 4), dtype=bool)
-    mask[1, 2] = True
-    mask[2, 0] = True
     s = dc.IndexSet.from_mask(mask)
-    assert len(s) == 2
-    assert set(map(tuple, s.uv)) == {(2, 1), (0, 2)}
+    assert len(s) == np.count_nonzero(mask)
+    assert s.mask.dtype == bool and np.array_equal(s.mask, mask)
+    assert not s.mask.flags.writeable
+    # a copy: changing the caller's mask leaves the set as it was
+    mask[~mask] = True
+    assert len(s) < mask.size
+    assert len(dc.IndexSet.from_mask(np.zeros((3, 4), dtype=bool))) == 0

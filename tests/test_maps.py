@@ -357,10 +357,10 @@ def test_splat_matches_surrounding_oracle(width, height, chi, psi):
     rng = np.random.default_rng(5)
     mask = rng.random((height, width)) < 0.3
     mask[::psi, ::chi] |= rng.random(mask[::psi, ::chi].shape) < 0.5
-    inl = dc.IndexSet.from_mask(mask)
-    values = rng.uniform(0.5, 4.0, size=(3, len(inl)))
+    v, u = np.nonzero(mask)
+    values = rng.uniform(0.5, 4.0, size=(3, len(u)))
     got = umap.splat(mask, values)
-    want = splat_oracle(umap, inl.u, inl.v, values)
+    want = splat_oracle(umap, u, v, values)
     assert got.shape == want.shape == (3,) + umap.grid_shape
     assert np.array_equal(got == 0.0, want == 0.0)
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))

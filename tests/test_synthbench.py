@@ -196,8 +196,10 @@ def test_planarity_error_symmetric_offsets():
 
 def test_planarity_error_needs_three_points():
     cloud, _ = plane_cloud()
+    two = np.zeros((24, 32), dtype=bool)
+    two[0, 0] = two[1, 1] = True
     with pytest.raises(dc.CalibrationError):
-        sb.planarity_error(cloud, dc.IndexSet([(0, 0), (1, 1)]))
+        sb.planarity_error(cloud, dc.IndexSet.from_mask(two))
 
 
 def test_global_error_on_plane_is_zero():
