@@ -14,7 +14,9 @@ the outputs:
 Each scene prints one line, which ends with the scene's stage times
 (`CalibrationResult.timings`). With `--against` the line starts with the
 max |delta| per quantity, then the two cost-trace lengths and, when they
-agree, the trace's max |delta|, then the wall pixels that differ, and
+agree, the trace's max |delta|, then the relative difference of the final
+refinement costs, which shows whether a change that moves the solver's
+start reached the same minimum, then the wall pixels that differ, and
 whether it is within the output gates: U, G, translation and quaternion
 within 1e-9, the depth intrinsics within 1e-6 px, cost traces of equal
 length, and walls for the same frame ids with no pixel differing. The best
@@ -109,6 +111,8 @@ def main(args):
         same_length = new["trace"].size == old["trace"].size
         if same_length:
             trace += f" {np.max(np.abs(new['trace'] - old['trace'])):.3g}"
+        final_new, final_old = new["trace"][-1], old["trace"][-1]
+        trace += f"  final cost rel {abs(final_new - final_old) / abs(final_old):.3g}"
         outside = [q for q, d in delta.items() if not d <= GATES[q]]
         if not same_length:
             outside.append("trace length")

@@ -4,23 +4,21 @@ Each frame enters stage two as its wall alone: the stage-one wall mask of
 the frame, at which stage one's reader `undistorted_points` derives the
 undistorted cloud points (the final U applied to the frame's depth image
 at those pixels only, then back-projected; a pixel whose u(d) is not
-positive is dropped). Initialization reads the frames in two passes and
-derives each frame's wall points again in each, so only one frame's points
-are held at a time. The first pass pairs the board
-plane with the plane fitted to the wall points, and packs the frame's
-observations for the refinement; the camera-depth rigid transform is
-solved from the plane pairs. The second pass fits the four-corner global
-map against the board planes with the same binned update machinery as
-stage one (bin size = whole image). Throughout stage two a board plane is
-the board's z = 0 plane moved by the frame's board pose, never a fit.
+positive is dropped). Initialization reads each frame once, so only one
+frame's points are held at a time: it pairs the board plane with the
+plane fitted to the wall points, and packs the frame's observations for
+the refinement; the camera-depth rigid transform is solved from the plane
+pairs. Throughout stage two a board plane is the board's z = 0 plane moved
+by the frame's board pose, never a fit.
 
-The refinement then jointly adjusts the global map coefficients, the
-camera-depth transform, all board poses and the depth intrinsics by
-damped least squares over two residual families: checkerboard reprojection
-and point-to-board-plane distances. Rotations are parameterized as
-axis-angle increments composed onto the initial quaternions. Undistorted
-depth values stay fixed throughout; the depth intrinsics only re-project
-pixels to 3D. The solver's normal equations are summed frame by frame.
+The refinement then jointly adjusts the global map coefficients (from the
+identity map), the camera-depth transform, all board poses and the depth
+intrinsics by damped least squares over two residual families:
+checkerboard reprojection and point-to-board-plane distances. Rotations are
+parameterized as axis-angle increments composed onto the initial
+quaternions. Undistorted depth values stay fixed throughout; the depth
+intrinsics only re-project pixels to 3D. The solver's normal equations are
+summed frame by frame.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calib_undistort import BoardSpec, CalibrationError, undistorted_points, update_map
+from .calib_undistort import BoardSpec, CalibrationError, undistorted_points
 from .geometry import (
     CameraIntrinsics,
     GeometryError,
@@ -45,7 +43,7 @@ from .geometry import (
     quat_to_matrix,
     transform_plane,
 )
-from .maps import FitMoments, GlobalMap, UndistortionMap
+from .maps import GlobalMap, UndistortionMap
 
 log = logging.getLogger(__name__)
 
@@ -105,24 +103,22 @@ def build_observations(frame, wall, points, max_points) -> FrameObservations:
 
 def init_global(frames, walls, board_poses, umap: UndistortionMap,
                 intr_depth: CameraIntrinsics, board: BoardSpec, max_points):
-    """Initial global map and camera-depth transform (plane pairs), and the
-    refinement's observations.
+    """Initial camera-depth transform (plane pairs), and the refinement's
+    observations.
 
     `frames` are the usable frames; `walls` and `board_poses` map each
     frame's id to its stage-one wall mask and board pose (board -> RGB
-    camera). The frames are read in two passes, and each derives a frame's
-    wall points again by `undistorted_points` under the final U, so no list
-    of every frame's points is held.
-    Pass 1, per frame: board plane from the board pose (the board's z = 0
-    plane moved by it), wall plane fitted to the wall points, and
+    camera). Each frame is read once: `undistorted_points` derives its wall
+    points under the final U, so no list of every frame's points is held.
+    Per frame: board plane from the board pose (the board's z = 0 plane
+    moved by it), wall plane fitted to the wall points, and
     `build_observations` with at most `max_points` wall pixels. The rigid
     transform aligning board planes (camera frame) onto wall planes (depth
-    frame) initializes the extrinsic.
-    Pass 2: the board planes moved into the depth frame drive the
-    four-corner map fit (`update_map`) over the image.
+    frame) initializes the extrinsic. G needs no start here: the refinement
+    starts it at the identity, and it enters the plane residual linearly.
     Stage one has already fit a plane to every frame's wall, so a wall fit
     that fails here raises CalibrationError naming the frame.
-    Returns (gmap, extrinsic depth -> camera, observations).
+    Returns (extrinsic depth -> camera, observations).
     """
     if len(frames) < 3:
         raise CalibrationError("stage two needs at least 3 usable frames")
@@ -141,21 +137,7 @@ def init_global(frames, walls, board_poses, umap: UndistortionMap,
                 f"init_global: frame {k}: plane fit failed ({exc})") from exc
         observations.append(build_observations(frame, kept, points, max_points))
     cam_to_depth = estimate_transform_from_planes(board_planes_cam, wall_planes_depth)
-
-    width, height = intr_depth.width, intr_depth.height
-    grid = UndistortionMap.identity(width, height, width, height,
-                                    degree=GMAP_DEGREE, constant_zero=True)
-    moments = FitMoments(grid.grid_shape, GMAP_DEGREE)
-    for frame, plane_cam in zip(frames, board_planes_cam):
-        kept, points = undistorted_points(umap, frame.depth, walls[frame.frame_id],
-                                          intr_depth)
-        plane_depth = transform_plane(cam_to_depth, plane_cam)
-        grid = update_map(grid, moments, points, kept, plane_depth)
-    gmap = GlobalMap(width, height,
-                     grid.control_function(0, 0),
-                     grid.control_function(1, 0),
-                     grid.control_function(0, 1))
-    return gmap, cam_to_depth.inverse(), observations
+    return cam_to_depth.inverse(), observations
 
 
 # ---------------------------------------------------------------------------

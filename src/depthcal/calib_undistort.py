@@ -330,8 +330,7 @@ def update_map(umap: UndistortionMap, moments: FitMoments, points, wall,
         rows = np.nonzero(pending & (spread >= min_spread))[0]
         if rows.size == 0:
             continue
-        coeffs, ok = fit_weighted_poly_batch(zpow[rows], zpi[rows], count[rows],
-                                             deg, umap.constant_zero)
+        coeffs, ok = fit_weighted_poly_batch(zpow[rows], zpi[rows], count[rows], deg)
         good = rows[ok]
         flat_out[sel[good], :] = 0.0
         flat_out[sel[good], :deg + 1] = coeffs[ok]

@@ -498,17 +498,17 @@ def _values(tokens, count, what, kind=float):
     return vals
 
 
-def _intr_from_tokens(tokens):
-    vals = _values(tokens, 11, "intrinsics")
+def _intr_from_tokens(tokens, what):
+    vals = _values(tokens, 11, what)
     if not (vals[4].is_integer() and vals[5].is_integer()):
-        raise FormatError(f"intrinsics: image size {vals[4]!r}x{vals[5]!r} is not integral")
+        raise FormatError(f"{what}: image size {vals[4]!r}x{vals[5]!r} is not integral")
     try:
         return CameraIntrinsics(fx=vals[0], fy=vals[1], cx=vals[2], cy=vals[3],
                                 width=int(vals[4]), height=int(vals[5]),
                                 radial_dist=tuple(vals[6:9]),
                                 tangential_dist=tuple(vals[9:11]))
     except GeometryError as exc:
-        raise FormatError(f"invalid intrinsics: {exc}") from exc
+        raise FormatError(f"{what}: {exc}") from exc
 
 
 def _transform_lines(prefix, t: RigidTransform):
@@ -595,11 +595,15 @@ def read_calibration(path):
     if "version" not in kv:
         raise FormatError(f"{path}: missing key 'version'")
     try:
-        intr_rgb = _intr_from_tokens(kv["rgb_intrinsics"])
-        intr_depth = _intr_from_tokens(kv["depth_intrinsics"])
+        intr_rgb = _intr_from_tokens(kv["rgb_intrinsics"], f"{path}: rgb_intrinsics")
+        intr_depth = _intr_from_tokens(kv["depth_intrinsics"], f"{path}: depth_intrinsics")
         extrinsic = _transform(kv["extrinsic_quaternion"],
                                kv["extrinsic_translation"], f"{path}: extrinsic")
         umap = _undistortion_map(kv, texts["umap_fn"], path)
+        if (umap.width, umap.height) != (intr_depth.width, intr_depth.height):
+            raise FormatError(f"{path}: umap_size {umap.width}x{umap.height} does not "
+                              f"match the depth_intrinsics size "
+                              f"{intr_depth.width}x{intr_depth.height}")
         [g_degree] = _values(kv["gmap_degree"], 1, f"{path}: gmap_degree", int)
         if not 1 <= g_degree <= MAX_DEGREE:
             raise FormatError(f"{path}: gmap_degree must be between 1 and {MAX_DEGREE}")
@@ -667,8 +671,9 @@ def read_manifest(path) -> DatasetManifest:
         board = BoardSpec(rows, cols, square)
         manifest = DatasetManifest(
             board=board,
-            intr_rgb=_intr_from_tokens(kv["rgb_intrinsics"]),
-            intr_depth_guess=_intr_from_tokens(kv["depth_intrinsics_guess"]),
+            intr_rgb=_intr_from_tokens(kv["rgb_intrinsics"], f"{path}: rgb_intrinsics"),
+            intr_depth_guess=_intr_from_tokens(kv["depth_intrinsics_guess"],
+                                               f"{path}: depth_intrinsics_guess"),
             extrinsic_guess=_transform(kv["extrinsic_guess_quaternion"],
                                        kv["extrinsic_guess_translation"],
                                        f"{path}: extrinsic_guess"),

@@ -449,7 +449,12 @@ UNDISTORT_ITERATIONS = 10  # fixed-point steps of `undistort_pixel`
 
 
 def undistort_pixel(intr: CameraIntrinsics, uv) -> np.ndarray:
-    """Invert the distortion model: pixel -> normalized (x, y) coordinates."""
+    """Invert the distortion model: pixel -> normalized (x, y) coordinates.
+
+    Up to UNDISTORT_ITERATIONS fixed-point steps. The loop stops once a step
+    leaves the bits of every x and y unchanged: each later step would repeat
+    the same values, so the result has the bits of running all of them.
+    """
     uv = np.asarray(uv, dtype=float)
     single = uv.ndim == 1
     px = uv.reshape(-1, 2)
@@ -463,8 +468,11 @@ def undistort_pixel(intr: CameraIntrinsics, uv) -> np.ndarray:
         radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
         dx = 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x)
         dy = p1 * (r2 + 2.0 * y * y) + 2.0 * p2 * x * y
-        x = (xd - dx) / radial
-        y = (yd - dy) / radial
+        x_next = (xd - dx) / radial
+        y_next = (yd - dy) / radial
+        if x_next.tobytes() == x.tobytes() and y_next.tobytes() == y.tobytes():
+            break
+        x, y = x_next, y_next
     out = np.column_stack([x, y])
     return out[0] if single else out
 

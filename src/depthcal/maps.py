@@ -157,15 +157,14 @@ def _ldl_inverse(a):
     return m, d
 
 
-def fit_weighted_poly_batch(zpow, zpi, count, degree, constant_zero):
+def fit_weighted_poly_batch(zpow, zpi, count, degree):
     """Weighted polynomial fits minimizing sum w (f(z) - z_pi)^2, one per row.
 
     zpow (R, >= 2 * degree + 1), zpi (R, >= degree + 1) and count (R,) are
     rows of a FitMoments state; the normal equations of each fit are built
-    from them. With constant_zero the constant column is omitted. Returns
-    (coeffs (R, degree + 1), ok (R,)) where ok is False for fits that are
-    underdetermined or whose normal matrix has a 2-norm condition number of
-    at least COND_LIMIT; their coefficient rows are 0.
+    from them. Returns (coeffs (R, degree + 1), ok (R,)) where ok is False
+    for fits that are underdetermined or whose normal matrix has a 2-norm
+    condition number of at least COND_LIMIT; their coefficient rows are 0.
 
     All rows are factored at once by `_ldl_inverse`, and the solve uses the
     same factors. A pivot <= 0 makes a fit not ok: LDL^T of a positive
@@ -178,9 +177,8 @@ def fit_weighted_poly_batch(zpow, zpi, count, degree, constant_zero):
     with room for the rounding of the bound; only the remaining rows are
     decided by their eigenvalues.
     """
-    first = 1 if constant_zero else 0
-    powers = np.arange(first, degree + 1)
-    k = powers.size
+    k = degree + 1
+    powers = np.arange(k)
     # (k, k, R) and (k, R): one matrix per row along the last axis
     normal = np.asarray(zpow, dtype=float).T[powers[:, None] + powers[None, :]]
     rhs = np.asarray(zpi, dtype=float).T[powers]
@@ -190,8 +188,7 @@ def fit_weighted_poly_batch(zpow, zpi, count, degree, constant_zero):
         bound = np.trace(normal) * np.sum(np.sum(m * m, axis=1) / d, axis=0)
         # x = m^T diag(1 / d) m rhs
         y = np.sum(m * rhs, axis=1) / d
-        coeffs = np.zeros((normal.shape[2], degree + 1))
-        coeffs[:, first:] = np.sum(m * y[:, None], axis=0).T
+        coeffs = np.sum(m * y[:, None], axis=0).T
     exact = ok & ~(bound < COND_LIMIT / 2)
     if np.any(exact):
         # symmetric PSD: the singular values are the absolute eigenvalues
@@ -234,10 +231,9 @@ class UndistortionMap:
     defined for every image pixel including the last row/column.
     """
 
-    __slots__ = ("width", "height", "chi", "psi", "coefficients",
-                 "constant_zero", "_dense")
+    __slots__ = ("width", "height", "chi", "psi", "coefficients", "_dense")
 
-    def __init__(self, width, height, chi, psi, coefficients, constant_zero=False):
+    def __init__(self, width, height, chi, psi, coefficients):
         if chi <= 0 or psi <= 0:
             raise MapError("bin sizes must be positive")
         gh, gw = _grid_shape(width, height, chi, psi)
@@ -246,23 +242,20 @@ class UndistortionMap:
             raise MapError(f"coefficient grid must be {gh}x{gw} for this image and bin size")
         if not 2 <= coefficients.shape[2] <= MAX_DEGREE + 1:
             raise MapError("coefficient rows must hold degree+1 entries, degree 1..4")
-        if constant_zero and np.any(coefficients[:, :, 0] != 0.0):
-            raise MapError("constant_zero map must have zero constant terms")
         self.width = int(width)
         self.height = int(height)
         self.chi = int(chi)
         self.psi = int(psi)
         self.coefficients = coefficients
         self.coefficients.setflags(write=False)
-        self.constant_zero = bool(constant_zero)
         self._dense = None
 
     @staticmethod
-    def identity(width, height, chi, psi, degree=2, constant_zero=False):
+    def identity(width, height, chi, psi, degree=2):
         gh, gw = _grid_shape(width, height, chi, psi)
         coeffs = np.zeros((gh, gw, degree + 1))
         coeffs[:, :, 1] = 1.0
-        return UndistortionMap(width, height, chi, psi, coeffs, constant_zero)
+        return UndistortionMap(width, height, chi, psi, coeffs)
 
     @property
     def degree(self):
@@ -274,11 +267,7 @@ class UndistortionMap:
 
     def with_coefficients(self, coefficients):
         return UndistortionMap(self.width, self.height, self.chi, self.psi,
-                               coefficients, self.constant_zero)
-
-    def control_function(self, i, j) -> PolyFn:
-        """Control polynomial at grid column i, row j."""
-        return PolyFn(tuple(self.coefficients[j, i]), self.constant_zero)
+                               coefficients)
 
     def pixel_coefficients(self, u, v):
         """Blended polynomial coefficients at pixel(s) (u, v).
@@ -333,8 +322,8 @@ class UndistortionMap:
 
     def __eq__(self, other):
         return (isinstance(other, UndistortionMap)
-                and (self.width, self.height, self.chi, self.psi, self.constant_zero)
-                == (other.width, other.height, other.chi, other.psi, other.constant_zero)
+                and (self.width, self.height, self.chi, self.psi)
+                == (other.width, other.height, other.chi, other.psi)
                 and np.array_equal(self.coefficients, other.coefficients))
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calib_global import GlobalConfig, RefinementState, init_global, refine
+from .calib_global import GMAP_DEGREE, GlobalConfig, RefinementState, init_global, refine
 from .calib_undistort import (
     BoardSpec,
     UndistortConfig,
@@ -63,8 +63,9 @@ def calibrate(frames, t0: RigidTransform, intr_rgb: CameraIntrinsics,
     refines. Stage one leaves each usable frame's wall as a bool mask.
     Stage two sees a frame only as its wall: the back-projection of its
     depth image, undistorted by the final U, at the mask's pixels.
-    `init_global` derives those points frame by frame, once per pass, and
-    returns the observations; `refine` runs on the observations alone.
+    `init_global` derives those points once per frame and returns the
+    observations; `refine` runs on the observations alone, with G starting
+    at the identity.
     """
     timings = {}
     tic = time.perf_counter()
@@ -74,14 +75,15 @@ def calibrate(frames, t0: RigidTransform, intr_rgb: CameraIntrinsics,
 
     usable = [f for f in frames if f.frame_id in walls]
     tic = time.perf_counter()
-    gmap0, extr0, observations = init_global(
+    extr0, observations = init_global(
         usable, walls, board_poses, umap, intr_depth, board,
         global_cfg.max_points_per_frame)
     timings["global_init"] = time.perf_counter() - tic
 
     state0 = RefinementState(
         extrinsic=extr0, board_poses=tuple(board_poses[f.frame_id] for f in usable),
-        intr_depth=intr_depth, gmap=gmap0)
+        intr_depth=intr_depth,
+        gmap=GlobalMap.identity(intr_depth.width, intr_depth.height, GMAP_DEGREE))
     tic = time.perf_counter()
     state, lm_result = refine(state0, observations, intr_rgb, board)
     timings["refinement"] = time.perf_counter() - tic

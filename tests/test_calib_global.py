@@ -119,13 +119,10 @@ def clean_setup():
 
 def test_init_global_zero_error_recovers_extrinsic(clean_setup):
     scene, frames, _ = clean_setup
-    gmap, extr, _ = init_global_on_truth(scene, frames)
+    extr, _ = init_global_on_truth(scene, frames)
     te = scene.true_extrinsic
     assert np.linalg.norm(extr.translation - te.translation) < 1e-3
     assert np.degrees(extr.compose(te.inverse()).rotation_angle()) < 0.05
-    for fn in (gmap.corner_00, gmap.corner_w0, gmap.corner_0h):
-        assert fn.coefficients[1] == pytest.approx(1.0, abs=1e-3)
-        assert fn.coefficients[2] == pytest.approx(0.0, abs=1e-3)
 
 
 def test_init_global_needs_three_frames(clean_setup):
@@ -168,14 +165,20 @@ def test_init_global_fits_one_plane_per_frame(clean_setup, monkeypatch):
     assert fitted == walls
 
 
-def test_init_global_dependent_corner_invariant(clean_setup):
+def test_init_global_reads_each_frame_once(clean_setup, monkeypatch):
+    # one undistorted_points call per frame, in frame order
     scene, frames, _ = clean_setup
-    gmap, _, _ = init_global_on_truth(scene, frames)
-    d = np.linspace(0.5, 5.0, 20)
-    # the map's own value at the dependent corner (W, H)
-    lhs = gmap.corner_00(d) + gmap.correct(gmap.width, gmap.height, d)
-    rhs = gmap.corner_w0(d) + gmap.corner_0h(d)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
+    read = []
+
+    def counting_read(umap, depth, wall, intr):
+        read.append(depth)
+        return undistorted_points(umap, depth, wall, intr)
+
+    monkeypatch.setattr(cg, "undistorted_points", counting_read)
+    obs = init_global_on_truth(scene, frames)[-1]
+    train = [lf.frame for lf in frames if not lf.is_test]
+    assert len(read) == len(obs) == len(train)
+    assert all(d is f.depth for d, f in zip(read, train))
 
 
 def test_stage_one_and_init_solve_one_pnp_per_frame(clean_setup, monkeypatch):
@@ -203,8 +206,8 @@ def test_build_observations_dhat_is_undistorted_depth(clean_setup):
     scene, frames, _ = clean_setup
     train = [lf.frame for lf in frames if not lf.is_test]
     umap, walls, poses = stage_one_walls(scene, train)
-    _, _, obs = dc.init_global(train, walls, poses, umap, scene.intr_depth,
-                               scene.board, max_points=70)
+    _, obs = dc.init_global(train, walls, poses, umap, scene.intr_depth,
+                            scene.board, max_points=70)
     assert umap.coefficients[:, :, 2].any()  # U is not the identity
     for frame, o in zip(train, obs):
         depth = dc.apply_undistortion(umap, frame.depth).data
@@ -251,9 +254,9 @@ def test_init_global_drops_wall_pixels_whose_final_depth_is_not_positive(clean_s
     coeffs = umap.coefficients.copy()
     coeffs[1, 1] = (0.0, -1.0, 0.0)  # u(d) = -d at one control pixel
     umap = umap.with_coefficients(coeffs)
-    _, _, obs = dc.init_global(train, walls, poses, umap, scene.intr_depth,
-                               scene.board, max_points=scene.intr_depth.width
-                               * scene.intr_depth.height)
+    _, obs = dc.init_global(train, walls, poses, umap, scene.intr_depth,
+                            scene.board, max_points=scene.intr_depth.width
+                            * scene.intr_depth.height)
     dropped = 0
     for frame, o in zip(train, obs):
         positive = dc.apply_undistortion(umap, frame.depth).valid
@@ -263,6 +266,24 @@ def test_init_global_drops_wall_pixels_whose_final_depth_is_not_positive(clean_s
         assert np.array_equal(o.uv, np.column_stack([u, v]))
         assert np.all(o.dhat > 0.0)
     assert dropped > 0
+
+
+def test_calibrate_starts_the_refinement_at_the_identity_g(clean_setup, monkeypatch):
+    scene, frames, _ = clean_setup
+    train = [lf.frame for lf in frames if not lf.is_test]
+    started = []
+
+    def stop_at_refine(state0, *args):
+        started.append(state0)
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(pl, "refine", stop_at_refine)
+    with pytest.raises(RuntimeError, match="stop"):
+        dc.calibrate(train, T0, scene.intr_rgb, scene.intr_depth, scene.board,
+                     dc.UndistortConfig(chi=2, psi=2, degree=2, seed=1,
+                                        min_inliers=50, fit_radius=24))
+    w, h = scene.intr_depth.width, scene.intr_depth.height
+    assert started[0].gmap == dc.GlobalMap.identity(w, h, cg.GMAP_DEGREE)
 
 
 @pytest.mark.parametrize("count", [0, -1, 0.5, float("nan")])

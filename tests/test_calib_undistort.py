@@ -4,7 +4,7 @@ import pytest
 import depthcal as dc
 from depthcal import synthbench as sb
 from depthcal.calib_undistort import SCORE_CHUNK, _chunk_bounds, undistorted_points
-from depthcal.maps import MAX_DEGREE, fit_weighted_poly_batch
+from depthcal.maps import MAX_DEGREE
 from oracles import estimate_undistortion_map as whole_frame_stage_one
 from oracles import select_wall_points as one_by_one_wall_points
 
@@ -373,7 +373,7 @@ def test_update_map_identity_when_points_on_plane():
     del scene_plane
     z = np.linspace(2.0, 3.5, 7)
     for (i, j) in [(0, 0), (4, 3), (8, 6)]:
-        fn = umap.control_function(i, j)
+        fn = dc.PolyFn(umap.coefficients[j, i])
         assert np.allclose(fn(z), z, atol=1e-9)
 
 
@@ -476,7 +476,7 @@ def test_estimate_identity_for_undistorted_data():
     gh, gw = umap.grid_shape
     for j in range(0, gh, 7):
         for i in range(0, gw, 9):
-            fn = umap.control_function(i, j)
+            fn = dc.PolyFn(umap.coefficients[j, i])
             assert np.max(np.abs(fn(z) - z)) < 1e-4
 
 
@@ -552,17 +552,3 @@ def test_estimate_is_deterministic(clean_scene):
                                            scene.intr_depth, scene.board,
                                            small_cfg(seed=77))
     assert np.array_equal(a.coefficients, b.coefficients)
-
-
-def test_batch_fit_respects_constant_zero_everywhere():
-    rng = np.random.default_rng(0)
-    z = rng.uniform(1, 4, (10, 5))
-    zpi = 0.97 * z + 0.01 * z * z
-    moments = dc.FitMoments((1, 5), 2)
-    for zk, zpik in zip(z, zpi):  # one sample per control pixel and frame
-        moments.add(np.arange(5), zk, zpik)
-    coeffs, ok = fit_weighted_poly_batch(moments.zpow[0], moments.zpi[0],
-                                         moments.count[0], 2, True)
-    assert ok.all()
-    assert np.all(coeffs[:, 0] == 0.0)
-    assert np.allclose(coeffs[:, 1], 0.97, atol=1e-9)

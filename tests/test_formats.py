@@ -1,6 +1,7 @@
 import functools
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,8 +171,8 @@ def sample_calibration():
         32, 24, rng.normal(0, 0.01, 6) + [1, 0, 1, 0, 1, 0])
     extr = dc.RigidTransform(dc.geometry.axis_angle_to_quat(rng.normal(0, 0.01, 3)),
                              rng.normal(0, 0.01, 3))
-    intr_d = dc.CameraIntrinsics(fx=290.0, fy=291.5, cx=159.25, cy=119.75,
-                                 width=320, height=240)
+    intr_d = dc.CameraIntrinsics(fx=29.0, fy=29.15, cx=15.925, cy=11.975,
+                                 width=32, height=24)
     intr_rgb = dc.CameraIntrinsics(fx=525.0, fy=524.0, cx=319.5, cy=239.5,
                                    width=640, height=480,
                                    radial_dist=(-0.05, 0.01),
@@ -263,18 +264,55 @@ def test_calibration_rejects_nonfinite_coefficient(tmp_path, prefix, bad):
         formats.read_calibration(path)
 
 
-def test_calibration_rejects_nan_focal_length(tmp_path):
+def nan_focal_length(key):
+    """A line edit that sets the fx of the `key` intrinsics line to nan."""
     def edit(ln):
-        if ln.startswith("depth_intrinsics "):
+        if ln.startswith(key + " "):
             tokens = ln.split()
             tokens[1] = "nan"
             return " ".join(tokens)
         return ln
+    return edit
 
+
+def test_calibration_rejects_nan_focal_length(tmp_path):
     path = tmp_path / "calib.txt"
-    write_sample_calibration(path, edit)
+    write_sample_calibration(path, nan_focal_length("depth_intrinsics"))
     with pytest.raises(FormatError):
         formats.read_calibration(path)
+
+
+def test_calibration_rejects_umap_size_other_than_the_depth_intrinsics(tmp_path):
+    # a U of another size fails every later correction with a message that
+    # names neither the file nor the sizes
+    intr_d = dc.CameraIntrinsics(fx=10.0, fy=10.0, cx=3.5, cy=2.5, width=8, height=6)
+    _, gmap, extr, _, intr_rgb = sample_calibration()
+    umap = dc.UndistortionMap.identity(16, 12, 4, 4, 2)
+    path = tmp_path / "calib.txt"
+    formats.write_calibration(path, umap, gmap, extr, intr_d, intr_rgb)
+    with pytest.raises(FormatError) as err:
+        formats.read_calibration(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert "umap_size 16x12" in str(err.value)
+    assert "depth_intrinsics size 8x6" in str(err.value)
+
+
+@pytest.mark.parametrize("reader, key", [
+    pytest.param(formats.read_calibration, "depth_intrinsics", id="calibration-depth"),
+    pytest.param(formats.read_calibration, "rgb_intrinsics", id="calibration-rgb"),
+    pytest.param(formats.read_manifest, "rgb_intrinsics", id="manifest-rgb"),
+    pytest.param(formats.read_manifest, "depth_intrinsics_guess", id="manifest-depth"),
+])
+def test_intrinsics_errors_name_the_file_and_the_key(tmp_path, reader, key):
+    path = tmp_path / "file.txt"
+    if reader is formats.read_calibration:
+        write_sample_calibration(path, nan_focal_length(key))
+    else:
+        edit = nan_focal_length(key)
+        path.write_text("\n".join(map(edit, MANIFEST_TEXT.splitlines())) + "\n")
+    with pytest.raises(FormatError) as err:
+        reader(path)
+    assert str(err.value) == f"{path}: {key}: non-finite value"
 
 
 @pytest.mark.parametrize("prefix, line", [
@@ -650,8 +688,10 @@ def calibration_parts(size):
     """The lines of the sample calibration with an identity U of `size`,
     split into those before, of and after the `umap_fn` block."""
     umap = dc.UndistortionMap.identity(*size, 2)
+    _, gmap, extr, intr_d, intr_rgb = sample_calibration()
+    intr_d = replace(intr_d, width=umap.width, height=umap.height)
     head, fns, tail = [], [], []
-    for ln in calibration_text(umap, *sample_calibration()[1:]).splitlines():
+    for ln in calibration_text(umap, gmap, extr, intr_d, intr_rgb).splitlines():
         (fns if ln.startswith("umap_fn ") else tail if fns else head).append(ln)
     return umap.grid_shape, head, fns, tail
 
@@ -888,6 +928,7 @@ def test_calibration_bytes_match_oracle(tmp_path, size):
     _, gmap, extr, intr_d, intr_rgb = sample_calibration()
     umap = dc.UndistortionMap.identity(*size, 2)
     umap = umap.with_coefficients(with_special_values(umap.coefficients.shape, 4))
+    intr_d = replace(intr_d, width=umap.width, height=umap.height)
     path = tmp_path / "calib.txt"
     formats.write_calibration(path, umap, gmap, extr, intr_d, intr_rgb)
     assert path.read_bytes() == calibration_text(umap, gmap, extr, intr_d,

@@ -283,6 +283,55 @@ def test_undistort_pixel_without_distortion_is_the_pinhole_inverse():
     assert np.array_equal(dc.geometry.undistort_pixel(intr, uv[0]), norm[0])
 
 
+def undistort_pixel_all_steps(intr, uv):
+    """`undistort_pixel` running every one of its fixed-point steps; also
+    returns the first step that left the bits of x and y unchanged (None if
+    none did)."""
+    xd = (uv[:, 0] - intr.cx) / intr.fx
+    yd = (uv[:, 1] - intr.cy) / intr.fy
+    k1, k2, k3 = intr.radial_dist
+    p1, p2 = intr.tangential_dist
+    x, y = xd.copy(), yd.copy()
+    settled = None
+    for step in range(dc.geometry.UNDISTORT_ITERATIONS):
+        r2 = x * x + y * y
+        radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
+        dx = 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x)
+        dy = p1 * (r2 + 2.0 * y * y) + 2.0 * p2 * x * y
+        x_prev, y_prev = x, y
+        x = (xd - dx) / radial
+        y = (yd - dy) / radial
+        if settled is None and (x.tobytes(), y.tobytes()) == (x_prev.tobytes(),
+                                                              y_prev.tobytes()):
+            settled = step
+    return np.column_stack([x, y]), settled
+
+
+@pytest.mark.parametrize("radial, tangential, settles", [
+    ((-0.12, 0.03), (0.001, -0.0005), False),
+    ((0.05, -0.02, 0.01), (0.0, 0.0), False),
+    ((0.0,), (-0.002, 0.003), True),
+    ((-0.005,), (0.0005, 0.0), True),
+])
+def test_undistort_pixel_stopping_early_keeps_the_bits_of_every_step(
+        radial, tangential, settles):
+    intr = dc.CameraIntrinsics(fx=525.3, fy=519.7, cx=319.5, cy=239.5, width=640,
+                               height=480, radial_dist=radial,
+                               tangential_dist=tangential)
+    rng = np.random.default_rng(9)
+    # 35 corners, and one at the principal point
+    uv = np.vstack([rng.uniform((100.0, 80.0), (540.0, 400.0), size=(35, 2)),
+                    [intr.cx, intr.cy]])
+    expect, settled = undistort_pixel_all_steps(intr, uv)
+    # weak distortion reaches its fixed point before the last step, so the
+    # loop stops early; strong distortion runs every step
+    last = dc.geometry.UNDISTORT_ITERATIONS - 1
+    assert (settled is not None and settled < last) == settles
+    norm = dc.geometry.undistort_pixel(intr, uv)
+    assert norm.tobytes() == expect.tobytes()
+    assert np.array_equal(dc.geometry.undistort_pixel(intr, uv[3]), norm[3])
+
+
 # ---------------------------------------------------------------------------
 # fit_plane
 

@@ -71,11 +71,11 @@ def test_polyfn_rejects_degree_5():
 # FitMoments / fit_weighted_poly_batch (the moment solve)
 
 
-def moment_fit(z, z_pi, degree, constant_zero=False):
+def moment_fit(z, z_pi, degree):
     """(coeffs, ok) of the moment solve over one pixel holding the samples."""
     m = moments_of(z, z_pi, degree)
     coeffs, ok = fit_weighted_poly_batch(m.zpow.reshape(1, -1), m.zpi.reshape(1, -1),
-                                         m.count.reshape(1), degree, constant_zero)
+                                         m.count.reshape(1), degree)
     return coeffs[0], bool(ok[0])
 
 
@@ -85,15 +85,6 @@ def test_fit_exact_quadratic():
     coeffs, ok = moment_fit(z, z_pi, degree=2)
     assert ok
     assert np.allclose(coeffs, (0.03, 0.97, 0.01), atol=1e-9)
-
-
-def test_fit_constant_zero():
-    z = np.array([1.0, 2.0, 3.0])
-    z_pi = 0.95 * z + 0.02 * z ** 2
-    coeffs, ok = moment_fit(z, z_pi, degree=2, constant_zero=True)
-    assert ok
-    assert coeffs[0] == 0.0
-    assert np.allclose(coeffs, (0.0, 0.95, 0.02), atol=1e-9)
 
 
 def test_fit_matches_pseudo_inverse_oracle():
@@ -134,7 +125,7 @@ def test_fit_batch_flags_bad_sets():
         moments.add(np.array([0, 1]), z, z)
     coeffs, ok = fit_weighted_poly_batch(moments.zpow.reshape(2, -1),
                                          moments.zpi.reshape(2, -1),
-                                         moments.count.reshape(2), 2, False)
+                                         moments.count.reshape(2), 2)
     assert ok[0] and not ok[1]
     assert np.allclose(coeffs[0], (0, 1, 0), atol=1e-9)
     assert np.all(coeffs[1] == 0.0)
@@ -166,17 +157,15 @@ def test_fit_moments_track_count_and_depth_range():
        levels=st.integers(1, 10),
        gain=st.floats(0.9, 1.1),
        noise=st.lists(st.floats(-0.01, 0.01), min_size=12, max_size=12),
-       degree=st.integers(1, 2),
-       constant_zero=st.booleans())
-def test_moment_fit_matches_sample_oracle(steps, levels, gain, noise, degree,
-                                          constant_zero):
+       degree=st.integers(1, 2))
+def test_moment_fit_matches_sample_oracle(steps, levels, gain, noise, degree):
     # depths on a 0.5 m lattice over [0.5, 5] m with at most `levels`
     # distinct values: few levels give underdetermined or collinear sets
     z = 0.5 * (1 + np.array(steps, dtype=int) % levels)
     z_pi = gain * z + np.array(noise[:z.size])
-    coeffs, ok = moment_fit(z, z_pi, degree, constant_zero)
+    coeffs, ok = moment_fit(z, z_pi, degree)
     ref, ref_ok = oracle_batch(z[None, :], z_pi[None, :], np.ones((1, z.size), bool),
-                               NM, degree, constant_zero)
+                               NM, degree)
     assert ok == bool(ref_ok[0])
     assert np.max(np.abs(coeffs - ref[0])) <= 1e-10 * np.max(np.abs(ref[0]), initial=0.0)
 
@@ -186,19 +175,19 @@ COND_LIMIT = 1e12
 COND_TARGETS = {1e11: True, 0.99e12: True, 1.01e12: False, 1e13: False}
 
 
-def weighted_normal(z, degree, constant_zero):
-    powers = np.arange(1 if constant_zero else 0, degree + 1)
+def weighted_normal(z, degree):
+    powers = np.arange(degree + 1)
     w = 1.0 / NM.sigma(z) ** 2
     phi = z[:, None] ** powers
     return (phi * w[:, None]).T @ phi
 
 
-def depths_at_cond(target, degree, constant_zero):
+def depths_at_cond(target, degree):
     """Depths 2 + s * linspace(-1, 1, 9) whose weighted normal matrix has a
     condition number within 0.1% of `target`; s is found by bisection."""
     def cond(log_s):
         z = 2.0 + np.exp(log_s) * np.linspace(-1.0, 1.0, 9)
-        return np.linalg.cond(weighted_normal(z, degree, constant_zero))
+        return np.linalg.cond(weighted_normal(z, degree))
 
     lo, hi = np.log(1e-7), np.log(1.5)  # cond(lo) > target > cond(hi)
     for _ in range(80):
@@ -208,20 +197,18 @@ def depths_at_cond(target, degree, constant_zero):
     return 2.0 + np.exp(hi) * np.linspace(-1.0, 1.0, 9)
 
 
-@pytest.mark.parametrize("constant_zero", [False, True])
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
-def test_fit_batch_flags_straddle_cond_limit(monkeypatch, degree, constant_zero):
-    k = degree if constant_zero else degree + 1
+def test_fit_batch_flags_straddle_cond_limit(monkeypatch, degree):
+    k = degree + 1
     rows = {"spread": (np.linspace(0.8, 4.0, 12), True),
             "underdetermined": (np.linspace(1.0, 3.0, k - 1), False)}
-    if k > 1:  # a 1 x 1 normal matrix always has condition number 1
-        rows.update({f"cond {c:.3g}": (depths_at_cond(c, degree, constant_zero), ok)
-                     for c, ok in COND_TARGETS.items()})
-        # k - 1 distinct depths: singular in exact arithmetic
-        rows["singular"] = (np.resize([1.3, 2.7, 3.1, 3.6][:k - 1], 12), False)
-        # all samples at 1 m: every normal entry is the weight sum, and the
-        # second LDL^T pivot comes out as exactly 0
-        rows["pivot <= 0"] = (np.ones(12), False)
+    rows.update({f"cond {c:.3g}": (depths_at_cond(c, degree), ok)
+                 for c, ok in COND_TARGETS.items()})
+    # k - 1 distinct depths: singular in exact arithmetic
+    rows["singular"] = (np.resize([1.3, 2.7, 3.1, 3.6][:k - 1], 12), False)
+    # all samples at 1 m: every normal entry is the weight sum, and the
+    # second LDL^T pivot comes out as exactly 0
+    rows["pivot <= 0"] = (np.ones(12), False)
     names = list(rows)
     n = max(z.size for z, _ in rows.values())
     z = np.ones((len(names), n))
@@ -235,11 +222,10 @@ def test_fit_batch_flags_straddle_cond_limit(monkeypatch, degree, constant_zero)
         idx = np.nonzero(mask[:, col])[0]
         moments.add(idx, z[idx, col], z_pi[idx, col])
     zpow = moments.zpow.reshape(len(names), -1)
-    powers = np.arange(1 if constant_zero else 0, degree + 1)
+    powers = np.arange(k)
     normals = zpow[:, powers[:, None] + powers[None, :]]
-    if k > 1:
-        _, pivots = maps._ldl_inverse(np.moveaxis(normals, 0, -1))
-        assert np.any(pivots[:, names.index("pivot <= 0")] <= 0.0)
+    _, pivots = maps._ldl_inverse(np.moveaxis(normals, 0, -1))
+    assert np.any(pivots[:, names.index("pivot <= 0")] <= 0.0)
 
     eigensolved = []
     eigvalsh = np.linalg.eigvalsh
@@ -250,9 +236,8 @@ def test_fit_batch_flags_straddle_cond_limit(monkeypatch, degree, constant_zero)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     coeffs, ok = fit_weighted_poly_batch(zpow, moments.zpi.reshape(len(names), -1),
-                                         moments.count.reshape(-1), degree,
-                                         constant_zero)
-    ref, ref_ok = oracle_batch(z, z_pi, mask, NM, degree, constant_zero, COND_LIMIT)
+                                         moments.count.reshape(-1), degree)
+    ref, ref_ok = oracle_batch(z, z_pi, mask, NM, degree, COND_LIMIT)
 
     assert ok.tolist() == ref_ok.tolist() == [rows[name][1] for name in names]
     assert np.all(coeffs[~ok] == 0.0)
@@ -270,7 +255,7 @@ def test_fit_batch_flags_straddle_cond_limit(monkeypatch, degree, constant_zero)
 
     assert not reached_eigensolve("spread")
     for c in COND_TARGETS:
-        if k > 1 and c >= COND_LIMIT / 2:
+        if c >= COND_LIMIT / 2:
             assert reached_eigensolve(f"cond {c:.3g}")
 
 
