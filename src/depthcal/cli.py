@@ -170,7 +170,11 @@ def _write_calibration_report(path, result, frames, intr_depth_guess, ucfg):
 
 def cmd_correct(args):
     umap, gmap, _, intr_depth, _ = formats.read_calibration(args.calib)
-    img = formats.read_depth_pgm(getattr(args, "in"))
+    path = getattr(args, "in")
+    img = formats.read_depth_pgm(path)
+    if (img.width, img.height) != (umap.width, umap.height):
+        raise formats.FormatError(f"{path} is {img.width}x{img.height}, not the "
+                                  f"{umap.width}x{umap.height} of {args.calib}")
     cloud = pipeline.apply_calibration(umap, gmap, img, intr_depth)
     formats.write_cloud_ply(args.out, cloud)
     print(f"corrected cloud written to {args.out} ({int(cloud.valid.sum())} points)")
@@ -272,7 +276,7 @@ def build_parser():
     p = sub.add_parser("correct", help="correct one depth frame to a PLY cloud")
     p.add_argument("--calib", required=True)
     p.add_argument("--in", required=True, dest="in", help="input depth PGM")
-    p.add_argument("--out", required=True, help="output ASCII PLY")
+    p.add_argument("--out", required=True, help="output PLY, binary little-endian doubles")
     p.set_defaults(fn=cmd_correct)
 
     p = sub.add_parser("evaluate", help="evaluate a calibration on test frames")

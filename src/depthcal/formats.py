@@ -8,15 +8,12 @@ are written, in the manifest; the rest stays in its `synthbench.SceneSpec`.
 
 Text formats are line-oriented `key value...` with `#` comments, UTF-8 and
 '.' decimal separators. Floats are written with 17 significant digits so
-every serialization round-trips exactly. Number blocks (PLY vertices, the
-per-control-pixel `umap_fn` lines, corner grids) are formatted by
-`_format_rows` BLOCK_ROWS rows at a time and streamed to disk chunk by
-chunk, so no block's text is held whole. Every number, grid indices too,
-is printed by `%.17g`. A block of SMALL_BLOCK_ROWS rows or more is printed
-by array code (`_format_chunk`) that gives the bytes of `%` exactly; a
-smaller one takes one `%` call. Readers split a file into lines once, except that
-`read_cloud_ply` reads its vertex block BLOCK_ROWS lines at a time. A number
-block is read back by `_parse_rows`, the mirror of `_format_rows`: it splits
+every serialization round-trips exactly. Number blocks (the
+per-control-pixel `umap_fn` lines, corner grids) are printed by
+`_format_rows`, one `%` call per BLOCK_ROWS rows, and streamed to disk chunk
+by chunk, so no block's text is held whole. Every number, grid indices too,
+is printed by `%.17g`. Readers split a file into lines once. A number block
+is read back by `_parse_rows`, the mirror of `_format_rows`: it splits
 BLOCK_ROWS lines at a time and parses them into one float array. An index
 column read this way (`umap_fn` and corner indices) must hold integral values
 inside its grid, each index given once. Key-value files are collected by
@@ -28,6 +25,10 @@ gets the mode `open()` would give it: 0o666 less the umask.
 
 Depth PGM: binary P5, maxval 65535, 16-bit big-endian samples holding
 millimeters; 0 marks an invalid pixel. Values convert to meters on load.
+
+Point cloud PLY: `format binary_little_endian 1.0`, one `vertex` element of
+three `double` properties x, y, z; the valid points follow the header as
+little-endian doubles.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -53,11 +54,6 @@ from .maps import MAX_DEGREE, GlobalMap, MapError, PolyFn, UndistortionMap, _gri
 
 FORMAT_VERSION = 1
 BLOCK_ROWS = 4096  # rows of a number block formatted and written per chunk
-# Blocks of fewer rows are formatted by one `%` call. The array path costs
-# about 0.25 ms a call before its first row, so `%` is faster up to 128-512
-# rows, by columns and by the share of values printed one by one; a 48-row
-# corner grid takes 66 us by `%` and 378 us by the array path.
-SMALL_BLOCK_ROWS = 256
 
 
 class FormatError(ValueError):
@@ -68,188 +64,15 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-_POW5 = np.array([5 ** k for k in range(22)], dtype=np.uint64)  # 5**21 < 2**49
-_POW10 = 10 ** np.arange(18, dtype=np.int64)
-
-
-def _digit_words():
-    """The word table of `_format_chunk`: 4-byte words of ASCII text in which
-    a NUL byte stands for no byte.
-
-    First the point words: none, '.', '.0', '.00' and '.000'. Then, from
-    _PLAIN on, 10,000 words each for 0000..9999 in full, with leading zeros
-    as NUL, the same but with the last digit kept, and with trailing zeros
-    as NUL. Last, from _SIGNED on, 000..999 with leading zeros as NUL and a
-    '-' in the first byte.
-    """
-    plain = np.frombuffer("".join(f"{k:04d}" for k in range(10000)).encode("ascii"),
-                          dtype=np.uint8).reshape(-1, 4)
-    zero = plain == ord("0")
-    lead = np.where(np.logical_and.accumulate(zero, axis=1), 0, plain)
-    units = lead.copy()
-    units[0, 3] = ord("0")
-    trail = np.where(np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1], 0, plain)
-    signed = lead[:1000].copy()
-    signed[:, 0] = ord("-")
-    dots = np.frombuffer(b"\0\0\0\0.\0\0\0.0\0\0.00\0.000", dtype=np.uint8).reshape(-1, 4)
-    return np.concatenate([dots, plain, lead, units, trail, signed]).view(np.uint32).ravel()
-
-
-_WORDS = _digit_words()
-# _PLAIN + g + 10000 * t is the 4-digit group g in full (t = 0), without
-# leading zeros (1), the same but with its last digit kept (2), or without
-# trailing zeros (3); _SIGNED + g is group g < 1000 as t = 1 after a '-'
-_PLAIN, _LEAD, _UNITS, _TRAIL, _SIGNED = (5 + 10000 * t for t in range(5))
-_VALUE_WORDS = 10  # words of one value: sign and 15 digits, dot, 17 digits
-
-
 def _format_rows(line, rows):
-    """ASCII bytes of `line % row` for each row of a 2-D array, in chunks of
-    BLOCK_ROWS rows. `line` holds `%.17g` conversions only, which give the
-    bytes of `_fmt`. A block of fewer than SMALL_BLOCK_ROWS rows is formatted
-    by one `%` call, which is faster there; larger blocks by `_format_chunk`,
-    which gives the same bytes.
+    """ASCII bytes of `line % row` for each row of a 2-D array, one `%` call
+    per chunk of BLOCK_ROWS rows. The callers' templates hold `%.17g`
+    conversions only, which give the bytes of `_fmt`.
     """
-    literals = line.split("%.17g")
-    if any("%" in text or "\0" in text for text in literals):
-        raise ValueError(f"{line!r}: only %.17g conversions are supported")
     rows = np.asarray(rows, dtype=float)
-    if rows.shape[0] < SMALL_BLOCK_ROWS:
-        if rows.shape[0]:
-            yield ((line * rows.shape[0]) % tuple(rows.ravel().tolist())).encode("ascii")
-        return
     for start in range(0, rows.shape[0], BLOCK_ROWS):
-        yield _format_chunk(literals, rows[start:start + BLOCK_ROWS])
-
-
-def _decimal_digits(m, exp2, x):
-    """N = round-half-even(m * 2**exp2 * 10**(16 - x)) as uint64, exact.
-
-    With s = 16 - x this is m * 5**s * 2**(exp2 + s). m < 2**53 and
-    5**s < 2**49 (1 <= s <= 21), so the product P = m * 5**s is summed from
-    the products of 32-bit halves into two uint64 words, P < 2**102. N is P
-    shifted right by r = -(exp2 + s), which is 1..46 for 1e-4 <= v < 1e15
-    with x the decimal exponent of v, or one off it next to a power of ten
-    as floor(log10 v) may be; the bits shifted out round it, half to even.
-    Numpy array arithmetic on uint64 wraps without a warning, which the
-    carry into the high word relies on.
-    """
-    s = 16 - x
-    r = (-(exp2 + s)).astype(np.uint64)
-    p = _POW5[s]
-    m_hi, m_lo = m >> 32, m & 0xFFFFFFFF
-    p_hi, p_lo = p >> 32, p & 0xFFFFFFFF
-    lo = m_lo * p_lo
-    mid = m_hi * p_lo + m_lo * p_hi
-    lo_sum = lo + (mid << 32)
-    hi = m_hi * p_hi + (mid >> 32) + (lo_sum < lo)
-    n = (hi << (64 - r)) | (lo_sum >> r)
-    rest = lo_sum & ((1 << r) - 1)
-    half = 1 << (r - 1)
-    return n + ((rest > half) | ((rest == half) & (n & 1 == 1)))
-
-
-def _significand(a):
-    """(N, X) for positive a in [1e-4, 1e15): the 17 significant digits of
-    `%.17g` as an int N in [10**16, 10**17), and the decimal exponent X.
-
-    a = m * 2**e exactly (np.frexp, m < 2**53). X is first floor(log10 a),
-    which may be one off next to a power of ten; then N falls outside
-    [10**16, 10**17), so X moves by one and N is computed again. No value
-    in this range rounds up to the next power of ten at 17 digits: the
-    double next below each 10**k, k = -3..15, lies more than half a 17th
-    digit below it.
-    """
-    frac, exp2 = np.frexp(a)
-    m = (frac * 2.0 ** 53).astype(np.uint64)
-    exp2 = exp2.astype(np.int64) - 53
-    x = np.floor(np.log10(a)).astype(np.int64)
-    digits = _decimal_digits(m, exp2, x)
-    over, under = digits >= 10 ** 17, digits < 10 ** 16
-    moved = np.flatnonzero(over | under)
-    if moved.size:
-        x[moved] += over[moved].astype(np.int64) - under[moved]
-        digits[moved] = _decimal_digits(m[moved], exp2[moved], x[moved])
-    return digits.astype(np.int64), x
-
-
-def _format_chunk(literals, block):
-    """ASCII bytes of `line % row` for the rows of one chunk, where `line` is
-    the `literals` joined by `%.17g`; the bytes of `%` without a `%` per
-    value.
-
-    A value v with 1e-4 <= |v| < 1e15 is printed by array code. There
-    `%.17g` prints its 17 significant digits N in fixed notation: the X + 1
-    digits before the point, then the rest, or for X < 0 `0.`, -X - 1 zeros
-    and all 17; trailing zeros after the point are dropped, and the point
-    with them when nothing follows it. So N is split into the whole part
-    and the fraction, each into 4-digit groups, and each group is looked up
-    in `_WORDS`, where a NUL byte stands for a byte not printed: leading
-    zeros of the whole part, trailing zeros of the fraction. A value takes
-    ten words: '-' and whole-part groups, the point word, fraction groups.
-    Every row is its values' words between the literal text's words, and
-    deleting the NUL bytes gives the chunk's text.
-
-    Every other value (0 and -0, nan, inf, |v| < 1e-4, printed in
-    scientific notation, and |v| >= 1e15) is printed by `_fmt`, and its
-    bytes replace its ten words: they take 24 bytes at most
-    (-2.2250738585072014e-308).
-    """
-    n, k = block.shape
-    v = block.T.ravel()  # field-major: the values of field c are v[c * n:(c + 1) * n]
-    a = np.abs(v)
-    fast = (a >= 1e-4) & (a < 1e15)
-    slow = np.flatnonzero(~fast)
-    texts = [_fmt(x) for x in v[slow].tolist()]
-
-    digits, x = _significand(np.where(fast, a, 1.0))
-    unit = _POW10[np.minimum(16 - x, 17)]
-    whole = digits // unit
-    frac = (digits - whole * unit) * _POW10[np.maximum(x, 0)]  # 16 digits for X >= 0
-    w_hi = whole // 10 ** 8
-    w_lo = whole - w_hi * 10 ** 8
-    w0 = w_hi // 10 ** 4
-    w1 = w_hi - w0 * 10 ** 4
-    w2 = w_lo // 10 ** 4
-    w3 = w_lo - w2 * 10 ** 4
-    f_hi = frac // 10 ** 8
-    f_lo = frac - f_hi * 10 ** 8
-    f0 = f_hi // 10 ** 8
-    f1 = (f_hi - f0 * 10 ** 8) // 10 ** 4
-    f2 = f_hi - f0 * 10 ** 8 - f1 * 10 ** 4
-    f3 = f_lo // 10 ** 4
-    f4 = f_lo - f3 * 10 ** 4
-    words = [
-        _LEAD + w0 + (v < 0) * (_SIGNED - _LEAD),
-        np.where(w0 == 0, _LEAD, _PLAIN) + w1,
-        np.where(w_hi == 0, _LEAD, _PLAIN) + w2,
-        np.where(whole < 10 ** 4, _UNITS, _PLAIN) + w3,
-        np.where(x < 0, -x, frac != 0),
-        _LEAD + f0,
-        np.where((f2 == 0) & (f_lo == 0), _TRAIL, _PLAIN) + f1,
-        np.where(f_lo == 0, _TRAIL, _PLAIN) + f2,
-        np.where(f4 == 0, _TRAIL, _PLAIN) + f3,
-        _TRAIL + f4,
-    ]
-
-    heads = [np.frombuffer(t.encode("ascii").ljust(-(-len(t) // 4) * 4, b"\0"),
-                           dtype=np.uint32) for t in literals]
-    # a row's words: head 0, value 0, head 1, .., value k - 1, head k
-    starts = np.cumsum([0] + [len(h) + _VALUE_WORDS for h in heads])
-    index = np.zeros((starts[-1] - _VALUE_WORDS, n), np.intp)
-    for j, word in enumerate(words):
-        index[starts[1:-1] - _VALUE_WORDS + j] = word.reshape(k, n)
-    record = np.ascontiguousarray(_WORDS[index.T])
-    for head, start in zip(heads, starts):
-        record[:, start:start + len(head)] = head
-    if slow.size:  # each such value's bytes, at the start of its zeroed words
-        first = slow % n * record.shape[1] + starts[1 + slow // n] - _VALUE_WORDS
-        record.reshape(-1)[first[:, None] + np.arange(_VALUE_WORDS)] = 0
-        size = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
-        at = np.repeat(4 * first - np.cumsum(size) + size, size) + np.arange(size.sum())
-        record.view(np.uint8).reshape(-1)[at] = np.frombuffer(
-            "".join(texts).encode("ascii"), dtype=np.uint8)
-    return record.tobytes().translate(None, b"\0")
+        chunk = rows[start:start + BLOCK_ROWS]
+        yield ((line * chunk.shape[0]) % tuple(chunk.ravel().tolist())).encode("ascii")
 
 
 @contextmanager
@@ -562,9 +385,20 @@ def _undistortion_map(kv, fn_lines, path):
 # calibration file
 
 
+def _check_umap_size(path, umap: UndistortionMap, intr_depth: CameraIntrinsics):
+    if (umap.width, umap.height) != (intr_depth.width, intr_depth.height):
+        raise FormatError(f"{path}: umap_size {umap.width}x{umap.height} does not "
+                          f"match the depth_intrinsics size "
+                          f"{intr_depth.width}x{intr_depth.height}")
+
+
 def write_calibration(path, umap: UndistortionMap, gmap: GlobalMap,
                       extrinsic: RigidTransform, intr_depth: CameraIntrinsics,
                       intr_rgb: CameraIntrinsics):
+    """Write the file `read_calibration` reads. A U whose size is not the
+    depth intrinsics' raises FormatError, as the reader would, before
+    anything is written."""
+    _check_umap_size(path, umap, intr_depth)
     head = [
         "# depthcal calibration",
         f"version {FORMAT_VERSION}",
@@ -600,10 +434,7 @@ def read_calibration(path):
         extrinsic = _transform(kv["extrinsic_quaternion"],
                                kv["extrinsic_translation"], f"{path}: extrinsic")
         umap = _undistortion_map(kv, texts["umap_fn"], path)
-        if (umap.width, umap.height) != (intr_depth.width, intr_depth.height):
-            raise FormatError(f"{path}: umap_size {umap.width}x{umap.height} does not "
-                              f"match the depth_intrinsics size "
-                              f"{intr_depth.width}x{intr_depth.height}")
+        _check_umap_size(path, umap, intr_depth)
         [g_degree] = _values(kv["gmap_degree"], 1, f"{path}: gmap_degree", int)
         if not 1 <= g_degree <= MAX_DEGREE:
             raise FormatError(f"{path}: gmap_degree must be between 1 and {MAX_DEGREE}")
@@ -751,58 +582,53 @@ def write_dataset(scene, labeled_frames, out_dir):
 # PLY cloud output
 
 
-def write_cloud_ply(path, cloud: OrganizedCloud):
-    """ASCII PLY of the valid points, double precision for exact round trips."""
-    pts = cloud.points[cloud.valid]
-    header = _text([
+def _ply_header(count):
+    """The header `write_cloud_ply` writes before `count` points."""
+    return _text([
         "ply",
-        "format ascii 1.0",
+        "format binary_little_endian 1.0",
         "comment depthcal corrected point cloud",
-        f"element vertex {pts.shape[0]}",
+        f"element vertex {count}",
         "property double x",
         "property double y",
         "property double z",
         "end_header",
-    ])
-    _atomic_write_bytes(path, chain([header.encode("ascii")],
-                                    _format_rows("%.17g %.17g %.17g\n", pts)))
+    ]).encode("ascii")
+
+
+def write_cloud_ply(path, cloud: OrganizedCloud):
+    """Binary little-endian PLY of the valid points as doubles, which round
+    trip exactly. The points array's own buffer is written, not a copy."""
+    pts = np.ascontiguousarray(cloud.points[cloud.valid], "<f8")
+    _atomic_write_bytes(path, [_ply_header(pts.shape[0]), pts])
 
 
 def read_cloud_ply(path):
-    """Parse the vertex block of an ASCII PLY written by write_cloud_ply.
+    """The (N, 3) points of a PLY as `write_cloud_ply` writes it.
 
-    The header is read line by line and the body BLOCK_ROWS lines at a time,
-    so the file's text is never held whole. Lines after the vertex block
-    are read only to check that they decode.
+    The header must be that header line for line, with the vertex count in
+    ASCII digits. The bytes after it must be 24 per vertex, which is
+    checked before anything of the count's size is allocated, and every
+    coordinate must be finite; anything else raises FormatError.
     """
-    with _open_text(path) as fh:
-        if fh.readline().strip() != "ply":
+    with open(path, "rb") as fh:
+        if fh.readline(4) != b"ply\n":
             raise FormatError(f"{path}: not a PLY file")
-        if fh.readline().strip() != "format ascii 1.0":
-            raise FormatError(f"{path}: not an ASCII PLY 1.0 file")
-        count = None
-        for ln in fh:
-            ln = ln.strip()
-            if ln.startswith("element vertex"):
-                tokens = ln.split()
-                # ASCII digits only: int() rejects '²', which str.isdigit() passes
-                if len(tokens) != 3 or not re.fullmatch(r"[0-9]{1,18}", tokens[2]):
-                    raise FormatError(f"{path}: malformed vertex count {ln!r}")
-                count = int(tokens[2])
-            if ln == "end_header":
-                break
-        else:
-            count = None  # no end_header
-        if count is None:
-            raise FormatError(f"{path}: malformed PLY header")
-        # the count is not trusted with an allocation before its lines are read
-        parts = [np.empty((0, 3))]
-        for start in range(0, count, BLOCK_ROWS):
-            want = min(BLOCK_ROWS, count - start)
-            chunk = list(islice(fh, want))
-            if len(chunk) != want:
-                raise FormatError(f"{path}: vertex count mismatch")
-            parts.append(_parse_rows(chunk, 3, f"{path}: vertex"))
-        for _ in fh:
-            pass
-    return np.concatenate(parts)
+        # 40 bytes hold the longest header line; a longer line is cut and differs
+        lines = [fh.readline(40) for _ in range(7)]
+        # ASCII digits only: int() also takes a sign, spaces and '_'
+        digits = re.fullmatch(rb"element vertex ([0-9]{1,18})\n", lines[2])
+        if digits is None:
+            raise FormatError(f"{path}: malformed PLY vertex count {lines[2]!r}")
+        count = int(digits[1])
+        for got, want in zip(lines, _ply_header(count).splitlines(keepends=True)[1:]):
+            if got != want:
+                raise FormatError(f"{path}: PLY header line {got!r} is not {want!r}")
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != 24 * count:
+            raise FormatError(f"{path}: {size} bytes of vertex data, not the "
+                              f"{24 * count} of {count} vertices")
+        pts = np.fromfile(fh, "<f8", 3 * count).reshape(count, 3)
+    if not np.all(np.isfinite(pts)):
+        raise FormatError(f"{path}: non-finite vertex coordinate")
+    return pts

@@ -26,8 +26,11 @@ kernel that `pipeline.apply_calibration` runs.
 
 The text writers at the end format one number at a time with
 `format(x, ".17g")`. They are the reference for the bytes of the files
-`depthcal.formats` writes a block at a time.
+`depthcal.formats` writes a block at a time. `ply_bytes` packs one point at
+a time with `struct`, the reference for the binary PLY written whole.
 """
+
+import struct
 
 import numpy as np
 
@@ -488,11 +491,11 @@ def calibration_text(umap: UndistortionMap, gmap: GlobalMap,
     return "\n".join(lines) + "\n"
 
 
-def ply_text(cloud: OrganizedCloud):
+def ply_bytes(cloud: OrganizedCloud):
     pts = cloud.points[cloud.valid]
     lines = [
         "ply",
-        "format ascii 1.0",
+        "format binary_little_endian 1.0",
         "comment depthcal corrected point cloud",
         f"element vertex {pts.shape[0]}",
         "property double x",
@@ -500,5 +503,5 @@ def ply_text(cloud: OrganizedCloud):
         "property double z",
         "end_header",
     ]
-    lines.extend(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}" for p in pts)
-    return "\n".join(lines) + "\n"
+    header = ("\n".join(lines) + "\n").encode("ascii")
+    return header + b"".join(struct.pack("<3d", *p) for p in pts.tolist())

@@ -280,6 +280,17 @@ def test_calibrate_names_a_depth_image_of_the_wrong_size(dataset, tmp_path, caps
     assert "train_000" in err and "159x120" in err
 
 
+def test_correct_names_a_depth_image_of_the_wrong_size(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    identity_calibration(tmp_path / "calib.txt", 32, 24)
+    formats.write_depth_pgm(tmp_path / "depth.pgm",
+                            dc.DepthImage(16, 12, np.full((12, 16), 1.5)))
+    assert main(["correct", "--calib", "calib.txt", "--in", "depth.pgm",
+                 "--out", "out.ply"]) == 1
+    assert capsys.readouterr().err == "error: depth.pgm is 16x12, not the 32x24 of calib.txt\n"
+    assert not (tmp_path / "out.ply").exists()
+
+
 def test_calibrate_rejects_a_nan_fit_radius(dataset, tmp_path, capsys):
     # rejected before stage one, not after it skipped every frame
     out = tmp_path / "c.txt"

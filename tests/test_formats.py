@@ -17,7 +17,7 @@ from oracles import (
     calibration_text,
     corner_wh,
     corners_text,
-    ply_text,
+    ply_bytes,
 )
 
 
@@ -289,12 +289,29 @@ def test_calibration_rejects_umap_size_other_than_the_depth_intrinsics(tmp_path)
     _, gmap, extr, _, intr_rgb = sample_calibration()
     umap = dc.UndistortionMap.identity(16, 12, 4, 4, 2)
     path = tmp_path / "calib.txt"
-    formats.write_calibration(path, umap, gmap, extr, intr_d, intr_rgb)
+    path.write_text(calibration_text(umap, gmap, extr, intr_d, intr_rgb))
     with pytest.raises(FormatError) as err:
         formats.read_calibration(path)
     assert str(err.value).startswith(f"{path}: ")
     assert "umap_size 16x12" in str(err.value)
     assert "depth_intrinsics size 8x6" in str(err.value)
+
+
+def test_write_calibration_rejects_umap_size_other_than_the_depth_intrinsics(tmp_path):
+    """The file read_calibration would reject is not written: no file is
+    created, and a file at the path keeps its bytes."""
+    intr_d = dc.CameraIntrinsics(fx=10.0, fy=10.0, cx=3.5, cy=2.5, width=8, height=6)
+    _, gmap, extr, _, intr_rgb = sample_calibration()
+    umap = dc.UndistortionMap.identity(16, 12, 4, 4, 2)
+    path = tmp_path / "calib.txt"
+    with pytest.raises(FormatError, match=r"umap_size 16x12 .* size 8x6"):
+        formats.write_calibration(path, umap, gmap, extr, intr_d, intr_rgb)
+    assert list(tmp_path.iterdir()) == []
+    path.write_bytes(b"an earlier calibration\n")
+    with pytest.raises(FormatError):
+        formats.write_calibration(path, umap, gmap, extr, intr_d, intr_rgb)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b"an earlier calibration\n"
 
 
 @pytest.mark.parametrize("reader, key", [
@@ -484,17 +501,18 @@ def test_key_value_readers_reject_key_given_twice(tmp_path, reader, valid, line)
         reader(path)
 
 
-@pytest.mark.parametrize("reader", [
-    pytest.param(formats.read_calibration, id="calibration"),
-    pytest.param(formats.read_manifest, id="manifest"),
-    pytest.param(formats.read_corners_csv, id="corners"),
-    pytest.param(formats.read_cloud_ply, id="ply"),
+@pytest.mark.parametrize("reader, message", [
+    pytest.param(formats.read_calibration, "not UTF-8", id="calibration"),
+    pytest.param(formats.read_manifest, "not UTF-8", id="manifest"),
+    pytest.param(formats.read_corners_csv, "not UTF-8", id="corners"),
+    # the binary PLY reader decodes no text; the magic bytes differ
+    pytest.param(formats.read_cloud_ply, "not a PLY file", id="ply"),
 ])
-def test_text_readers_reject_undecodable_bytes(tmp_path, reader):
+def test_text_readers_reject_undecodable_bytes(tmp_path, reader, message):
     """A text file saved as UTF-16: it starts with the bytes ff fe."""
     path = tmp_path / "file.txt"
     path.write_bytes("ply\nversion 1\n".encode("utf-16"))
-    with pytest.raises(FormatError, match="not UTF-8"):
+    with pytest.raises(FormatError, match=message):
         reader(path)
 
 
@@ -568,91 +586,101 @@ def test_ply_header(tmp_path):
     path = tmp_path / "c.ply"
     formats.write_cloud_ply(path, cloud)
     text = path.read_text().splitlines()
-    assert text[0] == "ply"
+    assert text[:2] == ["ply", "format binary_little_endian 1.0"]
     assert "element vertex 0" in text
-    assert "end_header" in text
+    assert text[-1] == "end_header"
 
 
-@pytest.mark.parametrize("fmt, vertex_line, body", [
-    pytest.param("ascii", "element vertex", "", id="no-count"),
-    pytest.param("ascii", "element vertex -1", "", id="negative-count"),
-    pytest.param("ascii", "element vertex \u00b2", "", id="non-ascii-count"),
-    pytest.param("ascii", "element vertex " + "9" * 5000, "", id="huge-count"),
-    pytest.param("ascii", "element vertex 1", "nan 0 1", id="nan-coordinate"),
-    # six tokens over two lines, but not three on each
-    pytest.param("ascii", "element vertex 2", "1 2\n3 4 5 6", id="two-and-four-tokens"),
-    pytest.param("ascii", "element vertex 2", "1 2 3 4\n5 6", id="four-and-two-tokens"),
-    pytest.param("ascii", "element vertex 2", "1 2 3 ;\n5 6", id="separator-token"),
-    pytest.param("ascii", "element vertex 2", "1 2 3", id="missing-line"),
-    pytest.param("ascii", "element vertex 2", "\n1 2 3", id="blank-line"),
-    # an ASCII body under a binary header must not be read as ASCII
-    pytest.param("binary_little_endian", "element vertex 1", "1 2 3", id="binary-format"),
+# a valid PLY of the points (1, 2, 3) and (4, 5, 6), and its vertex bytes
+VALID_PLY = ply_bytes(dc.OrganizedCloud(2, 1, np.arange(1.0, 7.0).reshape(1, 2, 3),
+                                        np.ones((1, 2), bool)))
+BODY = VALID_PLY[-48:]
+
+
+@pytest.mark.parametrize("old, new", [
+    pytest.param(b"format binary_little_endian", b"format ascii", id="ascii-format"),
+    pytest.param(b"binary_little_endian", b"binary_big_endian", id="big-endian"),
+    pytest.param(b"property double x", b"property float x", id="float-property"),
+    pytest.param(b"double x\nproperty double y", b"double y\nproperty double x",
+                 id="properties-out-of-order"),
+    pytest.param(b"corrected", "corr\u00e9cted".encode("utf-8"), id="non-ascii-header-byte"),
+    pytest.param(b"vertex 2", b"vertex", id="no-count"),
+    pytest.param(b"vertex 2", b"vertex -1", id="negative-count"),
+    pytest.param(b"vertex 2", "vertex \u00b2".encode("utf-8"), id="non-ascii-count"),
+    pytest.param(b"vertex 2", b"vertex " + b"9" * 5000, id="huge-count"),
+    # a count allowed by the header but not by the file's size
+    pytest.param(b"vertex 2", b"vertex " + b"9" * 18, id="count-beyond-the-file"),
+    pytest.param(BODY, BODY[:-1], id="one-byte-short"),
+    pytest.param(BODY, BODY + b"\0", id="one-byte-long"),
+    pytest.param(BODY, np.array([np.nan, 2, 3, 4, 5, 6], "<f8").tobytes(),
+                 id="nan-coordinate"),
+    # an ASCII body under the binary header must not be read as ASCII
+    pytest.param(BODY, b"1 2 3\n4 5 6\n", id="binary-format"),
+    # and neither is one the ASCII reader rejected
+    pytest.param(BODY, b"1 2\n3 4 5 6\n", id="two-and-four-tokens"),
+    pytest.param(BODY, b"1 2 3 4\n5 6\n", id="four-and-two-tokens"),
+    pytest.param(BODY, b"1 2 3 ;\n5 6\n", id="separator-token"),
+    pytest.param(BODY, b"1 2 3\n", id="missing-line"),
+    pytest.param(BODY, b"\n1 2 3\n", id="blank-line"),
 ])
-def test_ply_rejects_malformed(tmp_path, fmt, vertex_line, body):
+def test_ply_rejects_malformed(tmp_path, old, new):
+    """Each file differs from a valid one in one place; a count that cannot
+    be read or does not fit the file raises before the count is allocated."""
     path = tmp_path / "c.ply"
-    path.write_text(f"ply\nformat {fmt} 1.0\n" + vertex_line + "\nproperty double x\n"
-                    "property double y\nproperty double z\nend_header\n" + body + "\n",
-                    encoding="utf-8")
+    path.write_bytes(VALID_PLY.replace(old, new, 1))
+    assert path.read_bytes() != VALID_PLY
     with pytest.raises(FormatError):
         formats.read_cloud_ply(path)
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 def test_ply_reader_newlines_and_lines_after_the_body(tmp_path, newline):
-    """Any newline convention reads, and lines after the vertex block are
-    not read as vertices."""
-    lines = ["ply", "format ascii 1.0", "element vertex 2", "property double x",
-             "property double y", "property double z", "end_header", "1 2 3", "4 5 6",
-             "not a vertex"]
+    """Only '\\n' ends a header line, and a line after the vertex block is
+    an error, not ignored: either moves the vertex bytes against the
+    header."""
+    head = VALID_PLY[:-len(BODY)].replace(b"\n", newline.encode("ascii"))
     path = tmp_path / "c.ply"
-    path.write_bytes(newline.join(lines).encode("ascii"))
-    assert np.array_equal(formats.read_cloud_ply(path), [[1, 2, 3], [4, 5, 6]])
-
-
-def test_ply_reader_rejects_undecodable_bytes_after_the_body(tmp_path):
-    """The body is read a chunk at a time; bytes after it still must decode."""
-    count = formats.BLOCK_ROWS + 1
-    path = tmp_path / "c.ply"
-    path.write_bytes(f"ply\nformat ascii 1.0\nelement vertex {count}\nend_header\n".encode()
-                     + b"1 2 3\n" * count + b"\xff\n")
-    with pytest.raises(FormatError, match="not UTF-8"):
+    path.write_bytes(head + BODY)
+    if newline == "\n":
+        assert np.array_equal(formats.read_cloud_ply(path), [[1, 2, 3], [4, 5, 6]])
+    else:
+        with pytest.raises(FormatError):
+            formats.read_cloud_ply(path)
+    path.write_bytes(VALID_PLY + b"not a vertex\n")
+    with pytest.raises(FormatError, match="bytes of vertex data"):
         formats.read_cloud_ply(path)
 
 
-def per_line_vertices(text):
-    """The vertex block parsed line by line: None where a line does not hold
-    three finite numbers or lines are missing."""
-    lines = text.split("\n")
-    count = int(lines[3].split()[2])
-    body = lines[8:8 + count]
-    try:
-        rows = [[float(v) for v in ln.split()] for ln in body]
-    except ValueError:
-        return None
-    if len(rows) != count or any(len(r) != 3 for r in rows):
-        return None
-    pts = np.array(rows).reshape(count, 3)
-    return pts if np.all(np.isfinite(pts)) else None
+def test_ply_reader_rejects_undecodable_bytes_after_the_body(tmp_path):
+    """Bytes after the vertex block are an error, whatever they are."""
+    count = formats.BLOCK_ROWS + 1
+    points = np.ones((1, count, 3))
+    path = tmp_path / "c.ply"
+    path.write_bytes(ply_bytes(dc.OrganizedCloud(count, 1, points, np.ones((1, count), bool)))
+                     + b"\xff\n")
+    with pytest.raises(FormatError, match="bytes of vertex data"):
+        formats.read_cloud_ply(path)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_ply_reader_matches_per_line_parse(tmp_path_factory, data):
-    """One vertex line loses, repeats or changes one token: the reader
-    raises FormatError exactly when a line-by-line parse fails."""
+def test_ply_reader_raises_only_format_error(tmp_path_factory, data):
+    """One header line loses, repeats or changes one token; the vertex
+    bytes stay. The reader raises FormatError, or the header is unchanged
+    and the reader returns the points."""
     rng = np.random.default_rng(3)
     cloud = dc.OrganizedCloud(3, 1, rng.normal(size=(1, 3, 3)), np.ones((1, 3), bool))
-    text = ply_text(cloud)
-    head, body = text.split("end_header\n")
-    text = head + "end_header\n" + mutate_one_token(data, body)
+    valid = ply_bytes(cloud)
+    head, body = valid[:-3 * 24].decode("ascii"), valid[-3 * 24:]
+    text = mutate_one_token(data, head)
     path = tmp_path_factory.mktemp("ply") / "c.ply"
-    path.write_text(text)
-    expect = per_line_vertices(text)
-    if expect is None:
-        with pytest.raises(FormatError):
-            formats.read_cloud_ply(path)
-    else:
-        assert np.array_equal(formats.read_cloud_ply(path), expect)
+    path.write_bytes(text.encode("utf-8") + body)
+    try:
+        pts = formats.read_cloud_ply(path)
+    except FormatError:
+        return
+    assert text == head
+    assert np.array_equal(pts, cloud.points[0])
 
 
 def per_line_rows(lines, ncols):
@@ -775,9 +803,10 @@ def test_index_written_as_integral_float_is_read(tmp_path):
 
 
 def test_ply_reader_peak_memory_per_point(tmp_path):
-    """The vertex block is read and parsed a chunk at a time, so neither the
-    file's text nor its tokens are held whole (about 78 B per point here;
-    holding the text took about 217 B per point, and the tokens 426)."""
+    """The vertex doubles are read straight into the returned array, 24 B
+    per point, with no copy of the file beside it (about 27 B per point
+    here; the ASCII reader, which parsed its text a chunk at a time, took
+    about 78)."""
     count = 8 * formats.BLOCK_ROWS
     points = np.random.default_rng(5).normal(size=(1, count, 3))
     cloud = dc.OrganizedCloud(count, 1, points, np.ones((1, count), bool))
@@ -822,10 +851,10 @@ def percent_bytes(line, rows):
     return ((line * rows.shape[0]) % tuple(rows.ravel().tolist())).encode("ascii")
 
 
-def array_path_block(values, ncols):
-    """`values` repeated over SMALL_BLOCK_ROWS rows, the fewest that
-    `_format_rows` formats by array code."""
-    return np.resize(np.asarray(values, dtype=float), (formats.SMALL_BLOCK_ROWS, ncols))
+def two_chunk_block(values, ncols):
+    """`values` repeated over BLOCK_ROWS + 1 rows, which `_format_rows`
+    prints in two `%` calls."""
+    return np.resize(np.asarray(values, dtype=float), (formats.BLOCK_ROWS + 1, ncols))
 
 
 @settings(max_examples=100, deadline=None)
@@ -833,25 +862,17 @@ def array_path_block(values, ncols):
        finite=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
                        max_size=16))
 def test_format_rows_block_matches_percent(values, finite):
-    """Any floats, and any finite floats in a column of their own, formatted
-    as one block: values printed by array code and by `_fmt` share a
-    chunk."""
-    block = np.column_stack([array_path_block(values, 2), array_path_block(finite, 1)])
+    """Any floats, and any finite floats in a column of their own, printed
+    chunk by chunk: the chunks join to the bytes of one `%` call."""
+    block = np.column_stack([two_chunk_block(values, 2), two_chunk_block(finite, 1)])
     line = "%.17g %.17g|%.17g\n"
     assert b"".join(formats._format_rows(line, block)) == percent_bytes(line, block)
 
 
-@pytest.mark.parametrize("line", ["%d\n", "i %d: %.17g\n", "%.17f\n", "100%%\n"],
-                         ids=["%d", "%d and %.17g", "%.17f", "%%"])
-def test_format_rows_rejects_other_conversions(line):
-    with pytest.raises(ValueError, match="only %.17g"):
-        list(formats._format_rows(line, [[1.0, 2.0]]))
-
-
 def edge_values():
-    """Both ends of the array path's range and the powers of ten between
-    them, each with its neighbours (the one below 0.1 prints as
-    0.099999999999999992), and two exact binary ties at the 17th digit
+    """The powers of ten from 1e-4, where `%.17g` turns to scientific
+    notation, to 1e15, each with its neighbours (the one below 0.1 prints
+    as 0.099999999999999992), and two exact binary ties at the 17th digit
     (…62|5 rounds down to even, …37|5 up)."""
     powers = [float(f"1e{k}") for k in range(-4, 16)]
     values = [0.0, 123456789012345.625, 123456789012345.375]
@@ -861,26 +882,31 @@ def edge_values():
 
 @pytest.mark.parametrize("value", edge_values(), ids=repr)
 def test_format_rows_edge_values_match_percent(value):
-    block = array_path_block([value, 1.5], 3)
+    """Each value's text reads back to its bits, the sign of zero too."""
+    block = np.resize([value, 1.5], (2, 3))
     line = "%.17g %.17g %.17g\n"
-    assert b"".join(formats._format_rows(line, block)) == percent_bytes(line, block)
+    text = b"".join(formats._format_rows(line, block))
+    assert text == percent_bytes(line, block)
+    back = formats._parse_rows(text.decode("ascii").splitlines(), 3, "block")
+    assert np.array_equal(back.view(np.int64), block.view(np.int64))
 
 
 def test_format_rows_ties_round_half_even():
-    block = array_path_block([123456789012345.625, -123456789012345.375], 2)
+    block = [[123456789012345.625, -123456789012345.375]]
     text = b"".join(formats._format_rows("%.17g %.17g\n", block))
     assert text.split(b"\n")[0] == b"123456789012345.62 -123456789012345.38"
 
 
 def test_index_columns_keep_the_bytes_of_the_integer_conversion(tmp_path):
     """`_fn` and corner indices are printed by `%.17g` and keep the bytes
-    of the `%d` templates they were once written with: both blocks take the
-    array path, and 201 control columns give three-digit indices."""
+    of the `%d` templates they were once written with: 201 control columns
+    give three-digit indices."""
     _, gmap, extr, intr_d, intr_rgb = sample_calibration()
     umap = dc.UndistortionMap.identity(400, 6, 2, 2, 2)  # 4 x 201 control pixels
     umap = umap.with_coefficients(with_special_values(umap.coefficients.shape, 8))
+    intr_d = replace(intr_d, width=umap.width, height=umap.height, cy=2.5)
     gh, gw = umap.grid_shape
-    assert gw > 100 and gh * gw >= formats.SMALL_BLOCK_ROWS
+    assert gw > 100
     path = tmp_path / "calib.txt"
     formats.write_calibration(path, umap, gmap, extr, intr_d, intr_rgb)
     fn = [ln for ln in path.read_bytes().splitlines(keepends=True)
@@ -898,7 +924,8 @@ def test_index_columns_keep_the_bytes_of_the_integer_conversion(tmp_path):
 
 
 def test_format_rows_value_printed_alone_in_second_chunk():
-    """The only value outside the array path's range is in the second chunk."""
+    """A block one row longer than a chunk, its one zero in the second
+    chunk, is printed in two chunks with the bytes of one `%` call."""
     rng = np.random.default_rng(7)
     block = rng.uniform(1.0, 2.0, size=(formats.BLOCK_ROWS + 1, 3))
     block *= rng.choice([-1.0, 1.0], size=block.shape)
@@ -918,7 +945,7 @@ def test_ply_bytes_match_oracle(tmp_path, count):
     cloud = dc.OrganizedCloud(count + 2, 1, points, valid)
     path = tmp_path / "c.ply"
     formats.write_cloud_ply(path, cloud)
-    assert path.read_bytes() == ply_text(cloud).encode("ascii")
+    assert path.read_bytes() == ply_bytes(cloud)
     assert np.array_equal(formats.read_cloud_ply(path), cloud.points[cloud.valid])
 
 
