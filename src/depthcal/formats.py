@@ -13,8 +13,8 @@ per-control-pixel `umap_fn` lines, corner grids) are printed by
 `_format_rows`, one `%` call per BLOCK_ROWS rows, and streamed to disk chunk
 by chunk, so no block's text is held whole. Every number, grid indices too,
 is printed by `%.17g`. Readers split a file into lines once. A number block
-is read back by `_parse_rows`, the mirror of `_format_rows`: it splits
-BLOCK_ROWS lines at a time and parses them into one float array. An index
+is read back by `_parse_rows`, the mirror of `_format_rows`: one
+`np.loadtxt` call parses all its lines into one float array. An index
 column read this way (`umap_fn` and corner indices) must hold integral values
 inside its grid, each index given once. Key-value files are collected by
 `_read_keyvals`; a key given twice is an error.
@@ -173,25 +173,21 @@ def _read_keyvals(path, repeated=()):
 
 def _parse_rows(lines, ncols, what):
     """(len(lines), ncols) array of lines of `ncols` finite numbers each, the
-    reader that matches `_format_rows`: BLOCK_ROWS lines are split at a time.
+    reader that matches `_format_rows`: one `np.loadtxt` call for the block.
 
-    Each line gets a closing ';' token, which float() rejects. A chunk is well
-    formed only if every (ncols + 1)-th token is ';' and the rest parse, which
-    holds only when every line holds exactly `ncols` tokens.
+    `loadtxt` splits where `str.split` does and parses each token to the
+    bits of `float()`, but rejects `_` and non-ASCII digits, which `float()`
+    takes. It skips blank lines, so they fail the shape check; no lines or
+    a blank first line fail before the call, as `loadtxt` warns on no data.
     """
-    out = np.empty((len(lines), ncols))
-    for start in range(0, len(lines), BLOCK_ROWS):
-        chunk = lines[start:start + BLOCK_ROWS]
-        tokens = " ;\n".join(chunk + [""]).split()
-        if (len(tokens) != (ncols + 1) * len(chunk)
-                or tokens[ncols::ncols + 1].count(";") != len(chunk)):
-            raise FormatError(f"{what}: expected {ncols} values per line")
-        del tokens[ncols::ncols + 1]
-        try:
-            out[start:start + len(chunk)] = np.fromiter(
-                map(float, tokens), dtype=float, count=len(tokens)).reshape(-1, ncols)
-        except ValueError as exc:
-            raise FormatError(f"{what}: malformed value ({exc})") from exc
+    if not lines or not lines[0].split():
+        raise FormatError(f"{what}: expected {ncols} values per line")
+    try:
+        out = np.loadtxt(lines, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise FormatError(f"{what}: expected {ncols} values per line ({exc})") from exc
+    if out.shape != (len(lines), ncols):
+        raise FormatError(f"{what}: expected {ncols} values per line")
     if not np.all(np.isfinite(out)):
         raise FormatError(f"{what}: non-finite value")
     return out
@@ -282,11 +278,11 @@ def read_corners_csv(path):
     lines = [ln.strip() for ln in _read_lines(path) if ln.strip()]
     if not lines or lines[0].replace(" ", "") != "row,col,u,v":
         raise FormatError(f"{path}: expected header 'row,col,u,v'")
+    if len(lines) == 1:
+        raise FormatError(f"{path}: no corners")
     if any(ln.count(",") != 3 for ln in lines[1:]):
         raise FormatError(f"{path}: a corner line needs 4 comma-separated values")
     entries = _parse_rows([ln.replace(",", " ") for ln in lines[1:]], 4, f"{path}: corner")
-    if not len(entries):
-        raise FormatError(f"{path}: no corners")
     # the grid is checked complete before anything of its size is allocated;
     # Python floats overflow to inf without a warning
     rows, cols = (entries[:, :2].max(axis=0) + 1).tolist()
@@ -598,8 +594,9 @@ def _ply_header(count):
 
 def write_cloud_ply(path, cloud: OrganizedCloud):
     """Binary little-endian PLY of the valid points as doubles, which round
-    trip exactly. The points array's own buffer is written, not a copy."""
-    pts = np.ascontiguousarray(cloud.points[cloud.valid], "<f8")
+    trip exactly: gathered row-major by one `compress`, written uncopied."""
+    pts = np.ascontiguousarray(
+        cloud.points.reshape(-1, 3).compress(cloud.valid.reshape(-1), axis=0), "<f8")
     _atomic_write_bytes(path, [_ply_header(pts.shape[0]), pts])
 
 

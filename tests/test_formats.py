@@ -142,6 +142,9 @@ def test_corners_requires_header(tmp_path):
     pytest.param("a,0,1,2", id="non-integer-row"),
     pytest.param("0,0,x,2", id="non-numeric-u"),
     pytest.param("0,0,1,nan", id="nan-v"),
+    pytest.param("0,0,,2", id="empty-u"),
+    pytest.param(",,,", id="every-field-empty"),
+    pytest.param("0,0,1,2\n0,1,3,\n1,0,5,6\n1,1,7,8", id="empty-v-in-second-line"),
 ])
 def test_corners_rejects_malformed_value(tmp_path, line):
     path = tmp_path / "c.csv"
@@ -332,29 +335,34 @@ def test_intrinsics_errors_name_the_file_and_the_key(tmp_path, reader, key):
     assert str(err.value) == f"{path}: {key}: non-finite value"
 
 
-@pytest.mark.parametrize("prefix, line", [
-    pytest.param("umap_bins ", "umap_bins 0 3", id="zero-bin"),
-    pytest.param("umap_size ", "umap_size 8 6 7", id="three-sizes"),
-    pytest.param("umap_size ", "umap_size", id="empty-size"),
-    pytest.param("version ", "version", id="bare-version"),
-    pytest.param("version ", "version 2", id="version-2"),
-    pytest.param("umap_fn 0 0 ", "umap_fn x 0 0 1 0", id="non-integer-index"),
-    pytest.param("umap_fn 8 0 ", "umap_fn 1.5 0 0 1 0", id="fractional-index"),
-    pytest.param("umap_fn 8 0 ", "umap_fn 7 0 0 1 0", id="duplicate-index"),
-    pytest.param("umap_fn 8 0 ", "umap_fn 8 0 0 1", id="two-coefficients"),
-    pytest.param("extrinsic_quaternion ", "extrinsic_quaternion 1 0 0 0 0",
+@pytest.mark.parametrize("prefix, line, message", [
+    pytest.param("umap_bins ", "umap_bins 0 3", None, id="zero-bin"),
+    pytest.param("umap_size ", "umap_size 8 6 7", None, id="three-sizes"),
+    pytest.param("umap_size ", "umap_size", None, id="empty-size"),
+    pytest.param("version ", "version", None, id="bare-version"),
+    pytest.param("version ", "version 2", None, id="version-2"),
+    pytest.param("umap_fn 0 0 ", "umap_fn x 0 0 1 0", None, id="non-integer-index"),
+    pytest.param("umap_fn 8 0 ", "umap_fn 1.5 0 0 1 0", None, id="fractional-index"),
+    pytest.param("umap_fn 8 0 ", "umap_fn 7 0 0 1 0", None, id="duplicate-index"),
+    pytest.param("umap_fn 8 0 ", "umap_fn 8 0 0 1", None, id="two-coefficients"),
+    # float() takes both; the number-block reader takes ASCII digits only
+    pytest.param("umap_fn 8 0 ", "umap_fn 8 0 1_0 1 0", "'1_0'", id="underscore"),
+    pytest.param("umap_fn 8 0 ", "umap_fn 8 0 \u0661 1 0", "'\u0661'", id="arabic-indic-digit"),
+    pytest.param("umap_fn 8 0 ", "umap_fn", "expected 5 values per line$", id="bare-line"),
+    pytest.param("umap_fn 0 0 ", "umap_fn", "expected 5 values per line$", id="bare-first-line"),
+    pytest.param("extrinsic_quaternion ", "extrinsic_quaternion 1 0 0 0 0", None,
                  id="five-value-quaternion"),
-    pytest.param("extrinsic_quaternion ", "extrinsic_quaternion 1e200 0 0 0",
+    pytest.param("extrinsic_quaternion ", "extrinsic_quaternion 1e200 0 0 0", None,
                  id="overflowing-quaternion"),
     # int() would truncate the width to 32
     pytest.param("depth_intrinsics ", "depth_intrinsics 290 290 15.5 11.5 32.9 24 0 0 0 0 0",
-                 id="fractional-width"),
+                 None, id="fractional-width"),
 ])
 @pytest.mark.filterwarnings("error")
-def test_calibration_rejects_malformed_line(tmp_path, prefix, line):
+def test_calibration_rejects_malformed_line(tmp_path, prefix, line, message):
     path = tmp_path / "calib.txt"
     write_sample_calibration(path, lambda ln: line if ln.startswith(prefix) else ln)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=message):
         formats.read_calibration(path)
 
 
@@ -726,7 +734,7 @@ def calibration_parts(size):
 
 @pytest.mark.parametrize("size, start", [
     pytest.param((32, 24, 4, 4), 0, id="63-cells"),
-    # BLOCK_ROWS + 1 lines, mutated in the second chunk
+    # BLOCK_ROWS + 1 lines, only the last mutated: a fault after 4096 good lines
     pytest.param((240, 16, 1, 1), formats.BLOCK_ROWS, id="4097-cells"),
 ])
 @settings(max_examples=100, deadline=None)
@@ -760,7 +768,7 @@ def corner_lines(shape):
 
 @pytest.mark.parametrize("shape, start", [
     pytest.param((2, 3), 1, id="6-corners"),
-    # BLOCK_ROWS + 1 corner lines, mutated in the second chunk
+    # BLOCK_ROWS + 1 corner lines, only the last mutated: a fault after 4096 good lines
     pytest.param((17, 241), formats.BLOCK_ROWS + 1, id="4097-corners"),
 ])
 @settings(max_examples=100, deadline=None)
@@ -949,8 +957,21 @@ def test_ply_bytes_match_oracle(tmp_path, count):
     assert np.array_equal(formats.read_cloud_ply(path), cloud.points[cloud.valid])
 
 
-@pytest.mark.parametrize("size", [(32, 24, 4, 4), (160, 120, 2, 2)],
-                         ids=["63-cells", "4941-cells"])
+def test_ply_bytes_keep_the_row_major_order_of_the_valid_pixels(tmp_path):
+    """A 24 x 32 cloud with a random invalid mask, its first pixel invalid
+    and its last valid, written in the order of `points[valid]`."""
+    rng = np.random.default_rng(12)
+    valid = rng.random((24, 32)) < 0.7
+    valid[0, 0], valid[-1, -1] = False, True
+    points = with_special_values((24, 32, 3), 12)
+    cloud = dc.OrganizedCloud(32, 24, points, valid)
+    path = tmp_path / "c.ply"
+    formats.write_cloud_ply(path, cloud)
+    assert path.read_bytes() == ply_bytes(cloud)
+
+
+@pytest.mark.parametrize("size", [(32, 24, 4, 4), (160, 120, 2, 2), (640, 480, 4, 4)],
+                         ids=["63-cells", "4941-cells", "19481-cells"])
 def test_calibration_bytes_match_oracle(tmp_path, size):
     _, gmap, extr, intr_d, intr_rgb = sample_calibration()
     umap = dc.UndistortionMap.identity(*size, 2)
@@ -960,7 +981,9 @@ def test_calibration_bytes_match_oracle(tmp_path, size):
     formats.write_calibration(path, umap, gmap, extr, intr_d, intr_rgb)
     assert path.read_bytes() == calibration_text(umap, gmap, extr, intr_d,
                                                  intr_rgb).encode("utf-8")
-    assert formats.read_calibration(path)[0] == umap
+    back = formats.read_calibration(path)[0]
+    assert back == umap
+    assert np.array_equal(back.coefficients.view(np.int64), umap.coefficients.view(np.int64))
 
 
 def test_corners_bytes_match_oracle(tmp_path):
