@@ -157,7 +157,7 @@ def _read_keyvals(path, repeated=()):
         head = line.partition("#")[0].split(None, 1)
         if not head:
             continue
-        key, text = head[0], "".join(head[1:])
+        key, text = head if len(head) == 2 else (head[0], "")
         if key in texts:
             texts[key].append(text)
         elif key in kv:
@@ -257,7 +257,9 @@ def read_depth_pgm(path) -> DepthImage:
     if len(payload) != expected:
         raise FormatError(f"{path}: truncated PGM payload")
     mm = np.frombuffer(payload, dtype=">u2").reshape(height, width)
-    return DepthImage(width, height, mm.astype(float) / 1000.0)
+    depth = mm.astype(float)
+    depth /= 1000.0
+    return DepthImage(width, height, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +596,15 @@ def _ply_header(count):
 
 def write_cloud_ply(path, cloud: OrganizedCloud):
     """Binary little-endian PLY of the valid points as doubles, which round
-    trip exactly: gathered row-major by one `compress`, written uncopied."""
-    pts = np.ascontiguousarray(
-        cloud.points.reshape(-1, 3).compress(cloud.valid.reshape(-1), axis=0), "<f8")
-    _atomic_write_bytes(path, [_ply_header(pts.shape[0]), pts])
+    trip exactly. The header counts the valid pixels; the points follow
+    row-major, gathered by `compress` and written one chunk of BLOCK_ROWS
+    pixels at a time, so no copy of the whole cloud is made."""
+    pts = cloud.points.reshape(-1, 3)
+    valid = cloud.valid.reshape(-1)
+    chunks = (np.ascontiguousarray(
+        pts[start:start + BLOCK_ROWS].compress(valid[start:start + BLOCK_ROWS], axis=0), "<f8")
+        for start in range(0, valid.size, BLOCK_ROWS))
+    _atomic_write_bytes(path, chain([_ply_header(np.count_nonzero(valid))], chunks))
 
 
 def read_cloud_ply(path):

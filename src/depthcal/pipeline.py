@@ -25,17 +25,14 @@ from .geometry import (
     RigidTransform,
     back_project,
 )
-from .maps import GlobalMap, UndistortionMap, check_sizes, correct_rows
+from .maps import BLOCK_ROWS, GlobalMap, UndistortionMap, check_sizes, correct_rows
 
 log = logging.getLogger(__name__)
 
-# Rows per correction block on one thread, and the fewest in a block shared
-# between threads. At 640 wide one of a block's arrays takes 246 KB, and a
-# pass of the kernel touches a few of them, so they stay in a core's 2 MiB
-# L2 from pass to pass. 32 to 64 rows measured fastest on a 640x480 frame;
-# fewer rows pay more per-call overhead. Shared blocks are larger: a numpy
-# call that ends while another thread holds the GIL waits for it.
-BLOCK_ROWS = 48
+# maps.BLOCK_ROWS: rows per correction block on one thread, and the fewest
+# in a block shared between threads (see maps for the cache sizes behind
+# it). Shared blocks are larger: a numpy call that ends while another
+# thread holds the GIL waits for it.
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,17 @@ def test_pgm_accepts_header_comments(tmp_path):
     assert img.data[0, 0] == 1.5
 
 
+def test_pgm_reads_every_sample_value_to_the_bits_of_the_division(tmp_path):
+    """A 256 x 256 PGM holding each of the 65,536 sample values once reads
+    back as `mm.astype(float) / 1000.0`, bit for bit."""
+    mm = np.arange(65536, dtype=">u2").reshape(256, 256)
+    path = tmp_path / "d.pgm"
+    path.write_bytes(b"P5\n256 256\n65535\n" + mm.tobytes())
+    back = formats.read_depth_pgm(path)
+    want = mm.astype(float) / 1000.0
+    assert np.array_equal(back.data.view(np.int64), want.view(np.int64))
+
+
 @settings(max_examples=25, deadline=None)
 @given(mm=st.lists(st.integers(0, 65535), min_size=6, max_size=6))
 def test_pgm_round_trip_random(mm, tmp_path_factory):
@@ -830,6 +841,25 @@ def test_ply_reader_peak_memory_per_point(tmp_path):
     assert peak / count < 100, f"{peak / count:.0f} B per point"
 
 
+def test_ply_writer_peak_memory(tmp_path):
+    """A 640x480 cloud is written without a copy of its valid points: the
+    traced peak stays below a quarter of their bytes (one chunk of
+    formats.BLOCK_ROWS points is 98 KB of the 6.6 MB here)."""
+    rng = np.random.default_rng(6)
+    valid = rng.random((480, 640)) < 0.9
+    cloud = dc.OrganizedCloud(640, 480, rng.normal(size=(480, 640, 3)), valid)
+    path = tmp_path / "c.ply"
+    tracemalloc.start()
+    try:
+        formats.write_cloud_ply(path, cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    point_bytes = 24 * np.count_nonzero(valid)
+    assert peak < point_bytes / 4, f"{peak / point_bytes:.3f} x the valid points' bytes"
+    assert path.read_bytes() == ply_bytes(cloud)
+
+
 # ---------------------------------------------------------------------------
 # bytes of the number-block writers, against the per-value oracles
 
@@ -944,13 +974,24 @@ def test_format_rows_value_printed_alone_in_second_chunk():
     assert b"".join(chunks) == percent_bytes(line, block)
 
 
-@pytest.mark.parametrize("count", [0, 1, formats.BLOCK_ROWS + 1])
-def test_ply_bytes_match_oracle(tmp_path, count):
-    points = with_special_values((1, count + 2, 3), count)
-    valid = np.ones((1, count + 2), bool)
-    valid[0, :2] = False  # two invalid pixels are left out
-    points[0, :2] = np.nan
-    cloud = dc.OrganizedCloud(count + 2, 1, points, valid)
+@pytest.mark.parametrize("pixels, invalid", [
+    pytest.param(2, slice(0, 2), id="0"),
+    pytest.param(3, slice(0, 2), id="1"),
+    pytest.param(formats.BLOCK_ROWS + 3, slice(0, 2), id="4097"),
+    # the points are written formats.BLOCK_ROWS pixels at a time
+    pytest.param(formats.BLOCK_ROWS - 1, slice(0, 2), id="one-short-chunk"),
+    pytest.param(formats.BLOCK_ROWS, slice(0, 2), id="one-chunk"),
+    pytest.param(formats.BLOCK_ROWS + 1, slice(0, 2), id="one-pixel-past-a-chunk"),
+    pytest.param(3 * formats.BLOCK_ROWS, slice(formats.BLOCK_ROWS, 2 * formats.BLOCK_ROWS),
+                 id="a-chunk-with-no-valid-pixel"),
+])
+def test_ply_bytes_match_oracle(tmp_path, pixels, invalid):
+    count = pixels - (invalid.stop - invalid.start)
+    points = with_special_values((1, pixels, 3), count)
+    valid = np.ones((1, pixels), bool)
+    valid[0, invalid] = False  # invalid pixels are left out
+    points[0, invalid] = np.nan
+    cloud = dc.OrganizedCloud(pixels, 1, points, valid)
     path = tmp_path / "c.ply"
     formats.write_cloud_ply(path, cloud)
     assert path.read_bytes() == ply_bytes(cloud)

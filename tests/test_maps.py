@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,14 +317,41 @@ def random_map(width, height, chi, psi, degree=2, seed=0):
     return base.with_coefficients(rng.normal(size=base.coefficients.shape))
 
 
-@pytest.mark.parametrize("width, height, chi, psi", [
-    (320, 240, 2, 2), (64, 48, 3, 5), (64, 48, 64, 48)])
-def test_dense_coefficients_equal_pixel_coefficients(width, height, chi, psi):
-    umap = random_map(width, height, chi, psi)
+@pytest.mark.parametrize("width, height, chi, psi, degree", [
+    pytest.param(320, 240, 2, 2, 2, id="320-240-2-2"),
+    pytest.param(64, 48, 3, 5, 2, id="64-48-3-5"),
+    pytest.param(64, 48, 64, 48, 2, id="64-48-64-48"),
+    pytest.param(640, 480, 4, 4, 2, id="640-480-4-4"),
+    # the cache is blended maps.BLOCK_ROWS image rows at a time
+    pytest.param(64, maps.BLOCK_ROWS - 1, 3, 5, 2, id="one-short-block"),
+    pytest.param(64, maps.BLOCK_ROWS + 1, 3, 5, 2, id="one-row-past-a-block"),
+    pytest.param(64, 2 * maps.BLOCK_ROWS + 1, 3, 7, 2, id="one-row-past-two-blocks"),
+    pytest.param(64, 48, 3, 5, 1, id="degree-1"),
+    pytest.param(64, 48, 3, 5, 4, id="degree-4"),
+])
+def test_dense_coefficients_equal_pixel_coefficients(width, height, chi, psi, degree):
+    umap = random_map(width, height, chi, psi, degree)
     vv, uu = np.mgrid[0:height, 0:width].astype(float)
     dense = umap.dense_coefficients()
-    assert np.array_equal(dense, umap.pixel_coefficients(uu, vv))
+    assert dense.shape == (height, width, degree + 1)
+    # bit for bit: a -0.0 or a NaN payload differs from its == twin
+    assert np.array_equal(dense.view(np.int64),
+                          umap.pixel_coefficients(uu, vv).view(np.int64))
     assert all(dense[:, :, k].flags.c_contiguous for k in range(dense.shape[2]))
+
+
+def test_dense_coefficients_peak_memory():
+    """A cold 640x480, 4x4-bin build holds only the cache at full size: its
+    traced peak stays within twice the cache (about 1.5 here; five
+    full-size temporaries of the two-lerp form took it to 3.5)."""
+    umap = random_map(640, 480, 4, 4)
+    tracemalloc.start()
+    try:
+        dense = umap.dense_coefficients()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * dense.nbytes, f"{peak / dense.nbytes:.2f} x the cache"
 
 
 def splat_oracle(umap, u, v, values):
@@ -696,7 +724,7 @@ def test_full_correction_order_is_u_then_g():
 # ---------------------------------------------------------------------------
 # apply_calibration: one banded kernel for every thread count
 
-ROWS = pipeline.BLOCK_ROWS
+ROWS = maps.BLOCK_ROWS
 
 
 def random_maps(width, height, seed):
