@@ -205,8 +205,8 @@ def select_wall_points(points, pixels, board_pose: RigidTransform, t0: RigidTran
     more inliers than the best so far, so it is scored in row chunks and
     dropped once its count plus the rows left cannot exceed the best
     (Capel's bail-out test, exact form); once the best counts every point,
-    no candidate is scored. The winner's mask, the refit on it and the
-    recount are those of scoring every candidate in full.
+    no further candidate is formed. The winner's mask, the refit on it and
+    the recount are those of scoring every candidate in full.
     """
     seed = _seed_plane(board_pose, t0, board)
     n = points.shape[0]
@@ -245,6 +245,8 @@ def select_wall_points(points, pixels, board_pose: RigidTransform, t0: RigidTran
     best_mask, mask = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     best_count = count_inliers(seed, best_mask)
     for take in rng.integers(0, n, size=(RANSAC_ITERATIONS, 3)):
+        if best_count >= n:  # no candidate can count more
+            break
         try:
             cand = plane_through(points[take])
         except GeometryError:  # repeated or collinear draw

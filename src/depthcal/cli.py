@@ -183,7 +183,12 @@ def cmd_correct(args):
 
 def cmd_evaluate(args):
     umap, gmap, extrinsic, intr_depth, intr_rgb = formats.read_calibration(args.calib)
-    manifest = formats.read_manifest(os.path.join(args.dataset, "manifest.txt"))
+    path = os.path.join(args.dataset, "manifest.txt")
+    manifest = formats.read_manifest(path)
+    size = manifest.intr_depth_guess.width, manifest.intr_depth_guess.height
+    if size != (umap.width, umap.height):
+        raise formats.FormatError(f"{path} has {size[0]}x{size[1]} depth images, not the "
+                                  f"{umap.width}x{umap.height} of {args.calib}")
     entries = formats.load_frames(manifest, args.dataset, test_only=True)
     if not entries:
         raise CalibrationError("dataset has no test frames (true distances missing)")

@@ -12,12 +12,14 @@ every serialization round-trips exactly. Number blocks (the
 per-control-pixel `umap_fn` lines, corner grids) are printed by
 `_format_rows`, one `%` call per BLOCK_ROWS rows, and streamed to disk chunk
 by chunk, so no block's text is held whole. Every number, grid indices too,
-is printed by `%.17g`. Readers split a file into lines once. A number block
-is read back by `_parse_rows`, the mirror of `_format_rows`: one
-`np.loadtxt` call parses all its lines into one float array. An index
-column read this way (`umap_fn` and corner indices) must hold integral values
-inside its grid, each index given once. Key-value files are collected by
-`_read_keyvals`; a key given twice is an error.
+is printed by `%.17g`. A number block is read back by `_parse_rows`, the
+mirror of `_format_rows`: one `np.loadtxt` call parses all its lines into
+one float array. An index column read this way (`umap_fn` and corner
+indices) must hold integral values inside its grid, each index given once.
+A corner CSV is split into lines once. Key-value files are collected by
+`_read_keyvals`, which takes the lines of a repeated key (`umap_fn`, a
+manifest's `frame`) out of the text in one split and reads only the other
+lines one by one; a key given twice is an error.
 
 Writes go to a temp file in the target directory and are renamed into
 place by `replacing`, so readers never see partial files. A written file
@@ -38,7 +40,8 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, count, repeat
+from operator import contains, or_
 
 import numpy as np
 
@@ -146,24 +149,56 @@ def _read_lines(path):
         return fh.read().split("\n")
 
 
-def _read_keyvals(path, repeated=()):
-    """A key-value text file as ({key: tokens}, {key: texts}): the tokens of
-    each key given once, and for each key in `repeated` the text after the
-    key on each of its lines. Any other key given twice raises FormatError, and
-    so does a `version` line that does not name FORMAT_VERSION."""
+def _read_keyvals(path, repeated=None):
+    """A key-value text file as ({key: tokens}, texts): the tokens of each
+    key given once, and the text after the key `repeated` on each of its
+    lines, in file order. Any other key given twice raises FormatError, and
+    so does a `version` line that does not name FORMAT_VERSION.
+
+    A line is cut at its first `#` and split at its first whitespace run
+    into key and text. Every line but the file's first that starts with
+    `repeated` and one space is taken out of the text by one `str.split`,
+    with no Python step per line; its text keeps any further leading
+    whitespace, which splits to the same tokens. Only the pieces that hold a
+    `#` or a newline, found by mapping `str.__contains__` over them, are cut
+    in Python. The other lines, before the first piece or after a piece's
+    newline, are read one by one.
+    """
+    with _open_text(path) as fh:
+        text = fh.read()
     kv = {}
-    texts = {key: [] for key in repeated}
-    for line in _read_lines(path):
-        head = line.partition("#")[0].split(None, 1)
-        if not head:
-            continue
-        key, text = head if len(head) == 2 else (head[0], "")
-        if key in texts:
-            texts[key].append(text)
-        elif key in kv:
-            raise FormatError(f"{path}: {key} given twice")
-        else:
-            kv[key] = text.split()
+
+    def scan(lines):
+        """The texts of `repeated` among `lines`, one line at a time; every
+        other key goes into kv."""
+        found = []
+        for line in lines.split("\n"):
+            head = line.partition("#")[0].split(None, 1)
+            if not head:
+                continue
+            key, rest = head if len(head) == 2 else (head[0], "")
+            if key == repeated:
+                found.append(rest)
+            elif key in kv:
+                raise FormatError(f"{path}: {key} given twice")
+            else:
+                kv[key] = rest.split()
+        return found
+
+    if repeated is None:
+        texts = scan(text)
+    else:
+        texts = text.split(f"\n{repeated} ")
+        del text  # the pieces are the one copy of the text from here on
+        texts[:1] = scan(texts[0])
+        cut = list(compress(count(), map(or_, map(contains, texts, repeat("#")),
+                                         map(contains, texts, repeat("\n")))))
+        shift = 0  # texts put in so far from the lines after a piece's newline
+        for k in cut:
+            line, _, others = texts[k + shift].partition("\n")
+            found = scan(others)
+            texts[k + shift:k + shift + 1] = [line.partition("#")[0], *found]
+            shift += len(found)
     if "version" in kv:
         [version] = _values(kv["version"], 1, f"{path}: version", int)
         if version != FORMAT_VERSION:
@@ -423,7 +458,7 @@ def read_calibration(path):
     global-map corners are stored, so the planarity constraint cannot be
     broken by file edits.
     """
-    kv, texts = _read_keyvals(path, repeated=("umap_fn",))
+    kv, fn_lines = _read_keyvals(path, "umap_fn")
     if "version" not in kv:
         raise FormatError(f"{path}: missing key 'version'")
     try:
@@ -431,7 +466,7 @@ def read_calibration(path):
         intr_depth = _intr_from_tokens(kv["depth_intrinsics"], f"{path}: depth_intrinsics")
         extrinsic = _transform(kv["extrinsic_quaternion"],
                                kv["extrinsic_translation"], f"{path}: extrinsic")
-        umap = _undistortion_map(kv, texts["umap_fn"], path)
+        umap = _undistortion_map(kv, fn_lines, path)
         _check_umap_size(path, umap, intr_depth)
         [g_degree] = _values(kv["gmap_degree"], 1, f"{path}: gmap_degree", int)
         if not 1 <= g_degree <= MAX_DEGREE:
@@ -485,9 +520,9 @@ def write_manifest(path, manifest: DatasetManifest):
 
 
 def read_manifest(path) -> DatasetManifest:
-    kv, texts = _read_keyvals(path, repeated=("frame",))
+    kv, frame_lines = _read_keyvals(path, "frame")
     frames = []
-    for tokens in map(str.split, texts["frame"]):
+    for tokens in map(str.split, frame_lines):
         if len(tokens) not in (3, 4):
             raise FormatError(f"{path}: malformed frame line")
         dist = None

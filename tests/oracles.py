@@ -28,6 +28,9 @@ The text writers at the end format one number at a time with
 `format(x, ".17g")`. They are the reference for the bytes of the files
 `depthcal.formats` writes a block at a time. `ply_bytes` packs one point at
 a time with `struct`, the reference for the binary PLY written whole.
+`read_keyvals` splits every line of a key-value file into key and text in
+Python, the reference for the reader that takes a repeated key's lines out
+of the text in one split.
 """
 
 import struct
@@ -47,7 +50,14 @@ from depthcal.calib_undistort import (
     sort_frames_by_distance,
     update_map,
 )
-from depthcal.formats import FORMAT_VERSION, _intr_tokens, _transform_lines
+from depthcal.formats import (
+    FORMAT_VERSION,
+    FormatError,
+    _intr_tokens,
+    _open_text,
+    _transform_lines,
+    _values,
+)
 from depthcal.geometry import (
     KINECT1_QUANTIZATION,
     CameraIntrinsics,
@@ -443,7 +453,7 @@ def residual_pos(extrinsic: RigidTransform, pose: RigidTransform,
 
 
 # ---------------------------------------------------------------------------
-# text files, one number at a time
+# text files, one number or line at a time
 
 
 def _fmt(x):
@@ -489,6 +499,31 @@ def calibration_text(umap: UndistortionMap, gmap: GlobalMap,
         coeffs = " ".join(_fmt(c) for c in fn.coefficients)
         lines.append(f"gmap_corner_{name} {coeffs}")
     return "\n".join(lines) + "\n"
+
+
+def read_keyvals(path, repeated=()):
+    """`depthcal.formats._read_keyvals` one line at a time, for any number of
+    repeated keys: ({key: tokens}, {key: texts})."""
+    kv = {}
+    texts = {key: [] for key in repeated}
+    with _open_text(path) as fh:
+        lines = fh.read().split("\n")
+    for line in lines:
+        head = line.partition("#")[0].split(None, 1)
+        if not head:
+            continue
+        key, text = head if len(head) == 2 else (head[0], "")
+        if key in texts:
+            texts[key].append(text)
+        elif key in kv:
+            raise FormatError(f"{path}: {key} given twice")
+        else:
+            kv[key] = text.split()
+    if "version" in kv:
+        [version] = _values(kv["version"], 1, f"{path}: version", int)
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+    return kv, texts
 
 
 def ply_bytes(cloud: OrganizedCloud):

@@ -4,6 +4,7 @@ import pytest
 import depthcal as dc
 from depthcal import synthbench as sb
 from depthcal.calib_undistort import SCORE_CHUNK, _chunk_bounds, undistorted_points
+from depthcal.geometry import plane_through
 from depthcal.maps import MAX_DEGREE
 from oracles import estimate_undistortion_map as whole_frame_stage_one
 from oracles import select_wall_points as one_by_one_wall_points
@@ -261,6 +262,31 @@ def test_a_tied_candidate_does_not_take_the_win():
     assert np.array_equal(wall, np.arange(600) + 600 * first)
     assert np.array_equal(wall, one_by_one_wall_points(points, pixels, pose, t0, board,
                                                        cfg, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_no_candidate_is_formed_once_the_seed_counts_every_point(monkeypatch):
+    # one fronto-parallel plane at the board's depth: the seed plane counts
+    # every point, so no candidate can win
+    intr = dc.CameraIntrinsics(fx=40.0, fy=40.0, cx=19.5, cy=14.5, width=40, height=30)
+    cloud = dc.depth_to_cloud(dc.DepthImage(40, 30, np.full((30, 40), 2.0)), intr)
+    points = cloud.points.reshape(-1, 3)
+    pixels = np.ones((30, 40), dtype=bool)
+    pose = dc.RigidTransform((1, 0, 0, 0), (0.0, 0.0, 2.0))
+    args = (points, pixels, pose, dc.RigidTransform.identity(), dc.BoardSpec(3, 3, 0.1),
+            small_cfg())
+    calls = []
+
+    def counting_plane_through(pts):
+        calls.append(pts)
+        return plane_through(pts)
+
+    monkeypatch.setattr(dc.calib_undistort, "plane_through", counting_plane_through)
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    wall = dc.select_wall_points(*args, rng)
+    assert calls == []
+    assert np.array_equal(wall, np.arange(1200))
+    assert np.array_equal(wall, one_by_one_wall_points(*args, ref_rng))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -291,6 +291,19 @@ def test_correct_names_a_depth_image_of_the_wrong_size(tmp_path, monkeypatch, ca
     assert not (tmp_path / "out.ply").exists()
 
 
+def test_evaluate_names_a_calibration_of_another_size(dataset, tmp_path, monkeypatch,
+                                                     capsys):
+    # checked before any depth image is read and before --out is made
+    monkeypatch.chdir(tmp_path)
+    identity_calibration(tmp_path / "calib.txt", 32, 24)
+    assert main(["evaluate", "--calib", "calib.txt", "--dataset", dataset,
+                 "--out", "report"]) == 1
+    manifest = os.path.join(dataset, "manifest.txt")
+    assert capsys.readouterr().err == (f"error: {manifest} has 160x120 depth images, "
+                                       "not the 32x24 of calib.txt\n")
+    assert not (tmp_path / "report").exists()
+
+
 def test_calibrate_rejects_a_nan_fit_radius(dataset, tmp_path, capsys):
     # rejected before stage one, not after it skipped every frame
     out = tmp_path / "c.txt"

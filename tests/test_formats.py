@@ -18,6 +18,7 @@ from oracles import (
     corner_wh,
     corners_text,
     ply_bytes,
+    read_keyvals,
 )
 
 
@@ -518,6 +519,83 @@ def test_key_value_readers_reject_key_given_twice(tmp_path, reader, valid, line)
     path.write_text(text + line + "\n")
     with pytest.raises(FormatError, match="given twice"):
         reader(path)
+
+
+FN = "umap_fn 0 0 1 2\numap_fn 1 0 3 4\n"
+
+
+@pytest.mark.parametrize("repeated, text", [
+    pytest.param("umap_fn", "version 1\n" + FN + "x 1\numap_fn 2 0 5 6\ny 2 3\n"
+                 "umap_fn 3 0 7 8\n", id="interleaved"),
+    pytest.param("umap_fn", "x 1\numap_fn 0 0 1 2 # c\numap_fn 1 0 3#4\n"
+                 "umap_fn # only a comment\numap_fn 2#\n", id="comment"),
+    pytest.param("umap_fn", "x 1\numap_fn\t0 0 1 2\numap_fn 1 0 3 4\numap_fn\t2 0 5 6\n"
+                 "umap_fn \t3 0 7 8\n", id="tab"),
+    pytest.param("umap_fn", "x 1\numap_fn  0 0 1 2 \numap_fn   1 0 3 4\t\n",
+                 id="two-spaces"),
+    pytest.param("umap_fn", "x 1\n umap_fn 0 0 1 2\numap_fn 1 0 3 4\n\tumap_fn 2 0 5 6\n"
+                 "umap_fn 3 0 7 8 #\n umap_fn 4 0 9 0\numap_fn 5 0 1 1\n  x2 3\n",
+                 id="leading-whitespace"),
+    pytest.param("umap_fn", FN + "x 1\n", id="first-line"),
+    pytest.param("umap_fn", "x 1\n" + FN + "umap_fn 2 0 5 6", id="no-final-newline"),
+    pytest.param("umap_fn", "x 1\n" + FN + "umap_fn", id="bare-last-line"),
+    pytest.param("umap_fn", "x 1\r\n" + FN.replace("\n", "\r\n") + "y 2\r\n", id="crlf"),
+    pytest.param("umap_fn", "x 1\r" + FN.replace("\n", "\r") + "y 2\r", id="cr"),
+    pytest.param("umap_fn", "umap_fnX 1\n" + FN + "umap_fnX 2\n", id="key-prefix"),
+    pytest.param("umap_fn", "umap_fnX 1\n" + FN + "umap_fn_ 2\n", id="key-prefixes"),
+    pytest.param("umap_fn", "x 1\numap_fn\numap_fn \n" + FN + "umap_fn\n",
+                 id="bare-key"),
+    pytest.param("umap_fn", "x 1\n" + FN + "x 3\n", id="scalar-again-after-block"),
+    pytest.param("umap_fn", "x 1\n" + FN + "y 2\ny 3\nx 4\n", id="first-error-in-order"),
+    pytest.param("umap_fn", "# umap_fn 9 9\nx 1 # umap_fn 8\n\n" + FN + "\n\n",
+                 id="comments-and-blank-lines"),
+    pytest.param("umap_fn", "x 1\numap_fn\x0c0 0 1 2\numap_fn 1\x850 3 4\n"
+                 "umap_fn 2\u2028umap_fn 5 6\n", id="other-whitespace"),
+    pytest.param("umap_fn", "version 2\n" + FN, id="version-2"),
+    pytest.param("umap_fn", "", id="empty"),
+    pytest.param("umap_fn", "x 1\n", id="no-repeated-line"),
+    pytest.param("umap_fn", calibration_text(*sample_calibration()), id="calibration"),
+    pytest.param("frame", MANIFEST_TEXT.replace("frame a", "x 1\nframe a")
+                 + "frame  u du.pgm cu.csv # c\n", id="manifest"),
+    pytest.param(None, "peak 0.01\nimage_width 80\n", id="scene"),
+    pytest.param(None, "peak 0.01\nimage_width 80\npeak 2\n", id="scene-twice"),
+])
+def test_key_value_reader_matches_reading_every_line(tmp_path, repeated, text):
+    path = tmp_path / "file.txt"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want, want_texts = read_keyvals(path, [repeated] if repeated else [])
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            formats._read_keyvals(path, repeated)
+        assert str(got.value) == str(exc)
+        return
+    kv, texts = formats._read_keyvals(path, repeated)
+    assert kv == want
+    assert [t.split() for t in texts] == [t.split() for t in want_texts.get(repeated, [])]
+
+
+def test_calibration_reader_peak_memory(tmp_path):
+    """A 640x480, 4x4-bin calibration (19,481 umap_fn lines, 1.5 MB) is read
+    with one list of its umap_fn texts beside the text: about 2.7x the
+    file's size at the peak, where reading it as a list of every line and a
+    second list of their texts took 3.4x."""
+    umap = dc.UndistortionMap.identity(640, 480, 4, 4, 2)
+    umap = umap.with_coefficients(
+        umap.coefficients + np.random.default_rng(7).normal(0, 0.01, umap.coefficients.shape))
+    intr = dc.CameraIntrinsics(fx=580.0, fy=580.0, cx=319.5, cy=239.5, width=640, height=480)
+    path = tmp_path / "calib.txt"
+    formats.write_calibration(path, umap, dc.GlobalMap.identity(640, 480),
+                              dc.RigidTransform.identity(), intr, intr)
+    tracemalloc.start()
+    try:
+        back = formats.read_calibration(path)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.coefficients, umap.coefficients)
+    ratio = peak / os.path.getsize(path)
+    assert ratio < 3.0, f"{ratio:.2f} x the file's size"
 
 
 @pytest.mark.parametrize("reader, message", [
