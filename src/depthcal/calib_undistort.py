@@ -35,11 +35,12 @@ from .geometry import (
     RigidTransform,
     back_project,
     fit_plane,
+    horner,
     plane_through,
     solve_pnp,
     transform_plane,
 )
-from .maps import MAX_DEGREE, FitMoments, UndistortionMap, fit_weighted_poly_batch, undistort_at
+from .maps import MAX_DEGREE, FitMoments, MapError, UndistortionMap, fit_weighted_poly_batch
 
 log = logging.getLogger(__name__)
 
@@ -161,18 +162,21 @@ def undistorted_points(umap, depth: DepthImage, pixels, intr: CameraIntrinsics):
     (kept, points), the mask of those pixels where d and u(d) are positive,
     which `apply_undistortion` leaves valid, and the points (N, 3) of
     `depth_to_cloud(apply_undistortion(umap, depth), intr)` there, row-major
-    and bit for bit. Stage one reads a frame at its valid pixels, stage two
-    at its wall.
+    and bit for bit. u(d) is the Horner of `maps.correct_rows` on U's cached
+    per-pixel coefficients, run over the whole frame. Stage one reads a
+    frame at its valid pixels, stage two at its wall.
     """
     if (depth.width, depth.height) != (intr.width, intr.height):
         raise GeometryError("depth image size does not match intrinsics")
     if np.shape(pixels) != (depth.height, depth.width):
         raise GeometryError("pixel mask size does not match the depth image")
-    kept = np.array(pixels, dtype=bool)
-    z = undistort_at(umap, depth, np.flatnonzero(kept))
-    kept[kept] = keep = z > 0.0
+    if (depth.width, depth.height) != (umap.width, umap.height):
+        raise MapError("input size does not match the map")
+    d = depth.data
+    z = horner(umap.dense_coefficients(), d)
+    kept = np.asarray(pixels, dtype=bool) & (d > 0.0) & (z > 0.0)
     v, u = np.nonzero(kept)
-    return kept, back_project(z[keep], u, v, intr)
+    return kept, back_project(z[kept], u, v, intr)
 
 
 # Rows per chunk of a RANSAC score. A chunk needs at least 2 rows: a 1-row

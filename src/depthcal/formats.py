@@ -279,10 +279,11 @@ def read_depth_pgm(path) -> DepthImage:
             raise FormatError(f"{path}: truncated PGM header")
         tokens.append(data[start:pos])
     pos += 1  # single whitespace after maxval
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed PGM header") from exc
+    # ASCII digits only: int() also takes '+' and '_'. A '-' is read, so a
+    # negative size fails as not positive
+    if not all(re.fullmatch(rb"-?[0-9]{1,18}", t) for t in tokens):
+        raise FormatError(f"{path}: malformed PGM header {b' '.join(tokens)!r}")
+    width, height, maxval = (int(t) for t in tokens)
     if width <= 0 or height <= 0:
         raise FormatError(f"{path}: PGM size {width}x{height} is not positive")
     if maxval != 65535:
@@ -342,10 +343,14 @@ def _intr_tokens(intr: CameraIntrinsics):
 
 
 def _values(tokens, count, what, kind=float):
-    """`count` finite numbers of type `kind` parsed from tokens."""
+    """`count` finite numbers of type `kind` parsed from tokens, which hold
+    ASCII characters only and no `_`, as `_parse_rows` reads numbers:
+    float() and int() take both."""
     if len(tokens) != count:
         raise FormatError(f"{what}: expected {count} values, got {len(tokens)}")
     try:
+        if not all(t.isascii() and "_" not in t for t in tokens):
+            raise ValueError("a value holds '_' or a non-ASCII character")
         vals = [kind(t) for t in tokens]
     except ValueError as exc:
         raise FormatError(f"{what}: malformed value in {' '.join(tokens)!r}") from exc
@@ -443,10 +448,8 @@ def write_calibration(path, umap: UndistortionMap, gmap: GlobalMap,
         f"umap_degree {umap.degree}",
     ]
     tail = [f"gmap_degree {gmap.degree}"]
-    for name, fn in (("00", gmap.corner_00), ("w0", gmap.corner_w0),
-                     ("0h", gmap.corner_0h)):
-        coeffs = " ".join(_fmt(c) for c in fn.coefficients)
-        tail.append(f"gmap_corner_{name} {coeffs}")
+    for name, row in zip(("00", "w0", "0h"), gmap.corners):
+        tail.append(f"gmap_corner_{name} {' '.join(_fmt(c) for c in row)}")
     _atomic_write_bytes(path, chain([_text(head).encode("utf-8")], _fn_block(umap),
                                     [_text(tail).encode("utf-8")]))
 

@@ -10,11 +10,12 @@ polynomials of the depth:
   which sums pixel samples onto control pixels for stage one, both use it.
 * GlobalMap: one polynomial per image corner, with the fourth corner locked
   to gWH = gW0 + g0H - g00 so the blended coefficient field is affine over
-  the image: c00 + (u/W)(cW0 - c00) + (v/H)(c0H - c00). `GlobalMap.correct`
-  is its evaluator. Over a whole image the field is a (W,) row term plus an
-  (H,) column term per coefficient; `GlobalMap.correct_image_rows` computes
-  those once and keeps them, so G keeps no per-pixel cache. Removes the
-  systematic depth bias.
+  the image: c00 + (u/W)(cW0 - c00) + (v/H)(c0H - c00). The three free
+  corners are the rows of one read-only array, `GlobalMap.corners`, and
+  `GlobalMap.correct` is its evaluator. Over a whole image the field is a
+  (W,) row term plus an (H,) column term per coefficient;
+  `GlobalMap.correct_image_rows` computes those once and keeps them, so G
+  keeps no per-pixel cache. Removes the systematic depth bias.
 
 Maps correct depth images, never clouds: a corrected cloud is the pinhole
 back-projection of a corrected image. `correct_rows` is the one kernel of
@@ -24,10 +25,12 @@ it block by block, its threads taking blocks from a shared queue, and
 back-projects each block as soon as it is corrected. The per-pixel
 arithmetic does not depend on the blocks, so every block size and thread
 count gives the same bits; with `GlobalMap.identity` the result is the
-undistorted-only cloud. `undistort_at` evaluates U at chosen pixels of an
-image only. Maps are immutable after estimation (their caches hold only
-what their coefficients define); application is embarrassingly parallel
-per pixel and may be called concurrently on a shared map.
+undistorted-only cloud. The calibration stages read U with the same
+Horner on the cached coefficients, over a whole frame
+(`calib_undistort.undistorted_points`). Maps are immutable after
+estimation (their caches hold only what their coefficients define);
+application is embarrassingly parallel per pixel and may be called
+concurrently on a shared map.
 
 The full-frame forms `apply_undistortion` and `apply_global`, which take a
 DepthImage and return one, are on no program path. They are kept for the
@@ -372,35 +375,18 @@ def apply_undistortion(umap: UndistortionMap, img: DepthImage) -> DepthImage:
                           lambda d: horner(umap.dense_coefficients(), d))
 
 
-def undistort_at(umap: UndistortionMap, img: DepthImage, flat) -> np.ndarray:
-    """u(d) at the flat pixel indices `flat` of a depth image, (N,).
-
-    Bit for bit the values of `apply_undistortion(umap, img)` there: one
-    take of the depths and of the cached per-pixel coefficients, the same
-    Horner steps, and 0 where d or u(d) is not positive. Only the N pixels
-    are evaluated.
-    """
-    if (img.width, img.height) != (umap.width, umap.height):
-        raise MapError("input size does not match the map")
-    d = img.data.reshape(-1).take(flat)
-    planes = np.moveaxis(umap.dense_coefficients(), -1, 0)  # contiguous (k, H, W)
-    z = horner(planes.reshape(planes.shape[0], -1).take(flat, axis=1).T, d)
-    z[~((d > 0.0) & (z > 0.0))] = 0.0
-    return z
-
-
 class GlobalMap:
     """Four-corner systematic error correction.
 
     Three free corner polynomials at (0,0), (W,0) and (0,H), of one degree
-    of at least 1 and with `constant_zero` set; the corner at (W,H) is never
+    of at least 1 and with `constant_zero` set, held as the rows of the
+    read-only (3, degree + 1) array `corners`; the corner at (W,H) is never
     stored: the planarity constraint gWH = gW0 + g0H - g00 makes the blended
     coefficient field affine over the image no matter what the free corners
     are.
     """
 
-    __slots__ = ("width", "height", "corner_00", "corner_w0", "corner_0h",
-                 "corners", "_image_terms")
+    __slots__ = ("width", "height", "corners", "_image_terms")
 
     def __init__(self, width, height, corner_00: PolyFn, corner_w0: PolyFn,
                  corner_0h: PolyFn):
@@ -411,11 +397,7 @@ class GlobalMap:
             raise MapError("corner polynomials must have degree 1 or more")
         self.width = int(width)
         self.height = int(height)
-        self.corner_00 = corner_00
-        self.corner_w0 = corner_w0
-        self.corner_0h = corner_0h
-        self.corners = np.array([corner_00.coefficients, corner_w0.coefficients,
-                                 corner_0h.coefficients])
+        self.corners = np.array([f.coefficients for f in free])
         self.corners.setflags(write=False)
         self._image_terms = None
 
@@ -433,15 +415,11 @@ class GlobalMap:
 
     def free_coefficients(self):
         """Nonconstant coefficients of the 3 free corners, flattened (3 * degree)."""
-        return np.concatenate([
-            self.corner_00.coefficients[1:],
-            self.corner_w0.coefficients[1:],
-            self.corner_0h.coefficients[1:],
-        ])
+        return self.corners[:, 1:].flatten()
 
     @property
     def degree(self):
-        return self.corner_00.degree
+        return self.corners.shape[1] - 1
 
     def correct(self, u, v, d, out=None):
         """g(d) at pixels (u, v); u, v and d broadcast together. Written to
@@ -492,9 +470,7 @@ class GlobalMap:
     def __eq__(self, other):
         return (isinstance(other, GlobalMap)
                 and (self.width, self.height) == (other.width, other.height)
-                and self.corner_00 == other.corner_00
-                and self.corner_w0 == other.corner_w0
-                and self.corner_0h == other.corner_0h)
+                and np.array_equal(self.corners, other.corners))
 
 
 def apply_global(gmap: GlobalMap, img: DepthImage) -> DepthImage:

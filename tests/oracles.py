@@ -191,15 +191,14 @@ def complete_dependent_corner(g00: PolyFn, gw0: PolyFn, g0h: PolyFn) -> PolyFn:
 
 def corner_wh(gmap: GlobalMap) -> PolyFn:
     """The dependent corner (W, H) of a global map."""
-    return complete_dependent_corner(gmap.corner_00, gmap.corner_w0, gmap.corner_0h)
+    return complete_dependent_corner(*(PolyFn(c, constant_zero=True) for c in gmap.corners))
 
 
 def four_corner_coefficients(gmap: GlobalMap, u, v):
     """Bilinear blend of all 4 corner polynomials (the dependent one too)."""
     fu = np.asarray(u, dtype=float)[..., None] / gmap.width
     fv = np.asarray(v, dtype=float)[..., None] / gmap.height
-    c = [np.asarray(f.coefficients) for f in
-         (gmap.corner_00, gmap.corner_w0, gmap.corner_0h, corner_wh(gmap))]
+    c = [*gmap.corners, np.asarray(corner_wh(gmap).coefficients)]
     return ((1 - fu) * (1 - fv) * c[0] + fu * (1 - fv) * c[1]
             + (1 - fu) * fv * c[2] + fu * fv * c[3])
 
@@ -494,9 +493,8 @@ def calibration_text(umap: UndistortionMap, gmap: GlobalMap,
         *_fn_lines(umap),
         f"gmap_degree {gmap.degree}",
     ]
-    for name, fn in (("00", gmap.corner_00), ("w0", gmap.corner_w0),
-                     ("0h", gmap.corner_0h)):
-        coeffs = " ".join(_fmt(c) for c in fn.coefficients)
+    for name, row in zip(("00", "w0", "0h"), gmap.corners):
+        coeffs = " ".join(_fmt(c) for c in row)
         lines.append(f"gmap_corner_{name} {coeffs}")
     return "\n".join(lines) + "\n"
 

@@ -181,9 +181,8 @@ def test_criterion_7_invariants(small_refine_setup, pipeline_b_clean, tmp_path):
         d = np.linspace(0.5, 5.0, 20)
         for prob, x in recorded:
             g = prob.unpack(x).gmap
-            expected = [b + c - a for a, b, c in zip(g.corner_00.coefficients,
-                                                     g.corner_w0.coefficients,
-                                                     g.corner_0h.coefficients)]
+            g00, gw0, g0h = g.corners
+            expected = gw0 + g0h - g00
             # G's value at its dependent corner (W, H)
             assert np.max(np.abs(g.correct(g.width, g.height, d)
                                  - horner(expected, d))) < 1e-12

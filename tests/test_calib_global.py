@@ -592,9 +592,8 @@ def test_refine_keeps_dependent_corner_invariant(clean_setup):
                                                   1.0, 0.002]))
     state, _ = run_refine(scene, frames, setup, bent)
     g = state.gmap
-    expected = [b + c - a for a, b, c in zip(g.corner_00.coefficients,
-                                             g.corner_w0.coefficients,
-                                             g.corner_0h.coefficients)]
+    g00, gw0, g0h = g.corners
+    expected = gw0 + g0h - g00
     d = np.linspace(0.5, 5.0, 20)
     # G's value at its dependent corner (W, H)
     assert np.allclose(g.correct(g.width, g.height, d), horner(expected, d),

@@ -135,18 +135,28 @@ def test_undistorted_points_are_the_undistorted_cloud_at_its_valid_pixels():
     undistorted = dc.apply_undistortion(umap, img)
     dropped = img.valid & ~undistorted.valid
     assert dropped.sum() > 5 and (~img.valid).sum() > 50
+    # a wall subset that holds invalid pixels and pixels where u(d) <= 0
+    wall = rng.random((30, 40)) < 0.6
+    assert (wall & dropped).sum() > 2 and (wall & ~img.valid).sum() > 20
+    corrected = dc.apply_calibration(umap, dc.GlobalMap.identity(40, 30), img, intr)
 
-    pixels, points = undistorted_points(umap, img, img.valid, intr)
-    # exactly the pixels apply_undistortion invalidates are dropped
-    assert np.array_equal(pixels, undistorted.valid)
-    expect = dc.depth_to_cloud(undistorted, intr).points_at(
-        dc.IndexSet.from_mask(undistorted.valid))
-    assert points.shape == expect.shape
-    assert points.tobytes() == expect.tobytes()
+    for pixels in (img.valid, wall):
+        kept, points = undistorted_points(umap, img, pixels, intr)
+        # exactly the pixels apply_undistortion invalidates are dropped
+        assert np.array_equal(kept, pixels & undistorted.valid)
+        at_kept = dc.IndexSet.from_mask(kept)
+        expect = dc.depth_to_cloud(undistorted, intr).points_at(at_kept)
+        assert points.shape == expect.shape
+        assert points.tobytes() == expect.tobytes()
+        # the correction kernel's points under an identity G
+        assert points.tobytes() == corrected.points_at(at_kept).tobytes()
     wide = dc.CameraIntrinsics(fx=61.0, fy=63.0, cx=19.3, cy=14.6, width=41,
                                height=30)
     with pytest.raises(dc.GeometryError, match="does not match intrinsics"):
         undistorted_points(umap, img, img.valid, wide)
+    short = dc.UndistortionMap.identity(40, 29, 4, 4, 2)
+    with pytest.raises(dc.MapError, match="does not match the map"):
+        undistorted_points(short, img, img.valid, intr)
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ VALID_SCENE = ("image_width 80\nimage_height 60\npeak 0.01\nflat_frac 0.4\n"
     "peak", "noise", "peak nan", "bowl_bins 2", "bowl_bins 2 2 2",
     "bowl_bins 2.5 2", "image_width x", "tilt_deg inf", "noise maybe",
     "extrinsic_translation 0 0", "global_correction 0.98", "image_width 0",
-    "bowl_bins 2 -1",
+    "bowl_bins 2 -1", "image_width 8_0", "image_width \u0668\u0660",
 ])
 def test_scene_file_rejects_malformed_line(tmp_path, line):
     path = tmp_path / "scene.txt"

@@ -87,6 +87,15 @@ def test_pgm_rejects_nonpositive_size(tmp_path, size):
         formats.read_depth_pgm(path)
 
 
+@pytest.mark.parametrize("header", [b"2_0 1", b"+2 1", b"\xd9\xa2 1", b"2 1_0"])
+def test_pgm_header_numbers_are_ascii_digits(tmp_path, header):
+    # int() reads 2_0 as 20 and +2 as 2; the PLY vertex count takes digits only too
+    path = tmp_path / "d.pgm"
+    path.write_bytes(b"P5\n" + header + b"\n65535\n" + bytes(80))
+    with pytest.raises(FormatError, match="malformed PGM header"):
+        formats.read_depth_pgm(path)
+
+
 def test_pgm_accepts_header_comments(tmp_path):
     path = tmp_path / "d.pgm"
     path.write_bytes(b"P5\n# a comment\n1 1\n65535\n\x05\xdc")
@@ -360,6 +369,16 @@ def test_intrinsics_errors_name_the_file_and_the_key(tmp_path, reader, key):
     # float() takes both; the number-block reader takes ASCII digits only
     pytest.param("umap_fn 8 0 ", "umap_fn 8 0 1_0 1 0", "'1_0'", id="underscore"),
     pytest.param("umap_fn 8 0 ", "umap_fn 8 0 \u0661 1 0", "'\u0661'", id="arabic-indic-digit"),
+    # the key-value readers take ASCII digits only too
+    pytest.param("umap_size ", "umap_size 3_2 24", "umap_size: malformed value",
+                 id="underscore-size"),
+    pytest.param("rgb_intrinsics ", "rgb_intrinsics 5_25 524 319.5 239.5 640 480 0 0 0 0 0",
+                 "rgb_intrinsics: malformed value", id="underscore-intrinsics"),
+    pytest.param("rgb_intrinsics ",
+                 "rgb_intrinsics \u0665\u0662\u0665 524 319.5 239.5 640 480 0 0 0 0 0",
+                 "rgb_intrinsics: malformed value", id="arabic-indic-intrinsics"),
+    pytest.param("umap_degree ", "umap_degree \u0662", "umap_degree: malformed value",
+                 id="arabic-indic-degree"),
     pytest.param("umap_fn 8 0 ", "umap_fn", "expected 5 values per line$", id="bare-line"),
     pytest.param("umap_fn 0 0 ", "umap_fn", "expected 5 values per line$", id="bare-first-line"),
     pytest.param("extrinsic_quaternion ", "extrinsic_quaternion 1 0 0 0 0", None,
@@ -461,6 +480,9 @@ def test_manifest_rejects_duplicate_ids(tmp_path):
                  id="three-value-quaternion"),
     pytest.param("159.5 119.5 320 240", "159.5 119.5 320 240.5", id="fractional-height"),
     pytest.param("board 6 8 0.1", "version 2\nboard 6 8 0.1", id="version-2"),
+    # float() and int() take these; the number-block reader does not
+    pytest.param("board 6 8 0.1", "board 6_0 8 0.1", id="underscore-board"),
+    pytest.param("ct.csv 2.5", "ct.csv \u0662.5", id="arabic-indic-distance"),
 ])
 def test_manifest_rejects_malformed_line(tmp_path, old, new):
     path = tmp_path / "manifest.txt"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import depthcal as dc
 from depthcal import maps, pipeline
+from depthcal.geometry import horner
 from depthcal.maps import MapError, fit_weighted_poly_batch
 from oracles import (
     apply_full_correction,
@@ -552,8 +553,8 @@ def test_global_eval_identity():
 def test_global_eval_center_is_mean():
     g = gmap_from([(1.0, 0.0), (1.02, 0.0), (0.98, 0.001)])
     d = 2.0
-    corners = [g.corner_00, g.corner_w0, g.corner_0h, corner_wh(g)]
-    expected = np.mean([c(d) for c in corners])
+    corners = [*g.corners, corner_wh(g).coefficients]
+    expected = np.mean([horner(c, d) for c in corners])
     assert global_eval(g, 16, 12, d) == pytest.approx(expected, abs=1e-14)
 
 
@@ -645,8 +646,9 @@ def test_dependent_corner_invariant_at_sampled_depths(coef):
     g = gmap_from(rows)
     d = np.linspace(0.5, 5.0, 20)
     # the map's own value at the dependent corner (W, H)
-    lhs = g.corner_00(d) + g.correct(g.width, g.height, d)
-    rhs = g.corner_w0(d) + g.corner_0h(d)
+    g00, gw0, g0h = g.corners
+    lhs = horner(g00, d) + g.correct(g.width, g.height, d)
+    rhs = horner(gw0, d) + horner(g0h, d)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
