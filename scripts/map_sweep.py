@@ -32,6 +32,7 @@ import numpy as np  # noqa: E402
 
 import depthcal as dc  # noqa: E402
 from depthcal import synthbench as sb  # noqa: E402
+from depthcal.geometry import horner  # noqa: E402
 
 DEGREES = [1, 2, 3, 4]
 BINS = ["2x2", "4x4", "8x8", "16x16"]
@@ -87,7 +88,7 @@ def run(args):
         print_table([("original", original)]
                     + [(f"degree_{d}", planarity(2, 2, d, f"degree {d}"))
                        for d in args.degrees], dists)
-        sigma = dc.KINECT1_QUANTIZATION.sigma(np.asarray(dists))
+        sigma = horner(dc.KINECT1_QUANTIZATION, np.asarray(dists))
         print("# quantization sigma(z): "
               + ", ".join(f"{s:.6f}" for s in sigma), file=sys.stderr)
     if args.degrees and args.bins:

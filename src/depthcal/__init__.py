@@ -13,7 +13,6 @@ from .geometry import (
     GeometryError,
     IndexSet,
     KINECT1_QUANTIZATION,
-    NoiseModel,
     OrganizedCloud,
     Plane,
     RigidTransform,

@@ -37,6 +37,8 @@ from .geometry import (
     axis_angle_to_quat,
     estimate_transform_from_planes,
     fit_plane,
+    forward_steps,
+    horner,
     lm_minimize,
     project_point,
     quat_multiply,
@@ -191,7 +193,7 @@ class _RefineProblem:
             n = o.uv.shape[0]
             self.uv[k, :n] = o.uv
             self.dhat[k, :n] = o.dhat
-            sigma = KINECT1_QUANTIZATION.sigma(o.dhat)
+            sigma = horner(KINECT1_QUANTIZATION, o.dhat)
             self.point_scale[k, :n] = 1.0 / (np.sqrt(n) * sigma)
         self.intr_depth0 = state0.intr_depth
         self.gmap0 = state0.gmap
@@ -287,7 +289,7 @@ class _RefineProblem:
         block of JᵀJ and gives its 16 x 6 cross block and its 6 x 6 diagonal
         pose block (Triggs et al. 2000, section 6).
         """
-        steps = np.maximum(1e-6, 1e-6 * np.abs(x))
+        steps = forward_steps(x)
         m = len(self.obs)
 
         def by_frame(v):

@@ -223,7 +223,7 @@ def select_wall_points(points, pixels, board_pose: RigidTransform, t0: RigidTran
         z_bar = seed.offset / abs(seed.normal[2])
     else:
         z_bar = float(np.mean(points[:, 2]))
-    threshold = KAPPA * KINECT1_QUANTIZATION.sigma(z_bar)
+    threshold = KAPPA * horner(KINECT1_QUANTIZATION, z_bar)
     cos_gate = np.cos(np.deg2rad(SEED_ANGLE_DEG))
     chunks = _chunk_bounds(n)
     dist = np.empty(min(n, SCORE_CHUNK + 1))  # a last chunk may hold one row more
@@ -356,12 +356,17 @@ def estimate_undistortion_map(frames, t0: RigidTransform, intr_rgb: CameraIntrin
     frame to its wall: a read-only (H, W) bool mask of the pixels
     `select_wall_points` selected for it, 1 byte per pixel where pixel
     coordinates take 16 per wall pixel. board_poses maps the same ids to the
-    frame's PnP board pose (board -> RGB camera). Stage two reads both.
-    Deterministic for a fixed cfg.seed.
+    frame's PnP board pose (board -> RGB camera). Stage two reads both, so
+    frame ids must be distinct. Deterministic for a fixed cfg.seed.
     """
     if len(frames) < cfg.degree + 1:
         raise CalibrationError(
             f"need at least {cfg.degree + 1} frames for a degree-{cfg.degree} map")
+    seen = set()
+    for frame in frames:
+        if frame.frame_id in seen:
+            raise CalibrationError(f"frame id {frame.frame_id!r} is given more than once")
+        seen.add(frame.frame_id)
     rng = np.random.default_rng(cfg.seed)
     ordered = sort_frames_by_distance(frames, intr_rgb, board)
     if len(ordered) < cfg.degree + 1:

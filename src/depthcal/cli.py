@@ -23,7 +23,7 @@ from .geometry import (
     solve_pnp,
     transform_plane,
 )
-from .maps import GlobalMap, PolyFn
+from .maps import GlobalMap
 from .synthbench import bowl_distortion, standard_scene
 
 
@@ -48,9 +48,9 @@ def _scene_from_args(args):
             if k in ("peak", "flat_frac", "asym", "zero_depth")}
     grid_bin = params.pop("bowl_bins", (2, 2))
     gc = params.pop("global_correction", None)
-    gcorr = PolyFn((0.0, *gc), constant_zero=True) if gc is not None else None
     distortion = bowl_distortion(width, height, grid_bin=grid_bin,
-                                 global_correction=gcorr, **bowl)
+                                 global_correction=None if gc is None else (0.0, *gc),
+                                 **bowl)
     extr_q = params.pop("extrinsic_quaternion", None)
     extr_t = params.pop("extrinsic_translation", None)
     extrinsic = None

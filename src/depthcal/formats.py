@@ -53,7 +53,7 @@ from .geometry import (
     OrganizedCloud,
     RigidTransform,
 )
-from .maps import MAX_DEGREE, GlobalMap, MapError, PolyFn, UndistortionMap, _grid_shape
+from .maps import MAX_DEGREE, GlobalMap, MapError, UndistortionMap, _grid_shape
 
 FORMAT_VERSION = 1
 BLOCK_ROWS = 4096  # rows of a number block formatted and written per chunk
@@ -474,8 +474,7 @@ def read_calibration(path):
         [g_degree] = _values(kv["gmap_degree"], 1, f"{path}: gmap_degree", int)
         if not 1 <= g_degree <= MAX_DEGREE:
             raise FormatError(f"{path}: gmap_degree must be between 1 and {MAX_DEGREE}")
-        corners = [PolyFn(_values(kv[f"gmap_corner_{n}"], g_degree + 1,
-                                  f"{path}: gmap_corner_{n}"), constant_zero=True)
+        corners = [_values(kv[f"gmap_corner_{n}"], g_degree + 1, f"{path}: gmap_corner_{n}")
                    for n in ("00", "w0", "0h")]
         gmap = GlobalMap(umap.width, umap.height, *corners)
     except KeyError as exc:

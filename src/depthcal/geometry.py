@@ -6,6 +6,11 @@ plane-pair rigid transform estimation, planar PnP and a generic damped
 least-squares solver. Everything works in meters and pixels; depth images
 use 0.0 as the invalid-depth marker.
 
+A polynomial of the depth is a float array of its coefficients, constant
+term first, which `horner` evaluates; the sensor noise sigma(z),
+`KINECT1_QUANTIZATION`, is one. `forward_steps` is the one step rule of
+the forward-difference Jacobians, `lm_jacobian`'s and stage two's.
+
 All values are immutable after construction and all operations are pure
 functions of their inputs, so they are safe to share across threads.
 """
@@ -360,27 +365,11 @@ def horner(coefficients, z, out=None):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Depth-dependent measurement noise sigma(z), polynomial in z (meters).
-
-    Must be positive over the sensor working range [0.5, 5.0] m.
-    """
-
-    coefficients: tuple
-
-    def __init__(self, coefficients):
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in coefficients))
-        if np.any(horner(self.coefficients, np.linspace(0.5, 5.0, 64)) <= 0.0):
-            raise GeometryError("sigma(z) must be positive on [0.5, 5.0] m")
-
-    def sigma(self, z):
-        """Noise sigma(z) in meters; a float for scalar z."""
-        return horner(self.coefficients, z)
-
-
-# quantization-error polynomial of a structured-light depth sensor
-KINECT1_QUANTIZATION = NoiseModel((-0.00029, 0.00037, 0.001365))
+# Depth noise sigma(z) of a structured-light sensor's quantization, z and
+# sigma in meters: read-only coefficients for `horner`, constant term first.
+# sigma is positive over the working range [0.5, 5.0] m.
+KINECT1_QUANTIZATION = np.array((-0.00029, 0.00037, 0.001365))
+KINECT1_QUANTIZATION.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -690,17 +679,22 @@ class LMResult:
         return self.reason != "max_iter"
 
 
+def forward_steps(x):
+    """The forward-difference step of each parameter: max(1e-6, 1e-6 |x_i|)."""
+    return np.maximum(1e-6, 1e-6 * np.abs(x))
+
+
 def lm_jacobian(residual_fn, x, r=None):
-    """Forward finite-difference Jacobian, step max(1e-6, 1e-6 |x_i|)."""
+    """Forward finite-difference Jacobian, with the steps of `forward_steps`."""
     x = np.asarray(x, dtype=float)
     if r is None:
         r = np.asarray(residual_fn(x), dtype=float)
+    steps = forward_steps(x)
     jac = np.empty((r.size, x.size))
     for i in range(x.size):
-        step = max(1e-6, 1e-6 * abs(x[i]))
         xp = x.copy()
-        xp[i] += step
-        jac[:, i] = (np.asarray(residual_fn(xp), dtype=float) - r) / step
+        xp[i] += steps[i]
+        jac[:, i] = (np.asarray(residual_fn(xp), dtype=float) - r) / steps[i]
     return jac
 
 

@@ -1,7 +1,8 @@
 """Depth correction maps.
 
 Two families of per-pixel depth corrections, both built from low-degree
-polynomials of the depth:
+polynomials of the depth, each held as a float coefficient array, constant
+term first (`PolyFn` checks one for callers outside the package):
 
 * UndistortionMap: a binned grid of control polynomials; every other pixel
   blends its 4 surrounding control functions bilinearly. Removes the local,
@@ -40,8 +41,6 @@ spans of `benchmark/workloads.py` and for the tests, and move to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import KINECT1_QUANTIZATION, DepthImage, horner
@@ -60,38 +59,22 @@ class MapError(ValueError):
     """Raised on inconsistent map construction or application."""
 
 
-@dataclass(frozen=True)
-class PolyFn:
-    """Polynomial of the depth, meters -> meters, degree <= 4.
+def PolyFn(coefficients, constant_zero=False):
+    """A depth polynomial, meters -> meters, of degree 0 to 4, as its
+    read-only float coefficient array, constant term first, which `horner`
+    evaluates. With `constant_zero` the constant term must be exactly 0.
 
-    `constant_zero` pins the constant term to exactly 0 (used by the global
-    map so a pure depth shift cannot masquerade as a sensor translation).
+    No module of the package calls it: the maps build their arrays
+    directly. It checks the arrays that scripts and `benchmark/workloads.py`
+    pass to `GlobalMap` and to `synthbench.bowl_distortion`.
     """
-
-    coefficients: tuple
-    constant_zero: bool = False
-
-    def __init__(self, coefficients, constant_zero=False):
-        coeffs = tuple(float(c) for c in coefficients)
-        if not 1 <= len(coeffs) <= MAX_DEGREE + 1:
-            raise MapError("polynomial degree must be between 0 and 4")
-        if constant_zero and coeffs[0] != 0.0:
-            raise MapError("constant_zero polynomial must have a zero constant term")
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "constant_zero", bool(constant_zero))
-
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
-    @staticmethod
-    def identity(degree=1, constant_zero=False):
-        coeffs = [0.0, 1.0] + [0.0] * (degree - 1)
-        return PolyFn(tuple(coeffs[:degree + 1]), constant_zero)
-
-    def __call__(self, z):
-        """Horner evaluation; accepts scalars or arrays."""
-        return horner(self.coefficients, z)
+    coeffs = np.array(coefficients, dtype=float)
+    if coeffs.ndim != 1 or not 1 <= coeffs.size <= MAX_DEGREE + 1:
+        raise MapError(f"polynomial degree must be between 0 and {MAX_DEGREE}")
+    if constant_zero and coeffs[0] != 0.0:
+        raise MapError("constant_zero polynomial must have a zero constant term")
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 class FitMoments:
@@ -128,7 +111,7 @@ class FitMoments:
         z = np.asarray(z, dtype=float)
         if np.any(z <= 0):
             raise MapError("sample depths must be positive")
-        sigma = KINECT1_QUANTIZATION.sigma(z)
+        sigma = horner(KINECT1_QUANTIZATION, z)
         w = 1.0 / (sigma * sigma)
         wz = w[:, None] * z[:, None] ** np.arange(2 * self.degree + 1)
         g = self.count.size
@@ -378,40 +361,41 @@ def apply_undistortion(umap: UndistortionMap, img: DepthImage) -> DepthImage:
 class GlobalMap:
     """Four-corner systematic error correction.
 
-    Three free corner polynomials at (0,0), (W,0) and (0,H), of one degree
-    of at least 1 and with `constant_zero` set, held as the rows of the
-    read-only (3, degree + 1) array `corners`; the corner at (W,H) is never
-    stored: the planarity constraint gWH = gW0 + g0H - g00 makes the blended
-    coefficient field affine over the image no matter what the free corners
-    are.
+    Three free corner polynomials at (0,0), (W,0) and (0,H), coefficient
+    rows of one degree from 1 to 4 whose constant terms are 0, held as the
+    rows of the read-only (3, degree + 1) array `corners`; the corner at
+    (W,H) is never stored: the planarity constraint gWH = gW0 + g0H - g00
+    makes the blended coefficient field affine over the image no matter
+    what the free corners are. A zero constant term keeps a pure depth
+    shift from passing for a sensor translation.
     """
 
     __slots__ = ("width", "height", "corners", "_image_terms")
 
-    def __init__(self, width, height, corner_00: PolyFn, corner_w0: PolyFn,
-                 corner_0h: PolyFn):
-        free = (corner_00, corner_w0, corner_0h)
-        if len({f.degree for f in free}) > 1 or not all(f.constant_zero for f in free):
-            raise MapError("corner polynomials must share one degree and set constant_zero")
-        if corner_00.degree < 1:
-            raise MapError("corner polynomials must have degree 1 or more")
+    def __init__(self, width, height, corner_00, corner_w0, corner_0h):
+        free = [np.asarray(c, dtype=float) for c in (corner_00, corner_w0, corner_0h)]
+        if len({c.shape for c in free}) > 1 or free[0].ndim != 1:
+            raise MapError("corner polynomials must share one degree")
+        if not 2 <= free[0].size <= MAX_DEGREE + 1:
+            raise MapError(f"corner polynomials must have degree 1 or more, at most {MAX_DEGREE}")
+        self.corners = np.array(free)
+        if np.any(self.corners[:, 0] != 0.0):
+            raise MapError("corner polynomials must have a zero constant term")
+        self.corners.setflags(write=False)
         self.width = int(width)
         self.height = int(height)
-        self.corners = np.array([f.coefficients for f in free])
-        self.corners.setflags(write=False)
         self._image_terms = None
 
     @staticmethod
     def identity(width, height, degree=2):
-        ident = PolyFn.identity(degree, constant_zero=True)
+        ident = np.eye(1, degree + 1, 1)[0]  # 0 + z + 0 z^2 + ...
         return GlobalMap(width, height, ident, ident, ident)
 
     @staticmethod
     def from_free_coefficients(width, height, coeffs, degree=2):
         """GlobalMap from a flat array of the 3 free corners' nonconstant coefficients."""
         coeffs = np.asarray(coeffs, dtype=float).reshape(3, degree)
-        corners = [PolyFn((0.0, *row), constant_zero=True) for row in coeffs]
-        return GlobalMap(width, height, *corners)
+        return GlobalMap(width, height, *np.insert(coeffs, 0, 0.0, axis=1))
 
     def free_coefficients(self):
         """Nonconstant coefficients of the 3 free corners, flattened (3 * degree)."""
@@ -464,7 +448,7 @@ class GlobalMap:
             out *= d
             out += row
             out += col
-        out *= d  # the constant term, 0 at every corner (constant_zero)
+        out *= d  # the constant term, 0 at every corner
         return out
 
     def __eq__(self, other):

@@ -5,7 +5,10 @@ RGB-D pair with a known per-pixel distortion field, global depth bias,
 noise model and camera-depth extrinsic. The injected corruption is stored
 in the *correction* direction (the fields the calibration should recover),
 and frames are corrupted with its exact closed-form inverse, so stage one
-and two can be validated coefficient by coefficient.
+and two can be validated coefficient by coefficient. That inverse is the
+quadratic formula, so the field is quadratic and the global bias, like
+every depth polynomial of the package a coefficient array that
+`geometry.horner` evaluates, has degree 1 or 2.
 
 Rendering is deterministic per (scene, frame index): every frame draws from
 its own RNG stream, so serial and parallel generation produce identical
@@ -30,12 +33,13 @@ from .geometry import (
     RigidTransform,
     axis_angle_to_quat,
     fit_plane,
+    horner,
     project_point,
     quat_multiply,
     quat_to_matrix,
     transform_plane,
 )
-from .maps import PolyFn, UndistortionMap
+from .maps import UndistortionMap
 
 LABEL_NONE = 0
 LABEL_WALL = 1
@@ -64,38 +68,45 @@ def invert_monotone_quadratic(a, b, c, y):
     return 2.0 * (y - a) / (b + np.sqrt(disc))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruthDistortion:
     """Injected sensor corruption, parameterized in the correction direction.
 
     `undistortion_field` holds the per-control-pixel quadratics that map an
     observed depth back to the distortion-free one; `global_correction` maps
-    the distortion-free depth to the true one. Frames are corrupted with the
-    exact inverses, applied bias first and distortion second, so the
-    composition global(undistortion(observed)) recovers the truth.
+    the distortion-free depth to the true one, a polynomial held as its
+    read-only coefficient array, constant term (0) first. Frames are
+    corrupted with the exact inverses, applied bias first and distortion
+    second, so the composition global(undistortion(observed)) recovers the
+    truth. `corrupt` inverts each by the quadratic formula, so the field has
+    degree 2 and the global correction degree 1 or 2.
     """
 
     undistortion_field: UndistortionMap
-    global_correction: PolyFn
+    global_correction: np.ndarray
 
     def __post_init__(self):
-        if not self.global_correction.constant_zero:
-            raise ValueError("global correction must have a zero constant term")
+        gc = np.array(self.global_correction, dtype=float)
+        gc.setflags(write=False)
+        object.__setattr__(self, "global_correction", gc)
         c = self.undistortion_field.coefficients
-        gc = self.global_correction.coefficients
+        if c.shape[2] != 3 or gc.shape not in ((2,), (3,)):
+            raise ValueError("the renderer inverts a field of degree 2 and a "
+                             "global correction of degree 1 or 2 only")
+        if gc[0] != 0.0:
+            raise ValueError("global correction must have a zero constant term")
         if not np.all(np.isfinite(np.append(c, gc))):
             raise ValueError("distortion coefficients must be finite")
         # every control quadratic and the global correction rise on [0.5, 5] m
         for z in (0.5, 5.0):
-            slope = c[:, :, 1] + 2.0 * c[:, :, 2] * z if c.shape[2] > 2 else c[:, :, 1]
-            if not np.all(slope > 0):
+            if not np.all(c[:, :, 1] + 2.0 * c[:, :, 2] * z > 0):
                 raise ValueError("undistortion field is not monotone on [0.5, 5] m")
             if not sum(k * gc[k] * z ** (k - 1) for k in range(1, len(gc))) > 0:
                 raise ValueError("global correction is not monotone on [0.5, 5] m")
 
     def corrupt(self, true_depth, valid):
         """Forward corruption of a (H, W) true depth field (noise-free part)."""
-        g = self.global_correction.coefficients
+        g = self.global_correction
         d = np.where(valid, true_depth, 1.0)
         biased = invert_monotone_quadratic(0.0, g[1], g[2] if len(g) > 2 else 0.0, d)
         dense = self.undistortion_field.dense_coefficients()
@@ -107,7 +118,7 @@ class GroundTruthDistortion:
         """Oracle correction of observed depths at pixel (u, v)."""
         coeffs = self.undistortion_field.pixel_coefficients(u, v)
         undist = sum(coeffs[..., k] * observed ** k for k in range(coeffs.shape[-1]))
-        return self.global_correction(undist)
+        return horner(self.global_correction, undist)
 
 
 def bowl_distortion(width, height, peak=0.022, flat_frac=0.2, asym=0.15,
@@ -142,7 +153,7 @@ def bowl_distortion(width, height, peak=0.022, flat_frac=0.2, asym=0.15,
     coeffs[:, :, 1] = 1.0 + gamma * zero_depth
     coeffs[:, :, 2] = -gamma
     if global_correction is None:
-        global_correction = PolyFn.identity(2, constant_zero=True)
+        global_correction = (0.0, 1.0, 0.0)
     return GroundTruthDistortion(fieldmap.with_coefficients(coeffs), global_correction)
 
 
@@ -316,7 +327,7 @@ def render_frame(scene: SceneSpec, index) -> LabeledFrame:
     rng = np.random.default_rng([scene.seed, int(index)])
     if scene.noise:
         noise = rng.normal(0.0, 1.0, observed.shape)
-        sigma = KINECT1_QUANTIZATION.sigma(np.where(in_range, observed, 1.0))
+        sigma = horner(KINECT1_QUANTIZATION, np.where(in_range, observed, 1.0))
         observed = observed + noise * sigma
         observed = np.round(observed * 1000.0) / 1000.0  # millimeter quantization
     valid = in_range & (observed > 0)

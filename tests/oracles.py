@@ -63,12 +63,12 @@ from depthcal.geometry import (
     CameraIntrinsics,
     DepthImage,
     GeometryError,
-    NoiseModel,
     OrganizedCloud,
     Plane,
     RigidTransform,
     depth_to_cloud,
     fit_plane,
+    horner,
     plane_through,
     project_point,
 )
@@ -95,7 +95,7 @@ def fit_weighted_poly_batch(z, z_pi, mask, nm, degree, cond_limit=1e12):
     mask = np.asarray(mask, dtype=bool)
     ncoef = degree + 1
     zs = np.where(mask, z, 1.0)  # placeholder value, zero weight below
-    sigma = nm.sigma(zs)
+    sigma = horner(nm, zs)
     w = np.where(mask, 1.0 / (sigma * sigma), 0.0)
     phi = np.stack([zs ** p for p in range(ncoef)], axis=-1)  # (G, N, ncoef)
     wphi = phi * w[..., None]
@@ -114,11 +114,12 @@ def fit_weighted_poly_batch(z, z_pi, mask, nm, degree, cond_limit=1e12):
     return coeffs, ok
 
 
-def fit_weighted_poly(samples, nm, degree) -> PolyFn:
+def fit_weighted_poly(samples, nm, degree):
     """Fit one polynomial minimizing sum (f(z) - z_pi)^2 / sigma^2(z).
 
-    `samples` is a (z, z_pi) pair of arrays. Raises MapError when the
-    samples do not determine the fit.
+    `samples` is a (z, z_pi) pair of arrays; returns the coefficients,
+    constant term first. Raises MapError when the samples do not determine
+    the fit.
     """
     z, z_pi = (np.asarray(a, dtype=float) for a in samples)
     ncoef = degree + 1
@@ -129,7 +130,7 @@ def fit_weighted_poly(samples, nm, degree) -> PolyFn:
                                          nm, degree)
     if not ok[0]:
         raise MapError("singular normal matrix (samples do not determine the fit)")
-    return PolyFn(tuple(coeffs[0]))
+    return PolyFn(coeffs[0])
 
 
 def moments_of(z, z_pi, degree):
@@ -178,27 +179,26 @@ def undistort_depth(umap: UndistortionMap, u, v, d):
     return _horner(umap.pixel_coefficients(float(u), float(v)), d)
 
 
-def complete_dependent_corner(g00: PolyFn, gw0: PolyFn, g0h: PolyFn) -> PolyFn:
-    """Fourth-corner polynomial from the planarity constraint gWH = gW0 + g0H - g00."""
-    if not (g00.degree == gw0.degree == g0h.degree):
+def complete_dependent_corner(g00, gw0, g0h):
+    """Fourth-corner coefficients from the planarity constraint gWH = gW0 + g0H - g00."""
+    g00, gw0, g0h = (np.asarray(c, dtype=float) for c in (g00, gw0, g0h))
+    if not (g00.shape == gw0.shape == g0h.shape):
         raise MapError("corner polynomials must share the same degree")
-    if not (g00.constant_zero and gw0.constant_zero and g0h.constant_zero):
-        raise MapError("corner polynomials must have constant_zero set")
-    coeffs = tuple(b + c - a for a, b, c in
-                   zip(g00.coefficients, gw0.coefficients, g0h.coefficients))
-    return PolyFn(coeffs, constant_zero=True)
+    if not (g00[0] == gw0[0] == g0h[0] == 0.0):
+        raise MapError("corner polynomials must have a zero constant term")
+    return PolyFn(gw0 + g0h - g00, constant_zero=True)
 
 
-def corner_wh(gmap: GlobalMap) -> PolyFn:
+def corner_wh(gmap: GlobalMap):
     """The dependent corner (W, H) of a global map."""
-    return complete_dependent_corner(*(PolyFn(c, constant_zero=True) for c in gmap.corners))
+    return complete_dependent_corner(*gmap.corners)
 
 
 def four_corner_coefficients(gmap: GlobalMap, u, v):
     """Bilinear blend of all 4 corner polynomials (the dependent one too)."""
     fu = np.asarray(u, dtype=float)[..., None] / gmap.width
     fv = np.asarray(v, dtype=float)[..., None] / gmap.height
-    c = [*gmap.corners, np.asarray(corner_wh(gmap).coefficients)]
+    c = [*gmap.corners, corner_wh(gmap)]
     return ((1 - fu) * (1 - fv) * c[0] + fu * (1 - fv) * c[1]
             + (1 - fu) * fv * c[2] + fu * fv * c[3])
 
@@ -298,7 +298,7 @@ def select_wall_points(points, pixels, board_pose, t0, board, cfg, rng):
         z_bar = seed.offset / abs(seed.normal[2])
     else:
         z_bar = float(np.mean(points[:, 2]))
-    threshold = KAPPA * KINECT1_QUANTIZATION.sigma(z_bar)
+    threshold = KAPPA * horner(KINECT1_QUANTIZATION, z_bar)
     cos_gate = np.cos(np.deg2rad(SEED_ANGLE_DEG))
 
     def near_seed(plane):
@@ -424,12 +424,12 @@ def board_plane_depth(extrinsic: RigidTransform, pose: RigidTransform,
 def residual_pos(extrinsic: RigidTransform, pose: RigidTransform,
                  gmap: GlobalMap, intr_depth: CameraIntrinsics,
                  obs: FrameObservations, board: BoardSpec,
-                 sigma_u: NoiseModel = KINECT1_QUANTIZATION):
+                 sigma_u=KINECT1_QUANTIZATION):
     """Point-to-board-plane residuals of the globally corrected wall points.
 
     One entry per wall point: the distance between the corrected point and
     its orthogonal projection onto the board plane (depth frame), scaled by
-    1 / (sqrt(|I|) * sigma_u(z)).
+    1 / (sqrt(|I|) * sigma_u(z)), sigma_u a noise polynomial's coefficients.
     """
     if obs.uv.shape[0] == 0:
         raise CalibrationError("empty inlier set")
@@ -447,7 +447,7 @@ def residual_pos(extrinsic: RigidTransform, pose: RigidTransform,
     pts = pts * (corrected / obs.dhat)[:, None]
     dist = np.linalg.norm(orth_project(pts, plane) - pts, axis=1)
     sign = np.sign(plane.signed_distance(pts))
-    scale = np.sqrt(obs.uv.shape[0]) * sigma_u.sigma(obs.dhat)
+    scale = np.sqrt(obs.uv.shape[0]) * horner(sigma_u, obs.dhat)
     return sign * dist / scale
 
 

@@ -17,10 +17,11 @@ from depthcal import synthbench as sb
 from depthcal.calib_global import refine
 from depthcal.cli import main as cli_main
 from depthcal.geometry import horner, lm_jacobian
-from depthcal.maps import PolyFn
 from oracles import correct_depth_image, surrounding
 
-SIGMA = dc.KINECT1_QUANTIZATION.sigma
+
+def SIGMA(z):
+    return horner(dc.KINECT1_QUANTIZATION, z)
 
 
 @contextlib.contextmanager

@@ -393,7 +393,7 @@ def test_residual_pos_unit_normalization():
     obs = FrameObservations("x", np.zeros((9, 2)),
                             np.array([[16, 12]]), np.array([2.01]))
     r = residual_pos(extr, pose, dc.GlobalMap.identity(32, 24), intr, obs,
-                        board, sigma_u=dc.NoiseModel((0.01,)))
+                        board, sigma_u=np.array([0.01]))
     assert np.sum(r ** 2) == pytest.approx(1.0, rel=1e-9)
 
 
@@ -416,7 +416,7 @@ def test_residual_pos_matches_formula_oracle(clean_setup):
                       dhat])
         corrected = p * global_eval(gmap, u, v, dhat) / dhat
         dist2 = np.sum((orth_project(corrected, plane) - corrected) ** 2)
-        total += dist2 / (n * dc.KINECT1_QUANTIZATION.sigma(dhat) ** 2)
+        total += dist2 / (n * horner(dc.KINECT1_QUANTIZATION, dhat) ** 2)
     assert np.sum(r ** 2) == pytest.approx(total, rel=1e-10)
 
 

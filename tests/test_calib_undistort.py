@@ -4,7 +4,7 @@ import pytest
 import depthcal as dc
 from depthcal import synthbench as sb
 from depthcal.calib_undistort import SCORE_CHUNK, _chunk_bounds, undistorted_points
-from depthcal.geometry import plane_through
+from depthcal.geometry import horner, plane_through, solve_pnp
 from depthcal.maps import MAX_DEGREE
 from oracles import estimate_undistortion_map as whole_frame_stage_one
 from oracles import select_wall_points as one_by_one_wall_points
@@ -409,8 +409,7 @@ def test_update_map_identity_when_points_on_plane():
     del scene_plane
     z = np.linspace(2.0, 3.5, 7)
     for (i, j) in [(0, 0), (4, 3), (8, 6)]:
-        fn = dc.PolyFn(umap.coefficients[j, i])
-        assert np.allclose(fn(z), z, atol=1e-9)
+        assert np.allclose(horner(umap.coefficients[j, i], z), z, atol=1e-9)
 
 
 def test_update_map_weighted_mean_matches_oracle(clean_scene):
@@ -442,7 +441,7 @@ def test_update_map_weighted_mean_matches_oracle(clean_scene):
     # the frame's one sample is the weighted mean, held as its moments
     i, j = target
     z_bar, z_pi_bar = z_sum / w_sum, zpi_sum / w_sum
-    w = 1.0 / dc.KINECT1_QUANTIZATION.sigma(z_bar) ** 2
+    w = 1.0 / horner(dc.KINECT1_QUANTIZATION, z_bar) ** 2
     assert moments.count[j, i] == 1
     assert moments.zmin[j, i] == pytest.approx(z_bar, abs=1e-12)
     assert moments.zmax[j, i] == moments.zmin[j, i]
@@ -512,8 +511,7 @@ def test_estimate_identity_for_undistorted_data():
     gh, gw = umap.grid_shape
     for j in range(0, gh, 7):
         for i in range(0, gw, 9):
-            fn = dc.PolyFn(umap.coefficients[j, i])
-            assert np.max(np.abs(fn(z) - z)) < 1e-4
+            assert np.max(np.abs(horner(umap.coefficients[j, i], z) - z)) < 1e-4
 
 
 def test_estimate_recovers_injected_field(clean_scene):
@@ -559,6 +557,27 @@ def test_estimate_requires_enough_frames(clean_scene):
     with pytest.raises(dc.CalibrationError):
         dc.estimate_undistortion_map([frames[0].frame], T0, scene.intr_rgb,
                                      scene.intr_depth, scene.board, small_cfg())
+
+
+@pytest.mark.parametrize("entry", ["estimate_undistortion_map", "calibrate"])
+def test_a_frame_id_given_twice_is_rejected_before_pnp(clean_scene, monkeypatch, entry):
+    # stage one keys walls and board poses by id, so a repeated id would
+    # read one frame with the other's wall and pose
+    scene, frames = clean_scene
+    train = [f.frame for f in frames if not f.is_test]
+    twin = dc.Frame(train[2].frame_id, train[3].depth, train[3].corners)
+    train = train[:3] + [twin] + train[4:]
+    pnp_calls = []
+
+    def counted_pnp(*args):
+        pnp_calls.append(args)
+        return solve_pnp(*args)
+
+    monkeypatch.setattr("depthcal.calib_undistort.solve_pnp", counted_pnp)
+    with pytest.raises(dc.CalibrationError, match=repr(train[2].frame_id)):
+        getattr(dc, entry)(train, T0, scene.intr_rgb, scene.intr_depth,
+                           scene.board, small_cfg())
+    assert not pnp_calls
 
 
 def test_estimate_single_distance_leaves_identity():

@@ -13,6 +13,7 @@ from depthcal import formats
 from depthcal import synthbench as sb
 from depthcal.cli import _read_scene_file
 from depthcal.formats import FormatError
+from depthcal.geometry import horner
 from oracles import (
     calibration_text,
     corner_wh,
@@ -234,7 +235,7 @@ def test_calibration_dependent_corner_rebuilt_on_load(tmp_path):
     # no fourth corner is stored: the loaded map's value at (W, H) is the
     # dependent corner of its free corners
     d = np.linspace(0.5, 5.0, 10)
-    assert np.max(np.abs(g2.correct(g2.width, g2.height, d) - corner_wh(g2)(d))) < 1e-12
+    assert np.max(np.abs(g2.correct(g2.width, g2.height, d) - horner(corner_wh(g2), d))) < 1e-12
 
 
 def test_calibration_rejects_missing_key(tmp_path):

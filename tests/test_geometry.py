@@ -9,6 +9,7 @@ from depthcal.geometry import (
     axis_angle_to_quat,
     back_project,
     fit_planes,
+    forward_steps,
     horner,
     lm_jacobian,
     plane_through,
@@ -680,6 +681,24 @@ def test_lm_reason_damping_exhausted():
     assert res.cost_trace == [1.0]
 
 
+def test_forward_steps_are_the_old_scalar_rule_and_lm_jacobians_steps():
+    x = np.array([0.0, -0.3, 1.0, -2.5e3, 7e-7, 1e300])
+    steps = forward_steps(x)
+    assert steps.tolist() == [max(1e-6, 1e-6 * abs(xi)) for xi in x.tolist()]
+
+    def residual(p):
+        return np.array([np.sin(p[0]) * p[1], p[1] ** 2 + p[2]])
+
+    x = np.array([0.4, -1.7e3, 2e-3])
+    r = residual(x)
+    jac = lm_jacobian(residual, x, r)
+    for i in range(x.size):
+        h = max(1e-6, 1e-6 * abs(float(x[i])))
+        xp = x.copy()
+        xp[i] += h
+        assert jac[:, i].tobytes() == ((residual(xp) - r) / h).tobytes()
+
+
 def test_lm_jacobian_matches_analytic():
     a = np.array([[2.0, 1.0], [0.5, -1.0], [1.0, 3.0]])
 
@@ -691,18 +710,18 @@ def test_lm_jacobian_matches_analytic():
 
 
 # ---------------------------------------------------------------------------
-# NoiseModel.sigma (values evaluated from the sensor noise polynomial)
+# KINECT1_QUANTIZATION (values evaluated from the sensor noise polynomial)
 
 
 @pytest.mark.parametrize("z,expected", [(1.0, 0.001445), (2.0, 0.00591),
                                         (4.0, 0.02303)])
 def test_sigma_quantization_reference_values(z, expected):
-    assert dc.KINECT1_QUANTIZATION.sigma(z) == pytest.approx(expected, abs=1e-9)
+    assert horner(dc.KINECT1_QUANTIZATION, z) == pytest.approx(expected, abs=1e-9)
 
 
 def test_noise_model_positive_on_working_range():
     z = np.linspace(0.5, 5.0, 100)
-    assert np.all(dc.KINECT1_QUANTIZATION.sigma(z) > 0)
+    assert np.all(horner(dc.KINECT1_QUANTIZATION, z) > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import depthcal as dc
 from depthcal import formats
 from depthcal import synthbench as sb
+from depthcal.geometry import horner
 from depthcal.maps import PolyFn
 from depthcal.synthbench import invert_monotone_quadratic
 
@@ -44,7 +45,7 @@ def test_distortion_requires_monotone_field():
     coeffs[:, :, 2] = -0.2  # slope 1 - 0.4 d goes negative inside [0.5, 5]
     with pytest.raises(ValueError):
         sb.GroundTruthDistortion(field.with_coefficients(coeffs),
-                                 PolyFn.identity(2, constant_zero=True))
+                                 (0.0, 1.0, 0.0))
 
 
 @pytest.mark.parametrize("where", ["field", "global"])
@@ -60,6 +61,29 @@ def test_distortion_rejects_nan_coefficients(where):
     with pytest.raises(ValueError, match="finite"):
         sb.GroundTruthDistortion(field.with_coefficients(coeffs),
                                  PolyFn(gc, constant_zero=True))
+
+
+@pytest.mark.parametrize("field_degree,gc", [
+    (2, (0.0, 0.97, 0.008, 0.001)),  # corrupt inverts G's terms up to z^2 only
+    (2, (0.0, 0.97, 0.008, 0.0, 1e-4)),
+    (2, (0.0,)),
+    (1, (0.0, 1.0, 0.0)),  # corrupt inverts the field as a quadratic
+    (3, (0.0, 1.0, 0.0)),
+])
+def test_distortion_rejects_degrees_the_renderer_cannot_invert(field_degree, gc):
+    field = dc.UndistortionMap.identity(16, 16, 16, 16, degree=field_degree)
+    with pytest.raises(ValueError, match="degree"):
+        sb.GroundTruthDistortion(field, PolyFn(gc, constant_zero=True))
+
+
+def test_distortion_holds_its_global_correction_as_a_read_only_array():
+    field = dc.UndistortionMap.identity(16, 16, 16, 16, degree=2)
+    dist = sb.GroundTruthDistortion(field, [0, 0.97, 0.008])
+    assert dist.global_correction.dtype == float
+    assert dist.global_correction.tolist() == [0.0, 0.97, 0.008]
+    assert not dist.global_correction.flags.writeable
+    with pytest.raises(ValueError, match="zero constant term"):
+        sb.GroundTruthDistortion(field, (0.01, 0.97, 0.008))
 
 
 def test_corrupt_then_correct_is_identity():
@@ -110,7 +134,7 @@ def test_render_noise_statistics():
     wall = (lf.labels == sb.LABEL_WALL) & lf.frame.depth.valid
     assert wall.sum() >= 10_000
     residual = lf.frame.depth.data[wall] - lf.true_depth.data[wall]
-    sigma = dc.KINECT1_QUANTIZATION.sigma(4.5)
+    sigma = horner(dc.KINECT1_QUANTIZATION, 4.5)
     assert np.std(residual) == pytest.approx(sigma, rel=0.10)
 
 
