@@ -71,8 +71,8 @@ def run(args):
             for lf in tests:
                 und = dc.apply_calibration(umap, identity_g, lf.frame.depth,
                                            scene.intr_depth)
-                idx = dc.IndexSet.from_mask((lf.labels == sb.LABEL_WALL) & und.valid)
-                row[lf.wall_distance] = sb.planarity_error(und, idx)
+                wall = (lf.labels == sb.LABEL_WALL) & und.valid
+                row[lf.wall_distance] = sb.planarity_error(und, wall)
             runs[chi, psi, degree] = row
             print(f"{label}: stage one {time.perf_counter() - tic:.1f} s",
                   file=sys.stderr)
@@ -83,8 +83,8 @@ def run(args):
         original = {}
         for lf in tests:
             cloud = dc.depth_to_cloud(lf.frame.depth, scene.intr_depth)
-            idx = dc.IndexSet.from_mask(lf.labels == sb.LABEL_WALL)
-            original[lf.wall_distance] = sb.planarity_error(cloud, idx)
+            wall = lf.labels == sb.LABEL_WALL
+            original[lf.wall_distance] = sb.planarity_error(cloud, wall)
         print_table([("original", original)]
                     + [(f"degree_{d}", planarity(2, 2, d, f"degree {d}"))
                        for d in args.degrees], dists)

@@ -11,7 +11,6 @@ from .geometry import (
     CameraIntrinsics,
     DepthImage,
     GeometryError,
-    IndexSet,
     KINECT1_QUANTIZATION,
     OrganizedCloud,
     Plane,

@@ -235,6 +235,9 @@ class _RefineProblem:
                                intr_depth=intr, gmap=gmap)
 
     def residual(self, x):
+        if not np.all(np.isfinite(x)):
+            # no G is built at such a trial point: lm_minimize rejects it
+            return np.full(self.corners_px.size + self.dhat.size, np.nan)
         m = len(self.obs)
         extr_q, pose_q = self._rotations(x)
         pose_r = quat_to_matrix(pose_q)

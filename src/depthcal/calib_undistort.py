@@ -60,8 +60,8 @@ class BoardSpec:
     def __post_init__(self):
         if self.rows < 3 or self.cols < 3:
             raise CalibrationError("board needs at least a 3x3 inner corner grid")
-        if self.square_size <= 0:
-            raise CalibrationError("board square size must be positive")
+        if not 0 < self.square_size < np.inf:
+            raise CalibrationError("board square size must be positive and finite")
 
     def corners_3d(self):
         """Corner (r, c) -> (c * s, r * s, 0), row-major (R*C, 3)."""

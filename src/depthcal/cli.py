@@ -16,7 +16,6 @@ from .calib_global import GlobalConfig
 from .calib_undistort import CalibrationError, UndistortConfig, select_wall_points
 from .geometry import (
     GeometryError,
-    IndexSet,
     RigidTransform,
     depth_to_cloud,
     fit_plane,
@@ -159,8 +158,7 @@ def _write_calibration_report(path, result, frames, intr_depth_guess, ucfg):
                                          intr_depth_guess)
         for name, cloud in (("original", original), ("undistorted", und)):
             rows.append(["undistortion", frame.frame_id, f"planarity_{name}",
-                         synthbench.planarity_error(
-                             cloud, IndexSet.from_mask(wall & cloud.valid))])
+                         synthbench.planarity_error(cloud, wall & cloud.valid)])
     rows += [["refinement", "", "initial_cost", result.cost_trace[0]],
              ["refinement", "", "final_cost", result.cost_trace[-1]],
              ["refinement", "", "accepted_steps", len(result.cost_trace) - 1]]
@@ -200,17 +198,16 @@ def cmd_evaluate(args):
     rows_plan, rows_glob, rows_rot, rows_depth = [], [], [], []
     for mf, frame in entries:
         original = depth_to_cloud(frame.depth, intr_depth)
-        # wall indices come from the corrected cloud, then every variant is
-        # measured on the same index set
+        # the wall comes from the corrected cloud, then every variant is
+        # measured on the same pixel set
         und_only = pipeline.apply_calibration(umap, identity_g, frame.depth, intr_depth)
         corrected = pipeline.apply_calibration(umap, gmap, frame.depth, intr_depth)
         pose, _ = solve_pnp(manifest.board.corners_3d(), frame.corner_points,
                             intr_rgb)
-        wall = np.zeros(corrected.valid.shape, dtype=bool)
-        wall.reshape(-1)[select_wall_points(corrected.points[corrected.valid],
-                                            corrected.valid, pose, extrinsic,
-                                            manifest.board, ucfg, rng)] = True
-        inliers = IndexSet.from_mask(wall)
+        inliers = np.zeros(corrected.valid.shape, dtype=bool)
+        inliers.reshape(-1)[select_wall_points(corrected.points[corrected.valid],
+                                               corrected.valid, pose, extrinsic,
+                                               manifest.board, ucfg, rng)] = True
         board_plane_cam = transform_plane(pose, manifest.board.plane)
         board_plane_depth = transform_plane(extrinsic.inverse(), board_plane_cam)
 

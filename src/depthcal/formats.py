@@ -506,6 +506,21 @@ class DatasetManifest:
 
 
 def write_manifest(path, manifest: DatasetManifest):
+    """Write the file `read_manifest` reads. A frame that it would not read
+    back raises FormatError before anything is written: an id or path that
+    is empty or holds whitespace or `#`, an id given twice, or a true
+    distance that is not finite."""
+    seen = set()
+    for fr in manifest.frames:
+        if fr.frame_id in seen:
+            raise FormatError(f"{path}: frame {fr.frame_id!r} is given twice")
+        seen.add(fr.frame_id)
+        for field in (fr.frame_id, fr.depth_path, fr.corners_path):
+            if field.split() != [field] or "#" in field:
+                raise FormatError(f"{path}: frame {fr.frame_id!r}: {field!r} is empty "
+                                  f"or holds whitespace or '#'")
+        if fr.true_distance is not None and not np.isfinite(fr.true_distance):
+            raise FormatError(f"{path}: frame {fr.frame_id!r}: true distance is not finite")
     b = manifest.board
     lines = [
         "# depthcal dataset manifest",

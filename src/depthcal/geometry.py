@@ -4,7 +4,9 @@ Planes, rigid transforms, pinhole projection with radial/tangential
 distortion, organized point clouds, total-least-squares plane fitting,
 plane-pair rigid transform estimation, planar PnP and a generic damped
 least-squares solver. Everything works in meters and pixels; depth images
-use 0.0 as the invalid-depth marker.
+use 0.0 as the invalid-depth marker. A set of pixels, such as a frame's
+wall, is a (height, width) bool mask, whose points
+`OrganizedCloud.points_at` gathers.
 
 A polynomial of the depth is a float array of its coefficients, constant
 term first, which `horner` evaluates; the sensor noise sigma(z),
@@ -310,38 +312,33 @@ class OrganizedCloud:
         self.points.setflags(write=False)
         self.valid.setflags(write=False)
 
-    def points_at(self, index_set):
-        """Points (N, 3) of the pixels of an IndexSet, row-major.
+    def points_at(self, mask):
+        """Points (N, 3) at the True pixels of a (height, width) bool mask,
+        row-major.
 
-        Raises GeometryError unless the set's mask has the cloud's size and
+        Raises GeometryError unless the mask is a bool array of the cloud's
+        size, since an int array would select rows, not pixels, and unless
         every pixel in it is valid: an invalid pixel carries no point.
         """
-        mask = index_set.mask
+        if not isinstance(mask, np.ndarray) or mask.dtype != bool:
+            raise GeometryError("a pixel set must be a bool mask")
         if mask.shape != self.valid.shape:
-            raise GeometryError("index set: mask size does not match the cloud")
+            raise GeometryError("pixel set: mask size does not match the cloud")
         if (mask & ~self.valid).any():
-            raise GeometryError("index set holds invalid pixels")
+            raise GeometryError("pixel set holds invalid pixels")
         return self.points[mask]
 
 
 class IndexSet:
-    """A set of pixels of one image: a read-only (height, width) bool mask.
-
-    A mask holds no duplicate and no pixel outside its image, so the set
-    needs no checks. `from_mask` is the one constructor.
-    """
-
-    __slots__ = ("mask",)
-
-    def __len__(self):
-        return int(np.count_nonzero(self.mask))
+    """Not a type: a pixel set is its (height, width) bool mask. The name
+    stays only because `benchmark/workloads.calib_accuracy` calls
+    `IndexSet.from_mask`."""
 
     @staticmethod
     def from_mask(mask):
-        """The True pixels of a (height, width) mask, held as a read-only copy."""
-        out = IndexSet.__new__(IndexSet)
-        out.mask = np.array(mask, dtype=bool)
-        out.mask.setflags(write=False)
+        """A read-only bool copy of a (height, width) mask."""
+        out = np.array(mask, dtype=bool)
+        out.setflags(write=False)
         return out
 
 

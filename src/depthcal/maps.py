@@ -71,6 +71,8 @@ def PolyFn(coefficients, constant_zero=False):
     coeffs = np.array(coefficients, dtype=float)
     if coeffs.ndim != 1 or not 1 <= coeffs.size <= MAX_DEGREE + 1:
         raise MapError(f"polynomial degree must be between 0 and {MAX_DEGREE}")
+    if not np.all(np.isfinite(coeffs)):
+        raise MapError("polynomial coefficients must be finite")
     if constant_zero and coeffs[0] != 0.0:
         raise MapError("constant_zero polynomial must have a zero constant term")
     coeffs.setflags(write=False)
@@ -234,6 +236,8 @@ class UndistortionMap:
             raise MapError(f"coefficient grid must be {gh}x{gw} for this image and bin size")
         if not 2 <= coefficients.shape[2] <= MAX_DEGREE + 1:
             raise MapError("coefficient rows must hold degree+1 entries, degree 1..4")
+        if not np.all(np.isfinite(coefficients)):
+            raise MapError("control polynomial coefficients must be finite")
         self.width = int(width)
         self.height = int(height)
         self.chi = int(chi)
@@ -381,6 +385,8 @@ class GlobalMap:
         self.corners = np.array(free)
         if np.any(self.corners[:, 0] != 0.0):
             raise MapError("corner polynomials must have a zero constant term")
+        if not np.all(np.isfinite(self.corners)):
+            raise MapError("corner polynomial coefficients must be finite")
         self.corners.setflags(write=False)
         self.width = int(width)
         self.height = int(height)

@@ -10,6 +10,10 @@ quadratic formula, so the field is quadratic and the global bias, like
 every depth polynomial of the package a coefficient array that
 `geometry.horner` evaluates, has degree 1 or 2.
 
+The metrics score a cloud on a pixel set, such as a test frame's wall:
+a (height, width) bool mask, whose points `OrganizedCloud.points_at`
+gathers.
+
 Rendering is deterministic per (scene, frame index): every frame draws from
 its own RNG stream, so serial and parallel generation produce identical
 bytes. Ground-truth data is consumed only by evaluation code, never by the
@@ -26,7 +30,6 @@ from .calib_undistort import BoardSpec, CalibrationError, Frame
 from .geometry import (
     CameraIntrinsics,
     DepthImage,
-    IndexSet,
     KINECT1_QUANTIZATION,
     OrganizedCloud,
     Plane,
@@ -376,18 +379,18 @@ def generate_dataset(scene: SceneSpec, out_dir):
 # metrics
 
 
-def planarity_error(cloud: OrganizedCloud, inliers: IndexSet) -> float:
-    """RMS distance of the inlier points to their own best-fit plane."""
-    if len(inliers) < 3:
+def planarity_error(cloud: OrganizedCloud, inliers: np.ndarray) -> float:
+    """RMS distance of the points at the inlier mask to their own best-fit plane."""
+    if np.count_nonzero(inliers) < 3:
         raise CalibrationError("planarity error needs at least 3 inliers")
     pts = cloud.points_at(inliers)
     plane = fit_plane(pts)
     return float(np.sqrt(np.mean(plane.signed_distance(pts) ** 2)))
 
 
-def global_error(cloud: OrganizedCloud, inliers: IndexSet, board_plane: Plane) -> float:
-    """Mean signed distance of the inlier points to the checkerboard plane."""
-    if len(inliers) == 0:
+def global_error(cloud: OrganizedCloud, inliers: np.ndarray, board_plane: Plane) -> float:
+    """Mean signed distance of the points at the inlier mask to the checkerboard plane."""
+    if np.count_nonzero(inliers) == 0:
         raise CalibrationError("global error needs a non-empty inlier set")
     pts = cloud.points_at(inliers)
     return float(np.mean(board_plane.signed_distance(pts)))
@@ -408,10 +411,10 @@ def rotation_error(normal, axis) -> float:
     return float(np.degrees(np.arccos(dot) - np.pi / 2.0))
 
 
-def depth_vs_ground_truth(cloud: OrganizedCloud, inliers: IndexSet,
+def depth_vs_ground_truth(cloud: OrganizedCloud, inliers: np.ndarray,
                           true_distance: float) -> float:
-    """Mean inlier depth minus the laser-meter distance of a test frame."""
-    if len(inliers) == 0:
+    """Mean depth at the inlier mask minus the laser-meter distance of a test frame."""
+    if np.count_nonzero(inliers) == 0:
         raise CalibrationError("depth comparison needs a non-empty inlier set")
     z = cloud.points_at(inliers)[:, 2]
     return float(np.mean(z) - true_distance)

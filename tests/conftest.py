@@ -51,9 +51,9 @@ class StageOneRun:
             cloud = dc.depth_to_cloud(lf.frame.depth, scene.intr_depth)
             und = dc.depth_to_cloud(dc.apply_undistortion(self.umap, lf.frame.depth),
                                     scene.intr_depth)
-            idx = dc.IndexSet.from_mask((lf.labels == sb.LABEL_WALL) & und.valid)
+            wall = (lf.labels == sb.LABEL_WALL) & und.valid
             self.planarity[round(lf.wall_distance, 3)] = (
-                sb.planarity_error(cloud, idx), sb.planarity_error(und, idx))
+                sb.planarity_error(cloud, wall), sb.planarity_error(und, wall))
 
 
 class PipelineRun:
@@ -74,12 +74,12 @@ class PipelineRun:
             corrected = correct_depth_image(self.result.umap, self.result.gmap,
                                             lf.frame.depth)
             cloud = dc.depth_to_cloud(corrected, self.result.intr_depth)
-            idx = dc.IndexSet.from_mask((lf.labels == sb.LABEL_WALL) & cloud.valid)
+            wall = (lf.labels == sb.LABEL_WALL) & cloud.valid
             dist = round(lf.wall_distance, 3)
             self.depth_vs_gt[dist] = sb.depth_vs_ground_truth(
-                cloud, idx, lf.wall_distance)
+                cloud, wall, lf.wall_distance)
             rot_w2s = scene.pose(k).inverse().rotation_matrix
-            normal = dc.fit_plane(cloud.points_at(idx)).normal
+            normal = dc.fit_plane(cloud.points_at(wall)).normal
             self.rotation_errors[dist] = tuple(
                 sb.rotation_error(normal, rot_w2s @ axis)
                 for axis in ((1.0, 0, 0), (0, 1.0, 0)))

@@ -52,8 +52,7 @@ def stage_two_inputs(scene, frames):
         img = dc.DepthImage(scene.intr_depth.width, scene.intr_depth.height,
                             np.where(lf.frame.depth.valid, dhat, 0.0))
         wall = lf.labels == sb.LABEL_WALL
-        walls.append(dc.depth_to_cloud(img, scene.intr_depth)
-                     .points_at(dc.IndexSet.from_mask(wall)))
+        walls.append(dc.depth_to_cloud(img, scene.intr_depth).points_at(wall))
         v, u = np.nonzero(wall)
         inliers.append(np.column_stack([u, v]))
         corners.append(lf.frame.corner_points)
@@ -238,7 +237,7 @@ def test_wall_points_are_the_undistorted_cloud_at_the_mask():
     kept, points = undistorted_points(umap, depth, wall, intr)
     assert np.array_equal(kept, wall & undistorted.valid)
     assert not kept[0, 0] and not kept[7, 11]
-    expect = dc.depth_to_cloud(undistorted, intr).points_at(dc.IndexSet.from_mask(kept))
+    expect = dc.depth_to_cloud(undistorted, intr).points_at(kept)
     assert points.shape == expect.shape
     assert points.tobytes() == expect.tobytes()
     with pytest.raises(dc.GeometryError, match="pixel mask size"):
@@ -644,6 +643,23 @@ def test_grouped_jacobian_equals_dense(small_refine_setup):
     rng = np.random.default_rng(29)
     for _ in range(5):
         assert_dense_products(problem, x0 + rng.normal(0, 5e-4, x0.size))
+
+
+@pytest.mark.parametrize("i", [0, 7, 10, 15, 20])
+def test_residual_at_a_nonfinite_point_is_nonfinite(small_refine_setup, i):
+    # GlobalMap rejects non-finite corners, so the residual must not build
+    # one at such a trial point: it returns NaN rows, which lm_minimize
+    # rejects as a step
+    problem = small_refine_setup[3]
+    x = problem.pack_initial()
+    for bad in (np.nan, np.inf):
+        xb = x.copy()
+        xb[i] = bad
+        r = problem.residual(xb)
+        assert r.shape == problem.residual(x).shape
+        assert not np.any(np.isfinite(r))
+        with pytest.raises(dc.GeometryError, match="initial point"):
+            dc.lm_minimize(problem.residual, xb, max_iter=1)
 
 
 def test_lm_with_grouped_jacobian_takes_the_same_steps(small_refine_setup):

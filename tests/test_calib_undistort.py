@@ -58,6 +58,12 @@ def test_board_rejects_small_grid():
         dc.BoardSpec(rows=2, cols=8, square_size=0.1)
 
 
+@pytest.mark.parametrize("square", [np.nan, np.inf, 0.0, -0.1])
+def test_board_rejects_a_square_size_that_is_not_positive_and_finite(square):
+    with pytest.raises(dc.CalibrationError, match="square size"):
+        dc.BoardSpec(3, 3, square)
+
+
 def test_frame_rejects_incomplete_corners():
     depth = dc.DepthImage(4, 4, np.ones((4, 4)))
     corners = np.full((3, 4, 2), np.nan)
@@ -144,12 +150,11 @@ def test_undistorted_points_are_the_undistorted_cloud_at_its_valid_pixels():
         kept, points = undistorted_points(umap, img, pixels, intr)
         # exactly the pixels apply_undistortion invalidates are dropped
         assert np.array_equal(kept, pixels & undistorted.valid)
-        at_kept = dc.IndexSet.from_mask(kept)
-        expect = dc.depth_to_cloud(undistorted, intr).points_at(at_kept)
+        expect = dc.depth_to_cloud(undistorted, intr).points_at(kept)
         assert points.shape == expect.shape
         assert points.tobytes() == expect.tobytes()
         # the correction kernel's points under an identity G
-        assert points.tobytes() == corrected.points_at(at_kept).tobytes()
+        assert points.tobytes() == corrected.points_at(kept).tobytes()
     wide = dc.CameraIntrinsics(fx=61.0, fy=63.0, cx=19.3, cy=14.6, width=41,
                                height=30)
     with pytest.raises(dc.GeometryError, match="does not match intrinsics"):

@@ -364,7 +364,7 @@ def test_report_leaves_out_wall_pixels_the_final_u_invalidates(tmp_path):
         und = dc.apply_calibration(result.umap, identity_g, lf.frame.depth,
                                    scene.intr_depth)
         dropped += np.count_nonzero(walls[fid] & ~und.valid)
-        want = sb.planarity_error(und, dc.IndexSet.from_mask(walls[fid] & und.valid))
+        want = sb.planarity_error(und, walls[fid] & und.valid)
         assert float(report[fid, "planarity_undistorted"]) == want
     assert dropped > 0
 
@@ -425,7 +425,7 @@ def test_evaluate_writes_reports(dataset, calibration, tmp_path, monkeypatch):
         und = dc.depth_to_cloud(dc.apply_undistortion(umap, frame.depth), intr_depth)
         wall = np.zeros(und.valid.shape, dtype=bool)
         wall.reshape(-1)[flat] = True
-        want = sb.planarity_error(und, dc.IndexSet.from_mask(wall))
+        want = sb.planarity_error(und, wall)
         assert float(row.split(",")[2]) == want
     rows = (out / "depth_vs_ground_truth.csv").read_text().splitlines()[1:]
     for row in rows:

@@ -1,5 +1,6 @@
 import functools
 import os
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -453,6 +454,35 @@ def test_manifest_round_trip(tmp_path):
     formats.write_manifest(path, manifest)
     back = formats.read_manifest(path)
     assert back == manifest
+
+
+@pytest.mark.parametrize("frame, bad", [
+    pytest.param(("a b", "d.pgm", "c.csv"), "a b", id="space-in-id"),
+    pytest.param(("k#1", "d.pgm", "c.csv"), "k#1", id="hash-in-id"),
+    pytest.param(("", "d.pgm", "c.csv"), "''", id="empty-id"),
+    pytest.param(("a\nframe", "d.pgm", "c.csv"), "a\\nframe", id="newline-in-id"),
+    pytest.param(("a", "depth/a b.pgm", "c.csv"), "depth/a b.pgm", id="space-in-depth"),
+    pytest.param(("a", "d.pgm", "c#.csv"), "c#.csv", id="hash-in-corners"),
+    pytest.param(("a", "", "c.csv"), "''", id="empty-depth"),
+    pytest.param(("a", "d.pgm", "c.csv\t"), "c.csv\\t", id="tab-in-corners"),
+    pytest.param(("a", "d.pgm", "c.csv", float("nan")), "not finite", id="nan-distance"),
+    pytest.param(("t", "d.pgm", "c.csv"), "given twice", id="duplicate-id"),
+])
+def test_write_manifest_rejects_frames_the_reader_would_not_read(tmp_path, frame, bad):
+    manifest = formats.DatasetManifest(
+        board=dc.BoardSpec(6, 8, 0.1),
+        intr_rgb=dc.CameraIntrinsics(fx=525, fy=525, cx=319.5, cy=239.5,
+                                     width=640, height=480),
+        intr_depth_guess=dc.CameraIntrinsics(fx=290, fy=290, cx=159.5, cy=119.5,
+                                             width=320, height=240),
+        extrinsic_guess=dc.RigidTransform((1, 0, 0, 0), (0.025, 0, 0)),
+        frames=(formats.ManifestFrame("t", "dt.pgm", "ct.csv", 2.5),
+                formats.ManifestFrame(*frame)))
+    path = tmp_path / "manifest.txt"
+    with pytest.raises(FormatError, match=re.escape(bad)) as info:
+        formats.write_manifest(path, manifest)
+    assert repr(frame[0]) in str(info.value)
+    assert not path.exists()
 
 
 MANIFEST_TEXT = (

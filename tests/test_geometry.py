@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import depthcal as dc
 from depthcal.geometry import (
     GeometryError,
+    IndexSet,
     axis_angle_to_quat,
     back_project,
     fit_planes,
@@ -175,16 +176,20 @@ def test_points_at_gathers_the_pixels():
     for u, v in [(6, 0), (0, 4), (3, 2), (6, 4)]:
         mask[v, u] = True
     # row-major: (6, 0), (3, 2), (0, 4), (6, 4)
-    got = cloud.points_at(dc.IndexSet.from_mask(mask))
+    got = cloud.points_at(mask)
     assert np.array_equal(got, pts[[0, 2, 4, 4], [6, 3, 0, 6]])
-    # a set from a frame of another size must not wrap into the next row
+    # a mask from a frame of another size must not wrap into the next row
     for shape in [(5, 8), (6, 7), (35,)]:
         with pytest.raises(GeometryError, match="size"):
-            cloud.points_at(dc.IndexSet.from_mask(np.ones(shape, dtype=bool)))
+            cloud.points_at(np.ones(shape, dtype=bool))
     # an invalid pixel carries no point
     mask[1, 5] = True
     with pytest.raises(GeometryError, match="invalid"):
-        cloud.points_at(dc.IndexSet.from_mask(mask))
+        cloud.points_at(mask)
+    # only a bool mask: an int array would select whole rows, not pixels
+    for other in (mask.astype(int), mask.astype(float), mask.tolist(), np.array([0, 2])):
+        with pytest.raises(GeometryError, match="bool mask"):
+            cloud.points_at(other)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
@@ -724,10 +729,6 @@ def test_noise_model_positive_on_working_range():
     assert np.all(horner(dc.KINECT1_QUANTIZATION, z) > 0)
 
 
-# ---------------------------------------------------------------------------
-# IndexSet
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("axis", ["fx", "fy"])
 def test_intrinsics_reject_nonfinite_focal_length(axis, bad):
@@ -737,14 +738,19 @@ def test_intrinsics_reject_nonfinite_focal_length(axis, bad):
         dc.CameraIntrinsics(**values)
 
 
+# ---------------------------------------------------------------------------
+# IndexSet.from_mask, the constructor benchmark/workloads.py calls
+
+
 def test_index_set_from_mask():
     rng = np.random.default_rng(3)
     mask = rng.random((12, 17)) < 0.4
-    s = dc.IndexSet.from_mask(mask)
-    assert len(s) == np.count_nonzero(mask)
-    assert s.mask.dtype == bool and np.array_equal(s.mask, mask)
-    assert not s.mask.flags.writeable
+    s = IndexSet.from_mask(mask)
+    assert type(s) is np.ndarray and s.dtype == bool and np.array_equal(s, mask)
+    assert not s.flags.writeable
     # a copy: changing the caller's mask leaves the set as it was
     mask[~mask] = True
-    assert len(s) < mask.size
-    assert len(dc.IndexSet.from_mask(np.zeros((3, 4), dtype=bool))) == 0
+    assert np.count_nonzero(s) < mask.size
+    assert np.count_nonzero(IndexSet.from_mask(np.zeros((3, 4), dtype=bool))) == 0
+    assert np.array_equal(IndexSet.from_mask([[2, 0], [0, -1]]), [[True, False], [False, True]])
+    assert not hasattr(dc, "IndexSet")

@@ -71,6 +71,20 @@ def test_polyfn_rejects_degree_5():
         dc.PolyFn((0.0, 1.0, 0.0, 0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_maps_reject_nonfinite_coefficients(bad):
+    with pytest.raises(MapError, match="finite"):
+        dc.PolyFn((0.0, bad))
+    coeffs = dc.UndistortionMap.identity(8, 8, 4, 4).coefficients.copy()
+    coeffs[1, 2, 0] = bad
+    with pytest.raises(MapError, match="finite"):
+        dc.UndistortionMap(8, 8, 4, 4, coeffs)
+    for corners in ([[0, bad], [0, 1], [0, bad]], [[0, 1, 0], [0, bad, 0], [0, 1, 0]],
+                    [[0, 1, 0], [0, 1, 0], [0, 1, bad]]):
+        with pytest.raises(MapError, match="finite"):
+            dc.GlobalMap(32, 24, *corners)
+
+
 # ---------------------------------------------------------------------------
 # FitMoments / fit_weighted_poly_batch (the moment solve)
 

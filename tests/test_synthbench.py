@@ -199,7 +199,7 @@ def plane_cloud(depth=2.0, width=32, height=24):
     intr = dc.CameraIntrinsics(fx=40, fy=40, cx=16, cy=12, width=width, height=height)
     img = dc.DepthImage(width, height, np.full((height, width), depth))
     cloud = dc.depth_to_cloud(img, intr)
-    return cloud, dc.IndexSet.from_mask(cloud.valid)
+    return cloud, cloud.valid
 
 
 def test_planarity_error_exact_plane_is_zero():
@@ -214,8 +214,7 @@ def test_planarity_error_symmetric_offsets():
     sign = np.where(np.isin(uu % 4, (0, 3)), 1.0, -1.0)
     pts = np.stack([uu, vv, 2.0 + 0.01 * sign], axis=2)
     cloud = dc.OrganizedCloud(32, 24, pts, np.ones((24, 32), dtype=bool))
-    inl = dc.IndexSet.from_mask(cloud.valid)
-    assert sb.planarity_error(cloud, inl) == pytest.approx(0.01, rel=1e-9)
+    assert sb.planarity_error(cloud, cloud.valid) == pytest.approx(0.01, rel=1e-9)
 
 
 def test_planarity_error_needs_three_points():
@@ -223,7 +222,7 @@ def test_planarity_error_needs_three_points():
     two = np.zeros((24, 32), dtype=bool)
     two[0, 0] = two[1, 1] = True
     with pytest.raises(dc.CalibrationError):
-        sb.planarity_error(cloud, dc.IndexSet.from_mask(two))
+        sb.planarity_error(cloud, two)
 
 
 def test_global_error_on_plane_is_zero():
