@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calib_undistort import BoardSpec, CalibrationError, undistorted_points
+from .calib_undistort import BoardSpec, CalibrationError, _require_integers, undistorted_points
 from .geometry import (
     CameraIntrinsics,
     GeometryError,
@@ -66,6 +66,7 @@ class GlobalConfig:
     def __post_init__(self):
         if not self.max_points_per_frame >= 1:
             raise CalibrationError("max_points_per_frame must be at least 1")
+        _require_integers(self, "max_points_per_frame")
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +169,7 @@ class _RefineProblem:
     equations.
 
     Parameter layout: [extrinsic rvec (3), extrinsic t (3), fx fy cx cy (4),
-    gmap free coefficients (3 * degree), then per frame rvec (3) + t (3)].
+    gmap free coefficients (3 * GMAP_DEGREE), then per frame rvec (3) + t (3)].
     Rotation vectors are increments on the initial quaternions. A frame with
     a board corner behind the camera has every row set to the penalty.
     """
@@ -178,7 +179,8 @@ class _RefineProblem:
         self.intr_rgb = intr_rgb
         self.board3d = board.corners_3d()
         self.obs = observations
-        self.degree = state0.gmap.degree
+        if state0.gmap.degree != GMAP_DEGREE:
+            raise CalibrationError(f"G's degree must be {GMAP_DEGREE}, not {state0.gmap.degree}")
         self.base_q = np.array([state0.extrinsic.quaternion]
                                + [p.quaternion for p in state0.board_poses])
         self.width = state0.gmap.width
@@ -195,17 +197,15 @@ class _RefineProblem:
             self.dhat[k, :n] = o.dhat
             sigma = horner(KINECT1_QUANTIZATION, o.dhat)
             self.point_scale[k, :n] = 1.0 / (np.sqrt(n) * sigma)
-        self.intr_depth0 = state0.intr_depth
-        self.gmap0 = state0.gmap
         self.state0 = state0
 
     def pack_initial(self):
         m = len(self.obs)
         x = np.zeros(16 + 6 * m)
         x[3:6] = self.state0.extrinsic.translation
-        x[6:10] = (self.intr_depth0.fx, self.intr_depth0.fy,
-                   self.intr_depth0.cx, self.intr_depth0.cy)
-        x[10:16] = self.gmap0.free_coefficients()
+        intr = self.state0.intr_depth
+        x[6:10] = (intr.fx, intr.fy, intr.cx, intr.cy)
+        x[10:16] = self.state0.gmap.free_coefficients()
         for k, pose in enumerate(self.state0.board_poses):
             x[16 + 6 * k + 3:16 + 6 * k + 6] = pose.translation
         return x
@@ -225,10 +225,9 @@ class _RefineProblem:
     def unpack(self, x) -> RefinementState:
         extr_q, pose_q = self._rotations(x)
         extrinsic = RigidTransform(extr_q, x[3:6])
-        intr = replace(self.intr_depth0, fx=float(x[6]), fy=float(x[7]),
+        intr = replace(self.state0.intr_depth, fx=float(x[6]), fy=float(x[7]),
                        cx=float(x[8]), cy=float(x[9]))
-        gmap = GlobalMap.from_free_coefficients(self.width, self.height,
-                                                x[10:16], self.degree)
+        gmap = GlobalMap.from_free_coefficients(self.width, self.height, x[10:16])
         pose_t = x[16:].reshape(-1, 6)[:, 3:6]
         poses = tuple(RigidTransform(q, t) for q, t in zip(pose_q, pose_t))
         return RefinementState(extrinsic=extrinsic, board_poses=poses,
@@ -258,8 +257,7 @@ class _RefineProblem:
         rays_y = (self.uv[:, :, 1] - cy) / fy
         # G holds only the free corners, so the planarity constraint holds
         # at every evaluation
-        gmap = GlobalMap.from_free_coefficients(self.width, self.height,
-                                                x[10:16], self.degree)
+        gmap = GlobalMap.from_free_coefficients(self.width, self.height, x[10:16])
         corrected = gmap.correct(self.uv[:, :, 0], self.uv[:, :, 1], self.dhat)
         # distance of the corrected point to the board plane
         px = rays_x * corrected
@@ -342,7 +340,7 @@ def refine(state0: RefinementState, observations, intr_rgb: CameraIntrinsics,
     Returns (state, lm_result); lm_result carries the accepted-cost trace,
     non-increasing by construction. Logs at INFO the final cost split into
     its reprojection and plane terms, and the three frames with the largest
-    residual RMS.
+    residual RMS. `state0.gmap` must have degree GMAP_DEGREE.
     """
     problem = _RefineProblem(state0, observations, intr_rgb, board)
     result = lm_minimize(problem.residual, problem.pack_initial(),

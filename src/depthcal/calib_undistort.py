@@ -22,6 +22,7 @@ frames.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,17 @@ class CalibrationError(RuntimeError):
     """Raised when a calibration stage cannot produce a usable result."""
 
 
+def _require_integers(obj, *names):
+    """CalibrationError naming the first field of `obj` in `names` that is
+    not an integer, one that `operator.index` takes (numpy ints too)."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise CalibrationError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class BoardSpec:
     """Checkerboard geometry: inner corner grid and square size in meters."""
@@ -58,6 +70,7 @@ class BoardSpec:
     square_size: float
 
     def __post_init__(self):
+        _require_integers(self, "rows", "cols")
         if self.rows < 3 or self.cols < 3:
             raise CalibrationError("board needs at least a 3x3 inner corner grid")
         if not 0 < self.square_size < np.inf:
@@ -129,6 +142,9 @@ class UndistortConfig:
                 raise CalibrationError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.degree > MAX_DEGREE:
             raise CalibrationError(f"degree must be at most {MAX_DEGREE}, got {self.degree!r}")
+        if not self.seed >= 0:
+            raise CalibrationError(f"seed must not be negative, got {self.seed!r}")
+        _require_integers(self, "chi", "psi", "degree", "min_inliers", "seed")
 
 
 def sort_frames_by_distance(frames, intr_rgb: CameraIntrinsics, board: BoardSpec):

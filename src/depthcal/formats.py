@@ -16,10 +16,10 @@ is printed by `%.17g`. A number block is read back by `_parse_rows`, the
 mirror of `_format_rows`: one `np.loadtxt` call parses all its lines into
 one float array. An index column read this way (`umap_fn` and corner
 indices) must hold integral values inside its grid, each index given once.
-A corner CSV is split into lines once. Key-value files are collected by
-`_read_keyvals`, which takes the lines of a repeated key (`umap_fn`, a
-manifest's `frame`) out of the text in one split and reads only the other
-lines one by one; a key given twice is an error.
+A corner CSV is split into lines once. `_read_keyvals` reads a key-value
+file line by line, but takes the lines of a repeated key (`umap_fn`, a
+manifest's `frame`) out in one split when no comment or other line sits
+among them; a key given twice is an error.
 
 Writes go to a temp file in the target directory and are renamed into
 place by `replacing`, so readers never see partial files. A written file
@@ -40,8 +40,8 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat
-from operator import contains, or_
+from itertools import chain, islice, repeat
+from operator import contains
 
 import numpy as np
 
@@ -132,21 +132,13 @@ def _atomic_write_text(path, text: str):
     _atomic_write_bytes(path, [text.encode("utf-8")])
 
 
-@contextmanager
-def _open_text(path):
-    """`path` opened as UTF-8 text with universal newlines; undecodable bytes
-    raise FormatError."""
+def _read_text(path):
+    """The text of `path` as UTF-8 with universal newlines, else FormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            yield fh
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
-
-def _read_lines(path):
-    """The lines of a UTF-8 text file, read as one text."""
-    with _open_text(path) as fh:
-        return fh.read().split("\n")
 
 
 def _read_keyvals(path, repeated=None):
@@ -155,22 +147,18 @@ def _read_keyvals(path, repeated=None):
     lines, in file order. Any other key given twice raises FormatError, and
     so does a `version` line that does not name FORMAT_VERSION.
 
-    A line is cut at its first `#` and split at its first whitespace run
-    into key and text. Every line but the file's first that starts with
-    `repeated` and one space is taken out of the text by one `str.split`,
-    with no Python step per line; its text keeps any further leading
-    whitespace, which splits to the same tokens. Only the pieces that hold a
-    `#` or a newline, found by mapping `str.__contains__` over them, are cut
-    in Python. The other lines, before the first piece or after a piece's
-    newline, are read one by one.
+    `scan` cuts each line at its first `#` and splits it at its first
+    whitespace run into key and text. One split on "\\n<repeated> " takes
+    the `repeated` lines out with no Python step per line, and only the
+    lines around them are scanned, unless a comment or another line sits
+    among them: then the whole text is. A text split out so keeps any
+    further leading whitespace, which splits to the same tokens.
     """
-    with _open_text(path) as fh:
-        text = fh.read()
+    text = _read_text(path)
     kv = {}
 
     def scan(lines):
-        """The texts of `repeated` among `lines`, one line at a time; every
-        other key goes into kv."""
+        """The texts of `repeated` in `lines`; every other key goes into kv."""
         found = []
         for line in lines.split("\n"):
             head = line.partition("#")[0].split(None, 1)
@@ -185,20 +173,15 @@ def _read_keyvals(path, repeated=None):
                 kv[key] = rest.split()
         return found
 
-    if repeated is None:
+    texts = [text] if repeated is None else text.split(f"\n{repeated} ")
+    texts[-1], _, tail = texts[-1].partition("\n")
+    if (any(map(contains, islice(texts, 1, None), repeat("\n")))
+            or any(map(contains, islice(texts, 1, None), repeat("#")))):
         texts = scan(text)
     else:
-        texts = text.split(f"\n{repeated} ")
         del text  # the pieces are the one copy of the text from here on
         texts[:1] = scan(texts[0])
-        cut = list(compress(count(), map(or_, map(contains, texts, repeat("#")),
-                                         map(contains, texts, repeat("\n")))))
-        shift = 0  # texts put in so far from the lines after a piece's newline
-        for k in cut:
-            line, _, others = texts[k + shift].partition("\n")
-            found = scan(others)
-            texts[k + shift:k + shift + 1] = [line.partition("#")[0], *found]
-            shift += len(found)
+        texts += scan(tail)
     if "version" in kv:
         [version] = _values(kv["version"], 1, f"{path}: version", int)
         if version != FORMAT_VERSION:
@@ -313,7 +296,7 @@ def write_corners_csv(path, corners):
 
 
 def read_corners_csv(path):
-    lines = [ln.strip() for ln in _read_lines(path) if ln.strip()]
+    lines = [ln.strip() for ln in _read_text(path).split("\n") if ln.strip()]
     if not lines or lines[0].replace(" ", "") != "row,col,u,v":
         raise FormatError(f"{path}: expected header 'row,col,u,v'")
     if len(lines) == 1:

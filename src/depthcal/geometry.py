@@ -432,6 +432,7 @@ def project_point(intr: CameraIntrinsics, p) -> np.ndarray:
 
 
 UNDISTORT_ITERATIONS = 10  # fixed-point steps of `undistort_pixel`
+LM_FTOL, LM_XTOL = 1e-10, 1e-12  # `lm_minimize`'s cost-drop and step-norm tolerances
 
 
 def undistort_pixel(intr: CameraIntrinsics, uv) -> np.ndarray:
@@ -695,8 +696,7 @@ def lm_jacobian(residual_fn, x, r=None):
     return jac
 
 
-def lm_minimize(residual_fn, x0, max_iter=200, ftol=1e-10, xtol=1e-12,
-                normal_fn=None) -> LMResult:
+def lm_minimize(residual_fn, x0, max_iter=200, normal_fn=None) -> LMResult:
     """Levenberg-Marquardt over a residual vector function.
 
     Each iteration solves the damped normal equations (JᵀJ + λ diag(JᵀJ)) δ
@@ -706,7 +706,7 @@ def lm_minimize(residual_fn, x0, max_iter=200, ftol=1e-10, xtol=1e-12,
     per-frame blocks. Damping starts at 1e-3, is multiplied by 10 on a
     rejected step and divided by 10 on an accepted one; the accepted cost
     sequence is non-increasing. Terminates when the cost drop falls below
-    ftol * max(cost, 1), the step norm falls below xtol, when damping
+    LM_FTOL * max(cost, 1), the step norm falls below LM_XTOL, when damping
     reaches 1e12 without an accepted step, or at max_iter; `reason` on the
     result names which.
     """
@@ -745,9 +745,9 @@ def lm_minimize(residual_fn, x0, max_iter=200, ftol=1e-10, xtol=1e-12,
                 x, r, cost = x_new, r_new, cost_new
                 trace.append(cost)
                 lam = max(lam / 10.0, 1e-15)
-                if drop < ftol * max(cost, 1.0):
+                if drop < LM_FTOL * max(cost, 1.0):
                     reason = "ftol"
-                elif step_norm < xtol:
+                elif step_norm < LM_XTOL:
                     reason = "xtol"
                 break
             lam *= 10.0

@@ -398,10 +398,13 @@ class GlobalMap:
         return GlobalMap(width, height, ident, ident, ident)
 
     @staticmethod
-    def from_free_coefficients(width, height, coeffs, degree=2):
-        """GlobalMap from a flat array of the 3 free corners' nonconstant coefficients."""
-        coeffs = np.asarray(coeffs, dtype=float).reshape(3, degree)
-        return GlobalMap(width, height, *np.insert(coeffs, 0, 0.0, axis=1))
+    def from_free_coefficients(width, height, coeffs):
+        """GlobalMap from a flat array of the 3 free corners' nonconstant
+        coefficients, 3 * degree of them."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.size % 3:
+            raise MapError(f"expected 3 * degree free coefficients, got {coeffs.size}")
+        return GlobalMap(width, height, *np.insert(coeffs.reshape(3, -1), 0, 0.0, axis=1))
 
     def free_coefficients(self):
         """Nonconstant coefficients of the 3 free corners, flattened (3 * degree)."""
@@ -411,9 +414,8 @@ class GlobalMap:
     def degree(self):
         return self.corners.shape[1] - 1
 
-    def correct(self, u, v, d, out=None):
-        """g(d) at pixels (u, v); u, v and d broadcast together. Written to
-        `out` when given.
+    def correct(self, u, v, d):
+        """g(d) at pixels (u, v); u, v and d broadcast together.
 
         The coefficients at (u, v) are c00 + (u/W)(cW0 - c00) + (v/H)(c0H - c00),
         a row term in u plus a column term in v. Equal free corners blend to
@@ -422,7 +424,7 @@ class GlobalMap:
         image block pass u (W,) and v (rows, 1): no per-pixel coefficient
         array is formed.
         """
-        return self._horner(*self._terms(u, v), d, out)
+        return self._horner(*self._terms(u, v), d)
 
     def correct_image_rows(self, d, v0=0, out=None):
         """`correct` on the image rows v0, v0 + 1, ... held by d (rows, W),
@@ -445,7 +447,7 @@ class GlobalMap:
         ks = range(c00.size - 1, 0, -1)
         return [c00[k] + un * du[k] for k in ks], [vn * dv[k] for k in ks]
 
-    def _horner(self, rows, cols, d, out):
+    def _horner(self, rows, cols, d, out=None):
         """Horner's rule on the coefficients rows[i] + cols[i], top first."""
         if out is None:
             out = np.empty(np.broadcast_shapes(rows[0].shape, cols[0].shape, np.shape(d)))

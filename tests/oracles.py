@@ -54,7 +54,7 @@ from depthcal.formats import (
     FORMAT_VERSION,
     FormatError,
     _intr_tokens,
-    _open_text,
+    _read_text,
     _transform_lines,
     _values,
 )
@@ -504,9 +504,7 @@ def read_keyvals(path, repeated=()):
     repeated keys: ({key: tokens}, {key: texts})."""
     kv = {}
     texts = {key: [] for key in repeated}
-    with _open_text(path) as fh:
-        lines = fh.read().split("\n")
-    for line in lines:
+    for line in _read_text(path).split("\n"):
         head = line.partition("#")[0].split(None, 1)
         if not head:
             continue

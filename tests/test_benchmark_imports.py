@@ -4,10 +4,12 @@
 and read attributes of depthcal modules. A rename or removal of one of them
 in `src` fails here, not only when the benchmark runs. So does a change to
 the values the correction workloads build their maps from, or to the
-accuracy `calib_accuracy` reads off a calibration.
+accuracy `calib_accuracy` reads off a calibration, or a change that makes a
+`layers` hook fail or count something else than the layer's work.
 """
 
 import ast
+import importlib
 import importlib.util
 import os
 import types
@@ -88,3 +90,42 @@ def test_benchmark_calib_accuracy_matches_the_metrics_on_masks(monkeypatch,
     assert accuracy["planarity_err_mm"] == max(planarity) * 1e3
     assert accuracy["frames_skipped"] == run.scene.n_train - len(run.result.inlier_sets)
     workloads.check_calib(accuracy)
+
+
+def test_benchmark_calibration_hooks_record_every_layer(monkeypatch):
+    # a calibration traced as the benchmark traces one: every hook fits the
+    # program's signatures, and the per-layer counts read what the
+    # calibration did
+    layers = load(monkeypatch, "layers")
+    tracer_module = load(monkeypatch, "tracer")
+    # with noise some pixels fall off the wall, so a count of the image's
+    # rows or pixels in place of the wall's is told apart
+    scene = synthbench.standard_scene(
+        n_train=12, n_test=1, seed=13, width=80, height=60,
+        distortion=synthbench.bowl_distortion(80, 60, peak=0.015, grid_bin=(2, 2)))
+    train = [synthbench.render_frame(scene, k).frame for k in range(scene.n_train)]
+    modules = {name: importlib.import_module(f"depthcal.{name}") for name in
+               ("calib_undistort", "calib_global", "geometry", "maps", "pipeline")}
+    tracer = tracer_module.Tracer()
+    layers.install_calibration(tracer, modules)
+    try:
+        with tracer.span("calibrate"):
+            result = pipeline.calibrate(
+                train, depthcal.RigidTransform((1, 0, 0, 0), (0.025, 0.0, 0.0)),
+                scene.intr_rgb, scene.intr_depth, scene.board,
+                depthcal.UndistortConfig(chi=2, psi=2, seed=1, min_inliers=50, fit_radius=20),
+                depthcal.GlobalConfig(max_points_per_frame=100))
+    finally:
+        tracer.restore()
+    assert tracer.hook_errors == []
+    # the bindings that no calibration goes through today; a rename in src
+    # adds to them
+    assert set(tracer.absent) <= {
+        "depthcal.calib_global.update_map", "depthcal.calib_undistort.apply_undistortion",
+        "depthcal.calib_global.solve_pnp", "depthcal.maps.correct_depth_image",
+        "depthcal.pipeline.depth_to_cloud"}
+    metrics = layers.calibration_metrics(tracer, 1)
+    assert len(result.inlier_sets) == scene.n_train
+    assert metrics["calib_undistort.wall.inliers"] == sum(
+        np.count_nonzero(wall) for wall in result.inlier_sets.values())
+    assert metrics["calib_global.refine.points"] == 100 * scene.n_train

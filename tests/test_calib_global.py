@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -292,6 +293,13 @@ def test_global_config_needs_a_point_per_frame(count):
         dc.GlobalConfig(max_points_per_frame=count)
 
 
+@pytest.mark.parametrize("count", [2.5, 1e9 + 0.5])
+def test_global_config_needs_an_integer_point_count(count):
+    with pytest.raises(dc.CalibrationError, match="max_points_per_frame must be an integer"):
+        dc.GlobalConfig(max_points_per_frame=count)
+    assert dc.GlobalConfig(max_points_per_frame=np.int64(3)).max_points_per_frame == 3
+
+
 def test_stage_two_peak_stays_below_the_wall_points(monkeypatch):
     # stage two holds one frame's wall points at a time, never every frame's
     scene = scene_no_bias(n_train=16)
@@ -578,6 +586,16 @@ def test_refine_recovers_perturbed_focal(clean_setup):
     state, _ = run_refine(scene, frames, setup, state0)
     assert abs(state.intr_depth.fx / scene.intr_depth.fx - 1.0) < 1e-3
     assert abs(state.intr_depth.fy / scene.intr_depth.fy - 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_refine_rejects_a_g_of_another_degree(clean_setup, degree):
+    # the parameter vector holds 3 * GMAP_DEGREE coefficients of G
+    scene, frames, setup = clean_setup
+    truth = truth_state(scene, frames, setup[3])
+    state0 = replace(truth, gmap=dc.GlobalMap.identity(80, 60, degree))
+    with pytest.raises(dc.CalibrationError, match=f"degree must be 2, not {degree}"):
+        run_refine(scene, frames, setup, state0)
 
 
 def test_refine_keeps_dependent_corner_invariant(clean_setup):

@@ -58,6 +58,20 @@ def test_board_rejects_small_grid():
         dc.BoardSpec(rows=2, cols=8, square_size=0.1)
 
 
+@pytest.mark.parametrize("rows, cols, name", [
+    pytest.param(np.nan, 3, "rows", id="nan"),
+    pytest.param(3.5, 3, "rows", id="fractional"),
+    pytest.param(6.0, 3, "rows", id="float"),
+    pytest.param("6", 3, "rows", id="text"),
+    pytest.param(3, 4.0, "cols", id="float-cols"),
+])
+def test_board_rejects_a_grid_that_is_not_integer(rows, cols, name):
+    # rejected here, not by corners_3d with a numpy error
+    with pytest.raises(dc.CalibrationError, match=f"{name} must be an integer"):
+        dc.BoardSpec(rows, cols, 0.1)
+    assert dc.BoardSpec(np.int64(4), 3, 0.1).corners_3d().shape == (12, 3)
+
+
 @pytest.mark.parametrize("square", [np.nan, np.inf, 0.0, -0.1])
 def test_board_rejects_a_square_size_that_is_not_positive_and_finite(square):
     with pytest.raises(dc.CalibrationError, match="square size"):
@@ -76,6 +90,22 @@ def test_config_rejects_nan(name):
     # NaN fails every comparison, so a `<= 0` check lets it through
     with pytest.raises(dc.CalibrationError, match=f"{name} must be positive, got nan"):
         small_cfg(**{name: float("nan")})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("chi", 2.5), ("psi", 4.0), ("degree", 2.5), ("min_inliers", 50.5), ("seed", 1.5),
+])
+def test_config_rejects_a_count_that_is_not_integer(name, value):
+    # rejected here, not by UndistortionMap.identity or default_rng
+    with pytest.raises(dc.CalibrationError, match=f"{name} must be an integer, got {value}"):
+        small_cfg(**{name: value})
+    small_cfg(**{name: np.int64(2)})
+
+
+@pytest.mark.parametrize("seed", [-1, float("nan")])
+def test_config_rejects_a_negative_seed(seed):
+    with pytest.raises(dc.CalibrationError, match=f"seed must not be negative, got {seed}"):
+        small_cfg(seed=seed)
 
 
 def test_config_rejects_a_degree_the_maps_cannot_hold():

@@ -589,6 +589,11 @@ FN = "umap_fn 0 0 1 2\numap_fn 1 0 3 4\n"
     pytest.param("umap_fn", "x 1\n umap_fn 0 0 1 2\numap_fn 1 0 3 4\n\tumap_fn 2 0 5 6\n"
                  "umap_fn 3 0 7 8 #\n umap_fn 4 0 9 0\numap_fn 5 0 1 1\n  x2 3\n",
                  id="leading-whitespace"),
+    pytest.param("umap_fn", "x 1\n" + FN + "umap_fn 2 0 5 6 # c\ny 2\n",
+                 id="comment-on-last-block-line"),
+    pytest.param("umap_fn", "x 1\n" + FN + "y 2\numap_fn 2 0 5 6\nz 3\n",
+                 id="other-line-before-last-block-line"),
+    pytest.param("umap_fn", FN + "umap_fn 2 0 5 6\n", id="only-the-block"),
     pytest.param("umap_fn", FN + "x 1\n", id="first-line"),
     pytest.param("umap_fn", "x 1\n" + FN + "umap_fn 2 0 5 6", id="no-final-newline"),
     pytest.param("umap_fn", "x 1\n" + FN + "umap_fn", id="bare-last-line"),
@@ -610,6 +615,8 @@ FN = "umap_fn 0 0 1 2\numap_fn 1 0 3 4\n"
     pytest.param("umap_fn", calibration_text(*sample_calibration()), id="calibration"),
     pytest.param("frame", MANIFEST_TEXT.replace("frame a", "x 1\nframe a")
                  + "frame  u du.pgm cu.csv # c\n", id="manifest"),
+    pytest.param("frame", MANIFEST_TEXT.replace("frame t", "frame s ds.pgm cs.csv #\nframe t"),
+                 id="manifest-frame-comment"),
     pytest.param(None, "peak 0.01\nimage_width 80\n", id="scene"),
     pytest.param(None, "peak 0.01\nimage_width 80\npeak 2\n", id="scene-twice"),
 ])

@@ -662,10 +662,11 @@ def test_lm_reason_ftol():
     assert (res.reason, res.converged) == ("ftol", True)
 
 
-def test_lm_reason_xtol():
+def test_lm_reason_xtol(monkeypatch):
     # ftol = 0 never fires, so only the step length can stop the solver
-    res = dc.lm_minimize(lambda x: x - np.array([3.0, -1.0]), np.zeros(2),
-                         ftol=0.0, xtol=1e-6)
+    monkeypatch.setattr(dc.geometry, "LM_FTOL", 0.0)
+    monkeypatch.setattr(dc.geometry, "LM_XTOL", 1e-6)
+    res = dc.lm_minimize(lambda x: x - np.array([3.0, -1.0]), np.zeros(2))
     assert (res.reason, res.converged) == ("xtol", True)
 
 

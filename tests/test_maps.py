@@ -587,12 +587,21 @@ def test_global_eval_affine_ramp():
         assert global_eval(g, u, v, d) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("count", [0, 2, 5, 15])
+def test_global_map_from_free_coefficients_takes_the_degree_from_the_count(count):
+    for degree in range(1, maps.MAX_DEGREE + 1):
+        ident = dc.GlobalMap.identity(32, 24, degree)
+        g = dc.GlobalMap.from_free_coefficients(32, 24, ident.free_coefficients())
+        assert (g.degree, g) == (degree, ident)
+    with pytest.raises(dc.MapError):
+        dc.GlobalMap.from_free_coefficients(32, 24, np.ones(count))
+
+
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_global_correct_matches_oracles_and_identity_is_exact(degree):
     rng = np.random.default_rng(40 + degree)
     ident = np.tile([1.0] + [0.0] * (degree - 1), 3)
-    g = dc.GlobalMap.from_free_coefficients(32, 24, ident + rng.normal(0, 0.05, 3 * degree),
-                                            degree)
+    g = dc.GlobalMap.from_free_coefficients(32, 24, ident + rng.normal(0, 0.05, 3 * degree))
     u, v = rng.uniform(0, 32, 300), rng.uniform(0, 24, 300)
     d = rng.uniform(-1.0, 5.0, 300)
     d[:6] = (0.0, -0.0, 0.0, -0.0, 1e-300, -1e-300)
