@@ -24,7 +24,9 @@ mask feeds the refit, so a wall that moves is a change even when the maps
 stay inside their gates. The script exits 1 when a scene is outside them or
 missing from the saved run. A file saved before the walls were kept has
 none, and every scene compared against it is outside the gates: save the
-reference with this script in both checkouts.
+reference with this script in both checkouts. `compare` is the one
+comparison against the gates; `tests/test_acceptance_reference.py` runs it
+on the acceptance fixtures against `tests/acceptance_reference.txt`.
 
 `--bench-seed N` adds a clean scene B with seed N, the scene a benchmark
 `calib-accept` run with that seed calibrates.
@@ -72,15 +74,49 @@ def calibrate(seed, noise, bias):
     return outputs, res.timings
 
 
-def wall_change(name, out, ref):
-    """(text, ok) for the scene's wall masks against the saved run."""
-    if f"{name}/walls" not in ref:
-        return "walls not saved", False
-    ids = out[f"{name}/wall_ids"]
-    if ids.tolist() != ref[f"{name}/wall_ids"].tolist():
-        return "walls for other frame ids", False
-    differ = np.count_nonzero(out[f"{name}/walls"] != ref[f"{name}/walls"])
-    return f"walls {ids.size} frames {differ} px differ", differ == 0
+def _max_delta(a, b):
+    return np.max(np.abs(a - b)) if np.shape(a) == np.shape(b) else np.inf
+
+
+def compare(new, old):
+    """(text, outside) for one scene's outputs `new` against a saved run's
+    `old`, each a dict of arrays by quantity.
+
+    The text holds the max |delta| of each GATES quantity, the cost-trace
+    lengths and, when they agree, the trace's max |delta| and the relative
+    difference of the final costs, then the walls that differ: the pixels
+    of the masks `walls`, or the frames of the per-frame pixel counts
+    `wall_counts`, both in the order of `wall_ids`. `outside` names each
+    gate missed: a GATES quantity that moved past its gate or changed
+    shape, a trace of another length, walls for other frame ids or with
+    any pixel or count differing, and a quantity that only one run holds.
+    """
+    outside = sorted(new.keys() ^ old.keys())
+    text = [f"not in both runs: {', '.join(outside)}"] if outside else []
+    delta = {q: _max_delta(new[q], old[q]) for q in GATES if q in new and q in old}
+    text.append("max |delta|  " + "  ".join(f"{q} {d:.3g}" for q, d in delta.items()))
+    outside += [q for q, d in delta.items() if not d <= GATES[q]]
+    if "trace" in new and "trace" in old:
+        a, b = new["trace"], old["trace"]
+        trace = f"trace {a.size}/{b.size}"
+        if a.size == b.size:
+            trace += f" {np.max(np.abs(a - b)):.3g}"
+        else:
+            outside.append("trace length")
+        text.append(f"{trace}  final cost rel {abs(a[-1] - b[-1]) / abs(b[-1]):.3g}")
+    for q, unit in (("walls", "px"), ("wall_counts", "pixel counts")):
+        if q not in new or q not in old:
+            continue
+        ids = new["wall_ids"].tolist()
+        if ids != old["wall_ids"].tolist():
+            text.append("walls for other frame ids")
+            outside.append(q)
+            continue
+        differ = np.count_nonzero(new[q] != old[q])
+        text.append(f"walls {len(ids)} frames {differ} {unit} differ")
+        if differ:
+            outside.append(q)
+    return "  ".join(text), outside
 
 
 def main(args):
@@ -88,41 +124,27 @@ def main(args):
     out = {}
     stages = {}
     for name, spec in scenes.items():
-        outputs, timings = calibrate(*spec)
-        out.update({f"{name}/{q}": v for q, v in outputs.items()})
+        out[name], timings = calibrate(*spec)
         stages[name] = "  ".join(f"{stage} {t:.2f} s" for stage, t in timings.items())
     if args.save:
-        np.savez(args.save, **out)
+        np.savez(args.save, **{f"{name}/{q}": v for name, outputs in out.items()
+                               for q, v in outputs.items()})
     status = 0
     ref = np.load(args.against) if args.against else None
     for name in scenes:
         if ref is None:
             print(f"{name}: {stages[name]}")
             continue
-        if f"{name}/trace" not in ref:
+        old = {key.split("/", 1)[1]: ref[key] for key in ref.files
+               if key.startswith(f"{name}/")}
+        if not old:
             print(f"{name}: {stages[name]}  not in {args.against}")
             status = 1
             continue
-        new = {q: out[f"{name}/{q}"] for q in (*GATES, "trace")}
-        old = {q: ref[f"{name}/{q}"] for q in (*GATES, "trace")}
-        delta = {q: np.max(np.abs(new[q] - old[q])) for q in GATES}
-        diffs = "  ".join(f"{q} {d:.3g}" for q, d in delta.items())
-        trace = f"trace {new['trace'].size}/{old['trace'].size}"
-        same_length = new["trace"].size == old["trace"].size
-        if same_length:
-            trace += f" {np.max(np.abs(new['trace'] - old['trace'])):.3g}"
-        final_new, final_old = new["trace"][-1], old["trace"][-1]
-        trace += f"  final cost rel {abs(final_new - final_old) / abs(final_old):.3g}"
-        outside = [q for q, d in delta.items() if not d <= GATES[q]]
-        if not same_length:
-            outside.append("trace length")
-        walls, walls_ok = wall_change(name, out, ref)
-        if not walls_ok:
-            outside.append("walls")
+        text, outside = compare(out[name], old)
         verdict = (f"OUTSIDE gates ({', '.join(outside)})" if outside
                    else "within gates")
-        print(f"{name}: max |delta|  {diffs}  {trace}  {walls}  {verdict}  |  "
-              f"{stages[name]}")
+        print(f"{name}: {text}  {verdict}  |  {stages[name]}")
         status |= bool(outside)
     return status
 

@@ -46,7 +46,6 @@ from .calib_undistort import (
 from .calib_global import (
     GlobalConfig,
     RefinementState,
-    build_observations,
     init_global,
     refine,
 )

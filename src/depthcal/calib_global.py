@@ -6,10 +6,10 @@ undistorted cloud points (the final U applied to the frame's depth image
 at those pixels only, then back-projected; a pixel whose u(d) is not
 positive is dropped). Initialization reads each frame once, so only one
 frame's points are held at a time: it pairs the board plane with the
-plane fitted to the wall points, and packs the frame's observations for
-the refinement; the camera-depth rigid transform is solved from the plane
-pairs. Throughout stage two a board plane is the board's z = 0 plane moved
-by the frame's board pose, never a fit.
+plane fitted to the wall points, and keeps an even subsample of the wall
+points as the frame's observations; the camera-depth rigid transform is
+solved from the plane pairs. Throughout stage two a board plane is the
+board's z = 0 plane moved by the frame's board pose, never a fit.
 
 The refinement then jointly adjusts the global map coefficients (from the
 identity map), the camera-depth transform, all board poses and the depth
@@ -17,8 +17,8 @@ intrinsics by damped least squares over two residual families:
 checkerboard reprojection and point-to-board-plane distances. Rotations are
 parameterized as axis-angle increments composed onto the initial
 quaternions. Undistorted depth values stay fixed throughout; the depth
-intrinsics only re-project pixels to 3D. The solver's normal equations are
-summed frame by frame.
+intrinsics only re-project pixels to 3D. The residual is frame-major, one
+block of rows per frame, and the normal equations are summed block by block.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ import numpy as np
 
 from .calib_undistort import BoardSpec, CalibrationError, _require_integers, undistorted_points
 from .geometry import (
+    _BEHIND_PENALTY,
+    _require_numbers,
     CameraIntrinsics,
     GeometryError,
     KINECT1_QUANTIZATION,
@@ -64,6 +66,7 @@ class GlobalConfig:
     max_points_per_frame: int = 400  # wall points kept per frame in the refinement
 
     def __post_init__(self):
+        _require_numbers(self, CalibrationError, "max_points_per_frame")
         if not self.max_points_per_frame >= 1:
             raise CalibrationError("max_points_per_frame must be at least 1")
         _require_integers(self, "max_points_per_frame")
@@ -89,21 +92,6 @@ class RefinementState:
     gmap: GlobalMap
 
 
-def build_observations(frame, wall, points, max_points) -> FrameObservations:
-    """One frame's FrameObservations: its corners, plus an even subsample of
-    at most `max_points` of its wall points `points` (N, 3), which lie at the
-    True pixels of the (H, W) mask `wall`, row-major: their pixel
-    coordinates and their undistorted depths, the z column.
-    """
-    n = points.shape[0]
-    if n == 0:
-        raise CalibrationError(f"frame {frame.frame_id}: empty inlier set")
-    take = np.unique(np.linspace(0, n - 1, min(n, max_points)).astype(int))
-    v, u = np.divmod(np.flatnonzero(wall)[take], np.shape(wall)[1])
-    return FrameObservations(frame.frame_id, frame.corner_points.copy(),
-                             np.column_stack([u, v]), points[take, 2])
-
-
 def init_global(frames, walls, board_poses, umap: UndistortionMap,
                 intr_depth: CameraIntrinsics, board: BoardSpec, max_points):
     """Initial camera-depth transform (plane pairs), and the refinement's
@@ -114,11 +102,12 @@ def init_global(frames, walls, board_poses, umap: UndistortionMap,
     camera). Each frame is read once: `undistorted_points` derives its wall
     points under the final U, so no list of every frame's points is held.
     Per frame: board plane from the board pose (the board's z = 0 plane
-    moved by it), wall plane fitted to the wall points, and
-    `build_observations` with at most `max_points` wall pixels. The rigid
-    transform aligning board planes (camera frame) onto wall planes (depth
-    frame) initializes the extrinsic. G needs no start here: the refinement
-    starts it at the identity, and it enters the plane residual linearly.
+    moved by it), wall plane fitted to the wall points, and an even,
+    row-major subsample of at most `max_points` wall pixels with their
+    undistorted depths as the frame's observations. The rigid transform
+    aligning board planes (camera frame) onto wall planes (depth frame)
+    initializes the extrinsic. G needs no start here: the refinement starts
+    it at the identity, and it enters the plane residual linearly.
     Stage one has already fit a plane to every frame's wall, so a wall fit
     that fails here raises CalibrationError naming the frame.
     Returns (extrinsic depth -> camera, observations).
@@ -138,17 +127,17 @@ def init_global(frames, walls, board_poses, umap: UndistortionMap,
         except GeometryError as exc:
             raise CalibrationError(
                 f"init_global: frame {k}: plane fit failed ({exc})") from exc
-        observations.append(build_observations(frame, kept, points, max_points))
+        take = np.unique(np.linspace(0, len(points) - 1,
+                                     min(len(points), max_points)).astype(int))
+        v, u = np.divmod(np.flatnonzero(kept)[take], kept.shape[1])
+        observations.append(FrameObservations(frame.frame_id, frame.corner_points.copy(),
+                                              np.column_stack([u, v]), points[take, 2]))
     cam_to_depth = estimate_transform_from_planes(board_planes_cam, wall_planes_depth)
     return cam_to_depth.inverse(), observations
 
 
 # ---------------------------------------------------------------------------
 # vectorized refinement
-
-
-# every residual row of a frame with a board corner behind the camera
-_BEHIND_PENALTY = 1e6
 
 
 def _board_planes_depth(extr_r, extr_t, pose_r, pose_t):
@@ -170,8 +159,11 @@ class _RefineProblem:
 
     Parameter layout: [extrinsic rvec (3), extrinsic t (3), fx fy cx cy (4),
     gmap free coefficients (3 * GMAP_DEGREE), then per frame rvec (3) + t (3)].
-    Rotation vectors are increments on the initial quaternions. A frame with
-    a board corner behind the camera has every row set to the penalty.
+    Rotation vectors are increments on the initial quaternions. Rows are
+    frame-major: row k of `residual(x).reshape(m, -1)` is frame k's 2C
+    reprojection rows, then its S plane rows (S the most wall points of any
+    frame, zero-padded). A frame with a board corner behind the camera has
+    that whole row set to the penalty.
     """
 
     def __init__(self, state0: RefinementState, observations, intr_rgb,
@@ -265,19 +257,9 @@ class _RefineProblem:
         pz = corrected
         dist = (px * normals[:, None, 0] + py * normals[:, None, 1]
                 + pz * normals[:, None, 2] - offsets[:, None])
-        r_pos = dist * self.point_scale
-        r_repr[behind] = _BEHIND_PENALTY
-        r_pos[behind] = _BEHIND_PENALTY
-        return np.concatenate([r_repr.reshape(-1), r_pos.reshape(-1)])
-
-    def frame_blocks(self, r):
-        """Views of the rows of r by frame: reprojection (m, 2C, ...) and
-        plane (m, S, ...), S the padded wall-point count (padding rows are 0).
-        """
-        m = len(self.obs)
-        n_repr = m * self.board3d.shape[0] * 2
-        return (r[:n_repr].reshape((m, -1) + r.shape[1:]),
-                r[n_repr:].reshape((m, -1) + r.shape[1:]))
+        rows = np.concatenate([r_repr.reshape(m, -1), dist * self.point_scale], axis=1)
+        rows[behind] = _BEHIND_PENALTY
+        return rows.reshape(-1)
 
     def normal_equations(self, fn, x, r):
         """(JᵀJ, Jᵀr) of `lm_jacobian(fn, x, r)`, summed frame by frame.
@@ -286,27 +268,24 @@ class _RefineProblem:
         pose columns, so pose component p is stepped in all frames by one
         evaluation (column grouping, Curtis, Powell & Reid 1974): 16 + 6
         evaluations, each column the same forward difference as
-        `lm_jacobian`'s. Each frame's (R, 16 + 6) block adds to the global
-        block of JᵀJ and gives its 16 x 6 cross block and its 6 x 6 diagonal
-        pose block (Triggs et al. 2000, section 6).
+        `lm_jacobian`'s and read by frame as an (m, R) view. Each frame's
+        (R, 16 + 6) block adds to the global block of JᵀJ and gives its
+        16 x 6 cross block and its 6 x 6 diagonal pose block (Triggs et al.
+        2000, section 6).
         """
         steps = forward_steps(x)
         m = len(self.obs)
-
-        def by_frame(v):
-            return np.concatenate(self.frame_blocks(v), axis=1)
-
-        r_frame = by_frame(r)
+        r_frame = r.reshape(m, -1)
         jac = np.empty(r_frame.shape + (22,))  # (m, R, global + pose columns)
         for i in range(16):
             xp = x.copy()
             xp[i] += steps[i]
-            jac[:, :, i] = by_frame((fn(xp) - r) / steps[i])
+            jac[:, :, i] = ((fn(xp) - r) / steps[i]).reshape(m, -1)
         pose_steps = steps[16:].reshape(m, 6)
         for p in range(6):
             xp = x.copy()
             xp[16 + p::6] += pose_steps[:, p]
-            jac[:, :, 16 + p] = by_frame(fn(xp) - r) / pose_steps[:, p, None]
+            jac[:, :, 16 + p] = (fn(xp) - r).reshape(m, -1) / pose_steps[:, p, None]
 
         prod = jac.transpose(0, 2, 1) @ jac  # (m, 22, 22)
         jtj = np.zeros((x.size, x.size))
@@ -320,10 +299,11 @@ class _RefineProblem:
 
     def log_fit(self, r):
         """Log the cost split by residual family and the worst frames."""
-        r_repr, r_plane = self.frame_blocks(r)
-        sq_repr = np.sum(r_repr ** 2, axis=1)
-        sq_plane = np.sum(r_plane ** 2, axis=1)
-        counts = r_repr.shape[1] + np.array([o.uv.shape[0] for o in self.obs])
+        rows = r.reshape(len(self.obs), -1)
+        n_repr = self.corners_px[0].size
+        sq_repr = np.sum(rows[:, :n_repr] ** 2, axis=1)
+        sq_plane = np.sum(rows[:, n_repr:] ** 2, axis=1)
+        counts = n_repr + np.array([o.uv.shape[0] for o in self.obs])
         rms = np.sqrt((sq_repr + sq_plane) / counts)
         worst = np.argsort(-rms, kind="stable")[:3]
         log.info("refinement cost %.4e: reprojection %.4e, plane %.4e; "

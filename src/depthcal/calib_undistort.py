@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    _require_numbers,
     CameraIntrinsics,
     DepthImage,
     GeometryError,
@@ -73,6 +74,7 @@ class BoardSpec:
         _require_integers(self, "rows", "cols")
         if self.rows < 3 or self.cols < 3:
             raise CalibrationError("board needs at least a 3x3 inner corner grid")
+        _require_numbers(self, CalibrationError, "square_size")
         if not 0 < self.square_size < np.inf:
             raise CalibrationError("board square size must be positive and finite")
 
@@ -137,6 +139,8 @@ class UndistortConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_numbers(self, CalibrationError, "chi", "psi", "degree", "fit_radius",
+                         "min_inliers", "seed")
         for name in ("chi", "psi", "degree", "min_inliers", "fit_radius"):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise CalibrationError(f"{name} must be positive, got {getattr(self, name)!r}")

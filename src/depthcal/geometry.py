@@ -20,6 +20,7 @@ functions of their inputs, so they are safe to share across threads.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,14 @@ import numpy as np
 
 class GeometryError(ValueError):
     """Raised on degenerate geometric input (rank-deficient, parallel, ...)."""
+
+
+def _require_numbers(obj, error, *names):
+    """`error` naming the first field of `obj` in `names` that is not a real number."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Real):
+            raise error(f"{name} must be a number, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +254,7 @@ class CameraIntrinsics:
     tangential_dist: tuple = (0.0, 0.0)
 
     def __post_init__(self):
+        _require_numbers(self, GeometryError, "fx", "fy", "cx", "cy", "width", "height")
         if not (np.isfinite(self.fx) and np.isfinite(self.fy)
                 and self.fx > 0 and self.fy > 0):
             raise GeometryError("focal lengths must be positive and finite")
@@ -433,6 +443,8 @@ def project_point(intr: CameraIntrinsics, p) -> np.ndarray:
 
 UNDISTORT_ITERATIONS = 10  # fixed-point steps of `undistort_pixel`
 LM_FTOL, LM_XTOL = 1e-10, 1e-12  # `lm_minimize`'s cost-drop and step-norm tolerances
+# every residual row of a pose that puts a board point behind the camera
+_BEHIND_PENALTY = 1e6
 
 
 def undistort_pixel(intr: CameraIntrinsics, uv) -> np.ndarray:
@@ -638,7 +650,7 @@ def solve_pnp(board_points, image_points, intr: CameraIntrinsics):
         pose = RigidTransform(quat_multiply(axis_angle_to_quat(x[:3]), q0), x[3:6])
         cam = pose.apply(board_points)
         if np.any(cam[:, 2] <= 0):
-            return np.full(2 * n, 1e6)
+            return np.full(2 * n, _BEHIND_PENALTY)
         return (project_point(intr, cam) - image_points).ravel()
 
     x0 = np.concatenate([np.zeros(3), pose0.translation])

@@ -33,14 +33,15 @@ def _render_scene(scene):
 
 
 class StageOneRun:
-    """Stage one on one dataset variant plus its per-distance planarity table."""
+    """Stage one on one dataset variant (U and the wall masks by frame id)
+    plus its per-distance planarity table."""
 
     def __init__(self, scene, frames, degree):
         self.scene = scene
         self.frames = frames
         train = [f.frame for f in frames if not f.is_test]
         tic = time.perf_counter()
-        self.umap, _, _ = dc.estimate_undistortion_map(
+        self.umap, self.walls, _ = dc.estimate_undistortion_map(
             train, FACTORY_GUESS, scene.intr_rgb, scene.intr_depth,
             scene.board, acceptance_ucfg(degree))
         self.elapsed = time.perf_counter() - tic

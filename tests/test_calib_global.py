@@ -201,7 +201,7 @@ def test_stage_one_and_init_solve_one_pnp_per_frame(clean_setup, monkeypatch):
     assert len(calls) == len(train)
 
 
-def test_build_observations_dhat_is_undistorted_depth(clean_setup):
+def test_init_global_dhat_is_undistorted_depth(clean_setup):
     # the wall points' z column is the undistorted depth image at the inliers
     scene, frames, _ = clean_setup
     train = [lf.frame for lf in frames if not lf.is_test]
@@ -298,6 +298,14 @@ def test_global_config_needs_an_integer_point_count(count):
     with pytest.raises(dc.CalibrationError, match="max_points_per_frame must be an integer"):
         dc.GlobalConfig(max_points_per_frame=count)
     assert dc.GlobalConfig(max_points_per_frame=np.int64(3)).max_points_per_frame == 3
+
+
+@pytest.mark.parametrize("count", ["400", None])
+def test_global_config_rejects_a_count_that_is_not_a_number(count):
+    # rejected by name, not by a comparison's bare TypeError
+    with pytest.raises(dc.CalibrationError,
+                       match=re.escape(f"max_points_per_frame must be a number, got {count!r}")):
+        dc.GlobalConfig(max_points_per_frame=count)
 
 
 def test_stage_two_peak_stays_below_the_wall_points(monkeypatch):
@@ -461,11 +469,10 @@ def test_vectorized_residual_matches_reference(clean_setup):
     x = x + rng.normal(0, 1e-3, x.size)
     full = problem.residual(x)
     state_x = problem.unpack(x)
-    ref = []
+    ref = []  # frame-major: frame k's reprojection rows, then its plane rows
     for k, o in enumerate(obs):
         ref.append(residual_repr(state_x.board_poses[k], o.corners,
                                     scene.intr_rgb, scene.board, SIGMA_C))
-    for k, o in enumerate(obs):
         ref.append(residual_pos(state_x.extrinsic, state_x.board_poses[k],
                                    state_x.gmap, state_x.intr_depth, o,
                                    scene.board, dc.KINECT1_QUANTIZATION))
@@ -709,8 +716,8 @@ def test_grouped_jacobian_penalty_fallback(small_refine_setup):
         return xp
 
     def penalized_frames(xx):
-        r_repr, r_plane = problem.frame_blocks(problem.residual(xx))
-        rows = np.hstack([r_repr, r_plane]) == _BEHIND_PENALTY
+        r = problem.residual(xx)
+        rows = r.reshape(len(problem.obs), -1) == _BEHIND_PENALTY
         assert np.all(rows.all(axis=1) == rows.any(axis=1))
         return list(np.flatnonzero(rows.all(axis=1)))
 

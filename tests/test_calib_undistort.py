@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,14 @@ def test_board_rejects_a_square_size_that_is_not_positive_and_finite(square):
         dc.BoardSpec(3, 3, square)
 
 
+@pytest.mark.parametrize("square", ["0.1", None])
+def test_board_rejects_a_square_size_that_is_not_a_number(square):
+    # rejected by name, not by a comparison's bare TypeError
+    with pytest.raises(dc.CalibrationError,
+                       match=re.escape(f"square_size must be a number, got {square!r}")):
+        dc.BoardSpec(6, 8, square)
+
+
 def test_frame_rejects_incomplete_corners():
     depth = dc.DepthImage(4, 4, np.ones((4, 4)))
     corners = np.full((3, 4, 2), np.nan)
@@ -100,6 +110,16 @@ def test_config_rejects_a_count_that_is_not_integer(name, value):
     with pytest.raises(dc.CalibrationError, match=f"{name} must be an integer, got {value}"):
         small_cfg(**{name: value})
     small_cfg(**{name: np.int64(2)})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("chi", "4"), ("fit_radius", "1"), ("seed", None), ("degree", [2]),
+])
+def test_config_rejects_a_setting_that_is_not_a_number(name, value):
+    # rejected by name, not by a comparison's bare TypeError
+    with pytest.raises(dc.CalibrationError,
+                       match=re.escape(f"{name} must be a number, got {value!r}")):
+        small_cfg(**{name: value})
 
 
 @pytest.mark.parametrize("seed", [-1, float("nan")])

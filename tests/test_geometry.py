@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -736,6 +738,17 @@ def test_intrinsics_reject_nonfinite_focal_length(axis, bad):
     values = dict(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
     values[axis] = bad
     with pytest.raises(GeometryError):
+        dc.CameraIntrinsics(**values)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("fx", "1"), ("cx", None), ("width", "4"), ("height", [480]),
+])
+def test_intrinsics_reject_a_value_that_is_not_a_number(name, value):
+    # rejected by name, not by a comparison's bare TypeError
+    values = dict(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+    values[name] = value
+    with pytest.raises(GeometryError, match=re.escape(f"{name} must be a number, got {value!r}")):
         dc.CameraIntrinsics(**values)
 
 
