@@ -234,14 +234,27 @@ class _RefineProblem:
         pose_r = quat_to_matrix(pose_q)
         pose_t = x[16:].reshape(m, 6)[:, 3:6]
 
-        # reprojection block; a frame with a corner behind the camera
-        # projects a placeholder, and its rows are the penalty
+        r_repr, behind = self._reprojection_rows(pose_r, pose_t)
+        rows = np.concatenate([r_repr, self._plane_rows(x, extr_q, pose_r, pose_t)],
+                              axis=1)
+        rows[behind] = _BEHIND_PENALTY
+        return rows.reshape(-1)
+
+    def _reprojection_rows(self, pose_r, pose_t):
+        """The (m, 2C) reprojection rows of `residual` for the board poses,
+        before the penalty, and the (m,) frames with a board corner behind
+        the camera; such a frame projects a placeholder, and `residual`
+        sets its whole row to the penalty."""
         corners_cam = np.einsum("mij,cj->mci", pose_r, self.board3d) + pose_t[:, None, :]
         behind = np.any(corners_cam[:, :, 2] <= 0, axis=1)
         proj = project_point(self.intr_rgb, np.where(
             behind[:, None, None], 1.0, corners_cam).reshape(-1, 3))
-        r_repr = (proj.reshape(m, -1, 2) - self.corners_px) / SIGMA_C
+        r_repr = (proj.reshape(len(pose_t), -1, 2) - self.corners_px) / SIGMA_C
+        return r_repr.reshape(len(pose_t), -1), behind
 
+    def _plane_rows(self, x, extr_q, pose_r, pose_t):
+        """The (m, S) plane rows of `residual` at x, before the penalty, from
+        the extrinsic quaternion and the board poses that x gives."""
         normals, offsets = _board_planes_depth(quat_to_matrix(extr_q), x[3:6],
                                               pose_r, pose_t)
         fx, fy, cx, cy = x[6], x[7], x[8], x[9]
@@ -257,43 +270,58 @@ class _RefineProblem:
         pz = corrected
         dist = (px * normals[:, None, 0] + py * normals[:, None, 1]
                 + pz * normals[:, None, 2] - offsets[:, None])
-        rows = np.concatenate([r_repr.reshape(m, -1), dist * self.point_scale], axis=1)
-        rows[behind] = _BEHIND_PENALTY
-        return rows.reshape(-1)
+        return dist * self.point_scale
 
     def normal_equations(self, fn, x, r):
         """(JᵀJ, Jᵀr) of `lm_jacobian(fn, x, r)`, summed frame by frame.
 
         Frame k's rows depend only on the 16 global columns and frame k's 6
         pose columns, so pose component p is stepped in all frames by one
-        evaluation (column grouping, Curtis, Powell & Reid 1974): 16 + 6
-        evaluations, each column the same forward difference as
-        `lm_jacobian`'s and read by frame as an (m, R) view. Each frame's
-        (R, 16 + 6) block adds to the global block of JᵀJ and gives its
-        16 x 6 cross block and its 6 x 6 diagonal pose block (Triggs et al.
-        2000, section 6).
+        evaluation of `fn` (column grouping, Curtis, Powell & Reid 1974).
+        No global parameter enters a reprojection row, and `_rotations` acts
+        row by row, so a global step leaves every pose and every
+        reprojection row with the bits it had: a global column's
+        reprojection entries are exactly 0, and only its plane rows are
+        evaluated, by the `_plane_rows` that `residual` calls. So a Jacobian
+        takes 6 evaluations of `fn` and 16 of the plane rows, and each
+        column has the bits of `lm_jacobian`'s forward difference. Each
+        frame's (R, 16 + 6) block adds to the global block of JᵀJ and gives
+        its 16 x 6 cross block and its 6 x 6 diagonal pose block (Triggs et
+        al. 2000, section 6).
         """
         steps = forward_steps(x)
         m = len(self.obs)
         r_frame = r.reshape(m, -1)
-        jac = np.empty(r_frame.shape + (22,))  # (m, R, global + pose columns)
+        n_repr = self.corners_px[0].size
+        # (m, columns, R): each column is written as one (m, R) block
+        cols = np.empty((m, 22, r_frame.shape[1]))
+        cols[:, :16, :n_repr] = 0.0
+        pose_r = quat_to_matrix(self._rotations(x)[1])
+        pose_t = x[16:].reshape(m, 6)[:, 3:6]
+        behind = self._reprojection_rows(pose_r, pose_t)[1]
         for i in range(16):
             xp = x.copy()
             xp[i] += steps[i]
-            jac[:, :, i] = ((fn(xp) - r) / steps[i]).reshape(m, -1)
+            plane = self._plane_rows(xp, self._rotations(xp)[0], pose_r, pose_t)
+            plane[behind] = _BEHIND_PENALTY
+            np.divide(plane - r_frame[:, n_repr:], steps[i], out=cols[:, i, n_repr:])
         pose_steps = steps[16:].reshape(m, 6)
         for p in range(6):
             xp = x.copy()
             xp[16 + p::6] += pose_steps[:, p]
-            jac[:, :, 16 + p] = (fn(xp) - r).reshape(m, -1) / pose_steps[:, p, None]
+            np.divide((fn(xp) - r).reshape(m, -1), pose_steps[:, p, None],
+                      out=cols[:, 16 + p])
 
-        prod = jac.transpose(0, 2, 1) @ jac  # (m, 22, 22)
+        prod = cols @ cols.transpose(0, 2, 1)  # (m, 22, 22)
         jtj = np.zeros((x.size, x.size))
         jtj[:16, :16] = prod[:, :16, :16].sum(axis=0)
         jtj[:16, 16:] = prod[:, :16, 16:].transpose(1, 0, 2).reshape(16, -1)
         jtj[16:, :16] = jtj[:16, 16:].T
         frames = np.arange(m)
         jtj[16:, 16:].reshape(m, 6, m, 6)[frames, :, frames, :] = prod[:, 16:, 16:]
+        # einsum adds the rows of each frame in order on the (m, R, columns)
+        # layout only
+        jac = np.ascontiguousarray(cols.transpose(0, 2, 1))
         jtr = np.einsum("mri,mr->mi", jac, r_frame)
         return jtj, np.concatenate([jtr[:, :16].sum(axis=0), jtr[:, 16:].ravel()])
 

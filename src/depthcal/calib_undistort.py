@@ -297,19 +297,38 @@ def fit_reference_plane(points, wall, cfg: UndistortConfig) -> Plane:
 
     Only wall pixels within `fit_radius` of the wall's pixel centroid are
     used; restricting the fit to the wall center keeps it stable under the
-    depth-dependent distortion at the image borders. The centroid is the
-    mean of the integer pixel coordinates: their sums are exact, so it has
-    the bits of the mean of the coordinates as floats.
+    depth-dependent distortion at the image borders. The centroid comes
+    from the wall's integer row and column sums: they are exact, so it has
+    the bits of the mean of the pixel coordinates as floats. Only the box
+    of pixels within `fit_radius` of it is scanned; a wall pixel's row of
+    `points` is the count of wall pixels before it, row-major.
     """
-    v, u = np.nonzero(wall)
-    if u.size == 0:
+    wall = np.asarray(wall, dtype=bool)
+    per_row = np.count_nonzero(wall, axis=1)
+    n = int(per_row.sum())
+    if n == 0:
         raise CalibrationError("empty inlier set")
-    if points.shape[0] != u.size:
+    if points.shape[0] != n:
         raise CalibrationError("reference plane needs one point per wall pixel")
-    keep = np.hypot(u - u.mean(), v - v.mean()) <= cfg.fit_radius
+    height, width = wall.shape
+    uc = int(np.count_nonzero(wall, axis=0) @ np.arange(width)) / n
+    vc = int(per_row @ np.arange(height)) / n
+    # a pixel whose distance rounds to r is kept, so the box has a pixel
+    # to spare on each side
+    r = cfg.fit_radius
+    u0, u1 = int(np.floor(max(uc - r, 0))), int(min(np.ceil(uc + r) + 1, width))
+    v0, v1 = int(np.floor(max(vc - r, 0))), int(min(np.ceil(vc + r) + 1, height))
+    box = wall[v0:v1, u0:u1]
+    v, u = np.nonzero(box)
+    # row of `points`: wall pixels in the rows above, left of the box in
+    # this row, and before it in the box row
+    before = np.cumsum(per_row)[v0:v1] - per_row[v0:v1]
+    before += np.count_nonzero(wall[v0:v1, :u0], axis=1)
+    index = before[v] + (np.cumsum(box, axis=1) - 1)[v, u]
+    keep = np.hypot(u + u0 - uc, v + v0 - vc) <= r
     if np.count_nonzero(keep) < 3:
         raise CalibrationError("fewer than 3 inliers inside the fit radius")
-    return fit_plane(points[keep])
+    return fit_plane(points[index[keep]])
 
 
 def update_map(umap: UndistortionMap, moments: FitMoments, points, wall,
@@ -324,43 +343,48 @@ def update_map(umap: UndistortionMap, moments: FitMoments, points, wall,
     moments, and the control polynomial is refit from them. Control pixels
     receiving no samples, and pixels whose fit is underdetermined or
     singular, keep their previous function.
+
+    The update works on the flat (gh * gw,) control grid under the mask of
+    pixels with a positive weight sum: `FitMoments.add` takes that mask,
+    and each degree's fit takes the rows of the grid that the mask and the
+    spread gate leave, straight from the moments.
     """
     denom = points @ plane.normal
     good = np.abs(denom) > 1e-12  # drop rays parallel to the plane
     wall = np.array(wall, dtype=bool)
     wall[wall] = good
-    z = points[good, 2]
+    z = points[:, 2][good]
     z_pi = plane.offset * z / denom[good]
     gh, gw = umap.grid_shape
     w_sum, wz_sum, wzpi_sum = umap.splat(wall, (1.0, z, z_pi)).reshape(3, gh * gw)
-
-    sel = np.nonzero(w_sum > 0)[0]
-    moments.add(sel, wz_sum[sel] / w_sum[sel], wzpi_sum[sel] / w_sum[sel])
+    pending = w_sum > 0  # sampled, and not refit yet
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 off the mask
+        moments.add(pending, wz_sum / w_sum, wzpi_sum / w_sum)
 
     # Refit only the control functions whose moments changed. While a
     # control pixel has too few samples, or too narrow a depth spread, for
     # the full degree, fit the best determined lower degree instead so
     # nearer frames can bootstrap the wall segmentation of farther ones;
     # keep the previous function when even a line is underdetermined.
-    zpow = moments.zpow.reshape(gh * gw, -1)[sel]
-    zpi = moments.zpi.reshape(gh * gw, -1)[sel]
-    count = moments.count.reshape(gh * gw)[sel]
-    spread = moments.zmax.reshape(gh * gw)[sel] - moments.zmin.reshape(gh * gw)[sel]
+    zpow = moments.zpow.reshape(gh * gw, -1)
+    zpi = moments.zpi.reshape(gh * gw, -1)
+    count = moments.count.reshape(gh * gw)
+    spread = moments.zmax.reshape(gh * gw) - moments.zmin.reshape(gh * gw)
     new_coeffs = umap.coefficients.copy()
     flat_out = new_coeffs.reshape(gh * gw, -1)
-    pending = np.ones(sel.size, dtype=bool)
     for deg in range(umap.degree, 0, -1):
         if not np.any(pending):
             break
         min_spread = MIN_SPREAD_LINEAR if deg == 1 else MIN_SPREAD_SUPERLINEAR
-        rows = np.nonzero(pending & (spread >= min_spread))[0]
+        rows = np.flatnonzero(pending & (spread >= min_spread))
         if rows.size == 0:
             continue
-        coeffs, ok = fit_weighted_poly_batch(zpow[rows], zpi[rows], count[rows], deg)
-        good = rows[ok]
-        flat_out[sel[good], :] = 0.0
-        flat_out[sel[good], :deg + 1] = coeffs[ok]
-        pending[good] = False
+        coeffs, ok = fit_weighted_poly_batch(zpow.take(rows, axis=0),
+                                             zpi.take(rows, axis=0), count.take(rows), deg)
+        done = rows[ok]
+        for j in range(flat_out.shape[1]):  # 1-D scatters: one per coefficient
+            flat_out[:, j][done] = coeffs[:, j][ok] if j <= deg else 0.0
+        pending[done] = False
     if np.any(pending):
         log.debug("update_map: %d control fits deferred (underdetermined)",
                   int(pending.sum()))

@@ -29,7 +29,7 @@ count gives the same bits; with `GlobalMap.identity` the result is the
 undistorted-only cloud. The calibration stages read U with the same
 Horner on the cached coefficients, over a whole frame
 (`calib_undistort.undistorted_points`). Maps are immutable after
-estimation (their caches hold only what their coefficients define);
+estimation (their caches hold only what their grid and coefficients define);
 application is embarrassingly parallel per pixel and may be called
 concurrently on a shared map.
 
@@ -90,8 +90,9 @@ class FitMoments:
     `geometry.KINECT1_QUANTIZATION`. Fits of any degree up to `degree` read
     these sums; the samples themselves are not kept.
 
-    Arrays are indexed by (grid row, grid column); `add` takes flat control
-    indices j * gw + i.
+    Arrays are indexed by (grid row, grid column). `add` reads the grid
+    flat, control pixel (i, j) at row j * gw + i, and takes the pixels it
+    adds to as a (gh * gw,) bool mask.
     """
 
     __slots__ = ("degree", "zpow", "zpi", "count", "zmin", "zmax")
@@ -105,49 +106,83 @@ class FitMoments:
         self.zmin = np.full((gh, gw), np.inf)
         self.zmax = np.full((gh, gw), -np.inf)
 
-    def add(self, idx, z, z_pi):
-        """Add one sample (z[k], z_pi[k]) to control pixel idx[k], in place.
+    def add(self, mask, z, z_pi):
+        """Add one sample (z[j], z_pi[j]) to each control pixel j where the
+        (G,) bool `mask` is True, in place; G = gh * gw.
 
-        `idx` holds distinct flat control indices.
+        z and z_pi are (G,) over the flat grid. Their entries off the mask
+        are never added and may be anything, NaN included. Each moment is
+        worked as one (G,) plane and added with `where=mask`, so no row is
+        gathered or scattered, and each masked row gets the bits it gets
+        alone. The powers z^p take their exponents from an array, as
+        z[:, None] ** p does; a scalar exponent of 2 would square instead,
+        which rounds differently.
         """
         z = np.asarray(z, dtype=float)
-        if np.any(z <= 0):
+        if np.any((z <= 0) & mask):
             raise MapError("sample depths must be positive")
+        g = self.count.size
         sigma = horner(KINECT1_QUANTIZATION, z)
         w = 1.0 / (sigma * sigma)
-        wz = w[:, None] * z[:, None] ** np.arange(2 * self.degree + 1)
-        g = self.count.size
-        self.zpow.reshape(g, -1)[idx] += wz
-        self.zpi.reshape(g, -1)[idx] += wz[:, :self.degree + 1] * np.asarray(z_pi)[:, None]
-        self.count.reshape(g)[idx] += 1
+        powers = np.arange(2.0 * self.degree + 1).repeat(g).reshape(-1, g)
+        wz = np.power(z, powers, out=powers)
+        wz *= w  # (2 * degree + 1, G): w z^p
+        np.add(self.zpow.reshape(g, -1).T, wz, out=self.zpow.reshape(g, -1).T, where=mask)
+        wz = wz[:self.degree + 1]
+        wz *= np.asarray(z_pi, dtype=float)
+        np.add(self.zpi.reshape(g, -1).T, wz, out=self.zpi.reshape(g, -1).T, where=mask)
+        count = self.count.reshape(g)
+        count += mask
         zmin = self.zmin.reshape(g)
         zmax = self.zmax.reshape(g)
-        zmin[idx] = np.minimum(zmin[idx], z)
-        zmax[idx] = np.maximum(zmax[idx], z)
+        np.minimum(zmin, z, out=zmin, where=mask)
+        np.maximum(zmax, z, out=zmax, where=mask)
 
 
-def _ldl_inverse(a):
-    """Factors of the inverses of a stack of symmetric matrices (k, k, R).
+def _sum(tmp, products):
+    """0 + p_0 + p_1 + ... for products p = f_0 * f_1 * ... of R-vectors (a
+    product may have one factor), each formed left to right in the work
+    R-vector `tmp`: the operations of `np.sum(axis=0)` over the stacked
+    products, which adds the rows of a (p, R) array one by one from 0, with
+    no (p, R) array formed."""
+    out = np.zeros(tmp.size)
+    for first, *rest in products:
+        if rest:
+            np.multiply(first, rest[0], out=tmp)
+            for factor in rest[1:]:
+                tmp *= factor
+            out += tmp
+        else:
+            out += first
+    return out
+
+
+def _ldl_inverse(a, k, tmp):
+    """Factors of the inverses of a stack of symmetric k x k matrices whose
+    entry (i, j) is the R-vector a[i + j].
 
     Unpivoted LDL^T, with L inverted row by row as it is formed. Returns
-    (m, d): m = L^-1 (k, k, R), unit lower triangular, and the pivots d
-    (k, R), so that A^-1 = m^T diag(1 / d) m. The stack runs along the last
-    axis, so every step is an elementwise operation on R-vectors. A matrix
-    with a pivot <= 0 is not positive definite, and its later factors are
-    meaningless.
+    (m, d): m[i][q], q < i, the R-vectors of m = L^-1 below its unit
+    diagonal, and the k pivots d, so that A^-1 = m^T diag(1 / d) m. Every
+    step is an elementwise operation on R-vectors, and every sum is
+    `_sum`'s, with `tmp` its work space: the bits of factoring the
+    (k, k, R) stack with `np.sum(axis=0)` over (p, R) arrays of products,
+    except that the products with m's zeros above its diagonal are left out.
+    A sum from 0 is never -0, so adding such a product's +-0 changes no bit
+    while the product is finite. A matrix with a pivot <= 0 is not positive
+    definite, and its later factors are meaningless.
     """
-    k = a.shape[0]
-    low = np.zeros_like(a)
-    m = np.zeros_like(a)
-    d = np.zeros(a.shape[1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(k):
-            for p in range(i):
-                low[i, p] = (a[i, p] - np.sum(low[i, :p] * d[:p] * low[p, :p],
-                                              axis=0)) / d[p]
-            d[i] = a[i, i] - np.sum(low[i, :i] ** 2 * d[:i], axis=0)
-            m[i, :i] = -np.sum(low[i, :i, None] * m[:i, :i], axis=0)
-            m[i, i] = 1.0
+    low = [[None] * k for _ in range(k)]
+    m = [[None] * k for _ in range(k)]
+    d = [None] * k
+    for i in range(k):
+        for p in range(i):
+            s = _sum(tmp, [(low[i][q], d[q], low[p][q]) for q in range(p)])
+            low[i][p] = (a[i + p] - s) / d[p]
+        d[i] = a[2 * i] - _sum(tmp, [(low[i][q], low[i][q], d[q]) for q in range(i)])
+        for q in range(i):
+            m[i][q] = -_sum(tmp, [(low[i][q],)] + [(low[i][p], m[p][q])
+                                                   for p in range(q + 1, i)])
     return m, d
 
 
@@ -161,32 +196,44 @@ def fit_weighted_poly_batch(zpow, zpi, count, degree):
     condition number of at least COND_LIMIT; their coefficient rows are 0.
 
     All rows are factored at once by `_ldl_inverse`, and the solve uses the
-    same factors. A pivot <= 0 makes a fit not ok: LDL^T of a positive
-    definite A completes whenever 20 k^1.5 cond_2(H) eps < 1, with H the
-    unit-diagonal scaling of A (Demmel, 1989), and cond_2(H) <=
-    k cond_2(A); so for k <= 5 and a COND_LIMIT up to 8e12 such a row is
-    beyond the limit. For a positive definite A, lambda_max <= tr(A) and
-    1 / lambda_min <= tr(A^-1), so cond_2(A) <= tr(A) tr(A^-1) <=
-    k^2 cond_2(A). A row that this bound puts below COND_LIMIT / 2 is ok,
-    with room for the rounding of the bound; only the remaining rows are
-    decided by their eigenvalues.
+    same factors. Each matrix entry is one R-vector, a column of zpow read
+    in place; no (k, k, R) stack is formed, and every sum keeps the order of
+    the form that factored one (`tests/oracles.py` keeps it), so a row whose
+    moments are finite gets its bits. A pivot <= 0 makes a fit not ok:
+    LDL^T of a positive definite A completes whenever
+    20 k^1.5 cond_2(H) eps < 1, with H the unit-diagonal scaling of A
+    (Demmel, 1989), and cond_2(H) <= k cond_2(A); so for k <= 5 and a
+    COND_LIMIT up to 8e12 such a row is beyond the limit. For a positive
+    definite A, lambda_max <= tr(A) and 1 / lambda_min <= tr(A^-1), so
+    cond_2(A) <= tr(A) tr(A^-1) <= k^2 cond_2(A). A row that this bound
+    puts below COND_LIMIT / 2 is ok, with room for the rounding of the
+    bound; only the remaining rows are decided by their eigenvalues.
     """
     k = degree + 1
-    powers = np.arange(k)
-    # (k, k, R) and (k, R): one matrix per row along the last axis
-    normal = np.asarray(zpow, dtype=float).T[powers[:, None] + powers[None, :]]
-    rhs = np.asarray(zpi, dtype=float).T[powers]
-    m, d = _ldl_inverse(normal)
-    ok = (np.asarray(count) >= k) & np.all(d > 0, axis=0)
+    zpow = np.asarray(zpow, dtype=float)
+    b = np.asarray(zpi, dtype=float).T  # right sides: b[i] is an R-vector
+    tmp = np.empty(zpow.shape[0])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        bound = np.trace(normal) * np.sum(np.sum(m * m, axis=1) / d, axis=0)
-        # x = m^T diag(1 / d) m rhs
-        y = np.sum(m * rhs, axis=1) / d
-        coeffs = np.sum(m * y[:, None], axis=0).T
+        m, d = _ldl_inverse(zpow.T, k, tmp)
+        ok = np.asarray(count) >= k
+        for pivot in d:
+            ok &= pivot > 0
+        # tr(A) tr(A^-1), with tr(A^-1) = sum_i (sum_q m[i][q]^2) / d[i]
+        inv_rows = [_sum(tmp, [(m[i][q], m[i][q]) for q in range(i)] + [(1.0,)]) / d[i]
+                    for i in range(k)]
+        bound = (_sum(tmp, [(zpow[:, 2 * i],) for i in range(k)])
+                 * _sum(tmp, [(row,) for row in inv_rows]))
+        # x = m^T diag(1 / d) m b
+        y = [_sum(tmp, [(m[i][q], b[q]) for q in range(i)] + [(b[i],)]) / d[i]
+             for i in range(k)]
+        coeffs = np.array([_sum(tmp, [(y[j],)] + [(m[i][j], y[i]) for i in range(j + 1, k)])
+                           for j in range(k)]).T
     exact = ok & ~(bound < COND_LIMIT / 2)
     if np.any(exact):
+        powers = np.arange(k)
+        normal = zpow[exact][:, powers[:, None] + powers[None, :]]
         # symmetric PSD: the singular values are the absolute eigenvalues
-        eig = np.abs(np.linalg.eigvalsh(np.moveaxis(normal[..., exact], -1, 0)))
+        eig = np.abs(np.linalg.eigvalsh(normal))
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = eig.max(axis=1) / eig.min(axis=1)
         ok[exact] = cond < COND_LIMIT
@@ -225,7 +272,7 @@ class UndistortionMap:
     defined for every image pixel including the last row/column.
     """
 
-    __slots__ = ("width", "height", "chi", "psi", "coefficients", "_dense")
+    __slots__ = ("width", "height", "chi", "psi", "coefficients", "_dense", "_hats")
 
     def __init__(self, width, height, chi, psi, coefficients):
         if chi <= 0 or psi <= 0:
@@ -245,6 +292,7 @@ class UndistortionMap:
         self.coefficients = coefficients
         self.coefficients.setflags(write=False)
         self._dense = None
+        self._hats = None
 
     @staticmethod
     def identity(width, height, chi, psi, degree=2):
@@ -262,8 +310,12 @@ class UndistortionMap:
         return self.coefficients.shape[:2]
 
     def with_coefficients(self, coefficients):
-        return UndistortionMap(self.width, self.height, self.chi, self.psi,
-                               coefficients)
+        """The map of the same grid with other coefficients. It keeps this
+        map's hat matrices, which depend on the grid alone: stage one
+        splats every frame onto the map the frame before made."""
+        new = UndistortionMap(self.width, self.height, self.chi, self.psi, coefficients)
+        new._hats = self._hats
+        return new
 
     def pixel_coefficients(self, u, v):
         """Blended polynomial coefficients at pixel(s) (u, v).
@@ -320,14 +372,17 @@ class UndistortionMap:
         of samples at the N True pixels of the (H, W) bool `mask`, row-major.
         Each sample adds itself times its blend weight to each control pixel,
         so the result is (k, gh, gw). Computed as Av^T X Au: X the samples
-        scattered onto the image, Av (H, gh) and Au (W, gw) the hat weights.
+        scattered onto the image, Av (H, gh) and Au (W, gw) the hat weights,
+        which the map builds once and keeps.
         """
         gh, gw = self.grid_shape
         image = np.zeros((len(values), self.height, self.width))
         for plane, channel in zip(image, values):
             plane[mask] = channel
-        av = _hat_matrix(self.height, self.psi, gh)
-        au = _hat_matrix(self.width, self.chi, gw)
+        if self._hats is None:
+            self._hats = (_hat_matrix(self.height, self.psi, gh),
+                          _hat_matrix(self.width, self.chi, gw))
+        av, au = self._hats
         return av.T @ image @ au
 
     def __eq__(self, other):

@@ -5,6 +5,15 @@ moments of `depthcal.maps.FitMoments` stand in for: the same normal
 equations, summed over stored samples, with the condition number taken from
 an SVD. The moment solve is checked against it.
 
+`moment_fit_batch` is the moment solve on a (k, k, R) stack of normal
+matrices, whose factorization `ldl_inverse` sums (p, R) arrays of products,
+and `update_map_gathered` is the map update that gathers the sampled
+control pixels' rows, adds to them with `add_gathered` and scatters the
+fits back. The library works on the whole grid's planes and on one
+R-vector per matrix entry instead; these are the references for its bits.
+`fit_reference_plane_scanned` scans every wall pixel, where the library
+scans the box around the centroid.
+
 `estimate_undistortion_map` is stage one reading every frame as two
 whole-frame clouds, the original and the undistorted one, where the library
 back-projects only the pixels it reads. Its `select_wall_points` draws the
@@ -15,7 +24,10 @@ with the centroid of `mean(axis=0)`, where the library sums each column.
 
 The per-pixel map evaluations, the per-frame stage-two residuals and the
 line-of-sight and orthogonal projections are scalar or per-frame forms of
-what the library computes vectorized. `global_eval` blends all four corners
+what the library computes vectorized. `normal_equations_by_residual` forms
+every column of the refine Jacobian from whole residuals, where the library
+fills the global columns' reprojection entries with zeros and evaluates
+only their plane rows. `global_eval` blends all four corners
 bilinearly, the fourth from `complete_dependent_corner`, so it does not share
 the affine evaluator of `GlobalMap.correct`, which stores no fourth corner.
 
@@ -40,6 +52,8 @@ import numpy as np
 from depthcal.calib_global import FrameObservations
 from depthcal.calib_undistort import (
     KAPPA,
+    MIN_SPREAD_LINEAR,
+    MIN_SPREAD_SUPERLINEAR,
     RANSAC_ITERATIONS,
     SEED_ANGLE_DEG,
     SEED_OFFSET_M,
@@ -68,6 +82,7 @@ from depthcal.geometry import (
     RigidTransform,
     depth_to_cloud,
     fit_plane,
+    forward_steps,
     horner,
     plane_through,
     project_point,
@@ -137,8 +152,123 @@ def moments_of(z, z_pi, degree):
     """A one-pixel FitMoments state holding the samples (z[k], z_pi[k])."""
     moments = FitMoments((1, 1), degree)
     for zk, zpk in zip(np.asarray(z, dtype=float), np.asarray(z_pi, dtype=float)):
-        moments.add(np.array([0]), np.array([zk]), np.array([zpk]))
+        moments.add(np.array([True]), np.array([zk]), np.array([zpk]))
     return moments
+
+
+# ---------------------------------------------------------------------------
+# the moment solve and the map update on gathered rows
+
+
+def add_gathered(moments, idx, z, z_pi):
+    """`FitMoments.add` on the gathered rows of the distinct flat control
+    indices `idx`: sample (z[k], z_pi[k]) goes to control pixel idx[k]."""
+    z = np.asarray(z, dtype=float)
+    if np.any(z <= 0):
+        raise MapError("sample depths must be positive")
+    sigma = horner(KINECT1_QUANTIZATION, z)
+    w = 1.0 / (sigma * sigma)
+    wz = w[:, None] * z[:, None] ** np.arange(2 * moments.degree + 1)
+    g = moments.count.size
+    moments.zpow.reshape(g, -1)[idx] += wz
+    moments.zpi.reshape(g, -1)[idx] += wz[:, :moments.degree + 1] * np.asarray(z_pi)[:, None]
+    moments.count.reshape(g)[idx] += 1
+    zmin = moments.zmin.reshape(g)
+    zmax = moments.zmax.reshape(g)
+    zmin[idx] = np.minimum(zmin[idx], z)
+    zmax[idx] = np.maximum(zmax[idx], z)
+
+
+def ldl_inverse(a):
+    """Factors of the inverses of a stack of symmetric matrices (k, k, R):
+    (m, d), m = L^-1 (k, k, R) unit lower triangular and the pivots d (k, R)
+    of the unpivoted LDL^T, so that A^-1 = m^T diag(1 / d) m. Each step sums
+    a (p, R) array of products with `np.sum(axis=0)`."""
+    k = a.shape[0]
+    low = np.zeros_like(a)
+    m = np.zeros_like(a)
+    d = np.zeros(a.shape[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(k):
+            for p in range(i):
+                low[i, p] = (a[i, p] - np.sum(low[i, :p] * d[:p] * low[p, :p],
+                                              axis=0)) / d[p]
+            d[i] = a[i, i] - np.sum(low[i, :i] ** 2 * d[:i], axis=0)
+            m[i, :i] = -np.sum(low[i, :i, None] * m[:i, :i], axis=0)
+            m[i, i] = 1.0
+    return m, d
+
+
+def moment_fit_batch(zpow, zpi, count, degree, cond_limit=1e12):
+    """`depthcal.maps.fit_weighted_poly_batch` on a (k, k, R) stack of normal
+    matrices factored by `ldl_inverse`: the reference for its bits."""
+    k = degree + 1
+    powers = np.arange(k)
+    normal = np.asarray(zpow, dtype=float).T[powers[:, None] + powers[None, :]]
+    rhs = np.asarray(zpi, dtype=float).T[powers]
+    m, d = ldl_inverse(normal)
+    ok = (np.asarray(count) >= k) & np.all(d > 0, axis=0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        bound = np.trace(normal) * np.sum(np.sum(m * m, axis=1) / d, axis=0)
+        y = np.sum(m * rhs, axis=1) / d
+        coeffs = np.sum(m * y[:, None], axis=0).T
+    exact = ok & ~(bound < cond_limit / 2)
+    if np.any(exact):
+        eig = np.abs(np.linalg.eigvalsh(np.moveaxis(normal[..., exact], -1, 0)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = eig.max(axis=1) / eig.min(axis=1)
+        ok[exact] = cond < cond_limit
+    coeffs[~ok] = 0.0
+    return coeffs, ok
+
+
+def update_map_gathered(umap, moments, points, wall, plane):
+    """`depthcal.update_map` on gathered rows: the sampled control pixels'
+    indices `sel`, their moments gathered for each fit by index into `sel`
+    and the fitted rows scattered back, with `add_gathered` and
+    `moment_fit_batch`."""
+    denom = points @ plane.normal
+    good = np.abs(denom) > 1e-12
+    wall = np.array(wall, dtype=bool)
+    wall[wall] = good
+    z = points[good, 2]
+    z_pi = plane.offset * z / denom[good]
+    gh, gw = umap.grid_shape
+    w_sum, wz_sum, wzpi_sum = umap.splat(wall, (1.0, z, z_pi)).reshape(3, gh * gw)
+    sel = np.nonzero(w_sum > 0)[0]
+    add_gathered(moments, sel, wz_sum[sel] / w_sum[sel], wzpi_sum[sel] / w_sum[sel])
+    zpow = moments.zpow.reshape(gh * gw, -1)[sel]
+    zpi = moments.zpi.reshape(gh * gw, -1)[sel]
+    count = moments.count.reshape(gh * gw)[sel]
+    spread = moments.zmax.reshape(gh * gw)[sel] - moments.zmin.reshape(gh * gw)[sel]
+    new_coeffs = umap.coefficients.copy()
+    flat_out = new_coeffs.reshape(gh * gw, -1)
+    pending = np.ones(sel.size, dtype=bool)
+    for deg in range(umap.degree, 0, -1):
+        if not np.any(pending):
+            break
+        min_spread = MIN_SPREAD_LINEAR if deg == 1 else MIN_SPREAD_SUPERLINEAR
+        rows = np.nonzero(pending & (spread >= min_spread))[0]
+        if rows.size == 0:
+            continue
+        coeffs, ok = moment_fit_batch(zpow[rows], zpi[rows], count[rows], deg)
+        good = rows[ok]
+        flat_out[sel[good], :] = 0.0
+        flat_out[sel[good], :deg + 1] = coeffs[ok]
+        pending[good] = False
+    return umap.with_coefficients(new_coeffs)
+
+
+def fit_reference_plane_scanned(points, wall, cfg):
+    """`depthcal.fit_reference_plane` scanning every wall pixel, with the
+    centroid `u.mean()`, `v.mean()` of their coordinates."""
+    v, u = np.nonzero(wall)
+    if u.size == 0:
+        raise CalibrationError("empty inlier set")
+    keep = np.hypot(u - u.mean(), v - v.mean()) <= cfg.fit_radius
+    if np.count_nonzero(keep) < 3:
+        raise CalibrationError("fewer than 3 inliers inside the fit radius")
+    return fit_plane(points[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +579,35 @@ def residual_pos(extrinsic: RigidTransform, pose: RigidTransform,
     sign = np.sign(plane.signed_distance(pts))
     scale = np.sqrt(obs.uv.shape[0]) * horner(sigma_u, obs.dhat)
     return sign * dist / scale
+
+
+def normal_equations_by_residual(problem, fn, x, r):
+    """`_RefineProblem.normal_equations` with every column a forward
+    difference of whole residuals: 16 evaluations of `fn` for the global
+    columns, reprojection rows included, and 6 for the pose columns. The
+    reference for the bits of JᵀJ and Jᵀr."""
+    steps = forward_steps(x)
+    m = len(problem.obs)
+    r_frame = r.reshape(m, -1)
+    jac = np.empty(r_frame.shape + (22,))
+    for i in range(16):
+        xp = x.copy()
+        xp[i] += steps[i]
+        jac[:, :, i] = ((fn(xp) - r) / steps[i]).reshape(m, -1)
+    pose_steps = steps[16:].reshape(m, 6)
+    for p in range(6):
+        xp = x.copy()
+        xp[16 + p::6] += pose_steps[:, p]
+        jac[:, :, 16 + p] = (fn(xp) - r).reshape(m, -1) / pose_steps[:, p, None]
+    prod = jac.transpose(0, 2, 1) @ jac
+    jtj = np.zeros((x.size, x.size))
+    jtj[:16, :16] = prod[:, :16, :16].sum(axis=0)
+    jtj[:16, 16:] = prod[:, :16, 16:].transpose(1, 0, 2).reshape(16, -1)
+    jtj[16:, :16] = jtj[:16, 16:].T
+    frames = np.arange(m)
+    jtj[16:, 16:].reshape(m, 6, m, 6)[frames, :, frames, :] = prod[:, 16:, 16:]
+    jtr = np.einsum("mri,mr->mi", jac, r_frame)
+    return jtj, np.concatenate([jtr[:, :16].sum(axis=0), jtr[:, 16:].ravel()])
 
 
 # ---------------------------------------------------------------------------

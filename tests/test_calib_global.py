@@ -29,6 +29,7 @@ from oracles import (
     board_plane_depth,
     global_correct,
     global_eval,
+    normal_equations_by_residual,
     orth_project,
     residual_pos,
     residual_repr,
@@ -670,6 +671,34 @@ def test_grouped_jacobian_equals_dense(small_refine_setup):
         assert_dense_products(problem, x0 + rng.normal(0, 5e-4, x0.size))
 
 
+def test_normal_equations_match_whole_residual_columns_bit_for_bit(small_refine_setup):
+    # no global parameter moves a reprojection row, so the zeros of the
+    # global columns and their plane-row evaluations give the bits of
+    # differencing whole residuals, at the penalty too
+    problem = small_refine_setup[3]
+    x0 = problem.pack_initial()
+    rng = np.random.default_rng(37)
+    behind = x0.copy()
+    behind[16 + 5] = -1.0  # the first frame's board behind the camera
+    for x in [x0, behind] + [x0 + rng.normal(0, 5e-4, x0.size) for _ in range(3)]:
+        r = problem.residual(x)
+        jtj, jtr = problem.normal_equations(problem.residual, x, r)
+        ref_jtj, ref_jtr = normal_equations_by_residual(problem, problem.residual, x, r)
+        assert jtj.tobytes() == ref_jtj.tobytes()
+        assert jtr.tobytes() == ref_jtr.tobytes()
+    assert np.all(problem.residual(behind).reshape(len(problem.obs), -1)[0]
+                  == _BEHIND_PENALTY)
+    x = x0 + rng.normal(0, 2e-3, x0.size)
+    ours = dc.lm_minimize(problem.residual, x, max_iter=20,
+                          normal_fn=problem.normal_equations)
+    ref = dc.lm_minimize(problem.residual, x, max_iter=20,
+                         normal_fn=lambda fn, xx, rr: normal_equations_by_residual(
+                             problem, fn, xx, rr))
+    assert len(ours.cost_trace) > 2
+    assert np.array_equal(ours.cost_trace, ref.cost_trace)
+    assert ours.x.tobytes() == ref.x.tobytes()
+
+
 @pytest.mark.parametrize("i", [0, 7, 10, 15, 20])
 def test_residual_at_a_nonfinite_point_is_nonfinite(small_refine_setup, i):
     # GlobalMap rejects non-finite corners, so the residual must not build
@@ -757,8 +786,19 @@ def test_grouped_jacobian_evaluation_count(small_refine_setup, monkeypatch,
         return original(self, xx)
 
     monkeypatch.setattr(_RefineProblem, "residual", counting)
+    plane_calls = []
+    plane_rows = _RefineProblem._plane_rows
+
+    def counting_planes(self, *args):
+        plane_calls.append(1)
+        return plane_rows(self, *args)
+
+    monkeypatch.setattr(_RefineProblem, "_plane_rows", counting_planes)
     problem.normal_equations(problem.residual, x, r)
-    assert len(calls) == 16 + 6
+    # 6 pose columns from whole residuals; the 16 global columns evaluate
+    # only their plane rows
+    assert len(calls) == 6
+    assert len(plane_calls) == 16 + 6
     calls.clear()
     lm_jacobian(problem.residual, x, r)
     assert len(calls) == 16 + 6 * n_frames

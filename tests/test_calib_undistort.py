@@ -9,6 +9,7 @@ from depthcal.calib_undistort import SCORE_CHUNK, _chunk_bounds, undistorted_poi
 from depthcal.geometry import horner, plane_through, solve_pnp
 from depthcal.maps import MAX_DEGREE
 from oracles import estimate_undistortion_map as whole_frame_stage_one
+from oracles import fit_reference_plane_scanned, update_map_gathered
 from oracles import select_wall_points as one_by_one_wall_points
 
 
@@ -399,6 +400,31 @@ def test_fit_reference_plane_matches_restricted_fit(clean_scene):
         assert plane == dc.fit_plane(cloud.points[v[keep], u[keep]])
 
 
+def test_fit_reference_plane_box_matches_full_scan(clean_scene):
+    # the box around the centroid holds every pixel the full scan keeps
+    scene, frames = clean_scene
+    cloud = dc.depth_to_cloud(frames[0].frame.depth, scene.intr_depth)
+    rng = np.random.default_rng(5)
+    u, v = np.meshgrid(np.arange(160), np.arange(120))
+    walls = [rng.random((120, 160)) < 0.3,
+             (u < 30) & (v > 80),  # a corner: the box is cut by the image edge
+             (u >= 150) | (v < 4),
+             ((u == 20) | (u == 60)) & (v >= 30) & (v < 90)]  # pixels at exactly r
+    for wall in walls:
+        for radius in (1.0, 7.5, 20.0, 40.0, 1e6, np.inf):
+            cfg = small_cfg(fit_radius=radius)
+            points = cloud.points[wall]
+            try:
+                expected = fit_reference_plane_scanned(points, wall, cfg)
+            except dc.CalibrationError as exc:
+                with pytest.raises(dc.CalibrationError, match=str(exc)):
+                    dc.fit_reference_plane(points, wall, cfg)
+                continue
+            plane = dc.fit_reference_plane(points, wall, cfg)
+            assert plane.normal.tobytes() == expected.normal.tobytes()
+            assert plane.offset == expected.offset
+
+
 def test_fit_reference_plane_needs_one_point_per_wall_pixel(clean_scene):
     scene, frames = clean_scene
     lf = frames[0]
@@ -548,6 +574,43 @@ def test_update_map_leaves_unsampled_controls_alone(clean_scene):
     assert np.array_equal(untouched, start.coefficients[:, 30:])
     assert np.all(moments.count[:, 30:] == 0)
     assert np.all(moments.zpow[:, 30:] == 0.0)
+
+
+def test_update_map_partial_wall_matches_gathered_form():
+    # walls over parts of the grid, nearest last: at the last frame some
+    # control pixels have no sample, some have too narrow a spread for
+    # degree 2 and fall back to a line, some hold one sample and stay
+    # deferred, and the rest fit degree 2
+    intr = dc.CameraIntrinsics(fx=40, fy=40, cx=16, cy=12, width=32, height=24)
+    u, v = np.meshgrid(np.arange(32.0), np.arange(24.0))
+    normal = np.array([0.05, -0.03, 1.0]) / np.linalg.norm([0.05, -0.03, 1.0])
+    rays = normal[0] * (u - 16) / 40 + normal[1] * (v - 12) / 40 + normal[2]
+    umap = dc.UndistortionMap.identity(32, 24, 4, 4, 2)
+    ref_map = umap
+    moments = dc.FitMoments(umap.grid_shape, 2)
+    ref_moments = dc.FitMoments(umap.grid_shape, 2)
+    for offset, wall in ((2.6, u < 12), (1.9, (u < 12) & (v < 12)), (1.0, u < 20),
+                         (1.2, u < 28)):
+        plane = dc.Plane(normal, offset)
+        bowl = 1.0 + 0.01 * ((u - 16) / 16) ** 2 + 0.004 * offset * ((v - 12) / 12) ** 2
+        img = dc.DepthImage(32, 24, offset / rays * bowl)
+        points = dc.depth_to_cloud(img, intr).points[wall]
+        umap = dc.update_map(umap, moments, points, wall, plane)
+        ref_map = update_map_gathered(ref_map, ref_moments, points, wall, plane)
+        assert umap.coefficients.tobytes() == ref_map.coefficients.tobytes()
+        for name in ("zpow", "zpi", "count", "zmin", "zmax"):
+            assert getattr(moments, name).tobytes() == getattr(ref_moments, name).tobytes()
+    count = moments.count
+    spread = moments.zmax - moments.zmin
+    assert np.any(count == 0)
+    assert np.any(count == 1)
+    line = (count >= 2) & (spread >= dc.calib_undistort.MIN_SPREAD_LINEAR) \
+        & (spread < dc.calib_undistort.MIN_SPREAD_SUPERLINEAR)
+    assert np.any(line) and np.all(umap.coefficients[line][:, 2] == 0.0)
+    quadratic = (count >= 3) & (spread >= dc.calib_undistort.MIN_SPREAD_SUPERLINEAR)
+    assert np.any(quadratic) and np.all(umap.coefficients[quadratic][:, 2] != 0.0)
+    identity = dc.UndistortionMap.identity(32, 24, 4, 4, 2).coefficients
+    assert np.array_equal(umap.coefficients[count <= 1], identity[count <= 1])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from depthcal import maps, pipeline
 from depthcal.geometry import horner
 from depthcal.maps import MapError, fit_weighted_poly_batch
 from oracles import (
+    add_gathered,
     apply_full_correction,
     complete_dependent_corner,
     corner_wh,
@@ -20,6 +21,8 @@ from oracles import (
     fit_weighted_poly,
     global_correct,
     global_eval,
+    ldl_inverse,
+    moment_fit_batch,
     moments_of,
     surrounding,
     undistort_depth,
@@ -140,7 +143,7 @@ def test_fit_batch_flags_bad_sets():
     moments = dc.FitMoments((1, 2), 2)
     for z in ([1.0, 2.0], [2.0, 2.0], [3.0, 2.0], [4.0, 2.0]):
         z = np.array(z)
-        moments.add(np.array([0, 1]), z, z)
+        moments.add(np.ones(2, dtype=bool), z, z)
     coeffs, ok = fit_weighted_poly_batch(moments.zpow.reshape(2, -1),
                                          moments.zpi.reshape(2, -1),
                                          moments.count.reshape(2), 2)
@@ -152,14 +155,25 @@ def test_fit_batch_flags_bad_sets():
 def test_fit_moments_reject_nonpositive_depth():
     moments = dc.FitMoments((1, 1), 2)
     with pytest.raises(MapError):
-        moments.add(np.array([0]), np.array([0.0]), np.array([1.0]))
+        moments.add(np.array([True]), np.array([0.0]), np.array([1.0]))
     assert moments.count[0, 0] == 0
+
+
+def grid_samples(size, samples):
+    """(mask, z, z_pi) over a flat grid of `size` control pixels holding
+    `samples`, {flat index: (z, z_pi)}; NaN off the mask."""
+    mask = np.zeros(size, dtype=bool)
+    z = np.full(size, np.nan)
+    z_pi = np.full(size, np.nan)
+    for j, (zj, zpj) in samples.items():
+        mask[j], z[j], z_pi[j] = True, zj, zpj
+    return mask, z, z_pi
 
 
 def test_fit_moments_track_count_and_depth_range():
     moments = dc.FitMoments((2, 3), 2)
-    moments.add(np.array([4, 1]), np.array([2.0, 3.0]), np.array([2.1, 3.1]))
-    moments.add(np.array([4]), np.array([1.5]), np.array([1.4]))
+    moments.add(*grid_samples(6, {4: (2.0, 2.1), 1: (3.0, 3.1)}))
+    moments.add(*grid_samples(6, {4: (1.5, 1.4)}))
     assert moments.count.tolist() == [[0, 1, 0], [0, 2, 0]]
     assert (moments.zmin[1, 1], moments.zmax[1, 1]) == (1.5, 2.0)
     assert (moments.zmin[0, 1], moments.zmax[0, 1]) == (3.0, 3.0)
@@ -168,6 +182,72 @@ def test_fit_moments_track_count_and_depth_range():
     assert moments.zpow[1, 1, 0] == pytest.approx(w.sum(), rel=1e-15)
     assert moments.zpi[1, 1, 1] == pytest.approx(w @ (np.array([2.0, 1.5]) * [2.1, 1.4]),
                                                  rel=1e-15)
+
+
+def test_fit_moments_add_leaves_rows_off_the_mask_alone():
+    # a control pixel with no sample has a 0 / 0 depth; off the mask it
+    # neither raises nor reaches the moments, and neither does a depth <= 0
+    moments = dc.FitMoments((2, 2), 2)
+    with np.errstate(invalid="ignore"):
+        z = np.array([0.0, -1.0, 2.0, 0.0]) / np.array([0.0, 1.0, 1.0, 0.0])
+    moments.add(np.array([False, False, True, False]), z, np.array([np.nan, 1.0, 2.1, 0.0]))
+    alone = dc.FitMoments((1, 1), 2)
+    alone.add(np.array([True]), np.array([2.0]), np.array([2.1]))
+    off = np.array([[True, True], [False, True]])
+    assert moments.count.tolist() == [[0, 0], [1, 0]]
+    assert np.all(moments.zpow[off] == 0.0) and np.all(moments.zpi[off] == 0.0)
+    assert np.all(moments.zmin[off] == np.inf) and np.all(moments.zmax[off] == -np.inf)
+    for name in ("zpow", "zpi", "zmin", "zmax"):
+        assert getattr(moments, name)[1, 0].tobytes() == getattr(alone, name)[0, 0].tobytes()
+
+
+def random_moments(rng, rows, degree, frames):
+    """FitMoments of `rows` control pixels after `frames` random masked
+    adds, built with `add` and with `add_gathered` in step; the two states'
+    arrays must be equal bit for bit."""
+    ours = dc.FitMoments((rows, 1), degree)
+    ref = dc.FitMoments((rows, 1), degree)
+    for _ in range(frames):
+        mask = rng.random(rows) < 0.7
+        z = rng.uniform(0.5, 5.0, rows)
+        if rng.random() < 0.3:  # few distinct depths: near singular rows
+            z = np.round(z)
+        z_pi = z * rng.uniform(0.9, 1.1, rows) + rng.normal(0.0, 0.01, rows)
+        zero_weight = np.where(mask, z, 0.0)  # a 0 off the mask must not raise
+        ours.add(mask, zero_weight, z_pi)
+        idx = np.flatnonzero(mask)
+        add_gathered(ref, idx, z[idx], z_pi[idx])
+    for name in ("zpow", "zpi", "count", "zmin", "zmax"):
+        assert getattr(ours, name).tobytes() == getattr(ref, name).tobytes(), name
+    return ours
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_fit_batch_matches_gathered_form_bit_for_bit(degree):
+    rng = np.random.default_rng(100 + degree)
+    k = degree + 1
+    grids = [random_moments(rng, int(rng.integers(1, 40)), degree, frames)
+             for frames in (0, 1, k - 1, k, k + 2, 12, 12)]
+    # the named rows of the condition-limit test: a spread, too few samples,
+    # a singular set, an exactly 0 pivot, and rows at the condition limit
+    named = [np.linspace(0.8, 4.0, 12), np.linspace(1.0, 3.0, k - 1),
+             np.resize([1.3, 2.7, 3.1, 3.6][:k - 1], 12), np.ones(12)]
+    named += [depths_at_cond(c, degree) for c in COND_TARGETS]
+    special = dc.FitMoments((len(named), 1), degree)
+    n = max(z.size for z in named)
+    for col in range(n):
+        mask = np.array([col < z.size for z in named])
+        z = np.array([z[col] if col < z.size else np.nan for z in named])
+        special.add(mask, z, 0.01 + 0.98 * z + 0.004 * z ** 2)
+    for moments in grids + [special]:
+        rows = moments.count.size
+        args = (moments.zpow.reshape(rows, -1), moments.zpi.reshape(rows, -1),
+                moments.count.reshape(rows), degree)
+        coeffs, ok = fit_weighted_poly_batch(*args)
+        ref, ref_ok = moment_fit_batch(*args)
+        assert ok.tolist() == ref_ok.tolist()
+        assert np.array_equal(coeffs.view(np.int64), ref.view(np.int64))
+    assert not ok.all() and ok.any()  # the special rows hold both
 
 
 @settings(max_examples=200, deadline=None)
@@ -237,12 +317,11 @@ def test_fit_batch_flags_straddle_cond_limit(monkeypatch, degree):
     z_pi = 0.01 + 0.98 * z + 0.004 * z ** 2 + 1e-4 * np.sin(5.0 * z)
     moments = dc.FitMoments((len(names), 1), degree)
     for col in range(n):
-        idx = np.nonzero(mask[:, col])[0]
-        moments.add(idx, z[idx, col], z_pi[idx, col])
+        moments.add(mask[:, col], z[:, col], z_pi[:, col])
     zpow = moments.zpow.reshape(len(names), -1)
     powers = np.arange(k)
     normals = zpow[:, powers[:, None] + powers[None, :]]
-    _, pivots = maps._ldl_inverse(np.moveaxis(normals, 0, -1))
+    _, pivots = ldl_inverse(np.moveaxis(normals, 0, -1))
     assert np.any(pivots[:, names.index("pivot <= 0")] <= 0.0)
 
     eigensolved = []
